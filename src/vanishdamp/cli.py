@@ -13,7 +13,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 criterion failure, 2 config error, 3 solver
 failure.  Artifacts are written atomically (temp file, then rename) and
-all numbers use the shortest round-trip decimal form, so re-running a
+all numbers use the shortest round-trip form, so re-running a
 scenario with the same config and seed reproduces the files byte for
 byte apart from the wall-clock field inside the summary.
 """
@@ -129,8 +129,7 @@ def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
     verdict_block = None
     if traj.n == 1:
         try:
-            verdict_block = classify_limit(traj).__dict__.copy()
-            verdict_block["limit_estimate"] = [float(v) for v in verdict_block["limit_estimate"]]
+            verdict_block = classify_limit(traj).as_dict()
         except UnsupportedError:
             verdict_block = None
     event_block = {

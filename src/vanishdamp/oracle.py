@@ -2,232 +2,58 @@
 
 These are the ground-truth values the integrator and the analyzers are
 checked against: regular Bessel solutions of the linear equation
-x'' + (c/t) x' + x = 0, the zero-potential quadrature solution, the exact
-power-law solution of the nonlinear equation with matching damping, and the
-linear-case decay envelope exp(-int_0^t a).
+x'' + (c/t) x' + x = 0, the zero-potential quadrature solution and the
+exact power-law solution of the nonlinear equation with matching damping.
 
-Everything here is self-contained up to elementary functions: the gamma
-function is a Lanczos approximation, Bessel values come from the defining
-power series (summed in extended precision, see below) or from the standard
-first-correction asymptotic expansion.
-
-Series precision note: the terms of the J_nu series grow to ~e^t/(pi t)
-before they cancel, so a plain float64 sum keeps only ~16 - 0.434*t digits;
-at t=50 it keeps none.  The series branch therefore accumulates the sum with
-the ``decimal`` module at a precision scaled to t, which keeps the series the
-most accurate branch through t = 50 where comparisons against integrated
-trajectories need ~1e-10 absolute accuracy.  Beyond the switch the
-first-correction asymptotic is used and its truncation error is reported.
+Bessel values come from ``scipy.special.jv`` and the gamma function from
+``math.gamma``; this module only validates inputs and assembles the closed
+forms.  The references are accurate to about 1e-14 at every t, long
+horizons included.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import jv
 
 from .errors import DomainError
-from .schedule import Constant, Custom, DampingSchedule, PowerLaw
+from .schedule import Constant, DampingSchedule, PowerLaw
 
 ArrayLike = Union[float, np.ndarray]
-
-# argument above which bessel_j switches from the extended-precision series
-# to the first-correction asymptotic expansion
-SERIES_SWITCH_T = 50.0
 
 # supported order range; (c-1)/2 for damping amplitudes c in (0, 7]
 _NU_MIN = -0.5
 _NU_MAX = 3.0
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Lanczos coefficients, g = 7, n = 9
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma function for real z > 0 (Lanczos approximation).
-
-    Relative error is ~1e-13 over the range used here; the module contract
-    only relies on <= 1e-10 for z in [0.5, 10].
-    """
-    if not z > 0:
-        raise DomainError(f"gamma_fn needs z > 0, got {z}")
-    if z < 0.5:
-        return gamma_fn(z + 1.0) / z
-    zz = z - 1.0
-    x = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        x += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (zz + 0.5) * math.exp(-t) * x
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """A Bessel value with the method that produced it and an error bound."""
-
-    order: float
-    argument: float
-    value: float
-    method: str  # Series | Asymptotic | ClosedFormHalfInteger
-    est_error: float
-
-
-def _series_sum(nu: float, t: float) -> float:
-    """sum_k (-1)^k u_k with u_0 = 1, u_{k+1} = u_k (t/2)^2/((k+1)(k+nu+1)).
-
-    This is t^{-nu} (t/2)^{-nu}... specifically J_nu(t) equals
-    (t/2)^nu/Gamma(nu+1) times this sum.  Accumulated in decimal arithmetic
-    with precision scaled to t because the terms peak at ~e^t/(pi t).
-    """
-    digits = 30 + int(0.46 * t)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        q = Decimal(t) * Decimal(t) / 4
-        nu_d = Decimal(nu)
-        u = Decimal(1)
-        s = Decimal(1)
-        tiny = Decimal(10) ** (-digits)
-        k = 0
-        while True:
-            u = -u * q / ((k + 1) * (nu_d + (k + 1)))
-            s += u
-            k += 1
-            if k > t / 2.0 + 4 and abs(u) <= tiny * (1 + abs(s)):
-                break
-            if k > 1000:
-                raise DomainError(f"Bessel series did not converge at t={t}")
-        return float(s)
-
-
-def _asymptotic_eval(nu: float, t: float) -> tuple[float, float]:
-    """First-correction Hankel asymptotic: value and truncation estimate.
-
-    J_nu(t) ~ sqrt(2/(pi t)) [cos w - (mu-1)/(8t) sin w], mu = 4 nu^2,
-    w = t - nu pi/2 - pi/4.  The error estimate is the magnitude of the
-    first omitted terms of the P and Q series.
-    """
-    mu = 4.0 * nu * nu
-    omega = t - nu * math.pi / 2.0 - math.pi / 4.0
-    amp = math.sqrt(2.0 / (math.pi * t))
-    value = amp * (math.cos(omega) - (mu - 1.0) / (8.0 * t) * math.sin(omega))
-    p2 = abs((mu - 1.0) * (mu - 9.0)) / (2.0 * (8.0 * t) ** 2)
-    q2 = abs((mu - 1.0) * (mu - 9.0) * (mu - 25.0)) / (6.0 * (8.0 * t) ** 3)
-    est = 1.5 * amp * (p2 + q2) + 1.0e-16 * amp
-    return value, est
-
-
-def _half_integer_eval(nu: float, t: float) -> float:
-    if t == 0.0:
-        return 0.0
-    amp = math.sqrt(2.0 / (math.pi * t))
-    if nu == 0.5:
-        return amp * math.sin(t)
-    # nu == 1.5
-    return amp * (math.sin(t) / t - math.cos(t))
-
-
-def bessel_j_eval(nu: float, t: float, method: str | None = None) -> BesselEval:
-    """Bessel J_nu(t) with method tag and error estimate.
-
-    ``method`` forces a branch ("series", "asymptotic", "closed_form");
-    the default picks the closed form for half-integer orders, the series
-    for t <= SERIES_SWITCH_T and the asymptotic beyond.
-    """
+def bessel_j(nu: float, t: float) -> float:
+    """Bessel function of the first kind, J_nu(t), for nu in (-0.5, 3]."""
     if not (_NU_MIN < nu <= _NU_MAX):
         raise DomainError(f"order {nu} outside supported range ({_NU_MIN}, {_NU_MAX}]")
     if t < 0:
         raise DomainError(f"bessel_j needs t >= 0, got {t}")
-
-    if method is None:
-        if nu in (0.5, 1.5):
-            method = "closed_form"
-        elif t <= SERIES_SWITCH_T:
-            method = "series"
-        else:
-            method = "asymptotic"
-
-    if method == "closed_form":
-        if nu not in (0.5, 1.5):
-            raise DomainError(f"no half-integer closed form for order {nu}")
-        value = _half_integer_eval(nu, t)
-        return BesselEval(nu, t, value, "ClosedFormHalfInteger", 5.0e-16 * (1 + abs(value)))
-
-    if method == "series":
-        if t > 200.0:
-            raise DomainError(f"series branch limited to t <= 200, got {t}")
-        if t == 0.0:
-            if nu == 0.0:
-                return BesselEval(nu, t, 1.0, "Series", 0.0)
-            if nu > 0.0:
-                return BesselEval(nu, t, 0.0, "Series", 0.0)
-            raise DomainError("J_nu(0) diverges for negative order")
-        s = _series_sum(nu, t)
-        pref = (t / 2.0) ** nu / gamma_fn(nu + 1.0)
-        value = pref * s
-        # prefactor and conversion carry ~1e-15 relative; the decimal sum is
-        # far below that
-        est = 1.0e-14 * (1.0 + abs(value)) + 1.0e-15
-        return BesselEval(nu, t, value, "Series", est)
-
-    if method == "asymptotic":
-        if t <= 0.0:
-            raise DomainError("asymptotic branch needs t > 0")
-        value, est = _asymptotic_eval(nu, t)
-        return BesselEval(nu, t, value, "Asymptotic", est)
-
-    raise DomainError(f"unknown bessel method {method!r}")
-
-
-def bessel_j(nu: float, t: float) -> float:
-    """Bessel function of the first kind, J_nu(t)."""
-    return bessel_j_eval(nu, t).value
+    if t == 0.0 and nu < 0.0:
+        raise DomainError("J_nu(0) diverges for negative order")
+    return float(jv(nu, t))
 
 
 def linear_regular_solution(c: float, t: float) -> float:
     """The solution of x'' + (c/t) x' + x = 0 finite at 0 with x(0) = 1.
 
-    Equals b1 t^{(1-c)/2} J_{(c-1)/2}(t) with b1 = 2^{(c-1)/2} Gamma((c+1)/2).
-    For t below the series switch the prefactors cancel against the series
-    and the value is computed without any fractional power:
-    x_c(t) = sum_k (-1)^k (t/2)^{2k} / (k! (nu+1)...(nu+k)), nu = (c-1)/2.
+    x_c(t) = Gamma(nu+1) (t/2)^{-nu} J_nu(t) with nu = (c-1)/2.
     """
     if not (0.0 < c <= 7.0):
         raise DomainError(f"damping amplitude must be in (0, 7], got {c}")
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
+    if t == 0.0:
+        return 1.0
     nu = (c - 1.0) / 2.0
-    if t <= SERIES_SWITCH_T:
-        return _series_sum(nu, t)
-    b1 = 2.0**nu * gamma_fn(nu + 1.0)
-    return b1 * t ** ((1.0 - c) / 2.0) * bessel_j(nu, t)
-
-
-def modified_decay_asymptote(c: float, t: float) -> float:
-    """Shape t^{-c/2} e^{-t} of decaying solutions of the modified linear
-    equation; unit constant, used only for shape fits near 1D local maxima."""
-    if c < 0:
-        raise DomainError(f"amplitude must be >= 0, got {c}")
-    if t < 10.0:
-        raise DomainError(f"asymptotic regime needs t >= 10, got {t}")
-    return t ** (-c / 2.0) * math.exp(-t)
+    return float(math.gamma(nu + 1.0) * (t / 2.0) ** (-nu) * jv(nu, t))
 
 
 def _kernel_displacement(sched: DampingSchedule, t: float) -> float:
@@ -284,51 +110,3 @@ def power_law_exact(beta: float, t: float) -> tuple[float, float, float]:
     x = (t + 1.0) ** (-beta)
     v = -beta * (t + 1.0) ** (-beta - 1.0)
     return x, v, 1.0 + beta + 1.0 / beta
-
-
-def envelope_hypothesis_issues(sched: DampingSchedule) -> list[str]:
-    """Grid check of the linear-envelope hypotheses.
-
-    The envelope k e^{-int a} <= |x|^2 + |v|^2 <= K e^{-int a} for the linear
-    equation requires a nonincreasing and differentiable with a -> 0,
-    a' -> 0, and a'' + a a' of constant sign for large t.  Returns a list of
-    human-readable issues (empty when the grid sees no violation).  A grid
-    check is evidence, not proof; reports carry the verdict as-is.
-    """
-    issues: list[str] = []
-    lo = 1.0e-2 if sched.singular_at_zero else 0.0
-    grid = np.geomspace(max(lo, 1.0e-2), 1.0e5, 60)
-
-    avals = np.array([sched.a_at(t) for t in grid])
-    if np.any(np.diff(avals) > 1.0e-12 * (1.0 + avals[:-1])):
-        issues.append("a is not nonincreasing on the check grid")
-    scale = max(avals[0], 1.0e-300)
-    if avals[-1] > 1.0e-3 * scale and avals[-1] > 1.0e-9:
-        issues.append("a does not appear to tend to 0")
-    davals = np.array([sched.da_at(t) for t in grid])
-    if abs(davals[-1]) > 1.0e-3 * max(abs(davals[0]), 1.0e-300) and abs(davals[-1]) > 1.0e-9:
-        issues.append("a' does not appear to tend to 0")
-
-    # constant sign of a'' + a a' on the tail of the grid ("eventually")
-    tail = grid[grid >= 100.0]
-    vals = np.array([sched.dda_at(t) + sched.a_at(t) * sched.da_at(t) for t in tail])
-    tol = 1.0e-12 * (1.0 + np.abs(vals).max())
-    if np.any(vals > tol) and np.any(vals < -tol):
-        issues.append("a'' + a a' changes sign on the tail grid")
-    return issues
-
-
-def linear_envelope(sched: DampingSchedule, t: float, check: bool = True) -> float:
-    """The envelope value e^{-int_0^t a} for the linear equation.
-
-    With check=True a failed hypothesis grid check emits a warning; the
-    envelope value is returned either way.
-    """
-    if check:
-        issues = envelope_hypothesis_issues(sched)
-        if issues:
-            warnings.warn(
-                "linear envelope hypotheses not satisfied: " + "; ".join(issues),
-                stacklevel=2,
-            )
-    return sched.decay_kernel(t)

@@ -29,7 +29,13 @@ VIOLATION_REL = 1.0e-9
 
 
 class Potential:
-    """Base interface; subclasses are immutable after construction."""
+    """Base interface; subclasses are immutable after construction.
+
+    Two ways to evaluate: the array API, ``energy(x)`` and ``grad(x)`` on
+    points of shape (n,), validated and valid in any dimension; and, for
+    n = 1, the scalar closures from ``scalar_energy_fn()`` and
+    ``scalar_grad_fn()``, which take and return plain floats.
+    """
 
     n: int
     kind: str
@@ -45,20 +51,6 @@ class Potential:
     def grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        """Gradient on plain floats; hot path for the integrator."""
-        return [float(v) for v in self.grad(np.asarray(x, dtype=float))]
-
-    def energy_scalar(self, x: float) -> float:
-        if self.n != 1:
-            raise DomainError(f"scalar evaluation needs n=1, have n={self.n}")
-        return self.energy(np.array([x]))
-
-    def grad_scalar(self, x: float) -> float:
-        if self.n != 1:
-            raise DomainError(f"scalar evaluation needs n=1, have n={self.n}")
-        return self.grad_list([x])[0]
-
     def _as_point(self, x) -> np.ndarray:
         p = np.atleast_1d(np.asarray(x, dtype=float))
         if p.shape != (self.n,):
@@ -67,9 +59,9 @@ class Potential:
             )
         return p
 
-    # Allocation-free closures for the integrator hot loop. The defaults
-    # wrap the generic methods; builtins override the underscore hooks
-    # with plain float math.
+    # Scalar closures on plain floats, for the integrator hot loop and the
+    # 1D geometry scans.  The defaults wrap the array API (only Custom uses
+    # them); builtins override the underscore hooks with plain float math.
     def scalar_grad_fn(self) -> Callable[[float], float]:
         if self.n != 1:
             raise DomainError("scalar gradient closure needs n=1")
@@ -81,11 +73,12 @@ class Potential:
         return self._scalar_energy()
 
     def _scalar_grad(self) -> Callable[[float], float]:
-        gl = self.grad_list
-        return lambda x: gl((x,))[0]
+        grad = self.grad
+        return lambda x: float(grad(np.array([x]))[0])
 
     def _scalar_energy(self) -> Callable[[float], float]:
-        return self.energy_scalar
+        energy = self.energy
+        return lambda x: energy(np.array([x]))
 
 
 class Quadratic(Potential):
@@ -103,9 +96,6 @@ class Quadratic(Potential):
 
     def grad(self, x) -> np.ndarray:
         return self._as_point(x).copy()
-
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        return [float(v) for v in x]
 
     def _scalar_grad(self):
         return lambda x: x
@@ -136,14 +126,6 @@ class PPower(Potential):
         if r == 0.0:
             return np.zeros(self.n)
         return pt * r ** (self.p - 2.0)
-
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        if self.n == 1:
-            v = x[0]
-            if v == 0.0:
-                return [0.0]
-            return [math.copysign(abs(v) ** (self.p - 1.0), v)]
-        return super().grad_list(x)
 
     def _scalar_grad(self):
         e = self.p - 1.0
@@ -181,12 +163,6 @@ class SignedPower(Potential):
         v = p[0]
         return np.array([math.copysign(abs(v) ** self.q, v) if v != 0.0 else 0.0])
 
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        v = x[0]
-        if v == 0.0:
-            return [0.0]
-        return [math.copysign(abs(v) ** self.q, v)]
-
     def _scalar_grad(self):
         q = self.q
         return lambda x: math.copysign(abs(x) ** q, x) if x != 0.0 else 0.0
@@ -213,10 +189,6 @@ class DoubleWell(Potential):
     def grad(self, x) -> np.ndarray:
         v = self._as_point(x)[0]
         return np.array([v * (v * v - 1.0)])
-
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        v = x[0]
-        return [v * (v * v - 1.0)]
 
     def _scalar_grad(self):
         return lambda x: x * (x * x - 1.0)
@@ -254,19 +226,6 @@ class FlatBottom(Potential):
         if r <= 1.0:
             return np.zeros(self.n)
         return (2.0 * (r - 1.0) / r) * p
-
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        if self.n == 1:
-            v = x[0]
-            e = abs(v) - 1.0
-            if e <= 0.0:
-                return [0.0]
-            return [math.copysign(2.0 * e, v)]
-        r = math.sqrt(sum(v * v for v in x))
-        if r <= 1.0:
-            return [0.0] * self.n
-        f = 2.0 * (r - 1.0) / r
-        return [f * v for v in x]
 
     def _scalar_grad(self):
         def g(x):
@@ -321,9 +280,6 @@ class Polynomial1D(Potential):
     def grad(self, x) -> np.ndarray:
         return np.array([self._horner(self.dcoeffs, self._as_point(x)[0])])
 
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        return [self._horner(self.dcoeffs, x[0])]
-
     def _scalar_grad(self):
         dc = self.dcoeffs
         h = self._horner
@@ -351,9 +307,6 @@ class Zero(Potential):
     def grad(self, x) -> np.ndarray:
         self._as_point(x)
         return np.zeros(self.n)
-
-    def grad_list(self, x: Sequence[float]) -> list[float]:
-        return [0.0] * self.n
 
     def _scalar_grad(self):
         return lambda x: 0.0
@@ -431,9 +384,9 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _second_derivative(pot: Potential, x: float) -> float:
+def _second_derivative(g: Callable[[float], float], x: float) -> float:
     h = 1.0e-6 * (1.0 + abs(x))
-    return (pot.grad_scalar(x + h) - pot.grad_scalar(x - h)) / (2.0 * h)
+    return (g(x + h) - g(x - h)) / (2.0 * h)
 
 
 def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[CriticalPoint]:
@@ -456,7 +409,8 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid search box [{lo}, {hi}]")
 
-    g = pot.grad_scalar
+    g = pot.scalar_grad_fn()
+    energy = pot.scalar_energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
     gs = np.array([g(x) for x in xs])
 
@@ -501,9 +455,9 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
             kind = "Degenerate"  # inflection with horizontal tangent
         else:
             kind = "Degenerate"
-        d2 = _second_derivative(pot, r)
+        d2 = _second_derivative(g, r)
         delta = abs(d2) / 2.0 if abs(d2) > 1.0e-8 else 0.0
-        out.append(CriticalPoint(float(r), pot.energy_scalar(r), kind, delta))
+        out.append(CriticalPoint(float(r), energy(r), kind, delta))
     return out
 
 
@@ -626,8 +580,10 @@ def check_strong_convexity_window(
         raise DomainError("need eps > 0 and delta > 0")
     sgn = -1.0 if concave else 1.0
     xs = np.linspace(xstar - eps, xstar + eps, 200)
-    G = sgn * np.array([pot.energy_scalar(x) for x in xs])
-    dG = sgn * np.array([pot.grad_scalar(x) for x in xs])
+    energy = pot.scalar_energy_fn()
+    g = pot.scalar_grad_fn()
+    G = sgn * np.array([energy(x) for x in xs])
+    dG = sgn * np.array([g(x) for x in xs])
     dxy = xs[None, :] - xs[:, None]  # y - x
     slack = G[None, :] - G[:, None] - dxy * dG[:, None] - delta * dxy * dxy
     worst = float(slack.min())
@@ -650,7 +606,8 @@ def plateau_interval(
     lo, hi = float(search_box[0]), float(search_box[1])
     if not (lo < xstar < hi):
         raise DomainError(f"x*={xstar} not inside box [{lo}, {hi}]")
-    lam = pot.energy_scalar(xstar)
+    energy = pot.scalar_energy_fn()
+    lam = energy(xstar)
 
     def bracket(direction: float) -> float:
         end = lo if direction < 0 else hi
@@ -658,10 +615,10 @@ def plateau_interval(
         prev = xstar
         for i in range(1, steps + 1):
             x = xstar + (end - xstar) * i / steps
-            if pot.energy_scalar(x) > lam:
+            if energy(x) > lam:
                 # G(prev) <= lam < G(x): bisect on G - lam
                 a, b = (x, prev) if x < prev else (prev, x)
-                return _bisect_root(lambda u: pot.energy_scalar(u) - lam, a, b)
+                return _bisect_root(lambda u: energy(u) - lam, a, b)
             prev = x
         raise DomainError(
             f"level G(x*)={lam:.6g} never exceeded toward {end}; enlarge the box"

@@ -5,6 +5,8 @@ codes, console output, and the CSV/JSON artifacts.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,8 @@ rel_tol = 1e-8
 """
 
 VERDICTS = {"ConvergesToMin", "ConvergesToMax", "NotConverged", "Undetermined"}
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def _cfg(tmp_path, text, name="scn.cfg"):
@@ -208,3 +212,26 @@ def test_bad_jobs_env_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VANISH_DAMP_JOBS", "many")
     assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 2
     assert "VANISH_DAMP_JOBS expects an integer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bundled example configs
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [("run", "j0"), ("sweep", "quadratic_csweep"), ("sweep", "doublewell_sweep")],
+)
+def test_bundled_examples_run(tmp_path, command, name):
+    # each shipped config runs as documented; t_end is cut short for speed
+    text = (EXAMPLES / f"{name}.cfg").read_text()
+    short, count = re.subn(r"(?m)^t_end = .*$", "t_end = 20.0", text)
+    assert count == 1
+    out = tmp_path / "out"
+    assert main([command, _cfg(tmp_path, short, f"{name}.cfg"), "--outdir", str(out)]) == 0
+    if command == "run":
+        assert _read_summary(out, name)["verdict"]["verdict"] in VERDICTS
+    else:
+        rows = (out / f"{name}_sweep.csv").read_text().splitlines()
+        assert len(rows) > 2
+        assert (out / f"{name}_aggregate.json").exists()
