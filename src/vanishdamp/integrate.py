@@ -14,9 +14,12 @@ plain stepping it provides:
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
-The stepper is written twice: a scalar path in plain floats for n=1 (the
-hot case; long double-well sweeps spend millions of steps here) and an
-array path for n >= 2 where clarity wins over speed.
+There is one stepper for every dimension.  Its arithmetic is elementwise,
+so the same lines run on plain floats for n=1 (the hot case; long
+double-well sweeps spend millions of steps here) and on (n,) arrays for
+n >= 2.  The few operations that differ (gradient, energy, finiteness,
+maximum, component sum, norm, event projection) are bound once per run
+by state_ops.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as _Fr
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -303,17 +306,74 @@ def bootstrap_singular_start(spec: SystemSpec) -> State:
     return State(h0, x, v)
 
 
+class StateOps(NamedTuple):
+    """The operations that depend on how a state is held.
+
+    For n = 1 a state is a plain float and these are builtins and the
+    potential's scalar closures; for n >= 2 it is an (n,) array and they
+    wrap numpy and the array API.  Everything else in the stepper and in
+    the recursion is elementwise arithmetic that runs on either.
+    """
+
+    states: Callable  # array of (n,) rows -> float(s) or array
+    grad: Callable  # x -> grad G(x)
+    energy: Callable  # (x, v) -> |v|^2 / 2 + G(x)
+    finite: Callable  # every component finite
+    maximum: Callable  # elementwise max of two states
+    total: Callable  # sum of the components, a float
+    norm: Callable  # Euclidean norm, a float
+    project: Callable  # component along the event direction, a float
+
+
+def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOps:
+    """Bind the dimension-dependent operations for ``pot`` once."""
+    if pot.n == 1:
+        energy_of = pot.scalar_energy_fn()
+        return StateOps(
+            states=lambda a: a[..., 0].tolist(),
+            grad=pot.scalar_grad_fn(),
+            energy=lambda x, v: 0.5 * v * v + energy_of(x),
+            finite=math.isfinite,
+            maximum=max,
+            total=float,
+            norm=abs,
+            # +-v changes sign exactly where v does
+            project=float,
+        )
+    energy_of = pot.energy
+    return StateOps(
+        states=lambda a: np.asarray(a, dtype=float),
+        grad=pot.grad,
+        energy=lambda x, v: 0.5 * float(v @ v) + energy_of(x),
+        finite=lambda a: bool(np.isfinite(a).all()),
+        maximum=np.maximum,
+        total=lambda a: float(a.sum()),
+        norm=lambda a: float(np.linalg.norm(a)),
+        project=lambda w: float(direction @ w),
+    )
+
+
 def integrate(spec: SystemSpec) -> Trajectory:
     """Solve the system on [0, t_end] and return the sampled trajectory.
 
     Stationary initial data (critical point, zero velocity) short-circuits
     to a two-sample constant trajectory.  Schedules singular at the origin
     are started by bootstrap_singular_start and the exact t=0 state is
-    prepended to the output.
+    prepended to the output.  A finite state too large to evaluate (the
+    scalar closures raise OverflowError where numpy returns inf) at the
+    start or in the first-step estimate raises NonFiniteState.
     """
+    try:
+        return _solve(spec)
+    except OverflowError as exc:
+        raise NonFiniteState(f"state left the float range: {exc}") from exc
+
+
+def _solve(spec: SystemSpec) -> Trajectory:
     n, x0, v0, d = _normalize_spec(spec)
     pot = spec.potential
     sched = spec.schedule
+    ops = state_ops(pot, d)
     g0 = pot.grad(x0)
 
     if float(np.max(np.abs(v0))) == 0.0 and float(np.max(np.abs(g0))) == 0.0:
@@ -337,7 +397,10 @@ def integrate(spec: SystemSpec) -> Trajectory:
         # exact-to-O(h0^4) accumulated dissipation and t=0 row
         gn2 = float(g0 @ g0)
         diss0 = c * gn2 * BOOTSTRAP_H0 ** 2 / (2.0 * (1.0 + c) ** 2)
-        prelude = (0.0, x0, np.zeros(n), -g0 / (1.0 + c), pot.energy(x0), 0.0)
+        prelude = (
+            0.0, ops.states(x0), ops.states(np.zeros(n)),
+            ops.states(-g0 / (1.0 + c)), pot.energy(x0), 0.0,
+        )
     else:
         t0 = 0.0
         y_x, y_v = x0, v0
@@ -345,29 +408,11 @@ def integrate(spec: SystemSpec) -> Trajectory:
     if spec.t_end <= t0:
         raise DomainError(f"t_end={spec.t_end} does not exceed the start time {t0}")
 
-    if n == 1:
-        out = _run_1d(spec, t0, float(y_x[0]), float(y_v[0]), diss0)
-    else:
-        out = _run_nd(spec, t0, y_x.copy(), y_v.copy(), diss0, d)
+    out = _run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
     ts_l, xs_l, vs_l, accs_l, es_l, ds_l, raw_events, stats = out
-
     if prelude is not None:
-        t_p, x_p, v_p, a_p, e_p, d_p = prelude
-        ts_l.insert(0, t_p)
-        xs_l.insert(0, x_p if n > 1 else float(x_p[0]))
-        vs_l.insert(0, v_p if n > 1 else 0.0)
-        accs_l.insert(0, a_p if n > 1 else float(a_p[0]))
-        es_l.insert(0, e_p)
-        ds_l.insert(0, d_p)
-
-    if n == 1:
-        xs = np.asarray(xs_l, dtype=float)[:, None]
-        vs = np.asarray(vs_l, dtype=float)[:, None]
-        accs = np.asarray(accs_l, dtype=float)[:, None]
-    else:
-        xs = np.vstack(xs_l)
-        vs = np.vstack(vs_l)
-        accs = np.vstack(accs_l)
+        for column, value in zip(out, prelude):
+            column.insert(0, value)
 
     events = [
         Event(
@@ -382,9 +427,9 @@ def integrate(spec: SystemSpec) -> Trajectory:
     ]
     return Trajectory(
         np.asarray(ts_l, dtype=float),
-        xs,
-        vs,
-        accs,
+        np.asarray(xs_l, dtype=float).reshape(-1, n),
+        np.asarray(vs_l, dtype=float).reshape(-1, n),
+        np.asarray(accs_l, dtype=float).reshape(-1, n),
         np.asarray(es_l, dtype=float),
         np.asarray(ds_l, dtype=float),
         events,
@@ -394,31 +439,12 @@ def integrate(spec: SystemSpec) -> Trajectory:
     )
 
 
-def _initial_step_1d(rate, g, t0, x0, v0, t_end, rtol, atol):
-    # One magnitude scale for both components: per-component scales can
-    # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
-    s = atol + rtol * max(abs(x0), abs(v0), 1.0e-12)
-    f0x = v0
-    f0v = -rate(t0) * v0 - g(x0)
-    d0 = math.sqrt((x0 * x0 + v0 * v0) / 2.0) / s
-    d1 = math.sqrt((f0x * f0x + f0v * f0v) / 2.0) / s
-    h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, (t_end - t0) * 0.5)
-    x1 = x0 + h0 * f0x
-    v1 = v0 + h0 * f0v
-    f1x = v1
-    f1v = -rate(t0 + h0) * v1 - g(x1)
-    d2 = math.sqrt(((f1x - f0x) ** 2 + (f1v - f0v) ** 2) / 2.0) / s / h0
-    dm = max(d1, d2)
-    h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
-    return min(100.0 * h0, h1, t_end - t0)
-
-
-def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
-    """Scalar hot loop; plain floats throughout."""
+def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
+    """The stepper: x, v and the stages are floats for n=1, arrays for n >= 2."""
     rate = spec.schedule.rate_fn()
-    g = spec.potential.scalar_grad_fn()
-    energy_of = spec.potential.scalar_energy_fn()
+    g, energy_of, all_finite = ops.grad, ops.energy, ops.finite
+    maximum, total, project = ops.maximum, ops.total, ops.project
+    two_n = 2.0 * spec.potential.n
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
@@ -446,36 +472,51 @@ def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
     t, x, v = t0, x0, v0
     k1x = v
     k1v = -rate(t) * v - g(x)
-    if not (math.isfinite(k1v) and math.isfinite(k1x)):
+    if not all_finite(k1v):
         raise NonFiniteState(f"vector field non-finite at start t={t}")
+    nfev = 1
+    if fixed_h is not None:
+        h = fixed_h
+    else:
+        # One magnitude scale for both components: per-component scales can
+        # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
+        s = atol + rtol * max(float(np.max(np.abs(x))), float(np.max(np.abs(v))), 1.0e-12)
+        d0 = math.sqrt(total(x * x + v * v) / two_n) / s
+        d1 = math.sqrt(total(k1x * k1x + k1v * k1v) / two_n) / s
+        if not d1 < math.inf:
+            raise NonFiniteState(f"|f|^2 overflows at start t={t}")
+        h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        h0 = min(h0, (t_end - t) * 0.5)
+        x1 = x + h0 * k1x
+        v1 = v + h0 * k1v
+        f1v = -rate(t + h0) * v1 - g(x1)
+        d2 = math.sqrt(total((v1 - k1x) ** 2 + (f1v - k1v) ** 2) / two_n) / s / h0
+        nfev += 1
+        dm = max(d1, d2)
+        h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
+        h = min(100.0 * h0, h1, t_end - t)
+        if not h > 0.0:  # the second evaluation's |f|^2 overflowed
+            raise NonFiniteState(f"first-step estimate overflowed at t={t}")
+    h = min(h, t_end - t)
 
     diss = diss0
     diss_c = 0.0  # Kahan compensation
-    energy = 0.5 * v * v + energy_of(x)
 
     ts = [t]
     xs = [x]
     vs = [v]
     accs = [k1v]
-    es = [energy]
+    es = [energy_of(x, v)]
     ds = [diss]
     events = []
-    last_sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-    pending_zero_t = None
-    pending_zero_x = None
+    w = project(v)
+    last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
+    pending_zero = None
 
     stats = SolverStats(stride=stride)
-    nfev = 1
     since_store = 0
     just_rejected = False
     facold = 1.0e-4
-
-    h = fixed_h if fixed_h is not None else _initial_step_1d(
-        rate, g, t, x, v, t_end, rtol, atol
-    )
-    if fixed_h is None:
-        nfev += 2
-    h = min(h, t_end - t)
 
     while t < t_end:
         if stats.accepted + stats.rejected >= max_steps:
@@ -489,47 +530,45 @@ def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
             raise StepUnderflow(f"step {h:.3e} below {h_min:.3e} at t={t:.6g}")
 
         # stages (k1 carried over: first-same-as-last)
-        xx = x + h * (a21 * k1x)
-        vv = v + h * (a21 * k1v)
-        k2x = vv
-        k2v = -rate(t + c2 * h) * vv - g(xx)
-        xx = x + h * (a31 * k1x + a32 * k2x)
-        vv = v + h * (a31 * k1v + a32 * k2v)
-        k3x = vv
-        k3v = -rate(t + c3 * h) * vv - g(xx)
-        xx = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
-        vv = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
-        k4x = vv
-        k4v = -rate(t + c4 * h) * vv - g(xx)
-        xx = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
-        vv = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-        k5x = vv
-        k5v = -rate(t + c5 * h) * vv - g(xx)
-        xx = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
-        vv = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-        k6x = vv
-        k6v = -rate(t + h) * vv - g(xx)
-        x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
-        v_new = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        t_new = t_end if clipped else t + h
-        k7x = v_new
-        k7v = -rate(t_new) * v_new - g(x_new)
+        try:
+            xx = x + h * (a21 * k1x)
+            vv = v + h * (a21 * k1v)
+            k2x = vv
+            k2v = -rate(t + c2 * h) * vv - g(xx)
+            xx = x + h * (a31 * k1x + a32 * k2x)
+            vv = v + h * (a31 * k1v + a32 * k2v)
+            k3x = vv
+            k3v = -rate(t + c3 * h) * vv - g(xx)
+            xx = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
+            vv = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
+            k4x = vv
+            k4v = -rate(t + c4 * h) * vv - g(xx)
+            xx = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
+            vv = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+            k5x = vv
+            k5v = -rate(t + c5 * h) * vv - g(xx)
+            xx = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
+            vv = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+            k6x = vv
+            k6v = -rate(t + h) * vv - g(xx)
+            x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
+            v_new = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            t_new = t_end if clipped else t + h
+            k7x = v_new
+            k7v = -rate(t_new) * v_new - g(x_new)
+            finite = all_finite(x_new) and all_finite(v_new) and all_finite(k7v)
+        except OverflowError:
+            # a scalar closure overflowed where an array would hold inf
+            finite = False
         nfev += 6
 
-        finite = (
-            math.isfinite(x_new)
-            and math.isfinite(v_new)
-            and math.isfinite(k7v)
-        )
         if fixed_h is None:
             if finite:
                 err_x = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
                 err_v = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-                sx = atol + rtol * max(abs(x), abs(x_new))
-                sv = atol + rtol * max(abs(v), abs(v_new))
-                rx = 0.0 if err_x == 0.0 else (abs(err_x) / sx if sx > 0.0 else math.inf)
-                rv = 0.0 if err_v == 0.0 else (abs(err_v) / sv if sv > 0.0 else math.inf)
-                norm = math.sqrt((rx * rx + rv * rv) / 2.0)
+                rx = abs(err_x) / (atol + rtol * maximum(abs(x), abs(x_new)))
+                rv = abs(err_v) / (atol + rtol * maximum(abs(v), abs(v_new)))
+                norm = math.sqrt(total(rx * rx + rv * rv) / two_n)
             else:
                 norm = math.inf
             if not norm <= 1.0:
@@ -566,11 +605,11 @@ def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
         qv3 = k1v * p13 + k3v * p33 + k4v * p43 + k5v * p53 + k6v * p63 + k7v * p73
         qv4 = k1v * p14 + k3v * p34 + k4v * p44 + k5v * p54 + k6v * p64 + k7v * p74
 
-        # dissipation increment: 3-point Gauss-Legendre on a(t) v(t)^2
+        # dissipation increment: 3-point Gauss-Legendre on a(t) |v(t)|^2
         va = v + h * (gl1 * (qv1 + gl1 * (qv2 + gl1 * (qv3 + gl1 * qv4))))
         vb = v + h * (gl2 * (qv1 + gl2 * (qv2 + gl2 * (qv3 + gl2 * qv4))))
         vc = v + h * (gl3 * (qv1 + gl3 * (qv2 + gl3 * (qv3 + gl3 * qv4))))
-        inc = h * (
+        inc = h * total(
             gw1 * rate(t + gl1 * h) * va * va
             + gw2 * rate(t + gl2 * h) * vb * vb
             + gw3 * rate(t + gl3 * h) * vc * vc
@@ -580,33 +619,33 @@ def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
         diss_c = (tk - diss) - yk
         diss = tk
 
-        # events: the monitored velocity flipped sign across this step
-        if v_new != 0.0:
-            new_sign = math.copysign(1.0, v_new)
+        # events: the monitored velocity projection flipped sign across this step
+        w_new = project(v_new)
+        if w_new != 0.0:
+            new_sign = math.copysign(1.0, w_new)
             if last_sign != 0.0 and new_sign != last_sign:
-                if pending_zero_t is not None:
-                    te, xe, ve = pending_zero_t, pending_zero_x, 0.0
+                if pending_zero is not None:
+                    te, xe, ve = pending_zero
                 else:
                     qx1 = k1x * p11
                     qx2 = k1x * p12 + k3x * p32 + k4x * p42 + k5x * p52 + k6x * p62 + k7x * p72
                     qx3 = k1x * p13 + k3x * p33 + k4x * p43 + k5x * p53 + k6x * p63 + k7x * p73
                     qx4 = k1x * p14 + k3x * p34 + k4x * p44 + k5x * p54 + k6x * p64 + k7x * p74
 
-                    def vq(tau, _t=t, _h=h, _v=v, _q1=qv1, _q2=qv2, _q3=qv3, _q4=qv4):
+                    def wq(tau, _t=t, _h=h, _w=project(v), _q1=project(qv1),
+                           _q2=project(qv2), _q3=project(qv3), _q4=project(qv4)):
                         th = (tau - _t) / _h
-                        return _v + _h * (th * (_q1 + th * (_q2 + th * (_q3 + th * _q4))))
+                        return _w + _h * (th * (_q1 + th * (_q2 + th * (_q3 + th * _q4))))
 
-                    te = float(brentq(vq, t, t_new, xtol=EVENT_TIME_TOL, rtol=8.9e-16))
+                    te = float(brentq(wq, t, t_new, xtol=EVENT_TIME_TOL, rtol=8.9e-16))
                     th = (te - t) / h
                     xe = x + h * (th * (qx1 + th * (qx2 + th * (qx3 + th * qx4))))
-                    ve = vq(te)
-                events.append((te, xe, ve, 0.5 * ve * ve + energy_of(xe)))
+                    ve = v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))
+                events.append((te, xe, ve, energy_of(xe, ve)))
             last_sign = new_sign
-            pending_zero_t = None
-            pending_zero_x = None
+            pending_zero = None
         else:
-            pending_zero_t = t_new
-            pending_zero_x = x_new
+            pending_zero = (t_new, x_new, v_new)
 
         t, x, v = t_new, x_new, v_new
         k1x, k1v = k7x, k7v
@@ -618,7 +657,7 @@ def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
             xs.append(x)
             vs.append(v)
             accs.append(k1v)
-            es.append(0.5 * v * v + energy_of(x))
+            es.append(energy_of(x, v))
             ds.append(diss)
             since_store = 0
         if len(ts) > MAX_STORED_SAMPLES:
@@ -641,244 +680,7 @@ def _run_1d(spec: SystemSpec, t0: float, x0: float, v0: float, diss0: float):
         xs.append(x)
         vs.append(v)
         accs.append(k1v)
-        es.append(0.5 * v * v + energy_of(x))
-        ds.append(diss)
-    stats.rhs_evals = nfev
-    return ts, xs, vs, accs, es, ds, events, stats
-
-
-def _run_nd(spec: SystemSpec, t0: float, x0: np.ndarray, v0: np.ndarray, diss0: float, d: np.ndarray):
-    """Array path for n >= 2; mirrors _run_1d with numpy states."""
-    rate = spec.schedule.rate_fn()
-    pot = spec.potential
-    n = pot.n
-    t_end = spec.t_end
-    rtol, atol = spec.rel_tol, spec.abs_tol
-    max_steps = spec.max_steps
-    fixed_h = spec.fixed_step
-    stride = spec.sample_stride or 1
-    h_min = MIN_STEP_FRACTION * t_end
-
-    A = (
-        (_A21,),
-        (_A31, _A32),
-        (_A41, _A42, _A43),
-        (_A51, _A52, _A53, _A54),
-        (_A61, _A62, _A63, _A64, _A65),
-    )
-    C = (_C2, _C3, _C4, _C5, 1.0)
-    B = np.array([_B1, 0.0, _B3, _B4, _B5, _B6])
-    E = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])
-    P = np.array(_P)
-
-    def f(tt: float, xx: np.ndarray, vv: np.ndarray):
-        return vv, -rate(tt) * vv - pot.grad(xx)
-
-    t = t0
-    x = x0.astype(float)
-    v = v0.astype(float)
-    k = [None] * 7
-    k[0] = f(t, x, v)
-    if not all(np.all(np.isfinite(p)) for p in k[0]):
-        raise NonFiniteState(f"vector field non-finite at start t={t}")
-
-    diss = diss0
-    diss_c = 0.0
-    energy = 0.5 * float(v @ v) + pot.energy(x)
-
-    ts = [t]
-    xs = [x.copy()]
-    vs = [v.copy()]
-    accs = [k[0][1].copy()]
-    es = [energy]
-    ds = [diss]
-    events = []
-    w0 = float(d @ v)
-    last_sign = 0.0 if w0 == 0.0 else math.copysign(1.0, w0)
-    pending_zero = None
-
-    stats = SolverStats(stride=stride)
-    nfev = 1
-    since_store = 0
-    just_rejected = False
-    facold = 1.0e-4
-
-    if fixed_h is not None:
-        h = fixed_h
-    else:
-        # shared magnitude scale; see _initial_step_1d
-        s = atol + rtol * max(float(np.max(np.abs(x))), float(np.max(np.abs(v))), 1.0e-12)
-        d0 = math.sqrt((float(x @ x) + float(v @ v)) / (2 * n)) / s
-        d1 = math.sqrt(
-            (float(k[0][0] @ k[0][0]) + float(k[0][1] @ k[0][1])) / (2 * n)
-        ) / s
-        h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        h0 = min(h0, (t_end - t) * 0.5)
-        fx1, fv1 = f(t + h0, x + h0 * k[0][0], v + h0 * k[0][1])
-        dfx = fx1 - k[0][0]
-        dfv = fv1 - k[0][1]
-        d2 = math.sqrt((float(dfx @ dfx) + float(dfv @ dfv)) / (2 * n)) / s / h0
-        nfev += 1
-        dm = max(d1, d2)
-        h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
-        h = min(100.0 * h0, h1, t_end - t)
-
-    while t < t_end:
-        if stats.accepted + stats.rejected >= max_steps:
-            raise MaxStepsExceeded(
-                f"{max_steps} steps exhausted at t={t:.6g} of {t_end:.6g}"
-            )
-        clipped = t + h >= t_end
-        if clipped:
-            h = t_end - t
-        elif h < h_min:
-            raise StepUnderflow(f"step {h:.3e} below {h_min:.3e} at t={t:.6g}")
-
-        for i, row in enumerate(A):
-            dx = row[0] * k[0][0]
-            dv = row[0] * k[0][1]
-            for aij, kj in zip(row[1:], k[1 : i + 1]):
-                dx = dx + aij * kj[0]
-                dv = dv + aij * kj[1]
-            k[i + 1] = f(t + C[i] * h, x + h * dx, v + h * dv)
-        dx = sum(bi * kj[0] for bi, kj in zip(B, k[:6]) if bi != 0.0)
-        dv = sum(bi * kj[1] for bi, kj in zip(B, k[:6]) if bi != 0.0)
-        x_new = x + h * dx
-        v_new = v + h * dv
-        t_new = t_end if clipped else t + h
-        k[6] = f(t_new, x_new, v_new)
-        nfev += 6
-
-        finite = bool(
-            np.all(np.isfinite(x_new))
-            and np.all(np.isfinite(v_new))
-            and np.all(np.isfinite(k[6][1]))
-        )
-        if fixed_h is None:
-            if finite:
-                err_x = h * sum(ei * kj[0] for ei, kj in zip(E, k) if ei != 0.0)
-                err_v = h * sum(ei * kj[1] for ei, kj in zip(E, k) if ei != 0.0)
-                sxs = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-                svs = atol + rtol * np.maximum(np.abs(v), np.abs(v_new))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rx = np.where(err_x == 0.0, 0.0, np.abs(err_x) / sxs)
-                    rv = np.where(err_v == 0.0, 0.0, np.abs(err_v) / svs)
-                norm = math.sqrt(
-                    (float(np.sum(rx * rx)) + float(np.sum(rv * rv))) / (2 * n)
-                )
-            else:
-                norm = math.inf
-            if not norm <= 1.0:
-                stats.rejected += 1
-                just_rejected = True
-                if not math.isfinite(norm):
-                    h *= _MIN_FACTOR
-                    if h < h_min and not finite:
-                        raise NonFiniteState(
-                            f"state non-finite at t={t:.6g} and step cannot shrink"
-                        )
-                else:
-                    h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
-                continue
-            if norm == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = min(
-                    _MAX_FACTOR,
-                    max(_MIN_FACTOR, _SAFETY * norm ** -_PI_EXPO * facold ** _PI_BETA),
-                )
-                facold = max(norm, 1.0e-4)
-            if just_rejected:
-                factor = min(factor, 1.0)
-                just_rejected = False
-        elif not finite:
-            raise NonFiniteState(f"state non-finite at t={t:.6g} with fixed step")
-        else:
-            factor = 1.0
-
-        KV = np.stack([kj[1] for kj in k])  # (7, n)
-        QV = KV.T @ P  # (n, 4)
-
-        def v_at(theta: float) -> np.ndarray:
-            return v + h * (
-                theta * (QV[:, 0] + theta * (QV[:, 1] + theta * (QV[:, 2] + theta * QV[:, 3])))
-            )
-
-        inc = h * sum(
-            w * rate(t + gl * h) * float(v_at(gl) @ v_at(gl))
-            for gl, w in zip(_GL_NODES, _GL_WEIGHTS)
-        )
-        yk = inc - diss_c
-        tk = diss + yk
-        diss_c = (tk - diss) - yk
-        diss = tk
-
-        w_new = float(d @ v_new)
-        if w_new != 0.0:
-            new_sign = math.copysign(1.0, w_new)
-            if last_sign != 0.0 and new_sign != last_sign:
-                if pending_zero is not None:
-                    te, xe, ve = pending_zero
-                else:
-                    KX = np.stack([kj[0] for kj in k])
-                    QX = KX.T @ P
-                    qw = d @ QV  # (4,)
-                    wv0 = float(d @ v)
-
-                    def wq(tau):
-                        th = (tau - t) / h
-                        return wv0 + h * (
-                            th * (qw[0] + th * (qw[1] + th * (qw[2] + th * qw[3])))
-                        )
-
-                    te = float(brentq(wq, t, t_new, xtol=EVENT_TIME_TOL, rtol=8.9e-16))
-                    th = (te - t) / h
-                    xe = x + h * (
-                        th * (QX[:, 0] + th * (QX[:, 1] + th * (QX[:, 2] + th * QX[:, 3])))
-                    )
-                    ve = v_at(th)
-                events.append(
-                    (te, xe, ve, 0.5 * float(ve @ ve) + pot.energy(xe))
-                )
-            last_sign = new_sign
-            pending_zero = None
-        else:
-            pending_zero = (t_new, x_new.copy(), v_new.copy())
-
-        t, x, v = t_new, x_new, v_new
-        k[0] = k[6]
-        stats.accepted += 1
-
-        since_store += 1
-        if since_store >= stride or t >= t_end:
-            ts.append(t)
-            xs.append(x.copy())
-            vs.append(v.copy())
-            accs.append(k[0][1].copy())
-            es.append(0.5 * float(v @ v) + pot.energy(x))
-            ds.append(diss)
-            since_store = 0
-        if len(ts) > MAX_STORED_SAMPLES:
-            ts = ts[::2]
-            xs = xs[::2]
-            vs = vs[::2]
-            accs = accs[::2]
-            es = es[::2]
-            ds = ds[::2]
-            stride *= 2
-            stats.stride = stride
-
-        if fixed_h is not None:
-            h = fixed_h
-        else:
-            h = min(h * factor, t_end - t) if t < t_end else h
-
-    if ts[-1] != t:
-        ts.append(t)
-        xs.append(x.copy())
-        vs.append(v.copy())
-        accs.append(k[0][1].copy())
-        es.append(0.5 * float(v @ v) + pot.energy(x))
+        es.append(energy_of(x, v))
         ds.append(diss)
     stats.rhs_evals = nfev
     return ts, xs, vs, accs, es, ds, events, stats

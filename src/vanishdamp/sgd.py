@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, NonFiniteState
-from .integrate import SystemSpec, Trajectory, integrate
+from .integrate import SystemSpec, Trajectory, integrate, state_ops
 from .potential import Potential
 from .schedule import PowerLaw
 
@@ -202,47 +202,37 @@ def run_recursion(
 
     The clock is accumulated with compensated summation so tau_n is the
     exact prefix sum of the step sizes; the drift average is checked at
-    every step against its closed form.
+    every step against its closed form.  One loop serves every
+    dimension: the iterate, drift and noise are floats for n=1 and (n,)
+    arrays otherwise, with the few differing operations bound by
+    :func:`vanishdamp.integrate.state_ops`.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     dim = pot.n
-    x_arr = _as_start(x0, dim)
-    xi = noise.stream(n_steps, dim)
-
-    if dim == 1:
-        return _run_scalar(pot, steps, noise, float(x_arr[0]), n_steps, xi)
-    return _run_vector(pot, steps, noise, x_arr, n_steps, xi)
-
-
-def _run_scalar(
-    pot: Potential,
-    steps: StepSchedule,
-    noise: NoiseModel,
-    x0: float,
-    n_steps: int,
-    xi: np.ndarray,
-) -> DiscretePath:
-    grad = pot.scalar_grad_fn()
+    ops = state_ops(pot)
+    grad, finite, norm = ops.grad, ops.finite, ops.norm
     eps = steps.eps
-    xi_list = xi[:, 0].tolist()
+    x = ops.states(_as_start(x0, dim))
+    xi = ops.states(noise.stream(n_steps, dim))
 
     tau = eps(0)
     c_tau = 0.0  # compensation for the clock sum
-    h = 0.0
-    x = x0
-    s_sum = 0.0  # closed-form numerator sum(eps_i * g_i)
-    c_sum = 0.0
+    h = ops.states(np.zeros(dim))
+    s_sum = h  # closed-form numerator sum(eps_i * g_i)
+    c_sum = h
     worst = 0.0
     scale = 0.0
 
-    taus = [tau]
-    hs = [h]
-    xs = [x]
+    # rows are floats for n=1 and (n,) arrays otherwise
+    taus = np.empty(n_steps + 1)
+    hs = np.empty((n_steps + 1,) + np.shape(h))
+    xs = np.empty_like(hs)
+    taus[0], hs[0], xs[0] = tau, h, x
     for n in range(n_steps):
         e_n = eps(n)
         try:
-            g_n = grad(x) + xi_list[n]
+            g_n = grad(x) + xi[n]
         except OverflowError as exc:
             # scalar float ops raise instead of producing inf
             raise NonFiniteState(f"recursion diverged at step {n}") from exc
@@ -253,10 +243,10 @@ def _run_scalar(
         c_sum = (t_new - s_sum) - term
         s_sum = t_new
         closed = s_sum / tau
-        mag = abs(closed)
+        mag = norm(closed)
         if mag > scale:
             scale = mag
-        dev = abs(h - closed) / (scale if scale > 0.0 else 1.0)
+        dev = norm(h - closed) / (scale if scale > 0.0 else 1.0)
         if dev > worst:
             worst = dev
 
@@ -266,85 +256,14 @@ def _run_scalar(
         c_tau = (t_new - tau) - term
         tau = t_new
         x = x - e_next * h
-        if not (math.isfinite(x) and math.isfinite(h)):
+        if not (finite(x) and finite(h)):
             raise NonFiniteState(f"recursion diverged at step {n + 1}")
-        taus.append(tau)
-        hs.append(h)
-        xs.append(x)
-
-    return DiscretePath(
-        tau=np.asarray(taus),
-        h=np.asarray(hs).reshape(-1, 1),
-        x=np.asarray(xs).reshape(-1, 1),
-        drift_identity_max=worst,
-        steps=steps,
-        noise=noise,
-    )
-
-
-def _run_vector(
-    pot: Potential,
-    steps: StepSchedule,
-    noise: NoiseModel,
-    x0: np.ndarray,
-    n_steps: int,
-    xi: np.ndarray,
-) -> DiscretePath:
-    eps = steps.eps
-    dim = pot.n
-
-    tau = eps(0)
-    c_tau = 0.0
-    h = np.zeros(dim)
-    x = x0.copy()
-    s_sum = np.zeros(dim)
-    c_sum = np.zeros(dim)
-    worst = 0.0
-    scale = 0.0
-
-    taus = np.empty(n_steps + 1)
-    hs = np.empty((n_steps + 1, dim))
-    xs = np.empty((n_steps + 1, dim))
-    taus[0] = tau
-    hs[0] = h
-    xs[0] = x
-    for n in range(n_steps):
-        e_n = eps(n)
-        try:
-            g_n = pot.grad(x) + xi[n]
-        except OverflowError as exc:
-            # a Custom gradient built on scalar math can raise here
-            raise NonFiniteState(f"recursion diverged at step {n}") from exc
-        h = h - (e_n / tau) * h + (e_n / tau) * g_n
-
-        term = e_n * g_n - c_sum
-        t_new = s_sum + term
-        c_sum = (t_new - s_sum) - term
-        s_sum = t_new
-        closed = s_sum / tau
-        mag = float(np.linalg.norm(closed))
-        if mag > scale:
-            scale = mag
-        dev = float(np.linalg.norm(h - closed)) / (scale if scale > 0.0 else 1.0)
-        if dev > worst:
-            worst = dev
-
-        e_next = eps(n + 1)
-        t_term = e_next - c_tau
-        t_new_tau = tau + t_term
-        c_tau = (t_new_tau - tau) - t_term
-        tau = t_new_tau
-        x = x - e_next * h
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
-            raise NonFiniteState(f"recursion diverged at step {n + 1}")
-        taus[n + 1] = tau
-        hs[n + 1] = h
-        xs[n + 1] = x
+        taus[n + 1], hs[n + 1], xs[n + 1] = tau, h, x
 
     return DiscretePath(
         tau=taus,
-        h=hs,
-        x=xs,
+        h=hs.reshape(-1, dim),
+        x=xs.reshape(-1, dim),
         drift_identity_max=worst,
         steps=steps,
         noise=noise,
@@ -429,29 +348,18 @@ def compare_to_ode(
     taus = path.tau[mask]
     n_pts = int(taus.size)
 
-    if s_end <= 0.0:
-        # the horizon stops at the clock origin: nothing to integrate
-        dev = 0.0
-        spec = SystemSpec(
-            schedule=PowerLaw(c=1.0, gamma=1.0, s0=c_shift),
-            potential=pot,
-            x0=x0,
-            v0=v0,
-            t_end=max(s_end, 1e-9),
-            rel_tol=rel_tol,
-        )
-        traj = integrate(spec)
-        return OdeComparison(dev, "sup", tau_hor, n_pts, traj)
-
     spec = SystemSpec(
         schedule=PowerLaw(c=1.0, gamma=1.0, s0=c_shift),
         potential=pot,
         x0=x0,
         v0=v0,
-        t_end=s_end,
+        t_end=s_end if s_end > 0.0 else 1e-9,
         rel_tol=rel_tol,
     )
     traj = integrate(spec)
+    if s_end <= 0.0:
+        # the horizon stops at the clock origin: nothing to compare
+        return OdeComparison(0.0, "sup", tau_hor, n_pts, traj)
 
     s_vals = 2.0 * np.sqrt(taus) - c_shift
     ref = traj.positions_at(np.clip(s_vals, 0.0, s_end))

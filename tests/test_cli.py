@@ -8,6 +8,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vanishdamp.cli import main
@@ -124,6 +125,40 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     text = BASE + "max_steps = 5\n"
     assert main(["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 3
     assert "solver failure (MaxStepsExceeded)" in capsys.readouterr().err
+
+
+BIG_PPOWER = BASE.replace("kind = Quadratic", "kind = PPower\np = 4").replace(
+    "t_end = 60.0", "t_end = 10.0"
+)
+
+
+def test_overflowing_scalar_start_exits_3(tmp_path, capsys):
+    # finite but huge: the scalar gradient closure overflows a float
+    text = BIG_PPOWER.replace("x0 = 1.0", "x0 = 3.0").replace("v0 = 0.0", "v0 = 1e150")
+    assert main(["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 3
+    assert "solver failure (NonFiniteState)" in capsys.readouterr().err
+
+
+def test_overflowing_plane_start_exits_3(tmp_path, capsys):
+    # |f(y0)|^2 overflows in the first-step estimate
+    text = BIG_PPOWER.replace("n = 1", "n = 2").replace("x0 = 1.0", "x0 = 1e80, 0.0")
+    with np.errstate(over="ignore"):
+        assert main(["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 3
+    assert "solver failure (NonFiniteState)" in capsys.readouterr().err
+
+
+def test_sweep_records_overflowing_rows(tmp_path, capsys):
+    text = BIG_PPOWER + (
+        "\n[sweep]\nmode = random\nruns = 3\nseed = 1\n"
+        "x0_range = -1e150, 1e150\nv0_range = -1e150, 1e150\n"
+    )
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
+    table = (out / "quadshort_sweep.csv").read_text().splitlines()
+    assert len(table) == 4
+    assert all(",error,,NonFiniteState: " in row for row in table[1:])
+    assert "3 rows (3 failed)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

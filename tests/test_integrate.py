@@ -5,6 +5,7 @@ under fixed-step halving, event location, dense output against the
 closed-form solution, and the singular-origin bootstrap.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from vanishdamp import (
     NonFiniteState,
     Polynomial1D,
     PowerLaw,
+    PPower,
     Quadratic,
     SystemSpec,
     UnsupportedError,
@@ -284,6 +286,52 @@ def test_sample_stride_thins_output():
     assert np.allclose(thin.xs[:, 0], full.positions_at(thin.ts)[:, 0], atol=1e-12)
 
 
+def _trajectory_digest(traj):
+    h = hashlib.sha256()
+    for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    for ev in traj.events:
+        h.update(np.array([ev.time, *ev.x, *ev.v, ev.energy], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_scalar_output_is_pinned_bitwise(j_run, well_run):
+    # SHA-256 of every stored array and event of three n=1 runs: adaptive
+    # with events, singular start, fixed step.  A stepper change that
+    # moves any bit of n=1 output shows up here.
+    fixed = integrate(
+        SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(),
+            x0=0.37, v0=1.1, t_end=50.0, fixed_step=0.01,
+        )
+    )
+    assert (len(well_run.events), len(j_run.events), len(fixed.events)) == (4500, 15, 22)
+    assert _trajectory_digest(well_run) == (
+        "f31c5160742dcd3f80b2b23b6f7b2003d210475e80ae77db9abb747b0a3bd8eb"
+    )
+    assert _trajectory_digest(j_run) == (
+        "f311252a331b02de28e09364db523fb6b965b34bf59c24796ffe3ca1e1125a34"
+    )
+    assert _trajectory_digest(fixed) == (
+        "f1ad0273e79c9b3ae90966e670f279ba1c544d4f1196b73768e37d9dedcd2dca"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rhs_evals_count(n):
+    # one evaluation at the start, one more for the first-step estimate,
+    # six per attempted step (the seventh stage is the next step's first)
+    base = dict(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=Quadratic(n),
+        x0=[1.0] * n, v0=[0.5] * n, t_end=20.0,
+    )
+    adaptive = integrate(SystemSpec(rel_tol=1e-8, **base)).stats
+    assert adaptive.rejected > 0
+    assert adaptive.rhs_evals == 2 + 6 * (adaptive.accepted + adaptive.rejected)
+    fixed = integrate(SystemSpec(fixed_step=0.05, **base)).stats
+    assert fixed.rhs_evals == 1 + 6 * fixed.accepted
+
+
 def test_reruns_are_bitwise_identical(j_run):
     again = integrate(j_run.spec)
     assert np.array_equal(again.ts, j_run.ts)
@@ -317,6 +365,24 @@ def test_non_finite_state_detected():
                 x0=1.0, v0=0.0, t_end=1000.0,
             )
         )
+
+
+def test_stage_overflow_is_rejected_and_retried():
+    # |x|^119 overflows a float beyond |x| ~ 390: coasting on the flat
+    # middle grows the step until a trial stage lands far past the steep
+    # wall.  The scalar gradient raises OverflowError there; the stepper
+    # must treat it like an infinite stage, shrink the step and go on.
+    traj = integrate(
+        SystemSpec(
+            schedule=Constant(0.05), potential=PPower(120.0),
+            x0=0.0, v0=1.0, t_end=5000.0,
+        )
+    )
+    assert traj.stats.rejected > 0
+    assert traj.ts[-1] == 5000.0
+    assert float(np.abs(traj.xs).max()) <= 1.1
+    e0 = traj.initial_energy
+    assert float(np.abs(e0 - traj.dissipation - traj.energies).max()) <= 1e-6
 
 
 def test_spec_validation():

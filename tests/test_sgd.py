@@ -6,6 +6,7 @@ envelope of the energy analogue, and agreement with the limiting ODE at
 first order in the step size.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from vanishdamp import (
     CustomPotential,
     DomainError,
+    DoubleWell,
     NoiseModel,
     NonFiniteState,
     PPower,
@@ -188,6 +190,22 @@ def test_seeded_replay_is_bitwise():
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.tau, b.tau)
     assert not np.array_equal(a.x, run(405).x)
+
+
+def test_scalar_path_is_pinned_bitwise():
+    # SHA-256 of x, h and tau of a noisy 1-D run; any change to the bits of
+    # the n=1 recursion shows up here
+    path = run_recursion(
+        DoubleWell(), StepSchedule.power_decay(0.05, 0.7),
+        NoiseModel.gaussian(0.5, seed=3), 0.4, 5_000,
+    )
+    digest = hashlib.sha256()
+    for a in (path.x, path.h, path.tau):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert digest.hexdigest() == (
+        "2cd8dcc3a457cef6c9d41384d5bf77e86c7b96506c7362d7d4487671fc51e59b"
+    )
+    assert path.drift_identity_max == 3.8491183850914274e-15
 
 
 # ---------------------------------------------------------------------------
