@@ -8,12 +8,20 @@ E(t) - min G, its weighted integral against a(t), the two-sided decay
 envelopes, the time fraction spent outside a ball around the candidate
 limit, and the dichotomy "limit is a local minimum iff the velocity keeps
 changing sign".
+
+The omega-limit extent and the tail velocity are exact min/max over the
+samples and a fine grid of the cubic Hermite dense output, but the grid
+is evaluated only on the pieces whose Bernstein hull reaches the running
+min or max; the decay kernel and int_0^t a are read on whole arrays of
+sample times.  Both give the same bits as evaluating every grid point and
+every kernel value one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +31,7 @@ from .integrate import Trajectory
 from .potential import Potential, critical_points
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+_TINY = float(np.finfo(float).tiny)
 
 # finite-horizon thresholds for "the limit exists"
 LIMIT_WIDTH_TOL = 1.0e-3
@@ -91,12 +100,10 @@ def lower_bound_residual(traj: Trajectory, min_g: Optional[float] = None) -> flo
     if getattr(sched, "fd_derivative", False) and len(ts) > 2000:
         # quadrature-backed schedules price each kernel call; subsample
         idx = np.linspace(0, len(ts) - 1, 2000).astype(int)
-    slack = math.inf
     gap0 = float(gap[0])
-    for i in idx:
-        kern = sched.decay_kernel(float(ts[i]))
-        slack = min(slack, float(gap[i]) - gap0 * kern * kern)
-    return slack
+    kern = sched.decay_kernels(ts[idx])
+    # fmin: a NaN slack is skipped, never returned
+    return float(np.fmin.reduce(gap[idx] - gap0 * kern * kern, initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,7 @@ def upper_bound_check(
     gap = traj.energies - g0
     if regime == "K1":
         m = min(1.0 / (theta + 0.5), K)
-        env = np.array([sched.decay_kernel(float(t)) ** m for t in ts])
+        env = np.fromiter(map(pow, sched.decay_kernels(ts).tolist(), repeat(m)), dtype=float)
         rate = m
     else:
         rate_fn = sched.rate_fn()
@@ -238,7 +245,7 @@ def rate_fit(
     elif model == "ExponentialInIntegralOfA":
         if schedule is None:
             raise DomainError("ExponentialInIntegralOfA needs the schedule")
-        xs = np.array([-schedule.integral_a(0.0, float(t)) for t in tw])
+        xs = -schedule.integral_a_to(tw)
         if not np.all(np.isfinite(xs)):
             raise DomainError("int a diverges on the window; model unusable")
     else:
@@ -331,17 +338,54 @@ def omega_limit_extent(traj: Trajectory, tail_fraction: float = 0.1) -> np.ndarr
 
 
 def _extent_window(traj: Trajectory, cut: float) -> np.ndarray:
-    """Per-axis (min, max) of x over [cut, end of run]."""
+    """Per-axis (min, max) of x over [cut, end of run]: the samples, the
+    event states and the dense output on a grid of about one point per
+    0.01 time units (1000 to 200000 points).  Exact over that grid; only
+    the pieces that can reach the running min or max are evaluated."""
     t1 = float(traj.ts[-1])
-    chunks = [traj.xs[traj.ts >= cut]]
     ev = [e.x for e in traj.events if e.time >= cut]
-    if ev:
-        chunks.append(np.vstack(ev))
     m = min(200_000, max(1000, int((t1 - cut) / 0.01) + 1))
-    grid = np.linspace(cut, t1, m)
-    chunks.append(traj.positions_at(grid))
-    X = np.vstack(chunks)
-    return np.stack([X.min(axis=0), X.max(axis=0)], axis=1)
+    return _dense_extent(traj, traj.xs, traj.vs, traj.positions_at, cut, m, ev)
+
+
+def _dense_extent(traj: Trajectory, ys, dys, dense, cut: float, m: int, extra=()) -> np.ndarray:
+    """Per-axis (min, max) over [cut, end of run] of one stored column
+    ``ys``: its samples, the ``extra`` rows, and its cubic Hermite
+    interpolant ``dense`` (slopes ``dys``) on linspace(cut, end, m).
+
+    The result equals the min/max over all m grid values, but the grid is
+    evaluated only on the pieces that could reach past the running min or
+    max of the samples and extra rows.  A cubic Hermite piece lies in the
+    hull of its Bernstein control points y0, y0 + dt y0'/3, y1 - dt y1'/3,
+    y1; the margin 1e-12 (|y0| + |y1| + dt (|y0'| + |y1'|)), floored at
+    the smallest normal float, covers the rounding of both that hull and
+    the evaluation.
+    """
+    ts = traj.ts
+    X = ys[ts >= cut]
+    if len(extra):
+        X = np.vstack([X, *extra])
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    grid = np.linspace(cut, ts[-1], m)
+    # pieces j0 .. len(ts)-2 cover the grid; grid points with
+    # ts[j] <= t < ts[j+1] fall in piece j, and the last piece holds t = end
+    j0 = min(max(int(np.searchsorted(ts, cut, side="right")) - 1, 0), len(ts) - 2)
+    bounds = np.searchsorted(grid, ts[j0 + 1:-1], side="left")
+    counts = np.diff(bounds, prepend=0, append=m)
+    dt = np.diff(ts[j0:])[:, None]
+    y0, y1 = ys[j0:-1], ys[j0 + 1:]
+    s0, s1 = dt * dys[j0:-1], dt * dys[j0 + 1:]
+    c0, c1 = y0 + s0 / 3.0, y1 - s1 / 3.0
+    margin = 1.0e-12 * (np.abs(y0) + np.abs(y1) + np.abs(s0) + np.abs(s1)) + _TINY
+    hull_lo = np.minimum(np.minimum(y0, y1), np.minimum(c0, c1)) - margin
+    hull_hi = np.maximum(np.maximum(y0, y1), np.maximum(c0, c1)) + margin
+    inside = (hull_lo > lo) & (hull_hi < hi)
+    mask = np.repeat(~inside.all(axis=1), counts)
+    if mask.any():
+        V = dense(grid[mask])
+        lo = np.minimum(lo, V.min(axis=0))
+        hi = np.maximum(hi, V.max(axis=0))
+    return np.stack([lo, hi], axis=1)
 
 
 @dataclass(frozen=True)
@@ -419,12 +463,11 @@ class LimitClassification:
 
 
 def _tail_velocity_max(traj: Trajectory, cut: float) -> float:
-    m = traj.ts >= cut
-    vmax = float(np.max(np.abs(traj.vs[m]))) if np.any(m) else 0.0
-    grid_n = min(100_000, max(1000, int((traj.ts[-1] - cut) / 0.01) + 1))
-    grid = np.linspace(cut, traj.ts[-1], grid_n)
-    vmax = max(vmax, float(np.max(np.abs(traj.velocities_at(grid)))))
-    return vmax
+    """max |v| over [cut, end of run]: samples and a dense grid of about
+    one point per 0.01 time units (1000 to 100000 points)."""
+    m = min(100_000, max(1000, int((traj.ts[-1] - cut) / 0.01) + 1))
+    ext = _dense_extent(traj, traj.vs, traj.accs, traj.velocities_at, cut, m)
+    return float(np.max(np.abs(ext)))
 
 
 def classify_limit(traj: Trajectory, pot: Optional[Potential] = None) -> LimitClassification:

@@ -361,10 +361,14 @@ def integrate(spec: SystemSpec) -> Trajectory:
     are started by bootstrap_singular_start and the exact t=0 state is
     prepended to the output.  A finite state too large to evaluate (the
     scalar closures raise OverflowError where numpy returns inf) at the
-    start or in the first-step estimate raises NonFiniteState.
+    start or in the first-step estimate raises NonFiniteState.  The
+    stepper tests every stage and the first-step estimate for inf and NaN
+    (a rejected stage, or NonFiniteState), so numpy's overflow and invalid
+    warnings on arrays are silenced rather than printed on the way.
     """
     try:
-        return _solve(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _solve(spec)
     except OverflowError as exc:
         raise NonFiniteState(f"state left the float range: {exc}") from exc
 

@@ -422,14 +422,17 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
                 return
         roots.append(r)
 
-    for i in range(SCAN_CELLS):
-        a, b = xs[i], xs[i + 1]
-        ga, gb = gs[i], gs[i + 1]
-        if ga == 0.0:
-            push(a)
-        elif (ga < 0.0) != (gb < 0.0) and gb != 0.0:
-            push(_bisect_root(g, a, b))
-    if gs[-1] == 0.0:
+    # cells whose left node is a root, or whose sign changes strictly
+    # inside; visited left to right so push sees the roots in scan order
+    neg = gs < 0.0
+    zero = gs == 0.0
+    flagged = zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:])
+    for i in np.flatnonzero(flagged):
+        if zero[i]:
+            push(xs[i])
+        else:
+            push(_bisect_root(g, xs[i], xs[i + 1]))
+    if zero[-1]:
         push(xs[-1])
 
     out: list[CriticalPoint] = []

@@ -10,14 +10,19 @@ slow-log conditions).
 
 Constant and PowerLaw schedules carry analytic closed forms throughout;
 Custom schedules fall back to adaptive quadrature and are flagged heuristic.
+The analyzers read int_0^t a and the decay kernel on whole arrays of
+sample times through integral_a_to and decay_kernels, which agree bit for
+bit with the scalar integral_a(0, t) and decay_kernel(t).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
@@ -32,6 +37,13 @@ DIVERGENCE_THRESHOLD = 1.0e3
 # subdivision from chasing underflowed decay kernels
 QUAD_REL_TOL = 1.0e-10
 QUAD_ABS_FLOOR = 1.0e-14
+
+
+def _each(fn: Callable, *columns) -> np.ndarray:
+    """``fn`` mapped over Python floats.  numpy's exp, log and power can
+    differ from the math module's in the last bit; the array methods call
+    the same functions as the scalar ones, so both agree exactly."""
+    return np.fromiter(map(fn, *columns), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,23 @@ class DampingSchedule:
         ia = self.integral_a(0.0, t)
         return math.exp(-ia) if ia != math.inf else 0.0
 
+    def integral_a_to(self, times) -> np.ndarray:
+        """int_0^t a for every t of an array, equal bit for bit to
+        integral_a(0, t).  Constant and PowerLaw override this per-point
+        loop with their closed forms."""
+        return np.array([self.integral_a(0.0, t) for t in self._times(times).tolist()])
+
+    def decay_kernels(self, times) -> np.ndarray:
+        """decay_kernel(t) for every t of an array, bit for bit."""
+        return _each(math.exp, (-self.integral_a_to(times)).tolist())
+
+    @staticmethod
+    def _times(times) -> np.ndarray:
+        ts = np.asarray(times, dtype=float)
+        if np.any(ts < 0):
+            raise DomainError(f"need times >= 0, got {float(np.min(ts))}")
+        return ts
+
     def classify(self) -> ScheduleClassification:
         raise NotImplementedError
 
@@ -125,6 +154,9 @@ class Constant(DampingSchedule):
     def integral_a(self, t0: float, t1: float) -> float:
         self._check_times(t0, t1)
         return self.level * (t1 - t0)
+
+    def integral_a_to(self, times) -> np.ndarray:
+        return self.level * self._times(times)
 
     def classify(self) -> ScheduleClassification:
         pos = self.level > 0
@@ -204,6 +236,17 @@ class PowerLaw(DampingSchedule):
             return c * math.log((t1 + s0) / (t0 + s0))
         # gamma < 1 is integrable at the origin even with s0 = 0
         return c * ((t1 + s0) ** (1.0 - g) - (t0 + s0) ** (1.0 - g)) / (1.0 - g)
+
+    def integral_a_to(self, times) -> np.ndarray:
+        """integral_a(0, t) over an array, with the same float operations."""
+        ts = self._times(times)
+        c, g, s0 = self.c, self.gamma, self.s0
+        if g == 1.0:
+            if s0 == 0.0:
+                return np.where(ts > 0.0, math.inf, 0.0)
+            return c * _each(math.log, ((ts + s0) / (0.0 + s0)).tolist())
+        e = 1.0 - g
+        return c * (_each(pow, (ts + s0).tolist(), repeat(e)) - (0.0 + s0) ** e) / e
 
     def classify(self) -> ScheduleClassification:
         g, c = self.gamma, self.c

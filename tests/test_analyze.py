@@ -17,6 +17,7 @@ from vanishdamp import (
     DoubleWell,
     HypothesisError,
     PowerLaw,
+    PPower,
     Quadratic,
     SolverStats,
     SystemSpec,
@@ -35,6 +36,7 @@ from vanishdamp import (
     upper_bound_check,
     weighted_energy_integral,
 )
+from vanishdamp.analyze import _extent_window, _tail_velocity_max
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,79 @@ def test_extent_shrinks_for_decaying_run(j_run):
     ext = omega_limit_extent(j_run, 0.1)
     width = float(ext[0, 1] - ext[0, 0])
     assert 0.0 < width < 0.3  # oscillation amplitude ~ 0.11 at t ~ 50
+
+
+def _full_extent(traj, cut):
+    """Reference for the pruned extent: min/max over every sample, event
+    state and value of the dense grid on [cut, end]."""
+    t1 = float(traj.ts[-1])
+    chunks = [traj.xs[traj.ts >= cut]]
+    ev = [e.x for e in traj.events if e.time >= cut]
+    if ev:
+        chunks.append(np.vstack(ev))
+    m = min(200_000, max(1000, int((t1 - cut) / 0.01) + 1))
+    chunks.append(traj.positions_at(np.linspace(cut, t1, m)))
+    X = np.vstack(chunks)
+    return np.stack([X.min(axis=0), X.max(axis=0)], axis=1)
+
+
+def _full_velocity_max(traj, cut):
+    """Reference for the pruned tail velocity: max |v| over every sample
+    and value of the dense grid on [cut, end]."""
+    vmax = float(np.max(np.abs(traj.vs[traj.ts >= cut])))
+    m = min(100_000, max(1000, int((traj.ts[-1] - cut) / 0.01) + 1))
+    grid = np.linspace(cut, traj.ts[-1], m)
+    return max(vmax, float(np.max(np.abs(traj.velocities_at(grid)))))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["well_run", "j_run", "flat_sweep_run", "flat_settle_run", "constant_well_run"],
+)
+def test_pruned_extents_equal_the_full_grid(fixture, request):
+    # at the three windows classify_limit reads: last 10% of the span,
+    # last decade, last two decades
+    traj = request.getfixturevalue(fixture)
+    t0, t1 = float(traj.ts[0]), float(traj.ts[-1])
+    tail = t1 - 0.1 * (t1 - t0)
+    assert np.array_equal(omega_limit_extent(traj, 0.1), _full_extent(traj, tail))
+    for cut in (tail, max(t0, t1 / 10.0), max(t0, t1 / 100.0)):
+        assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))
+        assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
+
+
+def test_pruned_extent_is_per_axis_in_the_plane():
+    traj = integrate(
+        SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4, n=2),
+            x0=[1.0, -0.5], v0=[0.0, 0.3], t_end=500.0, rel_tol=1e-8,
+        )
+    )
+    assert traj.n == 2 and len(traj.events) > 10
+    t0, t1 = float(traj.ts[0]), float(traj.ts[-1])
+    for frac in (0.1, 0.5, 0.9):
+        cut = t1 - frac * (t1 - t0)
+        assert np.array_equal(omega_limit_extent(traj, frac), _full_extent(traj, cut))
+        assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
+
+
+def test_pruned_extent_sees_excursions_between_samples():
+    # samples span x in [-1, 1]; from t = 2 on they sit at x = 0.5 with
+    # slopes +-3, so each piece bulges to 0.5 +- 0.75 between samples,
+    # past the samples' range, and the velocity pieces overshoot too
+    spec = SystemSpec(
+        schedule=Constant(1.0), potential=Quadratic(1), x0=-1.0, v0=0.0, t_end=10.0
+    )
+    ts = np.linspace(0.0, 10.0, 11)
+    xs = np.array([[-1.0], [1.0]] + [[0.5]] * 9)
+    vs = np.array([[0.0], [0.0]] + [[3.0 * (-1.0) ** k] for k in range(9)])
+    accs = np.full((11, 1), 30.0)
+    traj = Trajectory(ts, xs, vs, accs, np.zeros(11), np.zeros(11), [], SolverStats(), spec, 1)
+    for cut in (0.0, 1.5):
+        assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))
+        assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
+    assert _extent_window(traj, 0.0)[0, 1] > 1.2
+    assert _tail_velocity_max(traj, 0.0) > 5.0
 
 
 def test_oscillation_gaps_settle(j_run_long, well_run):

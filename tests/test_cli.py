@@ -4,11 +4,12 @@ Each test invokes ``main`` directly with a temp config and inspects exit
 codes, console output, and the CSV/JSON artifacts.
 """
 
+import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from vanishdamp.cli import main
@@ -140,9 +141,11 @@ def test_overflowing_scalar_start_exits_3(tmp_path, capsys):
 
 
 def test_overflowing_plane_start_exits_3(tmp_path, capsys):
-    # |f(y0)|^2 overflows in the first-step estimate
+    # |f(y0)|^2 overflows in the first-step estimate; the stepper turns
+    # that into NonFiniteState itself, without a numpy warning on the way
     text = BIG_PPOWER.replace("n = 1", "n = 2").replace("x0 = 1.0", "x0 = 1e80, 0.0")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 3
     assert "solver failure (NonFiniteState)" in capsys.readouterr().err
 
@@ -153,12 +156,52 @@ def test_sweep_records_overflowing_rows(tmp_path, capsys):
         "x0_range = -1e150, 1e150\nv0_range = -1e150, 1e150\n"
     )
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
     table = (out / "quadshort_sweep.csv").read_text().splitlines()
     assert len(table) == 4
     assert all(",error,,NonFiniteState: " in row for row in table[1:])
     assert "3 rows (3 failed)" in capsys.readouterr().out
+
+
+WELL_SHORT = BASE.replace("kind = Quadratic\nn = 1", "kind = DoubleWell").replace(
+    "x0 = 1.0\nv0 = 0.0\nt_end = 60.0\nrel_tol = 1e-8",
+    "x0 = 0.37\nv0 = 1.1\nt_end = 50.0\nrel_tol = 1e-6",
+)
+
+PLANE_SGD = BASE.replace("kind = Quadratic\nn = 1", "kind = PPower\np = 4\nn = 3").replace(
+    "x0 = 1.0\nv0 = 0.0\nt_end = 60.0\nrel_tol = 1e-8",
+    "x0 = -0.07559280905748289, 0.5870771547907805, -0.805993884307791\n"
+    "v0 = 0.0\nt_end = 200\nrel_tol = 1e-8",
+) + (
+    "\n[sgd]\nrule = PowerDecay\neps0 = 0.05\nrho = 0.7\nsigma = 0.5\n"
+    "seed = 32709896\nN = 500\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, pins",
+    [
+        (WELL_SHORT, {
+            "series": "ce55c632a2536b6afe7be016e72cb4d7960915fa7b4ba621c21d22d63eaf4915",
+            "events": "b4661c297f0eca03f48fa7d43936372cddee6a641065636b72969a84b72e6206",
+        }),
+        (PLANE_SGD, {
+            "series": "978975c55533ebf22d7ca559ac8791395a9126e310f1b5f97a252849cbc2c518",
+            "path": "fc44926f2a411d0be4b058250319d722c51624c59bb50e447eff460ab2dc4421",
+        }),
+    ],
+    ids=["double_well_n1", "ppower_sgd_n3"],
+)
+def test_csv_bytes_are_pinned(tmp_path, text, pins):
+    # SHA-256 of the CSV bytes _series_csv, _events_csv and _path_csv write
+    # (shortest round-trip floats): any change to the writers' output, or to
+    # the numbers they print, shows up here
+    assert main(["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 0
+    for kind, digest in pins.items():
+        data = (tmp_path / f"quadshort_{kind}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
 # ---------------------------------------------------------------------------

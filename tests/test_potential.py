@@ -122,6 +122,39 @@ def test_double_well_critical_points():
     assert [p.delta for p in pts] == pytest.approx([1.0, 0.5, 1.0], rel=1e-4)
 
 
+# (location, value, kind, delta) of every point, computed before the
+# sign scan was vectorised; the scan must find the same roots bit for bit
+CRITICAL_POINT_PINS = [
+    # 0.0 and +-1.0 are scan nodes where g is exactly 0
+    (DoubleWell(), (-2.0, 2.0), [
+        (-1.0, 0.0, "LocalMin", 0.9999999999891226),
+        (0.0, 0.25, "LocalMax", 0.4999999999995),
+        (1.0, 0.0, "LocalMin", 0.9999999999891226),
+    ]),
+    # no root on a node: three bisections
+    (DoubleWell(), (-1.7, 2.3), [
+        (-1.0000000000953673, 9.094916117993612e-21, "LocalMin", 1.000000000270951),
+        (-4.768349377572879e-11, 0.25, "LocalMax", 0.4999999999995),
+        (0.9999999999046327, 9.094916117993612e-21, "LocalMin", 0.9999999997211714),
+    ]),
+    # g = 3 (x - 1/2)^2: double root, no sign change, g == 0 on a node
+    (Polynomial1D([0.0, 0.75, -1.5, 1.0]), (-1.0, 2.0), [
+        (0.4999999999999998, 0.125, "Degenerate", 0.0),
+    ]),
+    # g = x^2 - 1e-20: roots at +-1e-10 in the two cells beside the node 0;
+    # the second bisection is a duplicate and is dropped
+    (Polynomial1D([0.0, -1.0e-20, 0.0, 1.0 / 3.0]), (-1.0, 1.0), [
+        (-1.4305114746092175e-10, 4.547295193725858e-31, "Degenerate", 0.0),
+    ]),
+]
+
+
+@pytest.mark.parametrize("pot, box, want", CRITICAL_POINT_PINS)
+def test_critical_points_are_pinned(pot, box, want):
+    got = [(p.location, p.value, p.kind, p.delta) for p in critical_points(pot, box)]
+    assert got == want
+
+
 def test_double_well_plateau_is_level_set_bracket():
     x1, x2 = plateau_interval(DoubleWell(), 0.0, (-3.0, 3.0))
     assert x1 == pytest.approx(-math.sqrt(2.0), abs=1e-9)

@@ -8,6 +8,7 @@ the same rate function.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,38 @@ def test_decay_kernel_inverts_integral(sched):
         assert ia < 700.0
         assert sched.decay_kernel(t) * math.exp(ia) == pytest.approx(1.0, rel=1e-12)
     assert sched.decay_kernel(0.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        Constant(0.005),
+        Constant(0.0),
+        PowerLaw(1.0),
+        PowerLaw(1.0, gamma=1.0, s0=0.0),
+        PowerLaw(0.5, gamma=0.5, s0=0.0),
+        PowerLaw(1.0, gamma=0.5),
+        PowerLaw(3.0, gamma=2.0, s0=0.5),
+        PowerLaw(0.2, gamma=0.0),
+        CustomSchedule(a=lambda t: 1.0 / (1.0 + t)),
+        slow_log_example(),
+    ],
+    ids=repr,
+)
+def test_array_kernel_matches_scalar_bitwise(sched):
+    # the array entry point makes the same float operations and the same
+    # math-module calls as the scalar methods, point for point
+    ts = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e5, 97), [1.0e300]])
+    if isinstance(sched, CustomSchedule):
+        ts = ts[::8]  # quadrature per point
+    ia = sched.integral_a_to(ts)
+    kern = sched.decay_kernels(ts)
+    assert ia.shape == kern.shape == ts.shape
+    for t, i, k in zip(ts.tolist(), ia.tolist(), kern.tolist()):
+        assert repr(i) == repr(sched.integral_a(0.0, t))
+        assert repr(k) == repr(sched.decay_kernel(t))
+    with pytest.raises(DomainError):
+        sched.decay_kernels(np.array([1.0, -0.5]))
 
 
 @pytest.mark.parametrize(
