@@ -27,7 +27,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,49 +58,79 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# rows formatted per block: a whole artifact's cells as strings at once
+# would cost far more memory than its text
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv(header: List[str], n_rows: int, block: Callable[[int, int], list]) -> str:
+    """CSV text from ``block(lo, hi)``, the formatted columns of rows lo..hi-1."""
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+        rows = map(",".join, zip(*block(lo, min(lo + _CSV_BLOCK_ROWS, n_rows))))
+        parts.append("\n".join(rows) + "\n")
+    return "".join(parts)
+
+
+def _reprs(column: np.ndarray) -> Iterator[str]:
+    # repr of the Python floats tolist() gives is _fmt of each entry
+    return map(repr, column.tolist())
+
+
 def _series_csv(traj: Trajectory) -> str:
     n = traj.n
     sched = traj.spec.schedule
-    pot = traj.spec.potential
-    cols = ["t"]
-    cols += [f"x_{i}" for i in range(n)]
-    cols += [f"v_{i}" for i in range(n)]
-    cols += ["E", "a", "gnorm"]
-    lines = [",".join(cols)]
-    for k in range(len(traj.ts)):
-        t = float(traj.ts[k])
-        row = [_fmt(t)]
-        row += [_fmt(v) for v in traj.xs[k]]
-        row += [_fmt(v) for v in traj.vs[k]]
-        row.append(_fmt(traj.energies[k]))
-        row.append(_fmt(sched.a_at(t)) if t > 0.0 or not sched.singular_at_zero else "inf")
-        row.append(_fmt(float(np.linalg.norm(pot.grad(traj.xs[k])))))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    grad = traj.spec.potential.grad
+    a_at, singular = sched.a_at, sched.singular_at_zero
+    header = ["t"] + [f"x_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
+    header += ["E", "a", "gnorm"]
+
+    def block(lo: int, hi: int) -> list:
+        ts = traj.ts[lo:hi].tolist()
+        xs, vs = traj.xs[lo:hi], traj.vs[lo:hi]
+        return [
+            map(repr, ts),
+            *(_reprs(xs[:, i]) for i in range(n)),
+            *(_reprs(vs[:, i]) for i in range(n)),
+            _reprs(traj.energies[lo:hi]),
+            [_fmt(a_at(t)) if t > 0.0 or not singular else "inf" for t in ts],
+            [_fmt(np.linalg.norm(grad(x))) for x in xs],
+        ]
+
+    return _csv(header, len(traj.ts), block)
 
 
 def _events_csv(traj: Trajectory) -> str:
     n = traj.n
-    cols = ["i", "t"] + [f"x_{i}" for i in range(n)] + ["E"]
-    lines = [",".join(cols)]
-    for ev in traj.events:
-        row = [str(ev.index), _fmt(ev.time)]
-        row += [_fmt(v) for v in ev.x]
-        row.append(_fmt(ev.energy))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    events = traj.events
+    header = ["i", "t"] + [f"x_{i}" for i in range(n)] + ["E"]
+
+    def block(lo: int, hi: int) -> list:
+        chunk = events[lo:hi]
+        xs = np.array([ev.x for ev in chunk]).reshape(-1, n)
+        return [
+            [str(ev.index) for ev in chunk],
+            [_fmt(ev.time) for ev in chunk],
+            *(_reprs(xs[:, i]) for i in range(n)),
+            [_fmt(ev.energy) for ev in chunk],
+        ]
+
+    return _csv(header, len(events), block)
 
 
 def _path_csv(path: DiscretePath) -> str:
     d = path.dim
-    cols = ["n", "tau"] + [f"h_{i}" for i in range(d)] + [f"x_{i}" for i in range(d)]
-    lines = [",".join(cols)]
-    for k in range(len(path.tau)):
-        row = [str(k), _fmt(path.tau[k])]
-        row += [_fmt(v) for v in path.h[k]]
-        row += [_fmt(v) for v in path.x[k]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["n", "tau"] + [f"h_{i}" for i in range(d)] + [f"x_{i}" for i in range(d)]
+
+    def block(lo: int, hi: int) -> list:
+        return [
+            map(str, range(lo, hi)),
+            _reprs(path.tau[lo:hi]),
+            *(_reprs(path.h[lo:hi, i]) for i in range(d)),
+            *(_reprs(path.x[lo:hi, i]) for i in range(d)),
+        ]
+
+    return _csv(header, len(path.tau), block)
 
 
 def _fit_block(traj: Trajectory) -> Optional[dict]:

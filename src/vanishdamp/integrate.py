@@ -4,8 +4,11 @@ The solver is an explicit Dormand-Prince 5(4) pair with first-same-as-last
 stage reuse and a quartic interpolant on every accepted step.  On top of
 plain stepping it provides:
 
-  * velocity sign-change events, refined on the in-flight interpolant to
-    1e-10 in time (grazing zeros that do not flip the sign are not events);
+  * velocity sign-change events, refined on the step's interpolant to
+    1e-10 in time (grazing zeros that do not flip the sign are not events).
+    The loop only detects them and keeps each bracketing step's data;
+    after it, one vectorised Brent pass (the arithmetic of scipy's brentq,
+    so the same bits) refines every bracket at once;
   * a running dissipation integral int_0^t a |x'|^2, accumulated per step
     by 3-point Gauss-Legendre quadrature on the interpolant, independently
     of the energy difference it is later checked against;
@@ -30,7 +33,6 @@ from fractions import Fraction as _Fr
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -45,6 +47,9 @@ from .schedule import DampingSchedule, PowerLaw
 BOOTSTRAP_H0 = 1.0e-6
 MAX_STORED_SAMPLES = 100_000
 EVENT_TIME_TOL = 1.0e-10
+# relative tolerance and iteration cap of the event root-finder (brentq's)
+_EVENT_RTOL = 8.9e-16
+_EVENT_MAXITER = 100
 # StepUnderflow when h < MIN_STEP_FRACTION * t_end
 MIN_STEP_FRACTION = 1.0e-14
 
@@ -413,21 +418,15 @@ def _solve(spec: SystemSpec) -> Trajectory:
         raise DomainError(f"t_end={spec.t_end} does not exceed the start time {t0}")
 
     out = _run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
-    ts_l, xs_l, vs_l, accs_l, es_l, ds_l, raw_events, stats = out
+    ts_l, xs_l, vs_l, accs_l, es_l, ds_l, (times, xe, ve, energies), stats = out
     if prelude is not None:
         for column, value in zip(out, prelude):
             column.insert(0, value)
 
+    d.flags.writeable = False  # one direction array, shared by every event
     events = [
-        Event(
-            index=i,
-            time=te,
-            x=np.atleast_1d(np.asarray(xe, dtype=float)),
-            v=np.atleast_1d(np.asarray(ve, dtype=float)),
-            energy=ee,
-            direction=d.copy(),
-        )
-        for i, (te, xe, ve, ee) in enumerate(raw_events)
+        Event(index=i, time=te, x=x, v=v, energy=ee, direction=d)
+        for i, (te, x, v, ee) in enumerate(zip(times.tolist(), xe, ve, energies))
     ]
     return Trajectory(
         np.asarray(ts_l, dtype=float),
@@ -512,7 +511,8 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     accs = [k1v]
     es = [energy_of(x, v)]
     ds = [diss]
-    events = []
+    events = []  # per event: (t, x, v) of an exact zero, or None for a bracket
+    brackets = []
     w = project(v)
     last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
     pending_zero = None
@@ -623,29 +623,19 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         diss_c = (tk - diss) - yk
         diss = tk
 
-        # events: the monitored velocity projection flipped sign across this step
+        # events: the monitored velocity projection flipped sign across this
+        # step.  A bracketed flip keeps the step's data; _refine_events
+        # finds the crossing after the loop.
         w_new = project(v_new)
         if w_new != 0.0:
             new_sign = math.copysign(1.0, w_new)
             if last_sign != 0.0 and new_sign != last_sign:
                 if pending_zero is not None:
-                    te, xe, ve = pending_zero
+                    events.append(pending_zero)
                 else:
-                    qx1 = k1x * p11
-                    qx2 = k1x * p12 + k3x * p32 + k4x * p42 + k5x * p52 + k6x * p62 + k7x * p72
-                    qx3 = k1x * p13 + k3x * p33 + k4x * p43 + k5x * p53 + k6x * p63 + k7x * p73
-                    qx4 = k1x * p14 + k3x * p34 + k4x * p44 + k5x * p54 + k6x * p64 + k7x * p74
-
-                    def wq(tau, _t=t, _h=h, _w=project(v), _q1=project(qv1),
-                           _q2=project(qv2), _q3=project(qv3), _q4=project(qv4)):
-                        th = (tau - _t) / _h
-                        return _w + _h * (th * (_q1 + th * (_q2 + th * (_q3 + th * _q4))))
-
-                    te = float(brentq(wq, t, t_new, xtol=EVENT_TIME_TOL, rtol=8.9e-16))
-                    th = (te - t) / h
-                    xe = x + h * (th * (qx1 + th * (qx2 + th * (qx3 + th * qx4))))
-                    ve = v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))
-                events.append((te, xe, ve, energy_of(xe, ve)))
+                    events.append(None)
+                    brackets.append((t, t_new, h, x, v, qv1, qv2, qv3, qv4,
+                                     k1x, k3x, k4x, k5x, k6x, k7x))
             last_sign = new_sign
             pending_zero = None
         else:
@@ -687,4 +677,142 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         es.append(energy_of(x, v))
         ds.append(diss)
     stats.rhs_evals = nfev
+    events = _refine_events(events, brackets, ops, spec.potential.n)
     return ts, xs, vs, accs, es, ds, events, stats
+
+
+def _refine_events(slots, brackets, ops: StateOps, n: int):
+    """Times, (E, n) positions and velocities, and energies of the events.
+
+    ``slots`` has one entry per event, in order: the (t, x, v) of a step
+    that ended exactly on a zero, or None for a sign change inside a step,
+    whose (t, t_new, h, x, v, qv1..qv4, k1x, k3x..k7x) is the next row of
+    ``brackets``.  Every bracketed crossing is found at once by
+    _brentq_batch on the step's projected quartic, and the states are the
+    step's interpolant there, with the bits of one scipy.optimize.brentq
+    call and one scalar interpolation per event.
+    """
+    times = np.empty(len(slots))
+    xs = np.empty((len(slots), n))
+    vs = np.empty((len(slots), n))
+    is_bracket = np.array([slot is None for slot in slots], dtype=bool)
+    for k in np.flatnonzero(~is_bracket):
+        times[k], xs[k], vs[k] = slots[k]
+    if brackets:
+        t, t_new, h, x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
+            np.array(column) for column in zip(*brackets)
+        )
+        project = ops.project
+
+        def along(a):
+            # row by row, as in the loop: a stacked product may round
+            # differently; an n=1 state is its own projection
+            return a if a.ndim == 1 else np.array([project(row) for row in a])
+
+        w, q1, q2, q3, q4 = map(along, (v, qv1, qv2, qv3, qv4))
+
+        def wq(tau, i):
+            hi = h[i]
+            th = (tau - t[i]) / hi
+            return w[i] + hi * (th * (q1[i] + th * (q2[i] + th * (q3[i] + th * q4[i]))))
+
+        te = _brentq_batch(wq, t, t_new, EVENT_TIME_TOL, _EVENT_RTOL, _EVENT_MAXITER)
+        m = len(te)
+        x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
+            a.reshape(m, n) for a in (x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7)
+        )
+        p1, _, p3, p4, p5, p6, p7 = _P
+        qx1 = k1 * p1[0]
+        qx2 = k1 * p1[1] + k3 * p3[1] + k4 * p4[1] + k5 * p5[1] + k6 * p6[1] + k7 * p7[1]
+        qx3 = k1 * p1[2] + k3 * p3[2] + k4 * p4[2] + k5 * p5[2] + k6 * p6[2] + k7 * p7[2]
+        qx4 = k1 * p1[3] + k3 * p3[3] + k4 * p4[3] + k5 * p5[3] + k6 * p6[3] + k7 * p7[3]
+        th = ((te - t) / h).reshape(m, 1)
+        h = h.reshape(m, 1)
+        times[is_bracket] = te
+        xs[is_bracket] = x + h * (th * (qx1 + th * (qx2 + th * (qx3 + th * qx4))))
+        vs[is_bracket] = v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))
+    energy_of = ops.energy
+    energies = [energy_of(xe, ve) for xe, ve in zip(ops.states(xs), ops.states(vs))]
+    return times, xs, vs, energies
+
+
+def _brentq_batch(f, xa, xb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:
+    """scipy.optimize.brentq on every bracket [xa[i], xb[i]] at once.
+
+    ``f(x, i)`` evaluates the functions of brackets ``i`` (an index array)
+    at the points ``x``.  Each bracket goes through the floating-point
+    operations of scipy's brentq.c in the same order, so each root has the
+    bits of the scalar call.  Where that call raises (a NaN function value
+    or no sign change: ValueError; no convergence in ``maxiter``
+    iterations: RuntimeError), this raises the same error for the first
+    such bracket in index order.
+    """
+    roots = np.empty(len(xa))
+    errors = {}  # bracket -> what its brentq call raises
+
+    def evaluate(x, i):
+        fx = f(x, i)
+        # a NaN fails its bracket, which may run on: brackets never mix
+        for k in np.flatnonzero(np.isnan(fx)):
+            errors.setdefault(int(i[k]), ValueError(
+                f"The function value at x={float(x[k])} is NaN; solver cannot continue."))
+        return fx
+
+    i = np.arange(len(xa))
+    xpre, xcur = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
+    fpre, fcur = evaluate(xpre, i), evaluate(xcur, i)
+    at_a = fpre == 0.0
+    at_b = ~at_a & (fcur == 0.0)
+    roots[at_a], roots[at_b] = xpre[at_a], xcur[at_b]
+    same = ~(at_a | at_b) & (np.signbit(fpre) == np.signbit(fcur))
+    for k in np.flatnonzero(same):
+        errors.setdefault(int(k), ValueError("f(a) and f(b) must have different signs"))
+    live = ~(at_a | at_b | same)
+    i, xpre, xcur, fpre, fcur = i[live], xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk, fblk, spre, scur = (np.zeros(len(i)) for _ in range(4))
+    with np.errstate(all="ignore"):  # both step formulas run; one is kept
+        for _ in range(maxiter):
+            if not len(i):
+                break
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre = np.where(flip, xcur - xpre, spre)
+            scur = np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                roots[i[done]] = xcur[done]
+                live = ~done
+                i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    a[live]
+                    for a in (i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+                )
+
+            # secant or inverse quadratic step where short enough, else bisection
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            limit = 3 * np.abs(sbis) - delta
+            limit = np.where(np.abs(spre) < limit, np.abs(spre), limit)  # C's MIN
+            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            short &= 2 * np.abs(stry) < limit
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = evaluate(xcur, i)
+    for k in i.tolist():
+        errors.setdefault(k, RuntimeError(f"Failed to converge after {maxiter} iterations."))
+    if errors:
+        raise errors[min(errors)]
+    return roots

@@ -412,7 +412,9 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     g = pot.scalar_grad_fn()
     energy = pot.scalar_energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
-    gs = np.array([g(x) for x in xs])
+    # the closures give the same bits on Python floats as on numpy scalars,
+    # and run several times faster on them
+    gs = np.array([g(x) for x in xs.tolist()])
 
     roots: list[float] = []
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from vanishdamp import (
     Constant,
@@ -26,7 +27,14 @@ from vanishdamp import (
     UnsupportedError,
     integrate,
 )
-from vanishdamp.integrate import BOOTSTRAP_H0, bootstrap_singular_start
+from vanishdamp.integrate import (
+    _EVENT_MAXITER,
+    _EVENT_RTOL,
+    BOOTSTRAP_H0,
+    EVENT_TIME_TOL,
+    _brentq_batch,
+    bootstrap_singular_start,
+)
 from vanishdamp.oracle import linear_regular_solution
 
 
@@ -205,6 +213,89 @@ def test_event_direction_projects_velocity():
         assert np.allclose(ev.direction, [0.0, 1.0])  # stored normalized
 
 
+def _quartic_brackets(m, seed=7):
+    """Event-like brackets [t, t + h] of w + h th (q1 + th (q2 + th (q3 + th q4))).
+
+    Widths run from about EVENT_TIME_TOL / 2 to 30 and magnitudes from 1e-200
+    (where f(a) f(b) underflows) to 1e5.  Each f(b) is set against the sign
+    of f(a) = w, and four rows end on exact zeros: f(a) = 0 twice, f(b) = 0
+    twice (th = 1 exactly there).
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-5.0, 100.0, m)
+    h = 10.0 ** rng.uniform(-10.3, 1.5, m)
+    scale = 10.0 ** rng.uniform(-200.0, 5.0, m)
+    w = rng.choice([-1.0, 1.0], m) * rng.uniform(0.01, 1.0, m) * scale
+    q2, q3, q4 = (rng.normal(size=m) * scale for _ in range(3))
+    fb = -np.sign(w) * rng.uniform(0.01, 1.0, m) * scale
+    q1 = (fb - w) / h - (q2 + q3 + q4)
+    exact = np.array([
+        # t, h, w, q1, q2, q3, q4
+        [1.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [2.0, 1e-10, 0.0, -3.0, 1.0, 0.5, 0.0],
+        [0.5, 0.25, 1.0, -4.0, 0.0, 0.0, 0.0],
+        [0.0, 2.0, -3.0, 1.0, 0.5, 0.0, 0.0],
+    ])
+    return np.concatenate([np.stack([t, h, w, q1, q2, q3, q4]), exact.T], axis=1)
+
+
+def _scalar_brentq(row, maxiter=_EVENT_MAXITER):
+    # one event as the step loop used to refine it
+    t, h, w, q1, q2, q3, q4 = (float(c) for c in row)
+
+    def wq(tau):
+        th = (tau - t) / h
+        return w + h * (th * (q1 + th * (q2 + th * (q3 + th * q4))))
+
+    return brentq(wq, t, t + h, xtol=EVENT_TIME_TOL, rtol=_EVENT_RTOL, maxiter=maxiter)
+
+
+def _batch_brentq(rows, maxiter=_EVENT_MAXITER):
+    t, h, w, q1, q2, q3, q4 = rows
+
+    def wq(tau, i):
+        th = (tau - t[i]) / h[i]
+        return w[i] + h[i] * (th * (q1[i] + th * (q2[i] + th * (q3[i] + th * q4[i]))))
+
+    return _brentq_batch(wq, t, t + h, EVENT_TIME_TOL, _EVENT_RTOL, maxiter)
+
+
+def test_batched_brent_matches_scipy_bitwise():
+    rows = _quartic_brackets(3000)
+    got = _batch_brentq(rows)
+    want = np.array([_scalar_brentq(row) for row in rows.T])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[-4:].tolist() == [1.0, 2.0, 0.75, 2.0]  # the exact zeros
+
+
+def test_batched_brent_fails_where_scipy_fails():
+    rows = _quartic_brackets(400)
+    # too few iterations: the same roots, and the same RuntimeError
+    for maxiter in (1, 3):
+        for k in range(rows.shape[1]):
+            try:
+                want = _scalar_brentq(rows[:, k], maxiter)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as err:
+                    _batch_brentq(rows[:, k:k + 1], maxiter)
+                assert str(err.value) == str(exc)
+            else:
+                got = _batch_brentq(rows[:, k:k + 1], maxiter)[0]
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    same_sign = [1.0, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0]  # f(a) = 1, f(b) = 1.5
+    nan_at_b = [1.0, 0.5, 1.0, math.nan, 0.0, 0.0, 0.0]
+    for bad in (same_sign, nan_at_b):
+        with pytest.raises(ValueError) as want:
+            _scalar_brentq(np.array(bad))
+        with pytest.raises(ValueError) as got:
+            _batch_brentq(np.insert(rows, 200, bad, axis=1))
+        assert str(got.value) == str(want.value)
+    # two failing brackets: the error of the first is raised
+    with pytest.raises(ValueError, match="different signs"):
+        _batch_brentq(np.insert(np.insert(rows, 300, nan_at_b, axis=1), 100, same_sign, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # special starts and modes
 
@@ -286,10 +377,11 @@ def test_sample_stride_thins_output():
     assert np.allclose(thin.xs[:, 0], full.positions_at(thin.ts)[:, 0], atol=1e-12)
 
 
-def _trajectory_digest(traj):
+def _trajectory_digest(traj, samples=True):
     h = hashlib.sha256()
-    for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    if samples:
+        for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     for ev in traj.events:
         h.update(np.array([ev.time, *ev.x, *ev.v, ev.energy], dtype="<f8").tobytes())
     return h.hexdigest()
@@ -315,6 +407,31 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     assert _trajectory_digest(fixed) == (
         "f1ad0273e79c9b3ae90966e670f279ba1c544d4f1196b73768e37d9dedcd2dca"
     )
+
+
+@pytest.mark.parametrize(
+    "spec, count, digest",
+    [
+        # the n=3 PPower system of the CSV pins in test_cli
+        (SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3),
+            x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
+            v0=[0.0, 0.0, 0.0], t_end=200.0, rel_tol=1e-8,
+        ), 14, "13dca44751b00d8696543d12dbd6794e4af0d8f6f2a002aed0316d1ad211fbd2"),
+        # a slanted event direction: every bracket is projected
+        (SystemSpec(
+            schedule=Constant(0.05), potential=Quadratic(2), x0=[1.0, 0.3],
+            v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
+        ), 32, "f27b74c073d7c1fa79e4c0926f1e9d943c7335ef380ae5fbb013a5ed0d87b627"),
+    ],
+    ids=["ppower_n3", "quadratic_n2_slanted"],
+)
+def test_array_events_are_pinned_bitwise(spec, count, digest):
+    # SHA-256 of time, x, v and energy of every event of two n >= 2 runs,
+    # computed when events were still refined inside the step loop
+    traj = integrate(spec)
+    assert len(traj.events) == count
+    assert _trajectory_digest(traj, samples=False) == digest
 
 
 @pytest.mark.parametrize("n", [1, 2])

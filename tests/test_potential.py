@@ -155,6 +155,25 @@ def test_critical_points_are_pinned(pot, box, want):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [Quadratic(1), PPower(1.5), PPower(2.5), PPower(3.0), PPower(4.0), SignedPower(0.5),
+     SignedPower(0.8), SignedPower(2.0), SignedPower(3.0), DoubleWell(), FlatBottom(1),
+     Polynomial1D([0.0, 0.75, -1.5, 1.0]), Zero(1)],
+    ids=lambda p: p.kind,
+)
+def test_scalar_gradient_is_bitwise_the_same_on_python_floats(pot):
+    # critical_points scans on Python floats; the roots are pinned on
+    # numpy float64 scalars, which run the closures' `**` and arithmetic
+    # through numpy instead
+    tiny = np.geomspace(1e-300, 1e3, 2001)
+    grid = np.concatenate([np.linspace(-5.0, 5.0, 20_001), tiny, -tiny])
+    g = pot.scalar_grad_fn()
+    on_floats = np.array([g(x) for x in grid.tolist()], dtype=float)
+    on_scalars = np.array([g(x) for x in grid], dtype=float)
+    assert np.array_equal(on_floats.view(np.int64), on_scalars.view(np.int64))
+
+
 def test_double_well_plateau_is_level_set_bracket():
     x1, x2 = plateau_interval(DoubleWell(), 0.0, (-3.0, 3.0))
     assert x1 == pytest.approx(-math.sqrt(2.0), abs=1e-9)
