@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedError,
     VanishDampError,
 )
-from .integrate import Event, SolverStats, State, SystemSpec, Trajectory, integrate
+from .integrate import Events, SolverStats, State, SystemSpec, Trajectory, integrate
 from .potential import (
     ConvexityCertificate,
     CriticalPoint,
@@ -117,7 +117,7 @@ __all__ = [
     "SystemSpec",
     "Trajectory",
     "State",
-    "Event",
+    "Events",
     "SolverStats",
     "integrate",
     # analysis

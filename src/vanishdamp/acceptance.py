@@ -402,7 +402,7 @@ class _Suite:
             verdicts.append(cl.verdict)
             if cl.verdict == "ConvergesToMax":
                 max_hits += 1
-            n2 = sum(1 for e in traj.events if e.time <= 1.0e2)
+            n2 = int(np.searchsorted(traj.events.time, 1.0e2, side="right"))
             n4 = len(traj.events)
             ratio = n4 / n2 if n2 else math.inf
             min_ratio = min(min_ratio, ratio)

@@ -343,7 +343,7 @@ def _extent_window(traj: Trajectory, cut: float) -> np.ndarray:
     0.01 time units (1000 to 200000 points).  Exact over that grid; only
     the pieces that can reach the running min or max are evaluated."""
     t1 = float(traj.ts[-1])
-    ev = [e.x for e in traj.events if e.time >= cut]
+    ev = traj.events.x[np.searchsorted(traj.events.time, cut):]  # time >= cut
     m = min(200_000, max(1000, int((t1 - cut) / 0.01) + 1))
     return _dense_extent(traj, traj.xs, traj.vs, traj.positions_at, cut, m, ev)
 
@@ -364,7 +364,7 @@ def _dense_extent(traj: Trajectory, ys, dys, dense, cut: float, m: int, extra=()
     ts = traj.ts
     X = ys[ts >= cut]
     if len(extra):
-        X = np.vstack([X, *extra])
+        X = np.vstack([X, extra])
     lo, hi = X.min(axis=0), X.max(axis=0)
     grid = np.linspace(cut, ts[-1], m)
     # pieces j0 .. len(ts)-2 cover the grid; grid points with
@@ -409,9 +409,9 @@ class GapReport:
 def sign_change_gaps(traj: Trajectory) -> GapReport:
     """Gaps t_{i+1} - t_i between events, with a fit of gap against
     ln(1 + t_i) and the max ratio gap / (1 + ln(1 + t_i))."""
-    if len(traj.events) < 2:
+    et = traj.events.time
+    if len(et) < 2:
         raise DomainError("need at least 2 events for gap statistics")
-    et = np.array([e.time for e in traj.events])
     gaps = np.diff(et)
     base = et[:-1]
     logs = np.log1p(base)
@@ -528,11 +528,11 @@ def classify_limit(traj: Trajectory, pot: Optional[Potential] = None) -> LimitCl
             separation = min(others) if others else math.inf
             isolated = True
 
-    n_events = len(traj.events)
-    t_mid = t0 + span / 2.0
-    n_half = sum(1 for e in traj.events if e.time <= t_mid)
+    et = traj.events.time  # in time order
+    n_events = len(et)
+    n_half = int(np.searchsorted(et, t0 + span / 2.0, side="right"))
     events_growing = n_events >= 2 and n_events > n_half
-    recent_events = any(e.time >= t1 - 0.2 * span for e in traj.events)
+    recent_events = n_events > int(np.searchsorted(et, t1 - 0.2 * span))
 
     matched_min = (
         nearest_kind == "LocalMin"

@@ -79,22 +79,20 @@ def _reprs(column: np.ndarray) -> Iterator[str]:
 
 def _series_csv(traj: Trajectory) -> str:
     n = traj.n
-    sched = traj.spec.schedule
-    grad = traj.spec.potential.grad
-    a_at, singular = sched.a_at, sched.singular_at_zero
     header = ["t"] + [f"x_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
     header += ["E", "a", "gnorm"]
+    a = traj.spec.schedule.a_values(traj.ts)
+    gnorm = traj.spec.potential.grad_norms(traj.xs)
 
     def block(lo: int, hi: int) -> list:
-        ts = traj.ts[lo:hi].tolist()
         xs, vs = traj.xs[lo:hi], traj.vs[lo:hi]
         return [
-            map(repr, ts),
+            _reprs(traj.ts[lo:hi]),
             *(_reprs(xs[:, i]) for i in range(n)),
             *(_reprs(vs[:, i]) for i in range(n)),
             _reprs(traj.energies[lo:hi]),
-            [_fmt(a_at(t)) if t > 0.0 or not singular else "inf" for t in ts],
-            [_fmt(np.linalg.norm(grad(x))) for x in xs],
+            _reprs(a[lo:hi]),
+            _reprs(gnorm[lo:hi]),
         ]
 
     return _csv(header, len(traj.ts), block)
@@ -106,13 +104,11 @@ def _events_csv(traj: Trajectory) -> str:
     header = ["i", "t"] + [f"x_{i}" for i in range(n)] + ["E"]
 
     def block(lo: int, hi: int) -> list:
-        chunk = events[lo:hi]
-        xs = np.array([ev.x for ev in chunk]).reshape(-1, n)
         return [
-            [str(ev.index) for ev in chunk],
-            [_fmt(ev.time) for ev in chunk],
-            *(_reprs(xs[:, i]) for i in range(n)),
-            [_fmt(ev.energy) for ev in chunk],
+            map(str, range(lo, hi)),
+            _reprs(events.time[lo:hi]),
+            *(_reprs(events.x[lo:hi, i]) for i in range(n)),
+            _reprs(events.energy[lo:hi]),
         ]
 
     return _csv(header, len(events), block)
@@ -155,7 +151,7 @@ def _fit_block(traj: Trajectory) -> Optional[dict]:
 
 def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
     stats = traj.stats
-    events = traj.events
+    et = traj.events.time.tolist()
     verdict_block = None
     if traj.n == 1:
         try:
@@ -163,10 +159,10 @@ def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
         except UnsupportedError:
             verdict_block = None
     event_block = {
-        "count": len(events),
-        "first_time": events[0].time if events else None,
-        "last_time": events[-1].time if events else None,
-        "last_gap": (events[-1].time - events[-2].time) if len(events) > 1 else None,
+        "count": len(et),
+        "first_time": et[0] if et else None,
+        "last_time": et[-1] if et else None,
+        "last_gap": (et[-1] - et[-2]) if len(et) > 1 else None,
     }
     return {
         "name": run_cfg.name,

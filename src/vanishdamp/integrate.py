@@ -120,17 +120,28 @@ class State:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class Event:
-    """A sign change of the monitored velocity projection."""
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Sign changes of the monitored velocity projection, one row each in
+    time order: ``time`` (E,), interpolated ``x`` and ``v`` (E, n) and
+    ``energy`` (E,), and the unit ``direction`` the velocity is projected
+    on.  The columns are read-only; a slice is a table over the same rows."""
 
-    index: int
-    time: float
+    time: np.ndarray
     x: np.ndarray
     v: np.ndarray
-    energy: float
+    energy: np.ndarray
     direction: np.ndarray
-    kind: str = "VelocitySignChange"
+
+    def __post_init__(self):
+        for column in (self.time, self.x, self.v, self.energy, self.direction):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, rows: slice) -> "Events":
+        return Events(self.time[rows], self.x[rows], self.v[rows], self.energy[rows], self.direction)
 
 
 @dataclass
@@ -353,7 +364,8 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
         finite=lambda a: bool(np.isfinite(a).all()),
         maximum=np.maximum,
         total=lambda a: float(a.sum()),
-        norm=lambda a: float(np.linalg.norm(a)),
+        # np.linalg.norm's own formula for a 1-D array, without its overhead
+        norm=lambda a: math.sqrt(a @ a),
         project=lambda w: float(direction @ w),
     )
 
@@ -392,8 +404,8 @@ def _solve(spec: SystemSpec) -> Trajectory:
         accs = np.zeros((2, n))
         e0 = pot.energy(x0)
         return Trajectory(
-            ts, xs, vs, accs, np.array([e0, e0]), np.zeros(2), [],
-            SolverStats(), spec, n,
+            ts, xs, vs, accs, np.array([e0, e0]), np.zeros(2),
+            Events(*_refine_events([], [], ops, n), d), SolverStats(), spec, n,
         )
 
     prelude = None
@@ -422,12 +434,6 @@ def _solve(spec: SystemSpec) -> Trajectory:
     if prelude is not None:
         for column, value in zip(out, prelude):
             column.insert(0, value)
-
-    d.flags.writeable = False  # one direction array, shared by every event
-    events = [
-        Event(index=i, time=te, x=x, v=v, energy=ee, direction=d)
-        for i, (te, x, v, ee) in enumerate(zip(times.tolist(), xe, ve, energies))
-    ]
     return Trajectory(
         np.asarray(ts_l, dtype=float),
         np.asarray(xs_l, dtype=float).reshape(-1, n),
@@ -435,7 +441,7 @@ def _solve(spec: SystemSpec) -> Trajectory:
         np.asarray(accs_l, dtype=float).reshape(-1, n),
         np.asarray(es_l, dtype=float),
         np.asarray(ds_l, dtype=float),
-        events,
+        Events(times, xe, ve, energies, d),
         stats,
         spec,
         n,
@@ -509,7 +515,6 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     xs = [x]
     vs = [v]
     accs = [k1v]
-    es = [energy_of(x, v)]
     ds = [diss]
     events = []  # per event: (t, x, v) of an exact zero, or None for a bracket
     brackets = []
@@ -651,7 +656,6 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             xs.append(x)
             vs.append(v)
             accs.append(k1v)
-            es.append(energy_of(x, v))
             ds.append(diss)
             since_store = 0
         if len(ts) > MAX_STORED_SAMPLES:
@@ -659,7 +663,6 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             xs = xs[::2]
             vs = vs[::2]
             accs = accs[::2]
-            es = es[::2]
             ds = ds[::2]
             stride *= 2
             stats.stride = stride
@@ -674,9 +677,9 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         xs.append(x)
         vs.append(v)
         accs.append(k1v)
-        es.append(energy_of(x, v))
         ds.append(diss)
     stats.rhs_evals = nfev
+    es = [energy_of(x, v) for x, v in zip(xs, vs)]  # of the samples thinning kept
     events = _refine_events(events, brackets, ops, spec.potential.n)
     return ts, xs, vs, accs, es, ds, events, stats
 
@@ -733,7 +736,7 @@ def _refine_events(slots, brackets, ops: StateOps, n: int):
         vs[is_bracket] = v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))
     energy_of = ops.energy
     energies = [energy_of(xe, ve) for xe, ve in zip(ops.states(xs), ops.states(vs))]
-    return times, xs, vs, energies
+    return times, xs, vs, np.array(energies, dtype=float)
 
 
 def _brentq_batch(f, xa, xb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:

@@ -7,7 +7,8 @@ exact power-law solution of the nonlinear equation with matching damping.
 
 Bessel values come from ``scipy.special.jv`` and the gamma function from
 ``math.gamma``; this module only validates inputs and assembles the closed
-forms.  The references are accurate to about 1e-14 at every t, long
+forms.  scipy is imported on first use, so importing this module (and the
+command line, which imports it) loads numpy only.  The references are accurate to about 1e-14 at every t, long
 horizons included.
 """
 
@@ -17,8 +18,6 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import jv
 
 from .errors import DomainError
 from .schedule import Constant, DampingSchedule, PowerLaw
@@ -38,6 +37,8 @@ def bessel_j(nu: float, t: float) -> float:
         raise DomainError(f"bessel_j needs t >= 0, got {t}")
     if t == 0.0 and nu < 0.0:
         raise DomainError("J_nu(0) diverges for negative order")
+    from scipy.special import jv
+
     return float(jv(nu, t))
 
 
@@ -52,6 +53,8 @@ def linear_regular_solution(c: float, t: float) -> float:
         raise DomainError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return 1.0
+    from scipy.special import jv
+
     nu = (c - 1.0) / 2.0
     return float(math.gamma(nu + 1.0) * (t / 2.0) ** (-nu) * jv(nu, t))
 
@@ -75,6 +78,8 @@ def _kernel_displacement(sched: DampingSchedule, t: float) -> float:
                 return s0 * math.log((t + s0) / s0)
             return s0**c * ((t + s0) ** (1.0 - c) - s0 ** (1.0 - c)) / (1.0 - c)
     # no elementary antiderivative: integrate the kernel numerically
+    from scipy.integrate import quad
+
     val, _ = quad(sched.decay_kernel, 0.0, t, epsrel=1e-11, epsabs=1e-14, limit=400)
     return val
 

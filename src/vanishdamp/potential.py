@@ -51,6 +51,12 @@ class Potential:
     def grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def grad_norms(self, xs) -> np.ndarray:
+        """|grad G(x)| for every row of an (m, n) array, equal bit for bit
+        to np.linalg.norm(grad(x)).  Subclasses whose closed form on the
+        whole column gives the same bits override this per-row loop."""
+        return np.array([np.linalg.norm(self.grad(x)) for x in self._as_rows(xs)], dtype=float)
+
     def _as_point(self, x) -> np.ndarray:
         p = np.atleast_1d(np.asarray(x, dtype=float))
         if p.shape != (self.n,):
@@ -58,6 +64,14 @@ class Potential:
                 f"point of dimension {p.shape} for potential of dimension {self.n}"
             )
         return p
+
+    def _as_rows(self, xs) -> np.ndarray:
+        rows = np.asarray(xs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise DomainError(
+                f"rows of shape {rows.shape} for potential of dimension {self.n}"
+            )
+        return rows
 
     # Scalar closures on plain floats, for the integrator hot loop and the
     # 1D geometry scans.  The defaults wrap the array API (only Custom uses
@@ -189,6 +203,11 @@ class DoubleWell(Potential):
     def grad(self, x) -> np.ndarray:
         v = self._as_point(x)[0]
         return np.array([v * (v * v - 1.0)])
+
+    def grad_norms(self, xs) -> np.ndarray:
+        x = self._as_rows(xs)[:, 0]
+        g = x * (x * x - 1.0)
+        return np.sqrt(g * g)  # np.linalg.norm of a 1-vector
 
     def _scalar_grad(self):
         return lambda x: x * (x * x - 1.0)

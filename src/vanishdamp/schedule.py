@@ -9,7 +9,8 @@ damped system (integral divergence, kernel integrability, the boundedness and
 slow-log conditions).
 
 Constant and PowerLaw schedules carry analytic closed forms throughout;
-Custom schedules fall back to adaptive quadrature and are flagged heuristic.
+Custom schedules fall back to adaptive quadrature (scipy's, imported on
+first use) and are flagged heuristic.
 The analyzers read int_0^t a and the decay kernel on whole arrays of
 sample times through integral_a_to and decay_kernels, which agree bit for
 bit with the scalar integral_a(0, t) and decay_kernel(t).
@@ -23,7 +24,6 @@ from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 
@@ -79,6 +79,16 @@ class DampingSchedule:
 
     def a_at(self, t: float) -> float:
         raise NotImplementedError
+
+    def a_values(self, times) -> np.ndarray:
+        """a(t) for every t of an array, equal bit for bit to a_at(t), with
+        inf at t=0 when the schedule is singular there.  Constant and
+        PowerLaw override this per-point loop with their closed forms."""
+        singular = self.singular_at_zero
+        return np.array(
+            [math.inf if singular and t == 0.0 else self.a_at(t) for t in self._times(times).tolist()],
+            dtype=float,
+        )
 
     def da_at(self, t: float) -> float:
         raise NotImplementedError
@@ -140,6 +150,9 @@ class Constant(DampingSchedule):
         if t < 0:
             raise DomainError(f"schedule evaluated at t={t} < 0")
         return self.level
+
+    def a_values(self, times) -> np.ndarray:
+        return np.full(self._times(times).shape, float(self.level))
 
     def rate_fn(self) -> Callable[[float], float]:
         level = self.level
@@ -205,6 +218,13 @@ class PowerLaw(DampingSchedule):
         if t == 0 and self.singular_at_zero:
             raise DomainError("PowerLaw with offset 0 is singular at t=0")
         return self.c / (t + self.s0) ** self.gamma
+
+    def a_values(self, times) -> np.ndarray:
+        """a_at over an array, with the same float operations; c / 0 gives
+        inf at a singular origin."""
+        powers = _each(pow, (self._times(times) + self.s0).tolist(), repeat(self.gamma))
+        with np.errstate(divide="ignore"):
+            return self.c / powers
 
     def rate_fn(self) -> Callable[[float], float]:
         c, g, s0 = self.c, self.gamma, self.s0
@@ -317,6 +337,8 @@ class Custom(DampingSchedule):
         self._check_times(t0, t1)
         if t1 == t0:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(
             self.a, t0, t1, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_FLOOR, limit=200
         )
@@ -324,6 +346,8 @@ class Custom(DampingSchedule):
 
     def classify(self) -> ScheduleClassification:
         """Heuristic horizon classification; analytic=False always."""
+        from scipy.integrate import quad
+
         # running integral of a on geometric panels up to the horizon
         panels = [0.0] + [10.0 ** k for k in range(0, 7)]
         start = 1.0e-9 if self.singular else 0.0

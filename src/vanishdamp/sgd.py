@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, NonFiniteState
 from .integrate import SystemSpec, Trajectory, integrate, state_ops
@@ -143,6 +142,8 @@ class NoiseModel:
             raise DomainError("need count >= 0 and dim >= 1")
         if self.kind == "None" or self.sigma == 0.0:
             return np.zeros((count, dim))
+        from scipy.special import ndtri  # on first use: plain runs never load scipy
+
         bits = np.random.Generator(np.random.Philox(key=int(self.seed)))
         raw = bits.integers(0, 2 ** 64, size=(count, dim), dtype=np.uint64)
         # uniform strictly inside (0, 1), then inverse normal CDF

@@ -15,6 +15,7 @@ from vanishdamp import (
     Constant,
     DomainError,
     DoubleWell,
+    Events,
     HypothesisError,
     PowerLaw,
     PPower,
@@ -271,9 +272,7 @@ def _full_extent(traj, cut):
     state and value of the dense grid on [cut, end]."""
     t1 = float(traj.ts[-1])
     chunks = [traj.xs[traj.ts >= cut]]
-    ev = [e.x for e in traj.events if e.time >= cut]
-    if ev:
-        chunks.append(np.vstack(ev))
+    chunks.append(traj.events.x[traj.events.time >= cut])
     m = min(200_000, max(1000, int((t1 - cut) / 0.01) + 1))
     chunks.append(traj.positions_at(np.linspace(cut, t1, m)))
     X = np.vstack(chunks)
@@ -331,7 +330,8 @@ def test_pruned_extent_sees_excursions_between_samples():
     xs = np.array([[-1.0], [1.0]] + [[0.5]] * 9)
     vs = np.array([[0.0], [0.0]] + [[3.0 * (-1.0) ** k] for k in range(9)])
     accs = np.full((11, 1), 30.0)
-    traj = Trajectory(ts, xs, vs, accs, np.zeros(11), np.zeros(11), [], SolverStats(), spec, 1)
+    none = Events(np.empty(0), np.empty((0, 1)), np.empty((0, 1)), np.empty(0), np.ones(1))
+    traj = Trajectory(ts, xs, vs, accs, np.zeros(11), np.zeros(11), none, SolverStats(), spec, 1)
     for cut in (0.0, 1.5):
         assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))
         assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)

@@ -6,7 +6,10 @@ codes, console output, and the CSV/JSON artifacts.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -202,6 +205,28 @@ def test_csv_bytes_are_pinned(tmp_path, text, pins):
     for kind, digest in pins.items():
         data = (tmp_path / f"quadshort_{kind}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, kind
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # scipy is imported on first use (oracle, Custom schedules, noisy
+    # recursion); a plain run never loads it.  A fresh interpreter, since
+    # this one has scipy loaded by other tests
+    text = WELL_SHORT.replace("s0 = 1.0", "s0 = 0.0").replace("v0 = 1.1", "v0 = 0.0")
+    script = (
+        "import sys\n"
+        "import vanishdamp.cli\n"
+        f"assert vanishdamp.cli.main(['run', {_cfg(tmp_path, text)!r}, '--outdir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    # the singular schedule's t=0 row has a = inf
+    first = (tmp_path / "quadshort_series.csv").read_text().splitlines()[1].split(",")
+    assert first[0] == "0.0" and first[-2] == "inf"
 
 
 # ---------------------------------------------------------------------------

@@ -153,20 +153,49 @@ def test_dense_output_between_samples(j_run):
 def test_event_spacing_approaches_pi(j_run_long):
     # velocity sign changes of the oscillatory linear solution settle to
     # spacing pi (two per period)
-    times = [ev.time for ev in j_run_long.events if ev.time > 50.0]
+    times = j_run_long.events.time[j_run_long.events.time > 50.0]
     assert len(times) >= 40
     gaps = np.diff(times)
     assert float(np.abs(gaps - math.pi).max()) <= 0.01 * math.pi
 
 
 def test_events_carry_interpolated_states(j_run):
-    assert j_run.events, "oscillatory run must produce events"
-    for ev in j_run.events[:10]:
-        assert ev.kind == "VelocitySignChange"
-        assert abs(ev.v[0]) <= 1e-8
-        assert ev.direction[0] == 1.0
-    idx = [ev.index for ev in j_run.events]
-    assert idx == sorted(idx) == list(range(len(idx)))
+    events = j_run.events
+    assert events, "oscillatory run must produce events"
+    m = len(events)
+    assert events.time.shape == events.energy.shape == (m,)
+    assert events.x.shape == events.v.shape == (m, 1)
+    assert float(np.abs(events.v[:10, 0]).max()) <= 1e-8
+    assert events.direction.tolist() == [1.0]
+    assert np.all(np.diff(events.time) > 0.0)  # rows are in time order
+
+
+def test_events_table_slices_share_its_columns(j_run):
+    events = j_run.events
+    part = events[3:7]
+    assert len(part) == 4 and len(events[:0]) == 0 and len(events[-2:]) == 2
+    assert np.array_equal(part.time, events.time[3:7])
+    assert np.array_equal(part.x, events.x[3:7]) and np.array_equal(part.v, events.v[3:7])
+    assert np.array_equal(part.energy, events.energy[3:7])
+    assert part.direction is events.direction
+    assert np.shares_memory(part.x, events.x)  # a view, not a copy
+    for column in (events.time, events.x, events.v, events.energy, events.direction, part.x):
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+
+def test_run_without_sign_changes_has_an_empty_table():
+    # free motion with damping: v = exp(-t) never changes sign
+    traj = integrate(
+        SystemSpec(schedule=Constant(1.0), potential=CustomPotential(
+            2, energy=lambda x: 0.0, grad=lambda x: np.zeros(2)),
+            x0=[0.0, 0.0], v0=[1.0, -1.0], t_end=20.0)
+    )
+    events = traj.events
+    assert traj.stats.accepted > 0 and not events and len(events) == 0
+    assert events.time.shape == events.energy.shape == (0,)
+    assert events.x.shape == events.v.shape == (0, 2)
+    assert len(events[1:]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +237,8 @@ def test_event_direction_projects_velocity():
         )
     )
     assert traj.events
-    for ev in traj.events:
-        assert abs(ev.v[1]) <= 1e-8  # second component is monitored
-        assert np.allclose(ev.direction, [0.0, 1.0])  # stored normalized
+    assert float(np.abs(traj.events.v[:, 1]).max()) <= 1e-8  # second component is monitored
+    assert np.allclose(traj.events.direction, [0.0, 1.0])  # stored normalized
 
 
 def _quartic_brackets(m, seed=7):
@@ -382,8 +410,9 @@ def _trajectory_digest(traj, samples=True):
     if samples:
         for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    for ev in traj.events:
-        h.update(np.array([ev.time, *ev.x, *ev.v, ev.energy], dtype="<f8").tobytes())
+    ev = traj.events
+    rows = np.column_stack([ev.time, ev.x, ev.v, ev.energy])  # one event per row
+    h.update(np.ascontiguousarray(rows, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -454,8 +483,7 @@ def test_reruns_are_bitwise_identical(j_run):
     assert np.array_equal(again.ts, j_run.ts)
     assert np.array_equal(again.xs, j_run.xs)
     assert np.array_equal(again.vs, j_run.vs)
-    assert len(again.events) == len(j_run.events)
-    assert all(a.time == b.time for a, b in zip(again.events, j_run.events))
+    assert np.array_equal(again.events.time, j_run.events.time)
 
 
 # ---------------------------------------------------------------------------

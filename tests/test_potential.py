@@ -174,6 +174,34 @@ def test_scalar_gradient_is_bitwise_the_same_on_python_floats(pot):
     assert np.array_equal(on_floats.view(np.int64), on_scalars.view(np.int64))
 
 
+_TINY_TO_LARGE = np.geomspace(1e-300, 1e3, 301)
+_SIGNED_GRID = np.concatenate([[0.0], _TINY_TO_LARGE, -_TINY_TO_LARGE])
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [Quadratic(1), PPower(1.5), PPower(4.0), SignedPower(0.5), SignedPower(3.0), DoubleWell(),
+     FlatBottom(1), Polynomial1D([0.0, 0.75, -1.5, 1.0]), Zero(1),
+     CustomPotential(1, energy=lambda x: float(x[0] ** 4), grad=lambda x: 4.0 * x ** 3),
+     Quadratic(3), PPower(4.0, n=3), FlatBottom(3), Zero(3),
+     CustomPotential(3, energy=lambda x: float(x @ x), grad=lambda x: 2.0 * x)],
+    ids=["Quadratic_n1", "PPower1.5_n1", "PPower4_n1", "SignedPower0.5", "SignedPower3",
+         "DoubleWell", "FlatBottom_n1", "Polynomial1D", "Zero_n1", "Custom_n1",
+         "Quadratic_n3", "PPower4_n3", "FlatBottom_n3", "Zero_n3", "Custom_n3"],
+)
+def test_grad_norms_match_the_per_row_norm_bitwise(pot):
+    # the gnorm column of the series CSV was np.linalg.norm(grad(x)) row by
+    # row; the column method must give the same bits for every kind
+    g = _SIGNED_GRID
+    xs = g[:, None] if pot.n == 1 else np.column_stack([g, np.roll(g, 101), -np.roll(g, 7)])
+    want = np.array([np.linalg.norm(pot.grad(x)) for x in xs], dtype=float)
+    got = pot.grad_norms(xs)
+    assert got.shape == (len(xs),)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(DomainError):
+        pot.grad_norms(np.zeros((2, pot.n + 1)))
+
+
 def test_double_well_plateau_is_level_set_bracket():
     x1, x2 = plateau_interval(DoubleWell(), 0.0, (-3.0, 3.0))
     assert x1 == pytest.approx(-math.sqrt(2.0), abs=1e-9)

@@ -60,22 +60,22 @@ def test_decay_kernel_inverts_integral(sched):
     assert sched.decay_kernel(0.0) == 1.0
 
 
-@pytest.mark.parametrize(
-    "sched",
-    [
-        Constant(0.005),
-        Constant(0.0),
-        PowerLaw(1.0),
-        PowerLaw(1.0, gamma=1.0, s0=0.0),
-        PowerLaw(0.5, gamma=0.5, s0=0.0),
-        PowerLaw(1.0, gamma=0.5),
-        PowerLaw(3.0, gamma=2.0, s0=0.5),
-        PowerLaw(0.2, gamma=0.0),
-        pytest.param(CustomSchedule(a=lambda t: 1.0 / (1.0 + t)), id="Custom(a=1/(1+t))"),
-        slow_log_example(),
-    ],
-    ids=_stable_id,
-)
+# every schedule kind, singular origins included
+EVERY_KIND = [
+    Constant(0.005),
+    Constant(0.0),
+    PowerLaw(1.0),
+    PowerLaw(1.0, gamma=1.0, s0=0.0),
+    PowerLaw(0.5, gamma=0.5, s0=0.0),
+    PowerLaw(1.0, gamma=0.5),
+    PowerLaw(3.0, gamma=2.0, s0=0.5),
+    PowerLaw(0.2, gamma=0.0),
+    pytest.param(CustomSchedule(a=lambda t: 1.0 / (1.0 + t)), id="Custom(a=1/(1+t))"),
+    slow_log_example(),
+]
+
+
+@pytest.mark.parametrize("sched", EVERY_KIND, ids=_stable_id)
 def test_array_kernel_matches_scalar_bitwise(sched):
     # the array entry point makes the same float operations and the same
     # math-module calls as the scalar methods, point for point
@@ -90,6 +90,27 @@ def test_array_kernel_matches_scalar_bitwise(sched):
         assert repr(k) == repr(sched.decay_kernel(t))
     with pytest.raises(DomainError):
         sched.decay_kernels(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize(
+    "sched",
+    EVERY_KIND + [
+        pytest.param(CustomSchedule(a=lambda t: 2.0 / t, singular=True), id="Custom(a=2/t)"),
+    ],
+    ids=_stable_id,
+)
+def test_a_values_match_a_at_bitwise(sched):
+    # the a column of the series CSV was a_at(t) row by row, and the cell
+    # "inf" at the origin of a singular schedule
+    ts = np.concatenate([[0.0], np.geomspace(1.0e-300, 1.0e3, 301)])
+    want = np.array(
+        [math.inf if t == 0.0 and sched.singular_at_zero else sched.a_at(t) for t in ts.tolist()]
+    )
+    got = sched.a_values(ts)
+    assert got.shape == ts.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(DomainError):
+        sched.a_values(np.array([1.0, -0.5]))
 
 
 @pytest.mark.parametrize(
