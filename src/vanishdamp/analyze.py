@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, UnsupportedError
 from .integrate import Trajectory
-from .potential import Potential, critical_points
+from .potential import critical_points
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _TINY = float(np.finfo(float).tiny)
@@ -40,6 +40,8 @@ LIMIT_VELOCITY_TOL = 1.0e-3
 MATCH_DISTANCE = 1.0e-2
 # occupation density grid resolution (time units)
 DENSITY_STEP = 0.01
+# points of the geometric grid on which upper_bound_check tests its regime
+HYPOTHESIS_GRID = 200
 
 
 def _min_g(traj: Trajectory, min_g: Optional[float]) -> float:
@@ -69,13 +71,12 @@ def weighted_energy_integral(traj: Trajectory, min_g: Optional[float] = None):
     g0 = _min_g(traj, min_g)
     ts = traj.ts
     gap = traj.energies - g0
-    rate = traj.spec.schedule.rate_fn()
-    if traj.spec.schedule.singular_at_zero:
+    sched = traj.spec.schedule
+    if sched.singular_at_zero:
         mask = ts > 0.0
         ts = ts[mask]
         gap = gap[mask]
-    a_vals = np.array([rate(float(t)) for t in ts])
-    integrand = a_vals * gap
+    integrand = sched.a_values(ts) * gap
     if len(ts) < 2:
         return 0.0, (ts, np.zeros_like(ts))
     widths = np.diff(ts)
@@ -134,7 +135,6 @@ def upper_bound_check(
     regime: str,
     K: float,
     min_g: Optional[float] = None,
-    hypothesis_grid: int = 200,
 ) -> UpperBoundResult:
     """Fit the decay-envelope constant for one of the two upper-bound
     regimes and judge its stability.
@@ -156,7 +156,7 @@ def upper_bound_check(
     ts = traj.ts
     t_lo = float(ts[0]) if ts[0] > 0 else float(ts[min(1, len(ts) - 1)])
     t_hi = float(ts[-1])
-    grid = np.geomspace(max(t_lo, 1e-6), t_hi, hypothesis_grid)
+    grid = np.geomspace(max(t_lo, 1e-6), t_hi, HYPOTHESIS_GRID)
     for tg in grid:
         lhs = sched.da_at(float(tg)) + K * sched.a_at(float(tg)) ** 2
         tol = 1.0e-12 * (1.0 + abs(sched.da_at(float(tg))))
@@ -176,9 +176,7 @@ def upper_bound_check(
         env = np.fromiter(map(pow, sched.decay_kernels(ts).tolist(), repeat(m)), dtype=float)
         rate = m
     else:
-        rate_fn = sched.rate_fn()
-        env = np.array([rate_fn(float(t)) if t > 0 or not sched.singular_at_zero
-                        else math.inf for t in ts])
+        env = sched.a_values(ts)
         rate = None
     valid = env > 0
     if not np.any(valid):
@@ -470,7 +468,7 @@ def _tail_velocity_max(traj: Trajectory, cut: float) -> float:
     return float(np.max(np.abs(ext)))
 
 
-def classify_limit(traj: Trajectory, pot: Optional[Potential] = None) -> LimitClassification:
+def classify_limit(traj: Trajectory) -> LimitClassification:
     """Classify the run per the sign-change dichotomy (1D only).
 
     Verdicts: ConvergesToMin (localized at a minimum, usually with a
@@ -478,9 +476,8 @@ def classify_limit(traj: Trajectory, pot: Optional[Potential] = None) -> LimitCl
     maximum, no recent events), NotConverged (persistently wide tail),
     Undetermined (horizon too short to tell).
     """
-    if pot is None:
-        pot = traj.spec.potential
-    if traj.n != 1 or pot.n != 1:
+    pot = traj.spec.potential
+    if traj.n != 1:
         raise UnsupportedError("limit classification is 1D only")
 
     t0, t1 = float(traj.ts[0]), float(traj.ts[-1])

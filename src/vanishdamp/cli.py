@@ -33,14 +33,8 @@ import numpy as np
 
 from . import acceptance
 from .analyze import classify_limit, lower_bound_residual, rate_fit
-from .config import (
-    RunConfig,
-    build_sweep_plan,
-    config_echo,
-    load_run_config,
-    parse_config,
-)
-from .errors import ConfigError, SolverError, UnsupportedError, VanishDampError
+from .config import RunConfig, build_sweep_plan, config_echo, load_run_config
+from .errors import ConfigError, SolverError, VanishDampError
 from .integrate import Trajectory, integrate
 from .oracle import bessel_j, linear_regular_solution, power_law_exact
 from .sgd import DiscretePath, compare_to_ode, run_recursion
@@ -152,12 +146,7 @@ def _fit_block(traj: Trajectory) -> Optional[dict]:
 def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
     stats = traj.stats
     et = traj.events.time.tolist()
-    verdict_block = None
-    if traj.n == 1:
-        try:
-            verdict_block = classify_limit(traj).as_dict()
-        except UnsupportedError:
-            verdict_block = None
+    verdict_block = classify_limit(traj).as_dict() if traj.n == 1 else None
     event_block = {
         "count": len(et),
         "first_time": et[0] if et else None,

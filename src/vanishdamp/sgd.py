@@ -314,7 +314,6 @@ class OdeComparison:
 def compare_to_ode(
     path: DiscretePath,
     pot: Potential,
-    beta: float = 0.0,
     horizon: Optional[float] = None,
     rel_tol: float = 1e-10,
 ) -> OdeComparison:
@@ -322,8 +321,7 @@ def compare_to_ode(
 
     The limiting system X'' = -(X' + grad G(X)) / (t + beta) depends on
     time only through the clock t + beta, which the path carries as tau,
-    so the comparison is done on the clock and ``beta`` does not move
-    the result; it is validated for sign consistency only.  Substituting
+    so the comparison is done on the clock and needs no beta.  Substituting
     clock = (s + C)**2 / 4 with C = 2*sqrt(tau_0) turns the limit into
     the damped system with rate 1/(s + C) and unit gradient, which the
     adaptive integrator solves; deviations are measured at every stored
@@ -332,8 +330,6 @@ def compare_to_ode(
     tau0 = float(path.tau[0])
     if tau0 <= 0.0:
         raise DomainError(f"path clock must start positive, got {tau0}")
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
     tau_end = float(path.tau[-1])
     tau_hor = tau_end if horizon is None else min(float(horizon), tau_end)
     if tau_hor < tau0:

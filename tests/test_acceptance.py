@@ -6,11 +6,18 @@ criterion records a known shortfall (the flat-floor gap-growth clause of
 A9) and is pinned to its documented behavior instead of a pass.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from vanishdamp import acceptance
 
 EXPECTED_IDS = [f"A{k}" for k in range(1, 14)]
+
+# SHA-256 of every criterion's id, title, verdict, detail and measured
+# numbers (the JSON of ``as_dict`` without ``seconds``, keys sorted)
+RESULTS_SHA256 = "1bddd5b63784f88bd4f271e8209a164714cfa31e76c46387af12daf0ed5c1405"
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +29,16 @@ def suite():
 def test_suite_covers_every_criterion(suite):
     assert list(suite) == EXPECTED_IDS
     assert [cid for cid, _ in acceptance.list_criteria()] == EXPECTED_IDS
+
+
+def test_results_carry_the_listed_titles(suite):
+    assert [(r.criterion_id, r.title) for r in suite.values()] == acceptance.list_criteria()
+
+
+def test_results_are_pinned(suite):
+    rows = [{k: v for k, v in r.as_dict().items() if k != "seconds"} for r in suite.values()]
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RESULTS_SHA256
 
 
 @pytest.mark.parametrize("cid", [c for c in EXPECTED_IDS if c != "A9"])

@@ -234,15 +234,6 @@ def test_compare_to_ode_first_order_in_step():
     assert 1.6 <= dev_c / dev_f <= 2.4  # halving the step halves the error
 
 
-def test_compare_to_ode_beta_is_pure_reparameterization():
-    quad = Quadratic(1)
-    path = run_recursion(quad, StepSchedule.constant(4e-3), NoiseModel.none(), 1.0, 2_000)
-    assert compare_to_ode(path, quad, beta=0.0).deviation == \
-        compare_to_ode(path, quad, beta=3.0).deviation
-    with pytest.raises(DomainError):
-        compare_to_ode(path, quad, beta=math.inf)
-
-
 def test_compare_to_ode_horizon_handling():
     quad = Quadratic(1)
     path = run_recursion(quad, StepSchedule.constant(1e-3), NoiseModel.none(), 1.0, 10)
