@@ -6,6 +6,7 @@ classification flags against the quadrature-based classifier running on
 the same rate function.
 """
 
+import hashlib
 import math
 import re
 
@@ -25,6 +26,10 @@ from vanishdamp import (
 
 # 1e-3 .. 1e5, eight points per decade
 LOG_GRID = [10.0 ** (k / 4.0) for k in range(-12, 21)]
+# the origin, 1e-3 .. 1e5 and a huge time, for int_0^t a and the kernel
+KERNEL_GRID = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e5, 97), [1.0e300]])
+# the origin and 1e-300 .. 1e3, for a(t)
+A_GRID = np.concatenate([[0.0], np.geomspace(1.0e-300, 1.0e3, 301)])
 
 
 def _stable_id(sched):
@@ -90,6 +95,38 @@ def test_array_kernel_matches_scalar_bitwise(sched):
         assert repr(k) == repr(sched.decay_kernel(t))
     with pytest.raises(DomainError):
         sched.decay_kernels(np.array([1.0, -0.5]))
+
+
+# SHA-256 of the bytes of a_values on A_GRID, then integral_a_to and
+# decay_kernels on KERNEL_GRID (every eighth point for Custom schedules),
+# computed when each array method still had a scalar twin
+ARRAY_SHA256 = {
+    "Constant(level=0.005)": "4f97f0ef189a67abd86320ade51bbd4c177cde9a28d2bbad5b17e91f0e7b0024",
+    "Constant(level=0.0)": "a18820224eeb0968daa4a4c422c622ae837691ea94a66eb9b7ab105baea1cb3c",
+    "PowerLaw(c=1.0, gamma=1.0, s0=1.0)": "4c72fda5e37b4ebb3c73a19d29f84e7180068193be0d7272ed0d98735e3b8534",
+    "PowerLaw(c=1.0, gamma=1.0, s0=0.0)": "401eada053c2921a642756e551f31e3823ca97275bdb8af1984702a1ced1001f",
+    "PowerLaw(c=0.5, gamma=0.5, s0=0.0)": "ed644b4341f546ba54e9729a160411b561249698205feec64d0a2b9fe24e3a50",
+    "PowerLaw(c=1.0, gamma=0.5, s0=1.0)": "48682f5248048a3b689ced1aa496243fce996555e02012ce6a5db54461252434",
+    "PowerLaw(c=3.0, gamma=2.0, s0=0.5)": "6e950b64b17fc0c4c61b2c3f3bd7d6a8dcc552ee7b253ada57bdcfa14dee3b41",
+    "PowerLaw(c=0.2, gamma=0.0, s0=1.0)": "d39c646f379f6cb9b05a196af162873938995f522f9801b57c5f7e64ccc34e93",
+    "Custom(a=1/(1+t))": "3d10be37e9bb4d5c7fd70b8710e1f4d5054f16389ab11c73918131968a0ff14b",
+    "slow_log_example()": "e743843d491e8b34bf091964e0f1085fef75a2a9b76cd4fa37a35c556dcb5d84",
+}
+
+
+@pytest.mark.parametrize(
+    "sched,digest",
+    [
+        pytest.param(p.values[0] if hasattr(p, "values") else p, digest, id=key)
+        for p, (key, digest) in zip(EVERY_KIND, ARRAY_SHA256.items())
+    ],
+)
+def test_array_methods_are_pinned_bitwise(sched, digest):
+    kernel_grid = KERNEL_GRID[::8] if isinstance(sched, CustomSchedule) else KERNEL_GRID
+    h = hashlib.sha256()
+    for arr in (sched.a_values(A_GRID), sched.integral_a_to(kernel_grid), sched.decay_kernels(kernel_grid)):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize(
