@@ -44,9 +44,7 @@ DENSITY_STEP = 0.01
 HYPOTHESIS_GRID = 200
 
 
-def _min_g(traj: Trajectory, min_g: Optional[float]) -> float:
-    if min_g is not None:
-        return float(min_g)
+def _min_g(traj: Trajectory) -> float:
     pot = traj.spec.potential
     if pot.min_value is not None:
         return float(pot.min_value)
@@ -55,20 +53,20 @@ def _min_g(traj: Trajectory, min_g: Optional[float]) -> float:
     return float(np.min(traj.energies - 0.5 * np.sum(traj.vs**2, axis=1)))
 
 
-def energy_gap_series(traj: Trajectory, min_g: Optional[float] = None):
+def energy_gap_series(traj: Trajectory):
     """(t, E(t) - min G) over the stored samples."""
-    g0 = _min_g(traj, min_g)
+    g0 = _min_g(traj)
     return traj.ts.copy(), traj.energies - g0
 
 
-def weighted_energy_integral(traj: Trajectory, min_g: Optional[float] = None):
+def weighted_energy_integral(traj: Trajectory):
     """Trapezoid quadrature of a(t) (E(t) - min G) and its running series.
 
     For schedules singular at the origin the quadrature starts at the
     first positive sample: the theorem's content is the convergence of the
     tail, and a(t) itself is not integrable against a positive gap there.
     """
-    g0 = _min_g(traj, min_g)
+    g0 = _min_g(traj)
     ts = traj.ts
     gap = traj.energies - g0
     sched = traj.spec.schedule
@@ -85,7 +83,7 @@ def weighted_energy_integral(traj: Trajectory, min_g: Optional[float] = None):
     return float(running[-1]), (ts, running)
 
 
-def lower_bound_residual(traj: Trajectory, min_g: Optional[float] = None) -> float:
+def lower_bound_residual(traj: Trajectory) -> float:
     """Minimal slack of the rate lower bound
 
         E(t) - min G >= (E(0) - min G) exp(-2 int_0^t a).
@@ -93,12 +91,12 @@ def lower_bound_residual(traj: Trajectory, min_g: Optional[float] = None) -> flo
     Nonnegative for exact solutions (the bound is a theorem); small
     negative values expose integrator drift.
     """
-    g0 = _min_g(traj, min_g)
+    g0 = _min_g(traj)
     gap = traj.energies - g0
     sched = traj.spec.schedule
     ts = traj.ts
     idx = np.arange(len(ts))
-    if getattr(sched, "fd_derivative", False) and len(ts) > 2000:
+    if sched.kernel_by_quadrature and len(ts) > 2000:
         # quadrature-backed schedules price each kernel call; subsample
         idx = np.linspace(0, len(ts) - 1, 2000).astype(int)
     gap0 = float(gap[0])
@@ -134,7 +132,6 @@ def upper_bound_check(
     theta: float,
     regime: str,
     K: float,
-    min_g: Optional[float] = None,
 ) -> UpperBoundResult:
     """Fit the decay-envelope constant for one of the two upper-bound
     regimes and judge its stability.
@@ -157,9 +154,9 @@ def upper_bound_check(
     t_lo = float(ts[0]) if ts[0] > 0 else float(ts[min(1, len(ts) - 1)])
     t_hi = float(ts[-1])
     grid = np.geomspace(max(t_lo, 1e-6), t_hi, HYPOTHESIS_GRID)
-    for tg in grid:
-        lhs = sched.da_at(float(tg)) + K * sched.a_at(float(tg)) ** 2
-        tol = 1.0e-12 * (1.0 + abs(sched.da_at(float(tg))))
+    for tg, a in zip(grid.tolist(), sched.a_values(grid).tolist()):
+        lhs = sched.da_at(tg) + K * a ** 2
+        tol = 1.0e-12 * (1.0 + abs(sched.da_at(tg)))
         if regime == "K1" and lhs > tol:
             raise HypothesisError(
                 f"a' + K a^2 = {lhs:.3e} > 0 at t={tg:.6g}; regime K1 needs <= 0"
@@ -169,7 +166,7 @@ def upper_bound_check(
                 f"a' + K a^2 = {lhs:.3e} < 0 at t={tg:.6g}; regime K2 needs >= 0"
             )
 
-    g0 = _min_g(traj, min_g)
+    g0 = _min_g(traj)
     gap = traj.energies - g0
     if regime == "K1":
         m = min(1.0 / (theta + 0.5), K)

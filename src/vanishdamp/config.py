@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -107,7 +108,9 @@ class ParsedConfig:
         entry = self.raw(section, key)
         return entry[1] if entry else self.section_lines.get(section, 0)
 
-    def get_str(self, section: str, key: str, default: Optional[str] = None) -> str:
+    def _get(self, section: str, key: str, default, convert: Callable, expects: str):
+        """The key's text converted, or ``default``; a missing key with no
+        default and a text ``convert`` rejects are both ConfigErrors."""
         entry = self.raw(section, key)
         if entry is None:
             if default is None:
@@ -116,37 +119,20 @@ class ParsedConfig:
                     self.section_lines.get(section, 0),
                 )
             return default
-        return entry[0]
+        text, line = entry
+        try:
+            return convert(text)
+        except ValueError:
+            raise self.error(f"key '{key}' expects {expects}, got '{text}'", line) from None
+
+    def get_str(self, section: str, key: str, default: Optional[str] = None) -> str:
+        return self._get(section, key, default, str, "text")
 
     def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
-        entry = self.raw(section, key)
-        if entry is None:
-            if default is None:
-                raise self.error(
-                    f"missing required key '{key}' in [{section}]",
-                    self.section_lines.get(section, 0),
-                )
-            return default
-        text, line = entry
-        try:
-            return float(text)
-        except ValueError:
-            raise self.error(f"key '{key}' expects a number, got '{text}'", line) from None
+        return self._get(section, key, default, float, "a number")
 
     def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
-        entry = self.raw(section, key)
-        if entry is None:
-            if default is None:
-                raise self.error(
-                    f"missing required key '{key}' in [{section}]",
-                    self.section_lines.get(section, 0),
-                )
-            return default
-        text, line = entry
-        try:
-            return int(text)
-        except ValueError:
-            raise self.error(f"key '{key}' expects an integer, got '{text}'", line) from None
+        return self._get(section, key, default, int, "an integer")
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
         entry = self.raw(section, key)
@@ -420,20 +406,10 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
         if total > 10_000:
             raise cfg.error(f"grid has {total} points; the limit is 10000")
         # row-major order over the axes, first axis slowest
-        indices = [0] * len(axes)
-        for _ in range(total):
-            override = {}
-            parts = []
-            for (sec_key, values), idx in zip(axes, indices):
-                override[sec_key] = values[idx]
-                parts.append(f"{sec_key[0]}.{sec_key[1]}={values[idx]}")
-            rows.append(override)
-            labels.append(" ".join(parts))
-            for axis in range(len(axes) - 1, -1, -1):
-                indices[axis] += 1
-                if indices[axis] < len(axes[axis][1]):
-                    break
-                indices[axis] = 0
+        keys = [sec_key for sec_key, _ in axes]
+        for combo in product(*(values for _, values in axes)):
+            rows.append(dict(zip(keys, combo)))
+            labels.append(" ".join(f"{sec}.{key}={v}" for (sec, key), v in zip(keys, combo)))
         return SweepPlan(mode, rows, labels, write_series)
 
     raise cfg.error(

@@ -205,10 +205,6 @@ class Trajectory:
         self.n = n
 
     @property
-    def final_state(self) -> State:
-        return State(float(self.ts[-1]), self.xs[-1].copy(), self.vs[-1].copy())
-
-    @property
     def initial_energy(self) -> float:
         return float(self.energies[0])
 
@@ -311,9 +307,7 @@ def bootstrap_singular_start(spec: SystemSpec) -> State:
         raise UnsupportedError(
             f"singular start implemented for exponent 1 only, got {sched.gamma}"
         )
-    n, x0, v0, _ = _normalize_spec(spec)
-    if float(np.max(np.abs(v0))) != 0.0:
-        raise DomainError("singular start requires v0 = 0")
+    _, x0, _, _ = _normalize_spec(spec)
     c = sched.c
     g0 = spec.potential.grad(x0)
     h0 = BOOTSTRAP_H0

@@ -80,7 +80,9 @@ def _kernel_displacement(sched: DampingSchedule, t: float) -> float:
     # no elementary antiderivative: integrate the kernel numerically
     from scipy.integrate import quad
 
-    val, _ = quad(sched.decay_kernel, 0.0, t, epsrel=1e-11, epsabs=1e-14, limit=400)
+    val, _ = quad(
+        lambda s: sched.decay_kernels([s])[0], 0.0, t, epsrel=1e-11, epsabs=1e-14, limit=400
+    )
     return val
 
 
@@ -94,7 +96,7 @@ def zero_potential_solution(
     """
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    kern = sched.decay_kernel(t)
+    kern = float(sched.decay_kernels([t])[0])
     disp = _kernel_displacement(sched, t)
     if isinstance(x0, np.ndarray) or isinstance(v0, np.ndarray):
         x0 = np.asarray(x0, dtype=float)

@@ -1,19 +1,17 @@
 """Damping coefficient schedules a(t) and their calculus.
 
 A schedule represents a nonnegative damping coefficient a : R+ -> R+ for the
-second-order system  x'' + a(t) x' + grad G(x) = 0.  Besides pointwise
-evaluation the solver and the analyzers need a's derivative, the running
-integral int_{t0}^{t1} a, the decay kernel exp(-int_0^t a), and a
-classification of the schedule against the convergence conditions for the
-damped system (integral divergence, kernel integrability, the boundedness and
-slow-log conditions).
+second-order system  x'' + a(t) x' + grad G(x) = 0.  The solver needs a(t)
+one point at a time (rate_fn); the analyzers read a(t), the running
+integral int_0^t a and the decay kernel exp(-int_0^t a) on whole arrays of
+sample times (a_values, integral_a_to, decay_kernels), a's derivative
+(da_at), and a classification of the schedule against the convergence
+conditions for the damped system (integral divergence, kernel
+integrability, the boundedness and slow-log conditions).
 
 Constant and PowerLaw schedules carry analytic closed forms throughout;
 Custom schedules fall back to adaptive quadrature (scipy's, imported on
 first use) and are flagged heuristic.
-The analyzers read int_0^t a and the decay kernel on whole arrays of
-sample times through integral_a_to and decay_kernels, which agree bit for
-bit with the scalar integral_a(0, t) and decay_kernel(t).
 """
 
 from __future__ import annotations
@@ -68,53 +66,41 @@ class ScheduleClassification:
 
 
 class DampingSchedule:
-    """Common interface: a_at, da_at, integral_a, decay_kernel, classify."""
+    """Common interface: rate_fn, a_values, da_at, integral_a_to,
+    decay_kernels, classify.  The array methods take times >= 0."""
 
     #: True when a(0) is undefined (evaluation requires t > 0)
     singular_at_zero = False
-    #: True when the schedule promises a(t1) >= a(t2) for t1 <= t2
-    nonincreasing = True
-    #: True when da_at uses finite differences rather than an analytic form
-    fd_derivative = False
+    #: True when integral_a_to and decay_kernels run one adaptive
+    #: quadrature per time, so that each value has a price
+    kernel_by_quadrature = False
 
-    def a_at(self, t: float) -> float:
+    def rate_fn(self) -> Callable[[float], float]:
+        """Unchecked a(t) closure for the integrator hot loop."""
         raise NotImplementedError
 
     def a_values(self, times) -> np.ndarray:
-        """a(t) for every t of an array, equal bit for bit to a_at(t), with
-        inf at t=0 when the schedule is singular there.  Constant and
-        PowerLaw override this per-point loop with their closed forms."""
+        """a(t) for every t of an array, with inf at t=0 when the schedule
+        is singular there.  Constant and PowerLaw override this loop over
+        rate_fn with their closed forms."""
+        fn = self.rate_fn()
         singular = self.singular_at_zero
         return np.array(
-            [math.inf if singular and t == 0.0 else self.a_at(t) for t in self._times(times).tolist()],
+            [math.inf if singular and t == 0.0 else fn(t) for t in self._times(times).tolist()],
             dtype=float,
         )
 
     def da_at(self, t: float) -> float:
         raise NotImplementedError
 
-    def dda_at(self, t: float) -> float:
-        """Second derivative; used by envelope hypothesis checks."""
-        raise NotImplementedError
-
-    def integral_a(self, t0: float, t1: float) -> float:
-        raise NotImplementedError
-
-    def decay_kernel(self, t: float) -> float:
-        """exp(-int_0^t a); the natural clock for linear-case envelopes."""
-        if t < 0:
-            raise DomainError(f"decay_kernel needs t >= 0, got {t}")
-        ia = self.integral_a(0.0, t)
-        return math.exp(-ia) if ia != math.inf else 0.0
-
     def integral_a_to(self, times) -> np.ndarray:
-        """int_0^t a for every t of an array, equal bit for bit to
-        integral_a(0, t).  Constant and PowerLaw override this per-point
-        loop with their closed forms."""
-        return np.array([self.integral_a(0.0, t) for t in self._times(times).tolist()])
+        """int_0^t a for every t of an array; +inf where the origin is
+        non-integrably singular."""
+        raise NotImplementedError
 
     def decay_kernels(self, times) -> np.ndarray:
-        """decay_kernel(t) for every t of an array, bit for bit."""
+        """exp(-int_0^t a) for every t of an array, 0 where the integral is
+        infinite; the natural clock for linear-case envelopes."""
         return _each(math.exp, (-self.integral_a_to(times)).tolist())
 
     @staticmethod
@@ -127,14 +113,6 @@ class DampingSchedule:
     def classify(self) -> ScheduleClassification:
         raise NotImplementedError
 
-    def rate_fn(self) -> Callable[[float], float]:
-        """Unchecked a(t) closure for the integrator hot loop."""
-        return self.a_at
-
-    def _check_times(self, t0: float, t1: float) -> None:
-        if t0 < 0 or t1 < t0:
-            raise DomainError(f"need 0 <= t0 <= t1, got [{t0}, {t1}]")
-
 
 @dataclass(frozen=True)
 class Constant(DampingSchedule):
@@ -146,11 +124,6 @@ class Constant(DampingSchedule):
         if not (self.level >= 0):
             raise DomainError(f"Constant level must be >= 0, got {self.level}")
 
-    def a_at(self, t: float) -> float:
-        if t < 0:
-            raise DomainError(f"schedule evaluated at t={t} < 0")
-        return self.level
-
     def a_values(self, times) -> np.ndarray:
         return np.full(self._times(times).shape, float(self.level))
 
@@ -160,13 +133,6 @@ class Constant(DampingSchedule):
 
     def da_at(self, t: float) -> float:
         return 0.0
-
-    def dda_at(self, t: float) -> float:
-        return 0.0
-
-    def integral_a(self, t0: float, t1: float) -> float:
-        self._check_times(t0, t1)
-        return self.level * (t1 - t0)
 
     def integral_a_to(self, times) -> np.ndarray:
         return self.level * self._times(times)
@@ -212,16 +178,9 @@ class PowerLaw(DampingSchedule):
     def singular_at_zero(self) -> bool:  # type: ignore[override]
         return self.s0 == 0 and self.gamma > 0
 
-    def a_at(self, t: float) -> float:
-        if t < 0:
-            raise DomainError(f"schedule evaluated at t={t} < 0")
-        if t == 0 and self.singular_at_zero:
-            raise DomainError("PowerLaw with offset 0 is singular at t=0")
-        return self.c / (t + self.s0) ** self.gamma
-
     def a_values(self, times) -> np.ndarray:
-        """a_at over an array, with the same float operations; c / 0 gives
-        inf at a singular origin."""
+        """c / (t + s0) ** gamma with the C library's pow, equal to rate_fn
+        point by point; c / 0 gives inf at a singular origin."""
         powers = _each(pow, (self._times(times) + self.s0).tolist(), repeat(self.gamma))
         with np.errstate(divide="ignore"):
             return self.c / powers
@@ -239,34 +198,18 @@ class PowerLaw(DampingSchedule):
             raise DomainError("PowerLaw with offset 0 is singular at t=0")
         return -self.c * self.gamma / (t + self.s0) ** (self.gamma + 1.0)
 
-    def dda_at(self, t: float) -> float:
-        if t == 0 and self.singular_at_zero:
-            raise DomainError("PowerLaw with offset 0 is singular at t=0")
-        g = self.gamma
-        return self.c * g * (g + 1.0) / (t + self.s0) ** (g + 2.0)
-
-    def integral_a(self, t0: float, t1: float) -> float:
-        """Closed form; +inf when the interval hits the singular origin
-        non-integrably (s0=0, gamma=1, t0=0)."""
-        self._check_times(t0, t1)
-        c, g, s0 = self.c, self.gamma, self.s0
-        if g == 1.0:
-            if t0 + s0 == 0.0:
-                return math.inf if t1 > t0 else 0.0
-            return c * math.log((t1 + s0) / (t0 + s0))
-        # gamma < 1 is integrable at the origin even with s0 = 0
-        return c * ((t1 + s0) ** (1.0 - g) - (t0 + s0) ** (1.0 - g)) / (1.0 - g)
-
     def integral_a_to(self, times) -> np.ndarray:
-        """integral_a(0, t) over an array, with the same float operations."""
+        """Closed form; +inf for t > 0 when the origin is non-integrably
+        singular (s0=0, gamma=1).  gamma < 1 is integrable at the origin
+        even with s0 = 0."""
         ts = self._times(times)
         c, g, s0 = self.c, self.gamma, self.s0
         if g == 1.0:
             if s0 == 0.0:
                 return np.where(ts > 0.0, math.inf, 0.0)
-            return c * _each(math.log, ((ts + s0) / (0.0 + s0)).tolist())
+            return c * _each(math.log, ((ts + s0) / s0).tolist())
         e = 1.0 - g
-        return c * (_each(pow, (ts + s0).tolist(), repeat(e)) - (0.0 + s0) ** e) / e
+        return c * (_each(pow, (ts + s0).tolist(), repeat(e)) - s0**e) / e
 
     def classify(self) -> ScheduleClassification:
         g, c = self.gamma, self.c
@@ -286,9 +229,10 @@ class Custom(DampingSchedule):
     """Schedule given by callbacks.
 
     ``a`` is required.  ``da`` is optional; when omitted the derivative is a
-    central finite difference with step h = max(1e-6, 1e-6*t) and the
-    schedule is flagged ``fd_derivative``.  ``nonincreasing_flag`` is the
-    declared monotonicity (spot-checked by tests, never proven).
+    central finite difference with step h = max(1e-6, 1e-6*t).
+    ``nonincreasing_flag`` is the declared monotonicity (spot-checked by
+    tests, never proven), which ``classify`` reads.  int_0^t a and the
+    kernel are one quadrature per time.
     """
 
     a: Callable[[float], float]
@@ -296,24 +240,11 @@ class Custom(DampingSchedule):
     nonincreasing_flag: bool = True
     singular: bool = False
 
+    kernel_by_quadrature = True
+
     @property
     def singular_at_zero(self) -> bool:  # type: ignore[override]
         return self.singular
-
-    @property
-    def nonincreasing(self) -> bool:  # type: ignore[override]
-        return self.nonincreasing_flag
-
-    @property
-    def fd_derivative(self) -> bool:  # type: ignore[override]
-        return self.da is None
-
-    def a_at(self, t: float) -> float:
-        if t < 0:
-            raise DomainError(f"schedule evaluated at t={t} < 0")
-        if t == 0 and self.singular:
-            raise DomainError("schedule declared singular at t=0")
-        return self.a(t)
 
     def rate_fn(self) -> Callable[[float], float]:
         return self.a
@@ -327,22 +258,14 @@ class Custom(DampingSchedule):
             lo = 0.0
         return (self.a(t + h) - self.a(lo)) / (t + h - lo)
 
-    def dda_at(self, t: float) -> float:
-        h = max(1.0e-5, 1.0e-5 * t)
-        return (self.da_at(t + h) - self.da_at(max(t - h, h * 1e-6))) / (
-            (t + h) - max(t - h, h * 1e-6)
-        )
-
-    def integral_a(self, t0: float, t1: float) -> float:
-        self._check_times(t0, t1)
-        if t1 == t0:
-            return 0.0
+    def integral_a_to(self, times) -> np.ndarray:
         from scipy.integrate import quad
 
-        val, _ = quad(
-            self.a, t0, t1, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_FLOOR, limit=200
-        )
-        return val
+        return np.array([
+            quad(self.a, 0.0, t, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_FLOOR, limit=200)[0]
+            if t else 0.0
+            for t in self._times(times).tolist()
+        ])
 
     def classify(self) -> ScheduleClassification:
         """Heuristic horizon classification; analytic=False always."""

@@ -46,6 +46,8 @@ __all__ = [
 
 _RULES = ("Constant", "PowerDecay")
 _U64_SCALE = 2.0 ** -64
+# relative tolerance of compare_to_ode's reference integration
+ODE_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,6 @@ def compare_to_ode(
     path: DiscretePath,
     pot: Potential,
     horizon: Optional[float] = None,
-    rel_tol: float = 1e-10,
 ) -> OdeComparison:
     """Deviation of the path from the limiting system through clock ``horizon``.
 
@@ -351,7 +352,7 @@ def compare_to_ode(
         x0=x0,
         v0=v0,
         t_end=s_end if s_end > 0.0 else 1e-9,
-        rel_tol=rel_tol,
+        rel_tol=ODE_REL_TOL,
     )
     traj = integrate(spec)
     if s_end <= 0.0:

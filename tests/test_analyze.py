@@ -13,6 +13,7 @@ import pytest
 
 from vanishdamp import (
     Constant,
+    CustomSchedule,
     DomainError,
     DoubleWell,
     Events,
@@ -34,6 +35,7 @@ from vanishdamp import (
     omega_limit_extent,
     rate_fit,
     sign_change_gaps,
+    slow_log_example,
     upper_bound_check,
     weighted_energy_integral,
 )
@@ -169,6 +171,28 @@ def test_lower_bound_detects_violations():
         energies, np.zeros(3), [], SolverStats(), spec, 1,
     )
     assert lower_bound_residual(traj) == pytest.approx(-0.1 * math.exp(-2.0), rel=1e-9)
+
+
+def test_lower_bound_residual_subsamples_quadrature_kernels(monkeypatch):
+    # a SlowLog run supplies an analytic da, but its kernel is still one
+    # quadrature per time: more than 2000 samples cost 2000 kernel values
+    kernel_times = []
+    integral_a_to = CustomSchedule.integral_a_to
+
+    def counted(self, times):
+        kernel_times.append(len(times))
+        return integral_a_to(self, times)
+
+    monkeypatch.setattr(CustomSchedule, "integral_a_to", counted)
+    spec = SystemSpec(
+        schedule=slow_log_example(), potential=Quadratic(1), x0=1.0, v0=0.0, t_end=50.0
+    )
+    ts = np.linspace(0.0, 50.0, 2501)
+    energies = 0.5 * np.exp(-0.01 * ts)
+    zeros = np.zeros((len(ts), 1))
+    traj = Trajectory(ts, zeros, zeros, zeros, energies, np.zeros(len(ts)), [], SolverStats(), spec, 1)
+    assert math.isfinite(lower_bound_residual(traj))
+    assert sum(kernel_times) == 2000
 
 
 def test_weighted_integral_closed_form(free_run):

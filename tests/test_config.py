@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from vanishdamp import ConfigError, Constant, PowerLaw, Quadratic
+from vanishdamp import ConfigError, Constant, Quadratic
 from vanishdamp.config import (
     apply_overrides,
     build_potential,
@@ -135,7 +135,7 @@ def test_build_schedule_kinds():
     pl = build_schedule(_parse("[schedule]\nkind = PowerLaw\nc = 3.0\n"))
     assert (pl.c, pl.gamma, pl.s0) == (3.0, 1.0, 1.0)
     slow = build_schedule(_parse("[schedule]\nkind = SlowLog\n"))
-    assert slow.a_at(0.0) == pytest.approx(1.0 / math.log(math.log(3.0)), rel=1e-12)
+    assert slow.a_values([0.0])[0] == pytest.approx(1.0 / math.log(math.log(3.0)), rel=1e-12)
     with pytest.raises(ConfigError, match="demo.cfg:2: unknown schedule kind 'Fancy'"):
         build_schedule(_parse("[schedule]\nkind = Fancy\n"))
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test file imports is used in
+that file.
 
 ``__init__.py`` is left out: its imports are the public re-exports.
 ``from __future__ import annotations`` binds nothing and is skipped.
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vanishdamp"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "vanishdamp"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -46,8 +49,14 @@ def test_the_check_sees_unused_and_used_names():
 
 def test_the_package_modules_are_found():
     assert {"acceptance.py", "cli.py", "integrate.py"} <= {p.name for p in MODULES}
+    assert {"conftest.py", "test_imports.py"} <= {p.name for p in TEST_FILES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

@@ -1,9 +1,10 @@
 """Damping-schedule invariants.
 
 Closed-form integrals are checked against independent quadrature, the
-decay kernel against its defining identity, and the analytic
-classification flags against the quadrature-based classifier running on
-the same rate function.
+decay kernel against its defining identity, the array methods against the
+scalar expressions they replaced (kept here as references) and against
+SHA-256 pins, and the analytic classification flags against the
+quadrature-based classifier running on the same rate function.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from vanishdamp import (
     PowerLaw,
     slow_log_example,
 )
+from vanishdamp.schedule import QUAD_ABS_FLOOR, QUAD_REL_TOL
 
 # 1e-3 .. 1e5, eight points per decade
 LOG_GRID = [10.0 ** (k / 4.0) for k in range(-12, 21)]
@@ -36,6 +38,43 @@ def _stable_id(sched):
     # a Custom repr names its callbacks with their memory addresses, which
     # change from run to run; drop them so test ids stay the same
     return re.sub(r" at 0x[0-9a-f]+", "", repr(sched))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# scalar references: a(t), int_0^t a and the kernel at one time, with the
+# float operations the schedules' array methods must reproduce bit for bit
+
+
+def a_at(sched, t):
+    if isinstance(sched, Constant):
+        return sched.level
+    if isinstance(sched, PowerLaw):
+        return sched.c / (t + sched.s0) ** sched.gamma
+    return sched.a(t)
+
+
+def integral_a(sched, t):
+    if isinstance(sched, Constant):
+        return sched.level * t
+    if isinstance(sched, PowerLaw):
+        c, g, s0 = sched.c, sched.gamma, sched.s0
+        if g == 1.0:
+            if s0 == 0.0:
+                return math.inf if t > 0.0 else 0.0
+            return c * math.log((t + s0) / s0)
+        return c * ((t + s0) ** (1.0 - g) - s0 ** (1.0 - g)) / (1.0 - g)
+    if t == 0.0:
+        return 0.0
+    return quad(sched.a, 0.0, t, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_FLOOR, limit=200)[0]
+
+
+def decay_kernel(sched, t):
+    ia = integral_a(sched, t)
+    return math.exp(-ia) if ia != math.inf else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +97,12 @@ def _stable_id(sched):
 def test_decay_kernel_inverts_integral(sched):
     # exp(-int a) * exp(+int a) == 1; parameters are chosen so the
     # integral stays below the exp overflow threshold on the grid
-    for t in LOG_GRID:
-        ia = sched.integral_a(0.0, t)
-        assert ia < 700.0
-        assert sched.decay_kernel(t) * math.exp(ia) == pytest.approx(1.0, rel=1e-12)
-    assert sched.decay_kernel(0.0) == 1.0
+    ia = sched.integral_a_to(LOG_GRID)
+    kern = sched.decay_kernels(LOG_GRID)
+    for i, k in zip(ia.tolist(), kern.tolist()):
+        assert i < 700.0
+        assert k * math.exp(i) == pytest.approx(1.0, rel=1e-12)
+    assert sched.decay_kernels([0.0]).tolist() == [1.0]
 
 
 # every schedule kind, singular origins included
@@ -82,17 +122,15 @@ EVERY_KIND = [
 
 @pytest.mark.parametrize("sched", EVERY_KIND, ids=_stable_id)
 def test_array_kernel_matches_scalar_bitwise(sched):
-    # the array entry point makes the same float operations and the same
-    # math-module calls as the scalar methods, point for point
-    ts = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e5, 97), [1.0e300]])
-    if isinstance(sched, CustomSchedule):
-        ts = ts[::8]  # quadrature per point
+    # the array methods make the same float operations and the same
+    # math-module calls as the scalar references, point for point
+    ts = KERNEL_GRID[::8] if isinstance(sched, CustomSchedule) else KERNEL_GRID  # quadrature per point
     ia = sched.integral_a_to(ts)
     kern = sched.decay_kernels(ts)
     assert ia.shape == kern.shape == ts.shape
     for t, i, k in zip(ts.tolist(), ia.tolist(), kern.tolist()):
-        assert repr(i) == repr(sched.integral_a(0.0, t))
-        assert repr(k) == repr(sched.decay_kernel(t))
+        assert repr(i) == repr(integral_a(sched, t))
+        assert repr(k) == repr(decay_kernel(sched, t))
     with pytest.raises(DomainError):
         sched.decay_kernels(np.array([1.0, -0.5]))
 
@@ -141,14 +179,17 @@ def test_array_methods_are_pinned_bitwise(sched, digest):
 )
 def test_a_values_match_a_at_bitwise(sched):
     # the a column of the series CSV was a_at(t) row by row, and the cell
-    # "inf" at the origin of a singular schedule
-    ts = np.concatenate([[0.0], np.geomspace(1.0e-300, 1.0e3, 301)])
-    want = np.array(
-        [math.inf if t == 0.0 and sched.singular_at_zero else sched.a_at(t) for t in ts.tolist()]
-    )
-    got = sched.a_values(ts)
-    assert got.shape == ts.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # "inf" at the origin of a singular schedule; away from that origin
+    # a_values is also the integrator's rate_fn, point by point
+    singular = sched.singular_at_zero
+    ts = A_GRID.tolist()
+    got = sched.a_values(A_GRID)
+    assert got.shape == A_GRID.shape
+    want = [math.inf if t == 0.0 and singular else a_at(sched, t) for t in ts]
+    assert np.array_equal(_bits(got), _bits(want))
+    fn = sched.rate_fn()
+    start = 1 if singular else 0
+    assert np.array_equal(_bits(got[start:]), _bits([fn(t) for t in ts[start:]]))
     with pytest.raises(DomainError):
         sched.a_values(np.array([1.0, -0.5]))
 
@@ -166,38 +207,46 @@ def test_a_values_match_a_at_bitwise(sched):
 )
 def test_integral_matches_quadrature(c, gamma, s0):
     sched = PowerLaw(c, gamma, s0)
-    for t0, t1 in [(0.5, 37.0), (2.0, 11.0), (3.0, 3.0)]:
-        ref, _ = quad(lambda t: c / (t + s0) ** gamma, t0, t1, epsrel=1e-12)
-        assert sched.integral_a(t0, t1) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    ts = [0.5, 3.0, 11.0, 37.0]
+    for t, got in zip(ts, sched.integral_a_to(ts).tolist()):
+        if s0 == 0.0 and gamma == 1.0:
+            ref = math.inf  # c/t is not integrable at the origin
+        elif s0 == 0.0:
+            # the weight carries the endpoint singularity t^-gamma exactly
+            ref, _ = quad(lambda s: c, 0.0, t, weight="alg", wvar=(-gamma, 0.0))
+        else:
+            ref, _ = quad(lambda s: c / (s + s0) ** gamma, 0.0, t, epsrel=1e-12)
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    assert sched.integral_a_to([0.0]).tolist() == [0.0]
 
 
 def test_integral_from_singular_origin():
     # gamma = 1 with offset 0: non-integrable at the origin
     hard = PowerLaw(1.0, 1.0, 0.0)
-    assert hard.integral_a(0.0, 2.0) == math.inf
-    assert hard.integral_a(0.0, 0.0) == 0.0
-    assert hard.decay_kernel(2.0) == 0.0
-    assert hard.decay_kernel(0.0) == 1.0
+    assert hard.integral_a_to([0.0, 2.0]).tolist() == [0.0, math.inf]
+    assert hard.decay_kernels([0.0, 2.0]).tolist() == [1.0, 0.0]
     # gamma < 1 with offset 0: integrable; reference via a weighted
     # quadrature that carries the endpoint singularity exactly
     soft = PowerLaw(1.1, 0.7, 0.0)
     ref, _ = quad(lambda t: 1.1, 0.0, 2.0, weight="alg", wvar=(-0.7, 0.0))
-    assert soft.integral_a(0.0, 2.0) == pytest.approx(ref, rel=1e-10)
+    assert soft.integral_a_to([2.0])[0] == pytest.approx(ref, rel=1e-10)
 
 
 @given(
     c=st.floats(0.05, 4.0),
     gamma=st.floats(0.0, 2.0),
     s0=st.floats(0.05, 5.0),
-    times=st.lists(st.floats(0.0, 1.0e4), min_size=3, max_size=3),
+    t=st.floats(0.0, 1.0e4),
 )
 @settings(max_examples=80, deadline=None)
-def test_integral_additivity(c, gamma, s0, times):
-    t0, t1, t2 = sorted(times)
-    sched = PowerLaw(c, gamma, s0)
-    whole = sched.integral_a(t0, t2)
-    split = sched.integral_a(t0, t1) + sched.integral_a(t1, t2)
-    assert abs(whole - split) <= 1e-10 * (1.0 + abs(whole))
+def test_integral_matches_quadrature_anywhere(c, gamma, s0, t):
+    # in u = log(t + s0) the integrand c e^{(1-gamma) u} is smooth for
+    # every exponent, so the quadrature is an independent reference
+    got = PowerLaw(c, gamma, s0).integral_a_to([t])[0]
+    ref, _ = quad(
+        lambda u: c * math.exp((1.0 - gamma) * u), math.log(s0), math.log(t + s0), epsrel=1e-13
+    )
+    assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +302,16 @@ def test_classification_dual_route_constant():
 
 def test_slow_log_example_schedule():
     sched = slow_log_example()
-    assert sched.a_at(0.0) == pytest.approx(1.0 / math.log(math.log(3.0)), rel=1e-12)
+    a = sched.rate_fn()
+    assert a(0.0) == pytest.approx(1.0 / math.log(math.log(3.0)), rel=1e-12)
     # analytic derivative against a central difference
     for t in (0.5, 3.0, 100.0):
         h = 1e-6 * max(1.0, t)
-        fd = (sched.a_at(t + h) - sched.a_at(t - h)) / (2.0 * h)
+        fd = (a(t + h) - a(t - h)) / (2.0 * h)
         assert sched.da_at(t) == pytest.approx(fd, rel=1e-6)
     # monotone decreasing on the grid, as declared
-    vals = [sched.a_at(t) for t in LOG_GRID]
-    assert all(u >= v for u, v in zip(vals, vals[1:]))
+    vals = sched.a_values(LOG_GRID)
+    assert np.all(vals[:-1] >= vals[1:])
     cls = sched.classify()
     assert cls.integral_a_diverges
     assert cls.slow_log_condition
@@ -288,7 +338,7 @@ def test_slow_log_example_schedule():
 def test_rate_fn_equals_a_at(sched):
     fn = sched.rate_fn()
     for t in LOG_GRID:
-        assert fn(t) == sched.a_at(t)
+        assert fn(t) == a_at(sched, t)
 
 
 @pytest.mark.parametrize(
@@ -297,42 +347,39 @@ def test_rate_fn_equals_a_at(sched):
     ids=repr,
 )
 def test_analytic_derivatives_match_finite_differences(sched):
+    a = sched.rate_fn()
     for t in (0.25, 1.0, 7.0, 300.0):
         h = 1e-5 * max(1.0, t)
-        fd1 = (sched.a_at(t + h) - sched.a_at(t - h)) / (2.0 * h)
-        fd2 = (sched.a_at(t + h) - 2.0 * sched.a_at(t) + sched.a_at(t - h)) / h**2
+        fd1 = (a(t + h) - a(t - h)) / (2.0 * h)
         assert sched.da_at(t) == pytest.approx(fd1, rel=1e-7)
-        assert sched.dda_at(t) == pytest.approx(fd2, rel=1e-4)
 
 
 def test_custom_schedule_derivative_fallback():
     explicit = CustomSchedule(a=lambda t: 1.0 / (t + 1.0), da=lambda t: -1.0 / (t + 1.0) ** 2)
-    assert not explicit.fd_derivative
     assert explicit.da_at(2.0) == -1.0 / 9.0
     fallback = CustomSchedule(a=lambda t: 1.0 / (t + 1.0))
-    assert fallback.fd_derivative
     assert fallback.da_at(2.0) == pytest.approx(-1.0 / 9.0, rel=1e-5)
-    assert fallback.dda_at(2.0) == pytest.approx(2.0 / 27.0, rel=1e-3)
+    # with or without da, the kernel of a Custom schedule is quadrature
+    assert explicit.kernel_by_quadrature and fallback.kernel_by_quadrature
+    assert not (Constant(1.0).kernel_by_quadrature or PowerLaw(1.0).kernel_by_quadrature)
 
 
 def test_singular_power_law_evaluation():
     sched = PowerLaw(1.0, 1.0, 0.0)
     assert sched.singular_at_zero
     with pytest.raises(DomainError):
-        sched.a_at(0.0)
-    with pytest.raises(DomainError):
         sched.da_at(0.0)
-    assert sched.a_at(1e-12) == pytest.approx(1e12)
+    assert sched.a_values([0.0]).tolist() == [math.inf]
+    assert sched.a_values([1e-12])[0] == pytest.approx(1e12)
     # integrable singular start: finite integral despite a(0) undefined
     soft = PowerLaw(1.0, 0.5, 0.0)
     assert soft.singular_at_zero
-    with pytest.raises(DomainError):
-        soft.a_at(0.0)
-    assert soft.integral_a(0.0, 4.0) == pytest.approx(4.0, rel=1e-12)
+    assert soft.a_values([0.0]).tolist() == [math.inf]
+    assert soft.integral_a_to([4.0])[0] == pytest.approx(4.0, rel=1e-12)
     # gamma = 0 with offset 0 is just a constant, not singular
     flat = PowerLaw(1.0, 0.0, 0.0)
     assert not flat.singular_at_zero
-    assert flat.a_at(0.0) == 1.0
+    assert flat.a_values([0.0]).tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +396,9 @@ def test_parameter_validation():
 
 
 def test_time_validation():
-    sched = PowerLaw(1.0)
-    with pytest.raises(DomainError):
-        sched.a_at(-1.0)
-    with pytest.raises(DomainError):
-        Constant(1.0).a_at(-0.5)
-    with pytest.raises(DomainError):
-        sched.integral_a(2.0, 1.0)
-    with pytest.raises(DomainError):
-        sched.integral_a(-1.0, 3.0)
-    with pytest.raises(DomainError):
-        sched.decay_kernel(-0.5)
-    with pytest.raises(DomainError):
-        CustomSchedule(a=lambda t: 1.0, singular=True).a_at(0.0)
+    singular = CustomSchedule(a=lambda t: 1.0, singular=True)
+    for sched in (PowerLaw(1.0), Constant(1.0), singular):
+        for method in (sched.a_values, sched.integral_a_to, sched.decay_kernels):
+            with pytest.raises(DomainError):
+                method([2.0, -0.5])
+    assert singular.a_values([0.0]).tolist() == [math.inf]
