@@ -17,6 +17,7 @@ from vanishdamp import (
     CustomPotential,
     DomainError,
     DoubleWell,
+    FlatBottom,
     MaxStepsExceeded,
     NonFiniteState,
     Polynomial1D,
@@ -34,6 +35,7 @@ from vanishdamp.integrate import (
     EVENT_TIME_TOL,
     _brentq_batch,
     bootstrap_singular_start,
+    state_ops,
 )
 from vanishdamp.oracle import linear_regular_solution
 
@@ -461,6 +463,41 @@ def test_array_events_are_pinned_bitwise(spec, count, digest):
     traj = integrate(spec)
     assert len(traj.events) == count
     assert _trajectory_digest(traj, samples=False) == digest
+
+
+@pytest.mark.parametrize(
+    "spec, counts, digest",
+    [
+        # crosses the kink of the flat floor: many rejected steps
+        (SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 1.0), potential=FlatBottom(2), x0=[2.5, -1.5],
+            v0=[0.3, 0.9], t_end=60.0, rel_tol=1e-8,
+        ), (439, 7, 105), "aa62983272da28e5a61fadb126337072adc93be4bd2095c1d1180bd23029e03d"),
+        # singular start: the bootstrap and its t=0 row in three dimensions
+        (SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 0.0), potential=Quadratic(3), x0=[1.0, -0.5, 0.25],
+            v0=[0.0, 0.0, 0.0], t_end=40.0, rel_tol=1e-9,
+        ), (830, 12, 13), "80fc03302874af11810a4294bd287937a4c47b2dd279f695996d9871f655ded2"),
+    ],
+    ids=["flatbottom_n2", "quadratic_n3_singular"],
+)
+def test_array_output_is_pinned_bitwise(spec, counts, digest):
+    # SHA-256 of every stored array and event of two n >= 2 runs; a change
+    # to the array stepper that moves any bit of its output shows up here
+    traj = integrate(spec)
+    assert (len(traj.ts), len(traj.events), traj.stats.rejected) == counts
+    assert _trajectory_digest(traj) == digest
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_array_finite_flags_every_component(n):
+    finite = state_ops(Quadratic(n)).finite
+    assert finite(np.arange(1.0, n + 1.0))
+    for k in range(n):
+        for bad in (math.inf, -math.inf, math.nan):
+            a = np.arange(1.0, n + 1.0)
+            a[k] = bad
+            assert not finite(a), a
 
 
 @pytest.mark.parametrize("n", [1, 2])

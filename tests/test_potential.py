@@ -22,6 +22,7 @@ from vanishdamp import (
     UnsupportedError,
     Zero,
 )
+from vanishdamp.integrate import state_ops
 from vanishdamp.potential import (
     check_base_inequality,
     check_strong_convexity_window,
@@ -200,6 +201,49 @@ def test_grad_norms_match_the_per_row_norm_bitwise(pot):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     with pytest.raises(DomainError):
         pot.grad_norms(np.zeros((2, pot.n + 1)))
+
+
+def _vector_points(n):
+    """Points of dimension n where the hot closures must give the bits of
+    the validated methods: the origin, random directions at radii from
+    1e-300 to 1e200 (FlatBottom inside, on and outside its unit ball; PPower
+    energies that overflow), and axis points."""
+    rng = np.random.default_rng(n)
+    pts = [np.zeros(n), -np.zeros(n)]
+    for radius in np.concatenate([np.geomspace(1e-300, 1e200, 51), [0.5, 1.0, 1.0 + 1e-15, 2.0]]):
+        for _ in range(25):
+            u = rng.normal(size=n)
+            pts.append(radius * u / np.linalg.norm(u))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        pts += [e, -3.0 * e, 0.999 * e, 1.001 * e]
+    return pts
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "make",
+    [Quadratic, lambda n: PPower(1.5, n), lambda n: PPower(2.5, n), lambda n: PPower(3.0, n),
+     lambda n: PPower(4.0, n), FlatBottom, Zero],
+    ids=["Quadratic", "PPower1.5", "PPower2.5", "PPower3", "PPower4", "FlatBottom", "Zero"],
+)
+def test_hot_closures_match_the_validated_methods_bitwise(make, n):
+    # the n >= 2 stepper and recursion evaluate G and grad G through the
+    # closures state_ops binds; they must give the validated methods' bits,
+    # inf included
+    pot = make(n)
+    ops = state_ops(pot)
+    rest = np.zeros(n)
+    with np.errstate(over="ignore"):
+        for x in _vector_points(n):
+            assert _same_bits(ops.grad(x), pot.grad(x)), x
+            assert _same_bits(ops.energy(x, rest), pot.energy(x)), x
 
 
 def test_double_well_plateau_is_level_set_bracket():

@@ -208,6 +208,21 @@ def test_scalar_path_is_pinned_bitwise():
     assert path.drift_identity_max == 3.8491183850914274e-15
 
 
+def test_vector_path_is_pinned_bitwise():
+    # the same for a noisy n=2 run through the array branch of the loop
+    path = run_recursion(
+        PPower(3.0, n=2), StepSchedule.power_decay(0.05, 0.7),
+        NoiseModel.gaussian(0.5, seed=3), [0.4, -1.2], 5_000,
+    )
+    digest = hashlib.sha256()
+    for a in (path.x, path.h, path.tau):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert digest.hexdigest() == (
+        "37534b1b97d77502ccafa0c3cd8386873795eaf01dbc17338b6c9b940b3e7b91"
+    )
+    assert path.drift_identity_max == 8.992994743338063e-16
+
+
 # ---------------------------------------------------------------------------
 # limiting system
 
