@@ -21,8 +21,13 @@ There is one stepper for every dimension.  Its arithmetic is elementwise,
 so the same lines run on plain floats for n=1 (the hot case; long
 double-well sweeps spend millions of steps here) and on (n,) arrays for
 n >= 2.  The few operations that differ (gradient, energy, finiteness,
-maximum, component sum, norm, event projection) are bound once per run
-by state_ops.
+maximum, component sum, norm, event projection, constants) are bound once
+per run by state_ops.  On (n,) arrays a numpy call costs far more than its
+arithmetic, so the array branch avoids the fixed costs that do not change
+a bit: the potential's unchecked closures instead of its validated
+methods, and the tableau coefficients held as (n,) arrays, since an
+array-by-array product is cheaper than a float-by-array one and rounds
+the same.
 """
 
 from __future__ import annotations
@@ -320,9 +325,11 @@ class StateOps(NamedTuple):
     """The operations that depend on how a state is held.
 
     For n = 1 a state is a plain float and these are builtins and the
-    potential's scalar closures; for n >= 2 it is an (n,) array and they
-    wrap numpy and the array API.  Everything else in the stepper and in
-    the recursion is elementwise arithmetic that runs on either.
+    potential's float closures; for n >= 2 it is an (n,) array and they
+    are numpy calls and the potential's array closures, each chosen for
+    the least fixed cost at the bits of its checked form.  Everything else
+    in the stepper and in the recursion is elementwise arithmetic that
+    runs on either.
     """
 
     states: Callable  # array of (n,) rows -> float(s) or array
@@ -333,15 +340,16 @@ class StateOps(NamedTuple):
     total: Callable  # sum of the components, a float
     norm: Callable  # Euclidean norm, a float
     project: Callable  # component along the event direction, a float
+    const: Callable  # a float c -> c in the state's type, read-only
 
 
 def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOps:
     """Bind the dimension-dependent operations for ``pot`` once."""
+    energy_of = pot.energy_fn()
     if pot.n == 1:
-        energy_of = pot.scalar_energy_fn()
         return StateOps(
             states=lambda a: a[..., 0].tolist(),
-            grad=pot.scalar_grad_fn(),
+            grad=pot.grad_fn(),
             energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
             maximum=max,
@@ -349,18 +357,27 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
             norm=abs,
             # +-v changes sign exactly where v does
             project=float,
+            const=float,
         )
-    energy_of = pot.energy
+    n = pot.n
+
+    def const(c: float) -> np.ndarray:
+        a = np.full(n, c)
+        a.flags.writeable = False
+        return a
+
     return StateOps(
         states=lambda a: np.asarray(a, dtype=float),
-        grad=pot.grad,
-        energy=lambda x, v: 0.5 * float(v @ v) + energy_of(x),
-        finite=lambda a: bool(np.isfinite(a).all()),
+        grad=pot.grad_fn(),
+        energy=lambda x, v: 0.5 * float(v.dot(v)) + energy_of(x),
+        finite=lambda a: all(map(math.isfinite, a.tolist())),
         maximum=np.maximum,
-        total=lambda a: float(a.sum()),
+        # the reduction ndarray.sum runs, without the method's dispatch
+        total=lambda a: float(np.add.reduce(a)),
         # np.linalg.norm's own formula for a 1-D array, without its overhead
-        norm=lambda a: math.sqrt(a @ a),
-        project=lambda w: float(direction @ w),
+        norm=lambda a: math.sqrt(a.dot(a)),
+        project=lambda w: float(direction.dot(w)),
+        const=const,
     )
 
 
@@ -443,10 +460,16 @@ def _solve(spec: SystemSpec) -> Trajectory:
 
 
 def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
-    """The stepper: x, v and the stages are floats for n=1, arrays for n >= 2."""
+    """The stepper: x, v and the stages are floats for n=1, arrays for n >= 2.
+
+    The coefficients that multiply a state (the tableau's a, b and e, the
+    dense-output matrix, the Gauss-Legendre nodes of the Horner sums) are
+    held in the state's type; the c_i and the nodes in t + gl*h multiply
+    the float h and stay floats.
+    """
     rate = spec.schedule.rate_fn()
     g, energy_of, all_finite = ops.grad, ops.energy, ops.finite
-    maximum, total, project = ops.maximum, ops.total, ops.project
+    maximum, total, project, const = ops.maximum, ops.total, ops.project, ops.const
     two_n = 2.0 * spec.potential.n
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
@@ -455,21 +478,22 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     stride = spec.sample_stride or 1
     h_min = MIN_STEP_FRACTION * t_end
 
-    a21 = _A21
-    a31, a32 = _A31, _A32
-    a41, a42, a43 = _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    a21 = const(_A21)
+    a31, a32 = map(const, (_A31, _A32))
+    a41, a42, a43 = map(const, (_A41, _A42, _A43))
+    a51, a52, a53, a54 = map(const, (_A51, _A52, _A53, _A54))
+    a61, a62, a63, a64, a65 = map(const, (_A61, _A62, _A63, _A64, _A65))
+    b1, b3, b4, b5, b6 = map(const, (_B1, _B3, _B4, _B5, _B6))
+    e1, e3, e4, e5, e6, e7 = map(const, (_E1, _E3, _E4, _E5, _E6, _E7))
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    p11, p12, p13, p14 = _P[0]
-    p32, p33, p34 = _P[2][1], _P[2][2], _P[2][3]
-    p42, p43, p44 = _P[3][1], _P[3][2], _P[3][3]
-    p52, p53, p54 = _P[4][1], _P[4][2], _P[4][3]
-    p62, p63, p64 = _P[5][1], _P[5][2], _P[5][3]
-    p72, p73, p74 = _P[6][1], _P[6][2], _P[6][3]
+    p11, p12, p13, p14 = map(const, _P[0])
+    p32, p33, p34 = map(const, _P[2][1:])
+    p42, p43, p44 = map(const, _P[3][1:])
+    p52, p53, p54 = map(const, _P[4][1:])
+    p62, p63, p64 = map(const, _P[5][1:])
+    p72, p73, p74 = map(const, _P[6][1:])
     gl1, gl2, gl3 = _GL_NODES
+    gn1, gn2, gn3 = map(const, _GL_NODES)
     gw1, gw2, gw3 = _GL_WEIGHTS
 
     t, x, v = t0, x0, v0
@@ -609,9 +633,9 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         qv4 = k1v * p14 + k3v * p34 + k4v * p44 + k5v * p54 + k6v * p64 + k7v * p74
 
         # dissipation increment: 3-point Gauss-Legendre on a(t) |v(t)|^2
-        va = v + h * (gl1 * (qv1 + gl1 * (qv2 + gl1 * (qv3 + gl1 * qv4))))
-        vb = v + h * (gl2 * (qv1 + gl2 * (qv2 + gl2 * (qv3 + gl2 * qv4))))
-        vc = v + h * (gl3 * (qv1 + gl3 * (qv2 + gl3 * (qv3 + gl3 * qv4))))
+        va = v + h * (gn1 * (qv1 + gn1 * (qv2 + gn1 * (qv3 + gn1 * qv4))))
+        vb = v + h * (gn2 * (qv1 + gn2 * (qv2 + gn2 * (qv3 + gn2 * qv4))))
+        vc = v + h * (gn3 * (qv1 + gn3 * (qv2 + gn3 * (qv3 + gn3 * qv4))))
         inc = h * total(
             gw1 * rate(t + gl1 * h) * va * va
             + gw2 * rate(t + gl2 * h) * vb * vb

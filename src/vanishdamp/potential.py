@@ -4,11 +4,13 @@ certificates.
 Ships the canonical test potentials for the damped system: quadratic,
 p-power, the odd signed power matching the exact power-law solution, the
 double well, the flat-bottom potential whose argmin is the closed unit ball,
-1D polynomials, and the zero potential.  On top of evaluation the module
-locates critical points of 1D potentials, checks the base inequality
-G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random probes, checks
-strong convexity/concavity on windows, and brackets the plateau interval of
-a local maximum's level set.
+1D polynomials, and the zero potential.  Each evaluates through validated
+methods and through unchecked closures for the hot loops of the stepper
+and the recursion, which give the same bits for n >= 2.  On top of
+evaluation the module locates critical points of 1D potentials, checks the
+base inequality G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random
+probes, checks strong convexity/concavity on windows, and brackets the
+plateau interval of a local maximum's level set.
 """
 
 from __future__ import annotations
@@ -32,9 +34,13 @@ class Potential:
     """Base interface; subclasses are immutable after construction.
 
     Two ways to evaluate: the array API, ``energy(x)`` and ``grad(x)`` on
-    points of shape (n,), validated and valid in any dimension; and, for
-    n = 1, the scalar closures from ``scalar_energy_fn()`` and
-    ``scalar_grad_fn()``, which take and return plain floats.
+    points of shape (n,), validated and valid in any dimension; and the
+    unchecked closures from ``energy_fn()`` and ``grad_fn()`` for hot loops,
+    which take and return plain floats for n = 1 and take (n,) float arrays
+    for n >= 2.  For n >= 2 a builtin closure repeats its method's
+    operations (the norm as ``math.sqrt(x.dot(x))``, np.linalg.norm's own
+    formula) and so gives its bits; it may return its argument, so callers
+    treat the result as read-only.
     """
 
     n: int
@@ -53,9 +59,15 @@ class Potential:
 
     def grad_norms(self, xs) -> np.ndarray:
         """|grad G(x)| for every row of an (m, n) array, equal bit for bit
-        to np.linalg.norm(grad(x)).  Subclasses whose closed form on the
-        whole column gives the same bits override this per-row loop."""
-        return np.array([np.linalg.norm(self.grad(x)) for x in self._as_rows(xs)], dtype=float)
+        to np.linalg.norm(grad(x)).  For n >= 2 the rows go through the
+        closure from grad_fn(); for n = 1, whose closures may differ from
+        grad in the last bit, through grad, unless a subclass's closed form
+        on the whole column gives the same bits."""
+        rows = self._as_rows(xs)
+        if self.n == 1:
+            return np.array([np.linalg.norm(self.grad(x)) for x in rows], dtype=float)
+        g = self.grad_fn()
+        return np.array([math.sqrt(v.dot(v)) for v in map(g, np.ascontiguousarray(rows))], dtype=float)
 
     def _as_point(self, x) -> np.ndarray:
         p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -73,26 +85,21 @@ class Potential:
             )
         return rows
 
-    # Scalar closures on plain floats, for the integrator hot loop and the
-    # 1D geometry scans.  The defaults wrap the array API (only Custom uses
-    # them); builtins override the underscore hooks with plain float math.
-    def scalar_grad_fn(self) -> Callable[[float], float]:
-        if self.n != 1:
-            raise DomainError("scalar gradient closure needs n=1")
-        return self._scalar_grad()
-
-    def scalar_energy_fn(self) -> Callable[[float], float]:
-        if self.n != 1:
-            raise DomainError("scalar energy closure needs n=1")
-        return self._scalar_energy()
-
-    def _scalar_grad(self) -> Callable[[float], float]:
+    # Closures for the stepper, the recursion and the 1D geometry scans.
+    # The defaults wrap the array API (only Custom uses them); builtins
+    # override them with plain float math for n = 1 and with their
+    # method's operations, minus the checks, for n >= 2.
+    def grad_fn(self) -> Callable:
         grad = self.grad
-        return lambda x: float(grad(np.array([x]))[0])
+        if self.n == 1:
+            return lambda x: float(grad(np.array([x]))[0])
+        return grad
 
-    def _scalar_energy(self) -> Callable[[float], float]:
+    def energy_fn(self) -> Callable:
         energy = self.energy
-        return lambda x: energy(np.array([x]))
+        if self.n == 1:
+            return lambda x: energy(np.array([x]))
+        return energy
 
 
 class Quadratic(Potential):
@@ -111,11 +118,13 @@ class Quadratic(Potential):
     def grad(self, x) -> np.ndarray:
         return self._as_point(x).copy()
 
-    def _scalar_grad(self):
+    def grad_fn(self):
         return lambda x: x
 
-    def _scalar_energy(self):
-        return lambda x: 0.5 * x * x
+    def energy_fn(self):
+        if self.n == 1:
+            return lambda x: 0.5 * x * x
+        return lambda x: 0.5 * float(x.dot(x))
 
 
 class PPower(Potential):
@@ -141,13 +150,25 @@ class PPower(Potential):
             return np.zeros(self.n)
         return pt * r ** (self.p - 2.0)
 
-    def _scalar_grad(self):
-        e = self.p - 1.0
-        return lambda x: math.copysign(abs(x) ** e, x) if x != 0.0 else 0.0
+    def grad_fn(self):
+        if self.n == 1:
+            e = self.p - 1.0
+            return lambda x: math.copysign(abs(x) ** e, x) if x != 0.0 else 0.0
+        e, n = self.p - 2.0, self.n
 
-    def _scalar_energy(self):
+        def g(x):
+            r = math.sqrt(x.dot(x))
+            return np.zeros(n) if r == 0.0 else x * r ** e
+
+        return g
+
+    def energy_fn(self):
         p = self.p
-        return lambda x: abs(x) ** p / p
+        if self.n == 1:
+            return lambda x: abs(x) ** p / p
+
+        # numpy's power, as in energy: inf where a float's ** would raise
+        return lambda x: float(np.float64(math.sqrt(x.dot(x))) ** p / p)
 
 
 class SignedPower(Potential):
@@ -177,11 +198,11 @@ class SignedPower(Potential):
         v = p[0]
         return np.array([math.copysign(abs(v) ** self.q, v) if v != 0.0 else 0.0])
 
-    def _scalar_grad(self):
+    def grad_fn(self):
         q = self.q
         return lambda x: math.copysign(abs(x) ** q, x) if x != 0.0 else 0.0
 
-    def _scalar_energy(self):
+    def energy_fn(self):
         r = self.q + 1.0
         return lambda x: abs(x) ** r / r
 
@@ -209,10 +230,10 @@ class DoubleWell(Potential):
         g = x * (x * x - 1.0)
         return np.sqrt(g * g)  # np.linalg.norm of a 1-vector
 
-    def _scalar_grad(self):
+    def grad_fn(self):
         return lambda x: x * (x * x - 1.0)
 
-    def _scalar_energy(self):
+    def energy_fn(self):
         def e(x):
             w = x * x - 1.0
             return 0.25 * w * w
@@ -246,16 +267,31 @@ class FlatBottom(Potential):
             return np.zeros(self.n)
         return (2.0 * (r - 1.0) / r) * p
 
-    def _scalar_grad(self):
+    def grad_fn(self):
+        if self.n == 1:
+            def g(x):
+                e = abs(x) - 1.0
+                return math.copysign(2.0 * e, x) if e > 0.0 else 0.0
+
+            return g
+        n = self.n
+
         def g(x):
-            e = abs(x) - 1.0
-            return math.copysign(2.0 * e, x) if e > 0.0 else 0.0
+            r = math.sqrt(x.dot(x))
+            return np.zeros(n) if r <= 1.0 else (2.0 * (r - 1.0) / r) * x
 
         return g
 
-    def _scalar_energy(self):
+    def energy_fn(self):
+        if self.n == 1:
+            def e(x):
+                w = abs(x) - 1.0
+                return w * w if w > 0.0 else 0.0
+
+            return e
+
         def e(x):
-            w = abs(x) - 1.0
+            w = math.sqrt(x.dot(x)) - 1.0
             return w * w if w > 0.0 else 0.0
 
         return e
@@ -299,12 +335,12 @@ class Polynomial1D(Potential):
     def grad(self, x) -> np.ndarray:
         return np.array([self._horner(self.dcoeffs, self._as_point(x)[0])])
 
-    def _scalar_grad(self):
+    def grad_fn(self):
         dc = self.dcoeffs
         h = self._horner
         return lambda x: h(dc, x)
 
-    def _scalar_energy(self):
+    def energy_fn(self):
         c = self.coeffs
         h = self._horner
         return lambda x: h(c, x)
@@ -327,10 +363,13 @@ class Zero(Potential):
         self._as_point(x)
         return np.zeros(self.n)
 
-    def _scalar_grad(self):
-        return lambda x: 0.0
+    def grad_fn(self):
+        if self.n == 1:
+            return lambda x: 0.0
+        n = self.n
+        return lambda x: np.zeros(n)
 
-    def _scalar_energy(self):
+    def energy_fn(self):
         return lambda x: 0.0
 
 
@@ -428,8 +467,8 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid search box [{lo}, {hi}]")
 
-    g = pot.scalar_grad_fn()
-    energy = pot.scalar_energy_fn()
+    g = pot.grad_fn()
+    energy = pot.energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
     # the closures give the same bits on Python floats as on numpy scalars,
     # and run several times faster on them
@@ -604,8 +643,8 @@ def check_strong_convexity_window(
         raise DomainError("need eps > 0 and delta > 0")
     sgn = -1.0 if concave else 1.0
     xs = np.linspace(xstar - eps, xstar + eps, 200)
-    energy = pot.scalar_energy_fn()
-    g = pot.scalar_grad_fn()
+    energy = pot.energy_fn()
+    g = pot.grad_fn()
     G = sgn * np.array([energy(x) for x in xs])
     dG = sgn * np.array([g(x) for x in xs])
     dxy = xs[None, :] - xs[:, None]  # y - x
@@ -630,7 +669,7 @@ def plateau_interval(
     lo, hi = float(search_box[0]), float(search_box[1])
     if not (lo < xstar < hi):
         raise DomainError(f"x*={xstar} not inside box [{lo}, {hi}]")
-    energy = pot.scalar_energy_fn()
+    energy = pot.energy_fn()
     lam = energy(xstar)
 
     def bracket(direction: float) -> float:

@@ -44,6 +44,15 @@ def _each(fn: Callable, *columns) -> np.ndarray:
     return np.fromiter(map(fn, *columns), dtype=float)
 
 
+def _power(base: float, e: float) -> float:
+    """base ** e on floats, inf where it overflows: Python's float power
+    raises OverflowError where the C library's pow returns inf."""
+    try:
+        return base ** e
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ScheduleClassification:
     """Flags of a schedule against the convergence conditions.
@@ -180,8 +189,9 @@ class PowerLaw(DampingSchedule):
 
     def a_values(self, times) -> np.ndarray:
         """c / (t + s0) ** gamma with the C library's pow, equal to rate_fn
-        point by point; c / 0 gives inf at a singular origin."""
-        powers = _each(pow, (self._times(times) + self.s0).tolist(), repeat(self.gamma))
+        point by point; c / 0 gives inf at a singular origin, and c / inf
+        gives 0 where the power overflows."""
+        powers = _each(_power, (self._times(times) + self.s0).tolist(), repeat(self.gamma))
         with np.errstate(divide="ignore"):
             return self.c / powers
 
@@ -191,12 +201,19 @@ class PowerLaw(DampingSchedule):
             return lambda t: c / (t + s0)
         if g == 0.0:
             return lambda t: c
-        return lambda t: c / (t + s0) ** g
+
+        def rate(t):
+            try:
+                return c / (t + s0) ** g
+            except OverflowError:  # the power is above the float range
+                return 0.0
+
+        return rate
 
     def da_at(self, t: float) -> float:
         if t == 0 and self.singular_at_zero:
             raise DomainError("PowerLaw with offset 0 is singular at t=0")
-        return -self.c * self.gamma / (t + self.s0) ** (self.gamma + 1.0)
+        return -self.c * self.gamma / _power(t + self.s0, self.gamma + 1.0)
 
     def integral_a_to(self, times) -> np.ndarray:
         """Closed form; +inf for t > 0 when the origin is non-integrably

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import count, repeat
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -87,9 +88,14 @@ class StepSchedule:
         """Step size eps_n (n >= 0)."""
         if n < 0:
             raise DomainError(f"step index must be >= 0, got {n}")
+        return next(self.sizes(n))
+
+    def sizes(self, start: int = 0) -> Iterator[float]:
+        """The endless sequence eps_start, eps_start+1, ..."""
         if self.rule == "Constant":
-            return self.eps0
-        return self.eps0 * float(n + 1) ** -self.rho
+            return repeat(self.eps0)
+        eps0, expo = self.eps0, -self.rho
+        return (eps0 * float(k) ** expo for k in count(start + 1))
 
     @property
     def steps_diverge(self) -> bool:
@@ -215,11 +221,11 @@ def run_recursion(
     dim = pot.n
     ops = state_ops(pot)
     grad, finite, norm = ops.grad, ops.finite, ops.norm
-    eps = steps.eps
     x = ops.states(_as_start(x0, dim))
     xi = ops.states(noise.stream(n_steps, dim))
 
-    tau = eps(0)
+    sizes = steps.sizes()
+    e_n = tau = next(sizes)
     c_tau = 0.0  # compensation for the clock sum
     h = ops.states(np.zeros(dim))
     s_sum = h  # closed-form numerator sum(eps_i * g_i)
@@ -232,16 +238,16 @@ def run_recursion(
     hs = np.empty((n_steps + 1,) + np.shape(h))
     xs = np.empty_like(hs)
     taus[0], hs[0], xs[0] = tau, h, x
-    for n in range(n_steps):
-        e_n = eps(n)
+    for n, (xi_n, e_next) in enumerate(zip(xi, sizes)):
         try:
-            g_n = grad(x) + xi[n]
+            g_n = grad(x) + xi_n
         except OverflowError as exc:
             # scalar float ops raise instead of producing inf
             raise NonFiniteState(f"recursion diverged at step {n}") from exc
-        h = h - e_n * h / tau + e_n * g_n / tau
+        eg = e_n * g_n
+        h = h - e_n * h / tau + eg / tau
 
-        term = e_n * g_n - c_sum
+        term = eg - c_sum
         t_new = s_sum + term
         c_sum = (t_new - s_sum) - term
         s_sum = t_new
@@ -253,7 +259,6 @@ def run_recursion(
         if dev > worst:
             worst = dev
 
-        e_next = eps(n + 1)
         term = e_next - c_tau
         t_new = tau + term
         c_tau = (t_new - tau) - term
@@ -262,6 +267,7 @@ def run_recursion(
         if not (finite(x) and finite(h)):
             raise NonFiniteState(f"recursion diverged at step {n + 1}")
         taus[n + 1], hs[n + 1], xs[n + 1] = tau, h, x
+        e_n = e_next
 
     return DiscretePath(
         tau=taus,
@@ -283,7 +289,7 @@ def limiting_ode_rhs(t: float, x, v, beta: float, pot: Potential):
     if not clock > 0.0:
         raise DomainError(f"need t + beta > 0, got {clock}")
     if pot.n == 1 and np.isscalar(x):
-        return -(v + pot.scalar_grad_fn()(float(x))) / clock
+        return -(v + pot.grad_fn()(float(x))) / clock
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
     return -(v_arr + pot.grad(x_arr)) / clock

@@ -19,14 +19,18 @@ from vanishdamp import (
     DoubleWell,
     FlatBottom,
     MaxStepsExceeded,
+    NoiseModel,
     NonFiniteState,
     Polynomial1D,
     PowerLaw,
     PPower,
     Quadratic,
+    StepSchedule,
     SystemSpec,
     UnsupportedError,
+    Zero,
     integrate,
+    run_recursion,
 )
 from vanishdamp.integrate import (
     _EVENT_MAXITER,
@@ -498,6 +502,44 @@ def test_array_finite_flags_every_component(n):
             a = np.arange(1.0, n + 1.0)
             a[k] = bad
             assert not finite(a), a
+
+
+@pytest.mark.parametrize(
+    "pot", [Quadratic(2), PPower(4.0, n=3), FlatBottom(2), Zero(3)], ids=lambda p: p.kind
+)
+def test_array_loops_do_not_call_the_validated_methods(pot, monkeypatch):
+    # the n >= 2 stepper and recursion evaluate through the unchecked
+    # closures; the validated grad and energy may run a fixed number of
+    # times per call (start-up checks), never once per step
+    calls = []
+    for name in ("grad", "energy"):
+        def spy(self, x, method=getattr(type(pot), name)):
+            calls.append(method)
+            return method(self, x)
+
+        monkeypatch.setattr(type(pot), name, spy)
+    start = np.linspace(1.5, -0.5, pot.n)
+
+    def counted(run):
+        calls.clear()
+        steps = run()
+        return len(calls), steps
+
+    def solve(t_end):
+        spec = SystemSpec(schedule=PowerLaw(1.0, 1.0, 1.0), potential=pot, x0=start,
+                          v0=np.full(pot.n, 0.5), t_end=t_end)
+        return integrate(spec).stats.accepted
+
+    def recurse(n_steps):
+        return run_recursion(pot, StepSchedule.constant(1e-2), NoiseModel.gaussian(0.1, seed=1),
+                             start, n_steps).n_steps
+
+    for run, sizes in ((solve, (2.0, 20.0)), (recurse, (50, 500))):
+        (short_calls, short_steps), (long_calls, long_steps) = (
+            counted(lambda size=size: run(size)) for size in sizes
+        )
+        assert long_steps > 2 * short_steps
+        assert long_calls == short_calls <= 2
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -90,7 +90,7 @@ def test_power_law_exact_satisfies_system(beta):
     # substitute the closed form into x'' + c/(t+1) x' + g(x) with the
     # matching odd-power gradient; the residual is algebraically zero
     pot = SignedPower(beta)
-    grad = pot.scalar_grad_fn()
+    grad = pot.grad_fn()
     _, _, c = power_law_exact(beta, 0.0)
     for t in np.linspace(0.0, 100.0, 401):
         t = float(t)

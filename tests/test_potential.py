@@ -77,8 +77,8 @@ def test_gradient_code_paths_agree(pot):
     # the same functions.  They do the same float arithmetic, and so agree
     # exactly, except for the array gradients of PPower (x |x|^{p-2}) and
     # FlatBottom (2(r-1)/r x), which agree to rounding
-    fn = pot.scalar_grad_fn()
-    en = pot.scalar_energy_fn()
+    fn = pot.grad_fn()
+    en = pot.energy_fn()
     exact_grad = pot.kind not in ("PPower", "FlatBottom")
     for x in np.linspace(-4.0, 4.0, 83):
         x = float(x)
@@ -99,10 +99,6 @@ def test_dimension_validation():
     pot = Quadratic(2)
     with pytest.raises(DomainError):
         pot.energy([1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        pot.scalar_energy_fn()
-    with pytest.raises(DomainError):
-        pot.scalar_grad_fn()
     with pytest.raises(DomainError):
         PPower(0.9)
     with pytest.raises(DomainError):
@@ -169,7 +165,7 @@ def test_scalar_gradient_is_bitwise_the_same_on_python_floats(pot):
     # through numpy instead
     tiny = np.geomspace(1e-300, 1e3, 2001)
     grid = np.concatenate([np.linspace(-5.0, 5.0, 20_001), tiny, -tiny])
-    g = pot.scalar_grad_fn()
+    g = pot.grad_fn()
     on_floats = np.array([g(x) for x in grid.tolist()], dtype=float)
     on_scalars = np.array([g(x) for x in grid], dtype=float)
     assert np.array_equal(on_floats.view(np.int64), on_scalars.view(np.int64))
@@ -239,11 +235,15 @@ def test_hot_closures_match_the_validated_methods_bitwise(make, n):
     # inf included
     pot = make(n)
     ops = state_ops(pot)
+    grad, energy = pot.grad_fn(), pot.energy_fn()
     rest = np.zeros(n)
     with np.errstate(over="ignore"):
         for x in _vector_points(n):
-            assert _same_bits(ops.grad(x), pot.grad(x)), x
-            assert _same_bits(ops.energy(x, rest), pot.energy(x)), x
+            want_grad, want_energy = pot.grad(x), pot.energy(x)
+            assert _same_bits(ops.grad(x), want_grad), x
+            assert _same_bits(ops.energy(x, rest), want_energy), x
+            assert _same_bits(grad(x), want_grad), x
+            assert _same_bits(energy(x), want_energy), x
 
 
 def test_double_well_plateau_is_level_set_bracket():
@@ -308,8 +308,8 @@ def test_polynomial_against_double_well():
     dw = DoubleWell()
     assert poly.coercive
     assert poly.min_value == pytest.approx(0.0, abs=1e-12)
-    poly_e, poly_g = poly.scalar_energy_fn(), poly.scalar_grad_fn()
-    dw_e, dw_g = dw.scalar_energy_fn(), dw.scalar_grad_fn()
+    poly_e, poly_g = poly.energy_fn(), poly.grad_fn()
+    dw_e, dw_g = dw.energy_fn(), dw.grad_fn()
     for x in np.linspace(-2.0, 2.0, 41):
         x = float(x)
         assert poly_e(x) == pytest.approx(dw_e(x), abs=1e-14)

@@ -382,6 +382,20 @@ def test_singular_power_law_evaluation():
     assert flat.a_values([0.0]).tolist() == [1.0]
 
 
+def test_power_law_overflow_gives_the_zero_limit():
+    # (t + s0) ** gamma overflows long before t does; a(t) and a'(t) tend
+    # to 0 there, which a raw OverflowError from the float power hid
+    sched = PowerLaw(3.0, gamma=2.0, s0=0.5)
+    big = [1e300, 1e160, 1e200]
+    assert sched.a_values(big).tolist() == [0.0, 0.0, 0.0]
+    assert [sched.rate_fn()(t) for t in big] == [0.0, 0.0, 0.0]
+    assert [sched.da_at(t) for t in big] == [0.0, 0.0, 0.0]
+    # below the overflow the float power is unchanged
+    assert sched.a_values([1e150]).tolist() == [3.0 / 1e150 ** 2.0]
+    assert sched.rate_fn()(1e150) == 3.0 / 1e150 ** 2.0
+    assert sched.da_at(1e100) == -6.0 / 1e100 ** 3.0
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -90,7 +90,7 @@ def test_drift_matches_external_reconstruction():
     for noise in (NoiseModel.none(), NoiseModel.gaussian(0.5, seed=11)):
         path = run_recursion(Quadratic(1), steps, noise, 1.0, 5_000)
         xi = noise.stream(5_000, 1)[:, 0]
-        grad = Quadratic(1).scalar_grad_fn()
+        grad = Quadratic(1).grad_fn()
         scale = max(1.0, float(np.abs(path.h).max()))
         for n in (0, 1, 7, 500, 4_999):
             tau_n = math.fsum(steps.eps(i) for i in range(n + 1))
