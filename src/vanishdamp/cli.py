@@ -182,10 +182,9 @@ def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
 
     if run_cfg.sgd is not None:
         steps, noise, n_steps = run_cfg.sgd
-        path = run_recursion(
-            run_cfg.potential, steps, noise, run_cfg.spec.x0, n_steps
-        )
-        comparison = compare_to_ode(path, run_cfg.potential)
+        pot = run_cfg.spec.potential
+        path = run_recursion(pot, steps, noise, run_cfg.spec.x0, n_steps)
+        comparison = compare_to_ode(path, pot)
         summary["sgd"] = {
             "n_steps": path.n_steps,
             "final_tau": float(path.tau[-1]),
@@ -235,22 +234,10 @@ def _sweep_row(task: Tuple[str, Dict[Tuple[str, str], str], Optional[str], str, 
         return {"name": row_name, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("VANISH_DAMP_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"VANISH_DAMP_JOBS expects an integer, got '{env}'")
-    return 1
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = load_run_config(args.config, outdir=args.outdir)
-    plan = build_sweep_plan(base.parsed, base.potential)
-    jobs = _resolve_jobs(args)
+    plan = build_sweep_plan(base.parsed, base.spec.potential)
+    jobs = max(1, args.jobs)
     tasks = [
         (str(args.config), overrides, args.outdir, f"{base.name}_row{i:04d}", plan.write_series)
         for i, overrides in enumerate(plan.rows)
@@ -383,8 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured family of scenarios")
     p_sweep.add_argument("config", help="path to a scenario config with a [sweep] section")
     p_sweep.add_argument("--outdir", default=None, help="artifact directory override")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="parallel rows (default: VANISH_DAMP_JOBS or 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel rows (default: 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")

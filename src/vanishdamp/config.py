@@ -425,8 +425,6 @@ class RunConfig:
     name: str
     outdir: Path
     parsed: ParsedConfig
-    schedule: DampingSchedule
-    potential: Potential
     spec: SystemSpec
     sgd: Optional[Tuple[StepSchedule, NoiseModel, int]]
 
@@ -440,17 +438,13 @@ def load_run_config(
     if overrides:
         apply_overrides(cfg, overrides)
     cfg.check_known_keys()
-    schedule = build_schedule(cfg)
-    potential = build_potential(cfg)
-    spec = build_system_spec(cfg, schedule, potential)
+    spec = build_system_spec(cfg, build_schedule(cfg), build_potential(cfg))
     name = cfg.get_str("scenario", "name", Path(path).stem)
     out = Path(outdir if outdir is not None else cfg.get_str("scenario", "outdir", "."))
     return RunConfig(
         name=name,
         outdir=out,
         parsed=cfg,
-        schedule=schedule,
-        potential=potential,
         spec=spec,
         sgd=build_sgd(cfg),
     )

@@ -4,13 +4,14 @@ certificates.
 Ships the canonical test potentials for the damped system: quadratic,
 p-power, the odd signed power matching the exact power-law solution, the
 double well, the flat-bottom potential whose argmin is the closed unit ball,
-1D polynomials, and the zero potential.  Each evaluates through validated
-methods and through unchecked closures for the hot loops of the stepper
-and the recursion, which give the same bits for n >= 2.  On top of
-evaluation the module locates critical points of 1D potentials, checks the
-base inequality G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random
-probes, checks strong convexity/concavity on windows, and brackets the
-plateau interval of a local maximum's level set.
+1D polynomials, and the zero potential.  Each states G and grad G once,
+as the unchecked closures the hot loops of the stepper and the recursion
+call; the validated methods check a point and run the same closures, so
+both give the same bits in every dimension.  On top of evaluation the
+module locates critical points of 1D potentials, checks the base
+inequality G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random probes,
+checks strong convexity/concavity on windows, and brackets the plateau
+interval of a local maximum's level set.
 """
 
 from __future__ import annotations
@@ -33,14 +34,15 @@ VIOLATION_REL = 1.0e-9
 class Potential:
     """Base interface; subclasses are immutable after construction.
 
-    Two ways to evaluate: the array API, ``energy(x)`` and ``grad(x)`` on
-    points of shape (n,), validated and valid in any dimension; and the
-    unchecked closures from ``energy_fn()`` and ``grad_fn()`` for hot loops,
-    which take and return plain floats for n = 1 and take (n,) float arrays
-    for n >= 2.  For n >= 2 a builtin closure repeats its method's
-    operations (the norm as ``math.sqrt(x.dot(x))``, np.linalg.norm's own
-    formula) and so gives its bits; it may return its argument, so callers
-    treat the result as read-only.
+    A builtin states G and grad G once, as the unchecked closures from
+    ``energy_fn()`` and ``grad_fn()``, which the hot loops of the stepper,
+    the recursion and the 1D scans call directly.  They take and return
+    plain floats for n = 1 and take (n,) float arrays for n >= 2, where
+    the norm is ``math.sqrt(x.dot(x))``, np.linalg.norm's own formula; a
+    closure may return its argument, so callers treat the result as
+    read-only.  The validated ``energy(x)`` and ``grad(x)`` check a point
+    of shape (n,) and run the same closures, so every way to evaluate
+    gives the same bits.
     """
 
     n: int
@@ -51,22 +53,36 @@ class Potential:
     #: minimizer set is a continuum (FlatBottom); None for isolated minima
     argmin_ball: Optional[float] = None
 
-    def energy(self, x) -> float:
+    def grad_fn(self) -> Callable:
         raise NotImplementedError
 
-    def grad(self, x) -> np.ndarray:
+    def energy_fn(self) -> Callable:
         raise NotImplementedError
+
+    # For n = 1 the closures run on the numpy scalar p[0], whose ``**``
+    # overflows to inf where a Python float's raises OverflowError.
+    def energy(self, x) -> float:
+        p = self._as_point(x)
+        return float(self.energy_fn()(p[0] if self.n == 1 else p))
+
+    def grad(self, x) -> np.ndarray:
+        p = self._as_point(x)
+        g = self.grad_fn()(p[0] if self.n == 1 else p)
+        return np.array(g, dtype=float, ndmin=1)  # a copy: the closure may return p
 
     def grad_norms(self, xs) -> np.ndarray:
         """|grad G(x)| for every row of an (m, n) array, equal bit for bit
-        to np.linalg.norm(grad(x)).  For n >= 2 the rows go through the
-        closure from grad_fn(); for n = 1, whose closures may differ from
-        grad in the last bit, through grad, unless a subclass's closed form
-        on the whole column gives the same bits."""
+        to np.linalg.norm(grad(x)): the rows go through the closure from
+        grad_fn(), on Python floats for n = 1."""
         rows = self._as_rows(xs)
-        if self.n == 1:
-            return np.array([np.linalg.norm(self.grad(x)) for x in rows], dtype=float)
         g = self.grad_fn()
+        if self.n == 1:
+            col = rows[:, 0]
+            try:
+                gs = np.fromiter(map(g, col.tolist()), dtype=float, count=len(col))
+            except OverflowError:  # numpy's ** gives inf where Python's raises
+                gs = np.fromiter(map(g, col), dtype=float, count=len(col))
+            return np.sqrt(gs * gs)  # np.linalg.norm of a 1-vector
         return np.array([math.sqrt(v.dot(v)) for v in map(g, np.ascontiguousarray(rows))], dtype=float)
 
     def _as_point(self, x) -> np.ndarray:
@@ -85,22 +101,6 @@ class Potential:
             )
         return rows
 
-    # Closures for the stepper, the recursion and the 1D geometry scans.
-    # The defaults wrap the array API (only Custom uses them); builtins
-    # override them with plain float math for n = 1 and with their
-    # method's operations, minus the checks, for n >= 2.
-    def grad_fn(self) -> Callable:
-        grad = self.grad
-        if self.n == 1:
-            return lambda x: float(grad(np.array([x]))[0])
-        return grad
-
-    def energy_fn(self) -> Callable:
-        energy = self.energy
-        if self.n == 1:
-            return lambda x: energy(np.array([x]))
-        return energy
-
 
 class Quadratic(Potential):
     """G(x) = |x|^2/2; gradient x; the linear-equation test case."""
@@ -110,13 +110,6 @@ class Quadratic(Potential):
         self.kind = "Quadratic"
         self.coercive = True
         self.min_value = 0.0
-
-    def energy(self, x) -> float:
-        p = self._as_point(x)
-        return 0.5 * float(p @ p)
-
-    def grad(self, x) -> np.ndarray:
-        return self._as_point(x).copy()
 
     def grad_fn(self):
         return lambda x: x
@@ -139,17 +132,6 @@ class PPower(Potential):
         self.coercive = True
         self.min_value = 0.0
 
-    def energy(self, x) -> float:
-        p = self._as_point(x)
-        return float(np.linalg.norm(p) ** self.p / self.p)
-
-    def grad(self, x) -> np.ndarray:
-        pt = self._as_point(x)
-        r = float(np.linalg.norm(pt))
-        if r == 0.0:
-            return np.zeros(self.n)
-        return pt * r ** (self.p - 2.0)
-
     def grad_fn(self):
         if self.n == 1:
             e = self.p - 1.0
@@ -167,7 +149,7 @@ class PPower(Potential):
         if self.n == 1:
             return lambda x: abs(x) ** p / p
 
-        # numpy's power, as in energy: inf where a float's ** would raise
+        # numpy's power: inf where a float's ** would raise
         return lambda x: float(np.float64(math.sqrt(x.dot(x))) ** p / p)
 
 
@@ -189,15 +171,6 @@ class SignedPower(Potential):
         self.coercive = True
         self.min_value = 0.0
 
-    def energy(self, x) -> float:
-        p = self._as_point(x)
-        return float(abs(p[0]) ** (self.q + 1.0) / (self.q + 1.0))
-
-    def grad(self, x) -> np.ndarray:
-        p = self._as_point(x)
-        v = p[0]
-        return np.array([math.copysign(abs(v) ** self.q, v) if v != 0.0 else 0.0])
-
     def grad_fn(self):
         q = self.q
         return lambda x: math.copysign(abs(x) ** q, x) if x != 0.0 else 0.0
@@ -216,18 +189,9 @@ class DoubleWell(Potential):
         self.coercive = True
         self.min_value = 0.0
 
-    def energy(self, x) -> float:
-        v = self._as_point(x)[0]
-        w = v * v - 1.0
-        return 0.25 * w * w
-
-    def grad(self, x) -> np.ndarray:
-        v = self._as_point(x)[0]
-        return np.array([v * (v * v - 1.0)])
-
     def grad_norms(self, xs) -> np.ndarray:
-        x = self._as_rows(xs)[:, 0]
-        g = x * (x * x - 1.0)
+        # the closure is elementwise arithmetic, so it runs on the whole column
+        g = self.grad_fn()(self._as_rows(xs)[:, 0])
         return np.sqrt(g * g)  # np.linalg.norm of a 1-vector
 
     def grad_fn(self):
@@ -254,18 +218,6 @@ class FlatBottom(Potential):
         self.coercive = True
         self.min_value = 0.0
         self.argmin_ball = 1.0
-
-    def energy(self, x) -> float:
-        r = float(np.linalg.norm(self._as_point(x)))
-        e = r - 1.0
-        return e * e if e > 0.0 else 0.0
-
-    def grad(self, x) -> np.ndarray:
-        p = self._as_point(x)
-        r = float(np.linalg.norm(p))
-        if r <= 1.0:
-            return np.zeros(self.n)
-        return (2.0 * (r - 1.0) / r) * p
 
     def grad_fn(self):
         if self.n == 1:
@@ -329,12 +281,6 @@ class Polynomial1D(Potential):
         pts = critical_points(self, (-bound, bound))
         return min(p.value for p in pts)
 
-    def energy(self, x) -> float:
-        return self._horner(self.coeffs, self._as_point(x)[0])
-
-    def grad(self, x) -> np.ndarray:
-        return np.array([self._horner(self.dcoeffs, self._as_point(x)[0])])
-
     def grad_fn(self):
         dc = self.dcoeffs
         h = self._horner
@@ -355,14 +301,6 @@ class Zero(Potential):
         self.coercive = False
         self.min_value = 0.0
 
-    def energy(self, x) -> float:
-        self._as_point(x)
-        return 0.0
-
-    def grad(self, x) -> np.ndarray:
-        self._as_point(x)
-        return np.zeros(self.n)
-
     def grad_fn(self):
         if self.n == 1:
             return lambda x: 0.0
@@ -374,7 +312,11 @@ class Zero(Potential):
 
 
 class Custom(Potential):
-    """Potential from callbacks; energy and gradient must be pure."""
+    """Potential from callbacks; energy and gradient must be pure.
+
+    The only kind whose validated methods are its own: they call the
+    callbacks and check the gradient's shape, and the closures wrap them.
+    """
 
     def __init__(
         self,
@@ -399,6 +341,18 @@ class Custom(Potential):
         if g.shape != (self.n,):
             raise DomainError(f"gradient callback returned shape {g.shape}")
         return g
+
+    def grad_fn(self) -> Callable:
+        grad = self.grad
+        if self.n == 1:
+            return lambda x: float(grad(np.array([x]))[0])
+        return grad
+
+    def energy_fn(self) -> Callable:
+        energy = self.energy
+        if self.n == 1:
+            return lambda x: energy(np.array([x]))
+        return energy
 
 
 # ---------------------------------------------------------------------------

@@ -276,13 +276,25 @@ class Custom(DampingSchedule):
         return (self.a(t + h) - self.a(lo)) / (t + h - lo)
 
     def integral_a_to(self, times) -> np.ndarray:
+        """One quadrature per time; DomainError where it does not
+        converge, as on a non-integrable singularity at the origin, whose
+        +inf no quadrature can tell from a large finite value."""
         from scipy.integrate import quad
 
-        return np.array([
-            quad(self.a, 0.0, t, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_FLOOR, limit=200)[0]
-            if t else 0.0
-            for t in self._times(times).tolist()
-        ])
+        def integral(t: float) -> float:
+            if not t:
+                return 0.0
+            value, _, _, *warning = quad(
+                self.a, 0.0, t, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_FLOOR, limit=200,
+                full_output=1,
+            )
+            if warning:
+                raise DomainError(
+                    f"int_0^{t} a did not converge: {warning[0].splitlines()[0]}"
+                )
+            return value
+
+        return np.array([integral(t) for t in self._times(times).tolist()])
 
     def classify(self) -> ScheduleClassification:
         """Heuristic horizon classification; analytic=False always."""

@@ -294,27 +294,29 @@ def test_grid_sweep_continues_past_a_failing_row(tmp_path, capsys):
     assert not (out / "quadshort_row0000_series.csv").exists()
 
 
-def test_random_sweep_with_parallel_jobs_env(tmp_path, monkeypatch, capsys):
+def test_random_sweep_with_parallel_jobs(tmp_path, capsys):
     text = (
         BASE.replace("t_end = 60.0", "t_end = 20.0")
         + "\n[sweep]\nmode = random\nruns = 4\nseed = 12\nwrite_series = true\n"
     )
-    out = tmp_path / "out"
-    monkeypatch.setenv("VANISH_DAMP_JOBS", "2")
-    assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
+    cfg = _cfg(tmp_path, text)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["sweep", cfg, "--outdir", str(serial), "--jobs", "1"]) == 0
+    assert main(["sweep", cfg, "--outdir", str(parallel), "--jobs", "2"]) == 0
 
-    aggregate = json.loads((out / "quadshort_aggregate.json").read_text())
+    aggregate = json.loads((parallel / "quadshort_aggregate.json").read_text())
     assert aggregate["rows"] == 4
     assert aggregate["failures"] == 0
-    assert (out / "quadshort_row0003_series.csv").exists()
+    assert (parallel / "quadshort_row0003_series.csv").exists()
     assert "4 rows (0 failed)" in capsys.readouterr().out
 
-
-def test_bad_jobs_env_exits_2(tmp_path, monkeypatch, capsys):
-    text = BASE + "\n[sweep]\nmode = grid\nvary = schedule.c\nvalues = 1\n"
-    monkeypatch.setenv("VANISH_DAMP_JOBS", "many")
-    assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 2
-    assert "VANISH_DAMP_JOBS expects an integer" in capsys.readouterr().err
+    # the same bytes whatever the parallelism, apart from the wall clock
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in parallel.iterdir())
+    for name in names:
+        want, got = ((d / name).read_text().splitlines() for d in (serial, parallel))
+        assert [line for line in got if "wall_clock_s" not in line] == \
+            [line for line in want if "wall_clock_s" not in line], name
 
 
 # ---------------------------------------------------------------------------

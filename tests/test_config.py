@@ -205,7 +205,7 @@ def test_overrides_reach_built_objects(tmp_path):
     path = tmp_path / "base.cfg"
     path.write_text(GOOD)
     run_cfg = load_run_config(path, overrides={("schedule", "c"): "4.0"})
-    assert run_cfg.schedule.c == 4.0
+    assert run_cfg.spec.schedule.c == 4.0
     assert config_echo(run_cfg.parsed)["schedule"]["c"] == "4.0"
     assert run_cfg.name == "demo"
 

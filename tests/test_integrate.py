@@ -349,6 +349,16 @@ def test_stationary_start_short_circuits():
         assert traj.xs[-1, 0] == x0
 
 
+def test_tiny_start_off_a_critical_point_takes_steps():
+    # grad G(1e-200) = 1e-100 for PPower(1.5); a norm that squares the
+    # point first underflows to 0 and took this start for a critical point
+    traj = integrate(
+        SystemSpec(schedule=PowerLaw(1.0), potential=PPower(1.5), x0=1e-200, v0=0.0, t_end=1.0)
+    )
+    assert traj.stats.accepted > 0
+    assert traj.vs[-1, 0] != 0.0
+
+
 def test_singular_start_bootstrap(j_run):
     # the t=0 row is exact initial data, the first computed row is the
     # quadratic Taylor step at the bootstrap offset

@@ -24,6 +24,7 @@ from vanishdamp import (
 )
 from vanishdamp.integrate import state_ops
 from vanishdamp.potential import (
+    Potential,
     check_base_inequality,
     check_strong_convexity_window,
     critical_points,
@@ -66,6 +67,15 @@ def test_gradient_matches_finite_differences(pot, smooth):
             assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
+_TINY_TO_LARGE = np.geomspace(1e-300, 1e3, 301)
+_SIGNED_GRID = np.concatenate([[0.0], _TINY_TO_LARGE, -_TINY_TO_LARGE])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize(
     "pot",
     [Quadratic(1), PPower(1.5), PPower(3.0), SignedPower(0.5), SignedPower(2.0),
@@ -73,21 +83,28 @@ def test_gradient_matches_finite_differences(pot, smooth):
     ids=lambda p: f"{p.kind}",
 )
 def test_gradient_code_paths_agree(pot):
-    # the array API and the scalar closures are two implementations of
-    # the same functions.  They do the same float arithmetic, and so agree
-    # exactly, except for the array gradients of PPower (x |x|^{p-2}) and
-    # FlatBottom (2(r-1)/r x), which agree to rounding
+    # the validated methods run the closures, so the two agree exactly,
+    # down to the underflow range where a norm that squares the point
+    # would not
     fn = pot.grad_fn()
     en = pot.energy_fn()
-    exact_grad = pot.kind not in ("PPower", "FlatBottom")
-    for x in np.linspace(-4.0, 4.0, 83):
-        x = float(x)
-        a = float(pot.grad(np.array([x]))[0])
-        if exact_grad:
-            assert fn(x) == a
-        else:
-            assert fn(x) == pytest.approx(a, rel=1e-14, abs=1e-300)
-        assert en(x) == pot.energy(np.array([x]))
+    for x in np.concatenate([np.linspace(-4.0, 4.0, 83), _SIGNED_GRID]).tolist():
+        assert _same_bits(fn(x), pot.grad(np.array([x]))[0]), x
+        assert _same_bits(en(x), pot.energy(np.array([x]))), x
+
+
+def test_builtins_state_g_only_in_their_closures():
+    # one definition of G and grad G per builtin: the validated methods
+    # are the base class's, and only Custom, whose callbacks are G and
+    # grad G, keeps its own
+    builtins = [cls for cls in Potential.__subclasses__() if cls is not CustomPotential]
+    assert {cls.__name__ for cls in builtins} == {
+        "Quadratic", "PPower", "SignedPower", "DoubleWell", "FlatBottom", "Polynomial1D", "Zero"
+    }
+    for cls in builtins:
+        assert "energy" not in vars(cls) and "grad" not in vars(cls), cls.__name__
+        assert "energy_fn" in vars(cls) and "grad_fn" in vars(cls), cls.__name__
+    assert {"energy", "grad", "energy_fn", "grad_fn"} <= set(vars(CustomPotential))
 
 
 def test_gradients_vanish_at_origin():
@@ -160,19 +177,15 @@ def test_critical_points_are_pinned(pot, box, want):
     ids=lambda p: p.kind,
 )
 def test_scalar_gradient_is_bitwise_the_same_on_python_floats(pot):
-    # critical_points scans on Python floats; the roots are pinned on
-    # numpy float64 scalars, which run the closures' `**` and arithmetic
-    # through numpy instead
+    # critical_points, the stepper and grad_norms run the closures on
+    # Python floats; the validated methods and the pinned roots run them
+    # on numpy float64 scalars, whose `**` and arithmetic are numpy's
     tiny = np.geomspace(1e-300, 1e3, 2001)
     grid = np.concatenate([np.linspace(-5.0, 5.0, 20_001), tiny, -tiny])
-    g = pot.grad_fn()
-    on_floats = np.array([g(x) for x in grid.tolist()], dtype=float)
-    on_scalars = np.array([g(x) for x in grid], dtype=float)
-    assert np.array_equal(on_floats.view(np.int64), on_scalars.view(np.int64))
-
-
-_TINY_TO_LARGE = np.geomspace(1e-300, 1e3, 301)
-_SIGNED_GRID = np.concatenate([[0.0], _TINY_TO_LARGE, -_TINY_TO_LARGE])
+    for fn in (pot.grad_fn(), pot.energy_fn()):
+        on_floats = np.array([fn(x) for x in grid.tolist()], dtype=float)
+        on_scalars = np.array([fn(x) for x in grid], dtype=float)
+        assert np.array_equal(on_floats.view(np.int64), on_scalars.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -199,6 +212,16 @@ def test_grad_norms_match_the_per_row_norm_bitwise(pot):
         pot.grad_norms(np.zeros((2, pot.n + 1)))
 
 
+def test_grad_norms_overflow_to_inf_as_grad_does():
+    # Python's float ** raises OverflowError where numpy's, which the
+    # validated grad runs, gives inf
+    pot = PPower(4.0)
+    xs = np.array([[2.0], [1e200], [-1e200]])
+    with np.errstate(over="ignore"):
+        want = [np.linalg.norm(pot.grad(x)) for x in xs]
+        assert pot.grad_norms(xs).tolist() == want == [8.0, math.inf, math.inf]
+
+
 def _vector_points(n):
     """Points of dimension n where the hot closures must give the bits of
     the validated methods: the origin, random directions at radii from
@@ -215,11 +238,6 @@ def _vector_points(n):
         e[k] = 1.0
         pts += [e, -3.0 * e, 0.999 * e, 1.001 * e]
     return pts
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -382,6 +382,21 @@ def test_singular_power_law_evaluation():
     assert flat.a_values([0.0]).tolist() == [1.0]
 
 
+def test_custom_integral_refuses_a_non_integrable_origin():
+    # quadrature of 2/t from 0 stops at its subdivision limit on the same
+    # finite value (291.3) for every t, where the integral is +inf, as
+    # the PowerLaw closed form gives; a Custom schedule cannot tell the
+    # two apart, so it refuses to answer
+    sched = CustomSchedule(a=lambda t: 2.0 / t, singular=True)
+    for method in (sched.integral_a_to, sched.decay_kernels):
+        with pytest.raises(DomainError, match="did not converge"):
+            method([1.0, 10.0])
+    assert PowerLaw(2.0, 1.0, 0.0).integral_a_to([1.0, 10.0]).tolist() == [math.inf, math.inf]
+    # an integrable singular origin still converges
+    soft = CustomSchedule(a=lambda t: 0.5 / math.sqrt(t), singular=True)
+    assert soft.integral_a_to([0.0, 4.0]).tolist() == pytest.approx([0.0, 2.0], rel=1e-12)
+
+
 def test_power_law_overflow_gives_the_zero_limit():
     # (t + s0) ** gamma overflows long before t does; a(t) and a'(t) tend
     # to 0 there, which a raw OverflowError from the float power hid
