@@ -6,6 +6,7 @@ closed-form solution, and the singular-origin bootstrap.
 """
 
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -500,6 +501,37 @@ def test_array_output_is_pinned_bitwise(spec, counts, digest):
     # to the array stepper that moves any bit of its output shows up here
     traj = integrate(spec)
     assert (len(traj.ts), len(traj.events), traj.stats.rejected) == counts
+    assert _trajectory_digest(traj) == digest
+
+
+_integrate_module = importlib.import_module("vanishdamp.integrate")
+
+
+@pytest.mark.parametrize(
+    "spec, counts, digest",
+    [
+        # the well_run system to t=1e3: 6,070 steps, 449 events
+        (SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
+            t_end=1.0e3, rel_tol=1e-6,
+        ), (760, 449, 8), "1894466db8a0146a87fb8dc58705fb98075a0956667bedd43f860721f24177ca"),
+        # the slanted n=2 event run to t=100: 2,234 steps, 32 events
+        (SystemSpec(
+            schedule=Constant(0.05), potential=Quadratic(2), x0=[1.0, 0.3],
+            v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
+        ), (560, 32, 4), "fadb8a0119b6c7a1071b5b012d77a1993878bb4849bc8c21e99251fd6c083866"),
+    ],
+    ids=["doublewell_n1", "quadratic_n2_slanted"],
+)
+def test_stride_doubling_is_pinned_bitwise(spec, counts, digest, monkeypatch):
+    # a small sample cap makes the runs thin their samples by automatic
+    # stride doubling; SHA-256 of every stored array and event
+    cap = 1000
+    monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
+    traj = integrate(spec)
+    assert traj.stats.stride > 1
+    assert len(traj.ts) <= cap + 1
+    assert (len(traj.ts), len(traj.events), traj.stats.stride) == counts
     assert _trajectory_digest(traj) == digest
 
 
