@@ -32,6 +32,8 @@ from .potential import critical_points
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _TINY = float(np.finfo(float).tiny)
+# grid points of one dense evaluation in _dense_extent
+_DENSE_BLOCK = 8192
 
 # finite-horizon thresholds for "the limit exists"
 LIMIT_WIDTH_TOL = 1.0e-3
@@ -375,9 +377,11 @@ def _dense_extent(traj: Trajectory, ys, dys, dense, cut: float, m: int, extra=()
     hull_lo = np.minimum(np.minimum(y0, y1), np.minimum(c0, c1)) - margin
     hull_hi = np.maximum(np.maximum(y0, y1), np.maximum(c0, c1)) + margin
     inside = (hull_lo > lo) & (hull_hi < hi)
-    mask = np.repeat(~inside.all(axis=1), counts)
-    if mask.any():
-        V = dense(grid[mask])
+    reach = grid[np.repeat(~inside.all(axis=1), counts)]
+    # in blocks: an interpolant's temporaries on the whole grid would cost
+    # far more memory than its result, and min and max are exact either way
+    for start in range(0, len(reach), _DENSE_BLOCK):
+        V = dense(reach[start:start + _DENSE_BLOCK])
         lo = np.minimum(lo, V.min(axis=0))
         hi = np.maximum(hi, V.max(axis=0))
     return np.stack([lo, hi], axis=1)

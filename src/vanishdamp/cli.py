@@ -42,10 +42,24 @@ from .sgd import DiscretePath, compare_to_ode, run_recursion
 __all__ = ["main"]
 
 
+# characters written at a time: the encoder never holds a second copy of
+# a whole artifact
+_WRITE_SLICE = 1 << 20
+
+
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``.  A failed write removes the temporary file and leaves
+    ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start:start + _WRITE_SLICE])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value: float) -> str:
@@ -145,13 +159,14 @@ def _fit_block(traj: Trajectory) -> Optional[dict]:
 
 def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
     stats = traj.stats
-    et = traj.events.time.tolist()
+    et = traj.events.time
+    count = len(et)
     verdict_block = classify_limit(traj).as_dict() if traj.n == 1 else None
     event_block = {
-        "count": len(et),
-        "first_time": et[0] if et else None,
-        "last_time": et[-1] if et else None,
-        "last_gap": (et[-1] - et[-2]) if len(et) > 1 else None,
+        "count": count,
+        "first_time": float(et[0]) if count else None,
+        "last_time": float(et[-1]) if count else None,
+        "last_gap": float(et[-1] - et[-2]) if count > 1 else None,
     }
     return {
         "name": run_cfg.name,

@@ -33,8 +33,10 @@ the same.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction as _Fr
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,6 +54,8 @@ from .schedule import DampingSchedule, PowerLaw
 BOOTSTRAP_H0 = 1.0e-6
 MAX_STORED_SAMPLES = 100_000
 EVENT_TIME_TOL = 1.0e-10
+# event brackets refined together inside the step loop
+EVENT_CHUNK = 4096
 # relative tolerance and iteration cap of the event root-finder (brentq's)
 _EVENT_RTOL = 8.9e-16
 _EVENT_MAXITER = 100
@@ -341,6 +345,7 @@ class StateOps(NamedTuple):
     norm: Callable  # Euclidean norm, a float
     project: Callable  # component along the event direction, a float
     const: Callable  # a float c -> c in the state's type, read-only
+    column: Callable  # iterable of states -> a stored-sample column holding them
 
 
 def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOps:
@@ -358,6 +363,7 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
             # +-v changes sign exactly where v does
             project=float,
             const=float,
+            column=partial(array, "d"),
         )
     n = pot.n
 
@@ -378,6 +384,7 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
         norm=lambda a: math.sqrt(a.dot(a)),
         project=lambda w: float(direction.dot(w)),
         const=const,
+        column=list,
     )
 
 
@@ -414,9 +421,9 @@ def _solve(spec: SystemSpec) -> Trajectory:
         vs = np.zeros((2, n))
         accs = np.zeros((2, n))
         e0 = pot.energy(x0)
+        no_events = Events(np.empty(0), np.empty((0, n)), np.empty((0, n)), np.empty(0), d)
         return Trajectory(
-            ts, xs, vs, accs, np.array([e0, e0]), np.zeros(2),
-            Events(*_refine_events([], [], ops, n), d), SolverStats(), spec, n,
+            ts, xs, vs, accs, np.array([e0, e0]), np.zeros(2), no_events, SolverStats(), spec, n,
         )
 
     prelude = None
@@ -440,22 +447,15 @@ def _solve(spec: SystemSpec) -> Trajectory:
     if spec.t_end <= t0:
         raise DomainError(f"t_end={spec.t_end} does not exceed the start time {t0}")
 
-    out = _run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
-    ts_l, xs_l, vs_l, accs_l, es_l, ds_l, (times, xe, ve, energies), stats = out
+    *columns, stats = _run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
     if prelude is not None:
-        for column, value in zip(out, prelude):
+        for column, value in zip(columns, prelude):
             column.insert(0, value)
+    # a packed n=1 column becomes an array without a copy
+    ts, xs, vs, accs, es, ds, et, ex, ev, ee = (np.asarray(c, dtype=float) for c in columns)
     return Trajectory(
-        np.asarray(ts_l, dtype=float),
-        np.asarray(xs_l, dtype=float).reshape(-1, n),
-        np.asarray(vs_l, dtype=float).reshape(-1, n),
-        np.asarray(accs_l, dtype=float).reshape(-1, n),
-        np.asarray(es_l, dtype=float),
-        np.asarray(ds_l, dtype=float),
-        Events(times, xe, ve, energies, d),
-        stats,
-        spec,
-        n,
+        ts, xs.reshape(-1, n), vs.reshape(-1, n), accs.reshape(-1, n), es, ds,
+        Events(et, ex.reshape(-1, n), ev.reshape(-1, n), ee, d), stats, spec, n,
     )
 
 
@@ -470,7 +470,9 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     rate = spec.schedule.rate_fn()
     g, energy_of, all_finite = ops.grad, ops.energy, ops.finite
     maximum, total, project, const = ops.maximum, ops.total, ops.project, ops.const
-    two_n = 2.0 * spec.potential.n
+    column = ops.column
+    n = spec.potential.n
+    two_n = 2.0 * n
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
@@ -529,13 +531,14 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     diss = diss0
     diss_c = 0.0  # Kahan compensation
 
-    ts = [t]
-    xs = [x]
-    vs = [v]
-    accs = [k1v]
-    ds = [diss]
-    events = []  # per event: (t, x, v) of an exact zero, or None for a bracket
-    brackets = []
+    ts = column((t,))
+    xs = column((x,))
+    vs = column((v,))
+    accs = column((k1v,))
+    ds = column((diss,))
+    events = (column(), column(), column())  # t, x, v of each event, in time order
+    brackets = []  # sign changes inside a step not yet refined, fewer than EVENT_CHUNK
+    failure = None  # what refining raised in the loop, raised after it
     w = project(v)
     last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
     pending_zero = None
@@ -647,18 +650,27 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         diss = tk
 
         # events: the monitored velocity projection flipped sign across this
-        # step.  A bracketed flip keeps the step's data; _refine_events
-        # finds the crossing after the loop.
+        # step.  A bracketed flip keeps the step's data, and _refine_brackets
+        # finds the crossings of EVENT_CHUNK of them at once, or of fewer
+        # ahead of a step that ended exactly on a zero.
         w_new = project(v_new)
         if w_new != 0.0:
             new_sign = math.copysign(1.0, w_new)
             if last_sign != 0.0 and new_sign != last_sign:
-                if pending_zero is not None:
-                    events.append(pending_zero)
-                else:
-                    events.append(None)
+                if pending_zero is None:
                     brackets.append((t, t_new, h, x, v, qv1, qv2, qv3, qv4,
                                      k1x, k3x, k4x, k5x, k6x, k7x))
+                if brackets and (pending_zero is not None or len(brackets) >= EVENT_CHUNK):
+                    # held, so that a loop error raised later takes precedence
+                    if failure is None:
+                        try:
+                            _refine_brackets(brackets, events, ops, n)
+                        except Exception as exc:
+                            failure = exc
+                    brackets = []
+                if pending_zero is not None:
+                    for event_column, value in zip(events, pending_zero):
+                        event_column.append(value)
             last_sign = new_sign
             pending_zero = None
         else:
@@ -697,64 +709,58 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         accs.append(k1v)
         ds.append(diss)
     stats.rhs_evals = nfev
-    es = [energy_of(x, v) for x, v in zip(xs, vs)]  # of the samples thinning kept
-    events = _refine_events(events, brackets, ops, spec.potential.n)
-    return ts, xs, vs, accs, es, ds, events, stats
-
-
-def _refine_events(slots, brackets, ops: StateOps, n: int):
-    """Times, (E, n) positions and velocities, and energies of the events.
-
-    ``slots`` has one entry per event, in order: the (t, x, v) of a step
-    that ended exactly on a zero, or None for a sign change inside a step,
-    whose (t, t_new, h, x, v, qv1..qv4, k1x, k3x..k7x) is the next row of
-    ``brackets``.  Every bracketed crossing is found at once by
-    _brentq_batch on the step's projected quartic, and the states are the
-    step's interpolant there, with the bits of one scipy.optimize.brentq
-    call and one scalar interpolation per event.
-    """
-    times = np.empty(len(slots))
-    xs = np.empty((len(slots), n))
-    vs = np.empty((len(slots), n))
-    is_bracket = np.array([slot is None for slot in slots], dtype=bool)
-    for k in np.flatnonzero(~is_bracket):
-        times[k], xs[k], vs[k] = slots[k]
+    es = column(map(energy_of, xs, vs))  # of the samples thinning kept
+    if failure is not None:
+        raise failure
     if brackets:
-        t, t_new, h, x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
-            np.array(column) for column in zip(*brackets)
-        )
-        project = ops.project
+        _refine_brackets(brackets, events, ops, n)
+    et, ex, ev = events
+    return ts, xs, vs, accs, es, ds, et, ex, ev, column(map(energy_of, ex, ev)), stats
 
-        def along(a):
-            # row by row, as in the loop: a stacked product may round
-            # differently; an n=1 state is its own projection
-            return a if a.ndim == 1 else np.array([project(row) for row in a])
 
-        w, q1, q2, q3, q4 = map(along, (v, qv1, qv2, qv3, qv4))
+def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
+    """Append the time, position and velocity of the crossing in each
+    bracket, a step's (t, t_new, h, x, v, qv1..qv4, k1x, k3x..k7x), to the
+    three columns ``events``.
 
-        def wq(tau, i):
-            hi = h[i]
-            th = (tau - t[i]) / hi
-            return w[i] + hi * (th * (q1[i] + th * (q2[i] + th * (q3[i] + th * q4[i]))))
+    Every crossing is found at once by _brentq_batch on the step's
+    projected quartic, and the states are the step's interpolant there,
+    with the bits of one scipy.optimize.brentq call and one scalar
+    interpolation per event, however the brackets are grouped.
+    """
+    t, t_new, h, x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
+        np.array(column) for column in zip(*brackets)
+    )
+    project = ops.project
 
-        te = _brentq_batch(wq, t, t_new, EVENT_TIME_TOL, _EVENT_RTOL, _EVENT_MAXITER)
-        m = len(te)
-        x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
-            a.reshape(m, n) for a in (x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7)
-        )
-        p1, _, p3, p4, p5, p6, p7 = _P
-        qx1 = k1 * p1[0]
-        qx2 = k1 * p1[1] + k3 * p3[1] + k4 * p4[1] + k5 * p5[1] + k6 * p6[1] + k7 * p7[1]
-        qx3 = k1 * p1[2] + k3 * p3[2] + k4 * p4[2] + k5 * p5[2] + k6 * p6[2] + k7 * p7[2]
-        qx4 = k1 * p1[3] + k3 * p3[3] + k4 * p4[3] + k5 * p5[3] + k6 * p6[3] + k7 * p7[3]
-        th = ((te - t) / h).reshape(m, 1)
-        h = h.reshape(m, 1)
-        times[is_bracket] = te
-        xs[is_bracket] = x + h * (th * (qx1 + th * (qx2 + th * (qx3 + th * qx4))))
-        vs[is_bracket] = v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))
-    energy_of = ops.energy
-    energies = [energy_of(xe, ve) for xe, ve in zip(ops.states(xs), ops.states(vs))]
-    return times, xs, vs, np.array(energies, dtype=float)
+    def along(a):
+        # row by row, as in the loop: a stacked product may round
+        # differently; an n=1 state is its own projection
+        return a if a.ndim == 1 else np.array([project(row) for row in a])
+
+    w, q1, q2, q3, q4 = map(along, (v, qv1, qv2, qv3, qv4))
+
+    def wq(tau, i):
+        hi = h[i]
+        th = (tau - t[i]) / hi
+        return w[i] + hi * (th * (q1[i] + th * (q2[i] + th * (q3[i] + th * q4[i]))))
+
+    te = _brentq_batch(wq, t, t_new, EVENT_TIME_TOL, _EVENT_RTOL, _EVENT_MAXITER)
+    m = len(te)
+    x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
+        a.reshape(m, n) for a in (x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7)
+    )
+    p1, _, p3, p4, p5, p6, p7 = _P
+    qx1 = k1 * p1[0]
+    qx2 = k1 * p1[1] + k3 * p3[1] + k4 * p4[1] + k5 * p5[1] + k6 * p6[1] + k7 * p7[1]
+    qx3 = k1 * p1[2] + k3 * p3[2] + k4 * p4[2] + k5 * p5[2] + k6 * p6[2] + k7 * p7[2]
+    qx4 = k1 * p1[3] + k3 * p3[3] + k4 * p4[3] + k5 * p5[3] + k6 * p6[3] + k7 * p7[3]
+    th = ((te - t) / h).reshape(m, 1)
+    h = h.reshape(m, 1)
+    et, ex, ev = events
+    et.extend(te.tolist())
+    ex.extend(ops.states(x + h * (th * (qx1 + th * (qx2 + th * (qx3 + th * qx4))))))
+    ev.extend(ops.states(v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))))
 
 
 def _brentq_batch(f, xa, xb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:

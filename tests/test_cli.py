@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from vanishdamp import cli
 from vanishdamp.cli import main
 from vanishdamp.oracle import bessel_j, linear_regular_solution, power_law_exact
 
@@ -227,6 +228,41 @@ def test_run_loads_no_scipy(tmp_path):
     # the singular schedule's t=0 row has a = inf
     first = (tmp_path / "quadshort_series.csv").read_text().splitlines()[1].split(",")
     assert first[0] == "0.0" and first[-2] == "inf"
+
+
+def test_atomic_write_writes_in_slices(tmp_path):
+    # text longer than one write slice arrives whole, with no temporary left
+    text = "".join(f"{i},{i * 0.1!r}\n" for i in range(150_000))
+    assert len(text) > 2 * cli._WRITE_SLICE
+    target = tmp_path / "big.csv"
+    cli._atomic_write(target, text)
+    assert target.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+@pytest.mark.parametrize("stage", ["write", "rename"])
+def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage):
+    # a write that fails part way (a character the encoder refuses, after a
+    # full slice went out) or at the rename removes its temporary file; an
+    # artifact already there is left as it was
+    text = "x" * (cli._WRITE_SLICE + 10)
+    if stage == "write":
+        text += "\ud800"
+        expected = UnicodeEncodeError
+    else:
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", no_space)
+        expected = OSError
+    with pytest.raises(expected):
+        cli._atomic_write(tmp_path / "run_series.csv", text)
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "run_events.csv").write_text("kept\n")
+    with pytest.raises(expected):
+        cli._atomic_write(tmp_path / "run_events.csv", text)
+    assert [p.name for p in tmp_path.iterdir()] == ["run_events.csv"]
+    assert (tmp_path / "run_events.csv").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

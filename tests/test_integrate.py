@@ -5,9 +5,11 @@ under fixed-step halving, event location, dense output against the
 closed-form solution, and the singular-origin bootstrap.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +435,20 @@ def _trajectory_digest(traj, samples=True):
     return h.hexdigest()
 
 
+# SHA-256 of every stored array and event of the well_run fixture
+_WELL_RUN_DIGEST = "f31c5160742dcd3f80b2b23b6f7b2003d210475e80ae77db9abb747b0a3bd8eb"
+# a slanted event direction: every bracket is projected; its event count
+# and the SHA-256 of its events
+_SLANTED_EVENTS = (
+    SystemSpec(
+        schedule=Constant(0.05), potential=Quadratic(2), x0=[1.0, 0.3],
+        v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
+    ),
+    32,
+    "f27b74c073d7c1fa79e4c0926f1e9d943c7335ef380ae5fbb013a5ed0d87b627",
+)
+
+
 def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     # SHA-256 of every stored array and event of three n=1 runs: adaptive
     # with events, singular start, fixed step.  A stepper change that
@@ -444,9 +460,7 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
         )
     )
     assert (len(well_run.events), len(j_run.events), len(fixed.events)) == (4500, 15, 22)
-    assert _trajectory_digest(well_run) == (
-        "f31c5160742dcd3f80b2b23b6f7b2003d210475e80ae77db9abb747b0a3bd8eb"
-    )
+    assert _trajectory_digest(well_run) == _WELL_RUN_DIGEST
     assert _trajectory_digest(j_run) == (
         "f311252a331b02de28e09364db523fb6b965b34bf59c24796ffe3ca1e1125a34"
     )
@@ -464,11 +478,7 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
             x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
             v0=[0.0, 0.0, 0.0], t_end=200.0, rel_tol=1e-8,
         ), 14, "13dca44751b00d8696543d12dbd6794e4af0d8f6f2a002aed0316d1ad211fbd2"),
-        # a slanted event direction: every bracket is projected
-        (SystemSpec(
-            schedule=Constant(0.05), potential=Quadratic(2), x0=[1.0, 0.3],
-            v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
-        ), 32, "f27b74c073d7c1fa79e4c0926f1e9d943c7335ef380ae5fbb013a5ed0d87b627"),
+        _SLANTED_EVENTS,
     ],
     ids=["ppower_n3", "quadratic_n2_slanted"],
 )
@@ -533,6 +543,108 @@ def test_stride_doubling_is_pinned_bitwise(spec, counts, digest, monkeypatch):
     assert len(traj.ts) <= cap + 1
     assert (len(traj.ts), len(traj.events), traj.stats.stride) == counts
     assert _trajectory_digest(traj) == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
+    # brackets are refined in chunks of EVENT_CHUNK inside the step loop;
+    # where the chunks end must not change a bit of any run
+    if chunk is not None:
+        monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
+    assert _trajectory_digest(integrate(well_run.spec)) == _WELL_RUN_DIGEST
+    spec, count, digest = _SLANTED_EVENTS
+    traj = integrate(spec)
+    assert len(traj.events) == count
+    assert _trajectory_digest(traj, samples=False) == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+@pytest.mark.parametrize(
+    "spec, snap, exact, digest",
+    [
+        (SystemSpec(
+            schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
+            t_end=1.0e3, rel_tol=1e-6,
+        ), 1e-3, 139, "f6eb3116d0c5e08a41c17ff36128f252b92e8406fe4cd3cad42827c4831d1cfc"),
+        (_SLANTED_EVENTS[0], 3e-5, 9,
+         "df653ad5d39c2fcb7fea7923633f8c49b6d0135684db17708ee508cfb26469ec"),
+    ],
+    ids=["doublewell_n1", "quadratic_n2_slanted"],
+)
+def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, chunk, monkeypatch):
+    # a monitored projection below ``snap`` reads as an exact zero, so many
+    # steps end on one: those events are the step's own state, recorded
+    # between crossings refined in chunks.  The digests are of the runs
+    # when every bracket was refined after the loop.
+    state_ops = _integrate_module.state_ops
+
+    def snapped(pot, direction=None):
+        ops = state_ops(pot, direction)
+        return ops._replace(project=lambda w: 0.0 if abs(ops.project(w)) < snap else ops.project(w))
+
+    monkeypatch.setattr(_integrate_module, "state_ops", snapped)
+    if chunk is not None:
+        monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
+    traj = integrate(spec)
+    ev = traj.events
+    # a refined crossing projects to about 0; an exact zero's step to more
+    assert int(np.sum(np.abs(ev.v @ ev.direction) > 1e-9)) == exact
+    assert np.all(np.diff(ev.time) > 0)
+    assert _trajectory_digest(traj) == digest
+
+
+def test_refinement_errors_yield_to_loop_errors(monkeypatch):
+    # a chunk refined inside the loop that fails is raised after the loop,
+    # so an error of the loop itself still comes first
+    calls = []
+
+    def failing(*args):
+        calls.append(len(calls))
+        raise ValueError(f"refinement {len(calls)} failed")
+
+    monkeypatch.setattr(_integrate_module, "_brentq_batch", failing)
+    monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", 2)
+    spec = SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
+        t_end=1.0e3, rel_tol=1e-6, max_steps=2000,
+    )
+    with pytest.raises(MaxStepsExceeded):
+        integrate(spec)
+    assert calls == [0]  # the first chunk failed; no later one was refined
+    calls.clear()
+    with pytest.raises(ValueError, match="refinement 1 failed"):
+        integrate(dataclasses.replace(spec, max_steps=10_000))
+    assert calls == [0]
+
+
+def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
+    # Beyond the arrays it returns, a run holds at most one chunk of
+    # unrefined brackets (about 1 KiB each with their refinement's
+    # temporaries) and MAX_STORED_SAMPLES stored samples (five packed
+    # columns, 40 bytes a sample); refined events and kept samples are the
+    # returned arrays themselves.  Keeping every bracket, or boxed floats,
+    # exceeds the bound several times over on this run's 89 events.
+    chunk, cap = 8, 256
+    monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
+    monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
+    spec = SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
+        t_end=200.0, rel_tol=1e-6,
+    )
+    integrate(dataclasses.replace(spec, t_end=50.0))  # lazy set-up
+    tracemalloc.start()
+    try:
+        traj = integrate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.events) == 89 and traj.stats.stride > 1
+    returned = sum(
+        a.nbytes
+        for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation,
+                  traj.events.time, traj.events.x, traj.events.v, traj.events.energy)
+    )
+    assert peak - returned <= 16 * 1024 + 1024 * chunk + 64 * cap
 
 
 @pytest.mark.parametrize("n", [2, 3])
