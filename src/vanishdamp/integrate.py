@@ -6,14 +6,20 @@ plain stepping it provides:
 
   * velocity sign-change events, refined on the step's interpolant to
     1e-10 in time (grazing zeros that do not flip the sign are not events).
-    The loop only detects them and keeps each bracketing step's data;
-    after it, one vectorised Brent pass (the arithmetic of scipy's brentq,
-    so the same bits) refines every bracket at once;
+    The loop detects them and keeps each bracketing step's data; whenever
+    EVENT_CHUNK brackets have gathered, and once after the loop, one
+    vectorised Brent pass (the arithmetic of scipy's brentq, so the same
+    bits) refines them together and keeps only each event's time and state;
   * a running dissipation integral int_0^t a |x'|^2, accumulated per step
     by 3-point Gauss-Legendre quadrature on the interpolant, independently
     of the energy difference it is later checked against;
-  * memory-bounded output: stored samples are thinned by stride doubling
-    to at most MAX_STORED_SAMPLES states, events are never thinned;
+  * bounded memory: stored samples are thinned by stride doubling to at
+    most MAX_STORED_SAMPLES states, events are never thinned.  For n=1 a
+    run holds 40 bytes per stored sample (t, x, v, x'' and the dissipation
+    packed as floats; the energy adds 8 after the loop), 24 bytes per
+    event (t, x, v; the energy adds 8), and fewer than EVENT_CHUNK = 4096
+    unrefined brackets of about 520 bytes each.  The returned arrays take
+    over the packed columns without a copy;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
@@ -334,6 +340,12 @@ class StateOps(NamedTuple):
     the least fixed cost at the bits of its checked form.  Everything else
     in the stepper and in the recursion is elementwise arithmetic that
     runs on either.
+
+    ``column`` makes the growable sequence the stepper stores samples and
+    events in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
+    value, against 32 for a list of boxed floats), a list of (n,) arrays
+    for n >= 2.  Both append, thin by ``[::2]``, insert at 0 and convert
+    with ``np.asarray`` alike, the packed one without a copy.
     """
 
     states: Callable  # array of (n,) rows -> float(s) or array
@@ -345,7 +357,7 @@ class StateOps(NamedTuple):
     norm: Callable  # Euclidean norm, a float
     project: Callable  # component along the event direction, a float
     const: Callable  # a float c -> c in the state's type, read-only
-    column: Callable  # iterable of states -> a stored-sample column holding them
+    column: Callable  # iterable of states -> a growable column holding them
 
 
 def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOps:
@@ -462,7 +474,9 @@ def _solve(spec: SystemSpec) -> Trajectory:
 def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     """The stepper: x, v and the stages are floats for n=1, arrays for n >= 2.
 
-    The coefficients that multiply a state (the tableau's a, b and e, the
+    Returns the ops.column columns of the stored samples (t, x, v, x'',
+    energy, dissipation) and of the events (t, x, v, energy), then the
+    stats.  The coefficients that multiply a state (the tableau's a, b and e, the
     dense-output matrix, the Gauss-Legendre nodes of the Horner sums) are
     held in the state's type; the c_i and the nodes in t + gl*h multiply
     the float h and stay floats.
