@@ -437,6 +437,11 @@ def _trajectory_digest(traj, samples=True):
 
 # SHA-256 of every stored array and event of the well_run fixture
 _WELL_RUN_DIGEST = "f31c5160742dcd3f80b2b23b6f7b2003d210475e80ae77db9abb747b0a3bd8eb"
+# the well_run system to t=1e3: 6,070 steps, 449 events
+_WELL_SHORT = SystemSpec(
+    schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
+    t_end=1.0e3, rel_tol=1e-6,
+)
 # a slanted event direction: every bracket is projected; its event count
 # and the SHA-256 of its events
 _SLANTED_EVENTS = (
@@ -520,16 +525,11 @@ _integrate_module = importlib.import_module("vanishdamp.integrate")
 @pytest.mark.parametrize(
     "spec, counts, digest",
     [
-        # the well_run system to t=1e3: 6,070 steps, 449 events
-        (SystemSpec(
-            schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
-            t_end=1.0e3, rel_tol=1e-6,
-        ), (760, 449, 8), "1894466db8a0146a87fb8dc58705fb98075a0956667bedd43f860721f24177ca"),
-        # the slanted n=2 event run to t=100: 2,234 steps, 32 events
-        (SystemSpec(
-            schedule=Constant(0.05), potential=Quadratic(2), x0=[1.0, 0.3],
-            v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
-        ), (560, 32, 4), "fadb8a0119b6c7a1071b5b012d77a1993878bb4849bc8c21e99251fd6c083866"),
+        (_WELL_SHORT, (760, 449, 8),
+         "1894466db8a0146a87fb8dc58705fb98075a0956667bedd43f860721f24177ca"),
+        # 2,234 steps
+        (_SLANTED_EVENTS[0], (560, 32, 4),
+         "fadb8a0119b6c7a1071b5b012d77a1993878bb4849bc8c21e99251fd6c083866"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
@@ -562,10 +562,8 @@ def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
 @pytest.mark.parametrize(
     "spec, snap, exact, digest",
     [
-        (SystemSpec(
-            schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
-            t_end=1.0e3, rel_tol=1e-6,
-        ), 1e-3, 139, "f6eb3116d0c5e08a41c17ff36128f252b92e8406fe4cd3cad42827c4831d1cfc"),
+        (_WELL_SHORT, 1e-3, 139,
+         "f6eb3116d0c5e08a41c17ff36128f252b92e8406fe4cd3cad42827c4831d1cfc"),
         (_SLANTED_EVENTS[0], 3e-5, 9,
          "df653ad5d39c2fcb7fea7923633f8c49b6d0135684db17708ee508cfb26469ec"),
     ],
@@ -604,16 +602,12 @@ def test_refinement_errors_yield_to_loop_errors(monkeypatch):
 
     monkeypatch.setattr(_integrate_module, "_brentq_batch", failing)
     monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", 2)
-    spec = SystemSpec(
-        schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
-        t_end=1.0e3, rel_tol=1e-6, max_steps=2000,
-    )
     with pytest.raises(MaxStepsExceeded):
-        integrate(spec)
+        integrate(dataclasses.replace(_WELL_SHORT, max_steps=2000))
     assert calls == [0]  # the first chunk failed; no later one was refined
     calls.clear()
     with pytest.raises(ValueError, match="refinement 1 failed"):
-        integrate(dataclasses.replace(spec, max_steps=10_000))
+        integrate(_WELL_SHORT)
     assert calls == [0]
 
 
@@ -627,10 +621,7 @@ def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
     chunk, cap = 8, 256
     monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
     monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
-    spec = SystemSpec(
-        schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
-        t_end=200.0, rel_tol=1e-6,
-    )
+    spec = dataclasses.replace(_WELL_SHORT, t_end=200.0)
     integrate(dataclasses.replace(spec, t_end=50.0))  # lazy set-up
     tracemalloc.start()
     try:
