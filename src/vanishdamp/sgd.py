@@ -47,8 +47,108 @@ __all__ = [
 
 _RULES = ("Constant", "PowerDecay")
 _U64_SCALE = 2.0 ** -64
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+# noise draws generated and transformed at a time: a stream of any length
+# holds its output plus one block's temporaries
+_NOISE_BLOCK = 1 << 14
 # relative tolerance of compare_to_ode's reference integration
 ODE_REL_TOL = 1e-10
+
+# Cephes ndtri.c, the inverse normal CDF that scipy.special.ndtri runs:
+# sqrt(2 pi), exp(-2), and the rational approximations in y - 1/2 for
+# exp(-2) < y < 1 - exp(-2) (P0/Q0), and in z = 1/x with
+# x = sqrt(-2 ln y) for 2 <= x < 8 (P1/Q1) and x >= 8 (P2/Q2).  The Q
+# tables leave out their leading coefficient 1.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes polevl: coef[0] x^N + ... + coef[N], in Horner order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """Cephes p1evl: polevl with an implied leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    # the C library's log, as Cephes calls it; numpy's can differ in the
+    # last bit (see schedule._each)
+    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF of a float array, bit for bit scipy.special.ndtri.
+
+    The operations of Cephes ``ndtri`` in the same order.  0 gives -inf,
+    1 gives +inf, and NaN or values outside [0, 1] give NaN.
+    """
+    out = np.full(u.shape, np.nan)
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    mid = y > _EXP_M2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+
+    tail = (y > 0.0) & ~mid
+    x = np.sqrt(-2.0 * _logs(y[tail]))
+    x0 = x - _logs(x) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1),
+                  z * _polevl(z, _P2) / _p1evl(z, _Q2))
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    edge = y == 0.0
+    out[edge] = np.where(upper[edge], np.inf, -np.inf)
+    return out
+
+
+def _uniform(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit draws mapped to floats strictly inside (0, 1).
+
+    (raw + 1/2) 2^-64, which rounds to 1 for the top 1024 raw values;
+    those are held at the largest float below 1.
+    """
+    u = (raw.astype(np.float64) + 0.5) * _U64_SCALE
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 @dataclass(frozen=True)
@@ -114,7 +214,9 @@ class NoiseModel:
 
     Sampling is counter-based (Philox keyed by ``seed``) with the
     Gaussian produced by inverse-CDF, so a path is reproducible bit for
-    bit across runs and platforms.
+    bit across runs and platforms.  The inverse CDF is a numpy port of
+    Cephes ``ndtri``, tested bit for bit against
+    ``scipy.special.ndtri``, so drawing noise loads no scipy.
     """
 
     kind: str
@@ -150,13 +252,16 @@ class NoiseModel:
             raise DomainError("need count >= 0 and dim >= 1")
         if self.kind == "None" or self.sigma == 0.0:
             return np.zeros((count, dim))
-        from scipy.special import ndtri  # on first use: plain runs never load scipy
-
         bits = np.random.Generator(np.random.Philox(key=int(self.seed)))
-        raw = bits.integers(0, 2 ** 64, size=(count, dim), dtype=np.uint64)
-        # uniform strictly inside (0, 1), then inverse normal CDF
-        u = (raw.astype(np.float64) + 0.5) * _U64_SCALE
-        return self.sigma * ndtri(u)
+        out = np.empty((count, dim))
+        rows = max(1, _NOISE_BLOCK // dim)
+        # consecutive blocks of raw draws continue one stream
+        for start in range(0, count, rows):
+            block = out[start:start + rows]
+            raw = bits.integers(0, 2 ** 64, size=block.shape, dtype=np.uint64)
+            block[...] = _ndtri(_uniform(raw))
+        out *= self.sigma
+        return out
 
 
 @dataclass(frozen=True)

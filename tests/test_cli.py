@@ -208,15 +208,12 @@ def test_csv_bytes_are_pinned(tmp_path, text, pins):
         assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
-def test_run_loads_no_scipy(tmp_path):
-    # scipy is imported on first use (oracle, Custom schedules, noisy
-    # recursion); a plain run never loads it.  A fresh interpreter, since
-    # this one has scipy loaded by other tests
-    text = WELL_SHORT.replace("s0 = 1.0", "s0 = 0.0").replace("v0 = 1.1", "v0 = 0.0")
+def _scipy_loaded_by_run(cfg, outdir):
+    """The scipy modules loaded by ``run`` on ``cfg`` in a fresh interpreter."""
     script = (
         "import sys\n"
         "import vanishdamp.cli\n"
-        f"assert vanishdamp.cli.main(['run', {_cfg(tmp_path, text)!r}, '--outdir', {str(tmp_path)!r}]) == 0\n"
+        f"assert vanishdamp.cli.main(['run', {cfg!r}, '--outdir', {str(outdir)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -224,10 +221,23 @@ def test_run_loads_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # scipy is imported on first use (oracle, Custom schedules); a plain
+    # run and a noisy recursion never load it.  Fresh interpreters, since
+    # this one has scipy loaded by other tests
+    text = WELL_SHORT.replace("s0 = 1.0", "s0 = 0.0").replace("v0 = 1.1", "v0 = 0.0")
+    assert _scipy_loaded_by_run(_cfg(tmp_path, text), tmp_path) == "[]"
     # the singular schedule's t=0 row has a = inf
     first = (tmp_path / "quadshort_series.csv").read_text().splitlines()[1].split(",")
     assert first[0] == "0.0" and first[-2] == "inf"
+
+    noisy = tmp_path / "noisy"
+    assert "sigma = 0.5" in PLANE_SGD
+    assert _scipy_loaded_by_run(_cfg(tmp_path, PLANE_SGD, "sgd.cfg"), noisy) == "[]"
+    assert (noisy / "quadshort_path.csv").exists()
 
 
 def test_atomic_write_writes_in_slices(tmp_path):

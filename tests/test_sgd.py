@@ -26,6 +26,7 @@ from vanishdamp import (
     limiting_ode_rhs,
     run_recursion,
 )
+from vanishdamp import sgd
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,63 @@ def test_noise_stream_prefix_stability():
 def test_noise_stream_silent_cases():
     assert np.all(NoiseModel.none().stream(50, 3) == 0.0)
     assert np.all(NoiseModel.gaussian(0.0, seed=5).stream(50, 3) == 0.0)
+
+
+def _ulps_around(value, k):
+    """value and its k float neighbours on each side."""
+    below, above = [value], [value]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_ndtri_port_is_scipy_bitwise():
+    from scipy.special import ndtri  # the reference, for this test only
+
+    bits = np.random.Generator(np.random.Philox(key=2024))
+    raw = bits.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64)
+    stream_shaped = (raw.astype(np.float64) + 0.5) * 2.0 ** -64
+    edge = sgd._EXP_M2
+    # x = sqrt(-2 ln y) crosses 8 near y = exp(-32)
+    switch = _ulps_around(math.exp(-32.0), 400)
+    x = [math.sqrt(-2.0 * math.log(y)) for y in switch]
+    assert min(x) < 8.0 <= max(x)
+    tails = np.geomspace(2.0 ** -65, 0.25, 20_000)
+    special = np.array(
+        _ulps_around(edge, 40) + _ulps_around(1.0 - edge, 40)
+        + switch + _ulps_around(1.0 - switch[400], 40)
+        + [2.0 ** -k for k in range(1, 66)] + [1.0 - 2.0 ** -k for k in range(1, 54)]
+        + [0.0, 1.0, 0.5]
+    )
+    u = np.concatenate([stream_shaped, tails, 1.0 - tails, special])
+    assert u.min() == 0.0 and u.max() == 1.0
+    port, ref = sgd._ndtri(u), ndtri(u)
+    assert np.array_equal(port.view(np.uint64), ref.view(np.uint64))
+    assert sgd._ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+
+def test_uniform_holds_the_top_raw_values_below_one():
+    top = np.array([2 ** 64 - 1, 2 ** 64 - 512, 2 ** 64 - 1024], dtype=np.uint64)
+    below = np.array([2 ** 64 - 1025, 2 ** 64 - 2048, 0, 2 ** 63], dtype=np.uint64)
+    # unclamped, the top 1024 raw values round to exactly 1, whose ndtri is inf
+    assert np.all((top.astype(np.float64) + 0.5) * 2.0 ** -64 == 1.0)
+    u = sgd._uniform(top)
+    assert np.all(u == math.nextafter(1.0, 0.0))
+    z = sgd._ndtri(u)
+    assert np.all(np.isfinite(z)) and abs(z[0] - 8.2095) < 1e-4
+    # every other raw value keeps its uniform
+    assert np.array_equal(sgd._uniform(below), (below.astype(np.float64) + 0.5) * 2.0 ** -64)
+    assert 0.0 < sgd._uniform(below).min()
+
+
+# rows per block: 1, 2, 3, 7 and 1365 for dim 3
+@pytest.mark.parametrize("block", [1, 6, 9, 21, 4096])
+def test_noise_blocks_continue_one_stream(monkeypatch, block):
+    noise = NoiseModel.gaussian(0.5, seed=42)
+    whole = noise.stream(1_000, 3)
+    monkeypatch.setattr(sgd, "_NOISE_BLOCK", block)
+    assert np.array_equal(noise.stream(1_000, 3).view(np.uint64), whole.view(np.uint64))
 
 
 def test_seeded_replay_is_bitwise():
