@@ -27,7 +27,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,70 +71,39 @@ def _fmt(value: float) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv(header: List[str], n_rows: int, block: Callable[[int, int], list]) -> str:
-    """CSV text from ``block(lo, hi)``, the formatted columns of rows lo..hi-1."""
+def _csv(header: List[str], columns: list) -> str:
+    """CSV text of equal-length columns, formatted ``_CSV_BLOCK_ROWS`` rows
+    at a time: float arrays in shortest round-trip form, ``range`` index
+    columns with ``str``."""
     parts = [",".join(header) + "\n"]
-    for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-        rows = map(",".join, zip(*block(lo, min(lo + _CSV_BLOCK_ROWS, n_rows))))
-        parts.append("\n".join(rows) + "\n")
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [column[lo:lo + _CSV_BLOCK_ROWS] for column in columns]
+        # repr of the Python floats tolist() gives is _fmt of each entry
+        cells = [map(str, c) if isinstance(c, range) else map(repr, c.tolist()) for c in block]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
     return "".join(parts)
 
 
-def _reprs(column: np.ndarray) -> Iterator[str]:
-    # repr of the Python floats tolist() gives is _fmt of each entry
-    return map(repr, column.tolist())
+def _names(prefix: str, n: int) -> List[str]:
+    return [f"{prefix}_{i}" for i in range(n)]
 
 
 def _series_csv(traj: Trajectory) -> str:
-    n = traj.n
-    header = ["t"] + [f"x_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
-    header += ["E", "a", "gnorm"]
+    header = ["t", *_names("x", traj.n), *_names("v", traj.n), "E", "a", "gnorm"]
     a = traj.spec.schedule.a_values(traj.ts)
     gnorm = traj.spec.potential.grad_norms(traj.xs)
-
-    def block(lo: int, hi: int) -> list:
-        xs, vs = traj.xs[lo:hi], traj.vs[lo:hi]
-        return [
-            _reprs(traj.ts[lo:hi]),
-            *(_reprs(xs[:, i]) for i in range(n)),
-            *(_reprs(vs[:, i]) for i in range(n)),
-            _reprs(traj.energies[lo:hi]),
-            _reprs(a[lo:hi]),
-            _reprs(gnorm[lo:hi]),
-        ]
-
-    return _csv(header, len(traj.ts), block)
+    return _csv(header, [traj.ts, *traj.xs.T, *traj.vs.T, traj.energies, a, gnorm])
 
 
 def _events_csv(traj: Trajectory) -> str:
-    n = traj.n
     events = traj.events
-    header = ["i", "t"] + [f"x_{i}" for i in range(n)] + ["E"]
-
-    def block(lo: int, hi: int) -> list:
-        return [
-            map(str, range(lo, hi)),
-            _reprs(events.time[lo:hi]),
-            *(_reprs(events.x[lo:hi, i]) for i in range(n)),
-            _reprs(events.energy[lo:hi]),
-        ]
-
-    return _csv(header, len(events), block)
+    header = ["i", "t", *_names("x", traj.n), "E"]
+    return _csv(header, [range(len(events)), events.time, *events.x.T, events.energy])
 
 
 def _path_csv(path: DiscretePath) -> str:
-    d = path.dim
-    header = ["n", "tau"] + [f"h_{i}" for i in range(d)] + [f"x_{i}" for i in range(d)]
-
-    def block(lo: int, hi: int) -> list:
-        return [
-            map(str, range(lo, hi)),
-            _reprs(path.tau[lo:hi]),
-            *(_reprs(path.h[lo:hi, i]) for i in range(d)),
-            *(_reprs(path.x[lo:hi, i]) for i in range(d)),
-        ]
-
-    return _csv(header, len(path.tau), block)
+    header = ["n", "tau", *_names("h", path.dim), *_names("x", path.dim)]
+    return _csv(header, [range(len(path.tau)), path.tau, *path.h.T, *path.x.T])
 
 
 def _fit_block(traj: Trajectory) -> Optional[dict]:
@@ -195,6 +164,7 @@ def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
     traj = integrate(run_cfg.spec)
     summary = _summarize(run_cfg, traj, time.perf_counter() - started)
 
+    run_cfg.outdir.mkdir(parents=True, exist_ok=True)
     if run_cfg.sgd is not None:
         steps, noise, n_steps = run_cfg.sgd
         pot = run_cfg.spec.potential
@@ -208,12 +178,10 @@ def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
             "ode_deviation": comparison.deviation,
             "ode_metric": comparison.metric,
         }
-        run_cfg.outdir.mkdir(parents=True, exist_ok=True)
         _atomic_write(run_cfg.outdir / f"{run_cfg.name}_path.csv", _path_csv(path))
     else:
         summary["sgd"] = None
 
-    run_cfg.outdir.mkdir(parents=True, exist_ok=True)
     if write_series:
         _atomic_write(run_cfg.outdir / f"{run_cfg.name}_series.csv", _series_csv(traj))
         _atomic_write(run_cfg.outdir / f"{run_cfg.name}_events.csv", _events_csv(traj))
@@ -340,34 +308,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# kind: (the option it needs, header, the values after t); the lambdas
+# call the oracle functions through this module's names
+_ORACLES = {
+    "bessel": ("nu", "t,value", lambda nu, t: (bessel_j(nu, t),)),
+    "linear": ("c", "t,value", lambda c, t: (linear_regular_solution(c, t),)),
+    "power": ("beta", "t,x,v,c", lambda beta, t: power_law_exact(beta, t)),
+}
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         times = [float(t) for t in args.t]
     except ValueError:
         raise ConfigError(f"--t expects numbers, got {args.t}") from None
-    if args.kind == "bessel":
-        if args.nu is None:
-            raise ConfigError("oracle bessel needs --nu")
-        print("t,value")
-        for t in times:
-            print(f"{_fmt(t)},{_fmt(bessel_j(args.nu, t))}")
-        return 0
-    if args.kind == "linear":
-        if args.c is None:
-            raise ConfigError("oracle linear needs --c")
-        print("t,value")
-        for t in times:
-            print(f"{_fmt(t)},{_fmt(linear_regular_solution(args.c, t))}")
-        return 0
-    if args.kind == "power":
-        if args.beta is None:
-            raise ConfigError("oracle power needs --beta")
-        print("t,x,v,c")
-        for t in times:
-            x, v, c = power_law_exact(args.beta, t)
-            print(f"{_fmt(t)},{_fmt(x)},{_fmt(v)},{_fmt(c)}")
-        return 0
-    raise ConfigError(f"unknown oracle kind '{args.kind}'; expected bessel, linear or power")
+    if args.kind not in _ORACLES:
+        raise ConfigError(f"unknown oracle kind '{args.kind}'; expected bessel, linear or power")
+    option, header, values = _ORACLES[args.kind]
+    param = getattr(args, option)
+    if param is None:
+        raise ConfigError(f"oracle {args.kind} needs --{option}")
+    print(header)
+    for t in times:
+        print(",".join(map(_fmt, (t, *values(param, t)))))
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,9 +3,9 @@
 Configs are line-oriented text: ``[section]`` headers followed by
 ``key = value`` pairs, with ``#`` or ``;`` starting a comment.  The
 parser records the line number of every assignment so any later
-complaint about a value (wrong type, unknown kind, missing key) points
-back at the exact line, which the stock ini module cannot do once
-parsing has finished.
+complaint about a value (wrong type, out of bounds, unknown kind,
+missing key) points back at the exact line, which the stock ini module
+cannot do once parsing has finished.
 """
 
 from __future__ import annotations
@@ -44,47 +44,70 @@ __all__ = [
     "echo_to_text",
 ]
 
-_SCHEDULE_KINDS = ("Constant", "PowerLaw", "SlowLog")
-_POTENTIAL_KINDS = (
-    "Quadratic",
-    "PPower",
-    "SignedPower",
-    "DoubleWell",
-    "FlatBottom",
-    "Polynomial1D",
-    "Zero",
-)
 
-# allowed keys per section; unknown keys are reported with their line
-_KNOWN_KEYS = {
-    "scenario": {"name", "outdir"},
-    "schedule": {"kind", "level", "c", "gamma", "s0"},
-    "potential": {"kind", "n", "p", "beta", "coeffs"},
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _numbers(text: str) -> np.ndarray:
+    return np.array([float(p) for p in text.split(",")])
+
+
+# a key's conversion, what its type error says it expects, and where a
+# value must lie for the consumer to accept it: (bound text, test)
+_TEXT = (str, "text")
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_NUMBERS = (_numbers, "comma-separated numbers")
+_POSITIVE = (*_NUMBER, "positive and finite", lambda v: 0.0 < v < math.inf)
+_COUNT = (*_INTEGER, ">= 1", lambda v: v >= 1)
+
+# every key of every section; unknown keys are reported with their line
+_KEYS = {
+    "scenario": {"name": _TEXT, "outdir": _TEXT},
+    "schedule": {"kind": _TEXT, "level": _NUMBER, "c": _NUMBER, "gamma": _NUMBER, "s0": _NUMBER},
+    "potential": {"kind": _TEXT, "n": _COUNT, "p": _NUMBER, "beta": _NUMBER, "coeffs": _NUMBERS},
     "run": {
-        "x0",
-        "v0",
-        "t_end",
-        "rel_tol",
-        "abs_tol",
-        "max_steps",
-        "fixed_step",
-        "sample_stride",
-        "event_dir",
+        "x0": _NUMBERS,
+        "v0": _NUMBERS,
+        "t_end": _POSITIVE,
+        "rel_tol": _POSITIVE,
+        "abs_tol": _POSITIVE,
+        "max_steps": _COUNT,
+        "fixed_step": _POSITIVE,
+        "sample_stride": _COUNT,
+        "event_dir": _NUMBERS,
     },
-    "sgd": {"rule", "eps0", "rho", "sigma", "seed", "N"},
+    "sgd": {
+        "rule": _TEXT,
+        "eps0": _NUMBER,
+        "rho": _NUMBER,
+        "sigma": (*_NUMBER, ">= 0 and finite", lambda v: 0.0 <= v < math.inf),
+        "seed": (*_INTEGER, "in [0, 2**64)", lambda v: 0 <= v < 2**64),
+        "N": _COUNT,
+    },
     "sweep": {
-        "mode",
-        "runs",
-        "seed",
-        "x0_range",
-        "v0_range",
-        "vary",
-        "values",
-        "vary2",
-        "values2",
-        "write_series",
+        "mode": _TEXT,
+        "runs": _COUNT,
+        # the range of a Philox key
+        "seed": (*_INTEGER, "in [0, 2**128)", lambda v: 0 <= v < 2**128),
+        "x0_range": _NUMBERS,
+        "v0_range": _NUMBERS,
+        "vary": _TEXT,
+        "values": _TEXT,
+        "vary2": _TEXT,
+        "values2": _TEXT,
+        "write_series": (_boolean, "a boolean"),
     },
 }
+
+# ``get``'s default for a key that must be present
+_REQUIRED = object()
 
 
 @dataclass
@@ -108,59 +131,32 @@ class ParsedConfig:
         entry = self.raw(section, key)
         return entry[1] if entry else self.section_lines.get(section, 0)
 
-    def _get(self, section: str, key: str, default, convert: Callable, expects: str):
-        """The key's text converted, or ``default``; a missing key with no
-        default and a text ``convert`` rejects are both ConfigErrors."""
+    def get(self, section: str, key: str, default=_REQUIRED):
+        """The key's text converted and checked as ``_KEYS`` says, or
+        ``default`` when the key is absent; a missing required key, a
+        text the conversion rejects and a value out of bounds are each a
+        ConfigError at their line."""
         entry = self.raw(section, key)
         if entry is None:
-            if default is None:
+            if default is _REQUIRED:
                 raise self.error(
                     f"missing required key '{key}' in [{section}]",
                     self.section_lines.get(section, 0),
                 )
             return default
         text, line = entry
+        convert, expects, *bound = _KEYS[section][key]
         try:
-            return convert(text)
+            value = convert(text)
         except ValueError:
             raise self.error(f"key '{key}' expects {expects}, got '{text}'", line) from None
-
-    def get_str(self, section: str, key: str, default: Optional[str] = None) -> str:
-        return self._get(section, key, default, str, "text")
-
-    def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
-        return self._get(section, key, default, float, "a number")
-
-    def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
-        return self._get(section, key, default, int, "an integer")
-
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        entry = self.raw(section, key)
-        if entry is None:
-            return default
-        text, line = entry
-        lowered = text.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise self.error(f"key '{key}' expects a boolean, got '{text}'", line)
-
-    def get_floats(self, section: str, key: str, default=None) -> Optional[np.ndarray]:
-        entry = self.raw(section, key)
-        if entry is None:
-            return default
-        text, line = entry
-        try:
-            return np.array([float(p) for p in text.split(",")])
-        except ValueError:
-            raise self.error(
-                f"key '{key}' expects comma-separated numbers, got '{text}'", line
-            ) from None
+        if bound and not bound[1](value):
+            raise self.error(f"{key} must be {bound[0]}, got {value}", line)
+        return value
 
     def check_known_keys(self) -> None:
         for section, entries in self.values.items():
-            allowed = _KNOWN_KEYS.get(section)
+            allowed = _KEYS.get(section)
             if allowed is None:
                 raise self.error(
                     f"unknown section [{section}]", self.section_lines.get(section, 0)
@@ -215,54 +211,64 @@ def apply_overrides(cfg: ParsedConfig, overrides: Dict[Tuple[str, str], str]) ->
         cfg.values.setdefault(section, {})[key] = (value, line)
 
 
-def build_schedule(cfg: ParsedConfig) -> DampingSchedule:
-    kind = cfg.get_str("schedule", "kind", "PowerLaw")
-    if kind == "Constant":
-        return Constant(cfg.get_float("schedule", "level"))
-    if kind == "PowerLaw":
-        return PowerLaw(
-            c=cfg.get_float("schedule", "c", 1.0),
-            gamma=cfg.get_float("schedule", "gamma", 1.0),
-            s0=cfg.get_float("schedule", "s0", 1.0),
+def _kind(cfg: ParsedConfig, section: str, key: str, default: str, kinds: dict, what: str):
+    """The constructor ``kinds`` holds for the name the section's ``key`` gives."""
+    name = cfg.get(section, key, default)
+    if name not in kinds:
+        raise cfg.error(
+            f"unknown {what} '{name}'; expected one of {tuple(kinds)}",
+            cfg.line_of(section, key),
         )
-    if kind == "SlowLog":
-        return slow_log_example()
-    raise cfg.error(
-        f"unknown schedule kind '{kind}'; expected one of {_SCHEDULE_KINDS}",
-        cfg.line_of("schedule", "kind"),
-    )
+    return kinds[name]
+
+
+_SCHEDULES: Dict[str, Callable[[ParsedConfig], DampingSchedule]] = {
+    "Constant": lambda cfg: Constant(cfg.get("schedule", "level")),
+    "PowerLaw": lambda cfg: PowerLaw(
+        c=cfg.get("schedule", "c", 1.0),
+        gamma=cfg.get("schedule", "gamma", 1.0),
+        s0=cfg.get("schedule", "s0", 1.0),
+    ),
+    "SlowLog": lambda cfg: slow_log_example(),
+}
+
+
+def _polynomial(cfg: ParsedConfig, n: int) -> Potential:
+    coeffs = cfg.get("potential", "coeffs", None)
+    if coeffs is None:
+        raise cfg.error("Polynomial1D needs 'coeffs'", cfg.line_of("potential", "kind"))
+    return Polynomial1D(coeffs)
+
+
+# constructors of (cfg, n); the 1D kinds ignore n
+_POTENTIALS: Dict[str, Callable[[ParsedConfig, int], Potential]] = {
+    "Quadratic": lambda cfg, n: Quadratic(n),
+    "PPower": lambda cfg, n: PPower(cfg.get("potential", "p"), n),
+    "SignedPower": lambda cfg, n: SignedPower(cfg.get("potential", "beta")),
+    "DoubleWell": lambda cfg, n: DoubleWell(),
+    "FlatBottom": lambda cfg, n: FlatBottom(n),
+    "Polynomial1D": _polynomial,
+    "Zero": lambda cfg, n: Zero(n),
+}
+
+# constructors of (cfg, eps0)
+_RULES: Dict[str, Callable[[ParsedConfig, float], StepSchedule]] = {
+    "Constant": lambda cfg, eps0: StepSchedule.constant(eps0),
+    "PowerDecay": lambda cfg, eps0: StepSchedule.power_decay(eps0, cfg.get("sgd", "rho")),
+}
+
+
+def build_schedule(cfg: ParsedConfig) -> DampingSchedule:
+    return _kind(cfg, "schedule", "kind", "PowerLaw", _SCHEDULES, "schedule kind")(cfg)
 
 
 def build_potential(cfg: ParsedConfig) -> Potential:
-    kind = cfg.get_str("potential", "kind", "Quadratic")
-    n = cfg.get_int("potential", "n", 1)
-    if kind == "Quadratic":
-        return Quadratic(n)
-    if kind == "PPower":
-        return PPower(cfg.get_float("potential", "p"), n)
-    if kind == "SignedPower":
-        return SignedPower(cfg.get_float("potential", "beta"))
-    if kind == "DoubleWell":
-        return DoubleWell()
-    if kind == "FlatBottom":
-        return FlatBottom(n)
-    if kind == "Polynomial1D":
-        coeffs = cfg.get_floats("potential", "coeffs")
-        if coeffs is None:
-            raise cfg.error(
-                "Polynomial1D needs 'coeffs'", cfg.line_of("potential", "kind")
-            )
-        return Polynomial1D(tuple(float(c) for c in coeffs))
-    if kind == "Zero":
-        return Zero(n)
-    raise cfg.error(
-        f"unknown potential kind '{kind}'; expected one of {_POTENTIAL_KINDS}",
-        cfg.line_of("potential", "kind"),
-    )
+    make = _kind(cfg, "potential", "kind", "Quadratic", _POTENTIALS, "potential kind")
+    return make(cfg, cfg.get("potential", "n", 1))
 
 
 def _point(cfg: ParsedConfig, key: str, n: int, default: float) -> np.ndarray:
-    arr = cfg.get_floats("run", key)
+    arr = cfg.get("run", key, None)
     if arr is None:
         return np.full(n, default)
     if arr.size == 1 and n > 1:
@@ -279,51 +285,30 @@ def build_system_spec(
     cfg: ParsedConfig, schedule: DampingSchedule, potential: Potential
 ) -> SystemSpec:
     n = potential.n
-    t_end = cfg.get_float("run", "t_end")
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise cfg.error(
-            f"t_end must be positive and finite, got {t_end}", cfg.line_of("run", "t_end")
-        )
-    max_steps = cfg.get_int("run", "max_steps", 10_000_000)
-    stride = cfg.get_int("run", "sample_stride", 0)
-    fixed = cfg.get_float("run", "fixed_step", 0.0)
-    event_dir = cfg.get_floats("run", "event_dir")
     return SystemSpec(
         schedule=schedule,
         potential=potential,
         x0=_point(cfg, "x0", n, 1.0),
         v0=_point(cfg, "v0", n, 0.0),
-        t_end=t_end,
-        rel_tol=cfg.get_float("run", "rel_tol", 1e-9),
-        abs_tol=cfg.get_float("run", "abs_tol", 1e-12),
-        max_steps=max_steps,
-        sample_stride=stride if stride > 0 else None,
-        event_dir=event_dir,
-        fixed_step=fixed if fixed > 0.0 else None,
+        t_end=cfg.get("run", "t_end"),
+        rel_tol=cfg.get("run", "rel_tol", 1e-9),
+        abs_tol=cfg.get("run", "abs_tol", 1e-12),
+        max_steps=cfg.get("run", "max_steps", 10_000_000),
+        sample_stride=cfg.get("run", "sample_stride", None),
+        event_dir=cfg.get("run", "event_dir", None),
+        fixed_step=cfg.get("run", "fixed_step", None),
     )
 
 
 def build_sgd(cfg: ParsedConfig) -> Optional[Tuple[StepSchedule, NoiseModel, int]]:
     if not cfg.has_section("sgd"):
         return None
-    rule = cfg.get_str("sgd", "rule", "Constant")
-    eps0 = cfg.get_float("sgd", "eps0")
-    if rule == "PowerDecay":
-        steps = StepSchedule.power_decay(eps0, cfg.get_float("sgd", "rho"))
-    elif rule == "Constant":
-        steps = StepSchedule.constant(eps0)
-    else:
-        raise cfg.error(
-            f"unknown sgd rule '{rule}'; expected Constant or PowerDecay",
-            cfg.line_of("sgd", "rule"),
-        )
-    sigma = cfg.get_float("sgd", "sigma", 0.0)
-    seed = cfg.get_int("sgd", "seed", 0)
+    make = _kind(cfg, "sgd", "rule", "Constant", _RULES, "sgd rule")
+    steps = make(cfg, cfg.get("sgd", "eps0"))
+    sigma = cfg.get("sgd", "sigma", 0.0)
+    seed = cfg.get("sgd", "seed", 0)
     noise = NoiseModel.gaussian(sigma, seed) if sigma > 0.0 else NoiseModel.none()
-    n_steps = cfg.get_int("sgd", "N")
-    if n_steps < 1:
-        raise cfg.error(f"N must be >= 1, got {n_steps}", cfg.line_of("sgd", "N"))
-    return steps, noise, n_steps
+    return steps, noise, cfg.get("sgd", "N")
 
 
 @dataclass
@@ -342,26 +327,22 @@ class SweepPlan:
 def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
     if not cfg.has_section("sweep"):
         raise cfg.error("sweep requires a [sweep] section")
-    mode = cfg.get_str("sweep", "mode", "random")
-    write_series = cfg.get_bool("sweep", "write_series", False)
+    mode = cfg.get("sweep", "mode", "random")
+    write_series = cfg.get("sweep", "write_series", False)
     rows: list = []
     labels: list = []
 
     if mode == "random":
-        runs = cfg.get_int("sweep", "runs")
-        if runs < 1:
-            raise cfg.error(
-                f"runs must be >= 1, got {runs}", cfg.line_of("sweep", "runs")
-            )
-        x0r = cfg.get_floats("sweep", "x0_range", np.array([-2.0, 2.0]))
-        v0r = cfg.get_floats("sweep", "v0_range", np.array([-2.0, 2.0]))
+        runs = cfg.get("sweep", "runs")
+        x0r = cfg.get("sweep", "x0_range", np.array([-2.0, 2.0]))
+        v0r = cfg.get("sweep", "v0_range", np.array([-2.0, 2.0]))
         for name, rng in (("x0_range", x0r), ("v0_range", v0r)):
             if rng.size != 2 or not rng[0] < rng[1]:
                 raise cfg.error(
                     f"{name} expects 'low, high' with low < high",
                     cfg.line_of("sweep", name),
                 )
-        seed = cfg.get_int("sweep", "seed", 0)
+        seed = cfg.get("sweep", "seed", 0)
         n = potential.n
         gen = np.random.Generator(np.random.Philox(key=seed))
         draws = gen.uniform(size=(runs, 2 * n))
@@ -389,9 +370,9 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
                     f"vary{suffix} expects 'section.key', got '{key_text}'", line
                 )
             section, _, key = key_text.partition(".")
-            if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
+            if key not in _KEYS.get(section, ()):
                 raise cfg.error(f"vary{suffix} names unknown key '{key_text}'", line)
-            values_text = cfg.get_str("sweep", "values" + suffix)
+            values_text = cfg.get("sweep", "values" + suffix)
             values = [v.strip() for v in values_text.split(",") if v.strip()]
             if not values:
                 raise cfg.error(
@@ -439,8 +420,8 @@ def load_run_config(
         apply_overrides(cfg, overrides)
     cfg.check_known_keys()
     spec = build_system_spec(cfg, build_schedule(cfg), build_potential(cfg))
-    name = cfg.get_str("scenario", "name", Path(path).stem)
-    out = Path(outdir if outdir is not None else cfg.get_str("scenario", "outdir", "."))
+    name = cfg.get("scenario", "name", Path(path).stem)
+    out = Path(outdir if outdir is not None else cfg.get("scenario", "outdir", "."))
     return RunConfig(
         name=name,
         outdir=out,

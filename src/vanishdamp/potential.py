@@ -31,6 +31,13 @@ ROOT_TOL = 1.0e-10
 VIOLATION_REL = 1.0e-9
 
 
+def _dimension(n) -> int:
+    """``n`` as the dimension of a potential, which is at least 1."""
+    if int(n) < 1:
+        raise DomainError(f"dimension must be >= 1, got {n}")
+    return int(n)
+
+
 class Potential:
     """Base interface; subclasses are immutable after construction.
 
@@ -106,7 +113,7 @@ class Quadratic(Potential):
     """G(x) = |x|^2/2; gradient x; the linear-equation test case."""
 
     def __init__(self, n: int = 1):
-        self.n = int(n)
+        self.n = _dimension(n)
         self.kind = "Quadratic"
         self.coercive = True
         self.min_value = 0.0
@@ -127,7 +134,7 @@ class PPower(Potential):
         if not p > 1:
             raise DomainError(f"PPower needs p > 1, got {p}")
         self.p = float(p)
-        self.n = int(n)
+        self.n = _dimension(n)
         self.kind = "PPower"
         self.coercive = True
         self.min_value = 0.0
@@ -213,7 +220,7 @@ class FlatBottom(Potential):
     """
 
     def __init__(self, n: int = 1):
-        self.n = int(n)
+        self.n = _dimension(n)
         self.kind = "FlatBottom"
         self.coercive = True
         self.min_value = 0.0
@@ -296,7 +303,7 @@ class Zero(Potential):
     """G identically 0: free motion with damping."""
 
     def __init__(self, n: int = 1):
-        self.n = int(n)
+        self.n = _dimension(n)
         self.kind = "Zero"
         self.coercive = False
         self.min_value = 0.0
@@ -326,7 +333,7 @@ class Custom(Potential):
         coercive: bool = False,
         min_value: Optional[float] = None,
     ):
-        self.n = int(n)
+        self.n = _dimension(n)
         self.kind = "Custom"
         self.coercive = bool(coercive)
         self.min_value = min_value

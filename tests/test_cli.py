@@ -132,6 +132,34 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert "solver failure (MaxStepsExceeded)" in capsys.readouterr().err
 
 
+SGD = "\n[sgd]\neps0 = 0.01\nN = 5\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, bad",
+    [
+        ("run", BASE + "fixed_step = -0.1\n", "fixed_step = -0.1"),
+        ("run", BASE + "fixed_step = nan\n", "fixed_step = nan"),
+        ("run", BASE + "sample_stride = -3\n", "sample_stride = -3"),
+        ("run", BASE + "abs_tol = inf\n", "abs_tol = inf"),
+        ("run", BASE.replace("rel_tol = 1e-8", "rel_tol = -1"), "rel_tol = -1"),
+        ("run", BASE + "max_steps = 0\n", "max_steps = 0"),
+        ("run", BASE + SGD + "sigma = -0.5\n", "sigma = -0.5"),
+        ("run", BASE.replace("n = 1", "n = 0"), "n = 0"),
+        ("run", BASE.replace("n = 1", "n = -2"), "n = -2"),
+        ("sweep", BASE + "\n[sweep]\nruns = 2\nseed = -1\n", "seed = -1"),
+    ],
+    ids=["fixed_step_negative", "fixed_step_nan", "sample_stride", "abs_tol_inf",
+         "rel_tol", "max_steps", "sigma", "n_zero", "n_negative", "sweep_seed"],
+)
+def test_out_of_bounds_value_exits_2_at_its_line(tmp_path, capsys, command, text, bad):
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    line = text.splitlines().index(bad) + 1
+    assert main([command, cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}:{line}: {bad.split()[0]} must be "), err
+
+
 BIG_PPOWER = BASE.replace("kind = Quadratic", "kind = PPower\np = 4").replace(
     "t_end = 60.0", "t_end = 10.0"
 )
@@ -338,6 +366,20 @@ def test_grid_sweep_continues_past_a_failing_row(tmp_path, capsys):
     # write_series defaults off for sweep rows: summaries only
     assert (out / "quadshort_row0000_summary.json").exists()
     assert not (out / "quadshort_row0000_series.csv").exists()
+
+
+def test_grid_sweep_records_an_out_of_bounds_row(tmp_path, capsys):
+    text = BASE + "\n[sweep]\nmode = grid\nvary = run.fixed_step\nvalues = 0.1, -1\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
+
+    table = (out / "quadshort_sweep.csv").read_text().splitlines()
+    assert len(table) == 3
+    assert table[1].startswith("quadshort_row0000,run.fixed_step=0.1,")
+    assert table[1].endswith(",")  # no error
+    assert table[2].startswith("quadshort_row0001,run.fixed_step=-1,error,,ConfigError: ")
+    assert table[2].endswith("fixed_step must be positive and finite, got -1.0")
+    assert "2 rows (1 failed)" in capsys.readouterr().out
 
 
 def test_random_sweep_with_parallel_jobs(tmp_path, capsys):

@@ -6,12 +6,15 @@ and the echo round-trip.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vanishdamp import ConfigError, Constant, Quadratic
 from vanishdamp.config import (
+    _KEYS,
     apply_overrides,
     build_potential,
     build_schedule,
@@ -61,8 +64,8 @@ def test_parse_records_values_and_lines():
     assert cfg.raw("schedule", "c") == ("2.0", 8)
     assert cfg.raw("run", "x0") == ("0.5", 17)
     assert cfg.section_lines["schedule"] == 6
-    assert cfg.get_str("scenario", "name") == "demo"
-    assert cfg.get_float("schedule", "gamma") == 1.0
+    assert cfg.get("scenario", "name") == "demo"
+    assert cfg.get("schedule", "gamma") == 1.0
     cfg.check_known_keys()  # everything above is legal
 
 
@@ -99,26 +102,76 @@ def test_typed_getters():
         "[sweep]\nwrite_series = maybe\nmode = grid\n"
     )
     with pytest.raises(ConfigError, match="demo.cfg:2.*expects a number"):
-        cfg.get_float("run", "t_end")
+        cfg.get("run", "t_end")
     with pytest.raises(ConfigError, match="demo.cfg:3.*expects an integer"):
-        cfg.get_int("run", "max_steps")
+        cfg.get("run", "max_steps")
     with pytest.raises(ConfigError, match="demo.cfg:4.*comma-separated"):
-        cfg.get_floats("run", "x0")
+        cfg.get("run", "x0")
     with pytest.raises(ConfigError, match="demo.cfg:6.*expects a boolean"):
-        cfg.get_bool("sweep", "write_series")
+        cfg.get("sweep", "write_series")
     with pytest.raises(ConfigError, match="missing required key 'rel_tol'"):
-        cfg.get_float("run", "rel_tol")
-    assert cfg.get_float("run", "rel_tol", 1e-9) == 1e-9
+        cfg.get("run", "rel_tol")
+    assert cfg.get("run", "rel_tol", 1e-9) == 1e-9
+    assert cfg.get("run", "fixed_step", None) is None
+    assert cfg.get("sweep", "mode") == "grid"
 
 
 def test_boolean_spellings():
+    for text, expected in [("true", True), ("Yes", True), ("ON", True), ("1", True),
+                           ("false", False), ("No", False), ("off", False), ("0", False)]:
+        cfg = _parse(f"[sweep]\nwrite_series = {text}\n")
+        assert cfg.get("sweep", "write_series") is expected, text
+
+
+@pytest.mark.parametrize(
+    "section, key, text, message",
+    [
+        ("run", "t_end", "inf", "t_end must be positive and finite, got inf"),
+        ("run", "rel_tol", "0", "rel_tol must be positive and finite, got 0.0"),
+        ("run", "abs_tol", "nan", "abs_tol must be positive and finite, got nan"),
+        ("run", "fixed_step", "-0.1", "fixed_step must be positive and finite, got -0.1"),
+        ("run", "max_steps", "0", "max_steps must be >= 1, got 0"),
+        ("run", "sample_stride", "0", "sample_stride must be >= 1, got 0"),
+        ("potential", "n", "-2", "n must be >= 1, got -2"),
+        ("sgd", "N", "0", "N must be >= 1, got 0"),
+        ("sgd", "sigma", "inf", "sigma must be >= 0 and finite, got inf"),
+        ("sgd", "seed", "18446744073709551616", "seed must be in [0, 2**64), got 18446744073709551616"),
+        ("sweep", "runs", "0", "runs must be >= 1, got 0"),
+        ("sweep", "seed", "-1", "seed must be in [0, 2**128), got -1"),
+    ],
+)
+def test_bounds_are_located(section, key, text, message):
+    cfg = _parse(f"# bounds\n[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError) as err:
+        cfg.get(section, key)
+    assert str(err.value) == f"demo.cfg:3: {message}"
+
+
+def test_bounds_admit_their_edges():
     cfg = _parse(
-        "[sweep]\na = true\nb = Yes\nc = ON\nd = 1\ne = false\nf = No\ng = off\nh = 0\n"
+        "[sgd]\nsigma = 0\nseed = 18446744073709551615\n"
+        "[sweep]\nseed = 340282366920938463463374607431768211455\n"
     )
-    for key in "abcd":
-        assert cfg.get_bool("sweep", key) is True
-    for key in "efgh":
-        assert cfg.get_bool("sweep", key) is False
+    assert cfg.get("sgd", "sigma") == 0.0
+    assert cfg.get("sgd", "seed") == 2**64 - 1
+    assert cfg.get("sweep", "seed") == 2**128 - 1
+
+
+def test_docs_list_exactly_the_keys_of_each_section():
+    # each `## [section]` table of the reference names that section's keys
+    # in _KEYS, once each; the `vary2`, `values2` row names two
+    documented = {}
+    section = None
+    for line in (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text().splitlines():
+        if line.startswith("## "):
+            found = re.fullmatch(r"## \[(\w+)\]", line)
+            section = found.group(1) if found else None
+            if section:
+                documented[section] = []
+        elif section and line.startswith("| `"):
+            documented[section] += re.findall(r"`(\w+)`", line.split("|")[1])
+    assert {s: sorted(keys) for s, keys in documented.items()} == \
+        {s: sorted(keys) for s, keys in _KEYS.items()}
 
 
 def test_missing_file_is_a_config_error(tmp_path):
@@ -218,7 +271,7 @@ def test_overrides_reach_built_objects(tmp_path):
 def test_override_of_new_key_lands_in_section():
     cfg = _parse(GOOD)
     apply_overrides(cfg, {("run", "rel_tol"): "1e-6"})
-    assert cfg.get_float("run", "rel_tol") == 1e-6
+    assert cfg.get("run", "rel_tol") == 1e-6
 
 
 def test_echo_round_trip():

@@ -122,6 +122,23 @@ def test_dimension_validation():
         SignedPower(0.0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "make",
+    [
+        Quadratic,
+        lambda n: PPower(2.0, n),
+        FlatBottom,
+        Zero,
+        lambda n: CustomPotential(n, lambda x: 0.0, lambda x: np.zeros_like(x)),
+    ],
+    ids=["Quadratic", "PPower", "FlatBottom", "Zero", "Custom"],
+)
+def test_dimension_below_one_is_a_domain_error(make, n):
+    with pytest.raises(DomainError, match=f"dimension must be >= 1, got {n}"):
+        make(n)
+
+
 # ---------------------------------------------------------------------------
 # specific geometry
 
