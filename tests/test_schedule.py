@@ -319,6 +319,49 @@ def test_slow_log_example_schedule():
     assert not cls.analytic
 
 
+# (integral_a_diverges, exp_integral_finite, bounded_below,
+#  slow_log_condition) of the quadrature classifier, singular origins and an
+# undeclared monotonicity included; the flags are heuristic (c/(t+5)^1.1 is
+# taken for divergent at the horizon), so they are pinned as computed
+CUSTOM_FLAGS = [
+    (CustomSchedule(a=PowerLaw(0.5, 0.5, 1.0).rate_fn()), "0.5/(t+1)^0.5", (True, True, True, True)),
+    (CustomSchedule(a=PowerLaw(1.0, 1.0, 1.0).rate_fn()), "1/(t+1)", (True, False, True, True)),
+    (CustomSchedule(a=PowerLaw(2.0, 1.0, 1.0).rate_fn()), "2/(t+1)", (True, True, True, True)),
+    (CustomSchedule(a=PowerLaw(3.0, 2.0, 0.5).rate_fn()), "3/(t+0.5)^2", (False, False, False, False)),
+    (CustomSchedule(a=PowerLaw(1.5, 1.1, 5.0).rate_fn()), "1.5/(t+5)^1.1", (True, False, True, True)),
+    (CustomSchedule(a=lambda t: 0.0), "0", (False, False, False, False)),
+    (CustomSchedule(a=lambda t: 1.0), "1", (True, True, True, True)),
+    (CustomSchedule(a=lambda t: 2.0 / t, singular=True), "2/t", (True, True, True, True)),
+    (CustomSchedule(a=lambda t: 1.0 / math.sqrt(t), singular=True), "1/sqrt(t)", (True, True, True, True)),
+    (CustomSchedule(a=lambda t: math.exp(-t)), "exp(-t)", (False, False, False, False)),
+    (
+        CustomSchedule(a=lambda t: (1.0 + 0.5 * math.sin(t)) / (1.0 + t), nonincreasing_flag=False),
+        "(1+sin(t)/2)/(1+t)",
+        (True, False, True, True),
+    ),
+    (slow_log_example(), "slow_log_example()", (True, False, True, True)),
+    (
+        CustomSchedule(a=lambda t: 1.0 / ((t + 2.0) * math.log(t + 2.0))),
+        "1/((t+2)ln(t+2))",
+        (True, False, True, True),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sched,flags", [pytest.param(s, f, id=name) for s, name, f in CUSTOM_FLAGS]
+)
+def test_custom_classification_is_pinned(sched, flags):
+    cls = sched.classify()
+    assert (
+        cls.integral_a_diverges,
+        cls.exp_integral_finite,
+        cls.bounded_below,
+        cls.slow_log_condition,
+    ) == flags
+    assert cls.analytic is False
+
+
 # ---------------------------------------------------------------------------
 # derivatives and rate functions
 
