@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -297,93 +297,58 @@ class Custom(DampingSchedule):
         return np.array([integral(t) for t in self._times(times).tolist()])
 
     def classify(self) -> ScheduleClassification:
-        """Heuristic horizon classification; analytic=False always."""
+        """Quadrature heuristics on the decades from start (1e-9 when
+        singular, else 0) through 1, 10, ... to CLASSIFY_HORIZON;
+        analytic=False always.
+
+        Each decade adds one quadrature of a to a running sum, which decides
+        int a and gives the kernel exp(-int_0^t a) its value at the decade's
+        start; the kernel is integrated decade by decade until its sum passes
+        DIVERGENCE_THRESHOLD, and a(t ln t) on [e, 10], [10, 100], ....  The
+        sums of a and of a(t ln t) diverge when they pass DIVERGENCE_THRESHOLD
+        or their last decade adds over 1e-3 max(1, sum); the kernel's is finite
+        when it stays below and its last decade adds under 1e-3 of it.
+        """
         from scipy.integrate import quad
 
-        # running integral of a on geometric panels up to the horizon
-        panels = [0.0] + [10.0 ** k for k in range(0, 7)]
-        start = 1.0e-9 if self.singular else 0.0
-        total = 0.0
-        cum = []  # (t, int_0^t a)
-        lo = start
-        for hi in panels[1:]:
-            if hi <= lo:
-                continue
-            val, _ = quad(self.a, lo, hi, epsrel=1e-8, epsabs=1e-12, limit=200)
-            total += val
-            cum.append((hi, total))
-            lo = hi
-            if total > DIVERGENCE_THRESHOLD:
-                break
-        diverges = total > DIVERGENCE_THRESHOLD or (
-            # still growing near the horizon: extrapolate divergence when the
-            # last decade contributed a non-vanishing share
-            len(cum) >= 2 and cum[-1][1] - cum[-2][1] > 1.0e-3 * max(1.0, cum[-1][1])
-        )
+        def running_sums(f, edges):
+            parts = (quad(f, lo, hi, epsrel=1e-8, epsabs=1e-12, limit=200)[0]
+                     for lo, hi in zip(edges, edges[1:]))
+            return list(accumulate(parts, initial=0.0))
 
-        # kernel integral int exp(-I(t)) dt on the same panels, piecewise
-        # quadrature with the running integral interpolated per panel
+        def diverges(sums):
+            return sums[-1] > DIVERGENCE_THRESHOLD or (
+                sums[-1] - sums[-2] > 1.0e-3 * max(1.0, sums[-1])
+            )
+
+        edges = [1.0e-9 if self.singular else 0.0] + [10.0 ** k for k in range(7)]
+        sums = running_sums(self.a, edges)
+
         kernel_total = 0.0
-        kernel_incr = []
-        lo = start
-        base = 0.0
-        for hi in panels[1:]:
-            if hi <= lo:
-                continue
-
+        for lo, hi, base in zip(edges, edges[1:], sums):
             def kern(s, lo=lo, base=base):
                 val, _ = quad(self.a, lo, s, epsrel=1e-8, epsabs=1e-12, limit=100)
                 return math.exp(-(base + val))
 
             inc, _ = quad(kern, lo, hi, epsrel=1e-6, epsabs=1e-12, limit=60)
-            seg, _ = quad(self.a, lo, hi, epsrel=1e-8, epsabs=1e-12, limit=200)
-            base += seg
             kernel_total += inc
-            kernel_incr.append(inc)
-            lo = hi
             if kernel_total > DIVERGENCE_THRESHOLD:
                 break
-        exp_finite = kernel_total <= DIVERGENCE_THRESHOLD and (
-            len(kernel_incr) >= 2
-            and kernel_incr[-1] < 1.0e-3 * max(kernel_total, 1.0e-30)
-        )
 
         # bounded below: for a declared-nonincreasing schedule the infimum is
         # approached at the horizon
-        tail = self.a(CLASSIFY_HORIZON)
         if self.nonincreasing_flag:
-            bounded = tail > 1.0e-9
+            bounded = self.a(CLASSIFY_HORIZON) > 1.0e-9
         else:
-            grid = [10.0 ** (k / 4.0) for k in range(-8, 25)]
-            bounded = min(self.a(t) for t in grid) > 1.0e-9
-
-        slog_total = 0.0
-        slog_incr = []
-        lo = math.e
-        for hi in panels[2:]:
-            if hi <= lo:
-                continue
-            inc, _ = quad(
-                lambda t: self.a(t * math.log(t)),
-                lo,
-                hi,
-                epsrel=1e-8,
-                epsabs=1e-12,
-                limit=200,
-            )
-            slog_total += inc
-            slog_incr.append(inc)
-            lo = hi
-        slow_log = slog_total > DIVERGENCE_THRESHOLD or (
-            len(slog_incr) >= 2
-            and slog_incr[-1] > 1.0e-3 * max(1.0, slog_total)
-        )
+            bounded = min(self.a(10.0 ** (k / 4.0)) for k in range(-8, 25)) > 1.0e-9
+        slog_sums = running_sums(lambda t: self.a(t * math.log(t)), [math.e] + edges[2:])
 
         return ScheduleClassification(
-            integral_a_diverges=diverges,
-            exp_integral_finite=exp_finite,
+            integral_a_diverges=diverges(sums),
+            exp_integral_finite=kernel_total <= DIVERGENCE_THRESHOLD
+            and inc < 1.0e-3 * max(kernel_total, 1.0e-30),
             bounded_below=bounded,
-            slow_log_condition=slow_log,
+            slow_log_condition=diverges(slog_sums),
             analytic=False,
         )
 

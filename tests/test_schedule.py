@@ -362,6 +362,29 @@ def test_custom_classification_is_pinned(sched, flags):
     assert cls.analytic is False
 
 
+def test_custom_classification_integrates_a_once_per_decade(monkeypatch):
+    # the running sums of a over the decades decide int a and also give the
+    # kernel its value at each decade's start, so no decade is integrated
+    # twice; the kernel's inner quadratures end inside a decade
+    import scipy.integrate
+
+    def a(t):
+        return 1.0 / (1.0 + t)
+
+    edges = [0.0] + [10.0**k for k in range(7)]
+    whole = []
+    real_quad = scipy.integrate.quad
+
+    def counting_quad(f, lo, hi, *args, **kwargs):
+        if f is a and lo in edges and hi in edges:
+            whole.append((lo, hi))
+        return real_quad(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    CustomSchedule(a=a).classify()
+    assert whole == list(zip(edges, edges[1:]))
+
+
 # ---------------------------------------------------------------------------
 # derivatives and rate functions
 
