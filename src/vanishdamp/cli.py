@@ -66,6 +66,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell (RFC 4180): quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # rows formatted per block: a whole artifact's cells as strings at once
 # would cost far more memory than its text
 _CSV_BLOCK_ROWS = 4096
@@ -275,8 +283,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir) if args.outdir is not None else base.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     table = ["row,label,verdict,rate_exponent,error"]
-    for name, label, verdict, slope, error in rows:
-        table.append(f"{name},{label},{verdict},{slope},{error}")
+    for row in rows:
+        table.append(",".join(map(_csv_cell, row)))
     _atomic_write(outdir / f"{base.name}_sweep.csv", "\n".join(table) + "\n")
     _atomic_write(
         outdir / f"{base.name}_aggregate.json",

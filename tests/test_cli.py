@@ -4,6 +4,7 @@ Each test invokes ``main`` directly with a temp config and inspects exit
 codes, console output, and the CSV/JSON artifacts.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -193,7 +194,8 @@ def test_sweep_records_overflowing_rows(tmp_path, capsys):
         assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
     table = (out / "quadshort_sweep.csv").read_text().splitlines()
     assert len(table) == 4
-    assert all(",error,,NonFiniteState: " in row for row in table[1:])
+    # the message holds a comma, so its cell is quoted
+    assert all(',error,,"NonFiniteState: ' in row for row in table[1:])
     assert "3 rows (3 failed)" in capsys.readouterr().out
 
 
@@ -377,9 +379,28 @@ def test_grid_sweep_records_an_out_of_bounds_row(tmp_path, capsys):
     assert len(table) == 3
     assert table[1].startswith("quadshort_row0000,run.fixed_step=0.1,")
     assert table[1].endswith(",")  # no error
-    assert table[2].startswith("quadshort_row0001,run.fixed_step=-1,error,,ConfigError: ")
-    assert table[2].endswith("fixed_step must be positive and finite, got -1.0")
+    # the error text holds a comma, so its cell is quoted
+    assert table[2].startswith('quadshort_row0001,run.fixed_step=-1,error,,"ConfigError: ')
+    assert table[2].endswith('fixed_step must be positive and finite, got -1.0"')
     assert "2 rows (1 failed)" in capsys.readouterr().out
+
+
+def test_sweep_table_quotes_error_cells(tmp_path, capsys):
+    # an unknown kind's message lists the known ones, commas included
+    text = BASE + "\n[sweep]\nmode = grid\nvary = schedule.kind\nvalues = Constant, Fancy\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    with open(out / "quadshort_sweep.csv", newline="") as handle:
+        table = list(csv.reader(handle))
+    assert table[0] == ["row", "label", "verdict", "rate_exponent", "error"]
+    assert [len(row) for row in table] == [5, 5, 5]
+    assert table[2][:4] == ["quadshort_row0001", "schedule.kind=Fancy", "error", ""]
+    assert "expected one of ('Constant', 'PowerLaw', 'SlowLog')" in table[2][4]
+    # each error cell reads back as the message printed for its row
+    for (name, label, _, _, error), line in zip(table[1:], printed):
+        assert line == f"{name}  {label}: error {error}"
 
 
 def test_random_sweep_with_parallel_jobs(tmp_path, capsys):
