@@ -64,6 +64,7 @@ _TEXT = (str, "text")
 _NUMBER = (float, "a number")
 _INTEGER = (int, "an integer")
 _NUMBERS = (_numbers, "comma-separated numbers")
+_FINITE = (*_NUMBERS, "finite", lambda v: np.isfinite(v).all())
 _POSITIVE = (*_NUMBER, "positive and finite", lambda v: 0.0 < v < math.inf)
 _COUNT = (*_INTEGER, ">= 1", lambda v: v >= 1)
 
@@ -73,15 +74,15 @@ _KEYS = {
     "schedule": {"kind": _TEXT, "level": _NUMBER, "c": _NUMBER, "gamma": _NUMBER, "s0": _NUMBER},
     "potential": {"kind": _TEXT, "n": _COUNT, "p": _NUMBER, "beta": _NUMBER, "coeffs": _NUMBERS},
     "run": {
-        "x0": _NUMBERS,
-        "v0": _NUMBERS,
+        "x0": _FINITE,
+        "v0": _FINITE,
         "t_end": _POSITIVE,
         "rel_tol": _POSITIVE,
         "abs_tol": _POSITIVE,
         "max_steps": _COUNT,
         "fixed_step": _POSITIVE,
         "sample_stride": _COUNT,
-        "event_dir": _NUMBERS,
+        "event_dir": _FINITE,
     },
     "sgd": {
         "rule": _TEXT,
@@ -281,6 +282,15 @@ def _point(cfg: ParsedConfig, key: str, n: int, default: float) -> np.ndarray:
     return arr
 
 
+def _event_dir(cfg: ParsedConfig, n: int) -> Optional[np.ndarray]:
+    d = cfg.get("run", "event_dir", None)
+    if d is not None and (d.size != n or not d.any()):
+        raise cfg.error(
+            f"event_dir must be a nonzero {n}-vector, got {d}", cfg.line_of("run", "event_dir")
+        )
+    return d
+
+
 def build_system_spec(
     cfg: ParsedConfig, schedule: DampingSchedule, potential: Potential
 ) -> SystemSpec:
@@ -295,7 +305,7 @@ def build_system_spec(
         abs_tol=cfg.get("run", "abs_tol", 1e-12),
         max_steps=cfg.get("run", "max_steps", 10_000_000),
         sample_stride=cfg.get("run", "sample_stride", None),
-        event_dir=cfg.get("run", "event_dir", None),
+        event_dir=_event_dir(cfg, n),
         fixed_step=cfg.get("run", "fixed_step", None),
     )
 
@@ -337,9 +347,10 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
         x0r = cfg.get("sweep", "x0_range", np.array([-2.0, 2.0]))
         v0r = cfg.get("sweep", "v0_range", np.array([-2.0, 2.0]))
         for name, rng in (("x0_range", x0r), ("v0_range", v0r)):
-            if rng.size != 2 or not rng[0] < rng[1]:
+            # a finite width also keeps both bounds finite
+            if rng.size != 2 or not (rng[0] < rng[1] and float(rng[1]) - float(rng[0]) < math.inf):
                 raise cfg.error(
-                    f"{name} expects 'low, high' with low < high",
+                    f"{name} expects 'low, high' with low < high and a finite width",
                     cfg.line_of("sweep", name),
                 )
         seed = cfg.get("sweep", "seed", 0)

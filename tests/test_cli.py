@@ -161,6 +161,35 @@ def test_out_of_bounds_value_exits_2_at_its_line(tmp_path, capsys, command, text
     assert err.startswith(f"{cfg}:{line}: {bad.split()[0]} must be "), err
 
 
+PLANE = BASE.replace("n = 1", "n = 2")
+
+
+@pytest.mark.parametrize(
+    "command, text, bad",
+    [
+        ("run", BASE.replace("x0 = 1.0", "x0 = inf"), "x0 = inf"),
+        ("run", BASE.replace("v0 = 0.0", "v0 = nan"), "v0 = nan"),
+        ("run", PLANE + "event_dir = 1, 2, 3\n", "event_dir = 1, 2, 3"),
+        ("run", PLANE + "event_dir = 0, 0\n", "event_dir = 0, 0"),
+        ("run", PLANE + "event_dir = inf, 1\n", "event_dir = inf, 1"),
+        ("sweep", BASE + "\n[sweep]\nruns = 2\nx0_range = -inf, inf\n", "x0_range = -inf, inf"),
+        ("sweep", BASE + "\n[sweep]\nruns = 2\nv0_range = -1e308, 1e308\n",
+         "v0_range = -1e308, 1e308"),
+    ],
+    ids=["x0_inf", "v0_nan", "event_dir_length", "event_dir_zero", "event_dir_inf",
+         "x0_range_infinite", "v0_range_width_overflows"],
+)
+def test_value_the_integrator_refuses_exits_2_at_its_line(tmp_path, capsys, command, text, bad):
+    # these passed the config and failed only in the integrator, without a
+    # line, or (the ranges) failed every sweep row while the sweep exited 0
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    line = text.splitlines().index(bad) + 1
+    assert main([command, cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}:{line}: {bad.split()[0]} "), err
+    assert not (tmp_path / "out").exists()
+
+
 BIG_PPOWER = BASE.replace("kind = Quadratic", "kind = PPower\np = 4").replace(
     "t_end = 60.0", "t_end = 10.0"
 )
