@@ -374,7 +374,7 @@ class CriticalPoint:
     def __init__(self, location: float, value: float, kind: str, delta: float = 0.0):
         self.location = location
         self.value = value
-        self.kind = kind  # LocalMin | LocalMax | Saddle | Degenerate
+        self.kind = kind  # LocalMin | LocalMax | Degenerate
         self.delta = delta
 
     def __repr__(self):
@@ -473,11 +473,7 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
             kind = "LocalMin"
         elif gl > 0.0 > gr:
             kind = "LocalMax"
-        elif gl == 0.0 and gr == 0.0:
-            kind = "Degenerate"
-        elif gl * gr > 0.0:
-            kind = "Degenerate"  # inflection with horizontal tangent
-        else:
+        else:  # flat on a side, or an inflection with horizontal tangent
             kind = "Degenerate"
         d2 = _second_derivative(g, r)
         delta = abs(d2) / 2.0 if abs(d2) > 1.0e-8 else 0.0

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError, NonFiniteState
 from .integrate import SystemSpec, Trajectory, integrate, state_ops
 from .potential import Potential
-from .schedule import PowerLaw
+from .schedule import PowerLaw, _each
 
 __all__ = [
     "StepSchedule",
@@ -108,12 +108,6 @@ def _p1evl(x: np.ndarray, coef) -> np.ndarray:
     return ans
 
 
-def _logs(values: np.ndarray) -> np.ndarray:
-    # the C library's log, as Cephes calls it; numpy's can differ in the
-    # last bit (see schedule._each)
-    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
-
-
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Inverse normal CDF of a float array, bit for bit scipy.special.ndtri.
 
@@ -129,8 +123,9 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
 
     tail = (y > 0.0) & ~mid
-    x = np.sqrt(-2.0 * _logs(y[tail]))
-    x0 = x - _logs(x) / x
+    # the C library's log, as Cephes calls it: numpy's can differ in the last bit
+    x = np.sqrt(-2.0 * _each(math.log, y[tail].tolist()))
+    x0 = x - _each(math.log, x.tolist()) / x
     z = 1.0 / x
     x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1),
                   z * _polevl(z, _P2) / _p1evl(z, _Q2))
