@@ -301,13 +301,13 @@ class Custom(DampingSchedule):
         singular, else 0) through 1, 10, ... to CLASSIFY_HORIZON;
         analytic=False always.
 
-        Each decade adds one quadrature of a to a running sum, which decides
-        int a and gives the kernel exp(-int_0^t a) its value at the decade's
-        start; the kernel is integrated decade by decade until its sum passes
-        DIVERGENCE_THRESHOLD, and a(t ln t) on [e, 10], [10, 100], ....  The
-        sums of a and of a(t ln t) diverge when they pass DIVERGENCE_THRESHOLD
-        or their last decade adds over 1e-3 max(1, sum); the kernel's is finite
-        when it stays below and its last decade adds under 1e-3 of it.
+        Each decade adds one quadrature of a to a running sum; the sums
+        decide int a and give the kernel exp(-int_0^t a) its base at each
+        decade's start.  The kernel is summed decade by decade until it
+        passes DIVERGENCE_THRESHOLD, a(t ln t) over [e, 10], [10, 100], ....
+        The sums of a and of a(t ln t) diverge when they pass the threshold
+        or their last decade adds over 1e-3 max(1, sum); the kernel's sum is
+        finite when it does not and its last decade adds under 1e-3 of it.
         """
         from scipy.integrate import quad
 
