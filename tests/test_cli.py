@@ -267,6 +267,38 @@ def test_csv_bytes_are_pinned(tmp_path, text, pins):
         assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
+def _json_digest(path: Path) -> str:
+    """SHA-256 of a JSON artifact without its wall-clock line."""
+    lines = path.read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if '"wall_clock_s"' not in line)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (WELL_SHORT, "9a976092ec0aef5f5bbbfc3f66182e004ce4ce0119742bac8611482de13b5eed"),
+        (PLANE_SGD, "d2a68646a388dddb05fb31264bba84e95fdc07262cdcf27b84d11befddf8ac5b"),
+    ],
+    ids=["double_well_n1", "ppower_sgd_n3"],
+)
+def test_summary_bytes_are_pinned(tmp_path, text, digest):
+    # the summary JSON of the CSV-pinned runs: its keys, its layout and
+    # every number in it, the wall clock aside
+    assert main(["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 0
+    assert _json_digest(tmp_path / "quadshort_summary.json") == digest
+
+
+def test_sweep_json_bytes_are_pinned(tmp_path):
+    # one row summary and the aggregate of a 2-row grid sweep
+    text = BASE + "\n[sweep]\nmode = grid\nvary = schedule.c\nvalues = 1.0, 3.0\n"
+    assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 0
+    assert _json_digest(tmp_path / "quadshort_row0001_summary.json") == (
+        "7b0a263c71984551e51cada2f07dc49b85be5efdf6d9eead7f5808e9fcd0aca6")
+    assert _json_digest(tmp_path / "quadshort_aggregate.json") == (
+        "30c6b17f1becef6e153b2adcff498968b1ebb311e1a48ce27b43610aabe83eb1")
+
+
 def _scipy_loaded_by_run(cfg, outdir):
     """The scipy modules loaded by ``run`` on ``cfg`` in a fresh interpreter."""
     script = (
