@@ -20,14 +20,14 @@ every kernel value one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, HypothesisError, UnsupportedError
-from .integrate import Trajectory
+from .integrate import Record, Trajectory
 from .potential import critical_points
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -108,7 +108,7 @@ def lower_bound_residual(traj: Trajectory) -> float:
 
 
 @dataclass(frozen=True)
-class UpperBoundResult:
+class UpperBoundResult(Record):
     """Fitted envelope constant for one decay regime."""
 
     regime: str
@@ -116,17 +116,8 @@ class UpperBoundResult:
     constant: float
     stable: bool
     passed: bool
-    times: np.ndarray
-    ratios: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "rate": self.rate,
-            "constant": self.constant,
-            "stable": self.stable,
-            "passed": self.passed,
-        }
+    times: np.ndarray = field(repr=False)
+    ratios: np.ndarray = field(repr=False)
 
 
 def upper_bound_check(
@@ -195,23 +186,14 @@ def upper_bound_check(
 
 
 @dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     """Least-squares decay exponent over a log window."""
 
     window: tuple
     model: str
     exponent: float
     residual_rms: float
-    sample_count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "model": self.model,
-            "exponent": self.exponent,
-            "residual_rms": self.residual_rms,
-            "sample_count": self.sample_count,
-        }
+    samples: int
 
 
 def rate_fit(
@@ -255,7 +237,7 @@ def rate_fit(
         model=model,
         exponent=float(slope),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        sample_count=int(len(tw)),
+        samples=int(len(tw)),
     )
 
 
@@ -275,21 +257,13 @@ def cesaro_mean(traj: Trajectory, T: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Occupation fractions outside a ball, per horizon."""
 
     reference: np.ndarray
     radius: float
     horizons: tuple
     fractions: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "reference": [float(v) for v in self.reference],
-            "radius": self.radius,
-            "horizons": list(self.horizons),
-            "fractions": list(self.fractions),
-        }
 
 
 def occupation_density(
@@ -307,6 +281,8 @@ def occupation_density(
     if radius <= 0:
         raise DomainError("radius must be positive")
     hs = [float(h) for h in horizons]
+    if not hs:
+        raise DomainError("need at least one horizon")
     if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])):
         raise DomainError("horizons must be strictly increasing")
     if hs[-1] > traj.ts[-1] or hs[0] <= traj.ts[0]:
@@ -423,7 +399,7 @@ def sign_change_gaps(traj: Trajectory) -> GapReport:
 
 
 @dataclass(frozen=True)
-class LimitClassification:
+class LimitClassification(Record):
     """Finite-horizon verdict on the trajectory's limit behavior.
 
     limit_exists is the honest tail test (extent and velocity below
@@ -444,21 +420,6 @@ class LimitClassification:
     horizon: float
     tail_width: float
     tail_velocity: float
-
-    def as_dict(self) -> dict:
-        return {
-            "limit_estimate": [float(v) for v in self.limit_estimate],
-            "limit_exists": self.limit_exists,
-            "nearest_kind": self.nearest_kind,
-            "nearest_location": self.nearest_location,
-            "nearest_distance": self.nearest_distance,
-            "sign_changes": self.sign_changes,
-            "verdict": self.verdict,
-            "oscillating": self.oscillating,
-            "horizon": self.horizon,
-            "tail_width": self.tail_width,
-            "tail_velocity": self.tail_velocity,
-        }
 
 
 def _tail_velocity_max(traj: Trajectory, cut: float) -> float:

@@ -122,20 +122,12 @@ def _fit_block(traj: Trajectory) -> Optional[dict]:
         return None
     phase = np.sum(traj.xs**2, axis=1) + np.sum(traj.vs**2, axis=1)
     try:
-        fit = rate_fit(ts, phase, (lo, t_end), model="PowerLaw")
+        return rate_fit(ts, phase, (lo, t_end), model="PowerLaw").as_dict()
     except VanishDampError:
         return None
-    return {
-        "model": fit.model,
-        "window": list(fit.window),
-        "exponent": fit.exponent,
-        "residual_rms": fit.residual_rms,
-        "samples": fit.sample_count,
-    }
 
 
 def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
-    stats = traj.stats
     et = traj.events.time
     count = len(et)
     verdict_block = classify_limit(traj).as_dict() if traj.n == 1 else None
@@ -149,13 +141,7 @@ def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
         "name": run_cfg.name,
         "config": config_echo(run_cfg.parsed),
         "wall_clock_s": round(wall, 4),
-        "solver": {
-            "accepted": stats.accepted,
-            "rejected": stats.rejected,
-            "rhs_evals": stats.rhs_evals,
-            "stride": stats.stride,
-            "samples": len(traj.ts),
-        },
+        "solver": {**traj.stats.as_dict(), "samples": len(traj.ts)},
         "events": event_block,
         "energy": {
             "initial": float(traj.energies[0]),

@@ -325,13 +325,9 @@ def build_sgd(cfg: ParsedConfig) -> Optional[Tuple[StepSchedule, NoiseModel, int
 class SweepPlan:
     """Row generator for a sweep: either random starts or a value grid."""
 
-    mode: str
     rows: list  # list of override dicts {(section, key): value string}
     labels: list  # short human label per row
     write_series: bool
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
@@ -367,7 +363,7 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
                 }
             )
             labels.append(f"start{i}")
-        return SweepPlan(mode, rows, labels, write_series)
+        return SweepPlan(rows, labels, write_series)
 
     if mode == "grid":
         axes = []
@@ -402,7 +398,7 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
         for combo in product(*(values for _, values in axes)):
             rows.append(dict(zip(keys, combo)))
             labels.append(" ".join(f"{sec}.{key}={v}" for (sec, key), v in zip(keys, combo)))
-        return SweepPlan(mode, rows, labels, write_series)
+        return SweepPlan(rows, labels, write_series)
 
     raise cfg.error(
         f"unknown sweep mode '{mode}'; expected random or grid",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction as _Fr
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -159,8 +159,24 @@ class Events:
         return Events(self.time[rows], self.x[rows], self.v[rows], self.energy[rows], self.direction)
 
 
+class Record:
+    """Base of the result records (dataclasses): ``as_dict`` is the JSON of
+    the fields that ``repr`` shows, with arrays and tuples as lists."""
+
+    def as_dict(self) -> dict:
+        return {
+            f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.repr
+        }
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
 @dataclass
-class SolverStats:
+class SolverStats(Record):
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
@@ -184,6 +200,7 @@ class SystemSpec:
     fixed_step: Optional[float] = None
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class Trajectory:
     """Immutable result of one integration.
 
@@ -194,30 +211,16 @@ class Trajectory:
     degrades gracefully once stride doubling spreads the samples out.
     """
 
-    __slots__ = (
-        "ts",
-        "xs",
-        "vs",
-        "accs",
-        "energies",
-        "dissipation",
-        "events",
-        "stats",
-        "spec",
-        "n",
-    )
-
-    def __init__(self, ts, xs, vs, accs, energies, dissipation, events, stats, spec, n):
-        self.ts = ts
-        self.xs = xs
-        self.vs = vs
-        self.accs = accs
-        self.energies = energies
-        self.dissipation = dissipation
-        self.events = events
-        self.stats = stats
-        self.spec = spec
-        self.n = n
+    ts: np.ndarray
+    xs: np.ndarray
+    vs: np.ndarray
+    accs: np.ndarray
+    energies: np.ndarray
+    dissipation: np.ndarray
+    events: Events
+    stats: SolverStats
+    spec: SystemSpec
+    n: int
 
     @property
     def initial_energy(self) -> float:
@@ -306,31 +309,6 @@ def _normalize_spec(spec: SystemSpec):
     return n, x0, v0, d
 
 
-def bootstrap_singular_start(spec: SystemSpec) -> State:
-    """Series start for a(t) ~ c/t: the field is singular at t=0, but the
-    solution is smooth with x'(0) = 0, so one quadratic Taylor step
-
-        x(h) = x0 - g(x0) h^2 / (2(1+c)),   v(h) = -g(x0) h / (1+c)
-
-    at h = BOOTSTRAP_H0 has O(h^4) truncation error and lands where the
-    adaptive stepper can take over.
-    """
-    sched = spec.schedule
-    if not (isinstance(sched, PowerLaw) and sched.s0 == 0):
-        raise UnsupportedError("bootstrap applies to PowerLaw schedules with offset 0")
-    if sched.gamma != 1.0:
-        raise UnsupportedError(
-            f"singular start implemented for exponent 1 only, got {sched.gamma}"
-        )
-    _, x0, _, _ = _normalize_spec(spec)
-    c = sched.c
-    g0 = spec.potential.grad(x0)
-    h0 = BOOTSTRAP_H0
-    x = x0 - g0 * (h0 * h0 / (2.0 * (1.0 + c)))
-    v = -g0 * (h0 / (1.0 + c))
-    return State(h0, x, v)
-
-
 class StateOps(NamedTuple):
     """The operations that depend on how a state is held.
 
@@ -405,13 +383,13 @@ def integrate(spec: SystemSpec) -> Trajectory:
 
     Stationary initial data (critical point, zero velocity) short-circuits
     to a two-sample constant trajectory.  Schedules singular at the origin
-    are started by bootstrap_singular_start and the exact t=0 state is
-    prepended to the output.  A finite state too large to evaluate (the
-    scalar closures raise OverflowError where numpy returns inf) at the
-    start or in the first-step estimate raises NonFiniteState.  The
-    stepper tests every stage and the first-step estimate for inf and NaN
-    (a rejected stage, or NonFiniteState), so numpy's overflow and invalid
-    warnings on arrays are silenced rather than printed on the way.
+    are started by a series step and the exact t=0 state is prepended to
+    the output.  A finite state too large to evaluate (the scalar closures
+    raise OverflowError where numpy returns inf) at the start or in the
+    first-step estimate raises NonFiniteState.  The stepper tests every
+    stage and the first-step estimate for inf and NaN (a rejected stage,
+    or NonFiniteState), so numpy's overflow and invalid warnings on arrays
+    are silenced rather than printed on the way.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -441,13 +419,24 @@ def _solve(spec: SystemSpec) -> Trajectory:
     prelude = None
     diss0 = 0.0
     if sched.singular_at_zero:
-        start = bootstrap_singular_start(spec)
-        t0 = start.t
-        y_x, y_v = start.x, start.v
+        # Series start for a(t) ~ c/t: the field is singular at t=0, but the
+        # solution is smooth with x'(0) = 0, so one quadratic Taylor step
+        #     x(h) = x0 - g(x0) h^2 / (2(1+c)),   v(h) = -g(x0) h / (1+c)
+        # at h = BOOTSTRAP_H0 has O(h^4) truncation error and lands where
+        # the adaptive stepper can take over.
+        if not (isinstance(sched, PowerLaw) and sched.s0 == 0):
+            raise UnsupportedError("bootstrap applies to PowerLaw schedules with offset 0")
+        if sched.gamma != 1.0:
+            raise UnsupportedError(
+                f"singular start implemented for exponent 1 only, got {sched.gamma}"
+            )
         c = sched.c
+        t0 = h0 = BOOTSTRAP_H0
+        y_x = x0 - g0 * (h0 * h0 / (2.0 * (1.0 + c)))
+        y_v = -g0 * (h0 / (1.0 + c))
         # exact-to-O(h0^4) accumulated dissipation and t=0 row
         gn2 = float(g0 @ g0)
-        diss0 = c * gn2 * BOOTSTRAP_H0 ** 2 / (2.0 * (1.0 + c) ** 2)
+        diss0 = c * gn2 * h0 ** 2 / (2.0 * (1.0 + c) ** 2)
         prelude = (
             0.0, ops.states(x0), ops.states(np.zeros(n)),
             ops.states(-g0 / (1.0 + c)), pot.energy(x0), 0.0,

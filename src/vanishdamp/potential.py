@@ -17,6 +17,7 @@ interval of a local maximum's level set.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -366,16 +367,14 @@ class Custom(Potential):
 # critical points
 
 
+@dataclass(eq=False, slots=True)
 class CriticalPoint:
     """A root of g with its value, kind, and concavity/convexity modulus."""
 
-    __slots__ = ("location", "value", "kind", "delta")
-
-    def __init__(self, location: float, value: float, kind: str, delta: float = 0.0):
-        self.location = location
-        self.value = value
-        self.kind = kind  # LocalMin | LocalMax | Degenerate
-        self.delta = delta
+    location: float
+    value: float
+    kind: str  # LocalMin | LocalMax | Degenerate
+    delta: float = 0.0
 
     def __repr__(self):
         return (
@@ -485,18 +484,16 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
 # certificates
 
 
+@dataclass(eq=False, slots=True)
 class ConvexityCertificate:
     """Result of a base-inequality check at quasi-random probes."""
 
-    __slots__ = ("theta", "z", "validity", "violations", "probes", "worst_slack")
-
-    def __init__(self, theta, z, validity, violations, probes, worst_slack):
-        self.theta = theta
-        self.z = z
-        self.validity = validity  # "Analytic" | "Sampled"
-        self.violations = violations
-        self.probes = probes
-        self.worst_slack = worst_slack
+    theta: float
+    z: np.ndarray
+    validity: str  # "Analytic" | "Sampled"
+    violations: int
+    probes: int
+    worst_slack: float
 
     @property
     def holds(self) -> bool:
@@ -510,19 +507,34 @@ class ConvexityCertificate:
         )
 
 
-# square roots of primes: an additive (Weyl) low-discrepancy generator;
-# deterministic and seedable by index offset
-_WEYL_ALPHA = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+_WEYL_REJECT_MAX_N = 8
 
 
 def _weyl_probes(n: int, count: int, radius: float, center: np.ndarray, seed: int):
-    """Deterministic quasi-random points in the ball of given radius."""
-    alphas = _WEYL_ALPHA[:n]
+    """Deterministic quasi-random points in the ball of given radius.
+
+    The additive (Weyl) low-discrepancy sequence k sqrt(p) mod 1 over the
+    first n primes p, seedable by index offset, fills the cube around the
+    ball.  Up to _WEYL_REJECT_MAX_N dimensions the points outside the ball
+    are dropped.  Beyond, the ball holds too small a share of the cube
+    (V_n / 2^n: 1.6% at n = 8, 4e-6 at n = 16), so each point is moved
+    radially instead, the cube's shell of max-norm s onto the sphere of
+    radius s.
+    """
+    primes: list[int] = []
+    p = 2
+    while len(primes) < n:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    alphas = [math.sqrt(p) % 1.0 for p in primes]
     k = seed + 1
     produced = 0
     while produced < count:
-        u = np.array([(k * a) % 1.0 for a in alphas])
-        pt = center + radius * (2.0 * u - 1.0)
+        w = 2.0 * np.array([(k * a) % 1.0 for a in alphas]) - 1.0
+        if n > _WEYL_REJECT_MAX_N:
+            w *= np.max(np.abs(w)) / np.linalg.norm(w)
+        pt = center + radius * w
         k += 1
         if np.linalg.norm(pt - center) <= radius:
             produced += 1

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, NonFiniteState
-from .integrate import SystemSpec, Trajectory, integrate, state_ops
+from .integrate import Record, SystemSpec, Trajectory, integrate, state_ops
 from .potential import Potential
 from .schedule import PowerLaw, _each
 
@@ -396,7 +396,7 @@ def limiting_ode_rhs(t: float, x, v, beta: float, pot: Potential):
 
 
 @dataclass(frozen=True)
-class OdeComparison:
+class OdeComparison(Record):
     """Deviation between a discrete path and its limiting trajectory.
 
     ``metric`` is "sup" for noise-free paths and "rms" for noisy ones;
@@ -409,14 +409,6 @@ class OdeComparison:
     clock_horizon: float
     points_compared: int
     trajectory: Trajectory = field(repr=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "deviation": self.deviation,
-            "metric": self.metric,
-            "clock_horizon": self.clock_horizon,
-            "points_compared": self.points_compared,
-        }
 
 
 def compare_to_ode(

@@ -98,7 +98,7 @@ def test_rate_fit_recovers_power_law_exponent():
     assert fit.model == "PowerLaw"
     assert fit.exponent == pytest.approx(-2.5, abs=1e-6)
     assert fit.residual_rms <= 1e-10
-    assert fit.sample_count >= 30
+    assert fit.samples >= 30
 
 
 def test_rate_fit_in_integral_clock():
@@ -263,6 +263,8 @@ def test_density_validation():
         occupation_density(traj, 0.0, 0.1, [50.0, 10.0])
     with pytest.raises(DomainError):
         occupation_density(traj, 0.0, 0.1, [10.0, 1000.0])
+    with pytest.raises(DomainError):
+        occupation_density(traj, 0.0, 0.1, [])
 
 
 def test_cesaro_mean_of_step():

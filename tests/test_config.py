@@ -292,7 +292,7 @@ def _sweep_cfg(extra):
 def test_random_sweep_plan():
     cfg = _sweep_cfg("mode = random\nruns = 5\nseed = 3\nx0_range = -1, 1\nv0_range = 0, 2\n")
     plan = build_sweep_plan(cfg, Quadratic(1))
-    assert len(plan) == 5
+    assert len(plan.rows) == 5
     assert plan.labels == [f"start{i}" for i in range(5)]
     for row in plan.rows:
         x0 = float(row[("run", "x0")])
@@ -309,7 +309,7 @@ def test_grid_sweep_plan_row_major():
         "mode = grid\nvary = schedule.c\nvalues = 1, 2\nvary2 = run.x0\nvalues2 = 0.1, 0.2, 0.3\n"
     )
     plan = build_sweep_plan(cfg, Quadratic(1))
-    assert len(plan) == 6
+    assert len(plan.rows) == 6
     assert plan.rows[0] == {("schedule", "c"): "1", ("run", "x0"): "0.1"}
     assert plan.rows[1] == {("schedule", "c"): "1", ("run", "x0"): "0.2"}
     assert plan.rows[3] == {("schedule", "c"): "2", ("run", "x0"): "0.1"}

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from vanishdamp import (
     Constant,
     CustomPotential,
+    CustomSchedule,
     DomainError,
     DoubleWell,
     FlatBottom,
@@ -41,7 +42,6 @@ from vanishdamp.integrate import (
     BOOTSTRAP_H0,
     EVENT_TIME_TOL,
     _brentq_batch,
-    bootstrap_singular_start,
     state_ops,
 )
 from vanishdamp.oracle import linear_regular_solution
@@ -368,11 +368,9 @@ def test_singular_start_bootstrap(j_run):
     assert j_run.ts[0] == 0.0
     assert j_run.xs[0, 0] == 1.0 and j_run.vs[0, 0] == 0.0
     assert j_run.ts[1] == BOOTSTRAP_H0
-    st = bootstrap_singular_start(j_run.spec)
     g0 = 1.0  # gradient of the unit quadratic at x0 = 1
-    assert st.t == BOOTSTRAP_H0
-    assert st.x[0] == pytest.approx(1.0 - g0 * BOOTSTRAP_H0**2 / 4.0, rel=1e-15)
-    assert st.v[0] == pytest.approx(-g0 * BOOTSTRAP_H0 / 2.0, rel=1e-15)
+    assert j_run.xs[1, 0] == pytest.approx(1.0 - g0 * BOOTSTRAP_H0**2 / 4.0, rel=1e-15)
+    assert j_run.vs[1, 0] == pytest.approx(-g0 * BOOTSTRAP_H0 / 2.0, rel=1e-15)
 
 
 def test_singular_start_validation():
@@ -390,10 +388,11 @@ def test_singular_start_validation():
                 x0=1.0, v0=0.0, t_end=1.0,
             )
         )
+    # a singular schedule the series start does not cover
     with pytest.raises(UnsupportedError):
-        bootstrap_singular_start(
+        integrate(
             SystemSpec(
-                schedule=Constant(1.0), potential=Quadratic(1),
+                schedule=CustomSchedule(lambda t: 1.0 / t, singular=True), potential=Quadratic(1),
                 x0=1.0, v0=0.0, t_end=1.0,
             )
         )

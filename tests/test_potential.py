@@ -394,6 +394,15 @@ def test_base_inequality_analytic_cases():
         assert cert.validity == "Analytic"
 
 
+@pytest.mark.parametrize("n", [9, 16])
+def test_certificates_past_eight_dimensions(n):
+    # the probes step by sqrt(p) mod 1 over the first n primes; past 8
+    # dimensions they are moved onto the ball rather than dropped
+    cert = check_base_inequality(Quadratic(n), 0.5, np.zeros(n))
+    assert cert.validity == "Analytic" and cert.violations == 0
+    assert estimate_lipschitz(Quadratic(n), 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_base_inequality_detects_failures():
     # theta below the sharp constant: every off-center probe violates
     cert = check_base_inequality(Quadratic(1), 0.3, 0.0, probes=500)
