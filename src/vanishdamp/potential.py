@@ -507,19 +507,15 @@ class ConvexityCertificate:
         )
 
 
-_WEYL_REJECT_MAX_N = 8
-
-
 def _weyl_probes(n: int, count: int, radius: float, center: np.ndarray, seed: int):
     """Deterministic quasi-random points in the ball of given radius.
 
     The additive (Weyl) low-discrepancy sequence k sqrt(p) mod 1 over the
     first n primes p, seedable by index offset, fills the cube around the
-    ball.  Up to _WEYL_REJECT_MAX_N dimensions the points outside the ball
-    are dropped.  Beyond, the ball holds too small a share of the cube
-    (V_n / 2^n: 1.6% at n = 8, 4e-6 at n = 16), so each point is moved
-    radially instead, the cube's shell of max-norm s onto the sphere of
-    radius s.
+    ball.  Each point is moved radially, the cube's shell of max-norm s onto
+    the sphere of radius s, since the ball holds too small a share of the
+    cube to drop the points outside it (V_n / 2^n: 1.6% at n = 8, 4e-6 at
+    n = 16).  For n = 1 the map is the identity.
     """
     primes: list[int] = []
     p = 2
@@ -532,11 +528,12 @@ def _weyl_probes(n: int, count: int, radius: float, center: np.ndarray, seed: in
     produced = 0
     while produced < count:
         w = 2.0 * np.array([(k * a) % 1.0 for a in alphas]) - 1.0
-        if n > _WEYL_REJECT_MAX_N:
-            w *= np.max(np.abs(w)) / np.linalg.norm(w)
+        norm = np.linalg.norm(w)
+        if norm > 0.0:
+            w *= np.max(np.abs(w)) / norm
         pt = center + radius * w
         k += 1
-        if np.linalg.norm(pt - center) <= radius:
+        if np.linalg.norm(pt - center) <= radius:  # guards rounding only
             produced += 1
             yield pt
 
