@@ -5,7 +5,7 @@ Subcommands:
 * ``run <cfg>``: integrate one configured scenario, analyze it, and
   write ``<name>_series.csv``, ``<name>_events.csv`` and
   ``<name>_summary.json`` (plus ``<name>_path.csv`` when the config has
-  an [sgd] section).
+  an [sgd] section, whose recursion a worker process runs meanwhile).
 * ``sweep <cfg>``: run a grid or random-start family of scenarios,
   writing one summary per row plus an aggregate table.
 * ``verify [--list]``: run the built-in acceptance suite.
@@ -21,6 +21,7 @@ byte apart from the wall-clock field inside the summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,7 +38,8 @@ from .config import RunConfig, build_sweep_plan, config_echo, load_run_config
 from .errors import ConfigError, SolverError, VanishDampError
 from .integrate import Trajectory, integrate
 from .oracle import bessel_j, linear_regular_solution, power_law_exact
-from .sgd import DiscretePath, compare_to_ode, run_recursion
+from .potential import Potential
+from .sgd import DiscretePath, NoiseModel, StepSchedule, compare_to_ode, run_recursion
 
 __all__ = ["main"]
 
@@ -153,29 +155,50 @@ def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
     }
 
 
+def _recursion_half(
+    pot: Potential, sgd: Tuple[StepSchedule, NoiseModel, int], x0, staged: Path
+) -> dict:
+    """The [sgd] half of a run, as ``_run_scenario``'s worker process runs
+    it: the recursion, its comparison with the limiting ODE and the summary
+    block.  The path CSV goes to ``staged``, beside its final name."""
+    steps, noise, n_steps = sgd
+    path = run_recursion(pot, steps, noise, x0, n_steps)
+    comparison = compare_to_ode(path, pot)
+    staged.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(staged, _path_csv(path))
+    return {
+        "n_steps": path.n_steps,
+        "final_tau": float(path.tau[-1]),
+        "final_x": [float(v) for v in path.x[-1]],
+        "drift_identity_max": path.drift_identity_max,
+        "ode_deviation": comparison.deviation,
+        "ode_metric": comparison.metric,
+    }
+
+
 def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
-    started = time.perf_counter()
-    traj = integrate(run_cfg.spec)
-    summary = _summarize(run_cfg, traj, time.perf_counter() - started)
+    path_csv = run_cfg.outdir / f"{run_cfg.name}_path.csv"
+    staged = path_csv.with_name(path_csv.name + ".staged")
+    recursion = None
+    with contextlib.ExitStack() as stack:
+        if run_cfg.sgd is not None:
+            # the recursion shares nothing with the integration until the
+            # summary, so a worker process runs it meanwhile.  Leaving the
+            # block waits for the worker, then removes the staged path CSV
+            # unless it was moved into place
+            stack.callback(staged.unlink, missing_ok=True)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            recursion = pool.submit(
+                _recursion_half, run_cfg.spec.potential, run_cfg.sgd, run_cfg.spec.x0, staged
+            )
+        started = time.perf_counter()
+        traj = integrate(run_cfg.spec)
+        summary = _summarize(run_cfg, traj, time.perf_counter() - started)
+        summary["sgd"] = None if recursion is None else recursion.result()
+        if recursion is not None:
+            os.replace(staged, path_csv)
 
     run_cfg.outdir.mkdir(parents=True, exist_ok=True)
-    if run_cfg.sgd is not None:
-        steps, noise, n_steps = run_cfg.sgd
-        pot = run_cfg.spec.potential
-        path = run_recursion(pot, steps, noise, run_cfg.spec.x0, n_steps)
-        comparison = compare_to_ode(path, pot)
-        summary["sgd"] = {
-            "n_steps": path.n_steps,
-            "final_tau": float(path.tau[-1]),
-            "final_x": [float(v) for v in path.x[-1]],
-            "drift_identity_max": path.drift_identity_max,
-            "ode_deviation": comparison.deviation,
-            "ode_metric": comparison.metric,
-        }
-        _atomic_write(run_cfg.outdir / f"{run_cfg.name}_path.csv", _path_csv(path))
-    else:
-        summary["sgd"] = None
-
     if write_series:
         _atomic_write(run_cfg.outdir / f"{run_cfg.name}_series.csv", _series_csv(traj))
         _atomic_write(run_cfg.outdir / f"{run_cfg.name}_events.csv", _events_csv(traj))

@@ -7,6 +7,7 @@ codes, console output, and the CSV/JSON artifacts.
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -114,6 +115,11 @@ def test_run_with_recursion_section(tmp_path):
     assert block["drift_identity_max"] <= 1e-10
     assert block["ode_metric"] == "sup"
     assert block["final_tau"] == pytest.approx(0.01 * 501, rel=1e-12)
+    # the worker's staged path CSV was moved into place, and the worker is gone
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"quadshort_{kind}" for kind in ("events.csv", "path.csv", "series.csv", "summary.json")
+    ]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +140,39 @@ def test_solver_failure_exits_3(tmp_path, capsys):
 
 
 SGD = "\n[sgd]\neps0 = 0.01\nN = 5\n"
+# a step of 1e6 on the unit quadratic: the iterate overflows
+DIVERGING = "\n[sgd]\neps0 = 1e6\nN = 500\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (BASE + DIVERGING, "NonFiniteState"),
+        (BASE + "max_steps = 5\n" + SGD, "MaxStepsExceeded"),
+        (BASE + "max_steps = 5\n" + DIVERGING, "MaxStepsExceeded"),
+    ],
+    ids=["recursion_diverges", "integrate_fails", "both_fail"],
+)
+def test_failed_half_leaves_no_path_csv(tmp_path, capsys, text, error):
+    # the recursion runs in a worker process while the parent integrates;
+    # either half failing exits 3 with the parent's error first, leaves
+    # no staged or new path CSV, keeps an earlier one's bytes, and leaves
+    # no process behind
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--outdir", str(out)]) == 3
+    assert f"solver failure ({error})" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+    out.mkdir(exist_ok=True)
+    earlier = out / "quadshort_path.csv"
+    earlier.write_bytes(b"n,tau,h_0,x_0\n0,1.0,0.0,1.0\n")
+    assert main(["run", cfg, "--outdir", str(out)]) == 3
+    assert f"solver failure ({error})" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["quadshort_path.csv"]
+    assert earlier.read_bytes() == b"n,tau,h_0,x_0\n0,1.0,0.0,1.0\n"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -300,11 +339,24 @@ def test_sweep_json_bytes_are_pinned(tmp_path):
 
 
 def _scipy_loaded_by_run(cfg, outdir):
-    """The scipy modules loaded by ``run`` on ``cfg`` in a fresh interpreter."""
+    """The scipy modules loaded by ``run`` on ``cfg`` in a fresh interpreter.
+
+    ``run`` hands an [sgd] section's recursion to a worker process, whose
+    modules the interpreter does not see, so the script also runs the
+    recursion and its ODE comparison itself."""
     script = (
         "import sys\n"
         "import vanishdamp.cli\n"
+        "from vanishdamp.config import load_run_config\n"
+        "from vanishdamp.sgd import compare_to_ode, run_recursion\n"
         f"assert vanishdamp.cli.main(['run', {cfg!r}, '--outdir', {str(outdir)!r}]) == 0\n"
+        f"run_cfg = load_run_config({cfg!r})\n"
+        "if run_cfg.sgd is not None:\n"
+        "    steps, noise, n_steps = run_cfg.sgd\n"
+        "    pot = run_cfg.spec.potential\n"
+        "    path = run_recursion(pot, steps, noise, run_cfg.spec.x0, n_steps)\n"
+        "    assert path.n_steps == n_steps\n"
+        "    compare_to_ode(path, pot)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -480,13 +532,54 @@ def test_random_sweep_with_parallel_jobs(tmp_path, capsys):
     assert (parallel / "quadshort_row0003_series.csv").exists()
     assert "4 rows (0 failed)" in capsys.readouterr().out
 
-    # the same bytes whatever the parallelism, apart from the wall clock
-    names = sorted(p.name for p in serial.iterdir())
-    assert names == sorted(p.name for p in parallel.iterdir())
+    _assert_same_apart_from_clock(serial, parallel)
+
+
+def _assert_same_apart_from_clock(want_dir, got_dir):
+    """The two directories hold the same files with the same lines, apart
+    from the wall-clock lines of the summaries."""
+    names = sorted(p.name for p in want_dir.iterdir())
+    assert names == sorted(p.name for p in got_dir.iterdir())
     for name in names:
-        want, got = ((d / name).read_text().splitlines() for d in (serial, parallel))
+        want, got = ((d / name).read_text().splitlines() for d in (want_dir, got_dir))
         assert [line for line in got if "wall_clock_s" not in line] == \
             [line for line in want if "wall_clock_s" not in line], name
+
+
+def test_recursion_sweep_with_parallel_jobs(tmp_path):
+    # every [sgd] row hands its recursion to a worker process, which under
+    # --jobs 2 is started inside a pool worker
+    text = (
+        BASE.replace("t_end = 60.0", "t_end = 20.0")
+        + "\n[sgd]\nrule = PowerDecay\neps0 = 0.05\nrho = 0.7\nsigma = 0.5\nseed = 7\nN = 300\n"
+        + "\n[sweep]\nmode = random\nruns = 3\nseed = 12\n"
+    )
+    cfg = _cfg(tmp_path, text)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["sweep", cfg, "--outdir", str(serial), "--jobs", "1"]) == 0
+    assert main(["sweep", cfg, "--outdir", str(parallel), "--jobs", "2"]) == 0
+    assert multiprocessing.active_children() == []
+
+    aggregate = json.loads((parallel / "quadshort_aggregate.json").read_text())
+    assert (aggregate["rows"], aggregate["failures"]) == (3, 0)
+    for i in range(3):
+        assert len((parallel / f"quadshort_row{i:04d}_path.csv").read_text().splitlines()) == 302
+    _assert_same_apart_from_clock(serial, parallel)
+
+
+def test_sweep_continues_past_a_diverging_recursion(tmp_path, capsys):
+    text = BASE + DIVERGING + "\n[sweep]\nmode = grid\nvary = sgd.eps0\nvalues = 0.01, 1e6\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
+    assert "2 rows (1 failed)" in capsys.readouterr().out
+    table = (out / "quadshort_sweep.csv").read_text().splitlines()
+    assert table[2].startswith("quadshort_row0001,sgd.eps0=1e6,error,,NonFiniteState: ")
+    # the failed row wrote nothing, the other row all it writes
+    assert sorted(p.name for p in out.iterdir()) == [
+        "quadshort_aggregate.json", "quadshort_row0000_path.csv",
+        "quadshort_row0000_summary.json", "quadshort_sweep.csv",
+    ]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
