@@ -194,8 +194,10 @@ def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
         started = time.perf_counter()
         traj = integrate(run_cfg.spec)
         summary = _summarize(run_cfg, traj, time.perf_counter() - started)
-        summary["sgd"] = None if recursion is None else recursion.result()
-        if recursion is not None:
+        if recursion is None:
+            summary["sgd"] = None
+        else:
+            summary["sgd"] = recursion.result()
             os.replace(staged, path_csv)
 
     run_cfg.outdir.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,7 @@ codes, console output, and the CSV/JSON artifacts.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -336,6 +337,19 @@ def test_sweep_json_bytes_are_pinned(tmp_path):
         "7b0a263c71984551e51cada2f07dc49b85be5efdf6d9eead7f5808e9fcd0aca6")
     assert _json_digest(tmp_path / "quadshort_aggregate.json") == (
         "30c6b17f1becef6e153b2adcff498968b1ebb311e1a48ce27b43610aabe83eb1")
+
+
+def test_recursion_worker_runs_under_spawn(tmp_path, monkeypatch):
+    # the worker gets only picklable arguments, so a worker started from a
+    # fresh interpreter writes what a worker started by the default method does
+    cfg = _cfg(tmp_path, PLANE_SGD)
+    assert main(["run", cfg, "--outdir", str(tmp_path / "default")]) == 0
+    spawn = functools.partial(
+        cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    )
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn)
+    assert main(["run", cfg, "--outdir", str(tmp_path / "spawn")]) == 0
+    _assert_same_apart_from_clock(tmp_path / "default", tmp_path / "spawn")
 
 
 def _scipy_loaded_by_run(cfg, outdir):
