@@ -167,12 +167,12 @@ def test_failed_half_leaves_no_path_csv(tmp_path, capsys, text, error):
     assert multiprocessing.active_children() == []
 
     out.mkdir(exist_ok=True)
-    earlier = out / "quadshort_path.csv"
-    earlier.write_bytes(b"n,tau,h_0,x_0\n0,1.0,0.0,1.0\n")
+    earlier, kept = out / "quadshort_path.csv", b"n,tau,h_0,x_0\n0,1.0,0.0,1.0\n"
+    earlier.write_bytes(kept)
     assert main(["run", cfg, "--outdir", str(out)]) == 3
     assert f"solver failure ({error})" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["quadshort_path.csv"]
-    assert earlier.read_bytes() == b"n,tau,h_0,x_0\n0,1.0,0.0,1.0\n"
+    assert earlier.read_bytes() == kept
     assert multiprocessing.active_children() == []
 
 
