@@ -53,7 +53,6 @@ from .potential import (
     check_base_inequality,
     check_strong_convexity_window,
     critical_points,
-    estimate_lipschitz,
     plateau_interval,
 )
 from .schedule import (
@@ -112,7 +111,6 @@ __all__ = [
     "check_base_inequality",
     "check_strong_convexity_window",
     "plateau_interval",
-    "estimate_lipschitz",
     # integration
     "SystemSpec",
     "Trajectory",

@@ -82,8 +82,13 @@ def _random_starts(seed: int, count: int) -> np.ndarray:
     return _START_BOX * (2.0 * gen.uniform(size=(count, 2)) - 1.0)
 
 
-def _solve(schedule, potential, x0, v0, t_end, rel_tol, abs_tol=1e-12) -> Trajectory:
-    return integrate(SystemSpec(schedule, potential, x0, v0, t_end, rel_tol, abs_tol))
+def _solve(schedule, potential, x0, v0, t_end, rel_tol, **options) -> Trajectory:
+    return integrate(SystemSpec(schedule, potential, x0, v0, t_end, rel_tol, **options))
+
+
+def _max_error(traj: Trajectory, reference: Callable[[float], float]) -> float:
+    """max |x - reference(t)| over the stored samples of a 1D run."""
+    return max(abs(float(x) - reference(float(t))) for t, x in zip(traj.ts, traj.xs[:, 0]))
 
 
 class _Suite:
@@ -158,10 +163,7 @@ def _criterion(cid: str, title: str):
 @_criterion("A1", "singular-damping run matches the series reference")
 def _a1(suite: _Suite) -> _Outcome:
     traj = suite.linear_singular_run()
-    err = max(
-        abs(float(x) - linear_regular_solution(1.0, float(t)))
-        for t, x in zip(traj.ts, traj.xs[:, 0])
-    )
+    err = _max_error(traj, lambda t: linear_regular_solution(1.0, t))
     return (
         err <= 1e-6,
         f"max |x - reference| = {err:.3e} (tol 1e-06) over {len(traj.ts)} samples",
@@ -266,10 +268,7 @@ def _a7(suite: _Suite) -> _Outcome:
     for beta in (0.5, 1.0, 2.0):
         _, v_init, c = power_law_exact(beta, 0.0)
         traj = _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), SignedPower(beta), 1.0, v_init, 100.0, 1e-9)
-        err = max(
-            abs(float(x) - power_law_exact(beta, float(t))[0])
-            for t, x in zip(traj.ts, traj.xs[:, 0])
-        )
+        err = _max_error(traj, lambda t: power_law_exact(beta, t)[0])
         errors[str(beta)] = err
         ok = ok and err <= 1e-6
     worst = max(errors.values())

@@ -148,8 +148,9 @@ def upper_bound_check(
     t_hi = float(ts[-1])
     grid = np.geomspace(max(t_lo, 1e-6), t_hi, HYPOTHESIS_GRID)
     for tg, a in zip(grid.tolist(), sched.a_values(grid).tolist()):
-        lhs = sched.da_at(tg) + K * a ** 2
-        tol = 1.0e-12 * (1.0 + abs(sched.da_at(tg)))
+        da = sched.da_at(tg)
+        lhs = da + K * a ** 2
+        tol = 1.0e-12 * (1.0 + abs(da))
         if regime == "K1" and lhs > tol:
             raise HypothesisError(
                 f"a' + K a^2 = {lhs:.3e} > 0 at t={tg:.6g}; regime K1 needs <= 0"
@@ -470,7 +471,7 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
             nearest_dist = max(0.0, abs(xbar) - r)
             separation = 2.0 * r
             isolated = r <= MATCH_DISTANCE
-    elif pot.kind != "Zero":
+    else:
         lo = float(np.min(traj.xs)) - 1.0
         hi = float(np.max(traj.xs)) + 1.0
         try:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import acceptance
 from .analyze import classify_limit, lower_bound_residual, rate_fit
-from .config import RunConfig, build_sweep_plan, config_echo, load_run_config
+from .config import ParsedConfig, RunConfig, build_sweep_plan, config_echo, load_run_config
 from .errors import ConfigError, SolverError, VanishDampError
 from .integrate import Trajectory, integrate
 from .oracle import bessel_j, linear_regular_solution, power_law_exact
@@ -224,10 +224,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(task: Tuple[str, Dict[Tuple[str, str], str], Optional[str], str, bool]) -> dict:
-    cfg_path, overrides, outdir, row_name, write_series = task
+def _sweep_row(
+    task: Tuple[ParsedConfig, Dict[Tuple[str, str], str], Optional[str], str, bool]
+) -> dict:
+    parsed, overrides, outdir, row_name, write_series = task
     try:
-        run_cfg = load_run_config(cfg_path, overrides=overrides, outdir=outdir)
+        run_cfg = load_run_config(parsed, overrides=overrides, outdir=outdir)
         run_cfg.name = row_name
         summary = _run_scenario(run_cfg, write_series=write_series)
         summary["error"] = None
@@ -240,8 +242,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = load_run_config(args.config, outdir=args.outdir)
     plan = build_sweep_plan(base.parsed, base.spec.potential)
     jobs = max(1, args.jobs)
+    # every row starts from this one parse, so an edit to the file while
+    # the sweep runs reaches no row
     tasks = [
-        (str(args.config), overrides, args.outdir, f"{base.name}_row{i:04d}", plan.write_series)
+        (base.parsed, overrides, args.outdir, f"{base.name}_row{i:04d}", plan.write_series)
         for i, overrides in enumerate(plan.rows)
     ]
     if jobs > 1:

@@ -11,6 +11,7 @@ cannot do once parsing has finished.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -223,33 +224,38 @@ def _kind(cfg: ParsedConfig, section: str, key: str, default: str, kinds: dict, 
     return kinds[name]
 
 
+def _given(cfg: ParsedConfig, section: str, *keys: str) -> dict:
+    """The values of those ``keys`` that the section sets: a key the file
+    leaves out takes the constructor's own default."""
+    return {key: cfg.get(section, key) for key in keys if cfg.raw(section, key) is not None}
+
+
 _SCHEDULES: Dict[str, Callable[[ParsedConfig], DampingSchedule]] = {
     "Constant": lambda cfg: Constant(cfg.get("schedule", "level")),
     "PowerLaw": lambda cfg: PowerLaw(
-        c=cfg.get("schedule", "c", 1.0),
-        gamma=cfg.get("schedule", "gamma", 1.0),
-        s0=cfg.get("schedule", "s0", 1.0),
+        cfg.get("schedule", "c", 1.0), **_given(cfg, "schedule", "gamma", "s0")
     ),
     "SlowLog": lambda cfg: slow_log_example(),
 }
 
 
-def _polynomial(cfg: ParsedConfig, n: int) -> Potential:
+def _polynomial(cfg: ParsedConfig, dim: dict) -> Potential:
     coeffs = cfg.get("potential", "coeffs", None)
     if coeffs is None:
         raise cfg.error("Polynomial1D needs 'coeffs'", cfg.line_of("potential", "kind"))
     return Polynomial1D(coeffs)
 
 
-# constructors of (cfg, n); the 1D kinds ignore n
-_POTENTIALS: Dict[str, Callable[[ParsedConfig, int], Potential]] = {
-    "Quadratic": lambda cfg, n: Quadratic(n),
-    "PPower": lambda cfg, n: PPower(cfg.get("potential", "p"), n),
-    "SignedPower": lambda cfg, n: SignedPower(cfg.get("potential", "beta")),
-    "DoubleWell": lambda cfg, n: DoubleWell(),
-    "FlatBottom": lambda cfg, n: FlatBottom(n),
+# constructors of (cfg, dim), where dim holds n if the file sets it; the
+# 1D kinds ignore it
+_POTENTIALS: Dict[str, Callable[[ParsedConfig, dict], Potential]] = {
+    "Quadratic": lambda cfg, dim: Quadratic(**dim),
+    "PPower": lambda cfg, dim: PPower(cfg.get("potential", "p"), **dim),
+    "SignedPower": lambda cfg, dim: SignedPower(cfg.get("potential", "beta")),
+    "DoubleWell": lambda cfg, dim: DoubleWell(),
+    "FlatBottom": lambda cfg, dim: FlatBottom(**dim),
     "Polynomial1D": _polynomial,
-    "Zero": lambda cfg, n: Zero(n),
+    "Zero": lambda cfg, dim: Zero(**dim),
 }
 
 # constructors of (cfg, eps0)
@@ -265,7 +271,7 @@ def build_schedule(cfg: ParsedConfig) -> DampingSchedule:
 
 def build_potential(cfg: ParsedConfig) -> Potential:
     make = _kind(cfg, "potential", "kind", "Quadratic", _POTENTIALS, "potential kind")
-    return make(cfg, cfg.get("potential", "n", 1))
+    return make(cfg, _given(cfg, "potential", "n"))
 
 
 def _point(cfg: ParsedConfig, key: str, n: int, default: float) -> np.ndarray:
@@ -301,12 +307,8 @@ def build_system_spec(
         x0=_point(cfg, "x0", n, 1.0),
         v0=_point(cfg, "v0", n, 0.0),
         t_end=cfg.get("run", "t_end"),
-        rel_tol=cfg.get("run", "rel_tol", 1e-9),
-        abs_tol=cfg.get("run", "abs_tol", 1e-12),
-        max_steps=cfg.get("run", "max_steps", 10_000_000),
-        sample_stride=cfg.get("run", "sample_stride", None),
+        **_given(cfg, "run", "rel_tol", "abs_tol", "max_steps", "sample_stride", "fixed_step"),
         event_dir=_event_dir(cfg, n),
-        fixed_step=cfg.get("run", "fixed_step", None),
     )
 
 
@@ -316,8 +318,8 @@ def build_sgd(cfg: ParsedConfig) -> Optional[Tuple[StepSchedule, NoiseModel, int
     make = _kind(cfg, "sgd", "rule", "Constant", _RULES, "sgd rule")
     steps = make(cfg, cfg.get("sgd", "eps0"))
     sigma = cfg.get("sgd", "sigma", 0.0)
-    seed = cfg.get("sgd", "seed", 0)
-    noise = NoiseModel.gaussian(sigma, seed) if sigma > 0.0 else NoiseModel.none()
+    seed = _given(cfg, "sgd", "seed")
+    noise = NoiseModel.gaussian(sigma, **seed) if sigma > 0.0 else NoiseModel.none()
     return steps, noise, cfg.get("sgd", "N")
 
 
@@ -422,12 +424,14 @@ def load_run_config(
     overrides: Optional[Dict[Tuple[str, str], str]] = None,
     outdir: Optional[str] = None,
 ) -> RunConfig:
-    cfg = parse_config(path)
+    """The scenario of a config file, or of a ``ParsedConfig`` that a
+    sweep parsed once; overrides go to a copy, never to the caller's."""
+    cfg = deepcopy(path) if isinstance(path, ParsedConfig) else parse_config(path)
     if overrides:
         apply_overrides(cfg, overrides)
     cfg.check_known_keys()
     spec = build_system_spec(cfg, build_schedule(cfg), build_potential(cfg))
-    name = cfg.get("scenario", "name", Path(path).stem)
+    name = cfg.get("scenario", "name", Path(cfg.path).stem)
     out = Path(outdir if outdir is not None else cfg.get("scenario", "outdir", "."))
     return RunConfig(
         name=name,

@@ -156,6 +156,8 @@ class Events:
         return len(self.time)
 
     def __getitem__(self, rows: slice) -> "Events":
+        if not isinstance(rows, slice):
+            raise TypeError(f"Events takes slices, got {type(rows).__name__}")
         return Events(self.time[rows], self.x[rows], self.v[rows], self.energy[rows], self.direction)
 
 
@@ -200,9 +202,10 @@ class SystemSpec:
     fixed_step: Optional[float] = None
 
 
-@dataclass(eq=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Trajectory:
-    """Immutable result of one integration.
+    """Immutable result of one integration: the fields cannot be
+    reassigned and the sample arrays are read-only.
 
     Stored samples are (t, x, v, x'') rows plus energy and the cumulative
     dissipation integral; events carry full interpolated states.  Dense
@@ -225,6 +228,10 @@ class Trajectory:
     stats: SolverStats
     spec: SystemSpec
     n: int
+
+    def __post_init__(self):
+        for column in (self.ts, self.xs, self.vs, self.accs, self.energies, self.dissipation):
+            column.flags.writeable = False
 
     @property
     def initial_energy(self) -> float:
@@ -273,23 +280,23 @@ class Trajectory:
         i = int(np.searchsorted(self.ts, tq[0]))
         if i < len(self.ts) and self.ts[i] == tq[0]:
             return State(tq[0], self.xs[i].copy(), self.vs[i].copy())
-        idx, dt, theta = self._theta(tq)
-        x = self._hermite(self.xs, self.vs, idx, dt, theta)[0]
-        v = self._hermite(self.vs, self.accs, idx, dt, theta)[0]
-        return State(tq[0], x, v)
+        return State(tq[0], self.positions_at(tq)[0], self.velocities_at(tq)[0])
+
+
+def _start_point(value, n: int, what: str) -> np.ndarray:
+    """``value`` as a finite (n,) float array, else DomainError."""
+    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    if arr.shape != (n,):
+        raise DomainError(f"{what} has shape {arr.shape}, expected ({n},)")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    return arr
 
 
 def _normalize_spec(spec: SystemSpec):
-    pot = spec.potential
-    n = pot.n
-    x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
-    v0 = np.atleast_1d(np.asarray(spec.v0, dtype=float))
-    if x0.shape != (n,) or v0.shape != (n,):
-        raise DomainError(
-            f"initial data of shapes {x0.shape}/{v0.shape} for dimension {n}"
-        )
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
-        raise DomainError("initial data must be finite")
+    n = spec.potential.n
+    x0 = _start_point(spec.x0, n, "x0")
+    v0 = _start_point(spec.v0, n, "v0")
     if not spec.t_end > 0:
         raise DomainError(f"t_end must be > 0, got {spec.t_end}")
     if not (spec.rel_tol > 0 and spec.abs_tol > 0):

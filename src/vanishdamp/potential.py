@@ -657,17 +657,3 @@ def plateau_interval(
     x2 = bracket(+1.0)
     return x1, x2
 
-
-def estimate_lipschitz(
-    pot: Potential, radius: float, samples: int = 2000, seed: int = 0
-) -> float:
-    """Sampled Lipschitz constant of g on the ball of given radius."""
-    pts = list(_weyl_probes(pot.n, samples, radius, np.zeros(pot.n), seed))
-    best = 0.0
-    for i in range(0, len(pts) - 1, 2):
-        x, y = pts[i], pts[i + 1]
-        d = float(np.linalg.norm(x - y))
-        if d < 1.0e-12:
-            continue
-        best = max(best, float(np.linalg.norm(pot.grad(x) - pot.grad(y))) / d)
-    return best

@@ -90,12 +90,11 @@ class DampingSchedule:
 
     def a_values(self, times) -> np.ndarray:
         """a(t) for every t of an array, with inf at t=0 when the schedule
-        is singular there.  Constant and PowerLaw override this loop over
-        rate_fn with their closed forms."""
+        is singular there.  Constant overrides this loop over rate_fn."""
         fn = self.rate_fn()
         singular = self.singular_at_zero
-        return np.array(
-            [math.inf if singular and t == 0.0 else fn(t) for t in self._times(times).tolist()],
+        return np.fromiter(
+            (math.inf if singular and t == 0.0 else fn(t) for t in self._times(times).tolist()),
             dtype=float,
         )
 
@@ -187,20 +186,10 @@ class PowerLaw(DampingSchedule):
     def singular_at_zero(self) -> bool:  # type: ignore[override]
         return self.s0 == 0 and self.gamma > 0
 
-    def a_values(self, times) -> np.ndarray:
-        """c / (t + s0) ** gamma with the C library's pow, equal to rate_fn
-        point by point; c / 0 gives inf at a singular origin, and c / inf
-        gives 0 where the power overflows."""
-        powers = _each(_power, (self._times(times) + self.s0).tolist(), repeat(self.gamma))
-        with np.errstate(divide="ignore"):
-            return self.c / powers
-
     def rate_fn(self) -> Callable[[float], float]:
         c, g, s0 = self.c, self.gamma, self.s0
         if g == 1.0:
             return lambda t: c / (t + s0)
-        if g == 0.0:
-            return lambda t: c
 
         def rate(t):
             try:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, NonFiniteState
-from .integrate import Record, SystemSpec, Trajectory, integrate, state_ops
+from .integrate import Record, SystemSpec, Trajectory, _start_point, integrate, state_ops
 from .potential import Potential
 from .schedule import PowerLaw, _each
 
@@ -291,15 +291,6 @@ class DiscretePath:
         return self.x[-1].copy()
 
 
-def _as_start(x0, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    if arr.shape != (dim,):
-        raise DomainError(f"start point has shape {arr.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("start point must be finite")
-    return arr
-
-
 def run_recursion(
     pot: Potential,
     steps: StepSchedule,
@@ -321,7 +312,7 @@ def run_recursion(
     dim = pot.n
     ops = state_ops(pot)
     grad, finite, norm = ops.grad, ops.finite, ops.norm
-    x = ops.states(_as_start(x0, dim))
+    x = ops.states(_start_point(x0, dim, "start point"))
     xi = ops.states(noise.stream(n_steps, dim))
 
     sizes = steps.sizes()

@@ -443,6 +443,19 @@ def test_verify_list_names_every_criterion_once(capsys):
     assert all(len(ln.split(None, 1)[1]) > 10 for ln in lines)
 
 
+def test_verify_json_report(capsys):
+    assert main(["verify", "--only", "A1", "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("\n[") + 1:out.rindex("]") + 1])
+    assert [(r["id"], r["passed"]) for r in report] == [("A1", True)]
+    assert out.endswith("1/1 criteria passed\n")
+
+
+def test_verify_unknown_criterion_exits_2(capsys):
+    assert main(["verify", "--only", "A99"]) == 2
+    assert capsys.readouterr().err.startswith("DomainError: unknown criterion ids ['A99']")
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "bessel", "--nu", "0.5", "--t", "2.0", "5.0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -528,6 +541,33 @@ def test_sweep_table_quotes_error_cells(tmp_path, capsys):
     # each error cell reads back as the message printed for its row
     for (name, label, _, _, error), line in zip(table[1:], printed):
         assert line == f"{name}  {label}: error {error}"
+
+
+def test_sweep_parses_its_config_once(tmp_path, monkeypatch):
+    # every row starts from the sweep's own parse: the file is read once,
+    # and an edit made while the sweep runs reaches no row
+    from vanishdamp import config
+
+    text = BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20, 30, 40\n"
+    cfg = _cfg(tmp_path, text)
+    parses = []
+    parse_config = config.parse_config
+    monkeypatch.setattr(
+        config, "parse_config", lambda path: parses.append(path) or parse_config(path)
+    )
+    run_scenario = cli._run_scenario
+
+    def edit_after_first_row(run_cfg, write_series=True):
+        summary = run_scenario(run_cfg, write_series)
+        Path(cfg).write_text(text.replace("c = 1.0", "c = 3.0"))
+        return summary
+
+    monkeypatch.setattr(cli, "_run_scenario", edit_after_first_row)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out)]) == 0
+    assert parses == [cfg]
+    for i in range(3):
+        assert _read_summary(out, f"quadshort_row{i:04d}")["config"]["schedule"]["c"] == "1.0"
 
 
 def test_random_sweep_with_parallel_jobs(tmp_path, capsys):

@@ -5,6 +5,7 @@ validation for every section, override plumbing, sweep-plan generation,
 and the echo round-trip.
 """
 
+import inspect
 import math
 import re
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanishdamp import ConfigError, Constant, Quadratic
+from vanishdamp import ConfigError, Constant, NoiseModel, PowerLaw, Quadratic, SystemSpec
 from vanishdamp.config import (
     _KEYS,
     apply_overrides,
@@ -348,3 +349,49 @@ def test_grid_sweep_cap():
     )
     with pytest.raises(ConfigError, match="10201 points; the limit is 10000"):
         build_sweep_plan(cfg, Quadratic(1))
+
+
+# ---------------------------------------------------------------------------
+# the reference in docs/config.md
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+
+def _documented_keys():
+    """{section: {key: default text}} from the key tables of the docs."""
+    tables = {}
+    section = None
+    for line in DOCS.read_text().splitlines():
+        if line.startswith("## "):
+            heading = re.fullmatch(r"## \[(\w+)\]", line)
+            section = heading.group(1) if heading else None
+            if section:
+                tables[section] = {}
+        elif section and line.startswith("| `"):
+            keys, default, _ = line.strip("|").split("|", 2)
+            for key in re.findall(r"`(\w+)`", keys):
+                tables[section][key] = default.strip().strip("`")
+    return tables
+
+
+def test_docs_list_every_key():
+    documented = {section: set(keys) for section, keys in _documented_keys().items()}
+    assert documented == {section: set(keys) for section, keys in _KEYS.items()}
+
+
+@pytest.mark.parametrize(
+    "section, key, owner, kind",
+    [
+        ("run", "rel_tol", SystemSpec, float),
+        ("run", "abs_tol", SystemSpec, float),
+        ("run", "max_steps", SystemSpec, int),
+        ("schedule", "gamma", PowerLaw, float),
+        ("schedule", "s0", PowerLaw, float),
+        ("sgd", "seed", NoiseModel, int),
+        ("potential", "n", Quadratic, int),
+    ],
+)
+def test_docs_give_the_constructors_defaults(section, key, owner, kind):
+    # the config leaves these keys to the constructors' own defaults
+    documented = kind(_documented_keys()[section][key])
+    assert documented == inspect.signature(owner).parameters[key].default

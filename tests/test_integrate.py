@@ -193,6 +193,21 @@ def test_events_table_slices_share_its_columns(j_run):
             column[0] = 0.0
 
 
+def test_events_table_takes_only_slices(j_run):
+    with pytest.raises(TypeError, match="Events takes slices, got int"):
+        j_run.events[3]
+
+
+@pytest.mark.parametrize("x0", [1.0, 0.0])  # 0.0: the stationary shortcut
+def test_trajectory_is_read_only(x0):
+    traj = integrate(SystemSpec(Constant(1.0), Quadratic(1), x0, 0.0, 5.0))
+    for column in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
+        with pytest.raises(ValueError):
+            column[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.ts = traj.ts[:1]
+
+
 def test_run_without_sign_changes_has_an_empty_table():
     # free motion with damping: v = exp(-t) never changes sign
     traj = integrate(

@@ -28,7 +28,6 @@ from vanishdamp.potential import (
     check_base_inequality,
     check_strong_convexity_window,
     critical_points,
-    estimate_lipschitz,
     plateau_interval,
 )
 
@@ -400,7 +399,6 @@ def test_certificates_past_eight_dimensions(n):
     # dimensions they are moved onto the ball rather than dropped
     cert = check_base_inequality(Quadratic(n), 0.5, np.zeros(n))
     assert cert.validity == "Analytic" and cert.violations == 0
-    assert estimate_lipschitz(Quadratic(n), 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_base_inequality_detects_failures():
@@ -446,16 +444,3 @@ def test_strong_convexity_window_thresholds():
         check_strong_convexity_window(q, 0.0, -1.0, 0.5)
     with pytest.raises(DomainError):
         check_strong_convexity_window(Quadratic(2), 0.0, 1.0, 0.5)
-
-
-def test_lipschitz_estimates():
-    # the quadratic gradient is an isometry: every pair reports exactly 1
-    assert estimate_lipschitz(Quadratic(2), 3.0) == pytest.approx(1.0, rel=1e-12)
-    # flat bottom: slope 0 inside, 2 outside; the sampled value must land
-    # between and never exceed the true constant
-    est = estimate_lipschitz(FlatBottom(1), 3.0)
-    assert 1.0 <= est <= 2.0 + 1e-9
-    # for the cubic gradient the consecutive-probe secants underestimate
-    # the endpoint slope (11 at |x| = 2); the estimate is a lower bound
-    est = estimate_lipschitz(DoubleWell(), 2.0, samples=4000)
-    assert 3.0 <= est <= 11.0 + 1e-6
