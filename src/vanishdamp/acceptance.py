@@ -18,12 +18,21 @@ Adding a criterion takes one decorated function:
 Registration order is run order.  ``run_criteria`` times each call and
 builds its ``CriterionResult``; runs that several criteria share are
 cached fixtures on ``_Suite``.
+
+Criteria run one at a time in this process.  The independent runs of an
+ensemble (A2's amplitudes, A8's and A11's random starts, A12's
+recursions, A13's horizons) are spread by ``_Suite.map`` over the CPUs
+this process may use, as calls of private module-level task functions
+with picklable arguments.  Each run is deterministic, so the results do
+not depend on where it ran; with one usable CPU no process is started.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -91,24 +100,97 @@ def _max_error(traj: Trajectory, reference: Callable[[float], float]) -> float:
     return max(abs(float(x) - reference(float(t))) for t, x in zip(traj.ts, traj.xs[:, 0]))
 
 
+# tasks that _Suite.map sends to worker processes: module-level, private
+# (the benchmark's tracer replaces every public function of the package,
+# and a captured replaced function no longer pickles) and calling the
+# public functions by name when they run
+
+_DECAY_AMPLITUDES = (0.5, 1.0, 2.0, 3.0)
+_PLANE_HORIZONS = (2.0e3, 2.0e4)
+_A12_EPS = 1e-3
+_A12_HORIZON = 20.0
+
+
+def _decay_run(c: float) -> Trajectory:
+    return _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), Quadratic(1), 1.0, 0.0, 1.0e3, 1e-9,
+                  abs_tol=1e-14)
+
+
+def _well_run(x0: float, v0: float) -> Trajectory:
+    return _solve(PowerLaw(c=1.0, gamma=1.0, s0=1.0), DoubleWell(), x0, v0, 1.0e4, 1e-6)
+
+
+def _constant_damping_run(x0: float, v0: float) -> Trajectory:
+    return _solve(Constant(1.0), DoubleWell(), x0, v0, 1.0e2, 1e-9)
+
+
+def _plane_flat_run(t_end: float) -> Trajectory:
+    return _solve(
+        PowerLaw(c=1.0, gamma=1.0, s0=1.0), FlatBottom(2), (0.0, 0.0), (1.2, 0.9), t_end, 1e-8)
+
+
+def _recursion_run(steps: StepSchedule, noise: NoiseModel, n_steps: int, keep: str):
+    """One of A12's recursions on the unit quadratic from x = 1, reduced to
+    what A12 reads of it: its deviation from the ODE, its drift-identity
+    gap, or its (x, h, tau) rows."""
+    quad = Quadratic(1)
+    path = run_recursion(quad, steps, noise, 1.0, n_steps)
+    if keep == "deviation":
+        return compare_to_ode(path, quad, horizon=_A12_HORIZON).deviation
+    if keep == "drift":
+        return path.drift_identity_max
+    return path.x, path.h, path.tau
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Suite:
-    """Lazily built, cached fixture runs shared between criteria."""
+    """Lazily built, cached fixture runs shared between criteria, and the
+    process pool that builds an ensemble's runs side by side.  ``close``
+    shuts the pool down."""
 
     def __init__(self) -> None:
         self._cache: Dict[str, object] = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
 
     def _get(self, key: str, build: Callable[[], object]) -> object:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
+    def map(self, task: Callable, args: Sequence[Sequence]) -> list:
+        """``[task(*a) for a in args]``, run on min(tasks, usable CPUs)
+        worker processes, or in this process when that is one.  The pool
+        is started by the first map that can use it and replaced by a
+        larger one only when a later map can use more workers."""
+        workers = min(len(args), _usable_cpus())
+        if workers < 2:
+            return [task(*a) for a in args]
+        if workers > self._workers:
+            self.close()
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._workers = workers
+        return list(self._pool.map(task, *zip(*args)))
+
+    def close(self) -> None:
+        """Cancel the pool's queued tasks and wait for its workers to exit."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool, self._workers = None, 0
+
     def linear_singular_run(self) -> Trajectory:
         return self._get("linear_singular", lambda: _solve(
             PowerLaw(c=1.0, gamma=1.0, s0=0.0), Quadratic(1), 1.0, 0.0, 50.0, 1e-9))
 
-    def decay_run(self, c: float) -> Trajectory:
-        return self._get(f"decay_c{c}", lambda: _solve(
-            PowerLaw(c=c, gamma=1.0, s0=1.0), Quadratic(1), 1.0, 0.0, 1.0e3, 1e-9, abs_tol=1e-14))
+    def decay_runs(self) -> Dict[float, Trajectory]:
+        """The unit quadratic from x = 1 under c/(t+1) for A2's amplitudes c."""
+        return self._get("decay_runs", lambda: dict(zip(
+            _DECAY_AMPLITUDES, self.map(_decay_run, [(c,) for c in _DECAY_AMPLITUDES]))))
 
     def slow_decay_run(self) -> Trajectory:
         # sub-linear damping drives the phase norm below 1e-30, so the
@@ -127,21 +209,17 @@ class _Suite:
             PowerLaw(c=1.0, gamma=0.5, s0=1.0), FlatBottom(1), 0.0, 1.5, 1.0e4, 1e-9))
 
     def well_runs(self) -> List[Trajectory]:
-        return self._get("well_runs", lambda: [
-            _solve(PowerLaw(c=1.0, gamma=1.0, s0=1.0), DoubleWell(), float(x0), float(v0),
-                   1.0e4, 1e-6)
-            for x0, v0 in _random_starts(_A8_SEED, 20)
-        ])
+        return self._get("well_runs", lambda: self.map(
+            _well_run, _random_starts(_A8_SEED, 20).tolist()))
 
     def constant_damping_runs(self) -> List[Trajectory]:
-        return self._get("constant_damping_runs", lambda: [
-            _solve(Constant(1.0), DoubleWell(), float(x0), float(v0), 1.0e2, 1e-9)
-            for x0, v0 in _random_starts(_A11_SEED, 20)
-        ])
+        return self._get("constant_damping_runs", lambda: self.map(
+            _constant_damping_run, _random_starts(_A11_SEED, 20).tolist()))
 
-    def plane_flat_run(self, t_end: float) -> Trajectory:
-        return self._get(f"plane_flat_{t_end}", lambda: _solve(
-            PowerLaw(c=1.0, gamma=1.0, s0=1.0), FlatBottom(2), (0.0, 0.0), (1.2, 0.9), t_end, 1e-8))
+    def plane_flat_runs(self) -> Dict[float, Trajectory]:
+        """The planar flat-floor run to each of A13's horizons."""
+        return self._get("plane_flat_runs", lambda: dict(zip(
+            _PLANE_HORIZONS, self.map(_plane_flat_run, [(t,) for t in _PLANE_HORIZONS]))))
 
 
 # criteria --------------------------------------------------------------
@@ -175,8 +253,7 @@ def _a1(suite: _Suite) -> _Outcome:
 def _a2(suite: _Suite) -> _Outcome:
     slopes = {}
     ok = True
-    for c in (0.5, 1.0, 2.0, 3.0):
-        traj = suite.decay_run(c)
+    for c, traj in suite.decay_runs().items():
         phase = traj.xs[:, 0] ** 2 + traj.vs[:, 0] ** 2
         fit = rate_fit(traj.ts, phase, (1.0e2, 1.0e3), model="PowerLaw")
         slopes[str(c)] = fit.exponent
@@ -208,7 +285,7 @@ def _a3(suite: _Suite) -> _Outcome:
 def _a4(suite: _Suite) -> _Outcome:
     residuals = {}
     runs = [("singular", suite.linear_singular_run()), ("slow", suite.slow_decay_run())]
-    runs += [(f"c={c}", suite.decay_run(c)) for c in (0.5, 1.0, 2.0, 3.0)]
+    runs += [(f"c={c}", traj) for c, traj in suite.decay_runs().items()]
     ok = True
     for label, traj in runs:
         res = lower_bound_residual(traj)
@@ -224,7 +301,7 @@ def _a4(suite: _Suite) -> _Outcome:
 
 @_criterion("A5", "energy-gap envelopes hold in both damping regimes")
 def _a5(suite: _Suite) -> _Outcome:
-    near = upper_bound_check(suite.decay_run(1.0), theta=0.5, regime="K1", K=1.0)
+    near = upper_bound_check(suite.decay_runs()[1.0], theta=0.5, regime="K1", K=1.0)
     far = upper_bound_check(suite.slow_decay_run(), theta=0.5, regime="K2", K=0.5)
     return (
         near.passed and near.stable and far.passed and math.isfinite(far.constant),
@@ -379,36 +456,25 @@ def _a11(suite: _Suite) -> _Outcome:
 
 @_criterion("A12", "averaged recursion: first-order in step, exact drift algebra, seeded replay")
 def _a12(suite: _Suite) -> _Outcome:
-    quad = Quadratic(1)
-    eps = 1e-3
-    horizon = 20.0
-    n_coarse = int(round(horizon / eps))
-    coarse = run_recursion(quad, StepSchedule.constant(eps), NoiseModel.none(), 1.0, n_coarse)
-    fine = run_recursion(
-        quad, StepSchedule.constant(eps / 2.0), NoiseModel.none(), 1.0, 2 * n_coarse
-    )
-    dev_coarse = compare_to_ode(coarse, quad, horizon=horizon).deviation
-    dev_fine = compare_to_ode(fine, quad, horizon=horizon).deviation
+    coarse = StepSchedule.constant(_A12_EPS)
+    n_coarse = int(round(_A12_HORIZON / _A12_EPS))
+    noisy = NoiseModel.gaussian(1.0, seed=404)
+    # longest first, so that no long recursion starts last
+    drift_c, drift_p, dev_fine, dev_coarse, noisy_a, noisy_b = suite.map(_recursion_run, [
+        (coarse, NoiseModel.none(), 100_000, "drift"),
+        (StepSchedule.power_decay(1e-2, 0.7), NoiseModel.none(), 100_000, "drift"),
+        (StepSchedule.constant(_A12_EPS / 2.0), NoiseModel.none(), 2 * n_coarse, "deviation"),
+        (coarse, NoiseModel.none(), n_coarse, "deviation"),
+        (coarse, noisy, 5_000, "path"),
+        (coarse, noisy, 5_000, "path"),
+    ])
     ratio = dev_coarse / dev_fine
     ratio_ok = 1.6 <= ratio <= 2.4
 
-    drift = max(
-        run_recursion(quad, steps, NoiseModel.none(), 1.0, 100_000).drift_identity_max
-        for steps in (StepSchedule.constant(eps), StepSchedule.power_decay(1e-2, 0.7))
-    )
+    drift = max(drift_c, drift_p)
     drift_ok = drift <= 1e-10
 
-    noisy_a, noisy_b = (
-        run_recursion(
-            quad, StepSchedule.constant(eps), NoiseModel.gaussian(1.0, seed=404), 1.0, 5_000
-        )
-        for _ in range(2)
-    )
-    bitwise = bool(
-        np.array_equal(noisy_a.x, noisy_b.x)
-        and np.array_equal(noisy_a.h, noisy_b.h)
-        and np.array_equal(noisy_a.tau, noisy_b.tau)
-    )
+    bitwise = all(np.array_equal(a, b) for a, b in zip(noisy_a, noisy_b))
     return (
         ratio_ok and drift_ok and bitwise,
         f"step-halving deviation ratio {ratio:.3f} (want [1.6, 2.4]); "
@@ -428,7 +494,7 @@ def _a13(suite: _Suite) -> _Outcome:
     measured = {}
     ok = True
     for horizon in (1.0e3, 1.0e4):
-        ext = omega_limit_extent(suite.plane_flat_run(2.0 * horizon), 0.5)
+        ext = omega_limit_extent(suite.plane_flat_runs()[2.0 * horizon], 0.5)
         widths = ext[:, 1] - ext[:, 0]
         # the largest per-axis spread bounds the diameter from below
         diameter = float(np.max(widths))
@@ -462,12 +528,16 @@ def run_criteria(
     suite = _Suite()
     by_id = {cid: (title, check) for cid, title, check in _CRITERIA}
     results = []
-    for cid in wanted:
-        title, check = by_id[cid]
-        t0 = time.perf_counter()
-        passed, detail, measured = check(suite)
-        result = CriterionResult(cid, title, passed, detail, measured, time.perf_counter() - t0)
-        results.append(result)
-        if progress is not None:
-            progress(result)
+    try:
+        for cid in wanted:
+            title, check = by_id[cid]
+            t0 = time.perf_counter()
+            passed, detail, measured = check(suite)
+            result = CriterionResult(
+                cid, title, passed, detail, measured, time.perf_counter() - t0)
+            results.append(result)
+            if progress is not None:
+                progress(result)
+    finally:
+        suite.close()
     return results

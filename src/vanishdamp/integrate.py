@@ -135,8 +135,26 @@ class State:
     v: np.ndarray
 
 
+class _ReadOnlyArrays:
+    """Base of the result dataclasses whose array fields are read-only.
+    The constructor sets the flags, and unpickling calls the constructor,
+    so a copy made by pickle (as a worker process returns one) is
+    read-only too."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class Events:
+class Events(_ReadOnlyArrays):
     """Sign changes of the monitored velocity projection, one row each in
     time order: ``time`` (E,), interpolated ``x`` and ``v`` (E, n) and
     ``energy`` (E,), and the unit ``direction`` the velocity is projected
@@ -147,10 +165,6 @@ class Events:
     v: np.ndarray
     energy: np.ndarray
     direction: np.ndarray
-
-    def __post_init__(self):
-        for column in (self.time, self.x, self.v, self.energy, self.direction):
-            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.time)
@@ -203,9 +217,10 @@ class SystemSpec:
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Trajectory:
+class Trajectory(_ReadOnlyArrays):
     """Immutable result of one integration: the fields cannot be
-    reassigned and the sample arrays are read-only.
+    reassigned and the sample arrays are read-only, in a copy made by
+    pickle too.
 
     Stored samples are (t, x, v, x'') rows plus energy and the cumulative
     dissipation integral; events carry full interpolated states.  Dense
@@ -228,10 +243,6 @@ class Trajectory:
     stats: SolverStats
     spec: SystemSpec
     n: int
-
-    def __post_init__(self):
-        for column in (self.ts, self.xs, self.vs, self.accs, self.energies, self.dissipation):
-            column.flags.writeable = False
 
     @property
     def initial_energy(self) -> float:

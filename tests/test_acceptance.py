@@ -8,10 +8,14 @@ A9) and is pinned to its documented behavior instead of a pass.
 
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from vanishdamp import acceptance
+from vanishdamp.cli import main
 
 EXPECTED_IDS = [f"A{k}" for k in range(1, 14)]
 
@@ -62,3 +66,58 @@ def test_criterion_a9_period_holds_gap_growth_does_not(suite):
     assert result.measured["period_ok"] is True
     assert result.measured["log_ok"] is False
     assert not result.passed
+
+
+# ---------------------------------------------------------------------------
+# the process pool that runs an ensemble's members side by side
+
+# criteria whose ensembles are cheap: four decay runs, six recursions and
+# two planar runs
+POOLED = ["A2", "A12", "A13"]
+
+
+def _rows(results):
+    return [{k: v for k, v in r.as_dict().items() if k != "seconds"} for r in results]
+
+
+def _record_pools(monkeypatch, cpus, **options):
+    """Give the suite ``cpus`` usable CPUs; the returned list collects the
+    size of every pool it starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **options)
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", pool)
+    return sizes
+
+
+def test_pool_started_by_spawn_gives_the_same_results(suite, monkeypatch):
+    # the tasks and their arguments pickle, and a worker that starts from a
+    # fresh interpreter computes what the default run computed
+    sizes = _record_pools(monkeypatch, 2, mp_context=multiprocessing.get_context("spawn"))
+    results = acceptance.run_criteria(POOLED)
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
+    assert _rows(results) == _rows(suite[cid] for cid in POOLED)
+
+
+def test_one_cpu_starts_no_process(suite, monkeypatch):
+    sizes = _record_pools(monkeypatch, 1)
+    results = acceptance.run_criteria(POOLED)
+    assert sizes == []
+    assert multiprocessing.active_children() == []
+    assert _rows(results) == _rows(suite[cid] for cid in POOLED)
+
+
+def test_solver_failure_in_a_worker_exits_3(monkeypatch, capsys):
+    # a step of 1e6 makes every A12 recursion diverge inside its worker;
+    # six recursions take six of eight CPUs
+    sizes = _record_pools(monkeypatch, 8)
+    monkeypatch.setattr(acceptance, "_A12_EPS", 1e6)
+    assert main(["verify", "--only", "A12"]) == 3
+    assert "solver failure (NonFiniteState)" in capsys.readouterr().err
+    assert sizes == [6]
+    assert multiprocessing.active_children() == []

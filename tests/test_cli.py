@@ -589,6 +589,36 @@ def test_random_sweep_with_parallel_jobs(tmp_path, capsys):
     _assert_same_apart_from_clock(serial, parallel)
 
 
+def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
+    # a fork-started pool launches every worker at once, so the pool this
+    # fake stands in for would fork max_workers processes
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    text = BASE.replace("t_end = 60.0", "t_end = 20.0") + (
+        "\n[sweep]\nmode = grid\nvary = schedule.c\nvalues = 1.0, 2.0, 3.0\n")
+    cfg = _cfg(tmp_path, text)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["sweep", cfg, "--outdir", str(serial), "--jobs", "1"]) == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    assert main(["sweep", cfg, "--outdir", str(parallel), "--jobs", "1000"]) == 0
+    assert asked == [3]
+    assert multiprocessing.active_children() == []
+    _assert_same_apart_from_clock(serial, parallel)
+
+
 def _assert_same_apart_from_clock(want_dir, got_dir):
     """The two directories hold the same files with the same lines, apart
     from the wall-clock lines of the summaries."""

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,23 @@ def test_trajectory_is_read_only(x0):
             column[0] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.ts = traj.ts[:1]
+
+
+def test_pickled_trajectory_is_the_same_and_read_only(j_run):
+    # a worker process hands its trajectory back through pickle
+    copy = pickle.loads(pickle.dumps(j_run))
+    for table, columns in (
+        (j_run, ("ts", "xs", "vs", "accs", "energies", "dissipation")),
+        (j_run.events, ("time", "x", "v", "energy", "direction")),
+    ):
+        copied = copy if table is j_run else copy.events
+        for name in columns:
+            want, got = getattr(table, name), getattr(copied, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert not got.flags.writeable, name
+    assert (copy.stats, copy.spec.t_end, copy.n) == (j_run.stats, j_run.spec.t_end, j_run.n)
+    events = pickle.loads(pickle.dumps(j_run.events[2:5]))
+    assert len(events) == 3 and not events.time.flags.writeable
 
 
 def test_run_without_sign_changes_has_an_empty_table():
