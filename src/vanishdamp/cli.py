@@ -11,8 +11,8 @@ Subcommands:
 * ``verify [--list]``: run the built-in acceptance suite.  The
   independent runs of its ensembles go to worker processes, one per CPU
   this process may use, and give the same report as a serial run; with
-  one usable CPU no process is started.  The full suite takes about
-  9.5 s on a 2-CPU host, 16.5 s serially.
+  one usable CPU no process is started.  On a 2-CPU host the full
+  suite took 6.8-9.4 s, against 12.0-16.6 s in one process.
 * ``oracle <kind>``: print closed-form reference values.
 
 Exit codes: 0 success, 1 criterion failure, 2 config error, 3 solver
@@ -377,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured family of scenarios")
     p_sweep.add_argument("config", help="path to a scenario config with a [sweep] section")
     p_sweep.add_argument("--outdir", default=None, help="artifact directory override")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel rows, at most one worker per row (default: 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel rows, at most one worker per row (default: 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
