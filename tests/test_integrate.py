@@ -488,8 +488,8 @@ _SLANTED_EVENTS = (
 
 def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     # SHA-256 of every stored array and event of three n=1 runs: adaptive
-    # with events, singular start, fixed step.  A stepper change that
-    # moves any bit of n=1 output shows up here.
+    # with events, singular start, fixed step, and the solver's counters.
+    # A stepper change that moves any bit of n=1 output shows up here.
     fixed = integrate(
         SystemSpec(
             schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(),
@@ -498,11 +498,40 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     )
     assert (len(well_run.events), len(j_run.events), len(fixed.events)) == (4500, 15, 22)
     assert _trajectory_digest(well_run) == _WELL_RUN_DIGEST
+    assert well_run.stats.as_dict() == (
+        {"accepted": 60758, "rejected": 11801, "rhs_evals": 435356, "stride": 1}
+    )
     assert _trajectory_digest(j_run) == (
         "f311252a331b02de28e09364db523fb6b965b34bf59c24796ffe3ca1e1125a34"
     )
+    assert j_run.stats.as_dict() == (
+        {"accepted": 1048, "rejected": 29, "rhs_evals": 6464, "stride": 1}
+    )
     assert _trajectory_digest(fixed) == (
         "f1ad0273e79c9b3ae90966e670f279ba1c544d4f1196b73768e37d9dedcd2dca"
+    )
+    assert fixed.stats.as_dict() == (
+        {"accepted": 5001, "rejected": 0, "rhs_evals": 30007, "stride": 1}
+    )
+
+
+def test_clipped_final_step_is_pinned_bitwise():
+    # The last step is clipped to end on t_end, and here t + (t_end - t)
+    # rounds to a float other than t_end.  Its final stage must take the
+    # rate at t_end, not stage 6's rate at t + h: here the two give
+    # different accelerations.  SHA-256 of every stored array and the
+    # counters.
+    spec = dataclasses.replace(_WELL_SHORT, t_end=0.0559001)
+    traj = integrate(spec)
+    t = float(traj.ts[-2])  # every step is stored: the clipped one starts here
+    t_h = t + (spec.t_end - t)
+    assert t_h != spec.t_end
+    rate, grad = spec.schedule.rate_fn(), spec.potential.grad_fn()
+    x, v = float(traj.xs[-1, 0]), float(traj.vs[-1, 0])
+    assert traj.accs[-1, 0] == -rate(spec.t_end) * v - grad(x) != -rate(t_h) * v - grad(x)
+    assert traj.stats.as_dict() == {"accepted": 2, "rejected": 0, "rhs_evals": 14, "stride": 1}
+    assert _trajectory_digest(traj) == (
+        "bacb52786947456882ef5e96f6152ada62152087fdc6a407166a559c7a9be215"
     )
 
 
@@ -555,25 +584,28 @@ _integrate_module = importlib.import_module("vanishdamp.integrate")
 
 
 @pytest.mark.parametrize(
-    "spec, counts, digest",
+    "spec, counts, stats, digest",
     [
         (_WELL_SHORT, (760, 449, 8),
+         {"accepted": 6070, "rejected": 1227, "rhs_evals": 43784, "stride": 8},
          "1894466db8a0146a87fb8dc58705fb98075a0956667bedd43f860721f24177ca"),
-        # 2,234 steps
         (_SLANTED_EVENTS[0], (560, 32, 4),
+         {"accepted": 2234, "rejected": 96, "rhs_evals": 13982, "stride": 4},
          "fadb8a0119b6c7a1071b5b012d77a1993878bb4849bc8c21e99251fd6c083866"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
-def test_stride_doubling_is_pinned_bitwise(spec, counts, digest, monkeypatch):
+def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, monkeypatch):
     # a small sample cap makes the runs thin their samples by automatic
-    # stride doubling; SHA-256 of every stored array and event
+    # stride doubling; SHA-256 of every stored array and event, and the
+    # solver's counters
     cap = 1000
     monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
     traj = integrate(spec)
     assert traj.stats.stride > 1
     assert len(traj.ts) <= cap + 1
     assert (len(traj.ts), len(traj.events), traj.stats.stride) == counts
+    assert traj.stats.as_dict() == stats
     assert _trajectory_digest(traj) == digest
 
 
