@@ -34,7 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,8 +116,21 @@ def _decay_run(c: float) -> Trajectory:
                   abs_tol=1e-14)
 
 
-def _well_run(x0: float, v0: float) -> Trajectory:
-    return _solve(PowerLaw(c=1.0, gamma=1.0, s0=1.0), DoubleWell(), x0, v0, 1.0e4, 1e-6)
+class _WellRun(NamedTuple):
+    """What A8 reads of one random double-well start, and the whole run
+    for the one that A9 and A10 read as well (None for the others)."""
+
+    verdict: str
+    events_by_1e2: int
+    events: int
+    traj: Optional[Trajectory]
+
+
+def _well_run(x0: float, v0: float, whole: bool) -> _WellRun:
+    traj = _solve(PowerLaw(c=1.0, gamma=1.0, s0=1.0), DoubleWell(), x0, v0, 1.0e4, 1e-6)
+    by_1e2 = int(np.searchsorted(traj.events.time, 1.0e2, side="right"))
+    return _WellRun(classify_limit(traj).verdict, by_1e2, len(traj.events),
+                    traj if whole else None)
 
 
 def _constant_damping_run(x0: float, v0: float) -> Trajectory:
@@ -208,9 +221,12 @@ class _Suite:
         return self._get("flat_settling", lambda: _solve(
             PowerLaw(c=1.0, gamma=0.5, s0=1.0), FlatBottom(1), 0.0, 1.5, 1.0e4, 1e-9))
 
-    def well_runs(self) -> List[Trajectory]:
+    def well_runs(self) -> List[_WellRun]:
+        """A8's random double-well starts; only run 0 comes back whole,
+        so the workers do not send 19 trajectories that no one reads."""
+        starts = _random_starts(_A8_SEED, 20).tolist()
         return self._get("well_runs", lambda: self.map(
-            _well_run, _random_starts(_A8_SEED, 20).tolist()))
+            _well_run, [(x0, v0, k == 0) for k, (x0, v0) in enumerate(starts)]))
 
     def constant_damping_runs(self) -> List[Trajectory]:
         return self._get("constant_damping_runs", lambda: self.map(
@@ -358,13 +374,11 @@ def _a8(suite: _Suite) -> _Outcome:
     ratios_ok = True
     max_hits = 0
     min_ratio = math.inf
-    for traj in suite.well_runs():
-        cl = classify_limit(traj)
-        verdicts.append(cl.verdict)
-        if cl.verdict == "ConvergesToMax":
+    for run in suite.well_runs():
+        verdicts.append(run.verdict)
+        if run.verdict == "ConvergesToMax":
             max_hits += 1
-        n2 = int(np.searchsorted(traj.events.time, 1.0e2, side="right"))
-        n4 = len(traj.events)
+        n2, n4 = run.events_by_1e2, run.events
         ratio = n4 / n2 if n2 else math.inf
         min_ratio = min(min_ratio, ratio)
         ratios_ok = ratios_ok and n4 >= 10 * n2
@@ -383,7 +397,7 @@ def _a8(suite: _Suite) -> _Outcome:
 
 @_criterion("A9", "turning-point gaps: trapped period and logarithmic gap growth")
 def _a9(suite: _Suite) -> _Outcome:
-    report = sign_change_gaps(suite.well_runs()[0])
+    report = sign_change_gaps(suite.well_runs()[0].traj)
     tail = report.gaps[report.times > 1.0e3]
     target = math.pi / math.sqrt(2.0)
     period_dev = float(np.max(np.abs(tail - target)) / target) if tail.size else math.inf
@@ -416,7 +430,7 @@ def _a9(suite: _Suite) -> _Outcome:
 
 @_criterion("A10", "time spent away from the limit thins out; long-run average matches")
 def _a10(suite: _Suite) -> _Outcome:
-    traj = suite.well_runs()[0]
+    traj = suite.well_runs()[0].traj
     cl = classify_limit(traj)
     limit = cl.nearest_location if cl.nearest_location is not None else cl.limit_estimate[0]
     report = occupation_density(traj, [limit], 0.1, (1.0e2, 1.0e3, 1.0e4))

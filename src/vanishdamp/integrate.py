@@ -33,7 +33,10 @@ arithmetic, so the array branch avoids the fixed costs that do not change
 a bit: the potential's unchecked closures instead of its validated
 methods, and the tableau coefficients held as (n,) arrays, since an
 array-by-array product is cheaper than a float-by-array one and rounds
-the same.
+the same.  On floats the interpreter's own work per call is the cost, so
+the loop makes no call that changes no bit: the n=1 maximum is a lambda,
+not the builtin, the step-size clamps are conditional expressions, and
+the stage-6 rate and the accepted state's magnitudes are reused.
 """
 
 from __future__ import annotations
@@ -334,12 +337,13 @@ def _normalize_spec(spec: SystemSpec):
 class StateOps(NamedTuple):
     """The operations that depend on how a state is held.
 
-    For n = 1 a state is a plain float and these are builtins and the
-    potential's float closures; for n >= 2 it is an (n,) array and they
-    are numpy calls and the potential's array closures, each chosen for
-    the least fixed cost at the bits of its checked form.  Everything else
-    in the stepper and in the recursion is elementwise arithmetic that
-    runs on either.
+    For n = 1 a state is a plain float and these are builtins, the
+    potential's float closures and, for ``maximum``, a lambda that
+    returns what the builtin ``max`` returns at less cost per call; for
+    n >= 2 it is an (n,) array and they are numpy calls and the
+    potential's array closures, each chosen for the least fixed cost at
+    the bits of its checked form.  Everything else in the stepper and in
+    the recursion is elementwise arithmetic that runs on either.
 
     ``column`` makes the growable sequence the stepper stores samples and
     events in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
@@ -369,7 +373,8 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
             grad=pot.grad_fn(),
             energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
-            maximum=max,
+            # returns what max(a, b) returns, without the builtin's call cost
+            maximum=lambda a, b: b if b > a else a,
             total=float,
             norm=abs,
             # +-v changes sign exactly where v does
@@ -568,19 +573,26 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
     pending_zero = None
 
-    stats = SolverStats(stride=stride)
+    accepted = rejected = 0
     since_store = 0
     just_rejected = False
     facold = 1.0e-4
+    # |x| and |v| of the accepted state, for the error norm of the next steps
+    ax, av = abs(x), abs(v)
 
+    # The step-size clamps below are conditional expressions, not min and
+    # max: each one returns what the builtin call it stands for returns
+    # (min(a, b) is b if b < a else a; max(a, b) is b if b > a else a).
     while t < t_end:
-        if stats.accepted + stats.rejected >= max_steps:
+        if accepted + rejected >= max_steps:
             raise MaxStepsExceeded(
                 f"{max_steps} steps exhausted at t={t:.6g} of {t_end:.6g}"
             )
-        clipped = t + h >= t_end
+        t_h = t + h
+        clipped = t_h >= t_end
         if clipped:
             h = t_end - t
+            t_h = t + h  # may round to a float other than t_end
         elif h < h_min:
             raise StepUnderflow(f"step {h:.3e} below {h_min:.3e} at t={t:.6g}")
 
@@ -605,29 +617,32 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             xx = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
             vv = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
             k6x = vv
-            k6v = -rate(t + h) * vv - g(xx)
+            r6 = rate(t_h)
+            k6v = -r6 * vv - g(xx)
             x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
             v_new = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-            t_new = t_end if clipped else t + h
+            t_new = t_end if clipped else t_h
             k7x = v_new
-            k7v = -rate(t_new) * v_new - g(x_new)
+            # the last stage is at t_new, where stage 6 already took the rate
+            # unless the step was clipped
+            k7v = -(rate(t_new) if clipped else r6) * v_new - g(x_new)
             finite = all_finite(x_new) and all_finite(v_new) and all_finite(k7v)
         except OverflowError:
             # a scalar closure overflowed where an array would hold inf
             finite = False
-        nfev += 6
 
         if fixed_h is None:
             if finite:
                 err_x = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
                 err_v = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-                rx = abs(err_x) / (atol + rtol * maximum(abs(x), abs(x_new)))
-                rv = abs(err_v) / (atol + rtol * maximum(abs(v), abs(v_new)))
+                ax_new, av_new = abs(x_new), abs(v_new)
+                rx = abs(err_x) / (atol + rtol * maximum(ax, ax_new))
+                rv = abs(err_v) / (atol + rtol * maximum(av, av_new))
                 norm = math.sqrt(total(rx * rx + rv * rv) / two_n)
             else:
                 norm = math.inf
             if not norm <= 1.0:
-                stats.rejected += 1
+                rejected += 1
                 just_rejected = True
                 if not math.isfinite(norm):
                     h *= _MIN_FACTOR
@@ -636,18 +651,19 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
                             f"state non-finite at t={t:.6g} and step cannot shrink"
                         )
                 else:
-                    h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+                    shrink = _SAFETY * norm ** -0.2
+                    h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
                 continue
+            ax, av = ax_new, av_new
             if norm == 0.0:
                 factor = _MAX_FACTOR
             else:
-                factor = min(
-                    _MAX_FACTOR,
-                    max(_MIN_FACTOR, _SAFETY * norm ** -_PI_EXPO * facold ** _PI_BETA),
-                )
-                facold = max(norm, 1.0e-4)
+                factor = _SAFETY * norm ** -_PI_EXPO * facold ** _PI_BETA
+                factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+                facold = 1.0e-4 if 1.0e-4 > norm else norm
             if just_rejected:
-                factor = min(factor, 1.0)
+                factor = 1.0 if 1.0 < factor else factor
                 just_rejected = False
         elif not finite:
             raise NonFiniteState(f"state non-finite at t={t:.6g} with fixed step")
@@ -680,7 +696,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         # ahead of a step that ended exactly on a zero.
         w_new = project(v_new)
         if w_new != 0.0:
-            new_sign = math.copysign(1.0, w_new)
+            new_sign = 1.0 if w_new > 0.0 else -1.0  # w_new is finite and not 0
             if last_sign != 0.0 and new_sign != last_sign:
                 if pending_zero is None:
                     brackets.append((t, t_new, h, x, v, qv1, qv2, qv3, qv4,
@@ -703,7 +719,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
         t, x, v = t_new, x_new, v_new
         k1x, k1v = k7x, k7v
-        stats.accepted += 1
+        accepted += 1
 
         since_store += 1
         if since_store >= stride or t >= t_end:
@@ -713,19 +729,20 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             accs.append(k1v)
             ds.append(diss)
             since_store = 0
-        if len(ts) > MAX_STORED_SAMPLES:
-            ts = ts[::2]
-            xs = xs[::2]
-            vs = vs[::2]
-            accs = accs[::2]
-            ds = ds[::2]
-            stride *= 2
-            stats.stride = stride
+            if len(ts) > MAX_STORED_SAMPLES:
+                ts = ts[::2]
+                xs = xs[::2]
+                vs = vs[::2]
+                accs = accs[::2]
+                ds = ds[::2]
+                stride *= 2
 
         if fixed_h is not None:
             h = fixed_h
-        else:
-            h = min(h * factor, t_end - t) if t < t_end else h
+        elif t < t_end:
+            h *= factor
+            rest = t_end - t
+            h = rest if rest < h else h
 
     if ts[-1] != t:
         ts.append(t)
@@ -733,7 +750,8 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         vs.append(v)
         accs.append(k1v)
         ds.append(diss)
-    stats.rhs_evals = nfev
+    # every attempt, accepted or rejected, evaluates six stages
+    stats = SolverStats(accepted, rejected, nfev + 6 * (accepted + rejected), stride)
     es = column(map(energy_of, xs, vs))  # of the samples thinning kept
     if failure is not None:
         raise failure

@@ -354,8 +354,9 @@ def run_recursion(
         t_new = tau + term
         c_tau = (t_new - tau) - term
         tau = t_new
+        # e_next * h is inf or NaN wherever h is, so x is finite only if h is
         x = x - e_next * h
-        if not (finite(x) and finite(h)):
+        if not finite(x):
             raise NonFiniteState(f"recursion diverged at step {n + 1}")
         taus[n + 1], hs[n + 1], xs[n + 1] = tau, h, x
         e_n = e_next
