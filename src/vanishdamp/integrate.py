@@ -34,9 +34,10 @@ a bit: the potential's unchecked closures instead of its validated
 methods, and the tableau coefficients held as (n,) arrays, since an
 array-by-array product is cheaper than a float-by-array one and rounds
 the same.  On floats the interpreter's own work per call is the cost, so
-the loop makes no call that changes no bit: the n=1 maximum is a lambda,
-not the builtin, the step-size clamps are conditional expressions, and
-the stage-6 rate and the accepted state's magnitudes are reused.
+the loop drops every call it can drop without changing a bit: the n=1
+maximum is a lambda, not the builtin, the step-size clamps are
+conditional expressions, and the stage-6 rate and the accepted state's
+magnitudes are reused.
 """
 
 from __future__ import annotations
@@ -373,7 +374,6 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
             grad=pot.grad_fn(),
             energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
-            # returns what max(a, b) returns, without the builtin's call cost
             maximum=lambda a, b: b if b > a else a,
             total=float,
             norm=abs,

@@ -660,10 +660,8 @@ def test_step_loop_call_count_is_bounded():
     # Guards the step loop's interpreter overhead without timing anything,
     # so it cannot flake on a busy or shared host: the Python and C calls
     # made from _run's own frame, per attempted step, are deterministic.
-    # The bound is what the loop reaches with its step-size clamps written
-    # as conditional expressions, |x| and |v| carried between steps and
-    # stage 6's rate reused (29.67 here, against 37.17 with min, max,
-    # math.copysign and those values recomputed on every attempt).
+    # The bound is what the loop reaches today (29.67 here; 37.17 when its
+    # step-size clamps still called min and max).
     run_code = _integrate_module._run.__code__
     calls = 0
 
