@@ -224,9 +224,9 @@ class _Suite:
     def well_runs(self) -> List[_WellRun]:
         """A8's random double-well starts; only run 0 comes back whole,
         so the workers do not send 19 trajectories that no one reads."""
-        starts = _random_starts(_A8_SEED, 20).tolist()
-        return self._get("well_runs", lambda: self.map(
-            _well_run, [(x0, v0, k == 0) for k, (x0, v0) in enumerate(starts)]))
+        return self._get("well_runs", lambda: self.map(_well_run, [
+            (x0, v0, k == 0)
+            for k, (x0, v0) in enumerate(_random_starts(_A8_SEED, 20).tolist())]))
 
     def constant_damping_runs(self) -> List[Trajectory]:
         return self._get("constant_damping_runs", lambda: self.map(
