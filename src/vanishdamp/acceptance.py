@@ -8,23 +8,30 @@ measured numbers.  The CLI `verify` subcommand and the acceptance tests
 both run through this module, so there is exactly one definition of
 what "passing" means.
 
-Adding a criterion takes one decorated function:
+Adding a criterion takes one decorated function that names the fixtures
+it reads:
 
-    @_criterion("A14", "what the criterion shows")
+    @_criterion("A14", "what the criterion shows", reads=("decay",))
     def _a14(suite: _Suite) -> _Outcome:
+        runs = suite.fixture("decay")
         ...
         return passed, detail, measured
 
 Registration order is run order.  ``run_criteria`` times each call and
-builds its ``CriterionResult``; runs that several criteria share are
-cached fixtures on ``_Suite``.
+builds its ``CriterionResult``.
 
-Criteria run one at a time in this process.  The independent runs of an
-ensemble (A2's amplitudes, A8's and A11's random starts, A12's
-recursions, A13's horizons) are spread by ``_Suite.map`` over the CPUs
-this process may use, as calls of private module-level task functions
-with picklable arguments.  Each run is deterministic, so the results do
-not depend on where it ran; with one usable CPU no process is started.
+A fixture is a list of calls of private module-level task functions
+with picklable arguments (``_fixture_calls``), and criteria share its
+results.  Before it judges the first criterion, ``run_criteria`` submits
+every call of every fixture the wanted criteria read to one process
+pool of min(calls, usable CPUs) workers, in the order of that table.  It
+then judges the criteria one at a time in this process, while the pool
+works on; a criterion waits only for the runs of its own fixtures, and a
+task's error is raised when the first criterion that reads its fixture
+is judged.  Each run is deterministic, so the results do not depend on
+where it ran.  With one usable CPU, or fewer than two calls, no process
+is started and each fixture is built here when a criterion first reads
+it.
 """
 
 from __future__ import annotations
@@ -32,13 +39,14 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analyze import (
+    LimitClassification,
     cesaro_mean,
     classify_limit,
     lower_bound_residual,
@@ -100,20 +108,53 @@ def _max_error(traj: Trajectory, reference: Callable[[float], float]) -> float:
     return max(abs(float(x) - reference(float(t))) for t, x in zip(traj.ts, traj.xs[:, 0]))
 
 
-# tasks that _Suite.map sends to worker processes: module-level, private
-# (the benchmark's tracer replaces every public function of the package,
-# and a captured replaced function no longer pickles) and calling the
-# public functions by name when they run
+# fixtures: lists of calls of private module-level tasks (the
+# benchmark's tracer replaces every public function of the package, and a
+# captured replaced function no longer pickles) that call the public
+# functions by name when they run.  A task whose fixture only one
+# criterion reads returns just what that criterion reads, so the
+# judging runs in the workers too and the whole run is not sent back.
 
 _DECAY_AMPLITUDES = (0.5, 1.0, 2.0, 3.0)
-_PLANE_HORIZONS = (2.0e3, 2.0e4)
+_SWEEP_HORIZONS = (1.0e4, 1.0e5)
+_MATCHED_BETAS = (0.5, 1.0, 2.0)
+_PLANE_HORIZONS = (2.0e4, 2.0e3)  # longest first, as in _fixture_calls
 _A12_EPS = 1e-3
 _A12_HORIZON = 20.0
+
+_Call = Tuple[Callable, tuple]
+
+
+def _linear_singular_run() -> Trajectory:
+    return _solve(PowerLaw(c=1.0, gamma=1.0, s0=0.0), Quadratic(1), 1.0, 0.0, 50.0, 1e-9)
 
 
 def _decay_run(c: float) -> Trajectory:
     return _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), Quadratic(1), 1.0, 0.0, 1.0e3, 1e-9,
                   abs_tol=1e-14)
+
+
+def _slow_decay_run() -> Trajectory:
+    # sub-linear damping drives the phase norm below 1e-30, so the
+    # absolute floor is pushed out of the way and the relative
+    # tolerance alone steers the step size
+    return _solve(PowerLaw(c=1.0, gamma=0.5, s0=1.0), Quadratic(1), 1.0, 0.0, 1.0e3, 1e-9,
+                  abs_tol=1e-300)
+
+
+def _flat_sweep_run(t_end: float) -> Trajectory:
+    return _solve(PowerLaw(c=1.0, gamma=1.0, s0=1.0), FlatBottom(1), 0.0, 1.5, t_end, 1e-9)
+
+
+def _flat_settling_run() -> Trajectory:
+    return _solve(PowerLaw(c=1.0, gamma=0.5, s0=1.0), FlatBottom(1), 0.0, 1.5, 1.0e4, 1e-9)
+
+
+def _matched_error(beta: float) -> float:
+    """A7: max |x - (t+1)^-beta| over the run whose damping matches beta."""
+    _, v_init, c = power_law_exact(beta, 0.0)
+    traj = _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), SignedPower(beta), 1.0, v_init, 100.0, 1e-9)
+    return _max_error(traj, lambda t: power_law_exact(beta, t)[0])
 
 
 class _WellRun(NamedTuple):
@@ -133,13 +174,16 @@ def _well_run(x0: float, v0: float, whole: bool) -> _WellRun:
                     traj if whole else None)
 
 
-def _constant_damping_run(x0: float, v0: float) -> Trajectory:
-    return _solve(Constant(1.0), DoubleWell(), x0, v0, 1.0e2, 1e-9)
+def _constant_damping_limit(x0: float, v0: float) -> LimitClassification:
+    """A11: the limit classification of one random start under constant damping."""
+    return classify_limit(_solve(Constant(1.0), DoubleWell(), x0, v0, 1.0e2, 1e-9))
 
 
-def _plane_flat_run(t_end: float) -> Trajectory:
-    return _solve(
-        PowerLaw(c=1.0, gamma=1.0, s0=1.0), FlatBottom(2), (0.0, 0.0), (1.2, 0.9), t_end, 1e-8)
+def _plane_flat_extent(t_end: float) -> np.ndarray:
+    """A13: the per-axis extent of the last half of the planar flat-floor run."""
+    return omega_limit_extent(_solve(
+        PowerLaw(c=1.0, gamma=1.0, s0=1.0), FlatBottom(2), (0.0, 0.0), (1.2, 0.9), t_end, 1e-8),
+        0.5)
 
 
 def _recursion_run(steps: StepSchedule, noise: NoiseModel, n_steps: int, keep: str):
@@ -155,6 +199,43 @@ def _recursion_run(steps: StepSchedule, noise: NoiseModel, n_steps: int, keep: s
     return path.x, path.h, path.tau
 
 
+def _fixture_calls() -> Dict[str, List[_Call]]:
+    """Every fixture's task calls, in the order the pool is given them.
+    Built when a suite starts, from the module's constants as they are
+    then."""
+    coarse = StepSchedule.constant(_A12_EPS)
+    n_coarse = int(round(_A12_HORIZON / _A12_EPS))
+    noisy = NoiseModel.gaussian(1.0, seed=404)
+    # longest first, so that no long run starts last and leaves the other
+    # workers idle; this measured faster than registration order
+    return {
+        "plane_flat_extents": [(_plane_flat_extent, (t,)) for t in _PLANE_HORIZONS],
+        # the unit quadratic from x = 1 under c/(t+1) for A2's amplitudes c
+        "decay": [(_decay_run, (c,)) for c in _DECAY_AMPLITUDES],
+        "slow_decay": [(_slow_decay_run, ())],
+        "recursions": [
+            (_recursion_run, (coarse, NoiseModel.none(), 100_000, "drift")),
+            (_recursion_run,
+             (StepSchedule.power_decay(1e-2, 0.7), NoiseModel.none(), 100_000, "drift")),
+            (_recursion_run,
+             (StepSchedule.constant(_A12_EPS / 2.0), NoiseModel.none(), 2 * n_coarse, "deviation")),
+            (_recursion_run, (coarse, NoiseModel.none(), n_coarse, "deviation")),
+            (_recursion_run, (coarse, noisy, 5_000, "path")),
+            (_recursion_run, (coarse, noisy, 5_000, "path")),
+        ],
+        "linear_singular": [(_linear_singular_run, ())],
+        "flat_sweep": [(_flat_sweep_run, (t,)) for t in _SWEEP_HORIZONS],
+        "flat_settling": [(_flat_settling_run, ())],
+        "matched_errors": [(_matched_error, (beta,)) for beta in _MATCHED_BETAS],
+        # A8's random starts; only run 0 comes back whole, so the workers
+        # do not send 19 trajectories that no one reads
+        "wells": [(_well_run, (x0, v0, k == 0))
+                  for k, (x0, v0) in enumerate(_random_starts(_A8_SEED, 20).tolist())],
+        "constant_damping_limits": [(_constant_damping_limit, tuple(start))
+                                    for start in _random_starts(_A11_SEED, 20).tolist()],
+    }
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -162,101 +243,68 @@ def _usable_cpus() -> int:
 
 
 class _Suite:
-    """Lazily built, cached fixture runs shared between criteria, and the
-    process pool that builds an ensemble's runs side by side.  ``close``
-    shuts the pool down."""
+    """The fixtures' results, shared between criteria, and the process
+    pool that computes them.  ``close`` shuts the pool down."""
 
     def __init__(self) -> None:
-        self._cache: Dict[str, object] = {}
+        self._calls = _fixture_calls()
+        self._results: Dict[str, list] = {}
+        self._futures: Dict[str, List[Future]] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._workers = 0
 
-    def _get(self, key: str, build: Callable[[], object]) -> object:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def map(self, task: Callable, args: Sequence[Sequence]) -> list:
-        """``[task(*a) for a in args]``, run on min(tasks, usable CPUs)
-        worker processes, or in this process when that is one.  The pool
-        is started by the first map that can use it and replaced by a
-        larger one only when a later map can use more workers."""
-        workers = min(len(args), _usable_cpus())
+    def start(self, names: Collection[str]) -> None:
+        """Submit every call of the named fixtures, in table order, to one
+        pool of min(calls, usable CPUs) workers; start no process when
+        that is one."""
+        chosen = [name for name in self._calls if name in names]
+        workers = min(sum(len(self._calls[name]) for name in chosen), _usable_cpus())
         if workers < 2:
-            return [task(*a) for a in args]
-        if workers > self._workers:
-            self.close()
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._workers = workers
-        return list(self._pool.map(task, *zip(*args)))
+            return
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+        for name in chosen:
+            self._futures[name] = [self._pool.submit(task, *args)
+                                   for task, args in self._calls[name]]
+
+    def fixture(self, name: str) -> list:
+        """The results of the named fixture's calls, in order.  They come
+        from the pool when it was given them (waiting for them, and
+        raising a task's error), else they are computed here."""
+        if name not in self._results:
+            futures = self._futures.get(name)
+            self._results[name] = (self._build(name) if futures is None
+                                   else [f.result() for f in futures])
+        return self._results[name]
+
+    def _build(self, name: str) -> list:
+        return [task(*args) for task, args in self._calls[name]]
 
     def close(self) -> None:
         """Cancel the pool's queued tasks and wait for its workers to exit."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
-            self._pool, self._workers = None, 0
-
-    def linear_singular_run(self) -> Trajectory:
-        return self._get("linear_singular", lambda: _solve(
-            PowerLaw(c=1.0, gamma=1.0, s0=0.0), Quadratic(1), 1.0, 0.0, 50.0, 1e-9))
-
-    def decay_runs(self) -> Dict[float, Trajectory]:
-        """The unit quadratic from x = 1 under c/(t+1) for A2's amplitudes c."""
-        return self._get("decay_runs", lambda: dict(zip(
-            _DECAY_AMPLITUDES, self.map(_decay_run, [(c,) for c in _DECAY_AMPLITUDES]))))
-
-    def slow_decay_run(self) -> Trajectory:
-        # sub-linear damping drives the phase norm below 1e-30, so the
-        # absolute floor is pushed out of the way and the relative
-        # tolerance alone steers the step size
-        return self._get("slow_decay", lambda: _solve(
-            PowerLaw(c=1.0, gamma=0.5, s0=1.0), Quadratic(1), 1.0, 0.0, 1.0e3, 1e-9,
-            abs_tol=1e-300))
-
-    def flat_sweep_run(self, t_end: float) -> Trajectory:
-        return self._get(f"flat_sweep_{t_end}", lambda: _solve(
-            PowerLaw(c=1.0, gamma=1.0, s0=1.0), FlatBottom(1), 0.0, 1.5, t_end, 1e-9))
-
-    def flat_settling_run(self) -> Trajectory:
-        return self._get("flat_settling", lambda: _solve(
-            PowerLaw(c=1.0, gamma=0.5, s0=1.0), FlatBottom(1), 0.0, 1.5, 1.0e4, 1e-9))
-
-    def well_runs(self) -> List[_WellRun]:
-        """A8's random double-well starts; only run 0 comes back whole,
-        so the workers do not send 19 trajectories that no one reads."""
-        return self._get("well_runs", lambda: self.map(_well_run, [
-            (x0, v0, k == 0)
-            for k, (x0, v0) in enumerate(_random_starts(_A8_SEED, 20).tolist())]))
-
-    def constant_damping_runs(self) -> List[Trajectory]:
-        return self._get("constant_damping_runs", lambda: self.map(
-            _constant_damping_run, _random_starts(_A11_SEED, 20).tolist()))
-
-    def plane_flat_runs(self) -> Dict[float, Trajectory]:
-        """The planar flat-floor run to each of A13's horizons."""
-        return self._get("plane_flat_runs", lambda: dict(zip(
-            _PLANE_HORIZONS, self.map(_plane_flat_run, [(t,) for t in _PLANE_HORIZONS]))))
+            self._pool = None
 
 
 # criteria --------------------------------------------------------------
 
 _Outcome = Tuple[bool, str, Dict[str, object]]
-_CRITERIA: List[Tuple[str, str, Callable[[_Suite], _Outcome]]] = []
+_CRITERIA: List[Tuple[str, str, Tuple[str, ...], Callable[[_Suite], _Outcome]]] = []
 
 
-def _criterion(cid: str, title: str):
-    """Register the decorated ``check(suite) -> (passed, detail, measured)``."""
+def _criterion(cid: str, title: str, reads: Tuple[str, ...]):
+    """Register the decorated ``check(suite) -> (passed, detail, measured)``,
+    which reads the named fixtures and no others."""
 
     def register(check: Callable[[_Suite], _Outcome]) -> Callable[[_Suite], _Outcome]:
-        _CRITERIA.append((cid, title, check))
+        _CRITERIA.append((cid, title, reads, check))
         return check
 
     return register
 
 
-@_criterion("A1", "singular-damping run matches the series reference")
+@_criterion("A1", "singular-damping run matches the series reference", reads=("linear_singular",))
 def _a1(suite: _Suite) -> _Outcome:
-    traj = suite.linear_singular_run()
+    [traj] = suite.fixture("linear_singular")
     err = _max_error(traj, lambda t: linear_regular_solution(1.0, t))
     return (
         err <= 1e-6,
@@ -265,11 +313,11 @@ def _a1(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A2", "phase-norm decay exponent tracks the damping amplitude")
+@_criterion("A2", "phase-norm decay exponent tracks the damping amplitude", reads=("decay",))
 def _a2(suite: _Suite) -> _Outcome:
     slopes = {}
     ok = True
-    for c, traj in suite.decay_runs().items():
+    for c, traj in zip(_DECAY_AMPLITUDES, suite.fixture("decay")):
         phase = traj.xs[:, 0] ** 2 + traj.vs[:, 0] ** 2
         fit = rate_fit(traj.ts, phase, (1.0e2, 1.0e3), model="PowerLaw")
         slopes[str(c)] = fit.exponent
@@ -278,9 +326,9 @@ def _a2(suite: _Suite) -> _Outcome:
     return ok, f"fitted slopes {detail} (each within 5% of -c)", {"slopes": slopes}
 
 
-@_criterion("A3", "sub-linear damping decays like the damping integral")
+@_criterion("A3", "sub-linear damping decays like the damping integral", reads=("slow_decay",))
 def _a3(suite: _Suite) -> _Outcome:
-    traj = suite.slow_decay_run()
+    [traj] = suite.fixture("slow_decay")
     phase = traj.xs[:, 0] ** 2 + traj.vs[:, 0] ** 2
     fit = rate_fit(
         traj.ts,
@@ -297,11 +345,12 @@ def _a3(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A4", "energy never dips below the kernel-squared floor")
+@_criterion("A4", "energy never dips below the kernel-squared floor",
+            reads=("linear_singular", "slow_decay", "decay"))
 def _a4(suite: _Suite) -> _Outcome:
     residuals = {}
-    runs = [("singular", suite.linear_singular_run()), ("slow", suite.slow_decay_run())]
-    runs += [(f"c={c}", traj) for c, traj in suite.decay_runs().items()]
+    runs = [("singular", *suite.fixture("linear_singular")), ("slow", *suite.fixture("slow_decay"))]
+    runs += [(f"c={c}", traj) for c, traj in zip(_DECAY_AMPLITUDES, suite.fixture("decay"))]
     ok = True
     for label, traj in runs:
         res = lower_bound_residual(traj)
@@ -315,10 +364,13 @@ def _a4(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A5", "energy-gap envelopes hold in both damping regimes")
+@_criterion("A5", "energy-gap envelopes hold in both damping regimes",
+            reads=("decay", "slow_decay"))
 def _a5(suite: _Suite) -> _Outcome:
-    near = upper_bound_check(suite.decay_runs()[1.0], theta=0.5, regime="K1", K=1.0)
-    far = upper_bound_check(suite.slow_decay_run(), theta=0.5, regime="K2", K=0.5)
+    unit = suite.fixture("decay")[_DECAY_AMPLITUDES.index(1.0)]
+    [slow] = suite.fixture("slow_decay")
+    near = upper_bound_check(unit, theta=0.5, regime="K1", K=1.0)
+    far = upper_bound_check(slow, theta=0.5, regime="K2", K=0.5)
     return (
         near.passed and near.stable and far.passed and math.isfinite(far.constant),
         f"kernel regime C = {near.constant:.4f} (stable: {near.stable}); "
@@ -331,17 +383,19 @@ def _a5(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A6", "flat-floor runs sweep under 1/t damping and settle under slower damping")
+@_criterion("A6", "flat-floor runs sweep under 1/t damping and settle under slower damping",
+            reads=("flat_sweep", "flat_settling"))
 def _a6(suite: _Suite) -> _Outcome:
     measured: Dict[str, object] = {}
     ok = True
-    for horizon in (1.0e3, 1.0e4):
-        traj = suite.flat_sweep_run(10.0 * horizon)
+    for t_end, traj in zip(_SWEEP_HORIZONS, suite.fixture("flat_sweep")):
+        horizon = t_end / 10.0
         ext = omega_limit_extent(traj, 0.9)
         lo, hi = float(ext[0, 0]), float(ext[0, 1])
         measured[f"sweep_extent_T{horizon:g}"] = [lo, hi]
         ok = ok and lo <= -0.95 and hi >= 0.95
-    ext = omega_limit_extent(suite.flat_settling_run(), 0.1)
+    [settling] = suite.fixture("flat_settling")
+    ext = omega_limit_extent(settling, 0.1)
     width = float(ext[0, 1] - ext[0, 0])
     mid = 0.5 * float(ext[0, 0] + ext[0, 1])
     measured["settle_width"] = width
@@ -354,27 +408,23 @@ def _a6(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A7", "matched-damping runs track the exact power-law solution")
+@_criterion("A7", "matched-damping runs track the exact power-law solution",
+            reads=("matched_errors",))
 def _a7(suite: _Suite) -> _Outcome:
-    errors = {}
-    ok = True
-    for beta in (0.5, 1.0, 2.0):
-        _, v_init, c = power_law_exact(beta, 0.0)
-        traj = _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), SignedPower(beta), 1.0, v_init, 100.0, 1e-9)
-        err = _max_error(traj, lambda t: power_law_exact(beta, t)[0])
-        errors[str(beta)] = err
-        ok = ok and err <= 1e-6
+    errors = {str(beta): err for beta, err in zip(_MATCHED_BETAS, suite.fixture("matched_errors"))}
+    ok = all(err <= 1e-6 for err in errors.values())
     worst = max(errors.values())
     return ok, f"worst max |x - (t+1)^-beta| = {worst:.3e} (tol 1e-06)", {"errors": errors}
 
 
-@_criterion("A8", "random double-well starts all settle at a floor, never the hump")
+@_criterion("A8", "random double-well starts all settle at a floor, never the hump",
+            reads=("wells",))
 def _a8(suite: _Suite) -> _Outcome:
     verdicts = []
     ratios_ok = True
     max_hits = 0
     min_ratio = math.inf
-    for run in suite.well_runs():
+    for run in suite.fixture("wells"):
         verdicts.append(run.verdict)
         if run.verdict == "ConvergesToMax":
             max_hits += 1
@@ -395,15 +445,16 @@ def _a8(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A9", "turning-point gaps: trapped period and logarithmic gap growth")
+@_criterion("A9", "turning-point gaps: trapped period and logarithmic gap growth",
+            reads=("wells", "flat_sweep"))
 def _a9(suite: _Suite) -> _Outcome:
-    report = sign_change_gaps(suite.well_runs()[0].traj)
+    report = sign_change_gaps(suite.fixture("wells")[0].traj)
     tail = report.gaps[report.times > 1.0e3]
     target = math.pi / math.sqrt(2.0)
     period_dev = float(np.max(np.abs(tail - target)) / target) if tail.size else math.inf
     period_ok = tail.size > 0 and period_dev <= 0.02
 
-    rep = sign_change_gaps(suite.flat_sweep_run(1.0e5))
+    rep = sign_change_gaps(suite.fixture("flat_sweep")[_SWEEP_HORIZONS.index(1.0e5)])
     ratios = {}
     for horizon in (1.0e2, 1.0e3, 1.0e4):
         mask = rep.times <= horizon
@@ -428,9 +479,10 @@ def _a9(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A10", "time spent away from the limit thins out; long-run average matches")
+@_criterion("A10", "time spent away from the limit thins out; long-run average matches",
+            reads=("wells",))
 def _a10(suite: _Suite) -> _Outcome:
-    traj = suite.well_runs()[0].traj
+    traj = suite.fixture("wells")[0].traj
     cl = classify_limit(traj)
     limit = cl.nearest_location if cl.nearest_location is not None else cl.limit_estimate[0]
     report = occupation_density(traj, [limit], 0.1, (1.0e2, 1.0e3, 1.0e4))
@@ -451,13 +503,13 @@ def _a10(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A11", "constant damping settles every random start by t = 100")
+@_criterion("A11", "constant damping settles every random start by t = 100",
+            reads=("constant_damping_limits",))
 def _a11(suite: _Suite) -> _Outcome:
-    runs = suite.constant_damping_runs()
+    runs = suite.fixture("constant_damping_limits")
     settled = 0
     worst_width = 0.0
-    for traj in runs:
-        cl = classify_limit(traj)
+    for cl in runs:
         worst_width = max(worst_width, cl.tail_width)
         if cl.limit_exists and cl.verdict == "ConvergesToMin":
             settled += 1
@@ -468,20 +520,10 @@ def _a11(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A12", "averaged recursion: first-order in step, exact drift algebra, seeded replay")
+@_criterion("A12", "averaged recursion: first-order in step, exact drift algebra, seeded replay",
+            reads=("recursions",))
 def _a12(suite: _Suite) -> _Outcome:
-    coarse = StepSchedule.constant(_A12_EPS)
-    n_coarse = int(round(_A12_HORIZON / _A12_EPS))
-    noisy = NoiseModel.gaussian(1.0, seed=404)
-    # longest first, so that no long recursion starts last
-    drift_c, drift_p, dev_fine, dev_coarse, noisy_a, noisy_b = suite.map(_recursion_run, [
-        (coarse, NoiseModel.none(), 100_000, "drift"),
-        (StepSchedule.power_decay(1e-2, 0.7), NoiseModel.none(), 100_000, "drift"),
-        (StepSchedule.constant(_A12_EPS / 2.0), NoiseModel.none(), 2 * n_coarse, "deviation"),
-        (coarse, NoiseModel.none(), n_coarse, "deviation"),
-        (coarse, noisy, 5_000, "path"),
-        (coarse, noisy, 5_000, "path"),
-    ])
+    drift_c, drift_p, dev_fine, dev_coarse, noisy_a, noisy_b = suite.fixture("recursions")
     ratio = dev_coarse / dev_fine
     ratio_ok = 1.6 <= ratio <= 2.4
 
@@ -503,12 +545,13 @@ def _a12(suite: _Suite) -> _Outcome:
     )
 
 
-@_criterion("A13", "planar flat-floor run keeps wandering at every horizon")
+@_criterion("A13", "planar flat-floor run keeps wandering at every horizon",
+            reads=("plane_flat_extents",))
 def _a13(suite: _Suite) -> _Outcome:
     measured = {}
     ok = True
-    for horizon in (1.0e3, 1.0e4):
-        ext = omega_limit_extent(suite.plane_flat_runs()[2.0 * horizon], 0.5)
+    for t_end, ext in zip(_PLANE_HORIZONS, suite.fixture("plane_flat_extents")):
+        horizon = t_end / 2.0
         widths = ext[:, 1] - ext[:, 0]
         # the largest per-axis spread bounds the diameter from below
         diameter = float(np.max(widths))
@@ -522,29 +565,31 @@ def _a13(suite: _Suite) -> _Outcome:
     )
 
 
-CRITERION_IDS = tuple(cid for cid, _, _ in _CRITERIA)
+CRITERION_IDS = tuple(cid for cid, _, _, _ in _CRITERIA)
 
 
 def list_criteria() -> List[tuple]:
     """(id, title) pairs in run order, without running anything."""
-    return [(cid, title) for cid, title, _ in _CRITERIA]
+    return [(cid, title) for cid, title, _, _ in _CRITERIA]
 
 
 def run_criteria(
     ids: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[CriterionResult], None]] = None,
 ) -> List[CriterionResult]:
-    """Run the requested criteria (all by default) sharing fixture runs."""
-    wanted = list(CRITERION_IDS) if ids is None else list(ids)
-    unknown = [c for c in wanted if c not in CRITERION_IDS]
-    if unknown:
-        raise DomainError(f"unknown criterion ids {unknown}; known ids {list(CRITERION_IDS)}")
+    """Judge the requested criteria (all by default) sharing fixture runs,
+    each once and in registration order, whatever the order of ``ids``.
+    Every fixture they read is submitted before the first is judged."""
+    if ids is not None:
+        unknown = [c for c in ids if c not in CRITERION_IDS]
+        if unknown:
+            raise DomainError(f"unknown criterion ids {unknown}; known ids {list(CRITERION_IDS)}")
+    wanted = [c for c in _CRITERIA if ids is None or c[0] in ids]
     suite = _Suite()
-    by_id = {cid: (title, check) for cid, title, check in _CRITERIA}
     results = []
     try:
-        for cid in wanted:
-            title, check = by_id[cid]
+        suite.start({name for _, _, reads, _ in wanted for name in reads})
+        for cid, title, _, check in wanted:
             t0 = time.perf_counter()
             passed, detail, measured = check(suite)
             result = CriterionResult(

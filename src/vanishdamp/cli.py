@@ -8,11 +8,16 @@ Subcommands:
   an [sgd] section, whose recursion a worker process runs meanwhile).
 * ``sweep <cfg>``: run a grid or random-start family of scenarios,
   writing one summary per row plus an aggregate table.
-* ``verify [--list]``: run the built-in acceptance suite.  The
-  independent runs of its ensembles go to worker processes, one per CPU
-  this process may use, and give the same report as a serial run; with
-  one usable CPU no process is started.  On a 2-CPU host the full
-  suite took 6.8-9.4 s, against 12.0-16.6 s in one process.
+* ``verify [--list] [--only IDS]``: run the built-in acceptance suite,
+  or the comma-separated criteria of ``--only`` (each once, in
+  registration order).  Every run the chosen criteria read is submitted
+  to worker processes, one per CPU this process may use, before the
+  first criterion is judged; the criteria are judged here one at a time
+  while the workers run, and the report is the same as a serial run's.
+  With one usable CPU, or fewer than two runs, no process is started.
+  A criterion's ``seconds`` in ``--json`` is the wait for its runs plus
+  its judgement.  On a 2-CPU host the full suite took 6.6-7.3 s,
+  against 13.1-15.0 s in one process.
 * ``oracle <kind>``: print closed-form reference values.
 
 Exit codes: 0 success, 1 criterion failure, 2 config error, 3 solver
@@ -327,7 +332,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for cid, title in acceptance.list_criteria():
             print(f"{cid}  {title}")
         return 0
-    ids = args.only.split(",") if args.only else None
+    ids = [cid.strip() for cid in args.only.split(",")] if args.only else None
     results = acceptance.run_criteria(ids=ids, progress=lambda r: print(r.line(), flush=True))
     if args.json:
         print(json.dumps([r.as_dict() for r in results], indent=2, sort_keys=True))

@@ -6,7 +6,9 @@ criterion records a known shortfall (the flat-floor gap-growth clause of
 A9) and is pinned to its documented behavior instead of a pass.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -29,9 +31,25 @@ def _rows(results):
 
 
 @pytest.fixture(scope="module")
-def suite():
-    results = acceptance.run_criteria()
-    return {r.criterion_id: r for r in results}
+def full_run():
+    """The whole suite's results by id, and the results of every fixture
+    as that run built them."""
+    built = {}
+    fixture = acceptance._Suite.fixture
+
+    def keep(self, name):
+        built[name] = fixture(self, name)
+        return built[name]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance._Suite, "fixture", keep)
+        results = acceptance.run_criteria()
+    return {r.criterion_id: r for r in results}, built
+
+
+@pytest.fixture(scope="module")
+def suite(full_run):
+    return full_run[0]
 
 
 def test_suite_covers_every_criterion(suite):
@@ -72,11 +90,12 @@ def test_criterion_a9_period_holds_gap_growth_does_not(suite):
 
 
 # ---------------------------------------------------------------------------
-# the process pool that runs an ensemble's members side by side
+# the process pool that every criterion's runs are submitted to up front
 
-# criteria whose ensembles are cheap: four decay runs, six recursions and
-# two planar runs
-POOLED = ["A2", "A12", "A13"]
+# criteria whose runs are cheap: a singular run, four decay runs, a slow
+# decay run, three flat-floor runs, three matched runs, six recursions
+# and two planar runs
+POOLED = ["A1", "A2", "A3", "A6", "A7", "A12", "A13"]
 
 
 def _record_pools(monkeypatch, cpus, **options):
@@ -120,3 +139,47 @@ def test_solver_failure_in_a_worker_exits_3(monkeypatch, capsys):
     assert "solver failure (NonFiniteState)" in capsys.readouterr().err
     assert sizes == [6]
     assert multiprocessing.active_children() == []
+
+
+def test_solver_failure_is_raised_when_its_criterion_is_judged(monkeypatch):
+    # A1's run and A12's diverging recursions go to the pool together, but
+    # A1 is judged and reported before A12 reads a failed recursion
+    sizes = _record_pools(monkeypatch, 2)
+    monkeypatch.setattr(acceptance, "_A12_EPS", 1e6)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        assert main(["verify", "--only", "A1,A12"]) == 3
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("A1 PASS")
+    assert lines[1].startswith("solver failure (NonFiniteState)")
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_one_run_starts_no_process(monkeypatch, capsys):
+    sizes = _record_pools(monkeypatch, 2)
+    assert main(["verify", "--only", "A1"]) == 0
+    assert capsys.readouterr().out.startswith("A1 PASS")
+    assert sizes == []
+
+
+@pytest.mark.parametrize("cid", EXPECTED_IDS)
+def test_criterion_reads_the_fixtures_it_declares(full_run, monkeypatch, cid):
+    # alone on one CPU, a criterion builds in this process every fixture it
+    # reads; served from the full run, the recorded builds must be exactly
+    # its declaration, which is what the pool is given: a stale name would
+    # start runs no one reads, a missing one would build its runs here
+    results, built = full_run
+    sizes = _record_pools(monkeypatch, 1)
+    read = []
+
+    def build(self, name):
+        read.append(name)
+        return built[name]
+
+    monkeypatch.setattr(acceptance._Suite, "_build", build)
+    assert _rows(acceptance.run_criteria([cid])) == _rows([results[cid]])
+    assert sizes == []
+    [declared] = [reads for c, _, reads, _ in acceptance._CRITERIA if c == cid]
+    assert sorted(read) == sorted(declared)

@@ -7,6 +7,7 @@ fixture runs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from vanishdamp import (
     upper_bound_check,
     weighted_energy_integral,
 )
-from vanishdamp.analyze import _extent_window, _tail_velocity_max
+from vanishdamp.analyze import DENSITY_STEP, _extent_window, _tail_velocity_max
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,36 @@ def test_step_function_density_vanishes():
     assert rep.fractions[-1] <= 0.012
     d = rep.as_dict()
     assert d["radius"] == 0.1 and len(d["fractions"]) == 3
+
+
+def _whole_grid_fractions(traj, ref, radius, horizons, step):
+    """occupation_density's fractions, each horizon's grid in one call."""
+    fractions = []
+    for T in horizons:
+        m = max(2, int(math.ceil((T - traj.ts[0]) / step)) + 1)
+        pos = traj.positions_at(np.linspace(traj.ts[0], T, m))
+        fractions.append(float(np.mean(np.linalg.norm(pos - ref, axis=1) > radius)))
+    return tuple(fractions)
+
+
+def test_density_memory_is_bounded_and_its_fractions_exact(well_run):
+    ref = np.sign(well_run.xs[-1])
+    horizons = (1.0e2, 1.0e3, 1.0e4)
+    tracemalloc.start()
+    try:
+        rep = occupation_density(well_run, ref, 0.1, horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1e4 horizon's grid is 1e6 points (8 MB); evaluated in one call,
+    # the interpolant's temporaries took about 114 MB
+    assert peak < 16e6
+    assert 0.0 < rep.fractions[2] < rep.fractions[0] < 1.0
+    assert rep.fractions[:2] == _whole_grid_fractions(
+        well_run, ref, 0.1, horizons[:2], DENSITY_STEP)
+    # a coarser step spreads the 1e4 horizon's 1e5 points over 13 blocks
+    assert occupation_density(well_run, ref, 0.1, horizons, step=0.1).fractions == \
+        _whole_grid_fractions(well_run, ref, 0.1, horizons, 0.1)
 
 
 def test_density_validation():

@@ -451,6 +451,18 @@ def test_verify_json_report(capsys):
     assert out.endswith("1/1 criteria passed\n")
 
 
+@pytest.mark.parametrize("only, judged", [
+    ("A1, A7", ["A1", "A7"]),
+    ("A7,A1", ["A1", "A7"]),
+    ("A1,A1", ["A1"]),
+])
+def test_verify_only_judges_each_id_once_in_registration_order(capsys, only, judged):
+    assert main(["verify", "--only", only]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines[:-1]] == judged
+    assert lines[-1] == f"{len(judged)}/{len(judged)} criteria passed"
+
+
 def test_verify_unknown_criterion_exits_2(capsys):
     assert main(["verify", "--only", "A99"]) == 2
     assert capsys.readouterr().err.startswith("DomainError: unknown criterion ids ['A99']")
