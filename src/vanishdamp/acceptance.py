@@ -22,26 +22,19 @@ builds its ``CriterionResult``.
 
 A fixture is a list of calls of private module-level task functions
 with picklable arguments (``_fixture_calls``), and criteria share its
-results.  Before it judges the first criterion, ``run_criteria`` submits
-every call of every fixture the wanted criteria read to one process
-pool of min(calls, usable CPUs) workers, in the order of that table.  It
-then judges the criteria one at a time in this process, while the pool
-works on; a criterion waits only for the runs of its own fixtures, and a
-task's error is raised when the first criterion that reads its fixture
-is judged.  Each run is deterministic, so the results do not depend on
-where it ran.  With one usable CPU, or fewer than two calls, no process
-is started and each fixture is built here when a criterion first reads
-it.
+results.  Before judging the first criterion, ``run_criteria`` submits
+every call of every fixture the chosen criteria read, in table order,
+to one ``workers.Pool`` (see README, "Worker processes").  A criterion
+waits only for its own fixtures' runs, and a task's error is raised
+when the first criterion that reads its fixture is judged.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +55,7 @@ from .oracle import linear_regular_solution, power_law_exact
 from .potential import DoubleWell, FlatBottom, Quadratic, SignedPower
 from .schedule import Constant, PowerLaw
 from .sgd import NoiseModel, StepSchedule, compare_to_ode, run_recursion
+from .workers import Pool
 
 __all__ = ["CriterionResult", "list_criteria", "run_criteria", "CRITERION_IDS"]
 
@@ -236,53 +230,21 @@ def _fixture_calls() -> Dict[str, List[_Call]]:
     }
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Suite:
-    """The fixtures' results, shared between criteria, and the process
-    pool that computes them.  ``close`` shuts the pool down."""
+    """The fixtures' results, shared between criteria.  Making it submits
+    every call of ``calls`` to ``pool``, in table order."""
 
-    def __init__(self) -> None:
-        self._calls = _fixture_calls()
+    def __init__(self, pool: Pool, calls: Dict[str, List[_Call]]) -> None:
+        self._futures = {name: [pool.submit(task, *args) for task, args in fixture]
+                         for name, fixture in calls.items()}
         self._results: Dict[str, list] = {}
-        self._futures: Dict[str, List[Future]] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def start(self, names: Collection[str]) -> None:
-        """Submit every call of the named fixtures, in table order, to one
-        pool of min(calls, usable CPUs) workers; start no process when
-        that is one."""
-        chosen = [name for name in self._calls if name in names]
-        workers = min(sum(len(self._calls[name]) for name in chosen), _usable_cpus())
-        if workers < 2:
-            return
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-        for name in chosen:
-            self._futures[name] = [self._pool.submit(task, *args)
-                                   for task, args in self._calls[name]]
 
     def fixture(self, name: str) -> list:
-        """The results of the named fixture's calls, in order.  They come
-        from the pool when it was given them (waiting for them, and
-        raising a task's error), else they are computed here."""
+        """The named fixture's results, in order: waits for its calls and
+        raises a task's error, or ``KeyError`` if it was not submitted."""
         if name not in self._results:
-            futures = self._futures.get(name)
-            self._results[name] = (self._build(name) if futures is None
-                                   else [f.result() for f in futures])
+            self._results[name] = [future.result() for future in self._futures[name]]
         return self._results[name]
-
-    def _build(self, name: str) -> list:
-        return [task(*args) for task, args in self._calls[name]]
-
-    def close(self) -> None:
-        """Cancel the pool's queued tasks and wait for its workers to exit."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
 
 
 # criteria --------------------------------------------------------------
@@ -585,10 +547,11 @@ def run_criteria(
         if unknown:
             raise DomainError(f"unknown criterion ids {unknown}; known ids {list(CRITERION_IDS)}")
     wanted = [c for c in _CRITERIA if ids is None or c[0] in ids]
-    suite = _Suite()
+    reads = {name for _, _, names, _ in wanted for name in names}
+    calls = {name: fixture for name, fixture in _fixture_calls().items() if name in reads}
     results = []
-    try:
-        suite.start({name for _, _, reads, _ in wanted for name in reads})
+    with Pool(sum(map(len, calls.values()))) as pool:
+        suite = _Suite(pool, calls)
         for cid, title, _, check in wanted:
             t0 = time.perf_counter()
             passed, detail, measured = check(suite)
@@ -597,6 +560,4 @@ def run_criteria(
             results.append(result)
             if progress is not None:
                 progress(result)
-    finally:
-        suite.close()
     return results

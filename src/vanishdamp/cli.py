@@ -1,23 +1,18 @@
 """Command-line scenario runner.
 
-Subcommands:
+Subcommands (``run``, ``sweep`` and ``verify`` hand their independent
+calls to a ``workers.Pool``; see README, "Worker processes"):
 
 * ``run <cfg>``: integrate one configured scenario, analyze it, and
   write ``<name>_series.csv``, ``<name>_events.csv`` and
   ``<name>_summary.json`` (plus ``<name>_path.csv`` when the config has
-  an [sgd] section, whose recursion a worker process runs meanwhile).
+  an [sgd] section, whose recursion runs beside the integration).
 * ``sweep <cfg>``: run a grid or random-start family of scenarios,
   writing one summary per row plus an aggregate table.
 * ``verify [--list] [--only IDS]``: run the built-in acceptance suite,
   or the comma-separated criteria of ``--only`` (each once, in
-  registration order).  Every run the chosen criteria read is submitted
-  to worker processes, one per CPU this process may use, before the
-  first criterion is judged; the criteria are judged here one at a time
-  while the workers run, and the report is the same as a serial run's.
-  With one usable CPU, or fewer than two runs, no process is started.
-  A criterion's ``seconds`` in ``--json`` is the wait for its runs plus
-  its judgement.  On a 2-CPU host the full suite took 6.6-7.3 s,
-  against 13.1-15.0 s in one process.
+  registration order).  A criterion's ``seconds`` in ``--json`` is the
+  wait for its runs plus its judgement.
 * ``oracle <kind>``: print closed-form reference values.
 
 Exit codes: 0 success, 1 criterion failure, 2 config error, 3 solver
@@ -35,7 +30,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -49,6 +43,7 @@ from .integrate import Trajectory, integrate
 from .oracle import bessel_j, linear_regular_solution, power_law_exact
 from .potential import Potential
 from .sgd import DiscretePath, NoiseModel, StepSchedule, compare_to_ode, run_recursion
+from .workers import Pool
 
 __all__ = ["main"]
 
@@ -167,8 +162,8 @@ def _summarize(run_cfg: RunConfig, traj: Trajectory, wall: float) -> dict:
 def _recursion_half(
     pot: Potential, sgd: Tuple[StepSchedule, NoiseModel, int], x0, staged: Path
 ) -> dict:
-    """The [sgd] half of a run, as ``_run_scenario``'s worker process runs
-    it: the recursion, its comparison with the limiting ODE and the summary
+    """The [sgd] half of a run, as ``_run_scenario``'s pool runs it: the
+    recursion, its comparison with the limiting ODE and the summary
     block.  The path CSV goes to ``staged``, beside its final name."""
     steps, noise, n_steps = sgd
     path = run_recursion(pot, steps, noise, x0, n_steps)
@@ -192,11 +187,11 @@ def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
     with contextlib.ExitStack() as stack:
         if run_cfg.sgd is not None:
             # the recursion shares nothing with the integration until the
-            # summary, so a worker process runs it meanwhile.  Leaving the
+            # summary, so a worker may run it meanwhile.  Leaving the
             # block waits for the worker, then removes the staged path CSV
             # unless it was moved into place
             stack.callback(staged.unlink, missing_ok=True)
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            pool = stack.enter_context(Pool(1, here=1))
             recursion = pool.submit(
                 _recursion_half, run_cfg.spec.potential, run_cfg.sgd, run_cfg.spec.x0, staged
             )
@@ -233,10 +228,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(
-    task: Tuple[ParsedConfig, Dict[Tuple[str, str], str], Optional[str], str, bool]
-) -> dict:
-    parsed, overrides, outdir, row_name, write_series = task
+def _sweep_row(parsed: ParsedConfig, overrides: Dict[Tuple[str, str], str],
+               outdir: Optional[str], row_name: str, write_series: bool) -> dict:
     try:
         run_cfg = load_run_config(parsed, overrides=overrides, outdir=outdir)
         run_cfg.name = row_name
@@ -252,17 +245,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = build_sweep_plan(base.parsed, base.spec.potential)
     # every row starts from this one parse, so an edit to the file while
     # the sweep runs reaches no row
-    tasks = [
-        (base.parsed, overrides, args.outdir, f"{base.name}_row{i:04d}", plan.write_series)
-        for i, overrides in enumerate(plan.rows)
-    ]
-    # a fork-started pool launches all its workers at once, busy or not
-    jobs = max(1, min(args.jobs, len(tasks)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_sweep_row, tasks))
-    else:
-        summaries = [_sweep_row(t) for t in tasks]
+    with Pool(len(plan.rows), cap=args.jobs) as pool:
+        futures = [pool.submit(_sweep_row, base.parsed, overrides, args.outdir,
+                               f"{base.name}_row{i:04d}", plan.write_series)
+                   for i, overrides in enumerate(plan.rows)]
+        summaries = [future.result() for future in futures]
 
     rows = []
     verdict_counts: Dict[str, int] = {}
@@ -367,6 +354,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text) if text.strip().isdecimal() else 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanishdamp",
@@ -382,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured family of scenarios")
     p_sweep.add_argument("config", help="path to a scenario config with a [sweep] section")
     p_sweep.add_argument("--outdir", default=None, help="artifact directory override")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel rows, at most one worker per row (default: 1)")
+    p_sweep.add_argument("--jobs", type=_jobs, default=1,
+                         help="most rows run at once, at least 1 (default: 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")

@@ -1,4 +1,9 @@
-"""Shared fixture runs, integrated once per session."""
+"""Shared fixture runs, integrated once per session, and the recorder of
+the worker pools a command starts."""
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -11,6 +16,29 @@ from vanishdamp import (
     SystemSpec,
     integrate,
 )
+from vanishdamp import workers
+
+
+@pytest.fixture
+def record_pools(monkeypatch):
+    """``record_pools(cpus, **options)`` gives ``workers`` ``cpus`` usable
+    CPUs and returns a list that collects the size of every pool started in
+    this process; ``options`` go to each pool.  A pool started inside a
+    worker process fails the task that started it."""
+
+    def record(cpus, **options):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        sizes = []
+
+        def pool(max_workers):
+            assert multiprocessing.parent_process() is None, "a worker started workers"
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers, **options)
+
+        monkeypatch.setattr(workers, "ProcessPoolExecutor", pool)
+        return sizes
+
+    return record
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,6 @@ import hashlib
 import io
 import json
 import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -98,42 +96,28 @@ def test_criterion_a9_period_holds_gap_growth_does_not(suite):
 POOLED = ["A1", "A2", "A3", "A6", "A7", "A12", "A13"]
 
 
-def _record_pools(monkeypatch, cpus, **options):
-    """Give the suite ``cpus`` usable CPUs; the returned list collects the
-    size of every pool it starts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    sizes = []
-
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers, **options)
-
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", pool)
-    return sizes
-
-
-def test_pool_started_by_spawn_gives_the_same_results(suite, monkeypatch):
+def test_pool_started_by_spawn_gives_the_same_results(suite, record_pools):
     # the tasks and their arguments pickle, and a worker that starts from a
     # fresh interpreter computes what the default run computed
-    sizes = _record_pools(monkeypatch, 2, mp_context=multiprocessing.get_context("spawn"))
+    sizes = record_pools(2, mp_context=multiprocessing.get_context("spawn"))
     results = acceptance.run_criteria(POOLED)
     assert sizes == [2]
     assert multiprocessing.active_children() == []
     assert _rows(results) == _rows(suite[cid] for cid in POOLED)
 
 
-def test_one_cpu_starts_no_process(suite, monkeypatch):
-    sizes = _record_pools(monkeypatch, 1)
+def test_one_cpu_starts_no_process(suite, record_pools):
+    sizes = record_pools(1)
     results = acceptance.run_criteria(POOLED)
     assert sizes == []
     assert multiprocessing.active_children() == []
     assert _rows(results) == _rows(suite[cid] for cid in POOLED)
 
 
-def test_solver_failure_in_a_worker_exits_3(monkeypatch, capsys):
+def test_solver_failure_in_a_worker_exits_3(monkeypatch, capsys, record_pools):
     # a step of 1e6 makes every A12 recursion diverge inside its worker;
     # six recursions take six of eight CPUs
-    sizes = _record_pools(monkeypatch, 8)
+    sizes = record_pools(8)
     monkeypatch.setattr(acceptance, "_A12_EPS", 1e6)
     assert main(["verify", "--only", "A12"]) == 3
     assert "solver failure (NonFiniteState)" in capsys.readouterr().err
@@ -141,10 +125,13 @@ def test_solver_failure_in_a_worker_exits_3(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_solver_failure_is_raised_when_its_criterion_is_judged(monkeypatch):
-    # A1's run and A12's diverging recursions go to the pool together, but
-    # A1 is judged and reported before A12 reads a failed recursion
-    sizes = _record_pools(monkeypatch, 2)
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [])], ids=["2cpus", "1cpu"])
+def test_solver_failure_is_raised_when_its_criterion_is_judged(
+        monkeypatch, record_pools, cpus, pools):
+    # A1's run and A12's diverging recursions are submitted together, but
+    # A1 is judged and reported before A12 reads a failed recursion, in a
+    # pool or, on one CPU, in this process
+    sizes = record_pools(cpus)
     monkeypatch.setattr(acceptance, "_A12_EPS", 1e6)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
@@ -153,33 +140,33 @@ def test_solver_failure_is_raised_when_its_criterion_is_judged(monkeypatch):
     assert len(lines) == 2
     assert lines[0].startswith("A1 PASS")
     assert lines[1].startswith("solver failure (NonFiniteState)")
-    assert sizes == [2]
+    assert sizes == pools
     assert multiprocessing.active_children() == []
 
 
-def test_one_run_starts_no_process(monkeypatch, capsys):
-    sizes = _record_pools(monkeypatch, 2)
+def test_one_run_starts_no_process(capsys, record_pools):
+    sizes = record_pools(2)
     assert main(["verify", "--only", "A1"]) == 0
     assert capsys.readouterr().out.startswith("A1 PASS")
     assert sizes == []
 
 
 @pytest.mark.parametrize("cid", EXPECTED_IDS)
-def test_criterion_reads_the_fixtures_it_declares(full_run, monkeypatch, cid):
-    # alone on one CPU, a criterion builds in this process every fixture it
-    # reads; served from the full run, the recorded builds must be exactly
-    # its declaration, which is what the pool is given: a stale name would
-    # start runs no one reads, a missing one would build its runs here
+def test_criterion_reads_the_fixtures_it_declares(full_run, monkeypatch, record_pools, cid):
+    # alone on one CPU, so that no run starts, a criterion reads its
+    # fixtures from the full run; the recorded reads must be exactly its
+    # declaration, which is what the pool is given: a stale name would
+    # start runs no one reads, a missing one would raise KeyError
     results, built = full_run
-    sizes = _record_pools(monkeypatch, 1)
+    sizes = record_pools(1)
     read = []
 
-    def build(self, name):
+    def fixture(self, name):
         read.append(name)
         return built[name]
 
-    monkeypatch.setattr(acceptance._Suite, "_build", build)
+    monkeypatch.setattr(acceptance._Suite, "fixture", fixture)
     assert _rows(acceptance.run_criteria([cid])) == _rows([results[cid]])
     assert sizes == []
     [declared] = [reads for c, _, reads, _ in acceptance._CRITERIA if c == cid]
-    assert sorted(read) == sorted(declared)
+    assert sorted(set(read)) == sorted(declared)

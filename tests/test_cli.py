@@ -5,7 +5,6 @@ codes, console output, and the CSV/JSON artifacts.
 """
 
 import csv
-import functools
 import hashlib
 import json
 import multiprocessing
@@ -14,11 +13,12 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from vanishdamp import cli
+from vanishdamp import cli, workers
 from vanishdamp.cli import main
 from vanishdamp.oracle import bessel_j, linear_regular_solution, power_law_exact
 
@@ -339,17 +339,29 @@ def test_sweep_json_bytes_are_pinned(tmp_path):
         "30c6b17f1becef6e153b2adcff498968b1ebb311e1a48ce27b43610aabe83eb1")
 
 
-def test_recursion_worker_runs_under_spawn(tmp_path, monkeypatch):
+def test_recursion_worker_runs_under_spawn(tmp_path, record_pools):
     # the worker gets only picklable arguments, so a worker started from a
     # fresh interpreter writes what a worker started by the default method does
     cfg = _cfg(tmp_path, PLANE_SGD)
     assert main(["run", cfg, "--outdir", str(tmp_path / "default")]) == 0
-    spawn = functools.partial(
-        cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
-    )
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn)
+    sizes = record_pools(2, mp_context=multiprocessing.get_context("spawn"))
     assert main(["run", cfg, "--outdir", str(tmp_path / "spawn")]) == 0
+    assert sizes == [1]
     _assert_same_apart_from_clock(tmp_path / "default", tmp_path / "spawn")
+
+
+def test_one_cpu_runs_the_recursion_after_the_integration(tmp_path, record_pools):
+    # with a CPU free for it the recursion runs in one worker process; on
+    # one CPU no process starts, and the files are the same
+    cfg = _cfg(tmp_path, PLANE_SGD)
+    sizes = record_pools(2)
+    assert main(["run", cfg, "--outdir", str(tmp_path / "two")]) == 0
+    assert sizes == [1]
+    sizes = record_pools(1)
+    assert main(["run", cfg, "--outdir", str(tmp_path / "one")]) == 0
+    assert sizes == []
+    assert multiprocessing.active_children() == []
+    _assert_same_apart_from_clock(tmp_path / "two", tmp_path / "one")
 
 
 def _scipy_loaded_by_run(cfg, outdir):
@@ -610,21 +622,20 @@ def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def shutdown(self, cancel_futures):
+            pass
 
     text = BASE.replace("t_end = 60.0", "t_end = 20.0") + (
         "\n[sweep]\nmode = grid\nvary = schedule.c\nvalues = 1.0, 2.0, 3.0\n")
     cfg = _cfg(tmp_path, text)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert main(["sweep", cfg, "--outdir", str(serial), "--jobs", "1"]) == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", InProcessPool)
     assert main(["sweep", cfg, "--outdir", str(parallel), "--jobs", "1000"]) == 0
     assert asked == [3]
     assert multiprocessing.active_children() == []
@@ -642,9 +653,9 @@ def _assert_same_apart_from_clock(want_dir, got_dir):
             [line for line in want if "wall_clock_s" not in line], name
 
 
-def test_recursion_sweep_with_parallel_jobs(tmp_path):
-    # every [sgd] row hands its recursion to a worker process, which under
-    # --jobs 2 is started inside a pool worker
+def test_recursion_sweep_with_parallel_jobs(tmp_path, record_pools):
+    # a serial sweep's [sgd] rows each hand their recursion to a worker
+    # process; under --jobs 2 each row runs in a worker, which starts none
     text = (
         BASE.replace("t_end = 60.0", "t_end = 20.0")
         + "\n[sgd]\nrule = PowerDecay\neps0 = 0.05\nrho = 0.7\nsigma = 0.5\nseed = 7\nN = 300\n"
@@ -652,8 +663,11 @@ def test_recursion_sweep_with_parallel_jobs(tmp_path):
     )
     cfg = _cfg(tmp_path, text)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    sizes = record_pools(2)
     assert main(["sweep", cfg, "--outdir", str(serial), "--jobs", "1"]) == 0
+    assert sizes == [1, 1, 1]
     assert main(["sweep", cfg, "--outdir", str(parallel), "--jobs", "2"]) == 0
+    assert sizes == [1, 1, 1, 2]
     assert multiprocessing.active_children() == []
 
     aggregate = json.loads((parallel / "quadshort_aggregate.json").read_text())
@@ -661,6 +675,17 @@ def test_recursion_sweep_with_parallel_jobs(tmp_path):
     for i in range(3):
         assert len((parallel / f"quadshort_row{i:04d}_path.csv").read_text().splitlines()) == 302
     _assert_same_apart_from_clock(serial, parallel)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = _cfg(tmp_path, BASE + "\n[sweep]\nmode = random\nruns = 2\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", cfg, "--outdir", str(tmp_path / "out"), "--jobs", jobs])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --jobs: expected an integer of at least 1, got '{jobs}'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_continues_past_a_diverging_recursion(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Every name a module of the package or a test file imports is used in
-that file.
+that file, and only ``workers.py`` imports the process modules.
 
 ``__init__.py`` is left out: its imports are the public re-exports.
 ``from __future__ import annotations`` binds nothing and is skipped.
@@ -50,6 +50,27 @@ def test_the_check_sees_unused_and_used_names():
 def test_the_package_modules_are_found():
     assert {"acceptance.py", "cli.py", "integrate.py"} <= {p.name for p in MODULES}
     assert {"conftest.py", "test_imports.py"} <= {p.name for p in TEST_FILES}
+
+
+def imported_modules(source: str) -> set:
+    """The top-level package of every module the source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_only_workers_starts_processes():
+    # one module decides whether to start worker processes (README,
+    # "Worker processes"); every other module goes through it
+    owners = [p.name for p in sorted(PACKAGE.glob("*.py"))
+              if {"multiprocessing", "concurrent"} & imported_modules(p.read_text())]
+    assert owners == ["workers.py"]
+    assert imported_modules("import concurrent.futures\nfrom multiprocessing import Pool\n") \
+        == {"concurrent", "multiprocessing"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
