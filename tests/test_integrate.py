@@ -458,9 +458,11 @@ def test_sample_stride_thins_output():
 
 
 def _trajectory_digest(traj, samples=True):
+    # the dissipation column has a digest of its own: it is the one output
+    # the step loop accumulates by quadrature rather than steps
     h = hashlib.sha256()
     if samples:
-        for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
+        for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     ev = traj.events
     rows = np.column_stack([ev.time, ev.x, ev.v, ev.energy])  # one event per row
@@ -468,8 +470,14 @@ def _trajectory_digest(traj, samples=True):
     return h.hexdigest()
 
 
-# SHA-256 of every stored array and event of the well_run fixture
-_WELL_RUN_DIGEST = "f31c5160742dcd3f80b2b23b6f7b2003d210475e80ae77db9abb747b0a3bd8eb"
+def _dissipation_digest(traj):
+    return hashlib.sha256(np.ascontiguousarray(traj.dissipation, dtype="<f8").tobytes()).hexdigest()
+
+
+# SHA-256 of every stored array but the dissipation and of every event of
+# the well_run fixture, and SHA-256 of its dissipation
+_WELL_RUN_DIGEST = "a0676faccef58deccaaf65f2c8d4e787d485eab94e1e98bb91531e1313be3092"
+_WELL_RUN_DISSIPATION = "07c7ba5c84c5c7c5e5158c8025af3d5fc42aebd6ccdc3a36125fa5cf9c78c7e4"
 # the well_run system to t=1e3: 6,070 steps, 449 events
 _WELL_SHORT = SystemSpec(
     schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
@@ -488,8 +496,9 @@ _SLANTED_EVENTS = (
 
 
 def test_scalar_output_is_pinned_bitwise(j_run, well_run):
-    # SHA-256 of every stored array and event of three n=1 runs: adaptive
-    # with events, singular start, fixed step, and the solver's counters.
+    # SHA-256 of every stored array and event of three n=1 runs, with the
+    # dissipation hashed apart: adaptive with events, singular start, fixed
+    # step, and the solver's counters.
     # A stepper change that moves any bit of n=1 output shows up here.
     fixed = integrate(
         SystemSpec(
@@ -499,17 +508,24 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     )
     assert (len(well_run.events), len(j_run.events), len(fixed.events)) == (4500, 15, 22)
     assert _trajectory_digest(well_run) == _WELL_RUN_DIGEST
+    assert _dissipation_digest(well_run) == _WELL_RUN_DISSIPATION
     assert well_run.stats.as_dict() == (
         {"accepted": 60758, "rejected": 11801, "rhs_evals": 435356, "stride": 1}
     )
     assert _trajectory_digest(j_run) == (
-        "f311252a331b02de28e09364db523fb6b965b34bf59c24796ffe3ca1e1125a34"
+        "cb58790d8aeb160ad72f40ffc1749031a3aaf245d995877fbe30f76e89f65930"
+    )
+    assert _dissipation_digest(j_run) == (
+        "28092ea0f058f20b688c7582f599e55e33a42ab83d844e35f9acc22b8369aa86"
     )
     assert j_run.stats.as_dict() == (
         {"accepted": 1048, "rejected": 29, "rhs_evals": 6464, "stride": 1}
     )
     assert _trajectory_digest(fixed) == (
-        "f1ad0273e79c9b3ae90966e670f279ba1c544d4f1196b73768e37d9dedcd2dca"
+        "804e3e60df0baa227d282384cc0d73cc30f28e3977a854fc9eb41669d29fc91e"
+    )
+    assert _dissipation_digest(fixed) == (
+        "dc6ab5392067c3a8b93f00885987346703d1ddce09888532c93eaeae487ae64f"
     )
     assert fixed.stats.as_dict() == (
         {"accepted": 5001, "rejected": 0, "rhs_evals": 30007, "stride": 1}
@@ -520,8 +536,8 @@ def test_clipped_final_step_is_pinned_bitwise():
     # The last step is clipped to end on t_end, and here t + (t_end - t)
     # rounds to a float other than t_end.  Its final stage must take the
     # rate at t_end, not stage 6's rate at t + h: here the two give
-    # different accelerations.  SHA-256 of every stored array and the
-    # counters.
+    # different accelerations.  SHA-256 of every stored array (the
+    # dissipation apart) and the counters.
     spec = dataclasses.replace(_WELL_SHORT, t_end=0.0559001)
     traj = integrate(spec)
     t = float(traj.ts[-2])  # every step is stored: the clipped one starts here
@@ -532,7 +548,10 @@ def test_clipped_final_step_is_pinned_bitwise():
     assert traj.accs[-1, 0] == -rate(spec.t_end) * v - grad(x) != -rate(t_h) * v - grad(x)
     assert traj.stats.as_dict() == {"accepted": 2, "rejected": 0, "rhs_evals": 14, "stride": 1}
     assert _trajectory_digest(traj) == (
-        "bacb52786947456882ef5e96f6152ada62152087fdc6a407166a559c7a9be215"
+        "174e0eebf7c528a1aca22448a42065064315c21ff27be190fd47a6069c6e2fd2"
+    )
+    assert _dissipation_digest(traj) == (
+        "866a515c0be89e57873535312940e7de43f3284932c3e2390800c57454f9ba0a"
     )
 
 
@@ -558,48 +577,55 @@ def test_array_events_are_pinned_bitwise(spec, count, digest):
 
 
 @pytest.mark.parametrize(
-    "spec, counts, digest",
+    "spec, counts, digest, dissipation",
     [
         # crosses the kink of the flat floor: many rejected steps
         (SystemSpec(
             schedule=PowerLaw(1.0, 1.0, 1.0), potential=FlatBottom(2), x0=[2.5, -1.5],
             v0=[0.3, 0.9], t_end=60.0, rel_tol=1e-8,
-        ), (439, 7, 105), "aa62983272da28e5a61fadb126337072adc93be4bd2095c1d1180bd23029e03d"),
+        ), (439, 7, 105), "fa38e237664b281a342ca9147d7a62b012ea36ba0f96e1c0ab602bcab2ccd2fb",
+         "a264024ce90143d3052d646324180346b50fbb8b15b9bbae69cd45f2972096e2"),
         # singular start: the bootstrap and its t=0 row in three dimensions
         (SystemSpec(
             schedule=PowerLaw(1.0, 1.0, 0.0), potential=Quadratic(3), x0=[1.0, -0.5, 0.25],
             v0=[0.0, 0.0, 0.0], t_end=40.0, rel_tol=1e-9,
-        ), (830, 12, 13), "80fc03302874af11810a4294bd287937a4c47b2dd279f695996d9871f655ded2"),
+        ), (830, 12, 13), "c506e8dad1b32d9d406e6bc3b5e25b6adf9bae74a17e77197287f5fcdac7fee7",
+         "1729e8476f03439c48457fc2a433c0cd0dcd9342a0e21e9e4197e8d2fb826fcc"),
     ],
     ids=["flatbottom_n2", "quadratic_n3_singular"],
 )
-def test_array_output_is_pinned_bitwise(spec, counts, digest):
-    # SHA-256 of every stored array and event of two n >= 2 runs; a change
-    # to the array stepper that moves any bit of its output shows up here
+def test_array_output_is_pinned_bitwise(spec, counts, digest, dissipation):
+    # SHA-256 of every stored array and event of two n >= 2 runs, the
+    # dissipation apart; a change to the array stepper that moves any bit
+    # of its output shows up here
     traj = integrate(spec)
     assert (len(traj.ts), len(traj.events), traj.stats.rejected) == counts
     assert _trajectory_digest(traj) == digest
+    assert _dissipation_digest(traj) == dissipation
 
 
 _integrate_module = importlib.import_module("vanishdamp.integrate")
 
 
 @pytest.mark.parametrize(
-    "spec, counts, stats, digest",
+    "spec, counts, stats, digest, dissipation",
     [
         (_WELL_SHORT, (760, 449, 8),
          {"accepted": 6070, "rejected": 1227, "rhs_evals": 43784, "stride": 8},
-         "1894466db8a0146a87fb8dc58705fb98075a0956667bedd43f860721f24177ca"),
+         "6c63a49b2983c7daddf088aef8fd3e90ca11c017d42c2f9df5b2cc048129cd3e",
+         "cad2c652b9f8c5513ed837a2de34d974f30d118ef8ae8da6957a621fbddf42de"),
         (_SLANTED_EVENTS[0], (560, 32, 4),
          {"accepted": 2234, "rejected": 96, "rhs_evals": 13982, "stride": 4},
-         "fadb8a0119b6c7a1071b5b012d77a1993878bb4849bc8c21e99251fd6c083866"),
+         "400a14535f15f14272ff725974bcc5889ea9072601a0d51b879b7a2f63e383a5",
+         "235a73e43ce84187ce861e26a6a22d3449d49e09fca464495c06fad35a36d855"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
-def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, monkeypatch):
+def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, dissipation,
+                                          monkeypatch):
     # a small sample cap makes the runs thin their samples by automatic
-    # stride doubling; SHA-256 of every stored array and event, and the
-    # solver's counters
+    # stride doubling; SHA-256 of every stored array and event (the
+    # dissipation apart), and the solver's counters
     cap = 1000
     monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
     traj = integrate(spec)
@@ -608,6 +634,7 @@ def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, monkeypa
     assert (len(traj.ts), len(traj.events), traj.stats.stride) == counts
     assert traj.stats.as_dict() == stats
     assert _trajectory_digest(traj) == digest
+    assert _dissipation_digest(traj) == dissipation
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
@@ -616,7 +643,9 @@ def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
     # where the chunks end must not change a bit of any run
     if chunk is not None:
         monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
-    assert _trajectory_digest(integrate(well_run.spec)) == _WELL_RUN_DIGEST
+    traj = integrate(well_run.spec)
+    assert _trajectory_digest(traj) == _WELL_RUN_DIGEST
+    assert _dissipation_digest(traj) == _WELL_RUN_DISSIPATION
     spec, count, digest = _SLANTED_EVENTS
     traj = integrate(spec)
     assert len(traj.events) == count
@@ -625,16 +654,19 @@ def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
 @pytest.mark.parametrize(
-    "spec, snap, exact, digest",
+    "spec, snap, exact, digest, dissipation",
     [
         (_WELL_SHORT, 1e-3, 139,
-         "f6eb3116d0c5e08a41c17ff36128f252b92e8406fe4cd3cad42827c4831d1cfc"),
+         "0b44825488153976abd92621be65dacf1628ee65c42894d55e223f8ddbd63049",
+         "d37611a35a864ec97128fd56e4b3989d6f46696222f8249d390697c5695b18de"),
         (_SLANTED_EVENTS[0], 3e-5, 9,
-         "df653ad5d39c2fcb7fea7923633f8c49b6d0135684db17708ee508cfb26469ec"),
+         "ce18fec9b518a6ebb75db3efb3e6feddecd3936e1fbab1d75ed9af09a575623f",
+         "4c884feb171c4a4d353f4ae8e2d9bd4a1785a7c6b2811dccbccda51112b4db4d"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
-def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, chunk, monkeypatch):
+def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipation, chunk,
+                                            monkeypatch):
     # a monitored projection below ``snap`` reads as an exact zero, so many
     # steps end on one: those events are the step's own state, recorded
     # between crossings refined in chunks.  The digests are of the runs
@@ -654,6 +686,7 @@ def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, chunk, mo
     assert int(np.sum(np.abs(ev.v @ ev.direction) > 1e-9)) == exact
     assert np.all(np.diff(ev.time) > 0)
     assert _trajectory_digest(traj) == digest
+    assert _dissipation_digest(traj) == dissipation
 
 
 def test_step_loop_call_count_is_bounded():
