@@ -1,8 +1,8 @@
 """Adaptive integration of the damped system x'' + a(t) x' + grad G(x) = 0.
 
 The solver is an explicit Dormand-Prince 5(4) pair with first-same-as-last
-stage reuse and a quartic interpolant on every accepted step.  On top of
-plain stepping it provides:
+stage reuse and a quartic interpolant, built only on the steps that
+bracket an event.  On top of plain stepping it provides:
 
   * velocity sign-change events, refined on the step's interpolant to
     1e-10 in time (grazing zeros that do not flip the sign are not events).
@@ -10,16 +10,18 @@ plain stepping it provides:
     EVENT_CHUNK brackets have gathered, and once after the loop, one
     vectorised Brent pass (the arithmetic of scipy's brentq, so the same
     bits) refines them together and keeps only each event's time and state;
-  * a running dissipation integral int_0^t a |x'|^2, accumulated per step
-    by 3-point Gauss-Legendre quadrature on the interpolant, independently
-    of the energy difference it is later checked against;
+  * a running dissipation integral int_0^t a |x'|^2, integrated as one
+    more component of the system by the step's own fifth-order weights
+    (from the stage rates and velocities the step already has),
+    independently of the energy difference it is later checked against;
   * bounded memory: stored samples are thinned by stride doubling to at
     most MAX_STORED_SAMPLES states, events are never thinned.  For n=1 a
     run holds 40 bytes per stored sample (t, x, v, x'' and the dissipation
     packed as floats; the energy adds 8 after the loop), 24 bytes per
     event (t, x, v; the energy adds 8), and fewer than EVENT_CHUNK = 4096
-    unrefined brackets of about 520 bytes each.  The returned arrays take
-    over the packed columns without a copy;
+    unrefined brackets of about 570 bytes each (the step's times, state
+    and stage slopes, from which the refinement builds the interpolant).
+    The returned arrays take over the packed columns without a copy;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
@@ -124,10 +126,6 @@ _P = (
 _B_FULL = (_B1, 0.0, _B3, _B4, _B5, _B6, 0.0)
 for _row, _b in zip(_P, _B_FULL):
     assert abs(sum(_row) - _b) < 1.0e-12, "dense-output rows must sum to solution weights"
-
-# 3-point Gauss-Legendre on [0, 1]
-_GL_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
-_GL_WEIGHTS = (_fr(5, 18), _fr(8, 18), _fr(5, 18))
 
 
 @dataclass(frozen=True)
@@ -492,10 +490,10 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
     Returns the ops.column columns of the stored samples (t, x, v, x'',
     energy, dissipation) and of the events (t, x, v, energy), then the
-    stats.  The coefficients that multiply a state (the tableau's a, b and e, the
-    dense-output matrix, the Gauss-Legendre nodes of the Horner sums) are
-    held in the state's type; the c_i and the nodes in t + gl*h multiply
-    the float h and stay floats.
+    stats.  The coefficients that multiply a state (the tableau's a, b and
+    e) are held in the state's type; the c_i, which multiply the float h,
+    and the dissipation's weights q_i, which multiply a float rate, stay
+    floats.
     """
     rate = spec.schedule.rate_fn()
     g, energy_of, all_finite = ops.grad, ops.energy, ops.finite
@@ -518,19 +516,12 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     b1, b3, b4, b5, b6 = map(const, (_B1, _B3, _B4, _B5, _B6))
     e1, e3, e4, e5, e6, e7 = map(const, (_E1, _E3, _E4, _E5, _E6, _E7))
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    p11, p12, p13, p14 = map(const, _P[0])
-    p32, p33, p34 = map(const, _P[2][1:])
-    p42, p43, p44 = map(const, _P[3][1:])
-    p52, p53, p54 = map(const, _P[4][1:])
-    p62, p63, p64 = map(const, _P[5][1:])
-    p72, p73, p74 = map(const, _P[6][1:])
-    gl1, gl2, gl3 = _GL_NODES
-    gn1, gn2, gn3 = map(const, _GL_NODES)
-    gw1, gw2, gw3 = _GL_WEIGHTS
+    q1, q3, q4, q5, q6 = _B1, _B3, _B4, _B5, _B6
 
     t, x, v = t0, x0, v0
     k1x = v
-    k1v = -rate(t) * v - g(x)
+    r1 = rate(t)
+    k1v = -r1 * v - g(x)
     if not all_finite(k1v):
         raise NonFiniteState(f"vector field non-finite at start t={t}")
     nfev = 1
@@ -601,19 +592,23 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             xx = x + h * (a21 * k1x)
             vv = v + h * (a21 * k1v)
             k2x = vv
-            k2v = -rate(t + c2 * h) * vv - g(xx)
+            r2 = rate(t + c2 * h)
+            k2v = -r2 * vv - g(xx)
             xx = x + h * (a31 * k1x + a32 * k2x)
             vv = v + h * (a31 * k1v + a32 * k2v)
             k3x = vv
-            k3v = -rate(t + c3 * h) * vv - g(xx)
+            r3 = rate(t + c3 * h)
+            k3v = -r3 * vv - g(xx)
             xx = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
             vv = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
             k4x = vv
-            k4v = -rate(t + c4 * h) * vv - g(xx)
+            r4 = rate(t + c4 * h)
+            k4v = -r4 * vv - g(xx)
             xx = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
             vv = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
             k5x = vv
-            k5v = -rate(t + c5 * h) * vv - g(xx)
+            r5 = rate(t + c5 * h)
+            k5v = -r5 * vv - g(xx)
             xx = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
             vv = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
             k6x = vv
@@ -625,7 +620,8 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             k7x = v_new
             # the last stage is at t_new, where stage 6 already took the rate
             # unless the step was clipped
-            k7v = -(rate(t_new) if clipped else r6) * v_new - g(x_new)
+            r7 = rate(t_new) if clipped else r6
+            k7v = -r7 * v_new - g(x_new)
             finite = all_finite(x_new) and all_finite(v_new) and all_finite(k7v)
         except OverflowError:
             # a scalar closure overflowed where an array would hold inf
@@ -636,8 +632,9 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
                 err_x = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
                 err_v = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
                 ax_new, av_new = abs(x_new), abs(v_new)
-                rx = abs(err_x) / (atol + rtol * maximum(ax, ax_new))
-                rv = abs(err_v) / (atol + rtol * maximum(av, av_new))
+                # only squared, so the sign need not go: |e|/s is |e/s| exactly
+                rx = err_x / (atol + rtol * maximum(ax, ax_new))
+                rv = err_v / (atol + rtol * maximum(av, av_new))
                 norm = math.sqrt(total(rx * rx + rv * rv) / two_n)
             else:
                 norm = math.inf
@@ -670,20 +667,12 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         else:
             factor = 1.0
 
-        # quartic interpolant coefficients for the velocity component
-        qv1 = k1v * p11
-        qv2 = k1v * p12 + k3v * p32 + k4v * p42 + k5v * p52 + k6v * p62 + k7v * p72
-        qv3 = k1v * p13 + k3v * p33 + k4v * p43 + k5v * p53 + k6v * p63 + k7v * p73
-        qv4 = k1v * p14 + k3v * p34 + k4v * p44 + k5v * p54 + k6v * p64 + k7v * p74
-
-        # dissipation increment: 3-point Gauss-Legendre on a(t) |v(t)|^2
-        va = v + h * (gn1 * (qv1 + gn1 * (qv2 + gn1 * (qv3 + gn1 * qv4))))
-        vb = v + h * (gn2 * (qv1 + gn2 * (qv2 + gn2 * (qv3 + gn2 * qv4))))
-        vc = v + h * (gn3 * (qv1 + gn3 * (qv2 + gn3 * (qv3 + gn3 * qv4))))
+        # dissipation increment: a |v|^2 taken as one more component of the
+        # system, integrated by the step's own weights from its stage rates
+        # and velocities (fifth order, like the step)
         inc = h * total(
-            gw1 * rate(t + gl1 * h) * va * va
-            + gw2 * rate(t + gl2 * h) * vb * vb
-            + gw3 * rate(t + gl3 * h) * vc * vc
+            q1 * r1 * k1x * k1x + q3 * r3 * k3x * k3x + q4 * r4 * k4x * k4x
+            + q5 * r5 * k5x * k5x + q6 * r6 * k6x * k6x
         )
         yk = inc - diss_c
         tk = diss + yk
@@ -699,8 +688,8 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             new_sign = 1.0 if w_new > 0.0 else -1.0  # w_new is finite and not 0
             if last_sign != 0.0 and new_sign != last_sign:
                 if pending_zero is None:
-                    brackets.append((t, t_new, h, x, v, qv1, qv2, qv3, qv4,
-                                     k1x, k3x, k4x, k5x, k6x, k7x))
+                    brackets.append((t, t_new, h, x, v, k1x, k3x, k4x, k5x, k6x, k7x,
+                                     k1v, k3v, k4v, k5v, k6v, k7v))
                 if brackets and (pending_zero is not None or len(brackets) >= EVENT_CHUNK):
                     # held, so that a loop error raised later takes precedence
                     if failure is None:
@@ -718,7 +707,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             pending_zero = (t_new, x_new, v_new)
 
         t, x, v = t_new, x_new, v_new
-        k1x, k1v = k7x, k7v
+        k1x, k1v, r1 = k7x, k7v, r7
         accepted += 1
 
         since_store += 1
@@ -763,25 +752,35 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
 def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
     """Append the time, position and velocity of the crossing in each
-    bracket, a step's (t, t_new, h, x, v, qv1..qv4, k1x, k3x..k7x), to the
-    three columns ``events``.
+    bracket, a step's (t, t_new, h, x, v, k1x, k3x..k7x, k1v, k3v..k7v),
+    to the three columns ``events``.
 
     Every crossing is found at once by _brentq_batch on the step's
     projected quartic, and the states are the step's interpolant there,
     with the bits of one scipy.optimize.brentq call and one scalar
     interpolation per event, however the brackets are grouped.
     """
-    t, t_new, h, x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
-        np.array(column) for column in zip(*brackets)
-    )
+    t, t_new, h, x, v, *k = (np.array(column) for column in zip(*brackets))
+    m = len(t)
+    x, v, *k = (a.reshape(m, n) for a in (x, v, *k))
+    p1, _, p3, p4, p5, p6, p7 = _P
+
+    def quartic(k1, k3, k4, k5, k6, k7):
+        # the interpolant's coefficients of theta^1..theta^4 from the slopes
+        return [k1 * p1[0]] + [
+            k1 * p1[j] + k3 * p3[j] + k4 * p4[j] + k5 * p5[j] + k6 * p6[j] + k7 * p7[j]
+            for j in (1, 2, 3)
+        ]
+
+    qx, qv = quartic(*k[:6]), quartic(*k[6:])
     project = ops.project
 
     def along(a):
-        # row by row, as in the loop: a stacked product may round
+        # row by row, as the loop projects v: a stacked product may round
         # differently; an n=1 state is its own projection
-        return a if a.ndim == 1 else np.array([project(row) for row in a])
+        return a[:, 0] if n == 1 else np.array([project(row) for row in a])
 
-    w, q1, q2, q3, q4 = map(along, (v, qv1, qv2, qv3, qv4))
+    w, q1, q2, q3, q4 = map(along, (v, *qv))
 
     def wq(tau, i):
         hi = h[i]
@@ -789,21 +788,12 @@ def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
         return w[i] + hi * (th * (q1[i] + th * (q2[i] + th * (q3[i] + th * q4[i]))))
 
     te = _brentq_batch(wq, t, t_new, EVENT_TIME_TOL, _EVENT_RTOL, _EVENT_MAXITER)
-    m = len(te)
-    x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7 = (
-        a.reshape(m, n) for a in (x, v, qv1, qv2, qv3, qv4, k1, k3, k4, k5, k6, k7)
-    )
-    p1, _, p3, p4, p5, p6, p7 = _P
-    qx1 = k1 * p1[0]
-    qx2 = k1 * p1[1] + k3 * p3[1] + k4 * p4[1] + k5 * p5[1] + k6 * p6[1] + k7 * p7[1]
-    qx3 = k1 * p1[2] + k3 * p3[2] + k4 * p4[2] + k5 * p5[2] + k6 * p6[2] + k7 * p7[2]
-    qx4 = k1 * p1[3] + k3 * p3[3] + k4 * p4[3] + k5 * p5[3] + k6 * p6[3] + k7 * p7[3]
     th = ((te - t) / h).reshape(m, 1)
     h = h.reshape(m, 1)
     et, ex, ev = events
     et.extend(te.tolist())
-    ex.extend(ops.states(x + h * (th * (qx1 + th * (qx2 + th * (qx3 + th * qx4))))))
-    ev.extend(ops.states(v + h * (th * (qv1 + th * (qv2 + th * (qv3 + th * qv4))))))
+    for y, (c1, c2, c3, c4), column in ((x, qx, ex), (v, qv, ev)):
+        column.extend(ops.states(y + h * (th * (c1 + th * (c2 + th * (c3 + th * c4))))))
 
 
 def _brentq_batch(f, xa, xb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:
