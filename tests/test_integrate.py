@@ -99,8 +99,7 @@ def test_dissipation_nondecreasing(j_run, well_run):
 def test_dissipation_matches_closed_form(beta):
     # On A7's matched runs x = (t+1)^-beta exactly, so the dissipation is
     # int_0^t c/(s+1) x'(s)^2 ds = c beta^2/(2 beta+2) (1 - (t+1)^(-2 beta-2)).
-    # The worst error measured is 0.39 of the bound (0.11 by Gauss-Legendre
-    # on the step's interpolant).
+    # The worst error measured is 0.39 of the bound.
     _, v0, c = power_law_exact(beta, 0.0)
     scale = c * beta**2 / (2.0 * beta + 2.0)
     for rel_tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
@@ -479,8 +478,8 @@ def test_sample_stride_thins_output():
 
 
 def _trajectory_digest(traj, samples=True):
-    # the dissipation column has a digest of its own: it is the one output
-    # the step loop accumulates by quadrature rather than steps
+    # the dissipation has a digest of its own (_dissipation_digest), so a
+    # change to its quadrature alone moves no sample or event digest
     h = hashlib.sha256()
     if samples:
         for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies):
