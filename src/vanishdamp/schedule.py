@@ -215,7 +215,11 @@ class PowerLaw(DampingSchedule):
                 return np.where(ts > 0.0, math.inf, 0.0)
             return c * _each(math.log, ((ts + s0) / s0).tolist())
         e = 1.0 - g
-        return c * (_each(pow, (ts + s0).tolist(), repeat(e)) - s0**e) / e
+        if s0 == 0.0:
+            return c * _each(pow, ts.tolist(), repeat(e)) / e
+        # s0^e ((1 + t/s0)^e - 1) / e, without the cancellation of the
+        # difference of powers as gamma nears 1
+        return c * s0**e * _each(lambda t: math.expm1(e * math.log1p(t / s0)), ts.tolist()) / e
 
     def classify(self) -> ScheduleClassification:
         g, c = self.gamma, self.c
