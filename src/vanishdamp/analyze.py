@@ -10,7 +10,7 @@ limit, and the dichotomy "limit is a local minimum iff the velocity keeps
 changing sign".
 
 The omega-limit extent and the tail velocity are exact min/max over the
-samples and a fine grid of the cubic Hermite dense output, but the grid
+samples and a fine grid of the quintic Hermite dense output, but the grid
 is evaluated only on the pieces whose Bernstein hull reaches the running
 min or max; the decay kernel and int_0^t a are read on whole arrays of
 sample times.  Both give the same bits as evaluating every grid point and
@@ -62,7 +62,13 @@ def energy_gap_series(traj: Trajectory):
 
 
 def weighted_energy_integral(traj: Trajectory):
-    """Trapezoid quadrature of a(t) (E(t) - min G) and its running series.
+    """Quadrature of a(t) (E(t) - min G) and its running series.
+
+    Each piece between samples takes the trapezoid rule with its end-slope
+    correction h^2/12 (f'(t0) - f'(t1)), exact for cubics, so the error
+    falls with the fourth power of the sample spacing.  The slopes come
+    from the equation of motion: E' = -a |v|^2, so
+    f' = a' (E - min G) - a^2 |v|^2.
 
     For schedules singular at the origin the quadrature starts at the
     first positive sample: the theorem's content is the convergence of the
@@ -71,16 +77,20 @@ def weighted_energy_integral(traj: Trajectory):
     g0 = _min_g(traj)
     ts = traj.ts
     gap = traj.energies - g0
+    speed2 = np.einsum("ij,ij->i", traj.vs, traj.vs)
     sched = traj.spec.schedule
     if sched.singular_at_zero:
         mask = ts > 0.0
-        ts = ts[mask]
-        gap = gap[mask]
-    integrand = sched.a_values(ts) * gap
+        ts, gap, speed2 = ts[mask], gap[mask], speed2[mask]
     if len(ts) < 2:
         return 0.0, (ts, np.zeros_like(ts))
+    a = sched.a_values(ts)
+    da = np.fromiter(map(sched.da_at, ts.tolist()), dtype=float, count=len(ts))
+    integrand = a * gap
+    slope = da * gap - a * a * speed2
     widths = np.diff(ts)
-    increments = 0.5 * (integrand[1:] + integrand[:-1]) * widths
+    increments = (0.5 * (integrand[1:] + integrand[:-1])
+                  + (slope[:-1] - slope[1:]) * widths / 12.0) * widths
     running = np.concatenate([[0.0], np.cumsum(increments)])
     return float(running[-1]), (ts, running)
 
@@ -324,23 +334,48 @@ def _extent_window(traj: Trajectory, cut: float) -> np.ndarray:
     t1 = float(traj.ts[-1])
     ev = traj.events.x[np.searchsorted(traj.events.time, cut):]  # time >= cut
     m = min(200_000, max(1000, int((t1 - cut) / 0.01) + 1))
-    return _dense_extent(traj, traj.xs, traj.vs, traj.positions_at, cut, m, ev)
+    return _dense_extent(traj, traj.xs, _position_hull, traj.positions_at, cut, m, ev)
 
 
-def _dense_extent(traj: Trajectory, ys, dys, dense, cut: float, m: int, extra=()) -> np.ndarray:
+def _position_hull(x0, x1, v0, v1, a0, a1, dt):
+    """Bernstein control points of the quintic Hermite x on each piece,
+    and the magnitude that bounds its rounding: the sum of the terms its
+    evaluation adds up."""
+    s0, s1 = dt * v0, dt * v1
+    q0, q1 = dt * dt * a0, dt * dt * a1
+    points = (x0, x0 + s0 / 5.0, x0 + 0.4 * s0 + q0 / 20.0,
+              x1 - 0.4 * s1 + q1 / 20.0, x1 - s1 / 5.0, x1)
+    scale = np.abs(x0) + np.abs(x1) + np.abs(s0) + np.abs(s1) + np.abs(q0) + np.abs(q1)
+    return points, scale
+
+
+def _velocity_hull(x0, x1, v0, v1, a0, a1, dt):
+    """Bernstein control points of v on each piece, the quartic derivative
+    of the quintic x, and the magnitude that bounds its rounding."""
+    r = (x1 - x0) / dt
+    s0, s1 = dt * a0, dt * a1
+    points = (v0, v0 + s0 / 4.0, 5.0 * r - 2.0 * (v0 + v1) - (s0 - s1) / 4.0, v1 - s1 / 4.0, v1)
+    scale = 30.0 * np.abs(r) + np.abs(v0) + np.abs(v1) + np.abs(s0) + np.abs(s1)
+    return points, scale
+
+
+def _dense_extent(traj: Trajectory, ys, hull, dense, cut: float, m: int, extra=()) -> np.ndarray:
     """Per-axis (min, max) over [cut, end of run] of one stored column
-    ``ys``: its samples, the ``extra`` rows, and its cubic Hermite
-    interpolant ``dense`` (slopes ``dys``) on linspace(cut, end, m).
+    ``ys`` (positions or velocities): its samples, the ``extra`` rows, and
+    its interpolant ``dense`` on linspace(cut, end, m).
 
     The result equals the min/max over all m grid values, but the grid is
     evaluated only on the pieces that could reach past the running min or
-    max of the samples and extra rows.  A cubic Hermite piece lies in the
-    hull of its Bernstein control points y0, y0 + dt y0'/3, y1 - dt y1'/3,
-    y1; the margin 1e-12 (|y0| + |y1| + dt (|y0'| + |y1'|)), floored at
-    the smallest normal float, covers the rounding of both that hull and
-    the evaluation.
+    max.  Each piece of the interpolant lies in the hull of its Bernstein
+    control points, which ``hull`` gives from the piece's end samples
+    (degree 5 for x, 4 for v) with a magnitude S, the sum of the terms
+    that the control points and the evaluation add up.  Both round by a
+    few dozen units in the last place of S at most, so the margin
+    1e-12 S (about 4500 units), floored at the smallest normal float,
+    covers them.  The pieces go in blocks of _DENSE_BLOCK, so the hull's
+    temporaries stay that size whatever the number of samples.
     """
-    ts = traj.ts
+    ts, xs, vs, accs = traj.ts, traj.xs, traj.vs, traj.accs
     X = ys[ts >= cut]
     if len(extra):
         X = np.vstack([X, extra])
@@ -349,23 +384,23 @@ def _dense_extent(traj: Trajectory, ys, dys, dense, cut: float, m: int, extra=()
     # pieces j0 .. len(ts)-2 cover the grid; grid points with
     # ts[j] <= t < ts[j+1] fall in piece j, and the last piece holds t = end
     j0 = min(max(int(np.searchsorted(ts, cut, side="right")) - 1, 0), len(ts) - 2)
-    bounds = np.searchsorted(grid, ts[j0 + 1:-1], side="left")
-    counts = np.diff(bounds, prepend=0, append=m)
-    dt = np.diff(ts[j0:])[:, None]
-    y0, y1 = ys[j0:-1], ys[j0 + 1:]
-    s0, s1 = dt * dys[j0:-1], dt * dys[j0 + 1:]
-    c0, c1 = y0 + s0 / 3.0, y1 - s1 / 3.0
-    margin = 1.0e-12 * (np.abs(y0) + np.abs(y1) + np.abs(s0) + np.abs(s1)) + _TINY
-    hull_lo = np.minimum(np.minimum(y0, y1), np.minimum(c0, c1)) - margin
-    hull_hi = np.maximum(np.maximum(y0, y1), np.maximum(c0, c1)) + margin
-    inside = (hull_lo > lo) & (hull_hi < hi)
-    reach = grid[np.repeat(~inside.all(axis=1), counts)]
-    # in blocks: an interpolant's temporaries on the whole grid would cost
-    # far more memory than its result, and min and max are exact either way
-    for start in range(0, len(reach), _DENSE_BLOCK):
-        V = dense(reach[start:start + _DENSE_BLOCK])
-        lo = np.minimum(lo, V.min(axis=0))
-        hi = np.maximum(hi, V.max(axis=0))
+    edges = np.concatenate(([0], np.searchsorted(grid, ts[j0 + 1:-1], side="left"), [m]))
+    for j in range(j0, len(ts) - 1, _DENSE_BLOCK):
+        k = min(j + _DENSE_BLOCK, len(ts) - 1)
+        points, scale = hull(xs[j:k], xs[j + 1:k + 1], vs[j:k], vs[j + 1:k + 1],
+                             accs[j:k], accs[j + 1:k + 1], np.diff(ts[j:k + 1])[:, None])
+        margin = 1.0e-12 * scale + _TINY
+        hull_lo = np.minimum.reduce(points) - margin
+        hull_hi = np.maximum.reduce(points) + margin
+        inside = ((hull_lo > lo) & (hull_hi < hi)).all(axis=1)
+        first, last = edges[j - j0], edges[k - j0]
+        reach = grid[first:last][np.repeat(~inside, np.diff(edges[j - j0:k - j0 + 1]))]
+        # an interpolant's temporaries on the whole grid would cost far
+        # more memory than its result, and min and max are exact either way
+        for start in range(0, len(reach), _DENSE_BLOCK):
+            V = dense(reach[start:start + _DENSE_BLOCK])
+            lo = np.minimum(lo, V.min(axis=0))
+            hi = np.maximum(hi, V.max(axis=0))
     return np.stack([lo, hi], axis=1)
 
 
@@ -432,7 +467,7 @@ def _tail_velocity_max(traj: Trajectory, cut: float) -> float:
     """max |v| over [cut, end of run]: samples and a dense grid of about
     one point per 0.01 time units (1000 to 100000 points)."""
     m = min(100_000, max(1000, int((traj.ts[-1] - cut) / 0.01) + 1))
-    ext = _dense_extent(traj, traj.vs, traj.accs, traj.velocities_at, cut, m)
+    ext = _dense_extent(traj, traj.vs, _velocity_hull, traj.velocities_at, cut, m)
     return float(np.max(np.abs(ext)))
 
 

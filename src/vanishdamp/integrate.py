@@ -1,17 +1,21 @@
 """Adaptive integration of the damped system x'' + a(t) x' + grad G(x) = 0.
 
-The solver is an explicit Dormand-Prince 5(4) pair with first-same-as-last
-stage reuse and a quartic interpolant, built only on the steps that
-bracket an event.  On top of plain stepping it provides:
+The solver is the explicit Dormand-Prince 8(5,3) pair (DOP853) with
+first-same-as-last stage reuse.  Its dense output is the quintic Hermite
+on the stored (x, v, x'') at both ends of a piece, with v the derivative
+of the x interpolant; it needs no stage data, so a thinned trajectory and
+the event refinement evaluate the same polynomial.  On top of plain
+stepping the solver provides:
 
-  * velocity sign-change events, refined on the step's interpolant to
-    1e-10 in time (grazing zeros that do not flip the sign are not events).
-    The loop detects them and keeps each bracketing step's data; whenever
-    EVENT_CHUNK brackets have gathered, and once after the loop, one
-    vectorised Brent pass (the arithmetic of scipy's brentq, so the same
-    bits) refines them together and keeps only each event's time and state;
+  * velocity sign-change events, refined on that interpolant to 1e-10 in
+    time (grazing zeros that do not flip the sign are not events).
+    The loop detects them and keeps each bracketing step's two end
+    states; whenever EVENT_CHUNK brackets have gathered, and once after
+    the loop, one vectorised Brent pass (the arithmetic of scipy's
+    brentq, so the same bits) refines them together and keeps only each
+    event's time and state;
   * a running dissipation integral int_0^t a |x'|^2, integrated as one
-    more component of the system by the step's own fifth-order weights
+    more component of the system by the step's own eighth-order weights
     (from the stage rates and velocities the step already has),
     independently of the energy difference it is later checked against;
   * bounded memory: stored samples are thinned by stride doubling to at
@@ -19,8 +23,8 @@ bracket an event.  On top of plain stepping it provides:
     run holds 40 bytes per stored sample (t, x, v, x'' and the dissipation
     packed as floats; the energy adds 8 after the loop), 24 bytes per
     event (t, x, v; the energy adds 8), and fewer than EVENT_CHUNK = 4096
-    unrefined brackets of about 570 bytes each (the step's times, state
-    and stage slopes, from which the refinement builds the interpolant).
+    unrefined brackets of about 300 bytes each (the step's times and its
+    two end states (x, v, x'')).
     The returned arrays take over the packed columns without a copy;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
@@ -38,8 +42,8 @@ array-by-array product is cheaper than a float-by-array one and rounds
 the same.  On floats the interpreter's own work per call is the cost, so
 the loop drops every call it can drop without changing a bit: the n=1
 maximum is a lambda, not the builtin, the step-size clamps are
-conditional expressions, and the stage-6 rate and the accepted state's
-magnitudes are reused.
+conditional expressions, stage positions go straight into the gradient,
+and the last stage's rate and the accepted state's magnitudes are reused.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from fractions import Fraction as _Fr
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -77,55 +80,67 @@ MIN_STEP_FRACTION = 1.0e-14
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# Lund-stabilized step control: factor = safety * norm^-(1/5 - 0.75b) * prev^b
+# the step-size exponent of the eighth-order pair
+_EXPO = 0.125
+# Lund-stabilized step control: factor = safety * norm^-(1/8 - 0.75b) * prev^b
 _PI_BETA = 0.04
-_PI_EXPO = 0.2 - 0.75 * _PI_BETA
+_PI_EXPO = _EXPO - 0.75 * _PI_BETA
 
-
-def _fr(num: int, den: int) -> float:
-    return float(_Fr(num, den))
-
-
-# Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, _fr(8, 9)
-_A21 = 0.2
-_A31, _A32 = _fr(3, 40), _fr(9, 40)
-_A41, _A42, _A43 = _fr(44, 45), _fr(-56, 15), _fr(32, 9)
-_A51, _A52, _A53, _A54 = _fr(19372, 6561), _fr(-25360, 2187), _fr(64448, 6561), _fr(-212, 729)
-_A61, _A62, _A63, _A64, _A65 = (
-    _fr(9017, 3168),
-    _fr(-355, 33),
-    _fr(46732, 5247),
-    _fr(49, 176),
-    _fr(-5103, 18656),
+# Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett and Wanner, Solving
+# Ordinary Differential Equations I), the floats of scipy's
+# dop853_coefficients written out, so that a run loads no scipy.  _A holds
+# each stage's row below the diagonal, zeros included.  The solution
+# weights _B and the fifth- and third-order error weights _E5 and _E3
+# vanish on stages 2 to 5; the stage at c = 1 is the last.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726, 0.3333333333333333,
+    0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
 )
-_B1, _B3, _B4, _B5, _B6 = _fr(35, 384), _fr(500, 1113), _fr(125, 192), _fr(-2187, 6784), _fr(11, 84)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    _fr(71, 57600),
-    _fr(-71, 16695),
-    _fr(71, 1920),
-    _fr(-17253, 339200),
-    _fr(22, 525),
-    _fr(-1, 40),
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+        20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+        -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+        27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+        0.6433927460157636,
+    ),
 )
-
-# Quartic dense-output matrix (Shampine): y(theta) = y0 + h * Q(theta),
-# Q(theta) = sum_j theta^j (P^T K)_j.  Column 0 is e1, so the interpolant
-# starts with slope k1; each row sums to the solution weight of its stage,
-# so theta=1 reproduces the accepted endpoint.
-_P = (
-    (1.0, _fr(-8048581381, 2820520608), _fr(8663915743, 2820520608), _fr(-12715105075, 11282082432)),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, _fr(131558114200, 32700410799), _fr(-68118460800, 10900136933), _fr(87487479700, 32700410799)),
-    (0.0, _fr(-1754552775, 470086768), _fr(14199869525, 1410260304), _fr(-10690763975, 1880347072)),
-    (0.0, _fr(127303824393, 49829197408), _fr(-318862633887, 49829197408), _fr(701980252875, 199316789632)),
-    (0.0, _fr(-282668133, 205662961), _fr(2019193451, 616988883), _fr(-1453857185, 822651844)),
-    (0.0, _fr(40617522, 29380423), _fr(-110615467, 29380423), _fr(69997945, 29380423)),
+_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
 )
-
-_B_FULL = (_B1, 0.0, _B3, _B4, _B5, _B6, 0.0)
-for _row, _b in zip(_P, _B_FULL):
-    assert abs(sum(_row) - _b) < 1.0e-12, "dense-output rows must sum to solution weights"
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
+)
 
 
 @dataclass(frozen=True)
@@ -218,6 +233,32 @@ class SystemSpec:
     fixed_step: Optional[float] = None
 
 
+def _quintic_x(x0, x1, v0, v1, a0, a1, dt, th):
+    """The quintic Hermite on a piece of length dt at th in [0, 1]: the
+    polynomial that takes the position x, velocity v and acceleration a
+    given at both ends.  Exact at th = 0 and th = 1."""
+    u = 1.0 - th
+    th2, u2 = th * th, u * u
+    th3, u3 = th2 * th, u2 * u
+    return (
+        u3 * (1.0 + th * (3.0 + 6.0 * th)) * x0 + th3 * (10.0 - th * (15.0 - 6.0 * th)) * x1
+        + dt * (th * u3 * (1.0 + 3.0 * th) * v0 - th3 * u * (4.0 - 3.0 * th) * v1)
+        + 0.5 * dt * dt * (th2 * u3 * a0 + th3 * u2 * a1)
+    )
+
+
+def _quintic_v(dx, v0, v1, a0, a1, dt, th):
+    """The time derivative of _quintic_x, from the position difference
+    dx = x1 - x0.  Exact at th = 0 and th = 1."""
+    u = 1.0 - th
+    th2, u2 = th * th, u * u
+    return (
+        30.0 * th2 * u2 * dx / dt + u2 * (1.0 + th * (2.0 - 15.0 * th)) * v0
+        + th2 * (th * (28.0 - 15.0 * th) - 12.0) * v1
+        + 0.5 * dt * th * u * (u * (2.0 - 5.0 * th) * a0 + th * (3.0 - 5.0 * th) * a1)
+    )
+
+
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Trajectory(_ReadOnlyArrays):
     """Immutable result of one integration: the fields cannot be
@@ -226,13 +267,15 @@ class Trajectory(_ReadOnlyArrays):
 
     Stored samples are (t, x, v, x'') rows plus energy and the cumulative
     dissipation integral; events carry full interpolated states.  Dense
-    evaluation between samples is cubic Hermite in each component: fourth
-    order, below the fifth-order steps, so its error does not shrink with
-    ``rel_tol`` as the step error does.  On A7's closed form, unthinned,
-    its x error is 2.7 to 73 times ``rel_tol`` for ``rel_tol`` 1e-6 to
-    1e-11, and it grows once stride doubling spreads the samples out.  A
-    quintic Hermite on the stored ``accs`` would close the gap (ROADMAP
-    item 3).
+    evaluation between samples is the quintic Hermite on (x, v, x'') at
+    both ends of a piece, and the velocity is its derivative: sixth order
+    in x, below the eighth-order steps, so its error relative to
+    ``rel_tol`` grows as ``rel_tol`` falls.  On A7's closed form (t = 100,
+    unthinned) its x error at the middle of the pieces is 0.05 to 23 times
+    ``rel_tol`` for ``rel_tol`` 1e-6 to 1e-11 (the samples: 1e-4 to 3e-3
+    times).  On a double-well run to t = 1e5 at ``rel_tol`` 1e-6, thinned
+    to stride 2, it stays within 1.3e-5 (x) and 1.0e-5 (v) of the stepped
+    states in the last decade.
     """
 
     ts: np.ndarray
@@ -250,42 +293,32 @@ class Trajectory(_ReadOnlyArrays):
     def initial_energy(self) -> float:
         return float(self.energies[0])
 
-    def _theta(self, tq: np.ndarray):
+    def _pieces(self, times):
+        """The end samples of the piece holding each query time, the
+        piece lengths and the offsets in [0, 1], shaped to broadcast
+        against (m, n) rows."""
+        tq = np.atleast_1d(np.asarray(times, dtype=float))
         ts = self.ts
         if tq.min() < ts[0] or tq.max() > ts[-1]:
             raise DomainError(
                 f"dense evaluation outside [{ts[0]:.6g}, {ts[-1]:.6g}]"
             )
-        idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-        dt = ts[idx + 1] - ts[idx]
-        theta = (tq - ts[idx]) / dt
-        return idx, dt, theta
-
-    def _hermite(self, y, dy, idx, dt, theta):
-        th2 = theta * theta
-        th3 = th2 * theta
-        h00 = 2.0 * th3 - 3.0 * th2 + 1.0
-        h10 = th3 - 2.0 * th2 + theta
-        h01 = -2.0 * th3 + 3.0 * th2
-        h11 = th3 - th2
-        dtc = dt[:, None]
-        return (
-            h00[:, None] * y[idx]
-            + h10[:, None] * dtc * dy[idx]
-            + h01[:, None] * y[idx + 1]
-            + h11[:, None] * dtc * dy[idx + 1]
-        )
+        i = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+        dt = ts[i + 1] - ts[i]
+        theta = (tq - ts[i]) / dt
+        return i, i + 1, dt[:, None], theta[:, None]
 
     def positions_at(self, times) -> np.ndarray:
         """Interpolated x on an array of query times; shape (m, n)."""
-        tq = np.atleast_1d(np.asarray(times, dtype=float))
-        idx, dt, theta = self._theta(tq)
-        return self._hermite(self.xs, self.vs, idx, dt, theta)
+        i, j, dt, th = self._pieces(times)
+        xs, vs, accs = self.xs, self.vs, self.accs
+        return _quintic_x(xs[i], xs[j], vs[i], vs[j], accs[i], accs[j], dt, th)
 
     def velocities_at(self, times) -> np.ndarray:
-        tq = np.atleast_1d(np.asarray(times, dtype=float))
-        idx, dt, theta = self._theta(tq)
-        return self._hermite(self.vs, self.accs, idx, dt, theta)
+        """Interpolated v, the derivative of positions_at; shape (m, n)."""
+        i, j, dt, th = self._pieces(times)
+        xs, vs, accs = self.xs, self.vs, self.accs
+        return _quintic_v(xs[j] - xs[i], vs[i], vs[j], accs[i], accs[j], dt, th)
 
     def dense_eval(self, t: float) -> State:
         """Interpolated state at one time inside the sample range."""
@@ -490,10 +523,10 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
     Returns the ops.column columns of the stored samples (t, x, v, x'',
     energy, dissipation) and of the events (t, x, v, energy), then the
-    stats.  The coefficients that multiply a state (the tableau's a, b and
-    e) are held in the state's type; the c_i, which multiply the float h,
-    and the dissipation's weights q_i, which multiply a float rate, stay
-    floats.
+    stats.  The coefficients that multiply a state (the tableau's a and b
+    and the error weights e5 and e3) are held in the state's type;
+    the c_i, which multiply the float h, and the dissipation's weights q_i
+    (the b_i again), which multiply a float rate, stay floats.
     """
     rate = spec.schedule.rate_fn()
     g, energy_of, all_finite = ops.grad, ops.energy, ops.finite
@@ -508,15 +541,19 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     stride = spec.sample_stride or 1
     h_min = MIN_STEP_FRACTION * t_end
 
-    a21 = const(_A21)
-    a31, a32 = map(const, (_A31, _A32))
-    a41, a42, a43 = map(const, (_A41, _A42, _A43))
-    a51, a52, a53, a54 = map(const, (_A51, _A52, _A53, _A54))
-    a61, a62, a63, a64, a65 = map(const, (_A61, _A62, _A63, _A64, _A65))
-    b1, b3, b4, b5, b6 = map(const, (_B1, _B3, _B4, _B5, _B6))
-    e1, e3, e4, e5, e6, e7 = map(const, (_E1, _E3, _E4, _E5, _E6, _E7))
-    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    q1, q3, q4, q5, q6 = _B1, _B3, _B4, _B5, _B6
+    (
+        _, (a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4),
+        (a6_1, _, _, a6_4, a6_5), (a7_1, _, _, a7_4, a7_5, a7_6),
+        (a8_1, _, _, a8_4, a8_5, a8_6, a8_7), (a9_1, _, _, a9_4, a9_5, a9_6, a9_7, a9_8),
+        (a10_1, _, _, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+        (a11_1, _, _, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+        (a12_1, _, _, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11),
+    ) = [tuple(map(const, row)) for row in _A]
+    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = map(const, _B)
+    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = map(const, _E5)
+    e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = map(const, _E3)
+    _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
+    q1, _, _, _, _, q6, q7, q8, q9, q10, q11, q12 = _B
 
     t, x, v = t0, x0, v0
     k1x = v
@@ -543,7 +580,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         d2 = math.sqrt(total((v1 - k1x) ** 2 + (f1v - k1v) ** 2) / two_n) / s / h0
         nfev += 1
         dm = max(d1, d2)
-        h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
+        h1 = (0.01 / dm) ** _EXPO if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
         h = min(100.0 * h0, h1, t_end - t)
         if not h > 0.0:  # the second evaluation's |f|^2 overflowed
             raise NonFiniteState(f"first-step estimate overflowed at t={t}")
@@ -587,55 +624,108 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         elif h < h_min:
             raise StepUnderflow(f"step {h:.3e} below {h_min:.3e} at t={t:.6g}")
 
-        # stages (k1 carried over: first-same-as-last)
+        # stages (k1 carried over: first-same-as-last); the stage positions
+        # go straight into the gradient, and the rates of stages 2 to 5,
+        # whose solution weights are 0, are not kept
         try:
-            xx = x + h * (a21 * k1x)
-            vv = v + h * (a21 * k1v)
-            k2x = vv
-            r2 = rate(t + c2 * h)
-            k2v = -r2 * vv - g(xx)
-            xx = x + h * (a31 * k1x + a32 * k2x)
-            vv = v + h * (a31 * k1v + a32 * k2v)
-            k3x = vv
-            r3 = rate(t + c3 * h)
-            k3v = -r3 * vv - g(xx)
-            xx = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
-            vv = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
-            k4x = vv
-            r4 = rate(t + c4 * h)
-            k4v = -r4 * vv - g(xx)
-            xx = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
-            vv = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-            k5x = vv
-            r5 = rate(t + c5 * h)
-            k5v = -r5 * vv - g(xx)
-            xx = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
-            vv = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-            k6x = vv
-            r6 = rate(t_h)
-            k6v = -r6 * vv - g(xx)
-            x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
-            v_new = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            k2x = v + h * (a2_1 * k1v)
+            k2v = -rate(t + c2 * h) * k2x - g(x + h * (a2_1 * k1x))
+            k3x = v + h * (a3_1 * k1v + a3_2 * k2v)
+            k3v = -rate(t + c3 * h) * k3x - g(x + h * (a3_1 * k1x + a3_2 * k2x))
+            k4x = v + h * (a4_1 * k1v + a4_3 * k3v)
+            k4v = -rate(t + c4 * h) * k4x - g(x + h * (a4_1 * k1x + a4_3 * k3x))
+            k5x = v + h * (a5_1 * k1v + a5_3 * k3v + a5_4 * k4v)
+            k5v = -rate(t + c5 * h) * k5x - g(x + h * (a5_1 * k1x + a5_3 * k3x + a5_4 * k4x))
+            k6x = v + h * (a6_1 * k1v + a6_4 * k4v + a6_5 * k5v)
+            r6 = rate(t + c6 * h)
+            k6v = -r6 * k6x - g(x + h * (a6_1 * k1x + a6_4 * k4x + a6_5 * k5x))
+            k7x = v + h * (a7_1 * k1v + a7_4 * k4v + a7_5 * k5v + a7_6 * k6v)
+            r7 = rate(t + c7 * h)
+            k7v = -r7 * k7x - g(x + h * (a7_1 * k1x + a7_4 * k4x + a7_5 * k5x + a7_6 * k6x))
+            k8x = v + h * (a8_1 * k1v + a8_4 * k4v + a8_5 * k5v + a8_6 * k6v + a8_7 * k7v)
+            r8 = rate(t + c8 * h)
+            k8v = -r8 * k8x - g(
+                x + h * (a8_1 * k1x + a8_4 * k4x + a8_5 * k5x + a8_6 * k6x + a8_7 * k7x)
+            )
+            k9x = v + h * (
+                a9_1 * k1v + a9_4 * k4v + a9_5 * k5v + a9_6 * k6v + a9_7 * k7v + a9_8 * k8v
+            )
+            r9 = rate(t + c9 * h)
+            k9v = -r9 * k9x - g(x + h * (
+                a9_1 * k1x + a9_4 * k4x + a9_5 * k5x + a9_6 * k6x + a9_7 * k7x + a9_8 * k8x
+            ))
+            k10x = v + h * (
+                a10_1 * k1v + a10_4 * k4v + a10_5 * k5v + a10_6 * k6v + a10_7 * k7v
+                + a10_8 * k8v + a10_9 * k9v
+            )
+            r10 = rate(t + c10 * h)
+            k10v = -r10 * k10x - g(x + h * (
+                a10_1 * k1x + a10_4 * k4x + a10_5 * k5x + a10_6 * k6x + a10_7 * k7x
+                + a10_8 * k8x + a10_9 * k9x
+            ))
+            k11x = v + h * (
+                a11_1 * k1v + a11_4 * k4v + a11_5 * k5v + a11_6 * k6v + a11_7 * k7v
+                + a11_8 * k8v + a11_9 * k9v + a11_10 * k10v
+            )
+            r11 = rate(t + c11 * h)
+            k11v = -r11 * k11x - g(x + h * (
+                a11_1 * k1x + a11_4 * k4x + a11_5 * k5x + a11_6 * k6x + a11_7 * k7x
+                + a11_8 * k8x + a11_9 * k9x + a11_10 * k10x
+            ))
+            k12x = v + h * (
+                a12_1 * k1v + a12_4 * k4v + a12_5 * k5v + a12_6 * k6v + a12_7 * k7v
+                + a12_8 * k8v + a12_9 * k9v + a12_10 * k10v + a12_11 * k11v
+            )
+            r12 = rate(t_h)  # c12 = 1
+            k12v = -r12 * k12x - g(x + h * (
+                a12_1 * k1x + a12_4 * k4x + a12_5 * k5x + a12_6 * k6x + a12_7 * k7x
+                + a12_8 * k8x + a12_9 * k9x + a12_10 * k10x + a12_11 * k11x
+            ))
+            x_new = x + h * (
+                b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x
+                + b11 * k11x + b12 * k12x
+            )
+            v_new = v + h * (
+                b1 * k1v + b6 * k6v + b7 * k7v + b8 * k8v + b9 * k9v + b10 * k10v
+                + b11 * k11v + b12 * k12v
+            )
             t_new = t_end if clipped else t_h
-            k7x = v_new
-            # the last stage is at t_new, where stage 6 already took the rate
-            # unless the step was clipped
-            r7 = rate(t_new) if clipped else r6
-            k7v = -r7 * v_new - g(x_new)
-            finite = all_finite(x_new) and all_finite(v_new) and all_finite(k7v)
+            # the next step's first stage is at t_new, where stage 12 already
+            # took the rate unless the step was clipped
+            r13 = rate(t_new) if clipped else r12
+            k13v = -r13 * v_new - g(x_new)
+            finite = all_finite(x_new) and all_finite(v_new) and all_finite(k13v)
         except OverflowError:
             # a scalar closure overflowed where an array would hold inf
             finite = False
 
         if fixed_h is None:
             if finite:
-                err_x = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
-                err_v = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
                 ax_new, av_new = abs(x_new), abs(v_new)
+                sx = atol + rtol * maximum(ax, ax_new)
+                sv = atol + rtol * maximum(av, av_new)
                 # only squared, so the sign need not go: |e|/s is |e/s| exactly
-                rx = err_x / (atol + rtol * maximum(ax, ax_new))
-                rv = err_v / (atol + rtol * maximum(av, av_new))
-                norm = math.sqrt(total(rx * rx + rv * rv) / two_n)
+                ex5 = h * (
+                    e5_1 * k1x + e5_6 * k6x + e5_7 * k7x + e5_8 * k8x + e5_9 * k9x + e5_10 * k10x
+                    + e5_11 * k11x + e5_12 * k12x
+                ) / sx
+                ev5 = h * (
+                    e5_1 * k1v + e5_6 * k6v + e5_7 * k7v + e5_8 * k8v + e5_9 * k9v + e5_10 * k10v
+                    + e5_11 * k11v + e5_12 * k12v
+                ) / sv
+                ex3 = h * (
+                    e3_1 * k1x + e3_6 * k6x + e3_7 * k7x + e3_8 * k8x + e3_9 * k9x + e3_10 * k10x
+                    + e3_11 * k11x + e3_12 * k12x
+                ) / sx
+                ev3 = h * (
+                    e3_1 * k1v + e3_6 * k6v + e3_7 * k7v + e3_8 * k8v + e3_9 * k9v + e3_10 * k10v
+                    + e3_11 * k11v + e3_12 * k12v
+                ) / sv
+                # DOP853's norm: the fifth-order estimate, damped where the
+                # third-order one is much larger
+                s5 = total(ex5 * ex5 + ev5 * ev5)
+                s3 = total(ex3 * ex3 + ev3 * ev3)
+                norm = s5 / math.sqrt((s5 + 0.01 * s3) * two_n) if s5 else 0.0
             else:
                 norm = math.inf
             if not norm <= 1.0:
@@ -648,7 +738,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
                             f"state non-finite at t={t:.6g} and step cannot shrink"
                         )
                 else:
-                    shrink = _SAFETY * norm ** -0.2
+                    shrink = _SAFETY * norm ** -_EXPO
                     h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
                 continue
             ax, av = ax_new, av_new
@@ -669,10 +759,11 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
         # dissipation increment: a |v|^2 taken as one more component of the
         # system, integrated by the step's own weights from its stage rates
-        # and velocities (fifth order, like the step)
+        # and velocities (eighth order, like the step)
         inc = h * total(
-            q1 * r1 * k1x * k1x + q3 * r3 * k3x * k3x + q4 * r4 * k4x * k4x
-            + q5 * r5 * k5x * k5x + q6 * r6 * k6x * k6x
+            q1 * r1 * k1x * k1x + q6 * r6 * k6x * k6x + q7 * r7 * k7x * k7x
+            + q8 * r8 * k8x * k8x + q9 * r9 * k9x * k9x + q10 * r10 * k10x * k10x
+            + q11 * r11 * k11x * k11x + q12 * r12 * k12x * k12x
         )
         yk = inc - diss_c
         tk = diss + yk
@@ -688,8 +779,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             new_sign = 1.0 if w_new > 0.0 else -1.0  # w_new is finite and not 0
             if last_sign != 0.0 and new_sign != last_sign:
                 if pending_zero is None:
-                    brackets.append((t, t_new, h, x, v, k1x, k3x, k4x, k5x, k6x, k7x,
-                                     k1v, k3v, k4v, k5v, k6v, k7v))
+                    brackets.append((t, t_new, x, v, k1v, x_new, v_new, k13v))
                 if brackets and (pending_zero is not None or len(brackets) >= EVENT_CHUNK):
                     # held, so that a loop error raised later takes precedence
                     if failure is None:
@@ -707,7 +797,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             pending_zero = (t_new, x_new, v_new)
 
         t, x, v = t_new, x_new, v_new
-        k1x, k1v, r1 = k7x, k7v, r7
+        k1x, k1v, r1 = v_new, k13v, r13
         accepted += 1
 
         since_store += 1
@@ -739,8 +829,8 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         vs.append(v)
         accs.append(k1v)
         ds.append(diss)
-    # every attempt, accepted or rejected, evaluates six stages
-    stats = SolverStats(accepted, rejected, nfev + 6 * (accepted + rejected), stride)
+    # every attempt, accepted or rejected, evaluates twelve stages
+    stats = SolverStats(accepted, rejected, nfev + 12 * (accepted + rejected), stride)
     es = column(map(energy_of, xs, vs))  # of the samples thinning kept
     if failure is not None:
         raise failure
@@ -752,27 +842,21 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
 def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
     """Append the time, position and velocity of the crossing in each
-    bracket, a step's (t, t_new, h, x, v, k1x, k3x..k7x, k1v, k3v..k7v),
-    to the three columns ``events``.
+    bracket, a step's (t, t_new, x, v, x'', x_new, v_new, x''_new), to the
+    three columns ``events``.
 
-    Every crossing is found at once by _brentq_batch on the step's
-    projected quartic, and the states are the step's interpolant there,
-    with the bits of one scipy.optimize.brentq call and one scalar
-    interpolation per event, however the brackets are grouped.
+    Every crossing is found at once by _brentq_batch on the projected
+    velocity of the step's quintic Hermite, the interpolant
+    Trajectory.positions_at and velocities_at evaluate, and the states are
+    that interpolant there, with the bits of one scipy.optimize.brentq call
+    and one scalar interpolation per event, however the brackets are
+    grouped.
     """
-    t, t_new, h, x, v, *k = (np.array(column) for column in zip(*brackets))
+    t, t_new, x0, v0, a0, x1, v1, a1 = (np.array(column) for column in zip(*brackets))
     m = len(t)
-    x, v, *k = (a.reshape(m, n) for a in (x, v, *k))
-    p1, _, p3, p4, p5, p6, p7 = _P
-
-    def quartic(k1, k3, k4, k5, k6, k7):
-        # the interpolant's coefficients of theta^1..theta^4 from the slopes
-        return [k1 * p1[0]] + [
-            k1 * p1[j] + k3 * p3[j] + k4 * p4[j] + k5 * p5[j] + k6 * p6[j] + k7 * p7[j]
-            for j in (1, 2, 3)
-        ]
-
-    qx, qv = quartic(*k[:6]), quartic(*k[6:])
+    x0, v0, a0, x1, v1, a1 = (a.reshape(m, n) for a in (x0, v0, a0, x1, v1, a1))
+    dx = x1 - x0
+    dt = t_new - t
     project = ops.project
 
     def along(a):
@@ -780,20 +864,18 @@ def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
         # differently; an n=1 state is its own projection
         return a[:, 0] if n == 1 else np.array([project(row) for row in a])
 
-    w, q1, q2, q3, q4 = map(along, (v, *qv))
+    wdx, w0, w1, wa0, wa1 = map(along, (dx, v0, v1, a0, a1))
 
     def wq(tau, i):
-        hi = h[i]
-        th = (tau - t[i]) / hi
-        return w[i] + hi * (th * (q1[i] + th * (q2[i] + th * (q3[i] + th * q4[i]))))
+        return _quintic_v(wdx[i], w0[i], w1[i], wa0[i], wa1[i], dt[i], (tau - t[i]) / dt[i])
 
     te = _brentq_batch(wq, t, t_new, EVENT_TIME_TOL, _EVENT_RTOL, _EVENT_MAXITER)
-    th = ((te - t) / h).reshape(m, 1)
-    h = h.reshape(m, 1)
+    th = ((te - t) / dt).reshape(m, 1)
+    dt = dt.reshape(m, 1)
     et, ex, ev = events
     et.extend(te.tolist())
-    for y, (c1, c2, c3, c4), column in ((x, qx, ex), (v, qv, ev)):
-        column.extend(ops.states(y + h * (th * (c1 + th * (c2 + th * (c3 + th * c4))))))
+    ex.extend(ops.states(_quintic_x(x0, x1, v0, v1, a0, a1, dt, th)))
+    ev.extend(ops.states(_quintic_v(dx, v0, v1, a0, a1, dt, th)))
 
 
 def _brentq_batch(f, xa, xb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:

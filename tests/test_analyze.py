@@ -40,6 +40,7 @@ from vanishdamp import (
     upper_bound_check,
     weighted_energy_integral,
 )
+from vanishdamp import analyze as analyze_module
 from vanishdamp.analyze import DENSITY_STEP, _extent_window, _tail_velocity_max
 
 
@@ -359,6 +360,24 @@ def test_pruned_extents_equal_the_full_grid(fixture, request):
     for cut in (tail, max(t0, t1 / 10.0), max(t0, t1 / 100.0)):
         assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))
         assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
+
+
+@pytest.mark.parametrize("fixture", ["flat_settle_run", "well_run"])
+def test_blocked_hull_gives_the_unblocked_extents(fixture, request, monkeypatch):
+    # the hull test goes over _DENSE_BLOCK pieces at a time; one block over
+    # all pieces (the unblocked test), or blocks of 64, give the same bits
+    traj = request.getfixturevalue(fixture)
+    t0, t1 = float(traj.ts[0]), float(traj.ts[-1])
+    cuts = (t1 - 0.1 * (t1 - t0), max(t0, t1 / 10.0), max(t0, t1 / 100.0))
+
+    def extents():
+        return [(_extent_window(traj, cut).tobytes(), _tail_velocity_max(traj, cut))
+                for cut in cuts]
+
+    blocked = extents()
+    for block in (len(traj.ts), 64):
+        monkeypatch.setattr(analyze_module, "_DENSE_BLOCK", block)
+        assert extents() == blocked, block
 
 
 def test_pruned_extent_is_per_axis_in_the_plane():

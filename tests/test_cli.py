@@ -287,11 +287,11 @@ PLANE_SGD = BASE.replace("kind = Quadratic\nn = 1", "kind = PPower\np = 4\nn = 3
     "text, pins",
     [
         (WELL_SHORT, {
-            "series": "ce55c632a2536b6afe7be016e72cb4d7960915fa7b4ba621c21d22d63eaf4915",
-            "events": "b4661c297f0eca03f48fa7d43936372cddee6a641065636b72969a84b72e6206",
+            "series": "b5402ecec9673ce263f99b4312902d036b393f194dfce6822f8e1be0647cf5a4",
+            "events": "f8de9d903c86618413b94f0c2d352d68d1c5a9893555c5f5b8de37e4f4639628",
         }),
         (PLANE_SGD, {
-            "series": "978975c55533ebf22d7ca559ac8791395a9126e310f1b5f97a252849cbc2c518",
+            "series": "f1f45f6fcda0dd69802b13fca948aa9b47a798828ed065ac72dc82794ba9bc77",
             "path": "fc44926f2a411d0be4b058250319d722c51624c59bb50e447eff460ab2dc4421",
         }),
     ],
@@ -317,8 +317,8 @@ def _json_digest(path: Path) -> str:
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (WELL_SHORT, "9a976092ec0aef5f5bbbfc3f66182e004ce4ce0119742bac8611482de13b5eed"),
-        (PLANE_SGD, "d2a68646a388dddb05fb31264bba84e95fdc07262cdcf27b84d11befddf8ac5b"),
+        (WELL_SHORT, "d95dc46482838d503a82923fc69b29005a02790e36d0f772e0adc861a65fc194"),
+        (PLANE_SGD, "7d765c9bd204901af4a3888fd320206b6bb80d26f9b184730010993620ceb8c5"),
     ],
     ids=["double_well_n1", "ppower_sgd_n3"],
 )
@@ -334,9 +334,9 @@ def test_sweep_json_bytes_are_pinned(tmp_path):
     text = BASE + "\n[sweep]\nmode = grid\nvary = schedule.c\nvalues = 1.0, 3.0\n"
     assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == 0
     assert _json_digest(tmp_path / "quadshort_row0001_summary.json") == (
-        "7b0a263c71984551e51cada2f07dc49b85be5efdf6d9eead7f5808e9fcd0aca6")
+        "c2b16f20c503da7ffec701ba263a5d495dab4492efb25691d4966ae980b2be4d")
     assert _json_digest(tmp_path / "quadshort_aggregate.json") == (
-        "30c6b17f1becef6e153b2adcff498968b1ebb311e1a48ce27b43610aabe83eb1")
+        "34ce7651c62f9835ad60d1796ed8762399c267455d2d287429d781108a9fea32")
 
 
 def test_recursion_worker_runs_under_spawn(tmp_path, record_pools):

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import j0, j1, y0, y1
 
 from vanishdamp import (
     Constant,
@@ -130,8 +131,11 @@ def test_coercive_bound_from_initial_energy(well_run):
 
 
 def test_fixed_step_halving_gains_an_order():
-    # halving the step must cut the endpoint error by at least 8x at
-    # each of three halvings (the scheme delivers ~32x)
+    # halving the step must cut the error by at least 2^7 at each of three
+    # halvings (the eighth-order scheme delivers 158x, 220x and 247x).  The
+    # reference is the closed form x = A J0(t+1) + B Y0(t+1), whose own
+    # error (about 1e-16) stays below the smallest error here (1.8e-15);
+    # the error is the largest over the times all four runs step through.
     base = dict(
         schedule=PowerLaw(1.0, 1.0, 1.0),
         potential=Quadratic(1),
@@ -139,14 +143,17 @@ def test_fixed_step_halving_gains_an_order():
         v0=0.0,
         t_end=10.0,
     )
-    ref = integrate(SystemSpec(rel_tol=1e-13, abs_tol=1e-15, **base)).xs[-1, 0]
+    A, B = np.linalg.solve([[j0(1.0), y0(1.0)], [-j1(1.0), -y1(1.0)]], [1.0, 0.0])
+    steps = (0.5, 0.25, 0.125, 0.0625)
     errs = []
-    for h in (0.4, 0.2, 0.1, 0.05):
-        x = integrate(SystemSpec(fixed_step=h, **base)).xs[-1, 0]
-        errs.append(abs(x - ref))
+    for h in steps:
+        traj = integrate(SystemSpec(fixed_step=h, **base))
+        every = round(steps[0] / h)
+        t = traj.ts[::every]
+        errs.append(float(np.max(np.abs(traj.xs[::every, 0] - (A * j0(t + 1.0) + B * y0(t + 1.0))))))
     assert errs[-1] <= 1e-9
     for big, small in zip(errs, errs[1:]):
-        assert big / small >= 8.0, errs
+        assert big / small >= 2.0**7, errs
 
 
 def test_matches_closed_form_solution(j_run):
@@ -496,9 +503,9 @@ def _dissipation_digest(traj):
 
 # SHA-256 of every stored array but the dissipation and of every event of
 # the well_run fixture, and SHA-256 of its dissipation
-_WELL_RUN_DIGEST = "a0676faccef58deccaaf65f2c8d4e787d485eab94e1e98bb91531e1313be3092"
-_WELL_RUN_DISSIPATION = "15acec96bae3246139c3d4246754e487e5e14e6015ae76070dafa96f6ae9445e"
-# the well_run system to t=1e3: 6,070 steps, 449 events
+_WELL_RUN_DIGEST = "bf7aa5defe72bacf7f2987d1572be06293d80638faf057b70502a16e61efce9f"
+_WELL_RUN_DISSIPATION = "de54082f17d63a413f6fc74c4d560dd6ca838aceb024a5141eca0aa263dd52de"
+# the well_run system to t=1e3: 1,611 steps, 449 events
 _WELL_SHORT = SystemSpec(
     schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
     t_end=1.0e3, rel_tol=1e-6,
@@ -511,7 +518,7 @@ _SLANTED_EVENTS = (
         v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
     ),
     32,
-    "f27b74c073d7c1fa79e4c0926f1e9d943c7335ef380ae5fbb013a5ed0d87b627",
+    "a0318db9c75fbda181ecd08d1c651013f425c377d090515bdc1d9676926de95b",
 )
 
 
@@ -530,35 +537,35 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     assert _trajectory_digest(well_run) == _WELL_RUN_DIGEST
     assert _dissipation_digest(well_run) == _WELL_RUN_DISSIPATION
     assert well_run.stats.as_dict() == (
-        {"accepted": 60758, "rejected": 11801, "rhs_evals": 435356, "stride": 1}
+        {"accepted": 15612, "rejected": 2363, "rhs_evals": 215702, "stride": 1}
     )
     assert _trajectory_digest(j_run) == (
-        "cb58790d8aeb160ad72f40ffc1749031a3aaf245d995877fbe30f76e89f65930"
+        "418f1ad9570fe854cd2ea0898e2b51002b5400575160dc47b5897fa59060f438"
     )
     assert _dissipation_digest(j_run) == (
-        "66b234cd0699a4e09e5ffd4e8713f120764d1a0f884aa82777ab398de852ed1f"
+        "2ecf99efdb69dd56662ce990c97eadf245c05b05904c3af9ee62a46ecd19783a"
     )
     assert j_run.stats.as_dict() == (
-        {"accepted": 1048, "rejected": 29, "rhs_evals": 6464, "stride": 1}
+        {"accepted": 148, "rejected": 7, "rhs_evals": 1862, "stride": 1}
     )
     assert _trajectory_digest(fixed) == (
-        "804e3e60df0baa227d282384cc0d73cc30f28e3977a854fc9eb41669d29fc91e"
+        "f0c98291bf7bcb1b7ec474f420724ca7d651ad38bdd1256a317e8c2e2137e0fb"
     )
     assert _dissipation_digest(fixed) == (
-        "f4186933c457e4fda9188d56dcaed609209445ab7204fab8d0e5c292a6b9a0b4"
+        "a068c56f21403250b6062047eb35d4d97b3d999b6b51136600b6df9a9f86fe75"
     )
     assert fixed.stats.as_dict() == (
-        {"accepted": 5001, "rejected": 0, "rhs_evals": 30007, "stride": 1}
+        {"accepted": 5001, "rejected": 0, "rhs_evals": 60013, "stride": 1}
     )
 
 
 def test_clipped_final_step_is_pinned_bitwise():
     # The last step is clipped to end on t_end, and here t + (t_end - t)
     # rounds to a float other than t_end.  Its final stage must take the
-    # rate at t_end, not stage 6's rate at t + h: here the two give
+    # rate at t_end, not stage 12's rate at t + h: here the two give
     # different accelerations.  SHA-256 of every stored array (the
     # dissipation apart) and the counters.
-    spec = dataclasses.replace(_WELL_SHORT, t_end=0.0559001)
+    spec = dataclasses.replace(_WELL_SHORT, t_end=0.2204)
     traj = integrate(spec)
     t = float(traj.ts[-2])  # every step is stored: the clipped one starts here
     t_h = t + (spec.t_end - t)
@@ -566,12 +573,12 @@ def test_clipped_final_step_is_pinned_bitwise():
     rate, grad = spec.schedule.rate_fn(), spec.potential.grad_fn()
     x, v = float(traj.xs[-1, 0]), float(traj.vs[-1, 0])
     assert traj.accs[-1, 0] == -rate(spec.t_end) * v - grad(x) != -rate(t_h) * v - grad(x)
-    assert traj.stats.as_dict() == {"accepted": 2, "rejected": 0, "rhs_evals": 14, "stride": 1}
+    assert traj.stats.as_dict() == {"accepted": 2, "rejected": 0, "rhs_evals": 26, "stride": 1}
     assert _trajectory_digest(traj) == (
-        "174e0eebf7c528a1aca22448a42065064315c21ff27be190fd47a6069c6e2fd2"
+        "499497c181845bef99bb14bda7c2977c9c32b0cca35c490fa2ac5a9522c40f79"
     )
     assert _dissipation_digest(traj) == (
-        "995d9faa72c102b229ec5d289329ffa24b5f2f834a4ef2781c0f5cd60aa60e30"
+        "4de8f1281ea02b96e1de296f231a22db54bd1b8276ef4435cdd7538a1f897631"
     )
 
 
@@ -583,14 +590,14 @@ def test_clipped_final_step_is_pinned_bitwise():
             schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3),
             x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
             v0=[0.0, 0.0, 0.0], t_end=200.0, rel_tol=1e-8,
-        ), 14, "13dca44751b00d8696543d12dbd6794e4af0d8f6f2a002aed0316d1ad211fbd2"),
+        ), 14, "8b9356ac090138078a63d39a77b0eb84c68510b1a006241ad88e9740ef00b930"),
         _SLANTED_EVENTS,
     ],
     ids=["ppower_n3", "quadratic_n2_slanted"],
 )
 def test_array_events_are_pinned_bitwise(spec, count, digest):
     # SHA-256 of time, x, v and energy of every event of two n >= 2 runs,
-    # computed when events were still refined inside the step loop
+    # refined on the quintic Hermite of each bracketing step
     traj = integrate(spec)
     assert len(traj.events) == count
     assert _trajectory_digest(traj, samples=False) == digest
@@ -603,14 +610,14 @@ def test_array_events_are_pinned_bitwise(spec, count, digest):
         (SystemSpec(
             schedule=PowerLaw(1.0, 1.0, 1.0), potential=FlatBottom(2), x0=[2.5, -1.5],
             v0=[0.3, 0.9], t_end=60.0, rel_tol=1e-8,
-        ), (439, 7, 105), "fa38e237664b281a342ca9147d7a62b012ea36ba0f96e1c0ab602bcab2ccd2fb",
-         "353c721703d640f1f147370b417addc54357bfea269c265a0c99db6160317082"),
+        ), (211, 7, 154), "8c674c7a699cbf19aff9d7907f60f7638c34267a21dd9e9c0eff5b2a0e4d6188",
+         "86cc29ee81eaf6aeb9c6d6ece0c7bfc39b3d4254a71cd3ece8697ecf8c34fa3d"),
         # singular start: the bootstrap and its t=0 row in three dimensions
         (SystemSpec(
             schedule=PowerLaw(1.0, 1.0, 0.0), potential=Quadratic(3), x0=[1.0, -0.5, 0.25],
             v0=[0.0, 0.0, 0.0], t_end=40.0, rel_tol=1e-9,
-        ), (830, 12, 13), "c506e8dad1b32d9d406e6bc3b5e25b6adf9bae74a17e77197287f5fcdac7fee7",
-         "e394aa06e95248020eb212e26884b139432c7dd7c59b2dea7651a5f1a83599c9"),
+        ), (123, 12, 6), "957ee9da1aed9f5d4012e685ee8e5424f6180290cf03ff28e5dba5273ef13da8",
+         "3cb7261dd14080f009b9c1bdb0190ce6a2a3b72c5a5f74f86a7790cb8088ccaa"),
     ],
     ids=["flatbottom_n2", "quadratic_n3_singular"],
 )
@@ -630,14 +637,14 @@ _integrate_module = importlib.import_module("vanishdamp.integrate")
 @pytest.mark.parametrize(
     "spec, counts, stats, digest, dissipation",
     [
-        (_WELL_SHORT, (760, 449, 8),
-         {"accepted": 6070, "rejected": 1227, "rhs_evals": 43784, "stride": 8},
-         "6c63a49b2983c7daddf088aef8fd3e90ca11c017d42c2f9df5b2cc048129cd3e",
-         "042dcdaa091ab0b60a9c88cc72631e8f7e37f0721c7d1e302b5cb2476fd870ab"),
-        (_SLANTED_EVENTS[0], (560, 32, 4),
-         {"accepted": 2234, "rejected": 96, "rhs_evals": 13982, "stride": 4},
-         "400a14535f15f14272ff725974bcc5889ea9072601a0d51b879b7a2f63e383a5",
-         "9d9f2360f6dd055a68212bbff84d60de9d534ea2989b664dbac2f58e62145fc2"),
+        (_WELL_SHORT, (52, 449, 32),
+         {"accepted": 1611, "rejected": 324, "rhs_evals": 23222, "stride": 32},
+         "d6c5174d11b575d62460d207a276f9a1036b0692ee0bc3fcd01ef7aa2be01544",
+         "ddafc69d16464774330c64ae526cb2f35789cfe664f6f6649ddbfc460c9e49d9"),
+        (_SLANTED_EVENTS[0], (68, 32, 4),
+         {"accepted": 268, "rejected": 0, "rhs_evals": 3218, "stride": 4},
+         "ae6f46b85798051f6843d9c5b9f3d437b49a9b69fd289de96c3bf1d0f76d2446",
+         "2d4821f30e5d033030297042909b2b78e4dd4b7c537952c56ee3258960ba5927"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
@@ -646,7 +653,7 @@ def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, dissipat
     # a small sample cap makes the runs thin their samples by automatic
     # stride doubling; SHA-256 of every stored array and event (the
     # dissipation apart), and the solver's counters
-    cap = 1000
+    cap = 100
     monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
     traj = integrate(spec)
     assert traj.stats.stride > 1
@@ -655,6 +662,24 @@ def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, dissipat
     assert traj.stats.as_dict() == stats
     assert _trajectory_digest(traj) == digest
     assert _dissipation_digest(traj) == dissipation
+
+
+def test_thinned_dense_output_matches_the_unthinned_run(monkeypatch):
+    # A long double-well run (t = 1e5, rel_tol 1e-6, as the benchmark's
+    # long run) thins its samples to stride 2.  The steps do not depend on
+    # thinning, so an unthinned run stores every state the thinned one
+    # stepped through; in the last decade the thinned dense output must
+    # land within 1e-4 of them.  Measured: 1.3e-5 in x, 1.0e-5 in v; the
+    # cubic Hermite on DP5's stride-8 samples was at 3.5e-4 and 8.9e-4.
+    spec = SystemSpec(PowerLaw(1.0, 1.0, 1.0), DoubleWell(), 0.37, 1.9, 1.0e5, rel_tol=1e-6)
+    thin = integrate(spec)
+    monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", 10**7)
+    full = integrate(spec)
+    assert thin.stats.stride > 1 and full.stats.stride == 1
+    tail = full.ts >= 1.0e4
+    t = full.ts[tail]
+    assert np.max(np.abs(thin.positions_at(t) - full.xs[tail])) <= 1e-4
+    assert np.max(np.abs(thin.velocities_at(t) - full.vs[tail])) <= 1e-4
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
@@ -676,12 +701,12 @@ def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
 @pytest.mark.parametrize(
     "spec, snap, exact, digest, dissipation",
     [
-        (_WELL_SHORT, 1e-3, 139,
-         "0b44825488153976abd92621be65dacf1628ee65c42894d55e223f8ddbd63049",
-         "4b7f0a32f4c72f79638482ec83d8bba880b607fb574861125d6de855abb79572"),
-        (_SLANTED_EVENTS[0], 3e-5, 9,
-         "ce18fec9b518a6ebb75db3efb3e6feddecd3936e1fbab1d75ed9af09a575623f",
-         "a29aa40723d819981421e1f0a9e8097f84b36742e2570b73d364949ae736cbbc"),
+        (_WELL_SHORT, 3e-3, 65,
+         "38d990cbbf1e90f3a7945fa25b3ff697ab43992d29dfaeef307e742bd04d5dfc",
+         "1eea7a5efc359f17be400892207031a9bcbe907ea27d01a2226a2cd3728741ae"),
+        (_SLANTED_EVENTS[0], 3e-3, 11,
+         "0fa2771f868cddfdb682c361ee53468c08d8eca09ad7cc0aad128d06f8a23b19",
+         "0ba900c910c3c0bfa760ed7c6c04aa9a5b50ffe41db4ffb30325b842c207f667"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
@@ -689,8 +714,8 @@ def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipati
                                             monkeypatch):
     # a monitored projection below ``snap`` reads as an exact zero, so many
     # steps end on one: those events are the step's own state, recorded
-    # between crossings refined in chunks.  The digests are of the runs
-    # when every bracket was refined after the loop.
+    # between crossings refined in chunks, and every chunking gives the
+    # same digests.
     state_ops = _integrate_module.state_ops
 
     def snapped(pot, direction=None):
@@ -709,11 +734,29 @@ def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipati
     assert _dissipation_digest(traj) == dissipation
 
 
+def test_tableau_is_scipys_dop853():
+    # the literals are the floats of scipy's DOP853 coefficients, bit for
+    # bit; A holds each row below the diagonal, and E5, E3 leave out the
+    # weight of the new state's rate, which is 0
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    stages = ref.N_STAGES
+    assert len(_integrate_module._A) == stages
+    assert list(_integrate_module._C) == ref.C[:stages].tolist()
+    for i, row in enumerate(_integrate_module._A):
+        assert list(row) == ref.A[i, :i].tolist(), i
+        assert not ref.A[i, i:stages].any()
+    assert list(_integrate_module._B) == ref.B.tolist()
+    assert list(_integrate_module._E5) + [0.0] == ref.E5.tolist()
+    assert list(_integrate_module._E3) + [0.0] == ref.E3.tolist()
+
+
 def test_step_loop_call_count_is_bounded():
     # Guards the step loop's interpreter overhead without timing anything,
     # so it cannot flake on a busy or shared host: the Python and C calls
     # made from _run's own frame, per attempted step, are deterministic.
-    # The bound is what the loop reaches today (25.18 here; 29.67 when the
+    # The bound is what the loop reaches today (37.70 here, with twelve
+    # stages an attempt; DP5's six-stage loop made 25.18, 29.67 when the
     # dissipation took three more rates on the interpolant and the error
     # norm called abs, 37.17 when the step-size clamps still called min and
     # max).
@@ -734,8 +777,8 @@ def test_step_loop_call_count_is_bounded():
     finally:
         sys.setprofile(before)
     attempts = traj.stats.accepted + traj.stats.rejected
-    assert attempts == 7297
-    assert calls / attempts <= 25.2
+    assert attempts == 1935
+    assert calls / attempts <= 37.8
 
 
 def test_refinement_errors_yield_to_loop_errors(monkeypatch):
@@ -750,7 +793,7 @@ def test_refinement_errors_yield_to_loop_errors(monkeypatch):
     monkeypatch.setattr(_integrate_module, "_brentq_batch", failing)
     monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", 2)
     with pytest.raises(MaxStepsExceeded):
-        integrate(dataclasses.replace(_WELL_SHORT, max_steps=2000))
+        integrate(dataclasses.replace(_WELL_SHORT, max_steps=1000))
     assert calls == [0]  # the first chunk failed; no later one was refined
     calls.clear()
     with pytest.raises(ValueError, match="refinement 1 failed"):
@@ -837,16 +880,18 @@ def test_array_loops_do_not_call_the_validated_methods(pot, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_rhs_evals_count(n):
     # one evaluation at the start, one more for the first-step estimate,
-    # six per attempted step (the seventh stage is the next step's first)
+    # twelve per attempted step (the thirteenth, at the new state, is the
+    # next step's first).  The quartic well, since the eighth-order pair
+    # rejects no step on a quadratic one here.
     base = dict(
-        schedule=PowerLaw(1.0, 1.0, 1.0), potential=Quadratic(n),
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=n),
         x0=[1.0] * n, v0=[0.5] * n, t_end=20.0,
     )
     adaptive = integrate(SystemSpec(rel_tol=1e-8, **base)).stats
     assert adaptive.rejected > 0
-    assert adaptive.rhs_evals == 2 + 6 * (adaptive.accepted + adaptive.rejected)
+    assert adaptive.rhs_evals == 2 + 12 * (adaptive.accepted + adaptive.rejected)
     fixed = integrate(SystemSpec(fixed_step=0.05, **base)).stats
-    assert fixed.rhs_evals == 1 + 6 * fixed.accepted
+    assert fixed.rhs_evals == 1 + 12 * fixed.accepted
 
 
 def test_reruns_are_bitwise_identical(j_run):
