@@ -42,8 +42,9 @@ array-by-array product is cheaper than a float-by-array one and rounds
 the same.  On floats the interpreter's own work per call is the cost, so
 the loop drops every call it can drop without changing a bit: the n=1
 maximum is a lambda, not the builtin, the step-size clamps are
-conditional expressions, stage positions go straight into the gradient,
-and the last stage's rate and the accepted state's magnitudes are reused.
+conditional expressions, and the last stage's rate and the accepted
+state's magnitudes are reused.  Stage positions go straight into the
+gradient, unnamed.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ _PI_EXPO = _EXPO - 0.75 * _PI_BETA
 # weights _B and the fifth- and third-order error weights _E5 and _E3
 # vanish on stages 2 to 5; the stage at c = 1 is the last.
 _C = (
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726, 0.3333333333333333,
-    0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0,
 )
 _A = (
     (),
