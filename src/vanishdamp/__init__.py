@@ -10,7 +10,6 @@ interpolation converges to the same family of systems.
 
 from .analyze import (
     DensityReport,
-    GapReport,
     LimitClassification,
     RateFit,
     UpperBoundResult,
@@ -23,7 +22,6 @@ from .analyze import (
     rate_fit,
     sign_change_gaps,
     upper_bound_check,
-    weighted_energy_integral,
 )
 from .errors import (
     ConfigError,
@@ -69,7 +67,6 @@ from .sgd import (
     OdeComparison,
     StepSchedule,
     compare_to_ode,
-    limiting_ode_rhs,
     run_recursion,
 )
 
@@ -120,7 +117,6 @@ __all__ = [
     "integrate",
     # analysis
     "energy_gap_series",
-    "weighted_energy_integral",
     "lower_bound_residual",
     "upper_bound_check",
     "UpperBoundResult",
@@ -130,7 +126,6 @@ __all__ = [
     "DensityReport",
     "occupation_density",
     "omega_limit_extent",
-    "GapReport",
     "sign_change_gaps",
     "LimitClassification",
     "classify_limit",
@@ -140,6 +135,5 @@ __all__ = [
     "DiscretePath",
     "OdeComparison",
     "run_recursion",
-    "limiting_ode_rhs",
     "compare_to_ode",
 ]

@@ -410,17 +410,17 @@ def _a8(suite: _Suite) -> _Outcome:
 @_criterion("A9", "turning-point gaps: trapped period and logarithmic gap growth",
             reads=("wells", "flat_sweep"))
 def _a9(suite: _Suite) -> _Outcome:
-    report = sign_change_gaps(suite.fixture("wells")[0].traj)
-    tail = report.gaps[report.times > 1.0e3]
+    times, gaps = sign_change_gaps(suite.fixture("wells")[0].traj)
+    tail = gaps[times > 1.0e3]
     target = math.pi / math.sqrt(2.0)
     period_dev = float(np.max(np.abs(tail - target)) / target) if tail.size else math.inf
     period_ok = tail.size > 0 and period_dev <= 0.02
 
-    rep = sign_change_gaps(suite.fixture("flat_sweep")[_SWEEP_HORIZONS.index(1.0e5)])
+    times, gaps = sign_change_gaps(suite.fixture("flat_sweep")[_SWEEP_HORIZONS.index(1.0e5)])
     ratios = {}
     for horizon in (1.0e2, 1.0e3, 1.0e4):
-        mask = rep.times <= horizon
-        vals = rep.gaps[mask] / (1.0 + np.log1p(rep.times[mask]))
+        mask = times <= horizon
+        vals = gaps[mask] / (1.0 + np.log1p(times[mask]))
         ratios[f"{horizon:g}"] = float(np.max(vals)) if vals.size else 0.0
     positive = [v for v in ratios.values() if v > 0.0]
     spread = max(ratios.values()) / min(positive) if positive else math.inf

@@ -4,10 +4,9 @@ limit classification.
 
 Every function here is a pure consumer of a Trajectory.  The quantities
 mirror the convergence theory for the damped system: the energy gap
-E(t) - min G, its weighted integral against a(t), the two-sided decay
-envelopes, the time fraction spent outside a ball around the candidate
-limit, and the dichotomy "limit is a local minimum iff the velocity keeps
-changing sign".
+E(t) - min G, the two-sided decay envelopes, the time fraction spent
+outside a ball around the candidate limit, and the dichotomy "limit is a
+local minimum iff the velocity keeps changing sign".
 
 The omega-limit extent and the tail velocity are exact min/max over the
 samples and a fine grid of the quintic Hermite dense output, but the grid
@@ -59,40 +58,6 @@ def energy_gap_series(traj: Trajectory):
     """(t, E(t) - min G) over the stored samples."""
     g0 = _min_g(traj)
     return traj.ts.copy(), traj.energies - g0
-
-
-def weighted_energy_integral(traj: Trajectory):
-    """Quadrature of a(t) (E(t) - min G) and its running series.
-
-    Each piece between samples takes the trapezoid rule with its end-slope
-    correction h^2/12 (f'(t0) - f'(t1)), exact for cubics, so the error
-    falls with the fourth power of the sample spacing.  The slopes come
-    from the equation of motion: E' = -a |v|^2, so
-    f' = a' (E - min G) - a^2 |v|^2.
-
-    For schedules singular at the origin the quadrature starts at the
-    first positive sample: the theorem's content is the convergence of the
-    tail, and a(t) itself is not integrable against a positive gap there.
-    """
-    g0 = _min_g(traj)
-    ts = traj.ts
-    gap = traj.energies - g0
-    speed2 = np.einsum("ij,ij->i", traj.vs, traj.vs)
-    sched = traj.spec.schedule
-    if sched.singular_at_zero:
-        mask = ts > 0.0
-        ts, gap, speed2 = ts[mask], gap[mask], speed2[mask]
-    if len(ts) < 2:
-        return 0.0, (ts, np.zeros_like(ts))
-    a = sched.a_values(ts)
-    da = np.fromiter(map(sched.da_at, ts.tolist()), dtype=float, count=len(ts))
-    integrand = a * gap
-    slope = da * gap - a * a * speed2
-    widths = np.diff(ts)
-    increments = (0.5 * (integrand[1:] + integrand[:-1])
-                  + (slope[:-1] - slope[1:]) * widths / 12.0) * widths
-    running = np.concatenate([[0.0], np.cumsum(increments)])
-    return float(running[-1]), (ts, running)
 
 
 def lower_bound_residual(traj: Trajectory) -> float:
@@ -404,39 +369,12 @@ def _dense_extent(traj: Trajectory, ys, hull, dense, cut: float, m: int, extra=(
     return np.stack([lo, hi], axis=1)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Consecutive sign-change gaps and their logarithmic envelope fit."""
-
-    times: np.ndarray
-    gaps: np.ndarray
-    log_slope: float
-    max_log_ratio: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": int(len(self.gaps)),
-            "log_slope": self.log_slope,
-            "max_log_ratio": self.max_log_ratio,
-            "last_gap": float(self.gaps[-1]) if len(self.gaps) else None,
-        }
-
-
-def sign_change_gaps(traj: Trajectory) -> GapReport:
-    """Gaps t_{i+1} - t_i between events, with a fit of gap against
-    ln(1 + t_i) and the max ratio gap / (1 + ln(1 + t_i))."""
+def sign_change_gaps(traj: Trajectory):
+    """(t_i, t_{i+1} - t_i): each event's time and the gap to the next."""
     et = traj.events.time
     if len(et) < 2:
         raise DomainError("need at least 2 events for gap statistics")
-    gaps = np.diff(et)
-    base = et[:-1]
-    logs = np.log1p(base)
-    if len(gaps) >= 2 and np.ptp(logs) > 0:
-        slope = float(np.polyfit(logs, gaps, 1)[0])
-    else:
-        slope = 0.0
-    ratio = float(np.max(gaps / (1.0 + logs)))
-    return GapReport(base, gaps, slope, ratio)
+    return et[:-1], np.diff(et)
 
 
 @dataclass(frozen=True)

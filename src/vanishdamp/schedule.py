@@ -7,7 +7,7 @@ integral int_0^t a and the decay kernel exp(-int_0^t a) on whole arrays of
 sample times (a_values, integral_a_to, decay_kernels), a's derivative
 (da_at), and a classification of the schedule against the convergence
 conditions for the damped system (integral divergence, kernel
-integrability, the boundedness and slow-log conditions).
+integrability and the slow-log condition).
 
 Constant and PowerLaw schedules carry analytic closed forms throughout;
 Custom schedules fall back to adaptive quadrature (scipy's, imported on
@@ -25,10 +25,9 @@ import numpy as np
 
 from .errors import DomainError
 
-# heuristic classification knobs (Custom schedules only, never used for
-# analytic kinds): horizon for numeric integration and the threshold above
-# which a running integral is declared divergent
-CLASSIFY_HORIZON = 1.0e6
+# heuristic classification knob (Custom schedules only, never used for
+# analytic kinds): the threshold above which a running integral is
+# declared divergent
 DIVERGENCE_THRESHOLD = 1.0e3
 
 # quadrature targets for Custom integrals; the absolute floor keeps the
@@ -61,7 +60,6 @@ class ScheduleClassification:
     exp_integral_finite: int_0^inf exp(-int_0^t a) dt < inf; the negation is
         the fast-decay divergence condition under which trajectories over a
         flat argmin do not converge
-    bounded_below:       exists a0 > 0 with a(t) >= a0 for all t
     slow_log_condition:  int_1^inf a(t ln t) dt = inf
     analytic:            True when the flags are closed-form consequences of
         the schedule parameters, False when obtained by quadrature heuristics
@@ -69,7 +67,6 @@ class ScheduleClassification:
 
     integral_a_diverges: bool
     exp_integral_finite: bool
-    bounded_below: bool
     slow_log_condition: bool
     analytic: bool
 
@@ -150,7 +147,6 @@ class Constant(DampingSchedule):
         return ScheduleClassification(
             integral_a_diverges=pos,
             exp_integral_finite=pos,
-            bounded_below=pos,
             slow_log_condition=pos,
             analytic=True,
         )
@@ -228,7 +224,6 @@ class PowerLaw(DampingSchedule):
         return ScheduleClassification(
             integral_a_diverges=diverges,
             exp_integral_finite=exp_finite,
-            bounded_below=(g == 0.0),
             slow_log_condition=(g <= 1.0),
             analytic=True,
         )
@@ -239,15 +234,12 @@ class Custom(DampingSchedule):
     """Schedule given by callbacks.
 
     ``a`` is required.  ``da`` is optional; when omitted the derivative is a
-    central finite difference with step h = max(1e-6, 1e-6*t).
-    ``nonincreasing_flag`` is the declared monotonicity (spot-checked by
-    tests, never proven), which ``classify`` reads.  int_0^t a and the
-    kernel are one quadrature per time.
+    central finite difference with step h = max(1e-6, 1e-6*t).  int_0^t a
+    and the kernel are one quadrature per time.
     """
 
     a: Callable[[float], float]
     da: Optional[Callable[[float], float]] = None
-    nonincreasing_flag: bool = True
     singular: bool = False
 
     kernel_by_quadrature = True
@@ -291,7 +283,7 @@ class Custom(DampingSchedule):
 
     def classify(self) -> ScheduleClassification:
         """Quadrature heuristics on the decades from start (1e-9 when
-        singular, else 0) through 1, 10, ... to CLASSIFY_HORIZON;
+        singular, else 0) through 1, 10, ... to 1e6;
         analytic=False always.
 
         Each decade adds one quadrature of a to a running sum; the sums
@@ -328,19 +320,12 @@ class Custom(DampingSchedule):
             if kernel_total > DIVERGENCE_THRESHOLD:
                 break
 
-        # bounded below: for a declared-nonincreasing schedule the infimum is
-        # approached at the horizon
-        if self.nonincreasing_flag:
-            bounded = self.a(CLASSIFY_HORIZON) > 1.0e-9
-        else:
-            bounded = min(self.a(10.0 ** (k / 4.0)) for k in range(-8, 25)) > 1.0e-9
         slog_sums = running_sums(lambda t: self.a(t * math.log(t)), [math.e] + edges[2:])
 
         return ScheduleClassification(
             integral_a_diverges=diverges(sums),
             exp_integral_finite=kernel_total <= DIVERGENCE_THRESHOLD
             and inc < 1.0e-3 * max(kernel_total, 1.0e-30),
-            bounded_below=bounded,
             slow_log_condition=diverges(slog_sums),
             analytic=False,
         )
@@ -361,4 +346,4 @@ def slow_log_example() -> Custom:
         denom = (t + 1.0) * big
         return -(big + (t + 1.0) * d_big) / denom**2
 
-    return Custom(a=a, da=da, nonincreasing_flag=True)
+    return Custom(a=a, da=da)

@@ -41,7 +41,6 @@ __all__ = [
     "DiscretePath",
     "OdeComparison",
     "run_recursion",
-    "limiting_ode_rhs",
     "compare_to_ode",
 ]
 
@@ -193,11 +192,6 @@ class StepSchedule:
         return (eps0 * float(k) ** expo for k in count(start + 1))
 
     @property
-    def steps_diverge(self) -> bool:
-        """True when the step sizes sum to infinity (both rules)."""
-        return True
-
-    @property
     def has_summable_power(self) -> bool:
         """True when sum eps_n**(1+alpha) is finite for some alpha > 0."""
         return self.rule == "PowerDecay"
@@ -287,9 +281,6 @@ class DiscretePath:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def final_iterate(self) -> np.ndarray:
-        return self.x[-1].copy()
-
 
 def run_recursion(
     pot: Potential,
@@ -369,22 +360,6 @@ def run_recursion(
         steps=steps,
         noise=noise,
     )
-
-
-def limiting_ode_rhs(t: float, x, v, beta: float, pot: Potential):
-    """Acceleration -(v + grad G(x)) / (t + beta) of the limiting system.
-
-    Requires t + beta > 0; at the singular clock origin the system is
-    only defined through the recursion's own initialization.
-    """
-    clock = t + beta
-    if not clock > 0.0:
-        raise DomainError(f"need t + beta > 0, got {clock}")
-    if pot.n == 1 and np.isscalar(x):
-        return -(v + pot.grad_fn()(float(x))) / clock
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return -(v_arr + pot.grad(x_arr)) / clock
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from vanishdamp import (
     sign_change_gaps,
     slow_log_example,
     upper_bound_check,
-    weighted_energy_integral,
 )
 from vanishdamp import analyze as analyze_module
 from vanishdamp.analyze import DENSITY_STEP, _extent_window, _tail_velocity_max
@@ -195,23 +194,6 @@ def test_lower_bound_residual_subsamples_quadrature_kernels(monkeypatch):
     traj = Trajectory(ts, zeros, zeros, zeros, energies, np.zeros(len(ts)), [], SolverStats(), spec, 1)
     assert math.isfinite(lower_bound_residual(traj))
     assert sum(kernel_times) == 2000
-
-
-def test_weighted_integral_closed_form(free_run):
-    # int_0^inf 1 * (1/2) e^{-2t} dt = 1/4
-    total, (ts, running) = weighted_energy_integral(free_run)
-    assert total == pytest.approx(0.25, abs=1e-4)
-    assert np.all(np.diff(running) >= -1e-15)
-    assert running[-1] == pytest.approx(total, rel=1e-12)
-    assert running[0] == 0.0
-
-
-def test_weighted_integral_flattens_when_gap_decays(decay_run):
-    total, (ts, running) = weighted_energy_integral(decay_run)
-    assert total > 0.0
-    # the final decade contributes a vanishing share (integrand ~ t^-2)
-    k = int(np.searchsorted(ts, ts[-1] / 10.0))
-    assert total - float(running[k]) <= 0.05 * total
 
 
 def test_upper_bound_regimes(decay_run, slow_run):
@@ -417,15 +399,13 @@ def test_pruned_extent_sees_excursions_between_samples():
 
 def test_oscillation_gaps_settle(j_run_long, well_run):
     # linear run: velocity sign changes settle to spacing pi
-    rep = sign_change_gaps(j_run_long)
-    late = rep.gaps[rep.times > 50.0]
+    times, gaps = sign_change_gaps(j_run_long)
+    late = gaps[times > 50.0]
     assert np.abs(late - math.pi).max() <= 0.01 * math.pi
-    assert abs(rep.log_slope) <= 0.05
-    assert rep.as_dict()["count"] == len(rep.gaps)
     # trapped double-well branch: curvature 2 at the wells gives period
     # 2 pi / sqrt(2), so velocity sign changes arrive every pi / sqrt(2)
-    rep = sign_change_gaps(well_run)
-    late = rep.gaps[rep.times > 1.0e3]
+    times, gaps = sign_change_gaps(well_run)
+    late = gaps[times > 1.0e3]
     want = math.pi / math.sqrt(2.0)
     assert abs(float(np.mean(late)) - want) <= 0.02 * want
 

@@ -278,22 +278,17 @@ def test_classification_analytic_table():
     assert not fast.exp_integral_finite  # kernel tends to a positive constant
     const = Constant(2.0).classify()
     assert const.integral_a_diverges and const.exp_integral_finite
-    assert const.bounded_below and const.slow_log_condition
+    assert const.slow_log_condition
     off = Constant(0.0).classify()
     assert not (off.integral_a_diverges or off.exp_integral_finite)
-    assert not (off.bounded_below or off.slow_log_condition)
-    assert PowerLaw(1.0, 0.0).classify().bounded_below
-    assert not PowerLaw(1.0, 0.5).classify().bounded_below
+    assert not off.slow_log_condition
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_classification_dual_route(c, gamma):
     # the closed-form flags must agree with the quadrature classifier
-    # running blind on the same rate function.  bounded_below is
-    # excluded: no finite-horizon probe can tell "vanishes slowly"
-    # from "positive limit", which is exactly the information the
-    # analytic route encodes.
+    # running blind on the same rate function
     analytic = PowerLaw(c, gamma, 1.0).classify()
     blind = CustomSchedule(a=PowerLaw(c, gamma, 1.0).rate_fn()).classify()
     assert analytic.analytic and not blind.analytic
@@ -304,12 +299,7 @@ def test_classification_dual_route(c, gamma):
 def test_classification_dual_route_constant():
     analytic = Constant(1.0).classify()
     blind = CustomSchedule(a=lambda t: 1.0).classify()
-    for flag in (
-        "integral_a_diverges",
-        "exp_integral_finite",
-        "bounded_below",
-        "slow_log_condition",
-    ):
+    for flag in ("integral_a_diverges", "exp_integral_finite", "slow_log_condition"):
         assert getattr(analytic, flag) == getattr(blind, flag), flag
 
 
@@ -332,31 +322,31 @@ def test_slow_log_example_schedule():
     assert not cls.analytic
 
 
-# (integral_a_diverges, exp_integral_finite, bounded_below,
-#  slow_log_condition) of the quadrature classifier, singular origins and an
-# undeclared monotonicity included; the flags are heuristic (c/(t+5)^1.1 is
-# taken for divergent at the horizon), so they are pinned as computed
+# (integral_a_diverges, exp_integral_finite, slow_log_condition) of the
+# quadrature classifier, singular origins and a non-monotone rate included;
+# the flags are heuristic (c/(t+5)^1.1 is taken for divergent at the
+# horizon), so they are pinned as computed
 CUSTOM_FLAGS = [
-    (CustomSchedule(a=PowerLaw(0.5, 0.5, 1.0).rate_fn()), "0.5/(t+1)^0.5", (True, True, True, True)),
-    (CustomSchedule(a=PowerLaw(1.0, 1.0, 1.0).rate_fn()), "1/(t+1)", (True, False, True, True)),
-    (CustomSchedule(a=PowerLaw(2.0, 1.0, 1.0).rate_fn()), "2/(t+1)", (True, True, True, True)),
-    (CustomSchedule(a=PowerLaw(3.0, 2.0, 0.5).rate_fn()), "3/(t+0.5)^2", (False, False, False, False)),
-    (CustomSchedule(a=PowerLaw(1.5, 1.1, 5.0).rate_fn()), "1.5/(t+5)^1.1", (True, False, True, True)),
-    (CustomSchedule(a=lambda t: 0.0), "0", (False, False, False, False)),
-    (CustomSchedule(a=lambda t: 1.0), "1", (True, True, True, True)),
-    (CustomSchedule(a=lambda t: 2.0 / t, singular=True), "2/t", (True, True, True, True)),
-    (CustomSchedule(a=lambda t: 1.0 / math.sqrt(t), singular=True), "1/sqrt(t)", (True, True, True, True)),
-    (CustomSchedule(a=lambda t: math.exp(-t)), "exp(-t)", (False, False, False, False)),
+    (CustomSchedule(a=PowerLaw(0.5, 0.5, 1.0).rate_fn()), "0.5/(t+1)^0.5", (True, True, True)),
+    (CustomSchedule(a=PowerLaw(1.0, 1.0, 1.0).rate_fn()), "1/(t+1)", (True, False, True)),
+    (CustomSchedule(a=PowerLaw(2.0, 1.0, 1.0).rate_fn()), "2/(t+1)", (True, True, True)),
+    (CustomSchedule(a=PowerLaw(3.0, 2.0, 0.5).rate_fn()), "3/(t+0.5)^2", (False, False, False)),
+    (CustomSchedule(a=PowerLaw(1.5, 1.1, 5.0).rate_fn()), "1.5/(t+5)^1.1", (True, False, True)),
+    (CustomSchedule(a=lambda t: 0.0), "0", (False, False, False)),
+    (CustomSchedule(a=lambda t: 1.0), "1", (True, True, True)),
+    (CustomSchedule(a=lambda t: 2.0 / t, singular=True), "2/t", (True, True, True)),
+    (CustomSchedule(a=lambda t: 1.0 / math.sqrt(t), singular=True), "1/sqrt(t)", (True, True, True)),
+    (CustomSchedule(a=lambda t: math.exp(-t)), "exp(-t)", (False, False, False)),
     (
-        CustomSchedule(a=lambda t: (1.0 + 0.5 * math.sin(t)) / (1.0 + t), nonincreasing_flag=False),
+        CustomSchedule(a=lambda t: (1.0 + 0.5 * math.sin(t)) / (1.0 + t)),
         "(1+sin(t)/2)/(1+t)",
-        (True, False, True, True),
+        (True, False, True),
     ),
-    (slow_log_example(), "slow_log_example()", (True, False, True, True)),
+    (slow_log_example(), "slow_log_example()", (True, False, True)),
     (
         CustomSchedule(a=lambda t: 1.0 / ((t + 2.0) * math.log(t + 2.0))),
         "1/((t+2)ln(t+2))",
-        (True, False, True, True),
+        (True, False, True),
     ),
 ]
 
@@ -369,7 +359,6 @@ def test_custom_classification_is_pinned(sched, flags):
     assert (
         cls.integral_a_diverges,
         cls.exp_integral_finite,
-        cls.bounded_below,
         cls.slow_log_condition,
     ) == flags
     assert cls.analytic is False

@@ -23,7 +23,6 @@ from vanishdamp import (
     StepSchedule,
     Zero,
     compare_to_ode,
-    limiting_ode_rhs,
     run_recursion,
 )
 from vanishdamp import sgd
@@ -120,9 +119,6 @@ def test_path_properties():
     assert path.dim == 2
     assert path.tau.shape == (18,)
     assert path.x.shape == (18, 2)
-    final = path.final_iterate()
-    final[0] = 99.0
-    assert path.x[-1, 0] != 99.0  # the accessor hands out a copy
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +281,6 @@ def test_vector_path_is_pinned_bitwise():
 # limiting system
 
 
-def test_limiting_ode_rhs_values():
-    quad = Quadratic(1)
-    assert limiting_ode_rhs(3.0, 2.0, 0.5, 1.0, quad) == -0.625
-    assert limiting_ode_rhs(5.0, 1.2, -1.2, 0.0, quad) == 0.0  # slow manifold
-    acc = limiting_ode_rhs(1.0, np.array([1.0, 2.0]), np.zeros(2), 1.0, Quadratic(2))
-    assert np.allclose(acc, [-0.5, -1.0], rtol=0, atol=1e-15)
-    with pytest.raises(DomainError):
-        limiting_ode_rhs(0.0, 1.0, 1.0, 0.0, quad)
-    with pytest.raises(DomainError):
-        limiting_ode_rhs(1.0, 1.0, 1.0, -2.0, quad)
-
-
 def test_compare_to_ode_first_order_in_step():
     quad = Quadratic(1)
     coarse = run_recursion(quad, StepSchedule.constant(4e-3), NoiseModel.none(), 1.0, 2_000)
@@ -391,8 +375,6 @@ def test_step_schedule_validation():
         StepSchedule.constant(1e-3).eps(-1)
 
     assert StepSchedule.power_decay(1e-3, 1.0).eps(3) == pytest.approx(2.5e-4)
-    for steps in (StepSchedule.constant(1e-3), StepSchedule.power_decay(1e-3, 0.9)):
-        assert steps.steps_diverge
     assert not StepSchedule.constant(1e-3).has_summable_power
     assert StepSchedule.power_decay(1e-3, 0.9).has_summable_power
 
