@@ -5,7 +5,9 @@ Configs are line-oriented text: ``[section]`` headers followed by
 parser records the line number of every assignment so any later
 complaint about a value (wrong type, out of bounds, unknown kind,
 missing key) points back at the exact line, which the stock ini module
-cannot do once parsing has finished.
+cannot do once parsing has finished.  A value that the schedule,
+potential, run spec or recursion objects refuse is reported at the
+header of its section.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
-from .integrate import SystemSpec
+from .errors import ConfigError, DomainError
+from .integrate import SystemSpec, _normalize_spec
 from .potential import (
     DoubleWell,
     FlatBottom,
@@ -301,7 +303,7 @@ def build_system_spec(
     cfg: ParsedConfig, schedule: DampingSchedule, potential: Potential
 ) -> SystemSpec:
     n = potential.n
-    return SystemSpec(
+    spec = SystemSpec(
         schedule=schedule,
         potential=potential,
         x0=_point(cfg, "x0", n, 1.0),
@@ -310,6 +312,10 @@ def build_system_spec(
         **_given(cfg, "run", "rel_tol", "abs_tol", "max_steps", "sample_stride", "fixed_step"),
         event_dir=_event_dir(cfg, n),
     )
+    # the integrator's own checks, so that a start it refuses (v0 != 0
+    # under a singular schedule) fails here and not once the run starts
+    _normalize_spec(spec)
+    return spec
 
 
 def build_sgd(cfg: ParsedConfig) -> Optional[Tuple[StepSchedule, NoiseModel, int]]:
@@ -419,6 +425,16 @@ class RunConfig:
     sgd: Optional[Tuple[StepSchedule, NoiseModel, int]]
 
 
+def _located(cfg: ParsedConfig, section: str, build: Callable, *args):
+    """``build(cfg, *args)``, with a DomainError that a constructor raises
+    on the section's values made a ConfigError at the section's header:
+    the constructor cannot say which of the keys its complaint is about."""
+    try:
+        return build(cfg, *args)
+    except DomainError as exc:
+        raise cfg.error(str(exc), cfg.section_lines.get(section, 0)) from exc
+
+
 def load_run_config(
     path,
     overrides: Optional[Dict[Tuple[str, str], str]] = None,
@@ -430,7 +446,9 @@ def load_run_config(
     if overrides:
         apply_overrides(cfg, overrides)
     cfg.check_known_keys()
-    spec = build_system_spec(cfg, build_schedule(cfg), build_potential(cfg))
+    schedule = _located(cfg, "schedule", build_schedule)
+    potential = _located(cfg, "potential", build_potential)
+    spec = _located(cfg, "run", build_system_spec, schedule, potential)
     name = cfg.get("scenario", "name", Path(cfg.path).stem)
     out = Path(outdir if outdir is not None else cfg.get("scenario", "outdir", "."))
     return RunConfig(
@@ -438,7 +456,7 @@ def load_run_config(
         outdir=out,
         parsed=cfg,
         spec=spec,
-        sgd=build_sgd(cfg),
+        sgd=_located(cfg, "sgd", build_sgd),
     )
 
 

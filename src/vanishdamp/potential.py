@@ -132,8 +132,8 @@ class PPower(Potential):
     """G(x) = |x|^p / p with p > 1; gradient x |x|^{p-2} (0 at the origin)."""
 
     def __init__(self, p: float, n: int = 1):
-        if not p > 1:
-            raise DomainError(f"PPower needs p > 1, got {p}")
+        if not 1 < p < math.inf:
+            raise DomainError(f"PPower needs a finite p > 1, got {p}")
         self.p = float(p)
         self.n = _dimension(n)
         self.kind = "PPower"
@@ -170,8 +170,8 @@ class SignedPower(Potential):
     """
 
     def __init__(self, beta: float):
-        if not beta > 0:
-            raise DomainError(f"SignedPower needs beta > 0, got {beta}")
+        if not 0 < beta < math.inf:
+            raise DomainError(f"SignedPower needs a finite beta > 0, got {beta}")
         self.beta = float(beta)
         self.q = 1.0 + 2.0 / self.beta
         self.n = 1
@@ -262,6 +262,8 @@ class Polynomial1D(Potential):
 
     def __init__(self, coeffs: Sequence[float]):
         c = [float(v) for v in coeffs]
+        if not all(map(math.isfinite, c)):
+            raise DomainError(f"polynomial coefficients must be finite, got {c}")
         while len(c) > 1 and c[-1] == 0.0:
             c.pop()
         if len(c) < 2:

@@ -126,8 +126,8 @@ class Constant(DampingSchedule):
     level: float
 
     def __post_init__(self):
-        if not (self.level >= 0):
-            raise DomainError(f"Constant level must be >= 0, got {self.level}")
+        if not 0 <= self.level < math.inf:
+            raise DomainError(f"Constant level must be >= 0 and finite, got {self.level}")
 
     def a_values(self, times) -> np.ndarray:
         return np.full(self._times(times).shape, float(self.level))
@@ -165,12 +165,12 @@ class PowerLaw(DampingSchedule):
     s0: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise DomainError(f"PowerLaw amplitude must be > 0, got {self.c}")
-        if not (self.gamma >= 0):
-            raise DomainError(f"PowerLaw exponent must be >= 0, got {self.gamma}")
-        if self.s0 < 0:
-            raise DomainError(f"PowerLaw offset must be >= 0, got {self.s0}")
+        if not 0 < self.c < math.inf:
+            raise DomainError(f"PowerLaw amplitude must be > 0 and finite, got {self.c}")
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError(f"PowerLaw exponent must be >= 0 and finite, got {self.gamma}")
+        if not 0 <= self.s0 < math.inf:
+            raise DomainError(f"PowerLaw offset must be >= 0 and finite, got {self.s0}")
         if self.s0 == 0 and self.gamma > 1:
             raise DomainError(
                 "PowerLaw with offset 0 requires gamma <= 1 "

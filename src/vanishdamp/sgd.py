@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import count, repeat
+from numbers import Integral
 from typing import Iterator, Optional
 
 import numpy as np
@@ -220,8 +221,9 @@ class NoiseModel:
                 raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
         elif self.sigma:
             raise DomainError("sigma is only meaningful for GaussianAdditive noise")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise DomainError("seed must fit in 64 bits")
+        # a float seed would be truncated onto another seed's stream
+        if not (isinstance(self.seed, Integral) and 0 <= self.seed < 2 ** 64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @classmethod
     def none(cls) -> "NoiseModel":

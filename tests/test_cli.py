@@ -230,6 +230,51 @@ def test_value_the_integrator_refuses_exits_2_at_its_line(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+SINGULAR = BASE.replace("s0 = 1.0", "s0 = 0")
+
+
+@pytest.mark.parametrize(
+    "text, section, message",
+    [
+        (BASE.replace("c = 1.0", "c = -1"), "schedule", "PowerLaw amplitude must be > 0"),
+        (BASE.replace("kind = PowerLaw", "kind = Constant\nlevel = -2"), "schedule",
+         "Constant level must be >= 0"),
+        (BASE.replace("kind = Quadratic", "kind = PPower\np = 0.5"), "potential",
+         "PPower needs a finite p > 1"),
+        (BASE.replace("kind = Quadratic", "kind = Polynomial1D\ncoeffs = 1"), "potential",
+         "polynomial potential needs degree >= 1"),
+        (SINGULAR.replace("gamma = 1.0", "gamma = 2"), "schedule",
+         "PowerLaw with offset 0 requires gamma <= 1"),
+        (BASE + "\n[sgd]\neps0 = -1\nN = 5\n", "sgd", "eps0 must be positive and finite"),
+        (BASE + "\n[sgd]\nrule = PowerDecay\neps0 = 0.01\nrho = 2\nN = 5\n", "sgd",
+         "PowerDecay needs rho in (1/2, 1]"),
+        (SINGULAR.replace("v0 = 0.0", "v0 = 1"), "run", "a singular schedule requires v0 = 0"),
+        (BASE.replace("s0 = 1.0", "s0 = inf"), "schedule", "PowerLaw offset must be >= 0 and finite"),
+        (BASE.replace("s0 = 1.0", "s0 = nan"), "schedule", "PowerLaw offset must be >= 0 and finite"),
+        (BASE.replace("c = 1.0", "c = inf"), "schedule", "PowerLaw amplitude must be > 0 and finite"),
+        (BASE.replace("kind = PowerLaw", "kind = Constant\nlevel = inf"), "schedule",
+         "Constant level must be >= 0 and finite"),
+        (BASE.replace("kind = Quadratic", "kind = PPower\np = inf"), "potential",
+         "PPower needs a finite p > 1"),
+    ],
+    ids=["c_negative", "level_negative", "p_below_one", "coeffs_constant", "s0_zero_gamma_2",
+         "eps0_negative", "rho_above_one", "v0_singular", "s0_inf", "s0_nan", "c_inf",
+         "level_inf", "p_inf"],
+)
+def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, text, section,
+                                                            message):
+    # these printed a bare DomainError (the last run also only once the run
+    # had started), or, for the non-finite ones, ran to a meaningless
+    # summary or a solver failure; a constructor's complaint names no key,
+    # so it points at its section's header
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    line = text.splitlines().index(f"[{section}]") + 1
+    assert main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}:{line}: {message}"), err
+    assert not (tmp_path / "out").exists()
+
+
 BIG_PPOWER = BASE.replace("kind = Quadratic", "kind = PPower\np = 4").replace(
     "t_end = 60.0", "t_end = 10.0"
 )

@@ -121,6 +121,22 @@ def test_dimension_validation():
         SignedPower(0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PPower(math.inf),
+        lambda: PPower(math.nan),
+        lambda: SignedPower(math.inf),
+        lambda: Polynomial1D([0.0, math.nan, 1.0]),
+        lambda: Polynomial1D([0.0, 0.0, math.inf]),
+    ],
+    ids=["PPower_inf", "PPower_nan", "SignedPower_inf", "Polynomial1D_nan", "Polynomial1D_inf"],
+)
+def test_non_finite_parameter_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
 @pytest.mark.parametrize("n", [0, -2])
 @pytest.mark.parametrize(
     "make",

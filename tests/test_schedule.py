@@ -487,7 +487,11 @@ def test_parameter_validation():
     for bad in (lambda: PowerLaw(0.0), lambda: PowerLaw(-1.0),
                 lambda: PowerLaw(1.0, gamma=-0.1), lambda: PowerLaw(1.0, s0=-1.0),
                 lambda: PowerLaw(1.0, gamma=1.5, s0=0.0),
-                lambda: Constant(-0.1), lambda: Constant(math.nan)):
+                lambda: Constant(-0.1), lambda: Constant(math.nan),
+                # non-finite parameters, which ran to meaningless results
+                lambda: PowerLaw(math.inf), lambda: PowerLaw(1.0, gamma=math.inf),
+                lambda: PowerLaw(1.0, s0=math.inf), lambda: PowerLaw(1.0, s0=math.nan),
+                lambda: Constant(math.inf)):
         with pytest.raises(DomainError):
             bad()
 

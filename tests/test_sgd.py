@@ -396,6 +396,18 @@ def test_noise_model_validation():
         NoiseModel.gaussian(1.0).stream(5, 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -0.5, 1.0, "3"])
+def test_noise_seed_must_be_an_integer(seed):
+    # int() used to truncate 1.5 onto seed 1's stream and -0.5 onto seed 0's
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        NoiseModel.gaussian(1.0, seed=seed)
+
+
+def test_noise_seed_takes_numpy_integers():
+    wide = NoiseModel.gaussian(1.0, seed=np.uint64(2 ** 64 - 1)).stream(4, 1)
+    assert np.array_equal(wide, NoiseModel.gaussian(1.0, seed=2 ** 64 - 1).stream(4, 1))
+
+
 def test_run_recursion_validation():
     quad = Quadratic(1)
     with pytest.raises(DomainError):
