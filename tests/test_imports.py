@@ -1,14 +1,18 @@
 """Every name a module of the package or a test file imports is used in
-that file, and only ``workers.py`` imports the process modules.
+that file, only ``workers.py`` imports the process modules, and every
+exported function has a reader in the package.
 
 ``__init__.py`` is left out: its imports are the public re-exports.
 ``from __future__ import annotations`` binds nothing and is skipped.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import vanishdamp
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "vanishdamp"
@@ -81,3 +85,53 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
 def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# exported functions that no module reads yet, each with the ROADMAP item
+# that will read it; an entry goes once its reader lands
+PLANNED = {
+    "energy_gap_series": "item 12",
+    "check_base_inequality": "item 10",
+    "check_strong_convexity_window": "item 7",
+    "plateau_interval": "items 9 and 16",
+}
+
+
+def _reads(node: ast.AST, inside: frozenset = frozenset()) -> set:
+    """Names read as ``ast.Name`` or ``ast.Attribute`` anywhere under the
+    node, a function's reads of its own name left out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside | {node.name}
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    found = {name} if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, inside)
+    return found
+
+
+def unread(functions, sources) -> list:
+    """The functions that none of the sources reads."""
+    read = set().union(*(_reads(ast.parse(source)) for source in sources))
+    return sorted(name for name in functions if name not in read)
+
+
+def test_the_reader_check_sees_reads_outside_the_definition():
+    source = (
+        "from .m import imported\n"
+        "def called(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "def nested():\n"
+        "    def inner(): return nested\n"
+        "def attribute(): pass\n"
+        "x = called() + m.attribute()\n"
+    )
+    names = ["imported", "called", "recursive", "nested", "attribute", "absent"]
+    assert unread(names, [source]) == ["absent", "imported", "nested", "recursive"]
+    assert unread(names, [source, "y = recursive(3)\n"]) == ["absent", "imported", "nested"]
+
+
+def test_every_exported_function_has_a_reader():
+    functions = [name for name in vanishdamp.__all__
+                 if inspect.isfunction(getattr(vanishdamp, name))]
+    assert set(PLANNED) <= set(functions)
+    assert unread(functions, [p.read_text() for p in MODULES]) == sorted(PLANNED)
