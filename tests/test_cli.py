@@ -263,8 +263,8 @@ SINGULAR = BASE.replace("s0 = 1.0", "s0 = 0")
 )
 def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, text, section,
                                                             message):
-    # these printed a bare DomainError (the last run also only once the run
-    # had started), or, for the non-finite ones, ran to a meaningless
+    # the first eight printed a bare DomainError (v0_singular only once the
+    # run had started), and the non-finite ones ran to a meaningless
     # summary or a solver failure; a constructor's complaint names no key,
     # so it points at its section's header
     cfg = _cfg(tmp_path, text, "bad.cfg")

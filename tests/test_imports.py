@@ -102,11 +102,14 @@ def _reads(node: ast.AST, inside: frozenset = frozenset()) -> set:
     node, a function's reads of its own name left out."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         inside = inside | {node.name}
-    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-    found = {name} if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside else set()
+    found = set()
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
     for child in ast.iter_child_nodes(node):
         found |= _reads(child, inside)
-    return found
+    return found - inside
 
 
 def unread(functions, sources) -> list:
