@@ -11,24 +11,19 @@ integrability and the slow-log condition).
 
 Constant and PowerLaw schedules carry analytic closed forms throughout;
 Custom schedules fall back to adaptive quadrature (scipy's, imported on
-first use) and are flagged heuristic.
+first use) for their integrals and state no classification flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-
-# heuristic classification knob (Custom schedules only, never used for
-# analytic kinds): the threshold above which a running integral is
-# declared divergent
-DIVERGENCE_THRESHOLD = 1.0e3
 
 # quadrature targets for Custom integrals; the absolute floor keeps the
 # subdivision from chasing underflowed decay kernels
@@ -54,21 +49,20 @@ def _power(base: float, e: float) -> float:
 
 @dataclass(frozen=True)
 class ScheduleClassification:
-    """Flags of a schedule against the convergence conditions.
+    """Flags of a schedule against the convergence conditions, each a
+    closed-form consequence of the schedule's parameters, or None where
+    the schedule has no closed form that decides it.
 
     integral_a_diverges: int_0^inf a = inf (slow damping: energy reaches min G)
     exp_integral_finite: int_0^inf exp(-int_0^t a) dt < inf; the negation is
         the fast-decay divergence condition under which trajectories over a
         flat argmin do not converge
     slow_log_condition:  int_1^inf a(t ln t) dt = inf
-    analytic:            True when the flags are closed-form consequences of
-        the schedule parameters, False when obtained by quadrature heuristics
     """
 
-    integral_a_diverges: bool
-    exp_integral_finite: bool
-    slow_log_condition: bool
-    analytic: bool
+    integral_a_diverges: Optional[bool]
+    exp_integral_finite: Optional[bool]
+    slow_log_condition: Optional[bool]
 
 
 class DampingSchedule:
@@ -116,7 +110,8 @@ class DampingSchedule:
         return ts
 
     def classify(self) -> ScheduleClassification:
-        raise NotImplementedError
+        """No flag: a schedule without a closed form decides none."""
+        return ScheduleClassification(None, None, None)
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,6 @@ class Constant(DampingSchedule):
             integral_a_diverges=pos,
             exp_integral_finite=pos,
             slow_log_condition=pos,
-            analytic=True,
         )
 
 
@@ -225,7 +219,6 @@ class PowerLaw(DampingSchedule):
             integral_a_diverges=diverges,
             exp_integral_finite=exp_finite,
             slow_log_condition=(g <= 1.0),
-            analytic=True,
         )
 
 
@@ -281,60 +274,22 @@ class Custom(DampingSchedule):
 
         return np.array([integral(t) for t in self._times(times).tolist()])
 
+
+class _SlowLog(Custom):
+    """The schedule of slow_log_example, with the flags that a comparison
+    with 1/(t ln ln t) gives: int a ~ ln t / ln ln t diverges, so
+    exp(-int a) decays more slowly than every power and its integral is
+    infinite, and int a(t ln t) ~ ln ln ln t diverges."""
+
     def classify(self) -> ScheduleClassification:
-        """Quadrature heuristics on the decades from start (1e-9 when
-        singular, else 0) through 1, 10, ... to 1e6;
-        analytic=False always.
-
-        Each decade adds one quadrature of a to a running sum; the sums
-        decide int a and give the kernel exp(-int_0^t a) its base at each
-        decade's start.  The kernel is summed decade by decade until it
-        passes DIVERGENCE_THRESHOLD, a(t ln t) over [e, 10], [10, 100], ....
-        The sums of a and of a(t ln t) diverge when they pass the threshold
-        or their last decade adds over 1e-3 max(1, sum); the kernel's sum is
-        finite when it does not and its last decade adds under 1e-3 of it.
-        """
-        from scipy.integrate import quad
-
-        def running_sums(f, edges):
-            parts = (quad(f, lo, hi, epsrel=1e-8, epsabs=1e-12, limit=200)[0]
-                     for lo, hi in zip(edges, edges[1:]))
-            return list(accumulate(parts, initial=0.0))
-
-        def diverges(sums):
-            return sums[-1] > DIVERGENCE_THRESHOLD or (
-                sums[-1] - sums[-2] > 1.0e-3 * max(1.0, sums[-1])
-            )
-
-        edges = [1.0e-9 if self.singular else 0.0] + [10.0 ** k for k in range(7)]
-        sums = running_sums(self.a, edges)
-
-        kernel_total = 0.0
-        for lo, hi, base in zip(edges, edges[1:], sums):
-            def kern(s, lo=lo, base=base):
-                val, _ = quad(self.a, lo, s, epsrel=1e-8, epsabs=1e-12, limit=100)
-                return math.exp(-(base + val))
-
-            inc, _ = quad(kern, lo, hi, epsrel=1e-6, epsabs=1e-12, limit=60)
-            kernel_total += inc
-            if kernel_total > DIVERGENCE_THRESHOLD:
-                break
-
-        slog_sums = running_sums(lambda t: self.a(t * math.log(t)), [math.e] + edges[2:])
-
-        return ScheduleClassification(
-            integral_a_diverges=diverges(sums),
-            exp_integral_finite=kernel_total <= DIVERGENCE_THRESHOLD
-            and inc < 1.0e-3 * max(kernel_total, 1.0e-30),
-            slow_log_condition=diverges(slog_sums),
-            analytic=False,
-        )
+        return ScheduleClassification(True, False, True)
 
 
 def slow_log_example() -> Custom:
     """a(t) = 1/((t+1) ln(ln(t+3))): integral of a(t ln t) diverges while the
     plain integral of a barely does; the standard example for the slow-log
-    condition.  Ships as a Custom schedule rather than a dedicated kind."""
+    condition.  Ships as a Custom schedule rather than a dedicated kind,
+    the one Custom that states its flags."""
 
     def a(t: float) -> float:
         return 1.0 / ((t + 1.0) * math.log(math.log(t + 3.0)))
@@ -346,4 +301,4 @@ def slow_log_example() -> Custom:
         denom = (t + 1.0) * big
         return -(big + (t + 1.0) * d_big) / denom**2
 
-    return Custom(a=a, da=da)
+    return _SlowLog(a=a, da=da)
