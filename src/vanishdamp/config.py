@@ -116,24 +116,28 @@ _REQUIRED = object()
 
 @dataclass
 class ParsedConfig:
-    """Raw sections: ``values[section][key] = (text, line_number)``."""
+    """Raw sections: ``values[section][key] = (text, line_number)``, the
+    line None for a value that an override put in a section the file
+    leaves out."""
 
     path: str
-    values: Dict[str, Dict[str, Tuple[str, int]]] = field(default_factory=dict)
+    values: Dict[str, Dict[str, Tuple[str, Optional[int]]]] = field(default_factory=dict)
     section_lines: Dict[str, int] = field(default_factory=dict)
 
-    def error(self, message: str, line: int = 0) -> ConfigError:
+    def error(self, message: str, line: Optional[int] = None) -> ConfigError:
         return ConfigError(message, path=self.path, line=line)
 
     def has_section(self, section: str) -> bool:
         return section in self.values
 
-    def raw(self, section: str, key: str) -> Optional[Tuple[str, int]]:
+    def raw(self, section: str, key: str) -> Optional[Tuple[str, Optional[int]]]:
         return self.values.get(section, {}).get(key)
 
-    def line_of(self, section: str, key: str) -> int:
+    def line_of(self, section: str, key: str) -> Optional[int]:
+        """The key's line, else its section's header, else None: the file
+        has neither."""
         entry = self.raw(section, key)
-        return entry[1] if entry else self.section_lines.get(section, 0)
+        return entry[1] if entry else self.section_lines.get(section)
 
     def get(self, section: str, key: str, default=_REQUIRED):
         """The key's text converted and checked as ``_KEYS`` says, or
@@ -145,7 +149,7 @@ class ParsedConfig:
             if default is _REQUIRED:
                 raise self.error(
                     f"missing required key '{key}' in [{section}]",
-                    self.section_lines.get(section, 0),
+                    self.section_lines.get(section),
                 )
             return default
         text, line = entry
@@ -163,7 +167,7 @@ class ParsedConfig:
             allowed = _KEYS.get(section)
             if allowed is None:
                 raise self.error(
-                    f"unknown section [{section}]", self.section_lines.get(section, 0)
+                    f"unknown section [{section}]", self.section_lines.get(section)
                 )
             for key, (_, line) in entries.items():
                 if key not in allowed:
@@ -432,7 +436,7 @@ def _located(cfg: ParsedConfig, section: str, build: Callable, *args):
     try:
         return build(cfg, *args)
     except DomainError as exc:
-        raise cfg.error(str(exc), cfg.section_lines.get(section, 0)) from exc
+        raise cfg.error(str(exc), cfg.section_lines.get(section)) from exc
 
 
 def load_run_config(

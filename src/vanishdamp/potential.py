@@ -174,6 +174,8 @@ class SignedPower(Potential):
             raise DomainError(f"SignedPower needs a finite beta > 0, got {beta}")
         self.beta = float(beta)
         self.q = 1.0 + 2.0 / self.beta
+        if self.q == math.inf:
+            raise DomainError(f"SignedPower needs a finite q = 1 + 2/beta, got beta = {beta}")
         self.n = 1
         self.kind = "SignedPower"
         self.coercive = True

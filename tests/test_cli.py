@@ -256,10 +256,12 @@ SINGULAR = BASE.replace("s0 = 1.0", "s0 = 0")
          "Constant level must be >= 0 and finite"),
         (BASE.replace("kind = Quadratic", "kind = PPower\np = inf"), "potential",
          "PPower needs a finite p > 1"),
+        (BASE.replace("kind = Quadratic", "kind = SignedPower\nbeta = 1e-310"), "potential",
+         "SignedPower needs a finite q = 1 + 2/beta"),
     ],
     ids=["c_negative", "level_negative", "p_below_one", "coeffs_constant", "s0_zero_gamma_2",
          "eps0_negative", "rho_above_one", "v0_singular", "s0_inf", "s0_nan", "c_inf",
-         "level_inf", "p_inf"],
+         "level_inf", "p_inf", "beta_tiny"],
 )
 def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, text, section,
                                                             message):
@@ -273,6 +275,35 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
     err = capsys.readouterr().err
     assert err.startswith(f"{cfg}:{line}: {message}"), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "[schedule]\nkind = PowerLaw\n", "missing required key 't_end' in [run]"),
+        ("sweep", BASE, "sweep requires a [sweep] section"),
+        ("sweep", BASE + "\n[sweep]\nmode = grid\n", "grid sweep needs 'vary' and 'values'"),
+    ],
+    ids=["run_section_absent", "sweep_section_absent", "grid_axis_absent"],
+)
+def test_a_complaint_without_a_line_prints_only_the_path(tmp_path, capsys, command, text,
+                                                         message):
+    # these printed "bad.cfg:0:", a line that no file has
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    assert main([command, cfg, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"{cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_row_varying_an_absent_section_prints_only_the_path(tmp_path, capsys):
+    # the override creates [sgd] without a header line, so the row's
+    # missing key has no line to point at; it was recorded at line 0
+    cfg = _cfg(tmp_path, BASE + "\n[sweep]\nmode = grid\nvary = sgd.eps0\nvalues = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out)]) == 0
+    with open(out / "quadshort_sweep.csv", newline="") as handle:
+        table = list(csv.reader(handle))
+    assert table[1][2:] == ["error", "", f"ConfigError: {cfg}: missing required key 'N' in [sgd]"]
 
 
 BIG_PPOWER = BASE.replace("kind = Quadratic", "kind = PPower\np = 4").replace(

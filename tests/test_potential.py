@@ -127,10 +127,13 @@ def test_dimension_validation():
         lambda: PPower(math.inf),
         lambda: PPower(math.nan),
         lambda: SignedPower(math.inf),
+        # finite, but its exponent 1 + 2/beta overflows
+        lambda: SignedPower(1e-310),
         lambda: Polynomial1D([0.0, math.nan, 1.0]),
         lambda: Polynomial1D([0.0, 0.0, math.inf]),
     ],
-    ids=["PPower_inf", "PPower_nan", "SignedPower_inf", "Polynomial1D_nan", "Polynomial1D_inf"],
+    ids=["PPower_inf", "PPower_nan", "SignedPower_inf", "SignedPower_tiny", "Polynomial1D_nan",
+         "Polynomial1D_inf"],
 )
 def test_non_finite_parameter_is_a_domain_error(make):
     with pytest.raises(DomainError, match="finite"):
