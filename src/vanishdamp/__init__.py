@@ -38,7 +38,6 @@ from .integrate import Events, SolverStats, State, SystemSpec, Trajectory, integ
 from .potential import (
     ConvexityCertificate,
     CriticalPoint,
-    Custom,
     Custom as CustomPotential,
     DoubleWell,
     FlatBottom,
@@ -100,7 +99,6 @@ __all__ = [
     "FlatBottom",
     "Polynomial1D",
     "Zero",
-    "Custom",
     "CustomPotential",
     "CriticalPoint",
     "ConvexityCertificate",
