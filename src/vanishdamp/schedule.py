@@ -288,8 +288,8 @@ class _SlowLog(Custom):
 def slow_log_example() -> Custom:
     """a(t) = 1/((t+1) ln(ln(t+3))): integral of a(t ln t) diverges while the
     plain integral of a barely does; the standard example for the slow-log
-    condition.  Ships as a Custom schedule rather than a dedicated kind,
-    the one Custom that states its flags."""
+    condition.  Ships as a Custom schedule rather than a dedicated kind;
+    unlike other Custom schedules, it states its classification flags."""
 
     def a(t: float) -> float:
         return 1.0 / ((t + 1.0) * math.log(math.log(t + 3.0)))

@@ -288,7 +288,7 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
 )
 def test_a_complaint_without_a_line_prints_only_the_path(tmp_path, capsys, command, text,
                                                          message):
-    # these printed "bad.cfg:0:", a line that no file has
+    # the file has no line that these complaints could point at
     cfg = _cfg(tmp_path, text, "bad.cfg")
     assert main([command, cfg, "--outdir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"{cfg}: {message}\n"
@@ -297,7 +297,7 @@ def test_a_complaint_without_a_line_prints_only_the_path(tmp_path, capsys, comma
 
 def test_a_sweep_row_varying_an_absent_section_prints_only_the_path(tmp_path, capsys):
     # the override creates [sgd] without a header line, so the row's
-    # missing key has no line to point at; it was recorded at line 0
+    # missing key has no line to point at
     cfg = _cfg(tmp_path, BASE + "\n[sweep]\nmode = grid\nvary = sgd.eps0\nvalues = 0.01\n")
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--outdir", str(out)]) == 0
