@@ -3,11 +3,11 @@
 Configs are line-oriented text: ``[section]`` headers followed by
 ``key = value`` pairs, with ``#`` or ``;`` starting a comment.  The
 parser records the line number of every assignment so any later
-complaint about a value (wrong type, out of bounds, unknown kind,
-missing key) points back at the exact line, which the stock ini module
-cannot do once parsing has finished.  A value that the schedule,
-potential, run spec or recursion objects refuse is reported at the
-header of its section.
+complaint about a value (wrong type, out of bounds, unknown kind, a key
+that kind does not read, missing key) points back at the exact line,
+which the stock ini module cannot do once parsing has finished.  A value
+that the schedule, potential, run spec or recursion objects refuse is
+reported at the header of its section.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -173,6 +173,12 @@ class ParsedConfig:
                 if key not in allowed:
                     raise self.error(f"unknown key '{key}' in [{section}]", line)
 
+    def check_read_keys(self, section: str, name: str, reads) -> None:
+        """A key of the section that ``name`` does not read is a ConfigError at its line."""
+        for key, (_, line) in self.values.get(section, {}).items():
+            if key not in reads:
+                raise self.error(f"{name} does not read '{key}' in [{section}]", line)
+
 
 def parse_config_text(text: str, path: str = "<string>") -> ParsedConfig:
     cfg = ParsedConfig(path=path)
@@ -219,65 +225,68 @@ def apply_overrides(cfg: ParsedConfig, overrides: Dict[Tuple[str, str], str]) ->
         cfg.values.setdefault(section, {})[key] = (value, line)
 
 
-def _kind(cfg: ParsedConfig, section: str, key: str, default: str, kinds: dict, what: str):
-    """The constructor ``kinds`` holds for the name the section's ``key`` gives."""
-    name = cfg.get(section, key, default)
-    if name not in kinds:
-        raise cfg.error(
-            f"unknown {what} '{name}'; expected one of {tuple(kinds)}",
-            cfg.line_of(section, key),
-        )
-    return kinds[name]
-
-
 def _given(cfg: ParsedConfig, section: str, *keys: str) -> dict:
     """The values of those ``keys`` that the section sets: a key the file
     leaves out takes the constructor's own default."""
     return {key: cfg.get(section, key) for key in keys if cfg.raw(section, key) is not None}
 
 
-_SCHEDULES: Dict[str, Callable[[ParsedConfig], DampingSchedule]] = {
-    "Constant": lambda cfg: Constant(cfg.get("schedule", "level")),
-    "PowerLaw": lambda cfg: PowerLaw(
-        cfg.get("schedule", "c", 1.0), **_given(cfg, "schedule", "gamma", "s0")
-    ),
-    "SlowLog": lambda cfg: slow_log_example(),
+# for each section built from a kind: the key that names the kind, its
+# default, and per kind (constructor, required keys, optional keys)
+_KINDS = {
+    "schedule": ("kind", "PowerLaw", {
+        "Constant": (Constant, ("level",), ()),
+        "PowerLaw": (PowerLaw, (), ("c", "gamma", "s0")),
+        "SlowLog": (slow_log_example, (), ()),
+    }),
+    "potential": ("kind", "Quadratic", {
+        "Quadratic": (Quadratic, (), ("n",)),
+        "PPower": (PPower, ("p",), ("n",)),
+        "SignedPower": (SignedPower, ("beta",), ()),
+        "DoubleWell": (DoubleWell, (), ()),
+        "FlatBottom": (FlatBottom, (), ("n",)),
+        "Polynomial1D": (Polynomial1D, ("coeffs",), ()),
+        "Zero": (Zero, (), ("n",)),
+    }),
+    "sgd": ("rule", "Constant", {
+        "Constant": (StepSchedule.constant, ("eps0",), ()),
+        "PowerDecay": (StepSchedule.power_decay, ("eps0", "rho"), ()),
+    }),
+}
+
+# the keys each sweep mode reads besides ``mode`` and ``write_series``
+_SWEEP_MODES = {
+    "random": ("runs", "seed", "x0_range", "v0_range"),
+    "grid": ("vary", "values", "vary2", "values2"),
 }
 
 
-def _polynomial(cfg: ParsedConfig, dim: dict) -> Potential:
-    coeffs = cfg.get("potential", "coeffs", None)
-    if coeffs is None:
-        raise cfg.error("Polynomial1D needs 'coeffs'", cfg.line_of("potential", "kind"))
-    return Polynomial1D(coeffs)
-
-
-# constructors of (cfg, dim), where dim holds n if the file sets it; the
-# 1D kinds ignore it
-_POTENTIALS: Dict[str, Callable[[ParsedConfig, dict], Potential]] = {
-    "Quadratic": lambda cfg, dim: Quadratic(**dim),
-    "PPower": lambda cfg, dim: PPower(cfg.get("potential", "p"), **dim),
-    "SignedPower": lambda cfg, dim: SignedPower(cfg.get("potential", "beta")),
-    "DoubleWell": lambda cfg, dim: DoubleWell(),
-    "FlatBottom": lambda cfg, dim: FlatBottom(**dim),
-    "Polynomial1D": _polynomial,
-    "Zero": lambda cfg, dim: Zero(**dim),
-}
-
-# constructors of (cfg, eps0)
-_RULES: Dict[str, Callable[[ParsedConfig, float], StepSchedule]] = {
-    "Constant": lambda cfg, eps0: StepSchedule.constant(eps0),
-    "PowerDecay": lambda cfg, eps0: StepSchedule.power_decay(eps0, cfg.get("sgd", "rho")),
-}
+def _build(cfg: ParsedConfig, section: str, shared=()):
+    """The object of the kind the section names, built from the keys that
+    kind reads (``shared``: the keys the caller reads for every kind); a
+    constructor's complaint names no key, so it points at the header."""
+    selector, default, kinds = _KINDS[section]
+    name = cfg.get(section, selector, default)
+    if name not in kinds:
+        raise cfg.error(
+            f"unknown {section} {selector} '{name}'; expected one of {tuple(kinds)}",
+            cfg.line_of(section, selector),
+        )
+    make, required, optional = kinds[name]
+    cfg.check_read_keys(section, name, (selector, *required, *optional, *shared))
+    args = {key: cfg.get(section, key) for key in required}
+    try:
+        return make(**args, **_given(cfg, section, *optional))
+    except DomainError as exc:
+        raise cfg.error(str(exc), cfg.section_lines.get(section)) from exc
 
 
 def build_schedule(cfg: ParsedConfig) -> DampingSchedule:
-    return _kind(cfg, "schedule", "kind", "PowerLaw", _SCHEDULES, "schedule kind")(cfg)
+    return _build(cfg, "schedule")
 
 
 def build_potential(cfg: ParsedConfig) -> Potential:
-    make = _kind(cfg, "potential", "kind", "Quadratic", _POTENTIALS, "potential kind")
-    return make(cfg, _given(cfg, "potential", "n"))
+    return _build(cfg, "potential")
 
 
 def _point(cfg: ParsedConfig, key: str, n: int, default: float) -> np.ndarray:
@@ -318,15 +327,17 @@ def build_system_spec(
     )
     # the integrator's own checks, so that a start it refuses (v0 != 0
     # under a singular schedule) fails here and not once the run starts
-    _normalize_spec(spec)
+    try:
+        _normalize_spec(spec)
+    except DomainError as exc:
+        raise cfg.error(str(exc), cfg.section_lines.get("run")) from exc
     return spec
 
 
 def build_sgd(cfg: ParsedConfig) -> Optional[Tuple[StepSchedule, NoiseModel, int]]:
     if not cfg.has_section("sgd"):
         return None
-    make = _kind(cfg, "sgd", "rule", "Constant", _RULES, "sgd rule")
-    steps = make(cfg, cfg.get("sgd", "eps0"))
+    steps = _build(cfg, "sgd", shared=("sigma", "seed", "N"))
     sigma = cfg.get("sgd", "sigma", 0.0)
     seed = _given(cfg, "sgd", "seed")
     noise = NoiseModel.gaussian(sigma, **seed) if sigma > 0.0 else NoiseModel.none()
@@ -346,6 +357,10 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
     if not cfg.has_section("sweep"):
         raise cfg.error("sweep requires a [sweep] section")
     mode = cfg.get("sweep", "mode", "random")
+    if mode not in _SWEEP_MODES:
+        line = cfg.line_of("sweep", "mode")
+        raise cfg.error(f"unknown sweep mode '{mode}'; expected random or grid", line)
+    cfg.check_read_keys("sweep", mode, ("mode", "write_series", *_SWEEP_MODES[mode]))
     write_series = cfg.get("sweep", "write_series", False)
     rows: list = []
     labels: list = []
@@ -377,45 +392,39 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
             labels.append(f"start{i}")
         return SweepPlan(rows, labels, write_series)
 
-    if mode == "grid":
-        axes = []
-        for suffix in ("", "2"):
-            target = cfg.raw("sweep", "vary" + suffix)
-            if target is None:
-                continue
-            key_text, line = target
-            if "." not in key_text:
-                raise cfg.error(
-                    f"vary{suffix} expects 'section.key', got '{key_text}'", line
-                )
-            section, _, key = key_text.partition(".")
-            if key not in _KEYS.get(section, ()):
-                raise cfg.error(f"vary{suffix} names unknown key '{key_text}'", line)
-            values_text = cfg.get("sweep", "values" + suffix)
-            values = [v.strip() for v in values_text.split(",") if v.strip()]
-            if not values:
-                raise cfg.error(
-                    f"values{suffix} is empty", cfg.line_of("sweep", "values" + suffix)
-                )
-            axes.append(((section, key), values))
-        if not axes:
-            raise cfg.error("grid sweep needs 'vary' and 'values'")
-        total = 1
-        for _, values in axes:
-            total *= len(values)
-        if total > 10_000:
-            raise cfg.error(f"grid has {total} points; the limit is 10000")
-        # row-major order over the axes, first axis slowest
-        keys = [sec_key for sec_key, _ in axes]
-        for combo in product(*(values for _, values in axes)):
-            rows.append(dict(zip(keys, combo)))
-            labels.append(" ".join(f"{sec}.{key}={v}" for (sec, key), v in zip(keys, combo)))
-        return SweepPlan(rows, labels, write_series)
-
-    raise cfg.error(
-        f"unknown sweep mode '{mode}'; expected random or grid",
-        cfg.line_of("sweep", "mode"),
-    )
+    axes = []
+    for suffix in ("", "2"):
+        target = cfg.raw("sweep", "vary" + suffix)
+        if target is None:
+            continue
+        key_text, line = target
+        if "." not in key_text:
+            raise cfg.error(
+                f"vary{suffix} expects 'section.key', got '{key_text}'", line
+            )
+        section, _, key = key_text.partition(".")
+        if key not in _KEYS.get(section, ()):
+            raise cfg.error(f"vary{suffix} names unknown key '{key_text}'", line)
+        values_text = cfg.get("sweep", "values" + suffix)
+        values = [v.strip() for v in values_text.split(",") if v.strip()]
+        if not values:
+            raise cfg.error(
+                f"values{suffix} is empty", cfg.line_of("sweep", "values" + suffix)
+            )
+        axes.append(((section, key), values))
+    if not axes:
+        raise cfg.error("grid sweep needs 'vary' and 'values'")
+    total = 1
+    for _, values in axes:
+        total *= len(values)
+    if total > 10_000:
+        raise cfg.error(f"grid has {total} points; the limit is 10000")
+    # row-major order over the axes, first axis slowest
+    keys = [sec_key for sec_key, _ in axes]
+    for combo in product(*(values for _, values in axes)):
+        rows.append(dict(zip(keys, combo)))
+        labels.append(" ".join(f"{sec}.{key}={v}" for (sec, key), v in zip(keys, combo)))
+    return SweepPlan(rows, labels, write_series)
 
 
 @dataclass
@@ -429,16 +438,6 @@ class RunConfig:
     sgd: Optional[Tuple[StepSchedule, NoiseModel, int]]
 
 
-def _located(cfg: ParsedConfig, section: str, build: Callable, *args):
-    """``build(cfg, *args)``, with a DomainError that a constructor raises
-    on the section's values made a ConfigError at the section's header:
-    the constructor cannot say which of the keys its complaint is about."""
-    try:
-        return build(cfg, *args)
-    except DomainError as exc:
-        raise cfg.error(str(exc), cfg.section_lines.get(section)) from exc
-
-
 def load_run_config(
     path,
     overrides: Optional[Dict[Tuple[str, str], str]] = None,
@@ -450,9 +449,9 @@ def load_run_config(
     if overrides:
         apply_overrides(cfg, overrides)
     cfg.check_known_keys()
-    schedule = _located(cfg, "schedule", build_schedule)
-    potential = _located(cfg, "potential", build_potential)
-    spec = _located(cfg, "run", build_system_spec, schedule, potential)
+    schedule = build_schedule(cfg)
+    potential = build_potential(cfg)
+    spec = build_system_spec(cfg, schedule, potential)
     name = cfg.get("scenario", "name", Path(cfg.path).stem)
     out = Path(outdir if outdir is not None else cfg.get("scenario", "outdir", "."))
     return RunConfig(
@@ -460,7 +459,7 @@ def load_run_config(
         outdir=out,
         parsed=cfg,
         spec=spec,
-        sgd=_located(cfg, "sgd", build_sgd),
+        sgd=build_sgd(cfg),
     )
 
 

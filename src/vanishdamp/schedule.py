@@ -154,7 +154,7 @@ class PowerLaw(DampingSchedule):
     gamma <= 1 (the singular-start regime the integrator's bootstrap covers).
     """
 
-    c: float
+    c: float = 1.0
     gamma: float = 1.0
     s0: float = 1.0
 

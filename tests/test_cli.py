@@ -43,6 +43,10 @@ t_end = 60.0
 rel_tol = 1e-8
 """
 
+# BASE's [schedule] and [potential] bodies, for cases that change the kind
+POWER_LAW = "kind = PowerLaw\nc = 1.0\ngamma = 1.0\ns0 = 1.0"
+QUADRATIC = "kind = Quadratic\nn = 1"
+
 VERDICTS = {"ConvergesToMin", "ConvergesToMax", "NotConverged", "Undetermined"}
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -237,11 +241,11 @@ SINGULAR = BASE.replace("s0 = 1.0", "s0 = 0")
     "text, section, message",
     [
         (BASE.replace("c = 1.0", "c = -1"), "schedule", "PowerLaw amplitude must be > 0"),
-        (BASE.replace("kind = PowerLaw", "kind = Constant\nlevel = -2"), "schedule",
+        (BASE.replace(POWER_LAW, "kind = Constant\nlevel = -2"), "schedule",
          "Constant level must be >= 0"),
         (BASE.replace("kind = Quadratic", "kind = PPower\np = 0.5"), "potential",
          "PPower needs a finite p > 1"),
-        (BASE.replace("kind = Quadratic", "kind = Polynomial1D\ncoeffs = 1"), "potential",
+        (BASE.replace(QUADRATIC, "kind = Polynomial1D\ncoeffs = 1"), "potential",
          "polynomial potential needs degree >= 1"),
         (SINGULAR.replace("gamma = 1.0", "gamma = 2"), "schedule",
          "PowerLaw with offset 0 requires gamma <= 1"),
@@ -252,11 +256,11 @@ SINGULAR = BASE.replace("s0 = 1.0", "s0 = 0")
         (BASE.replace("s0 = 1.0", "s0 = inf"), "schedule", "PowerLaw offset must be >= 0 and finite"),
         (BASE.replace("s0 = 1.0", "s0 = nan"), "schedule", "PowerLaw offset must be >= 0 and finite"),
         (BASE.replace("c = 1.0", "c = inf"), "schedule", "PowerLaw amplitude must be > 0 and finite"),
-        (BASE.replace("kind = PowerLaw", "kind = Constant\nlevel = inf"), "schedule",
+        (BASE.replace(POWER_LAW, "kind = Constant\nlevel = inf"), "schedule",
          "Constant level must be >= 0 and finite"),
         (BASE.replace("kind = Quadratic", "kind = PPower\np = inf"), "potential",
          "PPower needs a finite p > 1"),
-        (BASE.replace("kind = Quadratic", "kind = SignedPower\nbeta = 1e-310"), "potential",
+        (BASE.replace(QUADRATIC, "kind = SignedPower\nbeta = 1e-310"), "potential",
          "SignedPower needs a finite q = 1 + 2/beta"),
     ],
     ids=["c_negative", "level_negative", "p_below_one", "coeffs_constant", "s0_zero_gamma_2",
@@ -275,6 +279,54 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
     err = capsys.readouterr().err
     assert err.startswith(f"{cfg}:{line}: {message}"), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, bad, message",
+    [
+        ("run", BASE.replace("s0 = 1.0", "s0 = 1.0\nlevel = 5"), "level = 5",
+         "PowerLaw does not read 'level' in [schedule]"),
+        ("run", BASE.replace(POWER_LAW, "kind = Constant\nlevel = 1\nc = 2"), "c = 2",
+         "Constant does not read 'c' in [schedule]"),
+        ("run", BASE.replace(POWER_LAW, "kind = SlowLog\ngamma = 2"), "gamma = 2",
+         "SlowLog does not read 'gamma' in [schedule]"),
+        ("run", BASE.replace("kind = Quadratic", "kind = DoubleWell"), "n = 1",
+         "DoubleWell does not read 'n' in [potential]"),
+        ("run", BASE.replace(QUADRATIC, QUADRATIC + "\nbeta = 3"), "beta = 3",
+         "Quadratic does not read 'beta' in [potential]"),
+        ("run", BASE + "\n[sgd]\nrule = Constant\neps0 = 0.01\nrho = 0.7\nN = 5\n", "rho = 0.7",
+         "Constant does not read 'rho' in [sgd]"),
+        ("sweep", BASE + "\n[sweep]\nmode = random\nruns = 2\nvary = run.x0\n", "vary = run.x0",
+         "random does not read 'vary' in [sweep]"),
+        ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20\nruns = 3\n",
+         "runs = 3", "grid does not read 'runs' in [sweep]"),
+    ],
+    ids=["power_law_level", "constant_c", "slow_log_gamma", "double_well_n", "quadratic_beta",
+         "sgd_constant_rho", "random_vary", "grid_runs"],
+)
+def test_a_key_nothing_reads_exits_2_at_its_line(tmp_path, capsys, command, text, bad, message):
+    # each ran to exit 0 with the key's value ignored, a grid sweep with
+    # identical rows
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    line = text.splitlines().index(bad) + 1
+    assert main([command, cfg, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"{cfg}:{line}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_rows_of_a_key_the_kind_does_not_read_fail(tmp_path, capsys):
+    # both rows ran the same PowerLaw schedule, level ignored; each row's
+    # override has no line of its own, so it points at [schedule]
+    text = BASE + "\n[sweep]\nmode = grid\nvary = schedule.level\nvalues = 0.5, 5\n"
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out)]) == 0
+    with open(out / "quadshort_sweep.csv", newline="") as handle:
+        table = list(csv.reader(handle))
+    line = text.splitlines().index("[schedule]") + 1
+    error = f"ConfigError: {cfg}:{line}: PowerLaw does not read 'level' in [schedule]"
+    assert [row[2:] for row in table[1:]] == [["error", "", error]] * 2
+    assert "2 rows (2 failed)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import pytest
 from vanishdamp import ConfigError, Constant, NoiseModel, PowerLaw, Quadratic, SystemSpec
 from vanishdamp.config import (
     _KEYS,
+    _KINDS,
     apply_overrides,
     build_potential,
     build_schedule,
@@ -161,7 +162,7 @@ def test_bounds_admit_their_edges():
 def test_docs_list_exactly_the_keys_of_each_section():
     # each `## [section]` table of the reference names that section's keys
     # in _KEYS, once each; the `vary2`, `values2` row names two
-    documented = {}
+    documented, required, required_for = {}, {}, {}
     section = None
     for line in (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text().splitlines():
         if line.startswith("## "):
@@ -170,9 +171,23 @@ def test_docs_list_exactly_the_keys_of_each_section():
             if section:
                 documented[section] = []
         elif section and line.startswith("| `"):
-            documented[section] += re.findall(r"`(\w+)`", line.split("|")[1])
+            keys, default = line.split("|")[1:3]
+            keys = re.findall(r"`(\w+)`", keys)
+            documented[section] += keys
+            if default.strip() == "required":
+                required.setdefault(section, set()).update(keys)
+            for kind in re.findall(r"required for `(\w+)`", default):
+                required_for.setdefault((section, kind), set()).update(keys)
     assert {s: sorted(keys) for s, keys in documented.items()} == \
         {s: sorted(keys) for s, keys in _KEYS.items()}
+    # a key that every kind of a section requires reads "required", one
+    # that only some kinds require reads "required for `Kind`"
+    for section, (_, _, kinds) in _KINDS.items():
+        every = set.intersection(*(set(keys) for _, keys, _ in kinds.values()))
+        assert every <= required.get(section, set()), section
+        for kind, (_, keys, _) in kinds.items():
+            assert required_for.pop((section, kind), set()) == set(keys) - every, (section, kind)
+    assert required_for == {}
 
 
 def test_missing_file_is_a_config_error(tmp_path):
@@ -198,7 +213,7 @@ def test_build_potential_kinds():
     assert isinstance(build_potential(_parse("[potential]\nkind = Quadratic\nn = 2\n")), Quadratic)
     poly = build_potential(_parse("[potential]\nkind = Polynomial1D\ncoeffs = 0.25, 0, -0.5, 0, 0.25\n"))
     assert poly.energy(np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ConfigError, match="needs 'coeffs'"):
+    with pytest.raises(ConfigError, match=r"demo.cfg:1: missing required key 'coeffs' in \[potential\]"):
         build_potential(_parse("[potential]\nkind = Polynomial1D\n"))
     with pytest.raises(ConfigError, match="unknown potential kind 'Mexican'"):
         build_potential(_parse("[potential]\nkind = Mexican\n"))
@@ -385,6 +400,7 @@ def test_docs_list_every_key():
         ("run", "rel_tol", SystemSpec, float),
         ("run", "abs_tol", SystemSpec, float),
         ("run", "max_steps", SystemSpec, int),
+        ("schedule", "c", PowerLaw, float),
         ("schedule", "gamma", PowerLaw, float),
         ("schedule", "s0", PowerLaw, float),
         ("sgd", "seed", NoiseModel, int),
