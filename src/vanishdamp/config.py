@@ -405,6 +405,9 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
         section, _, key = key_text.partition(".")
         if key not in _KEYS.get(section, ()):
             raise cfg.error(f"vary{suffix} names unknown key '{key_text}'", line)
+        # rows read no [sweep], and each row's name is its own
+        if section == "sweep" or key_text == "scenario.name":
+            raise cfg.error(f"vary{suffix} names '{key_text}', which no row reads", line)
         values_text = cfg.get("sweep", "values" + suffix)
         values = [v.strip() for v in values_text.split(",") if v.strip()]
         if not values:

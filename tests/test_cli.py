@@ -300,9 +300,15 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
          "random does not read 'vary' in [sweep]"),
         ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20\nruns = 3\n",
          "runs = 3", "grid does not read 'runs' in [sweep]"),
+        ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = sweep.write_series\n"
+         "values = true, false\n", "vary = sweep.write_series",
+         "vary names 'sweep.write_series', which no row reads"),
+        ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20, 30\n"
+         "vary2 = scenario.name\nvalues2 = a, b\n", "vary2 = scenario.name",
+         "vary2 names 'scenario.name', which no row reads"),
     ],
     ids=["power_law_level", "constant_c", "slow_log_gamma", "double_well_n", "quadratic_beta",
-         "sgd_constant_rho", "random_vary", "grid_runs"],
+         "sgd_constant_rho", "random_vary", "grid_runs", "grid_sweep_key", "grid_row_name"],
 )
 def test_a_key_nothing_reads_exits_2_at_its_line(tmp_path, capsys, command, text, bad, message):
     # each ran to exit 0 with the key's value ignored, a grid sweep with
