@@ -348,9 +348,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     param = getattr(args, option)
     if param is None:
         raise ConfigError(f"oracle {args.kind} needs --{option}")
-    print(header)
-    for t in times:
-        print(",".join(map(_fmt, (t, *values(param, t)))))
+    # every row is computed before the first is printed, so a refused
+    # time prints none
+    rows = [",".join(map(_fmt, (t, *values(param, t)))) for t in times]
+    print(header, *rows, sep="\n")
     return 0
 
 

@@ -33,8 +33,8 @@ def bessel_j(nu: float, t: float) -> float:
     """Bessel function of the first kind, J_nu(t), for nu in (-0.5, 3]."""
     if not (_NU_MIN < nu <= _NU_MAX):
         raise DomainError(f"order {nu} outside supported range ({_NU_MIN}, {_NU_MAX}]")
-    if t < 0:
-        raise DomainError(f"bessel_j needs t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"bessel_j needs a finite t >= 0, got {t}")
     if t == 0.0 and nu < 0.0:
         raise DomainError("J_nu(0) diverges for negative order")
     from scipy.special import jv
@@ -49,8 +49,8 @@ def linear_regular_solution(c: float, t: float) -> float:
     """
     if not (0.0 < c <= 7.0):
         raise DomainError(f"damping amplitude must be in (0, 7], got {c}")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"time must be >= 0 and finite, got {t}")
     if t == 0.0:
         return 1.0
     from scipy.special import jv
@@ -110,10 +110,13 @@ def power_law_exact(beta: float, t: float) -> tuple[float, float, float]:
 
     Returns (x, v, c).
     """
-    if not beta > 0:
-        raise DomainError(f"exponent must be > 0, got {beta}")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"exponent must be > 0 and finite, got {beta}")
+    c = 1.0 + beta + 1.0 / beta
+    if c == math.inf:
+        raise DomainError(f"c = 1 + beta + 1/beta overflows at beta = {beta}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"time must be >= 0 and finite, got {t}")
     x = (t + 1.0) ** (-beta)
     v = -beta * (t + 1.0) ** (-beta - 1.0)
-    return x, v, 1.0 + beta + 1.0 / beta
+    return x, v, c

@@ -640,6 +640,19 @@ def test_oracle_argument_errors(capsys):
     assert "unknown oracle kind" in capsys.readouterr().err
     assert main(["oracle", "bessel", "--nu", "0.5", "--t", "soon"]) == 2
     assert "expects numbers" in capsys.readouterr().err
+    # each of these printed nan or inf rows and exited 0
+    for argv, message in [
+        (["bessel", "--nu", "0", "--t", "nan", "inf"], "bessel_j needs a finite t >= 0, got nan"),
+        (["bessel", "--nu", "0", "--t", "2.0", "inf"], "bessel_j needs a finite t >= 0, got inf"),
+        (["linear", "--c", "0.5", "--t", "inf"], "time must be >= 0 and finite, got inf"),
+        (["power", "--beta", "0.8", "--t", "nan"], "time must be >= 0 and finite, got nan"),
+        (["power", "--beta", "inf", "--t", "1"], "exponent must be > 0 and finite, got inf"),
+        (["power", "--beta", "1e-320", "--t", "1"],
+         "c = 1 + beta + 1/beta overflows at beta = 1e-320"),
+    ]:
+        assert main(["oracle", *argv]) == 2
+        printed = capsys.readouterr()
+        assert (printed.out, printed.err) == ("", f"DomainError: {message}\n")
 
 
 # ---------------------------------------------------------------------------
