@@ -396,6 +396,9 @@ def build_sweep_plan(cfg: ParsedConfig, potential: Potential) -> SweepPlan:
     for suffix in ("", "2"):
         target = cfg.raw("sweep", "vary" + suffix)
         if target is None:
+            if cfg.raw("sweep", "values" + suffix) is not None:
+                raise cfg.error(f"grid does not read 'values{suffix}' without 'vary{suffix}'",
+                                cfg.line_of("sweep", "values" + suffix))
             continue
         key_text, line = target
         if "." not in key_text:

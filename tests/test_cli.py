@@ -306,9 +306,12 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
         ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20, 30\n"
          "vary2 = scenario.name\nvalues2 = a, b\n", "vary2 = scenario.name",
          "vary2 names 'scenario.name', which no row reads"),
+        ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20, 30\n"
+         "values2 = 1, 2\n", "values2 = 1, 2", "grid does not read 'values2' without 'vary2'"),
     ],
     ids=["power_law_level", "constant_c", "slow_log_gamma", "double_well_n", "quadratic_beta",
-         "sgd_constant_rho", "random_vary", "grid_runs", "grid_sweep_key", "grid_row_name"],
+         "sgd_constant_rho", "random_vary", "grid_runs", "grid_sweep_key", "grid_row_name",
+         "grid_values2_alone"],
 )
 def test_a_key_nothing_reads_exits_2_at_its_line(tmp_path, capsys, command, text, bad, message):
     # each ran to exit 0 with the key's value ignored, a grid sweep with
