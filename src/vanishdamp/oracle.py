@@ -94,8 +94,8 @@ def zero_potential_solution(
     v(t) = v0 exp(-int_0^t a); x(t) = x0 + v0 int_0^t exp(-int_0^s a) ds.
     Accepts scalars or arrays for x0, v0.
     """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"time must be >= 0 and finite, got {t}")
     kern = float(sched.decay_kernels([t])[0])
     disp = _kernel_displacement(sched, t)
     if isinstance(x0, np.ndarray) or isinstance(v0, np.ndarray):

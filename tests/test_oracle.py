@@ -197,9 +197,11 @@ def test_oracle_domain_errors():
         lambda: power_law_exact(math.inf, 1.0),
         lambda: power_law_exact(math.nan, 1.0),
         lambda: power_law_exact(1e-320, 1.0),  # c = 1 + beta + 1/beta overflows
+        lambda: zero_potential_solution(Constant(1.0), 1.0, 1.0, math.nan),
+        lambda: zero_potential_solution(PowerLaw(1.0, 2.0), 1.0, 1.0, math.inf),
     ],
     ids=["bessel_t_nan", "bessel_t_inf", "linear_t_inf", "power_t_nan", "power_beta_inf",
-         "power_beta_nan", "power_c_overflows"],
+         "power_beta_nan", "power_c_overflows", "zero_t_nan", "zero_t_inf"],
 )
 def test_oracle_refuses_non_finite_input(call):
     with pytest.raises(DomainError):
