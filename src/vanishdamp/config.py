@@ -173,7 +173,7 @@ class ParsedConfig:
                 if key not in allowed:
                     raise self.error(f"unknown key '{key}' in [{section}]", line)
 
-    def check_read_keys(self, section: str, name: str, reads) -> None:
+    def check_read_keys(self, section: str, name: str, reads: Tuple[str, ...]) -> None:
         """A key of the section that ``name`` does not read is a ConfigError at its line."""
         for key, (_, line) in self.values.get(section, {}).items():
             if key not in reads:
@@ -261,7 +261,7 @@ _SWEEP_MODES = {
 }
 
 
-def _build(cfg: ParsedConfig, section: str, shared=()):
+def _build(cfg: ParsedConfig, section: str, shared: Tuple[str, ...] = ()):
     """The object of the kind the section names, built from the keys that
     kind reads (``shared``: the keys the caller reads for every kind); a
     constructor's complaint names no key, so it points at the header."""
