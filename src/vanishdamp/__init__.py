@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedError,
     VanishDampError,
 )
-from .integrate import Events, SolverStats, State, SystemSpec, Trajectory, integrate
+from .integrate import Events, SolverStats, SystemSpec, Trajectory, integrate
 from .potential import (
     ConvexityCertificate,
     CriticalPoint,
@@ -45,7 +45,6 @@ from .potential import (
     Potential,
     PPower,
     Quadratic,
-    SignedPower,
     Zero,
     check_base_inequality,
     check_strong_convexity_window,
@@ -94,7 +93,6 @@ __all__ = [
     "Potential",
     "Quadratic",
     "PPower",
-    "SignedPower",
     "DoubleWell",
     "FlatBottom",
     "Polynomial1D",
@@ -109,7 +107,6 @@ __all__ = [
     # integration
     "SystemSpec",
     "Trajectory",
-    "State",
     "Events",
     "SolverStats",
     "integrate",

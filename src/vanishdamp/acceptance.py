@@ -52,7 +52,7 @@ from .analyze import (
 from .errors import DomainError
 from .integrate import SystemSpec, Trajectory, integrate
 from .oracle import linear_regular_solution, power_law_exact
-from .potential import DoubleWell, FlatBottom, Quadratic, SignedPower
+from .potential import DoubleWell, FlatBottom, PPower, Quadratic
 from .schedule import Constant, PowerLaw
 from .sgd import NoiseModel, StepSchedule, compare_to_ode, run_recursion
 from .workers import Pool
@@ -147,7 +147,8 @@ def _flat_settling_run() -> Trajectory:
 def _matched_error(beta: float) -> float:
     """A7: max |x - (t+1)^-beta| over the run whose damping matches beta."""
     _, v_init, c = power_law_exact(beta, 0.0)
-    traj = _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), SignedPower(beta), 1.0, v_init, 100.0, 1e-9)
+    pot = PPower(2.0 + 2.0 / beta)  # gradient sign(x)|x|^(1+2/beta)
+    traj = _solve(PowerLaw(c=c, gamma=1.0, s0=1.0), pot, 1.0, v_init, 100.0, 1e-9)
     return _max_error(traj, lambda t: power_law_exact(beta, t)[0])
 
 
@@ -197,9 +198,9 @@ def _fixture_calls() -> Dict[str, List[_Call]]:
     """Every fixture's task calls, in the order the pool is given them.
     Built when a suite starts, from the module's constants as they are
     then."""
-    coarse = StepSchedule.constant(_A12_EPS)
+    coarse = StepSchedule(_A12_EPS)
     n_coarse = int(round(_A12_HORIZON / _A12_EPS))
-    noisy = NoiseModel.gaussian(1.0, seed=404)
+    noisy = NoiseModel(1.0, seed=404)
     # longest first, so that no long run starts last and leaves the other
     # workers idle; this measured faster than registration order
     return {
@@ -208,12 +209,12 @@ def _fixture_calls() -> Dict[str, List[_Call]]:
         "decay": [(_decay_run, (c,)) for c in _DECAY_AMPLITUDES],
         "slow_decay": [(_slow_decay_run, ())],
         "recursions": [
-            (_recursion_run, (coarse, NoiseModel.none(), 100_000, "drift")),
+            (_recursion_run, (coarse, NoiseModel(), 100_000, "drift")),
             (_recursion_run,
-             (StepSchedule.power_decay(1e-2, 0.7), NoiseModel.none(), 100_000, "drift")),
+             (StepSchedule(1e-2, 0.7), NoiseModel(), 100_000, "drift")),
             (_recursion_run,
-             (StepSchedule.constant(_A12_EPS / 2.0), NoiseModel.none(), 2 * n_coarse, "deviation")),
-            (_recursion_run, (coarse, NoiseModel.none(), n_coarse, "deviation")),
+             (StepSchedule(_A12_EPS / 2.0), NoiseModel(), 2 * n_coarse, "deviation")),
+            (_recursion_run, (coarse, NoiseModel(), n_coarse, "deviation")),
             (_recursion_run, (coarse, noisy, 5_000, "path")),
             (_recursion_run, (coarse, noisy, 5_000, "path")),
         ],

@@ -30,7 +30,6 @@ from .potential import (
     Potential,
     PPower,
     Quadratic,
-    SignedPower,
     Zero,
 )
 from .schedule import Constant, DampingSchedule, PowerLaw, slow_log_example
@@ -75,7 +74,7 @@ _COUNT = (*_INTEGER, ">= 1", lambda v: v >= 1)
 _KEYS = {
     "scenario": {"name": _TEXT, "outdir": _TEXT},
     "schedule": {"kind": _TEXT, "level": _NUMBER, "c": _NUMBER, "gamma": _NUMBER, "s0": _NUMBER},
-    "potential": {"kind": _TEXT, "n": _COUNT, "p": _NUMBER, "beta": _NUMBER, "coeffs": _NUMBERS},
+    "potential": {"kind": _TEXT, "n": _COUNT, "p": _NUMBER, "coeffs": _NUMBERS},
     "run": {
         "x0": _FINITE,
         "v0": _FINITE,
@@ -242,15 +241,14 @@ _KINDS = {
     "potential": ("kind", "Quadratic", {
         "Quadratic": (Quadratic, (), ("n",)),
         "PPower": (PPower, ("p",), ("n",)),
-        "SignedPower": (SignedPower, ("beta",), ()),
         "DoubleWell": (DoubleWell, (), ()),
         "FlatBottom": (FlatBottom, (), ("n",)),
         "Polynomial1D": (Polynomial1D, ("coeffs",), ()),
         "Zero": (Zero, (), ("n",)),
     }),
     "sgd": ("rule", "Constant", {
-        "Constant": (StepSchedule.constant, ("eps0",), ()),
-        "PowerDecay": (StepSchedule.power_decay, ("eps0", "rho"), ()),
+        "Constant": (StepSchedule, ("eps0",), ()),
+        "PowerDecay": (StepSchedule, ("eps0", "rho"), ()),
     }),
 }
 
@@ -340,8 +338,9 @@ def build_sgd(cfg: ParsedConfig) -> Optional[Tuple[StepSchedule, NoiseModel, int
     steps = _build(cfg, "sgd", shared=("sigma", "seed", "N"))
     sigma = cfg.get("sgd", "sigma", 0.0)
     seed = _given(cfg, "sgd", "seed")
-    noise = NoiseModel.gaussian(sigma, **seed) if sigma > 0.0 else NoiseModel.none()
-    return steps, noise, cfg.get("sgd", "N")
+    if seed and sigma == 0.0:
+        raise cfg.error("seed needs a positive sigma in [sgd]", cfg.line_of("sgd", "seed"))
+    return steps, NoiseModel(sigma, **seed), cfg.get("sgd", "N")
 
 
 @dataclass

@@ -145,15 +145,6 @@ _E3 = (
 )
 
 
-@dataclass(frozen=True)
-class State:
-    """Phase-space point (t, x, v)."""
-
-    t: float
-    x: np.ndarray
-    v: np.ndarray
-
-
 class _ReadOnlyArrays:
     """Base of the result dataclasses whose array fields are read-only.
     The constructor sets the flags, and unpickling calls the constructor,
@@ -291,10 +282,6 @@ class Trajectory(_ReadOnlyArrays):
     spec: SystemSpec
     n: int
 
-    @property
-    def initial_energy(self) -> float:
-        return float(self.energies[0])
-
     def _pieces(self, times):
         """The end samples of the piece holding each query time, the
         piece lengths and the offsets in [0, 1], shaped to broadcast
@@ -321,14 +308,6 @@ class Trajectory(_ReadOnlyArrays):
         i, j, dt, th = self._pieces(times)
         xs, vs, accs = self.xs, self.vs, self.accs
         return _quintic_v(xs[j] - xs[i], vs[i], vs[j], accs[i], accs[j], dt, th)
-
-    def dense_eval(self, t: float) -> State:
-        """Interpolated state at one time inside the sample range."""
-        tq = np.array([float(t)])
-        i = int(np.searchsorted(self.ts, tq[0]))
-        if i < len(self.ts) and self.ts[i] == tq[0]:
-            return State(tq[0], self.xs[i].copy(), self.vs[i].copy())
-        return State(tq[0], self.positions_at(tq)[0], self.velocities_at(tq)[0])
 
 
 def _start_point(value, n: int, what: str) -> np.ndarray:

@@ -2,8 +2,8 @@
 certificates.
 
 Ships the canonical test potentials for the damped system: quadratic,
-p-power, the odd signed power matching the exact power-law solution, the
-double well, the flat-bottom potential whose argmin is the closed unit ball,
+p-power (with p = 2 + 2/beta, the potential of the exact power-law
+solution), the double well, the flat-bottom potential whose argmin is the closed unit ball,
 1D polynomials, and the zero potential.  Each states G and grad G once,
 as the unchecked closures the hot loops of the stepper and the recursion
 call; the validated methods check a point and run the same closures, so
@@ -54,7 +54,6 @@ class Potential:
     """
 
     n: int
-    kind: str
     coercive: bool
     min_value: Optional[float]
     #: radius of a flat argmin ball centered at the origin, when the
@@ -115,7 +114,6 @@ class Quadratic(Potential):
 
     def __init__(self, n: int = 1):
         self.n = _dimension(n)
-        self.kind = "Quadratic"
         self.coercive = True
         self.min_value = 0.0
 
@@ -136,7 +134,6 @@ class PPower(Potential):
             raise DomainError(f"PPower needs a finite p > 1, got {p}")
         self.p = float(p)
         self.n = _dimension(n)
-        self.kind = "PPower"
         self.coercive = True
         self.min_value = 0.0
 
@@ -161,41 +158,11 @@ class PPower(Potential):
         return lambda x: float(np.float64(math.sqrt(x.dot(x))) ** p / p)
 
 
-class SignedPower(Potential):
-    """1D odd gradient sign(x)|x|^q with q = 1 + 2/beta.
-
-    G(x) = |x|^{q+1}/(q+1) is C^1 and even; the exact power-law solution of
-    the matched damped system lives on x > 0 where the odd extension is
-    irrelevant.
-    """
-
-    def __init__(self, beta: float):
-        if not 0 < beta < math.inf:
-            raise DomainError(f"SignedPower needs a finite beta > 0, got {beta}")
-        self.beta = float(beta)
-        self.q = 1.0 + 2.0 / self.beta
-        if self.q == math.inf:
-            raise DomainError(f"SignedPower needs a finite q = 1 + 2/beta, got beta = {beta}")
-        self.n = 1
-        self.kind = "SignedPower"
-        self.coercive = True
-        self.min_value = 0.0
-
-    def grad_fn(self):
-        q = self.q
-        return lambda x: math.copysign(abs(x) ** q, x) if x != 0.0 else 0.0
-
-    def energy_fn(self):
-        r = self.q + 1.0
-        return lambda x: abs(x) ** r / r
-
-
 class DoubleWell(Potential):
     """G(x) = (x^2-1)^2/4: minima at +-1 (value 0), local max at 0 (value 1/4)."""
 
     def __init__(self):
         self.n = 1
-        self.kind = "DoubleWell"
         self.coercive = True
         self.min_value = 0.0
 
@@ -224,7 +191,6 @@ class FlatBottom(Potential):
 
     def __init__(self, n: int = 1):
         self.n = _dimension(n)
-        self.kind = "FlatBottom"
         self.coercive = True
         self.min_value = 0.0
         self.argmin_ball = 1.0
@@ -273,7 +239,6 @@ class Polynomial1D(Potential):
         self.coeffs = tuple(c)
         self.dcoeffs = tuple(k * c[k] for k in range(1, len(c)))
         self.n = 1
-        self.kind = "Polynomial1D"
         deg = len(c) - 1
         self.coercive = deg % 2 == 0 and c[-1] > 0.0 and deg >= 2
         self.min_value = None
@@ -309,7 +274,6 @@ class Zero(Potential):
 
     def __init__(self, n: int = 1):
         self.n = _dimension(n)
-        self.kind = "Zero"
         self.coercive = False
         self.min_value = 0.0
 
@@ -339,7 +303,6 @@ class Custom(Potential):
         min_value: Optional[float] = None,
     ):
         self.n = _dimension(n)
-        self.kind = "Custom"
         self.coercive = bool(coercive)
         self.min_value = min_value
         self._energy = energy
@@ -420,9 +383,9 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     finite list cannot represent them (their geometry is carried by the
     ``argmin_ball`` field instead).
     """
-    if pot.kind in ("FlatBottom", "Zero"):
+    if isinstance(pot, (FlatBottom, Zero)):
         raise UnsupportedError(
-            f"{pot.kind} has a continuum of critical points; "
+            f"{type(pot).__name__} has a continuum of critical points; "
             "not representable as a finite list"
         )
     if pot.n != 1:
@@ -431,12 +394,23 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid search box [{lo}, {hi}]")
 
+    with np.errstate(over="ignore"):
+        return _classified_roots(pot, lo, hi)
+
+
+def _classified_roots(pot: Potential, lo: float, hi: float) -> list[CriticalPoint]:
+    """critical_points' scan of the box.  A scan that overflows on Python
+    floats runs again on numpy scalars, the type the bisections and the
+    flank steps already use, so an overflow reads as +-inf."""
     g = pot.grad_fn()
     energy = pot.energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
     # the closures give the same bits on Python floats as on numpy scalars,
     # and run several times faster on them
-    gs = np.array([g(x) for x in xs.tolist()])
+    try:
+        gs = np.array([g(x) for x in xs.tolist()])
+    except OverflowError:  # numpy's ** gives inf where Python's raises
+        gs = np.array([g(x) for x in xs])
 
     roots: list[float] = []
 
@@ -569,8 +543,8 @@ def check_base_inequality(
     analytic = (
         float(np.linalg.norm(zp)) == 0.0
         and (
-            (pot.kind == "Quadratic" and theta == 0.5)
-            or (pot.kind == "PPower" and theta == 1.0 / pot.p)
+            (isinstance(pot, Quadratic) and theta == 0.5)
+            or (isinstance(pot, PPower) and theta == 1.0 / pot.p)
         )
     )
 

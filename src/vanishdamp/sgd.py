@@ -45,7 +45,6 @@ __all__ = [
     "compare_to_ode",
 ]
 
-_RULES = ("Constant", "PowerDecay")
 _U64_SCALE = 2.0 ** -64
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # noise draws generated and transformed at a time: a stream of any length
@@ -150,88 +149,57 @@ def _uniform(raw: np.ndarray) -> np.ndarray:
 class StepSchedule:
     """Step-size sequence eps_n for the averaged-drift recursion.
 
-    ``Constant`` uses eps_n = eps0.  ``PowerDecay`` uses
-    eps_n = eps0 * (n+1)**(-rho) with rho in (1/2, 1], the window where
-    the steps sum to infinity while some power 1+alpha of them is
-    summable.
+    Without ``rho`` the steps are constant, eps_n = eps0.  With ``rho``
+    they decay as eps_n = eps0 * (n+1)**(-rho), rho in (1/2, 1], the
+    window where the steps sum to infinity while some power 1+alpha of
+    them is summable.
     """
 
-    rule: str
     eps0: float
     rho: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rule not in _RULES:
-            raise DomainError(f"unknown step rule {self.rule!r}; expected one of {_RULES}")
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
             raise DomainError(f"eps0 must be positive and finite, got {self.eps0}")
-        if self.rule == "PowerDecay":
-            if self.rho is None or not (0.5 < self.rho <= 1.0):
-                raise DomainError(f"PowerDecay needs rho in (1/2, 1], got {self.rho}")
-        elif self.rho is not None:
-            raise DomainError("rho is only meaningful for the PowerDecay rule")
+        if self.rho is not None and not (0.5 < self.rho <= 1.0):
+            raise DomainError(f"PowerDecay needs rho in (1/2, 1], got {self.rho}")
 
-    @classmethod
-    def constant(cls, eps0: float) -> "StepSchedule":
-        return cls("Constant", eps0)
-
-    @classmethod
-    def power_decay(cls, eps0: float, rho: float) -> "StepSchedule":
-        return cls("PowerDecay", eps0, rho)
-
-    def eps(self, n: int) -> float:
-        """Step size eps_n (n >= 0)."""
-        if n < 0:
-            raise DomainError(f"step index must be >= 0, got {n}")
-        return next(self.sizes(n))
-
-    def sizes(self, start: int = 0) -> Iterator[float]:
-        """The endless sequence eps_start, eps_start+1, ..."""
-        if self.rule == "Constant":
+    def sizes(self) -> Iterator[float]:
+        """The endless sequence eps_0, eps_1, ..."""
+        if self.rho is None:
             return repeat(self.eps0)
         eps0, expo = self.eps0, -self.rho
-        return (eps0 * float(k) ** expo for k in count(start + 1))
+        return (eps0 * float(k) ** expo for k in count(1))
 
     @property
     def has_summable_power(self) -> bool:
         """True when sum eps_n**(1+alpha) is finite for some alpha > 0."""
-        return self.rule == "PowerDecay"
+        return self.rho is not None
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gradient noise: exact gradients, or additive Gaussian perturbation.
+    """Additive Gaussian gradient noise of scale ``sigma``; 0 is none.
 
     Sampling is counter-based (Philox keyed by ``seed``) with the
     Gaussian produced by inverse-CDF, so a path is reproducible bit for
     bit across runs and platforms.  The inverse CDF is a numpy port of
     Cephes ``ndtri``, tested bit for bit against
-    ``scipy.special.ndtri``, so drawing noise loads no scipy.
+    ``scipy.special.ndtri``, so drawing noise loads no scipy.  A seed
+    needs a positive sigma: noise-free has one spelling.
     """
 
-    kind: str
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("None", "GaussianAdditive"):
-            raise DomainError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "GaussianAdditive":
-            if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-                raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
-        elif self.sigma:
-            raise DomainError("sigma is only meaningful for GaussianAdditive noise")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
         # a float seed would be truncated onto another seed's stream
         if not (isinstance(self.seed, Integral) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-
-    @classmethod
-    def none(cls) -> "NoiseModel":
-        return cls("None")
-
-    @classmethod
-    def gaussian(cls, sigma: float, seed: int = 0) -> "NoiseModel":
-        return cls("GaussianAdditive", sigma, seed)
+        if self.seed and self.sigma == 0.0:
+            raise DomainError(f"seed {self.seed} needs a positive sigma")
 
     def stream(self, count: int, dim: int) -> np.ndarray:
         """The first ``count`` noise increments, shape (count, dim).
@@ -241,7 +209,7 @@ class NoiseModel:
         """
         if count < 0 or dim < 1:
             raise DomainError("need count >= 0 and dim >= 1")
-        if self.kind == "None" or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return np.zeros((count, dim))
         bits = np.random.Generator(np.random.Philox(key=int(self.seed)))
         out = np.empty((count, dim))
@@ -430,7 +398,7 @@ def compare_to_ode(
     ref = traj.positions_at(np.clip(s_vals, 0.0, s_end))
     gaps = np.max(np.abs(path.x[mask] - ref), axis=1)
 
-    if path.noise.kind == "GaussianAdditive" and path.noise.sigma > 0.0:
+    if path.noise.sigma > 0.0:
         return OdeComparison(
             float(np.sqrt(np.mean(gaps ** 2))), "rms", tau_hor, n_pts, traj
         )

@@ -260,12 +260,10 @@ SINGULAR = BASE.replace("s0 = 1.0", "s0 = 0")
          "Constant level must be >= 0 and finite"),
         (BASE.replace("kind = Quadratic", "kind = PPower\np = inf"), "potential",
          "PPower needs a finite p > 1"),
-        (BASE.replace(QUADRATIC, "kind = SignedPower\nbeta = 1e-310"), "potential",
-         "SignedPower needs a finite q = 1 + 2/beta"),
     ],
     ids=["c_negative", "level_negative", "p_below_one", "coeffs_constant", "s0_zero_gamma_2",
          "eps0_negative", "rho_above_one", "v0_singular", "s0_inf", "s0_nan", "c_inf",
-         "level_inf", "p_inf", "beta_tiny"],
+         "level_inf", "p_inf"],
 )
 def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, text, section,
                                                             message):
@@ -293,9 +291,14 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
         ("run", BASE.replace("kind = Quadratic", "kind = DoubleWell"), "n = 1",
          "DoubleWell does not read 'n' in [potential]"),
         ("run", BASE.replace(QUADRATIC, QUADRATIC + "\nbeta = 3"), "beta = 3",
-         "Quadratic does not read 'beta' in [potential]"),
+         "unknown key 'beta' in [potential]"),
+        ("run", BASE.replace(QUADRATIC, QUADRATIC + "\np = 3"), "p = 3",
+         "Quadratic does not read 'p' in [potential]"),
         ("run", BASE + "\n[sgd]\nrule = Constant\neps0 = 0.01\nrho = 0.7\nN = 5\n", "rho = 0.7",
          "Constant does not read 'rho' in [sgd]"),
+        ("run", BASE + SGD + "seed = 7\n", "seed = 7", "seed needs a positive sigma in [sgd]"),
+        ("run", BASE + SGD + "sigma = 0\nseed = 0\n", "seed = 0",
+         "seed needs a positive sigma in [sgd]"),
         ("sweep", BASE + "\n[sweep]\nmode = random\nruns = 2\nvary = run.x0\n", "vary = run.x0",
          "random does not read 'vary' in [sweep]"),
         ("sweep", BASE + "\n[sweep]\nmode = grid\nvary = run.t_end\nvalues = 20\nruns = 3\n",
@@ -310,7 +313,8 @@ def test_value_a_constructor_refuses_exits_2_at_its_section(tmp_path, capsys, te
          "values2 = 1, 2\n", "values2 = 1, 2", "grid does not read 'values2' without 'vary2'"),
     ],
     ids=["power_law_level", "constant_c", "slow_log_gamma", "double_well_n", "quadratic_beta",
-         "sgd_constant_rho", "random_vary", "grid_runs", "grid_sweep_key", "grid_row_name",
+         "quadratic_p", "sgd_constant_rho", "sgd_seed_without_sigma", "sgd_seed_sigma_zero",
+         "random_vary", "grid_runs", "grid_sweep_key", "grid_row_name",
          "grid_values2_alone"],
 )
 def test_a_key_nothing_reads_exits_2_at_its_line(tmp_path, capsys, command, text, bad, message):
@@ -403,6 +407,26 @@ def test_sweep_records_overflowing_rows(tmp_path, capsys):
     # the message holds a comma, so its cell is quoted
     assert all(',error,,"NonFiniteState: ' in row for row in table[1:])
     assert "3 rows (3 failed)" in capsys.readouterr().out
+
+
+def test_a_gradient_overflow_beyond_the_run_is_no_failure(tmp_path, capsys):
+    # classify_limit scans the critical points out to |x| = 1.9, where the
+    # 1-D gradient |x|^1199 overflows a float: the run exited 1 with an
+    # OverflowError, and the sweep died on its second row with no table
+    text = BIG_PPOWER.replace("p = 4", "p = 1200").replace("x0 = 1.0", "x0 = 0.9")
+    out = tmp_path / "out"
+    assert main(["run", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
+    summary = json.loads((out / "quadshort_summary.json").read_text())
+    assert summary["verdict"]["verdict"] == "Undetermined"
+
+    sweep = text + "\n[sweep]\nmode = grid\nvary = potential.p\nvalues = 4, 1200\n"
+    assert main(["sweep", _cfg(tmp_path, sweep), "--outdir", str(out)]) == 0
+    table = (out / "quadshort_sweep.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in table[1:]] == [
+        ["quadshort_row0000", "potential.p=4", "NotConverged"],
+        ["quadshort_row0001", "potential.p=1200", "Undetermined"],
+    ]
+    assert "2 rows (0 failed)" in capsys.readouterr().out
 
 
 WELL_SHORT = BASE.replace("kind = Quadratic\nn = 1", "kind = DoubleWell").replace(

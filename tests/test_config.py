@@ -13,7 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanishdamp import ConfigError, Constant, NoiseModel, PowerLaw, Quadratic, SystemSpec
+from vanishdamp import (
+    ConfigError,
+    Constant,
+    NoiseModel,
+    PowerLaw,
+    Quadratic,
+    StepSchedule,
+    SystemSpec,
+)
 from vanishdamp.config import (
     _KEYS,
     _KINDS,
@@ -253,12 +261,12 @@ def test_build_sgd_section():
     steps, noise, n = build_sgd(
         _parse("[sgd]\nrule = PowerDecay\neps0 = 0.01\nrho = 0.7\nsigma = 0.5\nseed = 9\nN = 100\n")
     )
-    assert (steps.rule, steps.eps0, steps.rho) == ("PowerDecay", 0.01, 0.7)
-    assert (noise.kind, noise.sigma, noise.seed) == ("GaussianAdditive", 0.5, 9)
-    assert n == 100
+    assert (steps, noise, n) == (StepSchedule(0.01, 0.7), NoiseModel(0.5, 9), 100)
 
     steps, noise, _ = build_sgd(_parse("[sgd]\neps0 = 0.01\nN = 5\n"))
-    assert steps.rule == "Constant" and noise.kind == "None"
+    assert (steps, noise) == (StepSchedule(0.01), NoiseModel())
+    with pytest.raises(ConfigError, match="missing required key 'rho' in \\[sgd\\]"):
+        build_sgd(_parse("[sgd]\nrule = PowerDecay\neps0 = 0.01\nN = 5\n"))
 
     with pytest.raises(ConfigError, match="unknown sgd rule 'Adam'"):
         build_sgd(_parse("[sgd]\nrule = Adam\neps0 = 0.01\nN = 5\n"))

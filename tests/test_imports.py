@@ -1,6 +1,7 @@
 """Every name a module of the package or a test file imports is used in
 that file, only ``workers.py`` imports the process modules, and every
-exported function has a reader in the package.
+exported function, and every public method and property of an exported
+class, has a reader in the package.
 
 ``__init__.py`` is left out: its imports are the public re-exports.
 ``from __future__ import annotations`` binds nothing and is skipped.
@@ -87,13 +88,17 @@ def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-# exported functions that no module reads yet, each with the ROADMAP item
-# that will read it; an entry goes once its reader lands
+# exported functions, and public methods and properties of exported
+# classes, that no module reads yet, each with the ROADMAP item that will
+# read it; an entry goes once its reader lands
 PLANNED = {
     "energy_gap_series": "item 12",
     "check_base_inequality": "item 10",
     "check_strong_convexity_window": "item 7",
     "plateau_interval": "items 9 and 16",
+    "classify": "item 12",
+    "has_summable_power": "item 8",
+    "holds": "item 10",
 }
 
 
@@ -133,8 +138,55 @@ def test_the_reader_check_sees_reads_outside_the_definition():
     assert unread(names, [source, "y = recursive(3)\n"]) == ["absent", "imported", "nested"]
 
 
+def public_members(cls) -> set:
+    """The public methods and properties of a class: its own, and those it
+    inherits from a class of the package."""
+    return {
+        name
+        for klass in cls.__mro__ if klass.__module__.startswith(vanishdamp.__name__)
+        for name, value in vars(klass).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+    }
+
+
+def test_the_member_check_sees_methods_and_properties():
+    class Outside:
+        def foreign(self): pass
+
+    class Base(Outside):
+        __module__ = vanishdamp.__name__
+
+        def inherited(self): pass
+
+    class Example(Base):
+        __module__ = vanishdamp.__name__
+        field: int = 0
+
+        def method(self): pass
+
+        def _private(self): pass
+
+        @property
+        def prop(self): return 1
+
+        @classmethod
+        def build(cls): return cls()
+
+    assert public_members(Example) == {"inherited", "method", "prop", "build"}
+
+
+def _exported(test) -> set:
+    return {name for name in vanishdamp.__all__ if test(getattr(vanishdamp, name))}
+
+
 def test_every_exported_function_has_a_reader():
-    functions = [name for name in vanishdamp.__all__
-                 if inspect.isfunction(getattr(vanishdamp, name))]
-    assert set(PLANNED) <= set(functions)
-    assert unread(functions, [p.read_text() for p in MODULES]) == sorted(PLANNED)
+    functions = _exported(inspect.isfunction)
+    assert unread(functions, [p.read_text() for p in MODULES]) == sorted(set(PLANNED) & functions)
+
+
+def test_every_public_method_of_an_exported_class_has_a_reader():
+    classes = _exported(inspect.isclass)
+    members = set().union(*(public_members(getattr(vanishdamp, name)) for name in classes))
+    assert set(PLANNED) <= members | _exported(inspect.isfunction)
+    assert unread(members, [p.read_text() for p in MODULES]) == sorted(set(PLANNED) & members)

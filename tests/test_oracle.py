@@ -10,8 +10,8 @@ from vanishdamp import (
     Constant,
     DomainError,
     PowerLaw,
+    PPower,
     Quadratic,
-    SignedPower,
     SystemSpec,
     Zero,
     integrate,
@@ -89,7 +89,7 @@ def test_linear_solution_satisfies_equation(c):
 def test_power_law_exact_satisfies_system(beta):
     # substitute the closed form into x'' + c/(t+1) x' + g(x) with the
     # matching odd-power gradient; the residual is algebraically zero
-    pot = SignedPower(beta)
+    pot = PPower(2.0 + 2.0 / beta)
     grad = pot.grad_fn()
     _, _, c = power_law_exact(beta, 0.0)
     for t in np.linspace(0.0, 100.0, 401):

@@ -19,7 +19,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import j0, j1
 
-from vanishdamp import DoubleWell, PowerLaw, Quadratic, SignedPower, SystemSpec, integrate
+from vanishdamp import DoubleWell, PowerLaw, PPower, Quadratic, SystemSpec, integrate
 from vanishdamp.oracle import power_law_exact
 
 TOLERANCES = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11)
@@ -54,7 +54,7 @@ def _a7(beta):
     def exact(t):
         return (t + 1.0) ** -beta, -beta * (t + 1.0) ** (-beta - 1.0)
 
-    return "A7", (PowerLaw(c, 1.0, 1.0), SignedPower(beta), 1.0, v0, 100.0), exact
+    return "A7", (PowerLaw(c, 1.0, 1.0), PPower(2.0 + 2.0 / beta), 1.0, v0, 100.0), exact
 
 
 def _a1():
