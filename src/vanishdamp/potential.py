@@ -374,6 +374,9 @@ def _second_derivative(g: Callable[[float], float], x: float) -> float:
     return (g(x + h) - g(x - h)) / (2.0 * h)
 
 
+# the bisections and flank steps run g on numpy scalars (xs[i]), and so
+# does a scan that overflows on Python floats: an overflow reads as +-inf
+@np.errstate(over="ignore")
 def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[CriticalPoint]:
     """All roots of g in the box for 1D potentials, classified and sorted.
 
@@ -394,14 +397,6 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid search box [{lo}, {hi}]")
 
-    with np.errstate(over="ignore"):
-        return _classified_roots(pot, lo, hi)
-
-
-def _classified_roots(pot: Potential, lo: float, hi: float) -> list[CriticalPoint]:
-    """critical_points' scan of the box.  A scan that overflows on Python
-    floats runs again on numpy scalars, the type the bisections and the
-    flank steps already use, so an overflow reads as +-inf."""
     g = pot.grad_fn()
     energy = pot.energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
