@@ -3,15 +3,16 @@ certificates.
 
 Ships the canonical test potentials for the damped system: quadratic,
 p-power (with p = 2 + 2/beta, the potential of the exact power-law
-solution), the double well, the flat-bottom potential whose argmin is the closed unit ball,
-1D polynomials, and the zero potential.  Each states G and grad G once,
-as the unchecked closures the hot loops of the stepper and the recursion
-call; the validated methods check a point and run the same closures, so
-both give the same bits in every dimension.  On top of evaluation the
-module locates critical points of 1D potentials, checks the base
-inequality G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random probes,
-checks strong convexity/concavity on windows, and brackets the plateau
-interval of a local maximum's level set.
+solution), the double well, the flat-bottom potential whose argmin is
+the closed unit ball, 1D polynomials, and the zero potential.  Each
+states G and grad G once, as the unchecked closures the hot loops of the
+stepper and the recursion call; the validated methods check a point and
+run the same closures, so both give the same bits in every dimension.
+On top of evaluation the module locates critical points of 1D
+potentials, checks the base inequality
+G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random probes, checks
+strong convexity/concavity on windows, and brackets the plateau interval
+of a local maximum's level set.
 """
 
 from __future__ import annotations

@@ -185,8 +185,9 @@ class NoiseModel:
     Gaussian produced by inverse-CDF, so a path is reproducible bit for
     bit across runs and platforms.  The inverse CDF is a numpy port of
     Cephes ``ndtri``, tested bit for bit against
-    ``scipy.special.ndtri``, so drawing noise loads no scipy.  A seed
-    needs a positive sigma: noise-free has one spelling.
+    ``scipy.special.ndtri``, so drawing noise loads no scipy.  A nonzero
+    seed needs a positive sigma, so noise-free is the one value
+    ``NoiseModel()``.
     """
 
     sigma: float = 0.0
