@@ -40,6 +40,17 @@ def _dimension(n) -> int:
     return int(n)
 
 
+def _on_column(g: Callable[[float], float], col: np.ndarray) -> np.ndarray:
+    """g at every entry of a 1D array: on Python floats, where the
+    closures give the same bits and run several times faster, unless one
+    overflows there; then on numpy scalars, whose ``**`` gives inf where
+    a Python float's raises OverflowError."""
+    try:
+        return np.fromiter(map(g, col.tolist()), dtype=float, count=len(col))
+    except OverflowError:
+        return np.fromiter(map(g, col), dtype=float, count=len(col))
+
+
 class Potential:
     """Base interface; subclasses are immutable after construction.
 
@@ -85,11 +96,7 @@ class Potential:
         rows = self._as_rows(xs)
         g = self.grad_fn()
         if self.n == 1:
-            col = rows[:, 0]
-            try:
-                gs = np.fromiter(map(g, col.tolist()), dtype=float, count=len(col))
-            except OverflowError:  # numpy's ** gives inf where Python's raises
-                gs = np.fromiter(map(g, col), dtype=float, count=len(col))
+            gs = _on_column(g, rows[:, 0])
             return np.sqrt(gs * gs)  # np.linalg.norm of a 1-vector
         return np.array([math.sqrt(v.dot(v)) for v in map(g, np.ascontiguousarray(rows))], dtype=float)
 
@@ -401,12 +408,7 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     g = pot.grad_fn()
     energy = pot.energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
-    # the closures give the same bits on Python floats as on numpy scalars,
-    # and run several times faster on them
-    try:
-        gs = np.array([g(x) for x in xs.tolist()])
-    except OverflowError:  # numpy's ** gives inf where Python's raises
-        gs = np.array([g(x) for x in xs])
+    gs = _on_column(g, xs)
 
     roots: list[float] = []
 
