@@ -43,7 +43,6 @@ __all__ = [
     "parse_config_text",
     "load_run_config",
     "config_echo",
-    "echo_to_text",
 ]
 
 
@@ -82,9 +81,6 @@ _KEYS = {
         "rel_tol": _POSITIVE,
         "abs_tol": _POSITIVE,
         "max_steps": _COUNT,
-        "fixed_step": _POSITIVE,
-        "sample_stride": _COUNT,
-        "event_dir": _FINITE,
     },
     "sgd": {
         "rule": _TEXT,
@@ -301,15 +297,6 @@ def _point(cfg: ParsedConfig, key: str, n: int, default: float) -> np.ndarray:
     return arr
 
 
-def _event_dir(cfg: ParsedConfig, n: int) -> Optional[np.ndarray]:
-    d = cfg.get("run", "event_dir", None)
-    if d is not None and (d.size != n or not d.any()):
-        raise cfg.error(
-            f"event_dir must be a nonzero {n}-vector, got {d}", cfg.line_of("run", "event_dir")
-        )
-    return d
-
-
 def build_system_spec(
     cfg: ParsedConfig, schedule: DampingSchedule, potential: Potential
 ) -> SystemSpec:
@@ -320,8 +307,7 @@ def build_system_spec(
         x0=_point(cfg, "x0", n, 1.0),
         v0=_point(cfg, "v0", n, 0.0),
         t_end=cfg.get("run", "t_end"),
-        **_given(cfg, "run", "rel_tol", "abs_tol", "max_steps", "sample_stride", "fixed_step"),
-        event_dir=_event_dir(cfg, n),
+        **_given(cfg, "run", "rel_tol", "abs_tol", "max_steps"),
     )
     # the integrator's own checks, so that a start it refuses (v0 != 0
     # under a singular schedule) fails here and not once the run starts
@@ -474,15 +460,3 @@ def config_echo(cfg: ParsedConfig) -> Dict[str, Dict[str, str]]:
         section: {key: value for key, (value, _) in entries.items()}
         for section, entries in sorted(cfg.values.items())
     }
-
-
-def echo_to_text(echo: Dict[str, Dict[str, str]]) -> str:
-    """Render an echo dict back to config text; reparsing it reproduces
-    the same effective configuration."""
-    lines = []
-    for section, entries in echo.items():
-        lines.append(f"[{section}]")
-        for key, value in entries.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

@@ -7,8 +7,9 @@ of the x interpolant; it needs no stage data, so a thinned trajectory and
 the event refinement evaluate the same polynomial.  On top of plain
 stepping the solver provides:
 
-  * velocity sign-change events, refined on that interpolant to 1e-10 in
-    time (grazing zeros that do not flip the sign are not events).
+  * events: the sign changes of the first velocity component (of v for
+    n=1), refined on that interpolant to 1e-10 in time (grazing zeros
+    that do not flip the sign are not events).
     The loop detects them and keeps each bracketing step's two end
     states; whenever EVENT_CHUNK brackets have gathered, and once after
     the loop, one vectorised Brent pass (the arithmetic of scipy's
@@ -33,7 +34,7 @@ There is one stepper for every dimension.  Its arithmetic is elementwise,
 so the same lines run on plain floats for n=1 (the hot case; long
 double-well sweeps spend millions of steps here) and on (n,) arrays for
 n >= 2.  The few operations that differ (gradient, energy, finiteness,
-maximum, component sum, norm, event projection, constants) are bound once
+maximum, component sum, norm, event component, constants) are bound once
 per run by state_ops.  On (n,) arrays a numpy call costs far more than its
 arithmetic, so the array branch avoids the fixed costs that do not change
 a bit: the potential's unchecked closures instead of its validated
@@ -53,7 +54,8 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from numbers import Integral
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -165,24 +167,17 @@ class _ReadOnlyArrays:
 
 @dataclass(frozen=True, eq=False)
 class Events(_ReadOnlyArrays):
-    """Sign changes of the monitored velocity projection, one row each in
-    time order: ``time`` (E,), interpolated ``x`` and ``v`` (E, n) and
-    ``energy`` (E,), and the unit ``direction`` the velocity is projected
-    on.  The columns are read-only; a slice is a table over the same rows."""
+    """Sign changes of the first velocity component, one row each in time
+    order: ``time`` (E,), interpolated ``x`` and ``v`` (E, n) and
+    ``energy`` (E,).  The columns are read-only."""
 
     time: np.ndarray
     x: np.ndarray
     v: np.ndarray
     energy: np.ndarray
-    direction: np.ndarray
 
     def __len__(self) -> int:
         return len(self.time)
-
-    def __getitem__(self, rows: slice) -> "Events":
-        if not isinstance(rows, slice):
-            raise TypeError(f"Events takes slices, got {type(rows).__name__}")
-        return Events(self.time[rows], self.x[rows], self.v[rows], self.energy[rows], self.direction)
 
 
 class Record:
@@ -221,9 +216,6 @@ class SystemSpec:
     rel_tol: float = 1.0e-9
     abs_tol: float = 1.0e-12
     max_steps: int = 10_000_000
-    sample_stride: Optional[int] = None
-    event_dir: Optional[Sequence[float]] = None
-    fixed_step: Optional[float] = None
 
 
 def _quintic_x(x0, x1, v0, v1, a0, a1, dt, th):
@@ -324,27 +316,15 @@ def _normalize_spec(spec: SystemSpec):
     n = spec.potential.n
     x0 = _start_point(spec.x0, n, "x0")
     v0 = _start_point(spec.v0, n, "v0")
-    if not spec.t_end > 0:
-        raise DomainError(f"t_end must be > 0, got {spec.t_end}")
-    if not (spec.rel_tol > 0 and spec.abs_tol > 0):
-        raise DomainError("tolerances must be positive")
-    if spec.max_steps < 1:
-        raise DomainError("max_steps must be >= 1")
-    if spec.fixed_step is not None and not spec.fixed_step > 0:
-        raise DomainError("fixed_step must be positive")
-    if spec.sample_stride is not None and spec.sample_stride < 1:
-        raise DomainError("sample_stride must be >= 1")
+    if not 0.0 < spec.t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {spec.t_end}")
+    if not (0.0 < spec.rel_tol < math.inf and 0.0 < spec.abs_tol < math.inf):
+        raise DomainError("tolerances must be positive and finite")
+    if not (isinstance(spec.max_steps, Integral) and spec.max_steps >= 1):
+        raise DomainError(f"max_steps must be an integer >= 1, got {spec.max_steps!r}")
     if spec.schedule.singular_at_zero and float(np.max(np.abs(v0))) != 0.0:
         raise DomainError("a singular schedule requires v0 = 0")
-    d = np.zeros(n)
-    if spec.event_dir is not None:
-        d = np.asarray(spec.event_dir, dtype=float)
-        if d.shape != (n,) or not np.any(d):
-            raise DomainError("event direction must be a nonzero n-vector")
-        d = d / np.linalg.norm(d)
-    else:
-        d[0] = 1.0
-    return n, x0, v0, d
+    return n, x0, v0
 
 
 class StateOps(NamedTuple):
@@ -372,12 +352,12 @@ class StateOps(NamedTuple):
     maximum: Callable  # elementwise max of two states
     total: Callable  # sum of the components, a float
     norm: Callable  # Euclidean norm, a float
-    project: Callable  # component along the event direction, a float
+    project: Callable  # the first component, whose sign changes are events; a float
     const: Callable  # a float c -> c in the state's type, read-only
     column: Callable  # iterable of states -> a growable column holding them
 
 
-def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOps:
+def state_ops(pot: Potential) -> StateOps:
     """Bind the dimension-dependent operations for ``pot`` once."""
     energy_of = pot.energy_fn()
     if pot.n == 1:
@@ -389,7 +369,6 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
             maximum=lambda a, b: b if b > a else a,
             total=float,
             norm=abs,
-            # +-v changes sign exactly where v does
             project=float,
             const=float,
             column=partial(array, "d"),
@@ -411,7 +390,7 @@ def state_ops(pot: Potential, direction: Optional[np.ndarray] = None) -> StateOp
         total=lambda a: float(np.add.reduce(a)),
         # np.linalg.norm's own formula for a 1-D array, without its overhead
         norm=lambda a: math.sqrt(a.dot(a)),
-        project=lambda w: float(direction.dot(w)),
+        project=lambda w: float(w[0]),
         const=const,
         column=list,
     )
@@ -438,10 +417,10 @@ def integrate(spec: SystemSpec) -> Trajectory:
 
 
 def _solve(spec: SystemSpec) -> Trajectory:
-    n, x0, v0, d = _normalize_spec(spec)
+    n, x0, v0 = _normalize_spec(spec)
     pot = spec.potential
     sched = spec.schedule
-    ops = state_ops(pot, d)
+    ops = state_ops(pot)
     g0 = pot.grad(x0)
 
     if float(np.max(np.abs(v0))) == 0.0 and float(np.max(np.abs(g0))) == 0.0:
@@ -450,7 +429,7 @@ def _solve(spec: SystemSpec) -> Trajectory:
         vs = np.zeros((2, n))
         accs = np.zeros((2, n))
         e0 = pot.energy(x0)
-        no_events = Events(np.empty(0), np.empty((0, n)), np.empty((0, n)), np.empty(0), d)
+        no_events = Events(np.empty(0), np.empty((0, n)), np.empty((0, n)), np.empty(0))
         return Trajectory(
             ts, xs, vs, accs, np.array([e0, e0]), np.zeros(2), no_events, SolverStats(), spec, n,
         )
@@ -495,7 +474,7 @@ def _solve(spec: SystemSpec) -> Trajectory:
     ts, xs, vs, accs, es, ds, et, ex, ev, ee = (np.asarray(c, dtype=float) for c in columns)
     return Trajectory(
         ts, xs.reshape(-1, n), vs.reshape(-1, n), accs.reshape(-1, n), es, ds,
-        Events(et, ex.reshape(-1, n), ev.reshape(-1, n), ee, d), stats, spec, n,
+        Events(et, ex.reshape(-1, n), ev.reshape(-1, n), ee), stats, spec, n,
     )
 
 
@@ -518,8 +497,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
-    fixed_h = spec.fixed_step
-    stride = spec.sample_stride or 1
+    stride = 1
     h_min = MIN_STEP_FRACTION * t_end
 
     (
@@ -542,30 +520,25 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     k1v = -r1 * v - g(x)
     if not all_finite(k1v):
         raise NonFiniteState(f"vector field non-finite at start t={t}")
-    nfev = 1
-    if fixed_h is not None:
-        h = fixed_h
-    else:
-        # One magnitude scale for both components: per-component scales can
-        # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
-        s = atol + rtol * max(float(np.max(np.abs(x))), float(np.max(np.abs(v))), 1.0e-12)
-        d0 = math.sqrt(total(x * x + v * v) / two_n) / s
-        d1 = math.sqrt(total(k1x * k1x + k1v * k1v) / two_n) / s
-        if not d1 < math.inf:
-            raise NonFiniteState(f"|f|^2 overflows at start t={t}")
-        h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        h0 = min(h0, (t_end - t) * 0.5)
-        x1 = x + h0 * k1x
-        v1 = v + h0 * k1v
-        f1v = -rate(t + h0) * v1 - g(x1)
-        d2 = math.sqrt(total((v1 - k1x) ** 2 + (f1v - k1v) ** 2) / two_n) / s / h0
-        nfev += 1
-        dm = max(d1, d2)
-        h1 = (0.01 / dm) ** _EXPO if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
-        h = min(100.0 * h0, h1, t_end - t)
-        if not h > 0.0:  # the second evaluation's |f|^2 overflowed
-            raise NonFiniteState(f"first-step estimate overflowed at t={t}")
-    h = min(h, t_end - t)
+    # One magnitude scale for both components: per-component scales can
+    # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
+    s = atol + rtol * max(float(np.max(np.abs(x))), float(np.max(np.abs(v))), 1.0e-12)
+    d0 = math.sqrt(total(x * x + v * v) / two_n) / s
+    d1 = math.sqrt(total(k1x * k1x + k1v * k1v) / two_n) / s
+    if not d1 < math.inf:
+        raise NonFiniteState(f"|f|^2 overflows at start t={t}")
+    h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, (t_end - t) * 0.5)
+    x1 = x + h0 * k1x
+    v1 = v + h0 * k1v
+    f1v = -rate(t + h0) * v1 - g(x1)
+    d2 = math.sqrt(total((v1 - k1x) ** 2 + (f1v - k1v) ** 2) / two_n) / s / h0
+    nfev = 2  # at the start and in the first-step estimate
+    dm = max(d1, d2)
+    h1 = (0.01 / dm) ** _EXPO if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
+    h = min(100.0 * h0, h1, t_end - t)
+    if not h > 0.0:  # the second evaluation's |f|^2 overflowed
+        raise NonFiniteState(f"first-step estimate overflowed at t={t}")
 
     diss = diss0
     diss_c = 0.0  # Kahan compensation
@@ -680,63 +653,58 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             # a scalar closure overflowed where an array would hold inf
             finite = False
 
-        if fixed_h is None:
-            if finite:
-                ax_new, av_new = abs(x_new), abs(v_new)
-                sx = atol + rtol * maximum(ax, ax_new)
-                sv = atol + rtol * maximum(av, av_new)
-                # only squared, so the sign need not go: |e|/s is |e/s| exactly
-                ex5 = h * (
-                    e5_1 * k1x + e5_6 * k6x + e5_7 * k7x + e5_8 * k8x + e5_9 * k9x + e5_10 * k10x
-                    + e5_11 * k11x + e5_12 * k12x
-                ) / sx
-                ev5 = h * (
-                    e5_1 * k1v + e5_6 * k6v + e5_7 * k7v + e5_8 * k8v + e5_9 * k9v + e5_10 * k10v
-                    + e5_11 * k11v + e5_12 * k12v
-                ) / sv
-                ex3 = h * (
-                    e3_1 * k1x + e3_6 * k6x + e3_7 * k7x + e3_8 * k8x + e3_9 * k9x + e3_10 * k10x
-                    + e3_11 * k11x + e3_12 * k12x
-                ) / sx
-                ev3 = h * (
-                    e3_1 * k1v + e3_6 * k6v + e3_7 * k7v + e3_8 * k8v + e3_9 * k9v + e3_10 * k10v
-                    + e3_11 * k11v + e3_12 * k12v
-                ) / sv
-                # DOP853's norm: the fifth-order estimate, damped where the
-                # third-order one is much larger
-                s5 = total(ex5 * ex5 + ev5 * ev5)
-                s3 = total(ex3 * ex3 + ev3 * ev3)
-                norm = s5 / math.sqrt((s5 + 0.01 * s3) * two_n) if s5 else 0.0
-            else:
-                norm = math.inf
-            if not norm <= 1.0:
-                rejected += 1
-                just_rejected = True
-                if not math.isfinite(norm):
-                    h *= _MIN_FACTOR
-                    if h < h_min and not finite:
-                        raise NonFiniteState(
-                            f"state non-finite at t={t:.6g} and step cannot shrink"
-                        )
-                else:
-                    shrink = _SAFETY * norm ** -_EXPO
-                    h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
-                continue
-            ax, av = ax_new, av_new
-            if norm == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * norm ** -_PI_EXPO * facold ** _PI_BETA
-                factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
-                factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
-                facold = 1.0e-4 if 1.0e-4 > norm else norm
-            if just_rejected:
-                factor = 1.0 if 1.0 < factor else factor
-                just_rejected = False
-        elif not finite:
-            raise NonFiniteState(f"state non-finite at t={t:.6g} with fixed step")
+        if finite:
+            ax_new, av_new = abs(x_new), abs(v_new)
+            sx = atol + rtol * maximum(ax, ax_new)
+            sv = atol + rtol * maximum(av, av_new)
+            # only squared, so the sign need not go: |e|/s is |e/s| exactly
+            ex5 = h * (
+                e5_1 * k1x + e5_6 * k6x + e5_7 * k7x + e5_8 * k8x + e5_9 * k9x + e5_10 * k10x
+                + e5_11 * k11x + e5_12 * k12x
+            ) / sx
+            ev5 = h * (
+                e5_1 * k1v + e5_6 * k6v + e5_7 * k7v + e5_8 * k8v + e5_9 * k9v + e5_10 * k10v
+                + e5_11 * k11v + e5_12 * k12v
+            ) / sv
+            ex3 = h * (
+                e3_1 * k1x + e3_6 * k6x + e3_7 * k7x + e3_8 * k8x + e3_9 * k9x + e3_10 * k10x
+                + e3_11 * k11x + e3_12 * k12x
+            ) / sx
+            ev3 = h * (
+                e3_1 * k1v + e3_6 * k6v + e3_7 * k7v + e3_8 * k8v + e3_9 * k9v + e3_10 * k10v
+                + e3_11 * k11v + e3_12 * k12v
+            ) / sv
+            # DOP853's norm: the fifth-order estimate, damped where the
+            # third-order one is much larger
+            s5 = total(ex5 * ex5 + ev5 * ev5)
+            s3 = total(ex3 * ex3 + ev3 * ev3)
+            norm = s5 / math.sqrt((s5 + 0.01 * s3) * two_n) if s5 else 0.0
         else:
-            factor = 1.0
+            norm = math.inf
+        if not norm <= 1.0:
+            rejected += 1
+            just_rejected = True
+            if not math.isfinite(norm):
+                h *= _MIN_FACTOR
+                if h < h_min and not finite:
+                    raise NonFiniteState(
+                        f"state non-finite at t={t:.6g} and step cannot shrink"
+                    )
+            else:
+                shrink = _SAFETY * norm ** -_EXPO
+                h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
+            continue
+        ax, av = ax_new, av_new
+        if norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * norm ** -_PI_EXPO * facold ** _PI_BETA
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+            facold = 1.0e-4 if 1.0e-4 > norm else norm
+        if just_rejected:
+            factor = 1.0 if 1.0 < factor else factor
+            just_rejected = False
 
         # dissipation increment: a |v|^2 taken as one more component of the
         # system, integrated by the step's own weights from its stage rates
@@ -751,7 +719,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         diss_c = (tk - diss) - yk
         diss = tk
 
-        # events: the monitored velocity projection flipped sign across this
+        # events: the first velocity component flipped sign across this
         # step.  A bracketed flip keeps the step's data, and _refine_brackets
         # finds the crossings of EVENT_CHUNK of them at once, or of fewer
         # ahead of a step that ended exactly on a zero.
@@ -797,9 +765,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
                 ds = ds[::2]
                 stride *= 2
 
-        if fixed_h is not None:
-            h = fixed_h
-        elif t < t_end:
+        if t < t_end:
             h *= factor
             rest = t_end - t
             h = rest if rest < h else h
@@ -826,8 +792,8 @@ def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
     bracket, a step's (t, t_new, x, v, x'', x_new, v_new, x''_new), to the
     three columns ``events``.
 
-    Every crossing is found at once by _brentq_batch on the projected
-    velocity of the step's quintic Hermite, the interpolant
+    Every crossing is found at once by _brentq_batch on the first velocity
+    component of the step's quintic Hermite, the interpolant
     Trajectory.positions_at and velocities_at evaluate, and the states are
     that interpolant there, with the bits of one scipy.optimize.brentq call
     and one scalar interpolation per event, however the brackets are
@@ -838,14 +804,7 @@ def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
     x0, v0, a0, x1, v1, a1 = (a.reshape(m, n) for a in (x0, v0, a0, x1, v1, a1))
     dx = x1 - x0
     dt = t_new - t
-    project = ops.project
-
-    def along(a):
-        # row by row, as the loop projects v: a stacked product may round
-        # differently; an n=1 state is its own projection
-        return a[:, 0] if n == 1 else np.array([project(row) for row in a])
-
-    wdx, w0, w1, wa0, wa1 = map(along, (dx, v0, v1, a0, a1))
+    wdx, w0, w1, wa0, wa1 = (a[:, 0] for a in (dx, v0, v1, a0, a1))
 
     def wq(tau, i):
         return _quintic_v(wdx[i], w0[i], w1[i], wa0[i], wa1[i], dt[i], (tau - t[i]) / dt[i])

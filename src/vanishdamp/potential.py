@@ -389,7 +389,8 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     """All roots of g in the box for 1D potentials, classified and sorted.
 
     Sign-scan with SCAN_CELLS cells, bisection to ROOT_TOL on each sign
-    change; a root where g does not change sign is Degenerate.  Potentials
+    change; a run of nodes where g is 0 is one root, at its midpoint; a
+    root where g does not change sign is Degenerate.  Potentials
     whose critical set is a continuum (FlatBottom, Zero) are rejected: a
     finite list cannot represent them (their geometry is carried by the
     ``argmin_ball`` field instead).
@@ -410,39 +411,43 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
     gs = _on_column(g, xs)
 
-    roots: list[float] = []
+    # (root, left, right): a run of zero nodes (a gradient that underflows
+    # on a flat stretch) is one root at its midpoint, flanked by the run's
+    # ends; a single zero node or a bisected root is its own flanks
+    roots: list[tuple[float, float, float]] = []
 
-    def push(r: float) -> None:
-        for existing in roots:
-            if abs(existing - r) <= 1.0e-8 * (1.0 + abs(r)):
-                return
-        roots.append(r)
+    def push(r: float, left: float, right: float) -> None:
+        # roots arrive in scan order, so a near-duplicate is the last one
+        if not roots or abs(roots[-1][0] - r) > 1.0e-8 * (1.0 + abs(r)):
+            roots.append((r, left, right))
 
-    # cells whose left node is a root, or whose sign changes strictly
-    # inside; visited left to right so push sees the roots in scan order
+    # the first node of each run of zero nodes, and the cells whose sign
+    # changes strictly inside, visited left to right
     neg = gs < 0.0
     zero = gs == 0.0
-    flagged = zero[:-1] | ((neg[:-1] != neg[1:]) & ~zero[1:])
-    for i in np.flatnonzero(flagged):
+    run_ends = iter(np.flatnonzero(zero & ~np.r_[zero[1:], False]).tolist())
+    first = zero & ~np.r_[False, zero[:-1]]
+    crossing = np.r_[(neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:], False]
+    for i in np.flatnonzero(first | crossing):
         if zero[i]:
-            push(xs[i])
+            j = next(run_ends)
+            push(0.5 * (xs[i] + xs[j]), xs[i], xs[j])
         else:
-            push(_bisect_root(g, xs[i], xs[i + 1]))
-    if zero[-1]:
-        push(xs[-1])
+            r = _bisect_root(g, xs[i], xs[i + 1])
+            push(r, r, r)
 
     out: list[CriticalPoint] = []
-    for r in sorted(roots):
+    for r, left, right in roots:
         # flanking signs, stepping outward past numerically-zero cells
         h = max((hi - lo) / SCAN_CELLS, 1.0e-7 * (1.0 + abs(r)))
         gl = gr = 0.0
         for k in range(1, 50):
-            gl = g(r - k * h)
-            if gl != 0.0 or r - k * h < lo:
+            gl = g(left - k * h)
+            if gl != 0.0 or left - k * h < lo:
                 break
         for k in range(1, 50):
-            gr = g(r + k * h)
-            if gr != 0.0 or r + k * h > hi:
+            gr = g(right + k * h)
+            if gr != 0.0 or right + k * h > hi:
                 break
         if gl < 0.0 < gr:
             kind = "LocalMin"

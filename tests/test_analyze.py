@@ -388,7 +388,7 @@ def test_pruned_extent_sees_excursions_between_samples():
     xs = np.array([[-1.0], [1.0]] + [[0.5]] * 9)
     vs = np.array([[0.0], [0.0]] + [[3.0 * (-1.0) ** k] for k in range(9)])
     accs = np.full((11, 1), 30.0)
-    none = Events(np.empty(0), np.empty((0, 1)), np.empty((0, 1)), np.empty(0), np.ones(1))
+    none = Events(np.empty(0), np.empty((0, 1)), np.empty((0, 1)), np.empty(0))
     traj = Trajectory(ts, xs, vs, accs, np.zeros(11), np.zeros(11), none, SolverStats(), spec, 1)
     for cut in (0.0, 1.5):
         assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))

@@ -183,9 +183,6 @@ def test_failed_half_leaves_no_path_csv(tmp_path, capsys, text, error):
 @pytest.mark.parametrize(
     "command, text, bad",
     [
-        ("run", BASE + "fixed_step = -0.1\n", "fixed_step = -0.1"),
-        ("run", BASE + "fixed_step = nan\n", "fixed_step = nan"),
-        ("run", BASE + "sample_stride = -3\n", "sample_stride = -3"),
         ("run", BASE + "abs_tol = inf\n", "abs_tol = inf"),
         ("run", BASE.replace("rel_tol = 1e-8", "rel_tol = -1"), "rel_tol = -1"),
         ("run", BASE + "max_steps = 0\n", "max_steps = 0"),
@@ -194,8 +191,7 @@ def test_failed_half_leaves_no_path_csv(tmp_path, capsys, text, error):
         ("run", BASE.replace("n = 1", "n = -2"), "n = -2"),
         ("sweep", BASE + "\n[sweep]\nruns = 2\nseed = -1\n", "seed = -1"),
     ],
-    ids=["fixed_step_negative", "fixed_step_nan", "sample_stride", "abs_tol_inf",
-         "rel_tol", "max_steps", "sigma", "n_zero", "n_negative", "sweep_seed"],
+    ids=["abs_tol_inf", "rel_tol", "max_steps", "sigma", "n_zero", "n_negative", "sweep_seed"],
 )
 def test_out_of_bounds_value_exits_2_at_its_line(tmp_path, capsys, command, text, bad):
     cfg = _cfg(tmp_path, text, "bad.cfg")
@@ -205,7 +201,22 @@ def test_out_of_bounds_value_exits_2_at_its_line(tmp_path, capsys, command, text
     assert err.startswith(f"{cfg}:{line}: {bad.split()[0]} must be "), err
 
 
-PLANE = BASE.replace("n = 1", "n = 2")
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (BASE + "fixed_step = 0.1\n", "fixed_step"),
+        (BASE + "sample_stride = 4\n", "sample_stride"),
+        (BASE.replace("n = 1", "n = 2") + "event_dir = 1, 0\n", "event_dir"),
+    ],
+    ids=["fixed_step", "sample_stride", "event_dir"],
+)
+def test_removed_run_key_exits_2_at_its_line(tmp_path, capsys, text, key):
+    # the step size is always adaptive, every accepted step is stored up
+    # to the sample cap, and events are sign changes of v_0
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    line = len(text.splitlines())
+    assert main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"{cfg}:{line}: unknown key '{key}' in [run]")
 
 
 @pytest.mark.parametrize(
@@ -213,15 +224,11 @@ PLANE = BASE.replace("n = 1", "n = 2")
     [
         ("run", BASE.replace("x0 = 1.0", "x0 = inf"), "x0 = inf"),
         ("run", BASE.replace("v0 = 0.0", "v0 = nan"), "v0 = nan"),
-        ("run", PLANE + "event_dir = 1, 2, 3\n", "event_dir = 1, 2, 3"),
-        ("run", PLANE + "event_dir = 0, 0\n", "event_dir = 0, 0"),
-        ("run", PLANE + "event_dir = inf, 1\n", "event_dir = inf, 1"),
         ("sweep", BASE + "\n[sweep]\nruns = 2\nx0_range = -inf, inf\n", "x0_range = -inf, inf"),
         ("sweep", BASE + "\n[sweep]\nruns = 2\nv0_range = -1e308, 1e308\n",
          "v0_range = -1e308, 1e308"),
     ],
-    ids=["x0_inf", "v0_nan", "event_dir_length", "event_dir_zero", "event_dir_inf",
-         "x0_range_infinite", "v0_range_width_overflows"],
+    ids=["x0_inf", "v0_nan", "x0_range_infinite", "v0_range_width_overflows"],
 )
 def test_value_the_integrator_refuses_exits_2_at_its_line(tmp_path, capsys, command, text, bad):
     # these passed the config and failed only in the integrator, without a
@@ -709,17 +716,17 @@ def test_grid_sweep_continues_past_a_failing_row(tmp_path, capsys):
 
 
 def test_grid_sweep_records_an_out_of_bounds_row(tmp_path, capsys):
-    text = BASE + "\n[sweep]\nmode = grid\nvary = run.fixed_step\nvalues = 0.1, -1\n"
+    text = BASE + "\n[sweep]\nmode = grid\nvary = run.rel_tol\nvalues = 1e-6, -1\n"
     out = tmp_path / "out"
     assert main(["sweep", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
 
     table = (out / "quadshort_sweep.csv").read_text().splitlines()
     assert len(table) == 3
-    assert table[1].startswith("quadshort_row0000,run.fixed_step=0.1,")
+    assert table[1].startswith("quadshort_row0000,run.rel_tol=1e-6,")
     assert table[1].endswith(",")  # no error
     # the error text holds a comma, so its cell is quoted
-    assert table[2].startswith('quadshort_row0001,run.fixed_step=-1,error,,"ConfigError: ')
-    assert table[2].endswith('fixed_step must be positive and finite, got -1.0"')
+    assert table[2].startswith('quadshort_row0001,run.rel_tol=-1,error,,"ConfigError: ')
+    assert table[2].endswith('rel_tol must be positive and finite, got -1.0"')
     assert "2 rows (1 failed)" in capsys.readouterr().out
 
 

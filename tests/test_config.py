@@ -32,7 +32,6 @@ from vanishdamp.config import (
     build_sweep_plan,
     build_system_spec,
     config_echo,
-    echo_to_text,
     load_run_config,
     parse_config,
     parse_config_text,
@@ -122,7 +121,7 @@ def test_typed_getters():
     with pytest.raises(ConfigError, match="missing required key 'rel_tol'"):
         cfg.get("run", "rel_tol")
     assert cfg.get("run", "rel_tol", 1e-9) == 1e-9
-    assert cfg.get("run", "fixed_step", None) is None
+    assert cfg.get("run", "abs_tol", None) is None
     assert cfg.get("sweep", "mode") == "grid"
 
 
@@ -139,9 +138,7 @@ def test_boolean_spellings():
         ("run", "t_end", "inf", "t_end must be positive and finite, got inf"),
         ("run", "rel_tol", "0", "rel_tol must be positive and finite, got 0.0"),
         ("run", "abs_tol", "nan", "abs_tol must be positive and finite, got nan"),
-        ("run", "fixed_step", "-0.1", "fixed_step must be positive and finite, got -0.1"),
         ("run", "max_steps", "0", "max_steps must be >= 1, got 0"),
-        ("run", "sample_stride", "0", "sample_stride must be >= 1, got 0"),
         ("potential", "n", "-2", "n must be >= 1, got -2"),
         ("sgd", "N", "0", "N must be >= 1, got 0"),
         ("sgd", "sigma", "inf", "sigma must be >= 0 and finite, got inf"),
@@ -231,14 +228,13 @@ def test_build_system_spec_defaults_and_broadcast():
     cfg = _parse(
         "[schedule]\nkind = Constant\nlevel = 1.0\n"
         "[potential]\nkind = Quadratic\nn = 2\n"
-        "[run]\nt_end = 10.0\nx0 = 0.3\nsample_stride = 4\n"
+        "[run]\nt_end = 10.0\nx0 = 0.3\nmax_steps = 4000\n"
     )
     spec = build_system_spec(cfg, build_schedule(cfg), build_potential(cfg))
     assert np.array_equal(spec.x0, [0.3, 0.3])  # scalar start broadcasts
     assert np.array_equal(spec.v0, [0.0, 0.0])
     assert spec.rel_tol == 1e-9
-    assert spec.sample_stride == 4
-    assert spec.fixed_step is None
+    assert spec.max_steps == 4000
 
 
 def test_build_system_spec_validation():
@@ -299,10 +295,15 @@ def test_override_of_new_key_lands_in_section():
 
 
 def test_echo_round_trip():
+    # the echo holds each value's text as written, so a config written
+    # back from it parses to the same echo
     cfg = _parse(GOOD)
     echo = config_echo(cfg)
-    again = config_echo(parse_config_text(echo_to_text(echo)))
-    assert again == echo
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in entries.items())
+        for section, entries in echo.items()
+    )
+    assert config_echo(parse_config_text(text)) == echo
 
 
 # ---------------------------------------------------------------------------

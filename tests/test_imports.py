@@ -1,13 +1,15 @@
 """Every name a module of the package or a test file imports is used in
 that file, only ``workers.py`` imports the process modules, and every
 exported function, and every public method and property of an exported
-class, has a reader in the package.
+class, has a reader in the package; exported means named in the
+``__all__`` of the package or of any of its modules.
 
 ``__init__.py`` is left out: its imports are the public re-exports.
 ``from __future__ import annotations`` binds nothing and is skipped.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -176,8 +178,23 @@ def test_the_member_check_sees_methods_and_properties():
     assert public_members(Example) == {"inherited", "method", "prop", "build"}
 
 
+# the package and each of its modules, with what each exports in __all__
+EXPORTERS = [vanishdamp] + [importlib.import_module(f"vanishdamp.{p.stem}") for p in MODULES]
+
+
 def _exported(test) -> set:
-    return {name for name in vanishdamp.__all__ if test(getattr(vanishdamp, name))}
+    """The exported names, of the package or of any module, that ``test`` admits."""
+    return {
+        name
+        for module in EXPORTERS
+        for name in getattr(module, "__all__", ())
+        if test(getattr(module, name))
+    }
+
+
+def test_exports_are_gathered_from_every_module():
+    assert {"main", "run_criteria", "critical_points"} <= _exported(inspect.isfunction)
+    assert {"ParsedConfig", "CriterionResult"} <= _exported(inspect.isclass)
 
 
 def test_every_exported_function_has_a_reader():
@@ -187,6 +204,9 @@ def test_every_exported_function_has_a_reader():
 
 def test_every_public_method_of_an_exported_class_has_a_reader():
     classes = _exported(inspect.isclass)
-    members = set().union(*(public_members(getattr(vanishdamp, name)) for name in classes))
+    members = set().union(*(
+        public_members(getattr(module, name))
+        for module in EXPORTERS for name in getattr(module, "__all__", ()) if name in classes
+    ))
     assert set(PLANNED) <= members | _exported(inspect.isfunction)
     assert unread(members, [p.read_text() for p in MODULES]) == sorted(set(PLANNED) & members)

@@ -1,8 +1,8 @@
 """Integrator invariants.
 
-Energy bookkeeping against the dissipation identity, convergence order
-under fixed-step halving, event location, dense output against the
-closed-form solution, and the singular-origin bootstrap.
+Energy bookkeeping against the dissipation identity, event location,
+dense output against the closed-form solution, the singular-origin
+bootstrap, and the bits of the step loop pinned by SHA-256.
 """
 
 import dataclasses
@@ -10,13 +10,13 @@ import hashlib
 import importlib
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import j0, j1, y0, y1
 
 from vanishdamp import (
     Constant,
@@ -130,33 +130,6 @@ def test_coercive_bound_from_initial_energy(well_run):
 # accuracy and order
 
 
-def test_fixed_step_halving_gains_an_order():
-    # halving the step must cut the error by at least 2^7 at each of three
-    # halvings (the eighth-order scheme delivers 158x, 220x and 247x).  The
-    # reference is the closed form x = A J0(t+1) + B Y0(t+1), whose own
-    # error (about 1e-16) stays below the smallest error here (1.8e-15);
-    # the error is the largest over the times all four runs step through.
-    base = dict(
-        schedule=PowerLaw(1.0, 1.0, 1.0),
-        potential=Quadratic(1),
-        x0=1.0,
-        v0=0.0,
-        t_end=10.0,
-    )
-    A, B = np.linalg.solve([[j0(1.0), y0(1.0)], [-j1(1.0), -y1(1.0)]], [1.0, 0.0])
-    steps = (0.5, 0.25, 0.125, 0.0625)
-    errs = []
-    for h in steps:
-        traj = integrate(SystemSpec(fixed_step=h, **base))
-        every = round(steps[0] / h)
-        t = traj.ts[::every]
-        exact = A * j0(t + 1.0) + B * y0(t + 1.0)
-        errs.append(float(np.max(np.abs(traj.xs[::every, 0] - exact))))
-    assert errs[-1] <= 1e-9
-    for big, small in zip(errs, errs[1:]):
-        assert big / small >= 2.0**7, errs
-
-
 def test_matches_closed_form_solution(j_run):
     # the singular-damping linear run against the independent series /
     # special-function evaluation, on the solver's own samples
@@ -206,33 +179,16 @@ def test_events_carry_interpolated_states(j_run):
     assert events.time.shape == events.energy.shape == (m,)
     assert events.x.shape == events.v.shape == (m, 1)
     assert float(np.abs(events.v[:10, 0]).max()) <= 1e-8
-    assert events.direction.tolist() == [1.0]
     assert np.all(np.diff(events.time) > 0.0)  # rows are in time order
-
-
-def test_events_table_slices_share_its_columns(j_run):
-    events = j_run.events
-    part = events[3:7]
-    assert len(part) == 4 and len(events[:0]) == 0 and len(events[-2:]) == 2
-    assert np.array_equal(part.time, events.time[3:7])
-    assert np.array_equal(part.x, events.x[3:7]) and np.array_equal(part.v, events.v[3:7])
-    assert np.array_equal(part.energy, events.energy[3:7])
-    assert part.direction is events.direction
-    assert np.shares_memory(part.x, events.x)  # a view, not a copy
-    for column in (events.time, events.x, events.v, events.energy, events.direction, part.x):
-        with pytest.raises(ValueError):
-            column[0] = 0.0
-
-
-def test_events_table_takes_only_slices(j_run):
-    with pytest.raises(TypeError, match="Events takes slices, got int"):
-        j_run.events[3]
 
 
 @pytest.mark.parametrize("x0", [1.0, 0.0])  # 0.0: the stationary shortcut
 def test_trajectory_is_read_only(x0):
     traj = integrate(SystemSpec(Constant(1.0), Quadratic(1), x0, 0.0, 5.0))
-    for column in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation):
+    events = traj.events
+    assert len(events) == (1 if x0 else 0)
+    for column in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation,
+                   events.time, events.x, events.v, events.energy):
         with pytest.raises(ValueError):
             column[0] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -244,7 +200,7 @@ def test_pickled_trajectory_is_the_same_and_read_only(j_run):
     copy = pickle.loads(pickle.dumps(j_run))
     for table, columns in (
         (j_run, ("ts", "xs", "vs", "accs", "energies", "dissipation")),
-        (j_run.events, ("time", "x", "v", "energy", "direction")),
+        (j_run.events, ("time", "x", "v", "energy")),
     ):
         copied = copy if table is j_run else copy.events
         for name in columns:
@@ -252,8 +208,8 @@ def test_pickled_trajectory_is_the_same_and_read_only(j_run):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
             assert not got.flags.writeable, name
     assert (copy.stats, copy.spec.t_end, copy.n) == (j_run.stats, j_run.spec.t_end, j_run.n)
-    events = pickle.loads(pickle.dumps(j_run.events[2:5]))
-    assert len(events) == 3 and not events.time.flags.writeable
+    events = pickle.loads(pickle.dumps(j_run.events))
+    assert len(events) == len(j_run.events) and not events.time.flags.writeable
 
 
 def test_run_without_sign_changes_has_an_empty_table():
@@ -267,7 +223,6 @@ def test_run_without_sign_changes_has_an_empty_table():
     assert traj.stats.accepted > 0 and not events and len(events) == 0
     assert events.time.shape == events.energy.shape == (0,)
     assert events.x.shape == events.v.shape == (0, 2)
-    assert len(events[1:]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +250,6 @@ def test_plane_run_decouples_into_components():
     got = plane.positions_at(tq)
     want = np.column_stack([line_a.positions_at(tq)[:, 0], line_b.positions_at(tq)[:, 0]])
     assert np.max(np.abs(got - want)) <= 1e-8
-
-
-def test_event_direction_projects_velocity():
-    traj = integrate(
-        SystemSpec(
-            schedule=Constant(0.2),
-            potential=Quadratic(2),
-            x0=[0.0, 1.0],
-            v0=[0.0, 0.0],
-            t_end=15.0,
-            event_dir=[0.0, 2.0],
-        )
-    )
-    assert traj.events
-    assert float(np.abs(traj.events.v[:, 1]).max()) <= 1e-8  # second component is monitored
-    assert np.allclose(traj.events.direction, [0.0, 1.0])  # stored normalized
 
 
 def _quartic_brackets(m, seed=7):
@@ -461,31 +400,6 @@ def test_singular_start_validation():
         )
 
 
-def test_fixed_step_grid_is_uniform():
-    traj = integrate(
-        SystemSpec(
-            schedule=Constant(1.0), potential=Quadratic(1),
-            x0=1.0, v0=0.0, t_end=2.0, fixed_step=0.125,
-        )
-    )
-    diffs = np.diff(traj.ts)
-    assert np.allclose(diffs, 0.125, rtol=0, atol=1e-12)
-    assert traj.stats.rejected == 0
-    assert traj.ts[-1] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_sample_stride_thins_output():
-    base = dict(
-        schedule=Constant(1.0), potential=Quadratic(1),
-        x0=1.0, v0=0.0, t_end=2.0, fixed_step=0.01,
-    )
-    full = integrate(SystemSpec(**base))
-    thin = integrate(SystemSpec(sample_stride=10, **base))
-    assert len(full.ts) > 9 * len(thin.ts) // 2
-    # thinned samples are a subset of the full grid
-    assert np.allclose(thin.xs[:, 0], full.positions_at(thin.ts)[:, 0], atol=1e-12)
-
-
 def _trajectory_digest(traj, samples=True):
     # the dissipation has a digest of its own (_dissipation_digest), so a
     # change to its quadrature alone moves no sample or event digest
@@ -512,30 +426,24 @@ _WELL_SHORT = SystemSpec(
     schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(), x0=0.37, v0=1.1,
     t_end=1.0e3, rel_tol=1e-6,
 )
-# a slanted event direction: every bracket is projected; its event count
-# and the SHA-256 of its events
+# a slanted orbit: the start lies off both axes, so v_1 is not 0 where v_0
+# changes sign; its event count and the SHA-256 of its events
 _SLANTED_EVENTS = (
     SystemSpec(
         schedule=Constant(0.05), potential=Quadratic(2), x0=[1.0, 0.3],
-        v0=[0.0, 0.2], t_end=100.0, event_dir=[1.0, 2.0],
+        v0=[0.0, 0.2], t_end=100.0,
     ),
-    32,
-    "a0318db9c75fbda181ecd08d1c651013f425c377d090515bdc1d9676926de95b",
+    31,
+    "8b2ec2f5a19e14ac5ce27bfd26b5e91e1e845b74f100e11e45c9c15c41cf37b5",
 )
 
 
 def test_scalar_output_is_pinned_bitwise(j_run, well_run):
-    # SHA-256 of every stored array and event of three n=1 runs, with the
-    # dissipation hashed apart: adaptive with events, singular start, fixed
-    # step, and the solver's counters.
+    # SHA-256 of every stored array and event of two n=1 runs, with the
+    # dissipation hashed apart: adaptive with events, singular start, and
+    # the solver's counters.
     # A stepper change that moves any bit of n=1 output shows up here.
-    fixed = integrate(
-        SystemSpec(
-            schedule=PowerLaw(1.0, 1.0, 1.0), potential=DoubleWell(),
-            x0=0.37, v0=1.1, t_end=50.0, fixed_step=0.01,
-        )
-    )
-    assert (len(well_run.events), len(j_run.events), len(fixed.events)) == (4500, 15, 22)
+    assert (len(well_run.events), len(j_run.events)) == (4500, 15)
     assert _trajectory_digest(well_run) == _WELL_RUN_DIGEST
     assert _dissipation_digest(well_run) == _WELL_RUN_DISSIPATION
     assert well_run.stats.as_dict() == (
@@ -549,15 +457,6 @@ def test_scalar_output_is_pinned_bitwise(j_run, well_run):
     )
     assert j_run.stats.as_dict() == (
         {"accepted": 148, "rejected": 7, "rhs_evals": 1862, "stride": 1}
-    )
-    assert _trajectory_digest(fixed) == (
-        "f0c98291bf7bcb1b7ec474f420724ca7d651ad38bdd1256a317e8c2e2137e0fb"
-    )
-    assert _dissipation_digest(fixed) == (
-        "a068c56f21403250b6062047eb35d4d97b3d999b6b51136600b6df9a9f86fe75"
-    )
-    assert fixed.stats.as_dict() == (
-        {"accepted": 5001, "rejected": 0, "rhs_evals": 60013, "stride": 1}
     )
 
 
@@ -643,9 +542,9 @@ _integrate_module = importlib.import_module("vanishdamp.integrate")
          {"accepted": 1611, "rejected": 324, "rhs_evals": 23222, "stride": 32},
          "d6c5174d11b575d62460d207a276f9a1036b0692ee0bc3fcd01ef7aa2be01544",
          "ddafc69d16464774330c64ae526cb2f35789cfe664f6f6649ddbfc460c9e49d9"),
-        (_SLANTED_EVENTS[0], (68, 32, 4),
+        (_SLANTED_EVENTS[0], (68, 31, 4),
          {"accepted": 268, "rejected": 0, "rhs_evals": 3218, "stride": 4},
-         "ae6f46b85798051f6843d9c5b9f3d437b49a9b69fd289de96c3bf1d0f76d2446",
+         "6145bef24789de7125b77befd3bde17380b2919dbd5ed89783abc4bdecb59ceb",
          "2d4821f30e5d033030297042909b2b78e4dd4b7c537952c56ee3258960ba5927"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
@@ -706,22 +605,22 @@ def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
         (_WELL_SHORT, 3e-3, 65,
          "38d990cbbf1e90f3a7945fa25b3ff697ab43992d29dfaeef307e742bd04d5dfc",
          "1eea7a5efc359f17be400892207031a9bcbe907ea27d01a2226a2cd3728741ae"),
-        (_SLANTED_EVENTS[0], 3e-3, 11,
-         "0fa2771f868cddfdb682c361ee53468c08d8eca09ad7cc0aad128d06f8a23b19",
+        (_SLANTED_EVENTS[0], 3e-3, 3,
+         "569f520fa92ffce45ac8e86e7f3758caefb69946c7274d9e387d665b0f6e1bee",
          "0ba900c910c3c0bfa760ed7c6c04aa9a5b50ffe41db4ffb30325b842c207f667"),
     ],
     ids=["doublewell_n1", "quadratic_n2_slanted"],
 )
 def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipation, chunk,
                                             monkeypatch):
-    # a monitored projection below ``snap`` reads as an exact zero, so many
-    # steps end on one: those events are the step's own state, recorded
-    # between crossings refined in chunks, and every chunking gives the
-    # same digests.
+    # a first velocity component below ``snap`` reads as an exact zero to
+    # the step loop, so many steps end on one: those events are the step's
+    # own state, recorded between crossings refined in chunks (on the
+    # unsnapped component), and every chunking gives the same digests.
     state_ops = _integrate_module.state_ops
 
-    def snapped(pot, direction=None):
-        ops = state_ops(pot, direction)
+    def snapped(pot):
+        ops = state_ops(pot)
         return ops._replace(project=lambda w: 0.0 if abs(ops.project(w)) < snap else ops.project(w))
 
     monkeypatch.setattr(_integrate_module, "state_ops", snapped)
@@ -729,8 +628,8 @@ def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipati
         monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
     traj = integrate(spec)
     ev = traj.events
-    # a refined crossing projects to about 0; an exact zero's step to more
-    assert int(np.sum(np.abs(ev.v @ ev.direction) > 1e-9)) == exact
+    # a refined crossing has v_0 of about 0; an exact zero's step more
+    assert int(np.sum(np.abs(ev.v[:, 0]) > 1e-9)) == exact
     assert np.all(np.diff(ev.time) > 0)
     assert _trajectory_digest(traj) == digest
     assert _dissipation_digest(traj) == dissipation
@@ -890,11 +789,9 @@ def test_rhs_evals_count(n):
         schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=n),
         x0=[1.0] * n, v0=[0.5] * n, t_end=20.0,
     )
-    adaptive = integrate(SystemSpec(rel_tol=1e-8, **base)).stats
-    assert adaptive.rejected > 0
-    assert adaptive.rhs_evals == 2 + 12 * (adaptive.accepted + adaptive.rejected)
-    fixed = integrate(SystemSpec(fixed_step=0.05, **base)).stats
-    assert fixed.rhs_evals == 1 + 12 * fixed.accepted
+    stats = integrate(SystemSpec(rel_tol=1e-8, **base)).stats
+    assert stats.rejected > 0
+    assert stats.rhs_evals == 2 + 12 * (stats.accepted + stats.rejected)
 
 
 def test_reruns_are_bitwise_identical(j_run):
@@ -961,17 +858,18 @@ def test_spec_validation():
         integrate(SystemSpec(**{**ok, "rel_tol": -1e-9}))
     with pytest.raises(DomainError):
         integrate(SystemSpec(**{**ok, "max_steps": 0}))
-    with pytest.raises(DomainError):
-        integrate(SystemSpec(**{**ok, "fixed_step": 0.0}))
-    with pytest.raises(DomainError):
-        integrate(SystemSpec(**{**ok, "sample_stride": 0}))
-    with pytest.raises(DomainError):
-        integrate(
-            SystemSpec(
-                schedule=Constant(1.0), potential=Quadratic(2),
-                x0=[1.0, 0.0], v0=[0.0, 0.0], t_end=1.0, event_dir=[0.0, 0.0],
-            )
-        )
+    # the bounds the config enforces: an infinite tolerance accepted every
+    # step, an infinite t_end ended in StepUnderflow, a fractional budget ran
+    for key, value, message in (
+        ("rel_tol", math.inf, "tolerances must be positive and finite"),
+        ("abs_tol", math.inf, "tolerances must be positive and finite"),
+        ("rel_tol", math.nan, "tolerances must be positive and finite"),
+        ("t_end", math.inf, "t_end must be positive and finite, got inf"),
+        ("t_end", math.nan, "t_end must be positive and finite, got nan"),
+        ("max_steps", 2.5, "max_steps must be an integer >= 1, got 2.5"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            integrate(SystemSpec(**{**ok, key: value}))
 
 
 def test_custom_potential_integrates():

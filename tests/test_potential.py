@@ -189,6 +189,12 @@ CRITICAL_POINT_PINS = [
     (Polynomial1D([0.0, -1.0e-20, 0.0, 1.0 / 3.0]), (-1.0, 1.0), [
         (-1.4305114746092175e-10, 4.547295193725858e-31, "Degenerate", 0.0),
     ]),
+    # x^399 underflows to 0 for |x| below about 0.155: the 773 scan nodes
+    # in a row where g is 0 are one point, the run's midpoint, classified
+    # by the signs beyond its two ends
+    (PPower(400.0), (-2.0, 2.0), [
+        (2.220446049250313e-16, 0.0, "LocalMin", 0.0),
+    ]),
 ]
 
 
