@@ -37,7 +37,7 @@ from .errors import (
 from .integrate import Events, SolverStats, SystemSpec, Trajectory, integrate
 from .potential import (
     ConvexityCertificate,
-    CriticalPoint,
+    CriticalSet,
     Custom as CustomPotential,
     DoubleWell,
     FlatBottom,
@@ -98,7 +98,7 @@ __all__ = [
     "Polynomial1D",
     "Zero",
     "CustomPotential",
-    "CriticalPoint",
+    "CriticalSet",
     "ConvexityCertificate",
     "critical_points",
     "check_base_inequality",

@@ -37,7 +37,7 @@ _DENSE_BLOCK = 8192
 # finite-horizon thresholds for "the limit exists"
 LIMIT_WIDTH_TOL = 1.0e-3
 LIMIT_VELOCITY_TOL = 1.0e-3
-# a candidate limit must sit this close to a critical point to be matched
+# a candidate limit must sit this close to a critical set to be matched
 MATCH_DISTANCE = 1.0e-2
 # occupation density grid resolution (time units)
 DENSITY_STEP = 0.01
@@ -386,6 +386,9 @@ class LimitClassification(Record):
     a minimum beyond that via the oscillation dichotomy: localized
     oscillation around an isolated minimum with a growing sign-change
     count is convergence in progress even when the tail is still wide.
+    The nearest_* fields, Python floats, describe the critical set nearest
+    the limit estimate: its kind, its point nearest the estimate, and the
+    distance to it (0 inside the set); None when there is no set.
     """
 
     limit_estimate: np.ndarray
@@ -415,7 +418,9 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
     Verdicts: ConvergesToMin (localized at a minimum, usually with a
     growing sign-change count), ConvergesToMax (settled limit at a local
     maximum, no recent events), NotConverged (persistently wide tail),
-    Undetermined (horizon too short to tell).
+    Undetermined (horizon too short to tell).  The limit estimate is
+    matched to the nearest critical set in the range of the run widened by
+    1; a set counts as isolated when it is no wider than 2 MATCH_DISTANCE.
     """
     pot = traj.spec.potential
     if traj.n != 1:
@@ -435,36 +440,23 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
     vmax = _tail_velocity_max(traj, t1 - 0.1 * span)
     limit_exists = w10 < LIMIT_WIDTH_TOL and vmax < LIMIT_VELOCITY_TOL
 
-    # nearest critical structure
+    # nearest critical set, its point nearest xbar, and the gap to the next
     nearest_kind: Optional[str] = None
     nearest_loc: Optional[float] = None
     nearest_dist: Optional[float] = None
     separation = math.inf
     isolated = False
-    if pot.argmin_ball is not None:
-        r = pot.argmin_ball
-        if abs(xbar) <= r + MATCH_DISTANCE:
-            nearest_kind = "LocalMin"
-            nearest_loc = float(np.clip(xbar, -r, r))
-            nearest_dist = max(0.0, abs(xbar) - r)
-            separation = 2.0 * r
-            isolated = r <= MATCH_DISTANCE
-    else:
-        lo = float(np.min(traj.xs)) - 1.0
-        hi = float(np.max(traj.xs)) + 1.0
-        try:
-            cps = critical_points(pot, (lo, hi))
-        except UnsupportedError:
-            cps = []
-        if cps:
-            dists = [abs(cp.location - xbar) for cp in cps]
-            j = int(np.argmin(dists))
-            nearest_kind = cps[j].kind
-            nearest_loc = cps[j].location
-            nearest_dist = dists[j]
-            others = [abs(cp.location - cps[j].location) for cp in cps if cp is not cps[j]]
-            separation = min(others) if others else math.inf
-            isolated = True
+    sets = critical_points(pot, (float(np.min(traj.xs)) - 1.0, float(np.max(traj.xs)) + 1.0))
+    if sets:
+        dists = [max(s.left - xbar, xbar - s.right, 0.0) for s in sets]
+        j = int(np.argmin(dists))
+        near = sets[j]
+        nearest_kind = near.kind
+        nearest_loc = float(np.clip(xbar, near.left, near.right))
+        nearest_dist = float(dists[j])
+        gaps = [max(s.left - near.right, near.left - s.right) for s in sets if s is not near]
+        separation = min(gaps, default=math.inf)
+        isolated = near.right - near.left <= 2.0 * MATCH_DISTANCE
 
     et = traj.events.time  # in time order
     n_events = len(et)
@@ -472,16 +464,9 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
     events_growing = n_events >= 2 and n_events > n_half
     recent_events = n_events > int(np.searchsorted(et, t1 - 0.2 * span))
 
-    matched_min = (
-        nearest_kind == "LocalMin"
-        and nearest_dist is not None
-        and nearest_dist <= MATCH_DISTANCE
-    )
-    matched_max = (
-        nearest_kind == "LocalMax"
-        and nearest_dist is not None
-        and nearest_dist <= MATCH_DISTANCE
-    )
+    matched = nearest_dist is not None and nearest_dist <= MATCH_DISTANCE
+    matched_min = matched and nearest_kind == "LocalMin"
+    matched_max = matched and nearest_kind == "LocalMax"
 
     if limit_exists:
         if matched_max and not recent_events:

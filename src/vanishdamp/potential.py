@@ -1,4 +1,4 @@
-"""Potentials G : R^n -> R with gradients, critical points, and convexity
+"""Potentials G : R^n -> R with gradients, critical sets, and convexity
 certificates.
 
 Ships the canonical test potentials for the damped system: quadratic,
@@ -8,11 +8,11 @@ the closed unit ball, 1D polynomials, and the zero potential.  Each
 states G and grad G once, as the unchecked closures the hot loops of the
 stepper and the recursion call; the validated methods check a point and
 run the same closures, so both give the same bits in every dimension.
-On top of evaluation the module locates critical points of 1D
-potentials, checks the base inequality
-G(x) - G(z) <= theta <grad G(x), x - z> on quasi-random probes, checks
-strong convexity/concavity on windows, and brackets the plateau interval
-of a local maximum's level set.
+On top of evaluation the module locates the critical sets of 1D
+potentials, intervals such as FlatBottom's floor [-1, 1] or a single
+root, checks the base inequality G(x) - G(z) <= theta <grad G(x), x - z>
+on quasi-random probes, checks strong convexity/concavity on windows,
+and brackets the plateau interval of a local maximum's level set.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import DomainError, UnsupportedError
 # critical-point scan: number of cells per search box, bisection tolerance
 SCAN_CELLS = 10_000
 ROOT_TOL = 1.0e-10
+_FLOAT_MAX = np.finfo(float).max  # a numpy scalar, on which g overflows to inf
 
 # base-inequality violation threshold: slack below -1e-9*(1+|G(x)|)
 VIOLATION_REL = 1.0e-9
@@ -68,9 +69,6 @@ class Potential:
     n: int
     coercive: bool
     min_value: Optional[float]
-    #: radius of a flat argmin ball centered at the origin, when the
-    #: minimizer set is a continuum (FlatBottom); None for isolated minima
-    argmin_ball: Optional[float] = None
 
     def grad_fn(self) -> Callable:
         raise NotImplementedError
@@ -201,7 +199,6 @@ class FlatBottom(Potential):
         self.n = _dimension(n)
         self.coercive = True
         self.min_value = 0.0
-        self.argmin_ball = 1.0
 
     def grad_fn(self):
         if self.n == 1:
@@ -339,21 +336,23 @@ class Custom(Potential):
 
 
 # ---------------------------------------------------------------------------
-# critical points
+# critical sets
 
 
 @dataclass(eq=False, slots=True)
-class CriticalPoint:
-    """A root of g with its value, kind, and concavity/convexity modulus."""
+class CriticalSet:
+    """An interval [left, right] where g is 0 (left == right for an isolated
+    root), with value, kind and concavity/convexity modulus at one point."""
 
-    location: float
+    left: float
+    right: float
     value: float
     kind: str  # LocalMin | LocalMax | Degenerate
     delta: float = 0.0
 
     def __repr__(self):
         return (
-            f"CriticalPoint(x={self.location:.12g}, value={self.value:.12g}, "
+            f"CriticalSet([{self.left:.12g}, {self.right:.12g}], value={self.value:.12g}, "
             f"kind={self.kind}, delta={self.delta:.4g})"
         )
 
@@ -377,29 +376,43 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _zero_end(g: Callable[[float], float], z: float, step: float) -> float:
+    """The last float where g is still 0 from z (g(z) == 0) toward step's
+    sign: step out by step, 2 step, 4 step, ... until g != 0, then bisect
+    on g == 0 to adjacent floats; +-inf if g is 0 to the float range's end."""
+    edge = z
+    while abs(z) < _FLOAT_MAX:
+        nz = min(max(edge + step, -_FLOAT_MAX), _FLOAT_MAX)
+        if g(nz) != 0.0:
+            break
+        z, step = nz, 2.0 * step
+    else:
+        return math.copysign(math.inf, step)
+    while True:
+        m = 0.5 * z + 0.5 * nz  # halves first: z and nz may be near the float range's end
+        if not min(z, nz) < m < max(z, nz):
+            return z
+        z, nz = (m, nz) if g(m) == 0.0 else (z, m)
+
+
 def _second_derivative(g: Callable[[float], float], x: float) -> float:
     h = 1.0e-6 * (1.0 + abs(x))
     return (g(x + h) - g(x - h)) / (2.0 * h)
 
 
-# the bisections and flank steps run g on numpy scalars (xs[i]), and so
+# the bisections and flank probes run g on numpy scalars (xs[i]), and so
 # does a scan that overflows on Python floats: an overflow reads as +-inf
 @np.errstate(over="ignore")
-def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[CriticalPoint]:
-    """All roots of g in the box for 1D potentials, classified and sorted.
+def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[CriticalSet]:
+    """The critical sets of a 1D potential that meet the box, classified
+    and sorted.
 
     Sign-scan with SCAN_CELLS cells, bisection to ROOT_TOL on each sign
-    change; a run of nodes where g is 0 is one root, at its midpoint; a
-    root where g does not change sign is Degenerate.  Potentials
-    whose critical set is a continuum (FlatBottom, Zero) are rejected: a
-    finite list cannot represent them (their geometry is carried by the
-    ``argmin_ball`` field instead).
+    change; a run of nodes where g is 0 is one set, ending where g stops
+    being 0 (see _zero_end), with value and delta at the run's midpoint.
+    The kind reads g one probe beyond each end; a set where g does not
+    change sign, or with an infinite end, is Degenerate.
     """
-    if isinstance(pot, (FlatBottom, Zero)):
-        raise UnsupportedError(
-            f"{type(pot).__name__} has a continuum of critical points; "
-            "not representable as a finite list"
-        )
     if pot.n != 1:
         raise UnsupportedError("critical point enumeration is 1D only")
     lo, hi = float(search_box[0]), float(search_box[1])
@@ -410,16 +423,15 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     energy = pot.energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
     gs = _on_column(g, xs)
+    cell = (hi - lo) / SCAN_CELLS
 
-    # (root, left, right): a run of zero nodes (a gradient that underflows
-    # on a flat stretch) is one root at its midpoint, flanked by the run's
-    # ends; a single zero node or a bisected root is its own flanks
-    roots: list[tuple[float, float, float]] = []
+    # (representative point, left, right)
+    sets: list[tuple[float, float, float]] = []
 
     def push(r: float, left: float, right: float) -> None:
-        # roots arrive in scan order, so a near-duplicate is the last one
-        if not roots or abs(roots[-1][0] - r) > 1.0e-8 * (1.0 + abs(r)):
-            roots.append((r, left, right))
+        # sets arrive in scan order, so a near-duplicate is the last one
+        if not sets or abs(sets[-1][0] - r) > 1.0e-8 * (1.0 + abs(r)):
+            sets.append((r, left, right))
 
     # the first node of each run of zero nodes, and the cells whose sign
     # changes strictly inside, visited left to right
@@ -431,33 +443,26 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     for i in np.flatnonzero(first | crossing):
         if zero[i]:
             j = next(run_ends)
-            push(0.5 * (xs[i] + xs[j]), xs[i], xs[j])
+            push(0.5 * (xs[i] + xs[j]), _zero_end(g, xs[i], -cell), _zero_end(g, xs[j], cell))
         else:
             r = _bisect_root(g, xs[i], xs[i + 1])
             push(r, r, r)
 
-    out: list[CriticalPoint] = []
-    for r, left, right in roots:
-        # flanking signs, stepping outward past numerically-zero cells
-        h = max((hi - lo) / SCAN_CELLS, 1.0e-7 * (1.0 + abs(r)))
-        gl = gr = 0.0
-        for k in range(1, 50):
-            gl = g(left - k * h)
-            if gl != 0.0 or left - k * h < lo:
-                break
-        for k in range(1, 50):
-            gr = g(right + k * h)
-            if gr != 0.0 or right + k * h > hi:
-                break
+    out: list[CriticalSet] = []
+    for r, left, right in sets:
+        # an infinite end has no flank, so no sign
+        h = max(cell, 1.0e-7 * (1.0 + abs(r)))
+        gl = g(left - h) if math.isfinite(left) else 0.0
+        gr = g(right + h) if math.isfinite(right) else 0.0
         if gl < 0.0 < gr:
             kind = "LocalMin"
         elif gl > 0.0 > gr:
             kind = "LocalMax"
-        else:  # flat on a side, or an inflection with horizontal tangent
+        else:  # flat out to infinity, or an inflection with horizontal tangent
             kind = "Degenerate"
         d2 = _second_derivative(g, r)
         delta = abs(d2) / 2.0 if abs(d2) > 1.0e-8 else 0.0
-        out.append(CriticalPoint(float(r), energy(r), kind, delta))
+        out.append(CriticalSet(float(left), float(right), energy(r), kind, delta))
     return out
 
 

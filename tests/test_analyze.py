@@ -418,6 +418,17 @@ def test_gap_report_needs_events():
         sign_change_gaps(still)
 
 
+def _assert_matched_to_the_floor(cls):
+    # FlatBottom's critical set is the floor [-1, 1]: the nearest point and
+    # the distance are those of the interval, bit for bit, as Python floats
+    xbar = cls.limit_estimate[0]
+    assert cls.nearest_kind == "LocalMin"
+    for got, want in [(cls.nearest_location, np.clip(xbar, -1.0, 1.0)),
+                      (cls.nearest_distance, max(0.0, abs(xbar) - 1.0))]:
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+
 def test_verdict_table(j_run, well_run, flat_sweep_run, flat_settle_run, constant_well_run):
     # oscillating convergence to an isolated minimum
     cls = classify_limit(well_run)
@@ -438,6 +449,7 @@ def test_verdict_table(j_run, well_run, flat_sweep_run, flat_settle_run, constan
     assert cls.verdict == "NotConverged"
     assert not cls.limit_exists
     assert cls.tail_width > 0.1  # still sweeping in the final 10% window
+    _assert_matched_to_the_floor(cls)
 
     # flat argmin with gentler damping: settles inside the flat region
     cls = classify_limit(flat_settle_run)
@@ -445,6 +457,7 @@ def test_verdict_table(j_run, well_run, flat_sweep_run, flat_settle_run, constan
     assert cls.limit_exists
     assert abs(cls.limit_estimate[0]) <= 1.0
     assert cls.tail_width < 1e-3
+    _assert_matched_to_the_floor(cls)
 
     # constant damping: settled well before the horizon
     cls = classify_limit(constant_well_run)
@@ -465,8 +478,9 @@ def test_verdict_at_local_maximum():
     assert cls.nearest_kind == "LocalMax"
 
 
-def test_verdict_without_critical_structure():
-    # zero potential: a limit exists but there is nothing to match it to
+def test_verdict_on_a_critical_set_without_flanks():
+    # zero potential: a limit exists, inside the one critical set, the
+    # whole line, which has no flank and so no kind of extremum
     traj = integrate(
         SystemSpec(
             schedule=Constant(1.0), potential=Zero(1), x0=0.3, v0=1.0, t_end=30.0
@@ -475,7 +489,9 @@ def test_verdict_without_critical_structure():
     cls = classify_limit(traj)
     assert cls.limit_exists
     assert cls.limit_estimate[0] == pytest.approx(1.3, abs=1e-6)
-    assert cls.nearest_kind is None
+    assert cls.nearest_kind == "Degenerate"
+    assert cls.nearest_distance == 0.0
+    assert cls.nearest_location == cls.limit_estimate[0]
     assert cls.verdict == "Undetermined"
 
 

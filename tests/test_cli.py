@@ -425,6 +425,10 @@ def test_a_gradient_overflow_beyond_the_run_is_no_failure(tmp_path, capsys):
     assert main(["run", _cfg(tmp_path, text), "--outdir", str(out)]) == 0
     summary = json.loads((out / "quadshort_summary.json").read_text())
     assert summary["verdict"]["verdict"] == "Undetermined"
+    # the gradient underflows to 0 for |x| below about 0.537, past the
+    # scan's left edge at -0.1: one minimum set around 0, not a Degenerate
+    # point at the midpoint of the zero nodes
+    assert summary["verdict"]["nearest_kind"] == "LocalMin"
 
     sweep = text + "\n[sweep]\nmode = grid\nvary = potential.p\nvalues = 4, 1200\n"
     assert main(["sweep", _cfg(tmp_path, sweep), "--outdir", str(out)]) == 0

@@ -159,48 +159,69 @@ def test_double_well_critical_points():
     pts = critical_points(DoubleWell(), (-2.0, 2.0))
     assert len(pts) == 3
     assert [p.kind for p in pts] == ["LocalMin", "LocalMax", "LocalMin"]
-    assert [p.location for p in pts] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-9)
+    assert [p.left for p in pts] == [p.right for p in pts]
+    assert [p.left for p in pts] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-9)
     assert [p.value for p in pts] == pytest.approx([0.0, 0.25, 0.0], abs=1e-12)
     # |G''|/2 at the three roots: G'' = 3x^2 - 1
     assert [p.delta for p in pts] == pytest.approx([1.0, 0.5, 1.0], rel=1e-4)
 
 
-# (location, value, kind, delta) of every point, computed before the
-# sign scan was vectorised; the scan must find the same roots bit for bit
+# (left, right, value, kind, delta) of every set; an isolated root's
+# left == right is the location found before the sign scan was
+# vectorised, bit for bit
 CRITICAL_POINT_PINS = [
-    # 0.0 and +-1.0 are scan nodes where g is exactly 0
+    # 0.0 and +-1.0 are scan nodes where g is exactly 0, and so is no
+    # float beside them
     (DoubleWell(), (-2.0, 2.0), [
-        (-1.0, 0.0, "LocalMin", 0.9999999999891226),
-        (0.0, 0.25, "LocalMax", 0.4999999999995),
-        (1.0, 0.0, "LocalMin", 0.9999999999891226),
+        (-1.0, -1.0, 0.0, "LocalMin", 0.9999999999891226),
+        (0.0, 0.0, 0.25, "LocalMax", 0.4999999999995),
+        (1.0, 1.0, 0.0, "LocalMin", 0.9999999999891226),
     ]),
     # no root on a node: three bisections
     (DoubleWell(), (-1.7, 2.3), [
-        (-1.0000000000953673, 9.094916117993612e-21, "LocalMin", 1.000000000270951),
-        (-4.768349377572879e-11, 0.25, "LocalMax", 0.4999999999995),
-        (0.9999999999046327, 9.094916117993612e-21, "LocalMin", 0.9999999997211714),
+        (-1.0000000000953673, -1.0000000000953673, 9.094916117993612e-21, "LocalMin",
+         1.000000000270951),
+        (-4.768349377572879e-11, -4.768349377572879e-11, 0.25, "LocalMax", 0.4999999999995),
+        (0.9999999999046327, 0.9999999999046327, 9.094916117993612e-21, "LocalMin",
+         0.9999999997211714),
     ]),
-    # g = 3 (x - 1/2)^2: double root, no sign change, g == 0 on a node
+    # g = 3 (x - 1/2)^2: double root, no sign change, g == 0 on a node;
+    # Horner's rounding makes g exactly 0 on a stretch about 6e-9 wide
+    # around it, and the set's ends are the last floats of that stretch
     (Polynomial1D([0.0, 0.75, -1.5, 1.0]), (-1.0, 2.0), [
-        (0.4999999999999998, 0.125, "Degenerate", 0.0),
+        (0.49999999628067265, 0.500000002288818, 0.125, "Degenerate", 0.0),
     ]),
     # g = x^2 - 1e-20: roots at +-1e-10 in the two cells beside the node 0;
     # the second bisection is a duplicate and is dropped
     (Polynomial1D([0.0, -1.0e-20, 0.0, 1.0 / 3.0]), (-1.0, 1.0), [
-        (-1.4305114746092175e-10, 4.547295193725858e-31, "Degenerate", 0.0),
+        (-1.4305114746092175e-10, -1.4305114746092175e-10, 4.547295193725858e-31, "Degenerate",
+         0.0),
     ]),
     # x^399 underflows to 0 for |x| below about 0.155: the 773 scan nodes
-    # in a row where g is 0 are one point, the run's midpoint, classified
-    # by the signs beyond its two ends
+    # in a row where g is 0 are one set, whose ends are the last floats
+    # where g is still 0, classified by the signs beyond them; its value
+    # and delta are read at the run's node midpoint
     (PPower(400.0), (-2.0, 2.0), [
-        (2.220446049250313e-16, 0.0, "LocalMin", 0.0),
+        (-0.15450917454169333, 0.15450917454169333, 0.0, "LocalMin", 0.0),
+    ]),
+    # g is 0 exactly where |x| <= 1, so each end of the floor is the float
+    # +-1.0; over (-0.5, 3) the floor runs past the box's left edge and its
+    # end is found beyond it
+    (FlatBottom(1), (-3.0, 3.0), [(-1.0, 1.0, 0.0, "LocalMin", 0.0)]),
+    (FlatBottom(1), (-0.5, 3.0), [(-1.0, 1.0, 0.0, "LocalMin", 0.0)]),
+    # g is 0 out to the end of the float range: no flank, so no sign
+    (Zero(1), (-2.0, 2.0), [(-math.inf, math.inf, 0.0, "Degenerate", 0.0)]),
+    # x^1199 underflows to 0 for |x| below about 0.537, a run that passes
+    # the box's left edge
+    (PPower(1200.0), (-0.1, 1.9), [
+        (-0.5371584115247068, 0.5371584115247068, 0.0, "LocalMin", 0.0),
     ]),
 ]
 
 
 @pytest.mark.parametrize("pot, box, want", CRITICAL_POINT_PINS)
 def test_critical_points_are_pinned(pot, box, want):
-    got = [(p.location, p.value, p.kind, p.delta) for p in critical_points(pot, box)]
+    got = [(p.left, p.right, p.value, p.kind, p.delta) for p in critical_points(pot, box)]
     assert got == want
 
 
@@ -307,7 +328,6 @@ def test_double_well_plateau_is_level_set_bracket():
 
 def test_flat_bottom_geometry():
     pot = FlatBottom(2)
-    assert pot.argmin_ball == 1.0
     # zero energy and gradient on the argmin ball
     for r in (0.0, 0.3, 0.999):
         p = np.array([r, 0.0])
@@ -324,11 +344,7 @@ def test_flat_bottom_geometry():
             assert np.linalg.norm(g) == pytest.approx(2.0 * (r - 1.0), rel=1e-12)
 
 
-def test_continuum_minimizers_not_enumerable():
-    with pytest.raises(UnsupportedError):
-        critical_points(FlatBottom(1), (-2.0, 2.0))
-    with pytest.raises(UnsupportedError):
-        critical_points(Zero(1), (-2.0, 2.0))
+def test_critical_points_refuse_a_plane_and_an_empty_box():
     with pytest.raises(UnsupportedError):
         critical_points(Quadratic(2), (-2.0, 2.0))
     with pytest.raises(DomainError):
