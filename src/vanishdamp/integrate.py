@@ -30,22 +30,26 @@ stepping the solver provides:
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
-There is one stepper for every dimension.  Its arithmetic is elementwise,
-so the same lines run on plain floats for n=1 (the hot case; long
-double-well sweeps spend millions of steps here) and on (n,) arrays for
-n >= 2.  The few operations that differ (gradient, energy, finiteness,
-maximum, component sum, norm, event component, constants) are bound once
-per run by state_ops.  On (n,) arrays a numpy call costs far more than its
-arithmetic, so the array branch avoids the fixed costs that do not change
-a bit: the potential's unchecked closures instead of its validated
-methods, and the tableau coefficients held as (n,) arrays, since an
-array-by-array product is cheaper than a float-by-array one and rounds
-the same.  On floats the interpreter's own work per call is the cost, so
-the loop drops every call it can drop without changing a bit: the n=1
-maximum is a lambda, not the builtin, the step-size clamps are
-conditional expressions, and the last stage's rate and the accepted
+There are two steppers with one arithmetic.  For n=1 (the hot case; long
+double-well sweeps spend millions of steps here) _run runs the stages as
+unrolled sums on plain floats, where the interpreter's own work per call
+is the cost, so it drops every call it can drop without changing a bit:
+its maximum is a local function, not the builtin, the step-size clamps
+are conditional expressions, and the last stage's rate and the accepted
 state's magnitudes are reused.  Stage positions go straight into the
-gradient, unnamed.
+gradient, unnamed.  For n >= 2, where a numpy call costs far more than
+its arithmetic, _run_array keeps the state (x, v) in one (2n,) array and
+the stage rates in one (12, 2n) buffer, so that a stage, the solution,
+the error estimates and the dissipation increment are each one weighted
+np.add.reduce over buffer rows: O(stages) numpy calls an attempt,
+whatever n is.  Such a reduce adds the rows in index order, the order of
+the unrolled sums, so the n >= 2 stepper gives the bits of _run's lines
+run elementwise on (n,) arrays; a BLAS dot would sum in its own order.
+Both evaluate the potential's unchecked closures, not its validated
+methods, and share the start (_start) and the output (_finish); the few
+operations that depend on how a state is held (gradient, energy,
+finiteness, norm, event component, sample columns) are bound once per
+run by state_ops.
 """
 
 from __future__ import annotations
@@ -145,6 +149,23 @@ _E3 = (
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
     0.02265179219836082,
 )
+
+
+# The n >= 2 stepper's tables.  A stage, the solution and each error
+# estimate sum only the terms of their nonzero coefficients, in stage
+# order, as the n = 1 stepper's unrolled sums do: a zero coefficient's
+# term 0 * k is NaN where k is infinite, and its +0.0 where k >= 0 turns a
+# sum of -0.0 terms into +0.0.
+# Stages 2 to 12: (c_i, the earlier stages with a nonzero a_ij, those a_ij
+# as a column).
+_STAGES = tuple(
+    (_C[i], np.flatnonzero(_A[i]), np.array(_A[i])[np.flatnonzero(_A[i]), None])
+    for i in range(1, 12)
+)
+# the stages the solution and the error estimates weigh (1 and 6 to 12)
+# and their (3, 8, 1) weights b, e5 and e3
+_SUMMED = np.flatnonzero(_B)
+_WEIGHTS = np.array([_B, _E5, _E3])[:, _SUMMED, None]
 
 
 class _ReadOnlyArrays:
@@ -330,15 +351,14 @@ def _normalize_spec(spec: SystemSpec):
 class StateOps(NamedTuple):
     """The operations that depend on how a state is held.
 
-    For n = 1 a state is a plain float and these are builtins, the
-    potential's float closures and, for ``maximum``, a lambda that
-    returns what the builtin ``max`` returns at less cost per call; for
-    n >= 2 it is an (n,) array and they are numpy calls and the
-    potential's array closures, each chosen for the least fixed cost at
-    the bits of its checked form.  Everything else in the stepper and in
-    the recursion is elementwise arithmetic that runs on either.
+    For n = 1 a state is a plain float and these are builtins and the
+    potential's float closures; for n >= 2 it is an (n,) array and they
+    are numpy calls and the potential's array closures, each chosen for
+    the least fixed cost at the bits of its checked form.  The n = 1
+    stepper, the n >= 2 stepper and the recursion (one loop for every
+    dimension) read them.
 
-    ``column`` makes the growable sequence the stepper stores samples and
+    ``column`` makes the growable sequence the steppers store samples and
     events in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
     value, against 32 for a list of boxed floats), a list of (n,) arrays
     for n >= 2.  Both append, thin by ``[::2]``, insert at 0 and convert
@@ -349,11 +369,8 @@ class StateOps(NamedTuple):
     grad: Callable  # x -> grad G(x)
     energy: Callable  # (x, v) -> |v|^2 / 2 + G(x)
     finite: Callable  # every component finite
-    maximum: Callable  # elementwise max of two states
-    total: Callable  # sum of the components, a float
     norm: Callable  # Euclidean norm, a float
     project: Callable  # the first component, whose sign changes are events; a float
-    const: Callable  # a float c -> c in the state's type, read-only
     column: Callable  # iterable of states -> a growable column holding them
 
 
@@ -366,32 +383,18 @@ def state_ops(pot: Potential) -> StateOps:
             grad=pot.grad_fn(),
             energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
-            maximum=lambda a, b: b if b > a else a,
-            total=float,
             norm=abs,
             project=float,
-            const=float,
             column=partial(array, "d"),
         )
-    n = pot.n
-
-    def const(c: float) -> np.ndarray:
-        a = np.full(n, c)
-        a.flags.writeable = False
-        return a
-
     return StateOps(
         states=lambda a: np.asarray(a, dtype=float),
         grad=pot.grad_fn(),
         energy=lambda x, v: 0.5 * float(v.dot(v)) + energy_of(x),
         finite=lambda a: all(map(math.isfinite, a.tolist())),
-        maximum=np.maximum,
-        # the reduction ndarray.sum runs, without the method's dispatch
-        total=lambda a: float(np.add.reduce(a)),
         # np.linalg.norm's own formula for a 1-D array, without its overhead
         norm=lambda a: math.sqrt(a.dot(a)),
         project=lambda w: float(w[0]),
-        const=const,
         column=list,
     )
 
@@ -466,7 +469,8 @@ def _solve(spec: SystemSpec) -> Trajectory:
     if spec.t_end <= t0:
         raise DomainError(f"t_end={spec.t_end} does not exceed the start time {t0}")
 
-    *columns, stats = _run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
+    run = _run if n == 1 else _run_array
+    *columns, stats = run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
     if prelude is not None:
         for column, value in zip(columns, prelude):
             column.insert(0, value)
@@ -479,21 +483,15 @@ def _solve(spec: SystemSpec) -> Trajectory:
 
 
 def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
-    """The stepper: x, v and the stages are floats for n=1, arrays for n >= 2.
+    """The n = 1 stepper: x, v, the stages and the coefficients are floats.
 
     Returns the ops.column columns of the stored samples (t, x, v, x'',
     energy, dissipation) and of the events (t, x, v, energy), then the
-    stats.  The coefficients that multiply a state (the tableau's a and b
-    and the error weights e5 and e3) are held in the state's type;
-    the c_i, which multiply the float h, and the dissipation's weights q_i
-    (the b_i again), which multiply a float rate, stay floats.
+    stats.
     """
     rate = spec.schedule.rate_fn()
-    g, energy_of, all_finite = ops.grad, ops.energy, ops.finite
-    maximum, total, project, const = ops.maximum, ops.total, ops.project, ops.const
-    column = ops.column
-    n = spec.potential.n
-    two_n = 2.0 * n
+    g, all_finite, project, column = ops.grad, ops.finite, ops.project, ops.column
+    n, two_n, total = 1, 2.0, float  # a float is its own component sum
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
@@ -507,38 +505,19 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         (a10_1, _, _, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
         (a11_1, _, _, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
         (a12_1, _, _, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11),
-    ) = [tuple(map(const, row)) for row in _A]
-    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = map(const, _B)
-    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = map(const, _E5)
-    e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = map(const, _E3)
+    ) = _A
+    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _B
+    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = _E5
+    e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = _E3
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
     q1, _, _, _, _, q6, q7, q8, q9, q10, q11, q12 = _B
 
+    def maximum(a, b):  # what the builtin max returns, at less cost per call
+        return b if b > a else a
+
     t, x, v = t0, x0, v0
     k1x = v
-    r1 = rate(t)
-    k1v = -r1 * v - g(x)
-    if not all_finite(k1v):
-        raise NonFiniteState(f"vector field non-finite at start t={t}")
-    # One magnitude scale for both components: per-component scales can
-    # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
-    s = atol + rtol * max(float(np.max(np.abs(x))), float(np.max(np.abs(v))), 1.0e-12)
-    d0 = math.sqrt(total(x * x + v * v) / two_n) / s
-    d1 = math.sqrt(total(k1x * k1x + k1v * k1v) / two_n) / s
-    if not d1 < math.inf:
-        raise NonFiniteState(f"|f|^2 overflows at start t={t}")
-    h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, (t_end - t) * 0.5)
-    x1 = x + h0 * k1x
-    v1 = v + h0 * k1v
-    f1v = -rate(t + h0) * v1 - g(x1)
-    d2 = math.sqrt(total((v1 - k1x) ** 2 + (f1v - k1v) ** 2) / two_n) / s / h0
-    nfev = 2  # at the start and in the first-step estimate
-    dm = max(d1, d2)
-    h1 = (0.01 / dm) ** _EXPO if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
-    h = min(100.0 * h0, h1, t_end - t)
-    if not h > 0.0:  # the second evaluation's |f|^2 overflowed
-        raise NonFiniteState(f"first-step estimate overflowed at t={t}")
+    r1, k1v, h = _start(spec, ops, rate, t, x, v)
 
     diss = diss0
     diss_c = 0.0  # Kahan compensation
@@ -770,21 +749,254 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             rest = t_end - t
             h = rest if rest < h else h
 
-    if ts[-1] != t:
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
-        accs.append(k1v)
-        ds.append(diss)
-    # every attempt, accepted or rejected, evaluates twelve stages
-    stats = SolverStats(accepted, rejected, nfev + 12 * (accepted + rejected), stride)
-    es = column(map(energy_of, xs, vs))  # of the samples thinning kept
+    return _finish(ops, n, (ts, xs, vs, accs, ds), (t, x, v, k1v, diss), events, brackets,
+                   failure, SolverStats(accepted, rejected, stride=stride))
+
+
+def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
+    """The n >= 2 stepper on one stage buffer; returns what _run returns.
+
+    The state y = (x, v) is one (2n,) array, and stage i's rate
+    (x', v') = (v_i, -a(t_i) v_i - grad G(x_i)) is row i of one (12, 2n)
+    buffer k.  A stage is y plus h times one np.add.reduce of the
+    weighted rows it reads (_STAGES), and the solution and both error
+    estimates are one reduce of the rows they weigh (_WEIGHTS).  Samples
+    and event brackets hold views of y, which is a new array every step,
+    never views of k.  The elementwise operations run along the last
+    axis and the stage sums along the one before it, so that a leading
+    member axis can be added to y and k.
+    """
+    rate = spec.schedule.rate_fn()
+    g, all_finite, project, column = ops.grad, ops.finite, ops.project, ops.column
+    n = spec.potential.n
+    two_n = 2.0 * n
+    t_end = spec.t_end
+    rtol, atol = spec.rel_tol, spec.abs_tol
+    max_steps = spec.max_steps
+    stride = 1
+    h_min = MIN_STEP_FRACTION * t_end
+
+    t = t0
+    y = np.concatenate((x0, v0))
+    x, v = y[..., :n], y[..., n:]
+    r1, k1v, h = _start(spec, ops, rate, t, x, v)
+    k = np.empty((12, 2 * n))  # the stage rates, one row a stage
+    first_x, first_v = k[..., 0, :n], k[..., 0, n:]  # stage 1's: (v, x'') at t
+    first_x[...], first_v[...] = v, k1v
+    rates = [r1] + [0.0] * 11  # a(t_i) of each stage
+    # Per stage i: c_i, the rows it reads, their a_ij spread to the rows'
+    # shape (an array-by-array product costs less than a broadcast one and
+    # rounds the same) and the two halves of its row.
+    stages = [
+        (i, c, reads, np.repeat(a, 2 * n, axis=-1), k[..., i, :n], k[..., i, n:])
+        for i, (c, reads, a) in enumerate(_STAGES, 1)
+    ]
+    weights = np.repeat(_WEIGHTS, 2 * n, axis=-1)  # b, e5, e3
+    # np.add.reduce starts from +0.0, which turns a sum of -0.0 terms into
+    # +0.0; started from -0.0, which adds nothing, it is the left fold of
+    # its rows, as the unrolled sums are
+    add, take = np.add.reduce, k.take
+    q = _WEIGHTS[0, :, 0]  # the dissipation's weights: the b_i again
+
+    diss = diss0
+    diss_c = 0.0  # Kahan compensation
+
+    ts, xs, vs, accs, ds = (column((value,)) for value in (t, x, v, k1v, diss))
+    events = (column(), column(), column())  # t, x, v of each event, in time order
+    brackets = []  # sign changes inside a step not yet refined, fewer than EVENT_CHUNK
+    failure = None  # what refining raised in the loop, raised after it
+    w = project(v)
+    last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
+    pending_zero = None
+
+    accepted = rejected = 0
+    since_store = 0
+    just_rejected = False
+    facold = 1.0e-4
+    ay = np.abs(y)  # |y| of the accepted state, for the error norm of the next steps
+
+    while t < t_end:
+        if accepted + rejected >= max_steps:
+            raise MaxStepsExceeded(
+                f"{max_steps} steps exhausted at t={t:.6g} of {t_end:.6g}"
+            )
+        t_h = t + h
+        clipped = t_h >= t_end
+        if clipped:
+            h = t_end - t
+            t_h = t + h  # may round to a float other than t_end
+        elif h < h_min:
+            raise StepUnderflow(f"step {h:.3e} below {h_min:.3e} at t={t:.6g}")
+
+        try:
+            # stages 2 to 12 (stage 1 carried over: first-same-as-last); the
+            # last one, at c = 1, takes the rate at t + h = t_h
+            for i, c, reads, a, kx_i, kv_i in stages:
+                y_i = y + h * add(a * take(reads, -2), -2, initial=-0.0)
+                v_i = y_i[..., n:]
+                r = rates[i] = rate(t + c * h)
+                kx_i[...] = v_i
+                kv_i[...] = -r * v_i - g(y_i[..., :n])
+            summed = take(_SUMMED, -2)
+            sums = add(weights * summed, -2, initial=-0.0)  # solution, e5, e3
+            y_new = y + h * sums[0]
+            x_new, v_new = y_new[..., :n], y_new[..., n:]
+            t_new = t_end if clipped else t_h
+            # the next step's first stage is at t_new, where stage 12 already
+            # took the rate unless the step was clipped
+            r13 = rate(t_new) if clipped else r
+            k13v = -r13 * v_new - g(x_new)
+            finite = all_finite(y_new) and all_finite(k13v)
+        except OverflowError:
+            # a closure overflowed in float arithmetic where numpy's gives inf
+            finite = False
+
+        if finite:
+            ay_new = np.abs(y_new)
+            # only squared, so the sign need not go: |e|/s is |e/s| exactly
+            err = h * sums[1:] / (atol + rtol * np.maximum(ay, ay_new))
+            err *= err
+            # DOP853's norm: the fifth-order estimate, damped where the
+            # third-order one is much larger
+            s5, s3 = np.add.reduce(err[..., :n] + err[..., n:], axis=-1).tolist()
+            norm = s5 / math.sqrt((s5 + 0.01 * s3) * two_n) if s5 else 0.0
+        else:
+            norm = math.inf
+        if not norm <= 1.0:
+            rejected += 1
+            just_rejected = True
+            if not math.isfinite(norm):
+                h *= _MIN_FACTOR
+                if h < h_min and not finite:
+                    raise NonFiniteState(
+                        f"state non-finite at t={t:.6g} and step cannot shrink"
+                    )
+            else:
+                shrink = _SAFETY * norm ** -_EXPO
+                h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
+            continue
+        ay = ay_new
+        if norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * norm ** -_PI_EXPO * facold ** _PI_BETA
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+            facold = 1.0e-4 if 1.0e-4 > norm else norm
+        if just_rejected:
+            factor = 1.0 if 1.0 < factor else factor
+            just_rejected = False
+
+        # dissipation increment: a |v|^2 integrated by the step's weights
+        # from its stage rates and velocities, as in _run
+        kx = summed[..., :n]
+        qr = (q * np.array(rates).take(_SUMMED))[..., None]  # q_i a(t_i)
+        inc = h * float(np.add.reduce(add(qr * kx * kx, -2, initial=-0.0)))
+        yk = inc - diss_c
+        tk = diss + yk
+        diss_c = (tk - diss) - yk
+        diss = tk
+
+        # events, as in _run
+        w_new = project(v_new)
+        if w_new != 0.0:
+            new_sign = 1.0 if w_new > 0.0 else -1.0  # w_new is finite and not 0
+            if last_sign != 0.0 and new_sign != last_sign:
+                if pending_zero is None:
+                    brackets.append((t, t_new, x, v, k1v, x_new, v_new, k13v))
+                if brackets and (pending_zero is not None or len(brackets) >= EVENT_CHUNK):
+                    # held, so that a loop error raised later takes precedence
+                    if failure is None:
+                        try:
+                            _refine_brackets(brackets, events, ops, n)
+                        except Exception as exc:
+                            failure = exc
+                    brackets = []
+                if pending_zero is not None:
+                    for event_column, value in zip(events, pending_zero):
+                        event_column.append(value)
+            last_sign = new_sign
+            pending_zero = None
+        else:
+            pending_zero = (t_new, x_new, v_new)
+
+        t, y, x, v, k1v = t_new, y_new, x_new, v_new, k13v
+        first_x[...], first_v[...], rates[0] = v, k1v, r13
+        accepted += 1
+
+        since_store += 1
+        if since_store >= stride or t >= t_end:
+            ts.append(t)
+            xs.append(x)
+            vs.append(v)
+            accs.append(k1v)
+            ds.append(diss)
+            since_store = 0
+            if len(ts) > MAX_STORED_SAMPLES:
+                ts, xs, vs, accs, ds = ts[::2], xs[::2], vs[::2], accs[::2], ds[::2]
+                stride *= 2
+
+        if t < t_end:
+            h *= factor
+            rest = t_end - t
+            h = rest if rest < h else h
+
+    return _finish(ops, n, (ts, xs, vs, accs, ds), (t, x, v, k1v, diss), events, brackets,
+                   failure, SolverStats(accepted, rejected, stride=stride))
+
+
+def _start(spec: SystemSpec, ops: StateOps, rate: Callable, t: float, x, v):
+    """The rate a(t), the acceleration and the first step size at the
+    start (x, v), for a float or an (n,) array state: two evaluations of
+    the vector field."""
+    g = ops.grad
+    t_end, rtol, atol = spec.t_end, spec.rel_tol, spec.abs_tol
+    two_n = 2.0 * spec.potential.n
+    k1x = v
+    r1 = rate(t)
+    k1v = -r1 * v - g(x)
+    if not ops.finite(k1v):
+        raise NonFiniteState(f"vector field non-finite at start t={t}")
+    # One magnitude scale for both components: per-component scales can
+    # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
+    s = atol + rtol * max(float(np.max(np.abs(x))), float(np.max(np.abs(v))), 1.0e-12)
+    d0 = math.sqrt(float(np.sum(x * x + v * v)) / two_n) / s
+    d1 = math.sqrt(float(np.sum(k1x * k1x + k1v * k1v)) / two_n) / s
+    if not d1 < math.inf:
+        raise NonFiniteState(f"|f|^2 overflows at start t={t}")
+    h0 = 1.0e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, (t_end - t) * 0.5)
+    x1 = x + h0 * k1x
+    v1 = v + h0 * k1v
+    f1v = -rate(t + h0) * v1 - g(x1)
+    d2 = math.sqrt(float(np.sum((v1 - k1x) ** 2 + (f1v - k1v) ** 2)) / two_n) / s / h0
+    dm = max(d1, d2)
+    h1 = (0.01 / dm) ** _EXPO if dm > 1e-15 else max(1.0e-6, h0 * 1e-3)
+    h = min(100.0 * h0, h1, t_end - t)
+    if not h > 0.0:  # the second evaluation's |f|^2 overflowed
+        raise NonFiniteState(f"first-step estimate overflowed at t={t}")
+    return r1, k1v, h
+
+
+def _finish(ops: StateOps, n: int, samples, last, events, brackets, failure, stats: SolverStats):
+    """The columns and stats a stepper returns, from its stored
+    ``samples`` (t, x, v, x'', dissipation), the ``last`` accepted state
+    in that order, which is stored unless it already is, and its refined
+    ``events`` and unrefined ``brackets``.  A refinement error held by
+    the loop (``failure``) is raised here."""
+    ts, xs, vs, accs, ds = samples
+    if ts[-1] != last[0]:
+        for column, value in zip(samples, last):
+            column.append(value)
+    # the start and the first-step estimate, then twelve stages an attempt
+    stats.rhs_evals = 2 + 12 * (stats.accepted + stats.rejected)
+    es = ops.column(map(ops.energy, xs, vs))  # of the samples thinning kept
     if failure is not None:
         raise failure
     if brackets:
         _refine_brackets(brackets, events, ops, n)
     et, ex, ev = events
-    return ts, xs, vs, accs, es, ds, et, ex, ev, column(map(energy_of, ex, ev)), stats
+    return ts, xs, vs, accs, es, ds, et, ex, ev, ops.column(map(ops.energy, ex, ev)), stats
 
 
 def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:

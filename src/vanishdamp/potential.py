@@ -410,6 +410,9 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     Sign-scan with SCAN_CELLS cells, bisection to ROOT_TOL on each sign
     change; a run of nodes where g is 0 is one set, ending where g stops
     being 0 (see _zero_end), with value and delta at the run's midpoint.
+    A bisection that lands where g is 0 ends its set the same way, with
+    value and delta at the set's middle, so a stretch narrower than a
+    cell gives the same set whether or not a node falls on it.
     The kind reads g one probe beyond each end; a set where g does not
     change sign, or with an infinite end, is Degenerate.
     """
@@ -446,7 +449,14 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
             push(0.5 * (xs[i] + xs[j]), _zero_end(g, xs[i], -cell), _zero_end(g, xs[j], cell))
         else:
             r = _bisect_root(g, xs[i], xs[i + 1])
-            push(r, r, r)
+            if g(r) != 0.0:
+                push(r, r, r)
+                continue
+            # the bisection landed on a zero stretch inside the cell, or on
+            # an exact root: its ends, stepping out from r to the cell's
+            # nodes, where g is not 0; value and delta at its middle
+            left, right = _zero_end(g, r, xs[i] - r), _zero_end(g, r, xs[i + 1] - r)
+            push(0.5 * (left + right), left, right)
 
     out: list[CriticalSet] = []
     for r, left, right in sets:

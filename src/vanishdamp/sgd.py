@@ -266,8 +266,9 @@ def run_recursion(
     exact prefix sum of the step sizes; the drift average is checked at
     every step against its closed form.  One loop serves every
     dimension: the iterate, drift and noise are floats for n=1 and (n,)
-    arrays otherwise, with the few differing operations bound by
-    :func:`vanishdamp.integrate.state_ops`.
+    arrays otherwise, and the operations that differ (the gradient, the
+    finiteness test, the norm) are the ones
+    :func:`vanishdamp.integrate.state_ops` binds for the two steppers.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")

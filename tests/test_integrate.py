@@ -6,9 +6,11 @@ bootstrap, and the bits of the step loop pinned by SHA-256.
 """
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import math
+import operator
 import pickle
 import re
 import sys
@@ -532,6 +534,36 @@ def test_array_output_is_pinned_bitwise(spec, counts, digest, dissipation):
     assert _dissipation_digest(traj) == dissipation
 
 
+def test_signed_zero_components_are_pinned_bitwise():
+    # An n = 3 run whose second component starts at -0.0 in x and v and
+    # whose third starts at +0.0: the radial gradient keeps both exactly 0
+    # all along, and the stored states and accelerations hold -0.0 in
+    # them, whose signs the SHA-256 (as above) covers.  The sums that set
+    # those signs are checked term by term in
+    # test_array_sums_are_left_folds_in_stage_order; on this run neither
+    # a zero coefficient's term nor a reduce that starts from +0.0 moves
+    # a bit, since a +0.0 base absorbs the sign of what is added to it.
+    spec = SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3), x0=[0.6, -0.0, 0.0],
+        v0=[-0.2, -0.0, 0.0], t_end=60.0, rel_tol=1e-8,
+    )
+    traj = integrate(spec)
+
+    def negative_zeros(a):
+        return np.count_nonzero((a == 0.0) & np.signbit(a), axis=0).tolist()
+
+    assert not np.any(traj.xs[:, 1:]) and not np.any(traj.vs[:, 1:])
+    assert (negative_zeros(traj.xs), negative_zeros(traj.vs)) == ([0, 1, 0], [0, 1, 0])
+    assert negative_zeros(traj.accs) == [0, 51, 52]
+    assert (len(traj.ts), len(traj.events), traj.stats.rejected) == (52, 3, 2)
+    assert _trajectory_digest(traj) == (
+        "10fb2657047da71ae60521e10c6e590a1292bed60e7863e2dae3ad7ef542e81e"
+    )
+    assert _dissipation_digest(traj) == (
+        "fba73dd1f31915c7c568eb6f1429f7fe1dfb137cc3663a83cf06635a08ce344f"
+    )
+
+
 _integrate_module = importlib.import_module("vanishdamp.integrate")
 
 
@@ -652,34 +684,107 @@ def test_tableau_is_scipys_dop853():
     assert list(_integrate_module._E3) + [0.0] == ref.E3.tolist()
 
 
-def test_step_loop_call_count_is_bounded():
-    # Guards the step loop's interpreter overhead without timing anything,
-    # so it cannot flake on a busy or shared host: the Python and C calls
-    # made from _run's own frame, per attempted step, are deterministic.
-    # The bound is what the loop reaches today (37.70 here, with twelve
-    # stages an attempt; DP5's six-stage loop made 25.18, 29.67 when the
-    # dissipation took three more rates on the interpolant and the error
-    # norm called abs, 37.17 when the step-size clamps still called min and
-    # max).
-    run_code = _integrate_module._run.__code__
+def _calls_per_attempt(loop, spec):
+    # The Python and C calls made from the stepper ``loop``'s own frame
+    # per attempted step, which are deterministic: the attempts of
+    # ``spec``'s run and the calls per attempt.
+    loop_code = loop.__code__
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         if event == "call":
-            calls += frame.f_back is not None and frame.f_back.f_code is run_code
+            calls += frame.f_back is not None and frame.f_back.f_code is loop_code
         elif event == "c_call":
-            calls += frame.f_code is run_code
+            calls += frame.f_code is loop_code
 
     before = sys.getprofile()
     sys.setprofile(count)
     try:
-        traj = integrate(_WELL_SHORT)
+        traj = integrate(spec)
     finally:
         sys.setprofile(before)
     attempts = traj.stats.accepted + traj.stats.rejected
+    return attempts, calls / attempts
+
+
+def test_step_loop_call_count_is_bounded():
+    # Guards the step loop's interpreter overhead without timing anything,
+    # so it cannot flake on a busy or shared host: the Python and C calls
+    # made from _run's own frame, per attempted step, are deterministic.
+    # The bound is what the loop reached with twelve stages an attempt
+    # (37.70 here; DP5's six-stage loop made 25.18, 29.67 when the
+    # dissipation took three more rates on the interpolant and the error
+    # norm called abs, 37.17 when the step-size clamps still called min and
+    # max).  36.63 since the start and the output are helpers, shared with
+    # the n >= 2 stepper, whose calls _run's frame no longer makes.
+    attempts, calls = _calls_per_attempt(_integrate_module._run, _WELL_SHORT)
     assert attempts == 1935
-    assert calls / attempts <= 37.8
+    assert calls <= 37.8
+
+
+def test_array_step_call_count_is_bounded():
+    # The same guard for the n >= 2 stepper, on the n = 3 run of the
+    # ppower_n3 pin: a reduce and a take, the rate and the gradient per
+    # stage, and the error norm, events and dissipation once an attempt.
+    # The bound is what _run_array reaches (62.40 here).  The hook counts
+    # calls, not array operators: the array stepper this one replaced,
+    # which ran _run's unrolled sums on (n,) arrays with about 300
+    # operators an attempt, made 39.86 calls an attempt on this run.
+    spec = SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3),
+        x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
+        v0=[0.0, 0.0, 0.0], t_end=200.0, rel_tol=1e-8,
+    )
+    attempts, calls = _calls_per_attempt(_integrate_module._run_array, spec)
+    assert attempts == 208
+    assert calls <= 62.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+def test_array_sums_are_left_folds_in_stage_order(n):
+    # Each sum over the stages of the n >= 2 stepper is one np.add.reduce
+    # of weighted rows of the stage buffer.  It must equal, bit for bit,
+    # the left fold of the nonzero coefficients' terms in stage order that
+    # the n = 1 stepper's unrolled sums compute, on stage data holding
+    # +0.0 and -0.0: a zero coefficient's term, or a reduce in another
+    # order, moves such bits.  The two component sums of the error norm
+    # must equal the 1-D reduce of each row.
+    from vanishdamp.integrate import _A, _B, _C, _E3, _E5, _STAGES, _SUMMED, _WEIGHTS
+
+    rng = np.random.default_rng(n)
+    k = rng.standard_normal((12, 2 * n)) * 10.0 ** rng.integers(-3, 4, (12, 2 * n))
+    zeros = rng.random(k.shape) < 0.4
+    k[zeros] = np.where(rng.random(k.shape) < 0.5, 0.0, -0.0)[zeros]
+    assert np.any(np.signbit(k) & (k == 0.0)) and np.any(~np.signbit(k) & (k == 0.0))
+
+    def fold(weights, rows):
+        # the nonzero coefficients' terms added left to right
+        return functools.reduce(operator.add, (w * rows[j] for j, w in enumerate(weights) if w))
+
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    for i, (c, reads, a) in enumerate(_STAGES, 1):
+        assert c == _C[i]
+        got = np.add.reduce(np.repeat(a, 2 * n, axis=-1) * k.take(reads, -2), -2, initial=-0.0)
+        assert same_bits(got, fold(_A[i], k)), i
+    assert np.flatnonzero(_E5).tolist() == np.flatnonzero(_E3).tolist() == _SUMMED.tolist()
+    summed = k.take(_SUMMED, -2)
+    got = np.add.reduce(np.repeat(_WEIGHTS, 2 * n, axis=-1) * summed, -2, initial=-0.0)
+    for row, weights in zip(got, (_B, _E5, _E3)):
+        assert same_bits(row, fold(weights, k))
+    # the dissipation's terms are (q_i a(t_i)) v_i v_i, in that order
+    rates = rng.random(12)
+    kx = summed[:, :n]
+    qr = (_WEIGHTS[0, :, 0] * rates.take(_SUMMED))[:, None]
+    got = np.add.reduce(qr * kx * kx, -2, initial=-0.0)
+    want = functools.reduce(operator.add, (q * r * v * v for q, r, v in zip(_B, rates, k) if q))
+    assert same_bits(got, want[:n])
+    squares = rng.standard_normal((2, 2 * n)) ** 2
+    got = np.add.reduce(squares[:, :n] + squares[:, n:], -1)
+    want = np.array([np.add.reduce(row[:n] + row[n:]) for row in squares])
+    assert same_bits(got, want)
 
 
 def test_refinement_errors_yield_to_loop_errors(monkeypatch):
@@ -806,37 +911,46 @@ def test_reruns_are_bitwise_identical(j_run):
 # failure modes
 
 
-def test_max_steps_exceeded():
+@pytest.mark.parametrize("n", [1, 2])
+def test_max_steps_exceeded(n):
     with pytest.raises(MaxStepsExceeded):
         integrate(
             SystemSpec(
-                schedule=Constant(0.1), potential=Quadratic(1),
-                x0=1.0, v0=0.0, t_end=1000.0, max_steps=10,
+                schedule=Constant(0.1), potential=Quadratic(n),
+                x0=[1.0] * n, v0=[0.0] * n, t_end=1000.0, max_steps=10,
             )
         )
 
 
-def test_non_finite_state_detected():
+def _inverted_parabola(n):
+    if n == 1:
+        return Polynomial1D([0.0, 0.0, -1.0])
+    return CustomPotential(n, energy=lambda p: -float(p @ p), grad=lambda p: -2.0 * p)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_state_detected(n):
     # inverted parabola: x grows like e^{sqrt(2) t} and overflows
     with pytest.raises(NonFiniteState):
         integrate(
             SystemSpec(
-                schedule=Constant(0.0),
-                potential=Polynomial1D([0.0, 0.0, -1.0]),
-                x0=1.0, v0=0.0, t_end=1000.0,
+                schedule=Constant(0.0), potential=_inverted_parabola(n),
+                x0=[1.0] + [0.0] * (n - 1), v0=[0.0] * n, t_end=1000.0,
             )
         )
 
 
-def test_stage_overflow_is_rejected_and_retried():
+@pytest.mark.parametrize("n", [1, 2])
+def test_stage_overflow_is_rejected_and_retried(n):
     # |x|^119 overflows a float beyond |x| ~ 390: coasting on the flat
     # middle grows the step until a trial stage lands far past the steep
-    # wall.  The scalar gradient raises OverflowError there; the stepper
-    # must treat it like an infinite stage, shrink the step and go on.
+    # wall.  The gradient raises OverflowError there (|x| is a float for
+    # n = 2 too); the stepper must treat it like an infinite stage,
+    # shrink the step and go on.
     traj = integrate(
         SystemSpec(
-            schedule=Constant(0.05), potential=PPower(120.0),
-            x0=0.0, v0=1.0, t_end=5000.0,
+            schedule=Constant(0.05), potential=PPower(120.0, n=n),
+            x0=[0.0] * n, v0=[1.0] + [0.0] * (n - 1), t_end=5000.0,
         )
     )
     assert traj.stats.rejected > 0

@@ -166,9 +166,21 @@ def test_double_well_critical_points():
     assert [p.delta for p in pts] == pytest.approx([1.0, 0.5, 1.0], rel=1e-4)
 
 
+def _narrow_floor_grad(p):
+    # sign(x) 2 max(|x| - 1e-6, 0): g is 0 exactly on [-1e-6, 1e-6]
+    x = float(p[0])
+    return np.array([math.copysign(2.0 * max(abs(x) - 1.0e-6, 0.0), x)])
+
+
+# G = max(|x| - 1e-6, 0)^2: a floor far narrower than a scan cell
+_NARROW_FLOOR = CustomPotential(
+    1, energy=lambda p: max(abs(float(p[0])) - 1.0e-6, 0.0) ** 2, grad=_narrow_floor_grad,
+)
+
+
 # (left, right, value, kind, delta) of every set; an isolated root's
 # left == right is the location found before the sign scan was
-# vectorised, bit for bit
+# vectorised, bit for bit, its sign of zero included
 CRITICAL_POINT_PINS = [
     # 0.0 and +-1.0 are scan nodes where g is exactly 0, and so is no
     # float beside them
@@ -216,6 +228,26 @@ CRITICAL_POINT_PINS = [
     (PPower(1200.0), (-0.1, 1.9), [
         (-0.5371584115247068, 0.5371584115247068, 0.0, "LocalMin", 0.0),
     ]),
+    # the hump's bisection lands on 0.0, where g is exactly 0 and no float
+    # beside it is: the set stays the point
+    (DoubleWell(), (-1.9375, 2.0625), [
+        (-1.0, -1.0, 0.0, "LocalMin", 0.9999999999891226),
+        (0.0, 0.0, 0.25, "LocalMax", 0.4999999999995),
+        (0.9999999999046327, 0.9999999999046327, 9.094916117993612e-21, "LocalMin",
+         0.9999999997211714),
+    ]),
+    # x^3 underflows to 0 for |x| below about 1.4e-108: the set is the
+    # same whether a node (-2, 2) or a bisection (-1.9375, 2.0625) finds 0
+    (PPower(4.0), (-2.0, 2.0), [
+        (-1.3518179858534569e-108, 1.3518179858534569e-108, 0.0, "LocalMin", 0.0),
+    ]),
+    (PPower(4.0), (-1.9375, 2.0625), [
+        (-1.3518179858534569e-108, 1.3518179858534569e-108, 0.0, "LocalMin", 0.0),
+    ]),
+    # a floor narrower than a cell: over (-1, 1.3) no node falls on it and
+    # the bisection lands inside it; over (-1, 1) the node 0 does
+    (_NARROW_FLOOR, (-1.0, 1.3), [(-1.0e-6, 1.0e-6, 0.0, "LocalMin", 0.0)]),
+    (_NARROW_FLOOR, (-1.0, 1.0), [(-1.0e-6, 1.0e-6, 0.0, "LocalMin", 0.0)]),
 ]
 
 
@@ -223,6 +255,11 @@ CRITICAL_POINT_PINS = [
 def test_critical_points_are_pinned(pot, box, want):
     got = [(p.left, p.right, p.value, p.kind, p.delta) for p in critical_points(pot, box)]
     assert got == want
+
+    def signs(sets):
+        return [(math.copysign(1.0, left), math.copysign(1.0, right)) for left, right, *_ in sets]
+
+    assert signs(got) == signs(want)
 
 
 @pytest.mark.parametrize(
