@@ -48,7 +48,7 @@ run elementwise on (n,) arrays; a BLAS dot would sum in its own order.
 Both evaluate the potential's unchecked closures, not its validated
 methods, and share the start (_start) and the output (_finish); the few
 operations that depend on how a state is held (gradient, energy,
-finiteness, norm, event component, sample columns) are bound once per
+finiteness, row norms, event component, sample columns) are bound once per
 run by state_ops.
 """
 
@@ -355,8 +355,7 @@ class StateOps(NamedTuple):
     potential's float closures; for n >= 2 it is an (n,) array and they
     are numpy calls and the potential's array closures, each chosen for
     the least fixed cost at the bits of its checked form.  The n = 1
-    stepper, the n >= 2 stepper and the recursion (one loop for every
-    dimension) read them.
+    stepper, the n >= 2 stepper and the recursion read them.
 
     ``column`` makes the growable sequence the steppers store samples and
     events in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
@@ -369,9 +368,15 @@ class StateOps(NamedTuple):
     grad: Callable  # x -> grad G(x)
     energy: Callable  # (x, v) -> |v|^2 / 2 + G(x)
     finite: Callable  # every component finite
-    norm: Callable  # Euclidean norm, a float
+    norms: Callable  # (m, n) array -> the Euclidean norm of each row
     project: Callable  # the first component, whose sign changes are events; a float
     column: Callable  # iterable of states -> a growable column holding them
+
+
+# the dot of each row with itself, as ndarray.dot gives it: numpy >= 2's
+# vecdot calls that same dot row by row, without a Python loop
+_row_squares = ((lambda a: np.vecdot(a, a)) if hasattr(np, "vecdot")
+                else (lambda a: np.array([r.dot(r) for r in a], dtype=float)))
 
 
 def state_ops(pot: Potential) -> StateOps:
@@ -383,7 +388,7 @@ def state_ops(pot: Potential) -> StateOps:
             grad=pot.grad_fn(),
             energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
-            norm=abs,
+            norms=lambda a: np.abs(a[:, 0]),
             project=float,
             column=partial(array, "d"),
         )
@@ -392,8 +397,8 @@ def state_ops(pot: Potential) -> StateOps:
         grad=pot.grad_fn(),
         energy=lambda x, v: 0.5 * float(v.dot(v)) + energy_of(x),
         finite=lambda a: all(map(math.isfinite, a.tolist())),
-        # np.linalg.norm's own formula for a 1-D array, without its overhead
-        norm=lambda a: math.sqrt(a.dot(a)),
+        # np.linalg.norm's own formula, row by row
+        norms=lambda a: np.sqrt(_row_squares(a)),
         project=lambda w: float(w[0]),
         column=list,
     )

@@ -1,8 +1,9 @@
-"""Shared fixture runs, integrated once per session, and the recorder of
-the worker pools a command starts."""
+"""Shared fixture runs, integrated once per session, the recorder of the
+worker pools a command starts, and the counter of a loop's calls."""
 
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -39,6 +40,35 @@ def record_pools(monkeypatch):
         return sizes
 
     return record
+
+
+@pytest.fixture
+def calls_from():
+    """``calls_from(func, thunk)`` runs ``thunk()`` and returns its result
+    and the Python and C calls made from ``func``'s own frame.  Unlike a
+    timing, the count is deterministic, so a bound on it cannot flake on
+    a busy or shared host."""
+
+    def count(func, thunk):
+        code = func.__code__
+        calls = 0
+
+        def hook(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += frame.f_back is not None and frame.f_back.f_code is code
+            elif event == "c_call":
+                calls += frame.f_code is code
+
+        before = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            result = thunk()
+        finally:
+            sys.setprofile(before)
+        return result, calls
+
+    return count
 
 
 @pytest.fixture(scope="session")

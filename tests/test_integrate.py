@@ -13,7 +13,6 @@ import math
 import operator
 import pickle
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -684,31 +683,15 @@ def test_tableau_is_scipys_dop853():
     assert list(_integrate_module._E3) + [0.0] == ref.E3.tolist()
 
 
-def _calls_per_attempt(loop, spec):
-    # The Python and C calls made from the stepper ``loop``'s own frame
-    # per attempted step, which are deterministic: the attempts of
-    # ``spec``'s run and the calls per attempt.
-    loop_code = loop.__code__
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += frame.f_back is not None and frame.f_back.f_code is loop_code
-        elif event == "c_call":
-            calls += frame.f_code is loop_code
-
-    before = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        traj = integrate(spec)
-    finally:
-        sys.setprofile(before)
+def _calls_per_attempt(calls_from, loop, spec):
+    # The calls made from the stepper ``loop``'s own frame per attempted
+    # step: the attempts of ``spec``'s run and the calls per attempt.
+    traj, calls = calls_from(loop, lambda: integrate(spec))
     attempts = traj.stats.accepted + traj.stats.rejected
     return attempts, calls / attempts
 
 
-def test_step_loop_call_count_is_bounded():
+def test_step_loop_call_count_is_bounded(calls_from):
     # Guards the step loop's interpreter overhead without timing anything,
     # so it cannot flake on a busy or shared host: the Python and C calls
     # made from _run's own frame, per attempted step, are deterministic.
@@ -718,12 +701,12 @@ def test_step_loop_call_count_is_bounded():
     # norm called abs, 37.17 when the step-size clamps still called min and
     # max).  36.63 since the start and the output are helpers, shared with
     # the n >= 2 stepper, whose calls _run's frame no longer makes.
-    attempts, calls = _calls_per_attempt(_integrate_module._run, _WELL_SHORT)
+    attempts, calls = _calls_per_attempt(calls_from, _integrate_module._run, _WELL_SHORT)
     assert attempts == 1935
     assert calls <= 37.8
 
 
-def test_array_step_call_count_is_bounded():
+def test_array_step_call_count_is_bounded(calls_from):
     # The same guard for the n >= 2 stepper, on the n = 3 run of the
     # ppower_n3 pin: a reduce and a take, the rate and the gradient per
     # stage, and the error norm, events and dissipation once an attempt.
@@ -736,7 +719,7 @@ def test_array_step_call_count_is_bounded():
         x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
         v0=[0.0, 0.0, 0.0], t_end=200.0, rel_tol=1e-8,
     )
-    attempts, calls = _calls_per_attempt(_integrate_module._run_array, spec)
+    attempts, calls = _calls_per_attempt(calls_from, _integrate_module._run_array, spec)
     assert attempts == 208
     assert calls <= 62.5
 

@@ -27,6 +27,7 @@ from vanishdamp import (
     run_recursion,
 )
 from vanishdamp import sgd
+from vanishdamp.integrate import state_ops
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,92 @@ def test_vector_path_is_pinned_bitwise():
     assert path.drift_identity_max == 8.992994743338063e-16
 
 
+def _in_loop_recursion(pot, steps, noise, x0, n_steps):
+    """The recursion as one step loop ran it with the clock and the drift
+    identity inside: the reference for the loop that moved both out.
+    Returns the rows of tau, h and x and drift_identity_max."""
+    dim = pot.n
+    grad = pot.grad_fn()
+    rows = (lambda a: a[..., 0].tolist()) if dim == 1 else (lambda a: a)
+    norm = abs if dim == 1 else (lambda a: math.sqrt(a.dot(a)))
+    x = rows(np.asarray(x0, dtype=float).reshape(dim))
+    sizes = steps.sizes()
+    e_n = tau = next(sizes)
+    h = s_sum = c_sum = rows(np.zeros(dim))
+    c_tau = worst = scale = 0.0
+    out = [(tau, h, x)]
+    for xi_n, e_next in zip(rows(noise.stream(n_steps, dim)), sizes):
+        eg = e_n * (grad(x) + xi_n)
+        h = h - e_n * h / tau + eg / tau
+        term = eg - c_sum
+        t_new = s_sum + term
+        c_sum = (t_new - s_sum) - term
+        s_sum = t_new
+        closed = s_sum / tau
+        mag = norm(closed)
+        if mag > scale:
+            scale = mag
+        dev = norm(h - closed) / (scale if scale > 0.0 else 1.0)
+        if dev > worst:
+            worst = dev
+        term = e_next - c_tau
+        t_new = tau + term
+        c_tau = (t_new - tau) - term
+        tau = t_new
+        x = x - e_next * h
+        out.append((tau, h, x))
+        e_n = e_next
+    taus, hs, xs = zip(*out)
+    return np.array(taus), np.reshape(hs, (-1, dim)), np.reshape(xs, (-1, dim)), worst
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_moved_check_matches_the_in_loop_form_bitwise(n):
+    # x, h, tau and drift_identity_max equal the in-loop reference bit for
+    # bit: for constant and decaying steps, with and without noise, from a
+    # generic start, from a start holding -0.0 components, and from the
+    # zero-drift start, where the drift's scale stays 0.  n = 1 keeps the
+    # closed form's sums in its loop; n = 2 and 3 sum them after it a
+    # component at a time, and n = 64 a row at a time.
+    generic = np.linspace(-1.1, 0.8, n) if n > 1 else [0.6]
+    signed = np.where(np.arange(n) % 2 == 0, -0.0, 0.4)
+    runs = [(PPower(3.0, n=n), steps, NoiseModel(sigma, seed=7 if sigma else 0), x0)
+            for steps in (StepSchedule(0.05), StepSchedule(0.05, 0.7))
+            for sigma in (0.0, 0.5)
+            for x0 in (generic, signed)]
+    runs.append((Quadratic(n), StepSchedule(0.05, 0.7), NoiseModel(), np.zeros(n)))
+    for pot, steps, noise, x0 in runs:
+        path = run_recursion(pot, steps, noise, x0, 400)
+        tau, h, x, worst = _in_loop_recursion(pot, steps, noise, x0, 400)
+        assert _same_bits(path.tau, tau) and _same_bits(path.h, h) and _same_bits(path.x, x)
+        assert path.drift_identity_max == worst, (steps, noise, x0)
+    assert worst == 0.0 and not np.any(h)  # the zero-drift start
+    # the row norms the check takes are the loop's norm of each row
+    norm = abs if n == 1 else (lambda a: math.sqrt(a.dot(a)))
+    rows = run_recursion(pot, steps, NoiseModel(0.5, seed=7), generic, 400).h
+    assert _same_bits(state_ops(pot).norms(rows), [norm(r[0] if n == 1 else r) for r in rows])
+
+
+def test_recursion_call_count_is_bounded(calls_from):
+    # Guards the recursion loop's interpreter overhead without timing
+    # anything: the Python and C calls made from run_recursion's own frame,
+    # per step.  The bounds are what the loop reaches (6.01 at n = 1: the
+    # gradient, the finiteness test, the step-size generator and three
+    # appends; 3.01 at n = 3, whose ufuncs and in-place operators the hook
+    # does not see).  With the clock and the drift identity in the loop it
+    # made 5.01 at both: the gradient, the generator, the finiteness test
+    # and two norms.
+    for pot, x0, bound in ((DoubleWell(), 0.4, 6.02), (PPower(4.0, n=3), [0.4, -1.2, 0.3], 3.02)):
+        path, calls = calls_from(sgd.run_recursion, lambda: run_recursion(
+            pot, StepSchedule(0.05, 0.7), NoiseModel(0.5, seed=3), x0, 2_000))
+        assert calls / path.n_steps <= bound, pot
+
+
 # ---------------------------------------------------------------------------
 # limiting system
 
@@ -312,6 +399,12 @@ def test_compare_to_ode_horizon_handling():
 
     with pytest.raises(DomainError):
         compare_to_ode(path, quad, horizon=1e-4)  # precedes the clock start
+    with pytest.raises(DomainError, match="horizon must be a clock value, got nan"):
+        compare_to_ode(path, quad, horizon=math.nan)
+    # inf, like None, compares the whole path
+    whole = compare_to_ode(path, quad, horizon=math.inf)
+    assert whole.clock_horizon == path.tau[-1]
+    assert whole.points_compared == 11
 
 
 def test_compare_to_ode_noisy_reports_rms():
@@ -345,8 +438,11 @@ def test_long_decaying_step_tracks_ode():
 
 
 def test_divergent_path_raises():
-    # a steep potential with a unit step overflows within a few updates
-    with pytest.raises(NonFiniteState):
+    # a steep potential with a unit step overflows within a few updates;
+    # the steps reported are pinned, so moving work out of the step loop
+    # cannot shift them.  PPower(4)'s float gradient raises OverflowError
+    # at step 6, the other two runs reach a non-finite x.
+    with pytest.raises(NonFiniteState, match=r"^recursion diverged at step 6$"):
         run_recursion(PPower(4.0), StepSchedule(1.0), NoiseModel(), 2.0, 50)
 
     steep = CustomPotential(
@@ -354,9 +450,11 @@ def test_divergent_path_raises():
         energy=lambda x: 5e9 * float(x[0]) ** 2,
         grad=lambda x: 1e10 * x,
     )
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteState):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState, match=r"^recursion diverged at step 35$"):
             run_recursion(steep, StepSchedule(1.0), NoiseModel(), 2.0, 60)
+        with pytest.raises(NonFiniteState, match=r"^recursion diverged at step 7$"):
+            run_recursion(PPower(4.0, n=2), StepSchedule(1.0), NoiseModel(), [2.0, -1.0], 50)
 
 
 def test_step_schedule_validation():
@@ -408,6 +506,11 @@ def test_run_recursion_validation():
     quad = Quadratic(1)
     with pytest.raises(DomainError):
         run_recursion(quad, StepSchedule(1e-3), NoiseModel(), 1.0, 0)
+    # a float step count is refused, as integrate refuses a float max_steps
+    for bad in (2.5, 3.0, math.nan):
+        with pytest.raises(DomainError, match=rf"^n_steps must be an integer >= 1, got {bad!r}$"):
+            run_recursion(quad, StepSchedule(1e-3), NoiseModel(), 1.0, bad)
+    assert run_recursion(quad, StepSchedule(1e-3), NoiseModel(), 1.0, np.int64(3)).n_steps == 3
     with pytest.raises(DomainError):
         run_recursion(quad, StepSchedule(1e-3), NoiseModel(),
                       np.array([1.0, 2.0]), 5)
