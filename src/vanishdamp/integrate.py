@@ -70,7 +70,7 @@ from .errors import (
     StepUnderflow,
     UnsupportedError,
 )
-from .potential import Potential
+from .potential import Potential, row_norms
 from .schedule import DampingSchedule, PowerLaw
 
 BOOTSTRAP_H0 = 1.0e-6
@@ -373,12 +373,6 @@ class StateOps(NamedTuple):
     column: Callable  # iterable of states -> a growable column holding them
 
 
-# the dot of each row with itself, as ndarray.dot gives it: numpy >= 2's
-# vecdot calls that same dot row by row, without a Python loop
-_row_squares = ((lambda a: np.vecdot(a, a)) if hasattr(np, "vecdot")
-                else (lambda a: np.array([r.dot(r) for r in a], dtype=float)))
-
-
 def state_ops(pot: Potential) -> StateOps:
     """Bind the dimension-dependent operations for ``pot`` once."""
     energy_of = pot.energy_fn()
@@ -397,8 +391,7 @@ def state_ops(pot: Potential) -> StateOps:
         grad=pot.grad_fn(),
         energy=lambda x, v: 0.5 * float(v.dot(v)) + energy_of(x),
         finite=lambda a: all(map(math.isfinite, a.tolist())),
-        # np.linalg.norm's own formula, row by row
-        norms=lambda a: np.sqrt(_row_squares(a)),
+        norms=row_norms,
         project=lambda w: float(w[0]),
         column=list,
     )

@@ -41,6 +41,15 @@ def _dimension(n) -> int:
     return int(n)
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (m, n) array, bit for bit: the root
+    of the row's ndarray.dot with itself, which numpy >= 2's vecdot calls
+    row by row without a Python loop."""
+    if hasattr(np, "vecdot"):
+        return np.sqrt(np.vecdot(rows, rows))
+    return np.sqrt(np.array([r.dot(r) for r in rows], dtype=float))
+
+
 def _on_column(g: Callable[[float], float], col: np.ndarray) -> np.ndarray:
     """g at every entry of a 1D array: on Python floats, where the
     closures give the same bits and run several times faster, unless one
@@ -59,7 +68,7 @@ class Potential:
     ``energy_fn()`` and ``grad_fn()``, which the hot loops of the stepper,
     the recursion and the 1D scans call directly.  They take and return
     plain floats for n = 1 and take (n,) float arrays for n >= 2, where
-    the norm is ``math.sqrt(x.dot(x))``, np.linalg.norm's own formula; a
+    the norm is ``row_norms``, np.linalg.norm's own formula; a
     closure may return its argument, so callers treat the result as
     read-only.  The validated ``energy(x)`` and ``grad(x)`` check a point
     of shape (n,) and run the same closures, so every way to evaluate
@@ -96,7 +105,8 @@ class Potential:
         if self.n == 1:
             gs = _on_column(g, rows[:, 0])
             return np.sqrt(gs * gs)  # np.linalg.norm of a 1-vector
-        return np.array([math.sqrt(v.dot(v)) for v in map(g, np.ascontiguousarray(rows))], dtype=float)
+        gs = map(g, np.ascontiguousarray(rows))
+        return row_norms(np.fromiter(gs, dtype=(float, self.n), count=len(rows)))
 
     def _as_point(self, x) -> np.ndarray:
         p = np.atleast_1d(np.asarray(x, dtype=float))

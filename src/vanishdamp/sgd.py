@@ -256,8 +256,8 @@ class DiscretePath:
 
 
 def _compensated_sums(terms, sums):
-    """``sums`` with the running compensated (Kahan) sums of ``terms``,
-    floats or rows, from +0.0 in the order given, appended."""
+    """``sums`` with the running compensated (Kahan) sums of the floats
+    ``terms``, from +0.0 in the order given, appended."""
     total = comp = 0.0
     keep = sums.append
     for term in terms:
@@ -267,16 +267,6 @@ def _compensated_sums(terms, sums):
         total = new
         keep(total)
     return sums
-
-
-def _drift_identity_max(sums: np.ndarray, taus: np.ndarray, hs: np.ndarray, norms) -> float:
-    """The drift identity of a finished run (see ``DiscretePath``) from the
-    (N, n) compensated sums of eps_n g_n, which it overwrites.  NaN gaps
-    and magnitudes are skipped, as a step loop's ``>`` tests skip them."""
-    closed = np.divide(sums, taus[:-1, None], out=sums)
-    scale = np.fmax(np.fmax.accumulate(norms(closed)), 0.0)
-    gaps = norms(np.subtract(hs[1:], closed, out=closed)) / np.where(scale > 0.0, scale, 1.0)
-    return float(np.fmax.reduce(gaps, initial=0.0))
 
 
 def run_recursion(
@@ -290,9 +280,8 @@ def run_recursion(
 
     The clock, the compensated prefix sums of the step sizes, is summed
     before the loop, and the drift average is checked against its closed
-    form after it.  For n=1 the loop runs on floats and keeps the closed
-    form's compensated sum itself, cheaper than a second pass.  For n >= 2
-    it records the rows eps_n g_n, and keeps h and g in one (2, n) buffer
+    form after it, from the rows eps_n g_n the loop records.  For n=1 the
+    loop runs on floats; for n >= 2 it keeps h and g in one (2, n) buffer
     so that one multiply by eps_n and one divide by tau_n serve both terms
     of h's update.  The gradient, the finiteness test and the row norms are
     those :func:`vanishdamp.integrate.state_ops` binds.
@@ -307,11 +296,10 @@ def run_recursion(
     clock = _compensated_sums(sizes, array("d"))
     if dim == 1:
         h, x = 0.0, float(start[0])
-        s_sum = c_sum = 0.0  # sum(eps_i g_i) and its compensation
         # packed floats: a list would keep every value as an object
-        h_rows, x_rows, s_rows = array("d", [h]), array("d", [x]), array("d")
-        keep_h, keep_x, keep_s = h_rows.append, x_rows.append, s_rows.append
-        rows = zip(noise.stream(n_steps, 1)[:, 0].tolist(), sizes, clock, islice(sizes, 1, None))
+        h_rows, x_rows, eg_rows = array("d", [h]), array("d", [x]), array("d")
+        keep_h, keep_x, keep_eg = h_rows.append, x_rows.append, eg_rows.append
+        rows = zip(memoryview(noise.stream(n_steps, 1)[:, 0]), sizes, clock, islice(sizes, 1, None))
         for xi_n, e_n, tau, e_next in rows:
             try:
                 g_n = grad(x) + xi_n
@@ -320,18 +308,14 @@ def run_recursion(
                 raise NonFiniteState(f"recursion diverged at step {len(x_rows) - 1}") from exc
             eg = e_n * g_n
             h = h - e_n * h / tau + eg / tau
-            term = eg - c_sum
-            t_new = s_sum + term
-            c_sum = (t_new - s_sum) - term
-            s_sum = t_new
             # e_next * h is inf or NaN wherever h is, so x is finite only if h is
             x = x - e_next * h
             if not finite(x):
                 raise NonFiniteState(f"recursion diverged at step {len(x_rows)}")
             keep_h(h)
             keep_x(x)
-            keep_s(s_sum)
-        hs, xs, sums = (np.asarray(column)[:, None] for column in (h_rows, x_rows, s_rows))
+            keep_eg(eg)
+        hs, xs, egs = (np.asarray(column)[:, None] for column in (h_rows, x_rows, eg_rows))
     else:
         hs, xs = np.zeros((2, n_steps + 1, dim))
         xs[0] = start
@@ -355,17 +339,18 @@ def run_recursion(
             x = np.subtract(x, np.multiply(e_next, h, out=h_term), out=x_out)
             if not finite(x):
                 raise NonFiniteState(f"recursion diverged at step {n + 1}")
-        # the sums run on floats a component at a time (about 0.1 us a value)
-        # up to n = 12, and on (n,) rows (about 2 us a row) above
-        sums = np.empty_like(egs)
-        if dim > 12:
-            sums[...] = _compensated_sums(egs, [])
-        else:
-            for column, c in zip(sums.T, egs.T):
-                column[...] = _compensated_sums(memoryview(c), array("d"))
 
+    # the drift identity (see DiscretePath): the closed form's sums on floats
+    # a component at a time, in place; np.fmax skips NaN gaps and magnitudes
+    # as a step loop's `>` tests skip them
+    for c in egs.T:
+        c[...] = _compensated_sums(memoryview(c), array("d"))
     taus = np.asarray(clock)
-    worst = _drift_identity_max(sums, taus, hs, ops.norms)
+    closed = np.divide(egs, taus[:-1, None], out=egs)
+    scale = np.fmax.accumulate(ops.norms(closed))
+    scale[~(scale > 0.0)] = 1.0
+    gaps = ops.norms(np.subtract(hs[1:], closed, out=closed)) / scale
+    worst = float(np.fmax.reduce(gaps, initial=0.0))
     return DiscretePath(tau=taus, h=hs, x=xs, drift_identity_max=worst, steps=steps, noise=noise)
 
 

@@ -330,9 +330,8 @@ def test_moved_check_matches_the_in_loop_form_bitwise(n):
     # x, h, tau and drift_identity_max equal the in-loop reference bit for
     # bit: for constant and decaying steps, with and without noise, from a
     # generic start, from a start holding -0.0 components, and from the
-    # zero-drift start, where the drift's scale stays 0.  n = 1 keeps the
-    # closed form's sums in its loop; n = 2 and 3 sum them after it a
-    # component at a time, and n = 64 a row at a time.
+    # zero-drift start, where the drift's scale stays 0.  Every n sums the
+    # closed form after the loop, a component at a time.
     generic = np.linspace(-1.1, 0.8, n) if n > 1 else [0.6]
     signed = np.where(np.arange(n) % 2 == 0, -0.0, 0.4)
     runs = [(PPower(3.0, n=n), steps, NoiseModel(sigma, seed=7 if sigma else 0), x0)
