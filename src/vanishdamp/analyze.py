@@ -115,8 +115,8 @@ def upper_bound_check(
     """
     if regime not in ("K1", "K2"):
         raise DomainError(f"regime must be K1 or K2, got {regime!r}")
-    if K <= 0:
-        raise DomainError(f"regime constant must be > 0, got {K}")
+    if not (K > 0 and theta >= 0):
+        raise DomainError(f"need K > 0 and theta >= 0, got {K} and {theta}")
     sched = traj.spec.schedule
     ts = traj.ts
     t_lo = float(ts[0]) if ts[0] > 0 else float(ts[min(1, len(ts) - 1)])
@@ -257,14 +257,14 @@ def occupation_density(
     ref = np.atleast_1d(np.asarray(reference, dtype=float))
     if ref.shape != (traj.n,):
         raise DomainError(f"reference of shape {ref.shape} for dimension {traj.n}")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not (radius > 0 and step > 0):
+        raise DomainError(f"radius and step must be positive, got {radius} and {step}")
     hs = [float(h) for h in horizons]
     if not hs:
         raise DomainError("need at least one horizon")
-    if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])):
+    if not all(h2 > h1 for h1, h2 in zip(hs, hs[1:])):
         raise DomainError("horizons must be strictly increasing")
-    if hs[-1] > traj.ts[-1] or hs[0] <= traj.ts[0]:
+    if not traj.ts[0] < hs[0] <= hs[-1] <= traj.ts[-1]:
         raise DomainError("horizons must lie inside the trajectory span")
     fractions = []
     for T in hs:

@@ -10,11 +10,10 @@ stepping the solver provides:
   * events: the sign changes of the first velocity component (of v for
     n=1), refined on that interpolant to 1e-10 in time (grazing zeros
     that do not flip the sign are not events).
-    The loop detects them and keeps each bracketing step's two end
-    states; whenever EVENT_CHUNK brackets have gathered, and once after
-    the loop, one vectorised Brent pass (the arithmetic of scipy's
-    brentq, so the same bits) refines them together and keeps only each
-    event's time and state;
+    The step loops record their steps; whenever EVENT_CHUNK have
+    gathered, and after the loop, one pass over them (_Output) finds the
+    events and refines their brackets together by a vectorised Brent
+    search (scipy's brentq's arithmetic, so the same bits);
   * a running dissipation integral int_0^t a |x'|^2, integrated as one
     more component of the system by the step's own eighth-order weights
     (from the stage rates and velocities the step already has),
@@ -23,10 +22,9 @@ stepping the solver provides:
     most MAX_STORED_SAMPLES states, events are never thinned.  For n=1 a
     run holds 40 bytes per stored sample (t, x, v, x'' and the dissipation
     packed as floats; the energy adds 8 after the loop), 24 bytes per
-    event (t, x, v; the energy adds 8), and fewer than EVENT_CHUNK = 4096
-    unrefined brackets of about 300 bytes each (the step's times and its
-    two end states (x, v, x'')).
-    The returned arrays take over the packed columns without a copy;
+    event (t, x, v; the energy adds 8), and at most EVENT_CHUNK = 16384
+    recorded steps of 40 bytes, with about 370 a bracket among them while
+    the pass runs.  The returned arrays take over the columns uncopied;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
@@ -34,27 +32,29 @@ There are two steppers with one arithmetic.  For n=1 (the hot case; long
 double-well sweeps spend millions of steps here) _run runs the stages as
 unrolled sums on plain floats, where the interpreter's own work per call
 is the cost, so it drops every call it can drop without changing a bit:
-its maximum is a local function, not the builtin, the step-size clamps
-are conditional expressions, and the last stage's rate and the accepted
-state's magnitudes are reused.  Stage positions go straight into the
-gradient, unnamed.  For n >= 2, where a numpy call costs far more than
-its arithmetic, _run_array keeps the state (x, v) in one (2n,) array and
-the stage rates in one (12, 2n) buffer, so that a stage, the solution,
-the error estimates and the dissipation increment are each one weighted
-np.add.reduce over buffer rows: O(stages) numpy calls an attempt,
-whatever n is.  Such a reduce adds the rows in index order, the order of
-the unrolled sums, so the n >= 2 stepper gives the bits of _run's lines
-run elementwise on (n,) arrays; a BLAS dot would sum in its own order.
+the step-size clamps and error scales are conditional expressions, not
+min and max, the last stage's rate and the accepted state's magnitudes
+are reused, and an accepted step makes one call, to record itself.
+Stage positions go straight into the gradient, unnamed.  For n >= 2,
+where a numpy call costs far more than its arithmetic, _run_array keeps
+the state (x, v) in one (2n,) array and the stage rates in one (12, 2n)
+buffer, so that a stage, the solution, the error estimates and the
+dissipation increment are each one weighted np.add.reduce over buffer
+rows: O(stages) numpy calls an attempt, whatever n is.  Such a reduce
+adds the rows in index order, the order of the unrolled sums, so the
+n >= 2 stepper gives the bits of _run's lines run elementwise on (n,)
+arrays; a BLAS dot would sum in its own order.
 Both evaluate the potential's unchecked closures, not its validated
-methods, and share the start (_start) and the output (_finish); the few
-operations that depend on how a state is held (gradient, energy,
-finiteness, row norms, event component, sample columns) are bound once per
-run by state_ops.
+methods, and share the start (_start) and the output (_Output), where
+the event and thinning rules are written once; the few operations that
+depend on how a state is held (gradient, energy, finiteness, row norms,
+columns and their reading) are bound once per run by state_ops.
 """
 
 from __future__ import annotations
 
 import math
+import traceback
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
@@ -76,13 +76,15 @@ from .schedule import DampingSchedule, PowerLaw
 BOOTSTRAP_H0 = 1.0e-6
 MAX_STORED_SAMPLES = 100_000
 EVENT_TIME_TOL = 1.0e-10
-# event brackets refined together inside the step loop
-EVENT_CHUNK = 4096
+# recorded steps whose events and stored samples one pass takes
+EVENT_CHUNK = 16384
 # relative tolerance and iteration cap of the event root-finder (brentq's)
 _EVENT_RTOL = 8.9e-16
 _EVENT_MAXITER = 100
 # StepUnderflow when h < MIN_STEP_FRACTION * t_end
 MIN_STEP_FRACTION = 1.0e-14
+# the values recorded per accepted step: t, x, v, x'' and the dissipation
+_RECORD = 5
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -296,12 +298,12 @@ class Trajectory(_ReadOnlyArrays):
     n: int
 
     def _pieces(self, times):
-        """The end samples of the piece holding each query time, the
-        piece lengths and the offsets in [0, 1], shaped to broadcast
-        against (m, n) rows."""
+        """The end samples of the piece holding each query time (a NaN
+        time is outside the run), the piece lengths and the offsets in
+        [0, 1], shaped to broadcast against (m, n) rows."""
         tq = np.atleast_1d(np.asarray(times, dtype=float))
         ts = self.ts
-        if tq.min() < ts[0] or tq.max() > ts[-1]:
+        if not np.all((ts[0] <= tq) & (tq <= ts[-1])):
             raise DomainError(
                 f"dense evaluation outside [{ts[0]:.6g}, {ts[-1]:.6g}]"
             )
@@ -355,13 +357,14 @@ class StateOps(NamedTuple):
     potential's float closures; for n >= 2 it is an (n,) array and they
     are numpy calls and the potential's array closures, each chosen for
     the least fixed cost at the bits of its checked form.  The n = 1
-    stepper, the n >= 2 stepper and the recursion read them.
+    stepper, the n >= 2 stepper, their output and the recursion read them.
 
-    ``column`` makes the growable sequence the steppers store samples and
-    events in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
-    value, against 32 for a list of boxed floats), a list of (n,) arrays
-    for n >= 2.  Both append, thin by ``[::2]``, insert at 0 and convert
-    with ``np.asarray`` alike, the packed one without a copy.
+    ``column`` makes the growable sequence that steps, samples and events
+    are kept in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
+    value, against 32 for a list of boxed floats), a list of floats and
+    (n,) arrays for n >= 2.  Both extend, slice with a step, insert at 0
+    and convert with ``np.asarray`` alike, the packed one without a copy,
+    as ``field`` and ``firsts`` read recorded steps (_RECORD values each).
     """
 
     states: Callable  # array of (n,) rows -> float(s) or array
@@ -369,8 +372,9 @@ class StateOps(NamedTuple):
     energy: Callable  # (x, v) -> |v|^2 / 2 + G(x)
     finite: Callable  # every component finite
     norms: Callable  # (m, n) array -> the Euclidean norm of each row
-    project: Callable  # the first component, whose sign changes are events; a float
     column: Callable  # iterable of states -> a growable column holding them
+    field: Callable  # (records, j) -> value j of every record, (m,) or (m, n)
+    firsts: Callable  # records -> the first component of each v, whose sign changes are events
 
 
 def state_ops(pot: Potential) -> StateOps:
@@ -383,8 +387,9 @@ def state_ops(pot: Potential) -> StateOps:
             energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
             norms=lambda a: np.abs(a[:, 0]),
-            project=float,
             column=partial(array, "d"),
+            field=lambda records, j: np.frombuffer(records)[j::_RECORD],
+            firsts=lambda records: np.frombuffer(records)[2::_RECORD],
         )
     return StateOps(
         states=lambda a: np.asarray(a, dtype=float),
@@ -392,8 +397,9 @@ def state_ops(pot: Potential) -> StateOps:
         energy=lambda x, v: 0.5 * float(v.dot(v)) + energy_of(x),
         finite=lambda a: all(map(math.isfinite, a.tolist())),
         norms=row_norms,
-        project=lambda w: float(w[0]),
         column=list,
+        field=lambda records, j: np.array(records[j::_RECORD]),
+        firsts=lambda records: np.array(records[2::_RECORD])[:, 0],
     )
 
 
@@ -488,12 +494,10 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     stats.
     """
     rate = spec.schedule.rate_fn()
-    g, all_finite, project, column = ops.grad, ops.finite, ops.project, ops.column
-    n, two_n, total = 1, 2.0, float  # a float is its own component sum
+    g, all_finite = ops.grad, ops.finite
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
-    stride = 1
     h_min = MIN_STEP_FRACTION * t_end
 
     (
@@ -510,9 +514,6 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
     q1, _, _, _, _, q6, q7, q8, q9, q10, q11, q12 = _B
 
-    def maximum(a, b):  # what the builtin max returns, at less cost per call
-        return b if b > a else a
-
     t, x, v = t0, x0, v0
     k1x = v
     r1, k1v, h = _start(spec, ops, rate, t, x, v)
@@ -520,28 +521,18 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     diss = diss0
     diss_c = 0.0  # Kahan compensation
 
-    ts = column((t,))
-    xs = column((x,))
-    vs = column((v,))
-    accs = column((k1v,))
-    ds = column((diss,))
-    events = (column(), column(), column())  # t, x, v of each event, in time order
-    brackets = []  # sign changes inside a step not yet refined, fewer than EVENT_CHUNK
-    failure = None  # what refining raised in the loop, raised after it
-    w = project(v)
-    last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
-    pending_zero = None
+    out = _Output(ops, 1, (t, x, v, k1v, diss))
+    record, chunk = out.records.extend, EVENT_CHUNK
 
     accepted = rejected = 0
-    since_store = 0
     just_rejected = False
     facold = 1.0e-4
     # |x| and |v| of the accepted state, for the error norm of the next steps
     ax, av = abs(x), abs(v)
 
-    # The step-size clamps below are conditional expressions, not min and
-    # max: each one returns what the builtin call it stands for returns
-    # (min(a, b) is b if b < a else a; max(a, b) is b if b > a else a).
+    # The step-size clamps and error scales below are conditional
+    # expressions, not min and max: each returns what the builtin call it
+    # stands for returns (min(a, b) is b if b < a else a; max likewise).
     while t < t_end:
         if accepted + rejected >= max_steps:
             raise MaxStepsExceeded(
@@ -632,8 +623,8 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
 
         if finite:
             ax_new, av_new = abs(x_new), abs(v_new)
-            sx = atol + rtol * maximum(ax, ax_new)
-            sv = atol + rtol * maximum(av, av_new)
+            sx = atol + rtol * (ax_new if ax_new > ax else ax)
+            sv = atol + rtol * (av_new if av_new > av else av)
             # only squared, so the sign need not go: |e|/s is |e/s| exactly
             ex5 = h * (
                 e5_1 * k1x + e5_6 * k6x + e5_7 * k7x + e5_8 * k8x + e5_9 * k9x + e5_10 * k10x
@@ -653,9 +644,9 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             ) / sv
             # DOP853's norm: the fifth-order estimate, damped where the
             # third-order one is much larger
-            s5 = total(ex5 * ex5 + ev5 * ev5)
-            s3 = total(ex3 * ex3 + ev3 * ev3)
-            norm = s5 / math.sqrt((s5 + 0.01 * s3) * two_n) if s5 else 0.0
+            s5 = ex5 * ex5 + ev5 * ev5
+            s3 = ex3 * ex3 + ev3 * ev3
+            norm = s5 / math.sqrt((s5 + 0.01 * s3) * 2.0) if s5 else 0.0
         else:
             norm = math.inf
         if not norm <= 1.0:
@@ -686,7 +677,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         # dissipation increment: a |v|^2 taken as one more component of the
         # system, integrated by the step's own weights from its stage rates
         # and velocities (eighth order, like the step)
-        inc = h * total(
+        inc = h * (
             q1 * r1 * k1x * k1x + q6 * r6 * k6x * k6x + q7 * r7 * k7x * k7x
             + q8 * r8 * k8x * k8x + q9 * r9 * k9x * k9x + q10 * r10 * k10x * k10x
             + q11 * r11 * k11x * k11x + q12 * r12 * k12x * k12x
@@ -696,59 +687,19 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         diss_c = (tk - diss) - yk
         diss = tk
 
-        # events: the first velocity component flipped sign across this
-        # step.  A bracketed flip keeps the step's data, and _refine_brackets
-        # finds the crossings of EVENT_CHUNK of them at once, or of fewer
-        # ahead of a step that ended exactly on a zero.
-        w_new = project(v_new)
-        if w_new != 0.0:
-            new_sign = 1.0 if w_new > 0.0 else -1.0  # w_new is finite and not 0
-            if last_sign != 0.0 and new_sign != last_sign:
-                if pending_zero is None:
-                    brackets.append((t, t_new, x, v, k1v, x_new, v_new, k13v))
-                if brackets and (pending_zero is not None or len(brackets) >= EVENT_CHUNK):
-                    # held, so that a loop error raised later takes precedence
-                    if failure is None:
-                        try:
-                            _refine_brackets(brackets, events, ops, n)
-                        except Exception as exc:
-                            failure = exc
-                    brackets = []
-                if pending_zero is not None:
-                    for event_column, value in zip(events, pending_zero):
-                        event_column.append(value)
-            last_sign = new_sign
-            pending_zero = None
-        else:
-            pending_zero = (t_new, x_new, v_new)
-
         t, x, v = t_new, x_new, v_new
         k1x, k1v, r1 = v_new, k13v, r13
         accepted += 1
-
-        since_store += 1
-        if since_store >= stride or t >= t_end:
-            ts.append(t)
-            xs.append(x)
-            vs.append(v)
-            accs.append(k1v)
-            ds.append(diss)
-            since_store = 0
-            if len(ts) > MAX_STORED_SAMPLES:
-                ts = ts[::2]
-                xs = xs[::2]
-                vs = vs[::2]
-                accs = accs[::2]
-                ds = ds[::2]
-                stride *= 2
+        record((t, x, v, k1v, diss))  # for the events and samples
+        if accepted % chunk == 0:
+            out.take()
 
         if t < t_end:
             h *= factor
             rest = t_end - t
             h = rest if rest < h else h
 
-    return _finish(ops, n, (ts, xs, vs, accs, ds), (t, x, v, k1v, diss), events, brackets,
-                   failure, SolverStats(accepted, rejected, stride=stride))
+    return out.finish(accepted, rejected)
 
 
 def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
@@ -758,20 +709,19 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
     (x', v') = (v_i, -a(t_i) v_i - grad G(x_i)) is row i of one (12, 2n)
     buffer k.  A stage is y plus h times one np.add.reduce of the
     weighted rows it reads (_STAGES), and the solution and both error
-    estimates are one reduce of the rows they weigh (_WEIGHTS).  Samples
-    and event brackets hold views of y, which is a new array every step,
-    never views of k.  The elementwise operations run along the last
+    estimates are one reduce of the rows they weigh (_WEIGHTS).  The
+    recorded steps hold views of y, which is a new array every step, never
+    views of k.  The elementwise operations run along the last
     axis and the stage sums along the one before it, so that a leading
     member axis can be added to y and k.
     """
     rate = spec.schedule.rate_fn()
-    g, all_finite, project, column = ops.grad, ops.finite, ops.project, ops.column
+    g, all_finite = ops.grad, ops.finite
     n = spec.potential.n
     two_n = 2.0 * n
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
-    stride = 1
     h_min = MIN_STEP_FRACTION * t_end
 
     t = t0
@@ -799,16 +749,10 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
     diss = diss0
     diss_c = 0.0  # Kahan compensation
 
-    ts, xs, vs, accs, ds = (column((value,)) for value in (t, x, v, k1v, diss))
-    events = (column(), column(), column())  # t, x, v of each event, in time order
-    brackets = []  # sign changes inside a step not yet refined, fewer than EVENT_CHUNK
-    failure = None  # what refining raised in the loop, raised after it
-    w = project(v)
-    last_sign = 0.0 if w == 0.0 else math.copysign(1.0, w)
-    pending_zero = None
+    out = _Output(ops, n, (t, x, v, k1v, diss))
+    record, chunk = out.records.extend, EVENT_CHUNK
 
     accepted = rejected = 0
-    since_store = 0
     just_rejected = False
     facold = 1.0e-4
     ay = np.abs(y)  # |y| of the accepted state, for the error norm of the next steps
@@ -895,52 +839,19 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
         diss_c = (tk - diss) - yk
         diss = tk
 
-        # events, as in _run
-        w_new = project(v_new)
-        if w_new != 0.0:
-            new_sign = 1.0 if w_new > 0.0 else -1.0  # w_new is finite and not 0
-            if last_sign != 0.0 and new_sign != last_sign:
-                if pending_zero is None:
-                    brackets.append((t, t_new, x, v, k1v, x_new, v_new, k13v))
-                if brackets and (pending_zero is not None or len(brackets) >= EVENT_CHUNK):
-                    # held, so that a loop error raised later takes precedence
-                    if failure is None:
-                        try:
-                            _refine_brackets(brackets, events, ops, n)
-                        except Exception as exc:
-                            failure = exc
-                    brackets = []
-                if pending_zero is not None:
-                    for event_column, value in zip(events, pending_zero):
-                        event_column.append(value)
-            last_sign = new_sign
-            pending_zero = None
-        else:
-            pending_zero = (t_new, x_new, v_new)
-
         t, y, x, v, k1v = t_new, y_new, x_new, v_new, k13v
         first_x[...], first_v[...], rates[0] = v, k1v, r13
         accepted += 1
-
-        since_store += 1
-        if since_store >= stride or t >= t_end:
-            ts.append(t)
-            xs.append(x)
-            vs.append(v)
-            accs.append(k1v)
-            ds.append(diss)
-            since_store = 0
-            if len(ts) > MAX_STORED_SAMPLES:
-                ts, xs, vs, accs, ds = ts[::2], xs[::2], vs[::2], accs[::2], ds[::2]
-                stride *= 2
+        record((t, x, v, k1v, diss))  # as in _run
+        if accepted % chunk == 0:
+            out.take()
 
         if t < t_end:
             h *= factor
             rest = t_end - t
             h = rest if rest < h else h
 
-    return _finish(ops, n, (ts, xs, vs, accs, ds), (t, x, v, k1v, diss), events, brackets,
-                   failure, SolverStats(accepted, rejected, stride=stride))
+    return out.finish(accepted, rejected)
 
 
 def _start(spec: SystemSpec, ops: StateOps, rate: Callable, t: float, x, v):
@@ -976,31 +887,125 @@ def _start(spec: SystemSpec, ops: StateOps, rate: Callable, t: float, x, v):
     return r1, k1v, h
 
 
-def _finish(ops: StateOps, n: int, samples, last, events, brackets, failure, stats: SolverStats):
-    """The columns and stats a stepper returns, from its stored
-    ``samples`` (t, x, v, x'', dissipation), the ``last`` accepted state
-    in that order, which is stored unless it already is, and its refined
-    ``events`` and unrefined ``brackets``.  A refinement error held by
-    the loop (``failure``) is raised here."""
-    ts, xs, vs, accs, ds = samples
-    if ts[-1] != last[0]:
-        for column, value in zip(samples, last):
-            column.append(value)
-    # the start and the first-step estimate, then twelve stages an attempt
-    stats.rhs_evals = 2 + 12 * (stats.accepted + stats.rejected)
-    es = ops.column(map(ops.energy, xs, vs))  # of the samples thinning kept
-    if failure is not None:
-        raise failure
-    if brackets:
-        _refine_brackets(brackets, events, ops, n)
-    et, ex, ev = events
-    return ts, xs, vs, accs, es, ds, et, ex, ev, ops.column(map(ops.energy, ex, ev)), stats
+def _turns(w, up):
+    """The event rule on first velocity components ``w``, given whether
+    the last nonzero one before them is > 0 (``up``; None if there is
+    none): the indices k of the nonzero components whose sign differs from
+    the last nonzero one's, whether w[k - 1] is nonzero too (the step to k
+    then brackets a crossing; else the zero's state is the event, and a
+    zero the sign does not cross makes none), and ``up`` after w."""
+    rows = w.nonzero()[0]
+    ups = (w > 0.0)[rows]
+    if up is not None and w[0] == 0.0:  # the sign before w[0]
+        rows, ups = np.concatenate(([-1], rows)), np.concatenate(([up], ups))
+    turns = np.flatnonzero(ups[1:] != ups[:-1]) + 1
+    k = rows[turns]
+    return k, rows[turns - 1] == k - 1, bool(ups[-1]) if len(ups) else up
 
 
-def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
-    """Append the time, position and velocity of the crossing in each
-    bracket, a step's (t, t_new, x, v, x'', x_new, v_new, x''_new), to the
-    three columns ``events``.
+class _Output:
+    """A run's events and stored samples, taken from its recorded steps.
+
+    A stepper appends each accepted step's (t, x, v, x'', dissipation) to
+    ``records``, which start with the step before them, calls ``take``
+    whenever EVENT_CHUNK steps have gathered and ``finish`` after its
+    loop.  Each call is one numpy pass over the steps and gives what these
+    rules give applied one step at a time: the event rule of _turns, and
+    a step is stored when it is the stride-th since the last stored one,
+    as is the step that reaches t_end; when that makes more than
+    MAX_STORED_SAMPLES samples, every other one is dropped and the stride
+    doubles, but the step that reaches t_end is kept.  An error of the
+    event pass (its refinement can fail) is held until ``finish``, so
+    that an error the loop raises later takes precedence.
+    """
+
+    def __init__(self, ops: StateOps, n: int, start):
+        self.ops, self.n = ops, n
+        self.records = ops.column(start)
+        self.kept = [ops.column((value,)) for value in start]  # t, x, v, x'', dissipation
+        self.events = (ops.column(), ops.column(), ops.column())  # t, x, v, in time order
+        self.up = None  # whether the last nonzero first velocity component is > 0
+        self.since = 0  # steps since the last stored one
+        self.stride = 1
+        self.failure = None
+
+    def take(self) -> None:
+        """Take the events and samples from the records gathered, and keep
+        only the last record."""
+        records = self.records
+        if self.failure is None:
+            try:
+                self._events(records)
+            except Exception as exc:
+                traceback.clear_frames(exc.__traceback__)  # whose views pin the records
+                self.failure = exc
+            self._keep(records, len(records) // _RECORD - 1)
+        del records[:-_RECORD]  # in place: a new column each chunk fragments the heap
+
+    def _events(self, records) -> None:
+        ops, n = self.ops, self.n
+        k, crossing, self.up = _turns(ops.firsts(records), self.up)
+        t, x, v = (ops.field(records, j) for j in range(3))
+        te, xe, ve = t[k - 1], x[k - 1].reshape(-1, n), v[k - 1].reshape(-1, n)
+        if crossing.any():
+            i = k[crossing]
+            a = ops.field(records, 3)
+            ends = (s[r].reshape(-1, n) for r in (i - 1, i) for s in (x, v, a))
+            te[crossing], xe[crossing], ve[crossing] = _refine_brackets(t[i - 1], t[i], *ends)
+        et, ex, ev = self.events
+        et.extend(te.tolist())
+        ex.extend(ops.states(xe))
+        ev.extend(ops.states(ve))
+
+    def _keep(self, records, m: int) -> None:
+        last = -self.since  # the record of the last stored step
+        while True:
+            room = MAX_STORED_SAMPLES + 1 - len(self.kept[0])  # stores until thinning
+            rows = range(last + self.stride, m + 1, self.stride)[:room]
+            self._store(records, rows)
+            last = rows[-1] if rows else last
+            if len(rows) < room:
+                break
+            self._thin()
+        self.since = m - last
+
+    def _store(self, records, rows: range) -> None:
+        for j, column in enumerate(self.kept):
+            column += records[_RECORD * rows.start + j:_RECORD * rows.stop:_RECORD * rows.step]
+
+    def _thin(self) -> None:
+        for column in self.kept:
+            del column[1::2]  # in place: the kept half is never copied
+        self.stride *= 2
+
+    def finish(self, accepted: int, rejected: int):
+        """The columns of the stored samples (t, x, v, x'', energy,
+        dissipation) and of the events (t, x, v, energy), then the stats;
+        a held refinement error is raised here."""
+        if len(self.records) > _RECORD:
+            self.take()
+        end = range(1)  # the one record left: the step that reached t_end
+        if self.since:
+            self._store(self.records, end)
+            if len(self.kept[0]) > MAX_STORED_SAMPLES:
+                self._thin()
+        if self.kept[0][-1] != self.records[0]:
+            self._store(self.records, end)
+        ops = self.ops
+        ts, xs, vs, accs, ds = self.kept
+        # the start and the first-step estimate, then twelve stages an attempt
+        stats = SolverStats(accepted, rejected, 2 + 12 * (accepted + rejected), self.stride)
+        es = ops.column(map(ops.energy, xs, vs))  # of the samples thinning kept
+        if self.failure is not None:
+            raise self.failure
+        et, ex, ev = self.events
+        return ts, xs, vs, accs, es, ds, et, ex, ev, ops.column(map(ops.energy, ex, ev)), stats
+
+
+def _refine_brackets(t, t_new, x0, v0, a0, x1, v1, a1):
+    """The time, position and velocity of the crossing in each bracket, a
+    step from (t, x0, v0, a0) to (t_new, x1, v1, a1): (m,) times and
+    (m, n) states, a0 and a1 the accelerations x''.
 
     Every crossing is found at once by _brentq_batch on the first velocity
     component of the step's quintic Hermite, the interpolant
@@ -1009,9 +1014,6 @@ def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
     and one scalar interpolation per event, however the brackets are
     grouped.
     """
-    t, t_new, x0, v0, a0, x1, v1, a1 = (np.array(column) for column in zip(*brackets))
-    m = len(t)
-    x0, v0, a0, x1, v1, a1 = (a.reshape(m, n) for a in (x0, v0, a0, x1, v1, a1))
     dx = x1 - x0
     dt = t_new - t
     wdx, w0, w1, wa0, wa1 = (a[:, 0] for a in (dx, v0, v1, a0, a1))
@@ -1020,12 +1022,9 @@ def _refine_brackets(brackets, events, ops: StateOps, n: int) -> None:
         return _quintic_v(wdx[i], w0[i], w1[i], wa0[i], wa1[i], dt[i], (tau - t[i]) / dt[i])
 
     te = _brentq_batch(wq, t, t_new, EVENT_TIME_TOL, _EVENT_RTOL, _EVENT_MAXITER)
-    th = ((te - t) / dt).reshape(m, 1)
-    dt = dt.reshape(m, 1)
-    et, ex, ev = events
-    et.extend(te.tolist())
-    ex.extend(ops.states(_quintic_x(x0, x1, v0, v1, a0, a1, dt, th)))
-    ev.extend(ops.states(_quintic_v(dx, v0, v1, a0, a1, dt, th)))
+    th = ((te - t) / dt)[:, None]
+    dt = dt[:, None]
+    return te, _quintic_x(x0, x1, v0, v1, a0, a1, dt, th), _quintic_v(dx, v0, v1, a0, a1, dt, th)
 
 
 def _brentq_batch(f, xa, xb, xtol: float, rtol: float, maxiter: int) -> np.ndarray:

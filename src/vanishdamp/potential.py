@@ -559,10 +559,10 @@ def check_base_inequality(
     The quadratic with theta=1/2 and the p-power with theta=1/p (z=0) hold
     as closed-form identities and are tagged Analytic.
     """
-    if theta < 0:
+    if not theta >= 0:
         raise DomainError(f"theta must be >= 0, got {theta}")
-    if probes < 1:
-        raise DomainError("need at least one probe")
+    if not (probes >= 1 and radius > 0):
+        raise DomainError(f"need a probe and a positive radius, got {probes} and {radius}")
     zp = pot._as_point(z)
     gz = pot.grad(zp)
     if float(np.linalg.norm(gz)) > 1.0e-8:
@@ -611,7 +611,7 @@ def check_strong_convexity_window(
     """
     if pot.n != 1:
         raise DomainError("strong convexity window check is 1D only")
-    if eps <= 0 or delta <= 0:
+    if not (eps > 0 and delta > 0):
         raise DomainError("need eps > 0 and delta > 0")
     sgn = -1.0 if concave else 1.0
     xs = np.linspace(xstar - eps, xstar + eps, 200)

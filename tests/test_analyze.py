@@ -28,6 +28,8 @@ from vanishdamp import (
     UnsupportedError,
     Zero,
     cesaro_mean,
+    check_base_inequality,
+    check_strong_convexity_window,
     classify_limit,
     energy_gap_series,
     integrate,
@@ -279,6 +281,31 @@ def test_density_validation():
         occupation_density(traj, 0.0, 0.1, [10.0, 1000.0])
     with pytest.raises(DomainError):
         occupation_density(traj, 0.0, 0.1, [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda traj: check_base_inequality(Quadratic(1), math.nan, [0.0]),
+        lambda traj: check_base_inequality(Quadratic(1), 0.5, [0.0], radius=math.nan),
+        lambda traj: check_strong_convexity_window(DoubleWell(), 1.0, math.nan, 0.7),
+        lambda traj: upper_bound_check(traj, 0.5, "K1", math.nan),
+        lambda traj: upper_bound_check(traj, math.nan, "K1", 1.0),
+        lambda traj: occupation_density(traj, 0.0, math.nan, [10.0]),
+        lambda traj: occupation_density(traj, 0.0, 0.1, [math.nan]),
+        lambda traj: occupation_density(traj, 0.0, 0.1, [10.0, math.nan, 20.0]),
+        lambda traj: occupation_density(traj, 0.0, 0.1, [10.0], step=math.nan),
+        lambda traj: occupation_density(traj, 0.0, 0.1, [10.0], step=0.0),
+    ],
+    ids=["base_theta", "base_radius", "window_eps", "upper_K", "upper_theta", "density_radius",
+         "density_horizon", "density_inner_horizon", "density_step_nan", "density_step_zero"],
+)
+def test_nan_and_zero_parameters_are_refused(call, decay_run):
+    # each bound is written so that NaN fails it; a NaN radius made
+    # check_base_inequality's probe loop run forever, a NaN theta gave
+    # upper_bound_check a NaN rate
+    with pytest.raises(DomainError):
+        call(decay_run)
 
 
 def test_cesaro_mean_of_step():

@@ -164,6 +164,17 @@ def test_dense_output_between_samples(j_run):
         j_run.positions_at([50.0 + 1e-9])
 
 
+def test_dense_output_refuses_nan_and_takes_no_times(j_run):
+    # a NaN time is outside the run, whatever else is queried with it, and
+    # no times give no rows
+    for traj in (j_run, integrate(_SLANTED_EVENTS[0])):
+        for evaluate in (traj.positions_at, traj.velocities_at):
+            for times in ([math.nan], [1.0, math.nan]):
+                with pytest.raises(DomainError, match="dense evaluation outside"):
+                    evaluate(times)
+            assert evaluate([]).shape == (0, traj.n)
+
+
 def test_event_spacing_approaches_pi(j_run_long):
     # velocity sign changes of the oscillatory linear solution settle to
     # spacing pi (two per period)
@@ -616,8 +627,9 @@ def test_thinned_dense_output_matches_the_unthinned_run(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
 def test_event_chunks_move_no_bit(chunk, well_run, monkeypatch):
-    # brackets are refined in chunks of EVENT_CHUNK inside the step loop;
-    # where the chunks end must not change a bit of any run
+    # events and samples are taken from chunks of EVENT_CHUNK recorded
+    # steps during the step loop; where the chunks end must not change a
+    # bit of any run
     if chunk is not None:
         monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
     traj = integrate(well_run.spec)
@@ -652,7 +664,12 @@ def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipati
 
     def snapped(pot):
         ops = state_ops(pot)
-        return ops._replace(project=lambda w: 0.0 if abs(ops.project(w)) < snap else ops.project(w))
+
+        def firsts(records):
+            w = ops.firsts(records)
+            return np.where(np.abs(w) < snap, 0.0, w)
+
+        return ops._replace(firsts=firsts)
 
     monkeypatch.setattr(_integrate_module, "state_ops", snapped)
     if chunk is not None:
@@ -700,20 +717,25 @@ def test_step_loop_call_count_is_bounded(calls_from):
     # dissipation took three more rates on the interpolant and the error
     # norm called abs, 37.17 when the step-size clamps still called min and
     # max).  36.63 since the start and the output are helpers, shared with
-    # the n >= 2 stepper, whose calls _run's frame no longer makes.
+    # the n >= 2 stepper, whose calls _run's frame no longer makes; 30.00
+    # since an accepted step makes one call to record itself, for the
+    # event component and the five sample appends it made, and the error
+    # norm and the dissipation call no float() or local maximum.
     attempts, calls = _calls_per_attempt(calls_from, _integrate_module._run, _WELL_SHORT)
     assert attempts == 1935
-    assert calls <= 37.8
+    assert calls <= 30.1
 
 
 def test_array_step_call_count_is_bounded(calls_from):
     # The same guard for the n >= 2 stepper, on the n = 3 run of the
     # ppower_n3 pin: a reduce and a take, the rate and the gradient per
-    # stage, and the error norm, events and dissipation once an attempt.
-    # The bound is what _run_array reaches (62.40 here).  The hook counts
-    # calls, not array operators: the array stepper this one replaced,
-    # which ran _run's unrolled sums on (n,) arrays with about 300
-    # operators an attempt, made 39.86 calls an attempt on this run.
+    # stage, and the error norm, dissipation and the step's record once an
+    # attempt.  The bound is what _run_array reaches (56.72 here; 62.40
+    # while it took the event component and appended each sample's five
+    # values itself).  The hook counts calls, not array operators: the
+    # array stepper this one replaced, which ran _run's unrolled sums on
+    # (n,) arrays with about 300 operators an attempt, made 39.86 calls an
+    # attempt on this run.
     spec = SystemSpec(
         schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3),
         x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
@@ -721,7 +743,7 @@ def test_array_step_call_count_is_bounded(calls_from):
     )
     attempts, calls = _calls_per_attempt(calls_from, _integrate_module._run_array, spec)
     assert attempts == 208
-    assert calls <= 62.5
+    assert calls <= 56.8
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 256])
@@ -771,8 +793,8 @@ def test_array_sums_are_left_folds_in_stage_order(n):
 
 
 def test_refinement_errors_yield_to_loop_errors(monkeypatch):
-    # a chunk refined inside the loop that fails is raised after the loop,
-    # so an error of the loop itself still comes first
+    # a chunk whose refinement fails during the loop is raised after the
+    # loop, so an error of the loop itself still comes first
     calls = []
 
     def failing(*args):
@@ -790,14 +812,117 @@ def test_refinement_errors_yield_to_loop_errors(monkeypatch):
     assert calls == [0]
 
 
+def _step_by_step(ws, cap):
+    """The event and thinning rules applied one step at a time, as a step
+    loop would, to steps ending at t = 1, ..., N on the first velocity
+    components ws[1:] (ws[0]: the start's).  Returns the events in time
+    order (a step k that brackets a crossing as k - 0.5, a step j whose
+    exact zero is the event as j), the stored steps and the stride."""
+    events = []
+    last_sign = 0.0 if ws[0] == 0.0 else math.copysign(1.0, ws[0])
+    pending_zero = None
+    stored, stride, since = [0], 1, 0
+    end = len(ws) - 1
+    for k in range(1, end + 1):
+        if ws[k] != 0.0:
+            sign = 1.0 if ws[k] > 0.0 else -1.0
+            if last_sign != 0.0 and sign != last_sign:
+                events.append(k - 0.5 if pending_zero is None else pending_zero)
+            last_sign, pending_zero = sign, None
+        else:
+            pending_zero = k
+        since += 1
+        if since >= stride or k == end:
+            stored.append(k)
+            since = 0
+            if len(stored) > cap:
+                stored, stride = stored[::2], 2 * stride
+    if stored[-1] != end:
+        stored.append(end)
+    return events, stored, stride
+
+
+def _random_components(rng, steps, start_at_rest):
+    # runs of exact zeros (some crossed, some grazed) between runs of one
+    # sign; +0.0 and -0.0 both
+    ws = [0.0 if start_at_rest else 1.0]
+    while len(ws) <= steps:
+        ws += [float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))] * int(rng.integers(1, 6))
+        if rng.random() < 0.4:
+            ws += [float(rng.choice([0.0, -0.0]))] * int(rng.integers(1, 4))
+    return ws[:steps + 1]
+
+
+@pytest.mark.parametrize("cap", [5, 6, 33])
+@pytest.mark.parametrize("chunk", [1, 2, 7, None], ids=["chunk1", "chunk2", "chunk7", "default"])
+def test_output_pass_matches_the_step_by_step_rules(chunk, cap, monkeypatch):
+    # The output takes events and stored samples from a chunk of recorded
+    # steps at once; it must give what the rules give one step at a time
+    # (_step_by_step): the same steps bracketing crossings, the same
+    # zero-ending steps as events, all in order, and the same stored steps
+    # and stride.  Step k records t = k, x = 1000 + k, v_0 = ws[k],
+    # x'' = 2000 + k and the dissipation 3000 + k; a stand-in refinement
+    # checks that it gets the two ends of each bracket and returns the
+    # midpoint time.  The runs end after every step count to 48, so that
+    # the last step lands on each place of a chunk and of the thinning
+    # (the store of the last step thins the samples and drops it), and
+    # after 196 steps, a chunk edge for chunks 1, 2 and 7.
+    if chunk is not None:
+        monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
+    monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
+
+    def refine(t, t_new, x0, v0, a0, x1, v1, a1):
+        assert np.array_equal(t_new, t + 1.0)
+        for x, a, tt in ((x0, a0, t), (x1, a1, t_new)):
+            assert np.array_equal(x[:, 0], 1000.0 + tt) and np.array_equal(a[:, 0], 2000.0 + tt)
+        assert np.all(v0[:, 0] * v1[:, 0] < 0.0)
+        return 0.5 * (t + t_new), x0, v0
+
+    monkeypatch.setattr(_integrate_module, "_refine_brackets", refine)
+    rng = np.random.default_rng(cap)
+    seen = set()
+    for n, start_at_rest in ((1, False), (1, True), (2, False), (2, True)):
+        ops = state_ops(Quadratic(n))
+        all_ws = _random_components(rng, 197, start_at_rest)
+        for steps in [*range(1, 49), 196, 197]:
+            ws = all_ws[:steps + 1]
+
+            def rec(k):
+                x, v, a = 1000.0 + k, ws[k], 2000.0 + k
+                if n > 1:
+                    x, v, a = np.array([x, -1.0]), np.array([v, 0.5]), np.array([a, 7.0])
+                return float(k), x, v, a, 3000.0 + k
+
+            out = _integrate_module._Output(ops, n, rec(0))
+            record = out.records.extend
+            for k in range(1, steps + 1):
+                record(rec(k))
+                if k % _integrate_module.EVENT_CHUNK == 0:
+                    out.take()
+            ts, xs, vs, accs, es, ds, et, ex, ev, ee, stats = out.finish(steps, 0)
+            events, stored, stride = _step_by_step(ws, cap)
+            assert np.asarray(et).tolist() == events
+            assert np.asarray(ts).tolist() == stored
+            assert np.asarray(xs).reshape(-1, n)[:, 0].tolist() == [1000.0 + k for k in stored]
+            assert np.asarray(ds).tolist() == [3000.0 + k for k in stored]
+            assert stats.stride == stride
+            seen |= {e % 1 == 0 for e in events}  # exact zeros and crossings both
+            seen |= {"graze" for j in range(1, steps) if ws[j] == 0.0 and ws[j + 1] != 0.0
+                     and ws[j - 1] != 0.0 and (ws[j - 1] > 0.0) == (ws[j + 1] > 0.0)}
+    assert seen == {True, False, "graze"}
+
+
 def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
     # Beyond the arrays it returns, a run holds at most one chunk of
-    # unrefined brackets (about 1 KiB each with their refinement's
-    # temporaries) and MAX_STORED_SAMPLES stored samples (five packed
-    # columns, 40 bytes a sample); refined events and kept samples are the
-    # returned arrays themselves.  Keeping every bracket, or boxed floats,
-    # exceeds the bound several times over on this run's 89 events.
-    chunk, cap = 8, 256
+    # recorded steps, 128 bytes a step: 40 for the step's five packed
+    # floats and the rest for the pass over them, about 10 a step for the
+    # event scan and 300 for each bracket it refines (this run brackets
+    # one step in four).  It holds MAX_STORED_SAMPLES stored samples, five
+    # packed columns of 40 bytes a sample; refined events and kept samples
+    # are the returned arrays themselves.  Taking all 351 steps in one
+    # pass (52 KB measured), or boxed floats for the samples, exceeds the
+    # bound; the chunks of 64 took 23 KB.
+    chunk, cap = 64, 256
     monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
     monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
     spec = dataclasses.replace(_WELL_SHORT, t_end=200.0)
@@ -809,12 +934,13 @@ def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(traj.events) == 89 and traj.stats.stride > 1
+    assert traj.stats.accepted == 351
     returned = sum(
         a.nbytes
         for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation,
                   traj.events.time, traj.events.x, traj.events.v, traj.events.energy)
     )
-    assert peak - returned <= 16 * 1024 + 1024 * chunk + 64 * cap
+    assert peak - returned <= 16 * 1024 + 128 * chunk + 64 * cap
 
 
 @pytest.mark.parametrize("n", [2, 3])
