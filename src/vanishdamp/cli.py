@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,20 +48,24 @@ from .workers import Pool
 __all__ = ["main"]
 
 
-# characters written at a time: the encoder never holds a second copy of
-# a whole artifact
+# characters written at a time when an artifact is text: the encoder never
+# holds a second copy of the whole of it.  Bytes (the CSVs) go out as they are
 _WRITE_SLICE = 1 << 20
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
+def _atomic_write(path: Path, data: Union[str, bytes, bytearray]) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
     over ``path``.  A failed write removes the temporary file and leaves
     ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as handle:
-            for start in range(0, len(text), _WRITE_SLICE):
-                handle.write(text[start:start + _WRITE_SLICE])
+        if isinstance(data, str):
+            with open(tmp, "w") as handle:
+                for start in range(0, len(data), _WRITE_SLICE):
+                    handle.write(data[start:start + _WRITE_SLICE])
+        else:
+            with open(tmp, "wb") as handle:
+                handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -80,42 +84,44 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-# rows formatted per block: a whole artifact's cells as strings at once
-# would cost far more memory than its text
-_CSV_BLOCK_ROWS = 4096
+# rows formatted per block: the cells of one block, as strings, stay well
+# under 1 MB
+_CSV_BLOCK_ROWS = 1024
 
 
-def _csv(header: List[str], columns: list) -> str:
-    """CSV text of equal-length columns, formatted ``_CSV_BLOCK_ROWS`` rows
-    at a time: float arrays in shortest round-trip form, ``range`` index
-    columns with ``str``."""
-    parts = [",".join(header) + "\n"]
+def _csv(header: List[str], columns: list) -> bytearray:
+    """ASCII CSV bytes of equal-length columns, formatted
+    ``_CSV_BLOCK_ROWS`` rows at a time onto one buffer, so that the
+    artifact is held once: float arrays in shortest round-trip form,
+    ``range`` index columns with ``str``."""
+    data = bytearray((",".join(header) + "\n").encode("ascii"))
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = [column[lo:lo + _CSV_BLOCK_ROWS] for column in columns]
         # repr of the Python floats tolist() gives is _fmt of each entry
         cells = [map(str, c) if isinstance(c, range) else map(repr, c.tolist()) for c in block]
-        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(parts)
+        data += "\n".join(map(",".join, zip(*cells))).encode("ascii")
+        data += b"\n"
+    return data
 
 
 def _names(prefix: str, n: int) -> List[str]:
     return [f"{prefix}_{i}" for i in range(n)]
 
 
-def _series_csv(traj: Trajectory) -> str:
+def _series_csv(traj: Trajectory) -> bytearray:
     header = ["t", *_names("x", traj.n), *_names("v", traj.n), "E", "a", "gnorm"]
     a = traj.spec.schedule.a_values(traj.ts)
     gnorm = traj.spec.potential.grad_norms(traj.xs)
     return _csv(header, [traj.ts, *traj.xs.T, *traj.vs.T, traj.energies, a, gnorm])
 
 
-def _events_csv(traj: Trajectory) -> str:
+def _events_csv(traj: Trajectory) -> bytearray:
     events = traj.events
     header = ["i", "t", *_names("x", traj.n), "E"]
     return _csv(header, [range(len(events)), events.time, *events.x.T, events.energy])
 
 
-def _path_csv(path: DiscretePath) -> str:
+def _path_csv(path: DiscretePath) -> bytearray:
     header = ["n", "tau", *_names("h", path.dim), *_names("x", path.dim)]
     return _csv(header, [range(len(path.tau)), path.tau, *path.h.T, *path.x.T])
 

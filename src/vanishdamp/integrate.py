@@ -23,8 +23,9 @@ stepping the solver provides:
     run holds 40 bytes per stored sample (t, x, v, x'' and the dissipation
     packed as floats; the energy adds 8 after the loop), 24 bytes per
     event (t, x, v; the energy adds 8), and at most EVENT_CHUNK = 16384
-    recorded steps of 40 bytes, with about 370 a bracket among them while
-    the pass runs.  The returned arrays take over the columns uncopied;
+    recorded steps of 40 bytes, plus about 370 a bracket for the at most
+    _REFINE_SLICE = 4096 brackets refined together while the pass runs.
+    The returned arrays take over the columns uncopied;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
@@ -78,6 +79,9 @@ MAX_STORED_SAMPLES = 100_000
 EVENT_TIME_TOL = 1.0e-10
 # recorded steps whose events and stored samples one pass takes
 EVENT_CHUNK = 16384
+# brackets refined together: the refinement's temporaries stay near 1.5 MB
+# however many of a chunk's steps bracket a crossing
+_REFINE_SLICE = 4096
 # relative tolerance and iteration cap of the event root-finder (brentq's)
 _EVENT_RTOL = 8.9e-16
 _EVENT_MAXITER = 100
@@ -948,10 +952,14 @@ class _Output:
         t, x, v = (ops.field(records, j) for j in range(3))
         te, xe, ve = t[k - 1], x[k - 1].reshape(-1, n), v[k - 1].reshape(-1, n)
         if crossing.any():
-            i = k[crossing]
             a = ops.field(records, 3)
-            ends = (s[r].reshape(-1, n) for r in (i - 1, i) for s in (x, v, a))
-            te[crossing], xe[crossing], ve[crossing] = _refine_brackets(t[i - 1], t[i], *ends)
+            rows = np.flatnonzero(crossing)
+            # slices in index order: the first failing bracket's error is raised
+            for lo in range(0, len(rows), _REFINE_SLICE):
+                at = rows[lo:lo + _REFINE_SLICE]
+                i = k[at]
+                ends = (s[r].reshape(-1, n) for r in (i - 1, i) for s in (x, v, a))
+                te[at], xe[at], ve[at] = _refine_brackets(t[i - 1], t[i], *ends)
         et, ex, ev = self.events
         et.extend(te.tolist())
         ex.extend(ops.states(xe))

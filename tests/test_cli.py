@@ -12,10 +12,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vanishdamp import cli, workers
@@ -455,7 +457,7 @@ PLANE_SGD = BASE.replace("kind = Quadratic\nn = 1", "kind = PPower\np = 4\nn = 3
 )
 
 
-@pytest.mark.parametrize(
+_CSV_PINS = pytest.mark.parametrize(
     "text, pins",
     [
         (WELL_SHORT, {
@@ -469,6 +471,9 @@ PLANE_SGD = BASE.replace("kind = Quadratic\nn = 1", "kind = PPower\np = 4\nn = 3
     ],
     ids=["double_well_n1", "ppower_sgd_n3"],
 )
+
+
+@_CSV_PINS
 def test_csv_bytes_are_pinned(tmp_path, text, pins):
     # SHA-256 of the CSV bytes _series_csv, _events_csv and _path_csv write
     # (shortest round-trip floats): any change to the writers' output, or to
@@ -477,6 +482,39 @@ def test_csv_bytes_are_pinned(tmp_path, text, pins):
     for kind, digest in pins.items():
         data = (tmp_path / f"quadshort_{kind}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, kind
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+@_CSV_PINS
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, text, pins, rows):
+    # the writers format _CSV_BLOCK_ROWS rows at a time; a block of one
+    # row, blocks that do not divide the row count and one block for the
+    # whole artifact give the pinned bytes (the recursion's worker, forked
+    # after the patch, writes the path CSV with the same block size)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", rows)
+    test_csv_bytes_are_pinned(tmp_path, text, pins)
+
+
+def test_csv_holds_one_copy_of_its_text():
+    # _csv formats block by block onto one buffer, so its peak is the
+    # artifact once, the buffer's growth slack and one block's strings:
+    # below 1.5 times the text, where joining a list of block strings
+    # holds the text twice
+    rng = np.random.default_rng(35)
+    rows = 50_000
+    columns = [range(rows), *rng.standard_normal((6, rows))]
+    header = ["i", *(f"c{j}" for j in range(6))]
+    tracemalloc.start()
+    try:
+        data = cli._csv(header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) >= 5_000_000
+    assert peak < 1.5 * len(data)
+    lines = bytes(data).decode("ascii").splitlines()
+    assert lines[0] == "i,c0,c1,c2,c3,c4,c5" and len(lines) == rows + 1
+    assert lines[-1] == ",".join([str(rows - 1), *(repr(float(c[-1])) for c in columns[1:])])
 
 
 def _json_digest(path: Path) -> str:
@@ -582,20 +620,27 @@ def test_run_loads_no_scipy(tmp_path):
 
 
 def test_atomic_write_writes_in_slices(tmp_path):
-    # text longer than one write slice arrives whole, with no temporary left
+    # text longer than one write slice arrives whole, and so do bytes (what
+    # the CSV writers return, written as they are), with no temporary left
     text = "".join(f"{i},{i * 0.1!r}\n" for i in range(150_000))
     assert len(text) > 2 * cli._WRITE_SLICE
-    target = tmp_path / "big.csv"
-    cli._atomic_write(target, text)
-    assert target.read_text() == text
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+    cli._atomic_write(tmp_path / "big.csv", text)
+    assert (tmp_path / "big.csv").read_text() == text
+    data = bytearray(text, "ascii")
+    cli._atomic_write(tmp_path / "big_bytes.csv", data)
+    assert (tmp_path / "big_bytes.csv").read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "big_bytes.csv"]
 
 
-@pytest.mark.parametrize("stage", ["write", "rename"])
-def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage):
+@pytest.mark.parametrize("stage, kind", [
+    pytest.param("write", str, id="write"),
+    pytest.param("rename", str, id="rename"),
+    pytest.param("rename", bytearray, id="rename_bytearray"),
+])
+def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage, kind):
     # a write that fails part way (a character the encoder refuses, after a
     # full slice went out) or at the rename removes its temporary file; an
-    # artifact already there is left as it was
+    # artifact already there is left as it was.  Text and bytes alike
     text = "x" * (cli._WRITE_SLICE + 10)
     if stage == "write":
         text += "\ud800"
@@ -606,12 +651,13 @@ def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage):
 
         monkeypatch.setattr(cli.os, "replace", no_space)
         expected = OSError
+    data = text if kind is str else bytearray(text, "ascii")
     with pytest.raises(expected):
-        cli._atomic_write(tmp_path / "run_series.csv", text)
+        cli._atomic_write(tmp_path / "run_series.csv", data)
     assert list(tmp_path.iterdir()) == []
     (tmp_path / "run_events.csv").write_text("kept\n")
     with pytest.raises(expected):
-        cli._atomic_write(tmp_path / "run_events.csv", text)
+        cli._atomic_write(tmp_path / "run_events.csv", data)
     assert [p.name for p in tmp_path.iterdir()] == ["run_events.csv"]
     assert (tmp_path / "run_events.csv").read_text() == "kept\n"
 

@@ -812,6 +812,34 @@ def test_refinement_errors_yield_to_loop_errors(monkeypatch):
     assert calls == [0]
 
 
+def test_event_refinement_runs_in_bounded_slices(monkeypatch):
+    # An undamped oscillator at a loose tolerance brackets a crossing every
+    # 1.5 steps or so, so its one chunk holds more than _REFINE_SLICE
+    # brackets.  They are refined in slices of at most _REFINE_SLICE, which
+    # bounds the refinement's temporaries, and the slices move no bit: the
+    # run that refines them all at once writes the same trajectory.
+    spec = SystemSpec(Constant(0.0), Quadratic(1), 1.0, 0.0, 2.0e4, rel_tol=1e-3)
+    batches = []
+    brent = _integrate_module._brentq_batch
+
+    def recording(f, xa, *args):
+        batches.append(len(xa))
+        return brent(f, xa, *args)
+
+    monkeypatch.setattr(_integrate_module, "_brentq_batch", recording)
+    sliced = integrate(spec)
+    limit = _integrate_module._REFINE_SLICE
+    assert sliced.stats.accepted < _integrate_module.EVENT_CHUNK  # one chunk
+    assert sum(batches) == len(sliced.events) > limit
+    assert max(batches) == limit
+    batches.clear()
+    monkeypatch.setattr(_integrate_module, "_REFINE_SLICE", _integrate_module.EVENT_CHUNK + 1)
+    whole = integrate(spec)
+    assert batches == [len(whole.events)]
+    assert _trajectory_digest(sliced) == _trajectory_digest(whole)
+    assert _dissipation_digest(sliced) == _dissipation_digest(whole)
+
+
 def _step_by_step(ws, cap):
     """The event and thinning rules applied one step at a time, as a step
     loop would, to steps ending at t = 1, ..., N on the first velocity
