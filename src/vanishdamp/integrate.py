@@ -48,7 +48,7 @@ arrays; a BLAS dot would sum in its own order.
 Both evaluate the potential's unchecked closures, not its validated
 methods, and share the start (_start) and the output (_Output), where
 the event and thinning rules are written once; the few operations that
-depend on how a state is held (gradient, energy, finiteness, row norms,
+depend on how a state is held (gradient, finiteness, row norms,
 columns and their reading) are bound once per run by state_ops.
 """
 
@@ -71,7 +71,7 @@ from .errors import (
     StepUnderflow,
     UnsupportedError,
 )
-from .potential import Potential, row_norms
+from .potential import Potential, row_dots
 from .schedule import DampingSchedule, PowerLaw
 
 BOOTSTRAP_H0 = 1.0e-6
@@ -82,6 +82,8 @@ EVENT_CHUNK = 16384
 # brackets refined together: the refinement's temporaries stay near 1.5 MB
 # however many of a chunk's steps bracket a crossing
 _REFINE_SLICE = 4096
+# stored states whose G one call takes: its temporaries stay near 100 KB
+_ENERGY_BLOCK = 4096
 # relative tolerance and iteration cap of the event root-finder (brentq's)
 _EVENT_RTOL = 8.9e-16
 _EVENT_MAXITER = 100
@@ -373,7 +375,6 @@ class StateOps(NamedTuple):
 
     states: Callable  # array of (n,) rows -> float(s) or array
     grad: Callable  # x -> grad G(x)
-    energy: Callable  # (x, v) -> |v|^2 / 2 + G(x)
     finite: Callable  # every component finite
     norms: Callable  # (m, n) array -> the Euclidean norm of each row
     column: Callable  # iterable of states -> a growable column holding them
@@ -383,12 +384,10 @@ class StateOps(NamedTuple):
 
 def state_ops(pot: Potential) -> StateOps:
     """Bind the dimension-dependent operations for ``pot`` once."""
-    energy_of = pot.energy_fn()
     if pot.n == 1:
         return StateOps(
             states=lambda a: a[..., 0].tolist(),
             grad=pot.grad_fn(),
-            energy=lambda x, v: 0.5 * v * v + energy_of(x),
             finite=math.isfinite,
             norms=lambda a: np.abs(a[:, 0]),
             column=partial(array, "d"),
@@ -398,9 +397,8 @@ def state_ops(pot: Potential) -> StateOps:
     return StateOps(
         states=lambda a: np.asarray(a, dtype=float),
         grad=pot.grad_fn(),
-        energy=lambda x, v: 0.5 * float(v.dot(v)) + energy_of(x),
         finite=lambda a: all(map(math.isfinite, a.tolist())),
-        norms=row_norms,
+        norms=lambda a: np.sqrt(row_dots(a)),
         column=list,
         field=lambda records, j: np.array(records[j::_RECORD]),
         firsts=lambda records: np.array(records[2::_RECORD])[:, 0],
@@ -466,10 +464,7 @@ def _solve(spec: SystemSpec) -> Trajectory:
         # exact-to-O(h0^4) accumulated dissipation and t=0 row
         gn2 = float(g0 @ g0)
         diss0 = c * gn2 * h0 ** 2 / (2.0 * (1.0 + c) ** 2)
-        prelude = (
-            0.0, ops.states(x0), ops.states(np.zeros(n)),
-            ops.states(-g0 / (1.0 + c)), pot.energy(x0), 0.0,
-        )
+        prelude = (0.0, ops.states(x0), ops.states(np.zeros(n)), ops.states(-g0 / (1.0 + c)), 0.0)
     else:
         t0 = 0.0
         y_x, y_v = x0, v0
@@ -483,19 +478,29 @@ def _solve(spec: SystemSpec) -> Trajectory:
         for column, value in zip(columns, prelude):
             column.insert(0, value)
     # a packed n=1 column becomes an array without a copy
-    ts, xs, vs, accs, es, ds, et, ex, ev, ee = (np.asarray(c, dtype=float) for c in columns)
+    ts, xs, vs, accs, ds, et, ex, ev = (np.asarray(c, dtype=float) for c in columns)
+    xs, vs, accs, ex, ev = (c.reshape(-1, n) for c in (xs, vs, accs, ex, ev))
     return Trajectory(
-        ts, xs.reshape(-1, n), vs.reshape(-1, n), accs.reshape(-1, n), es, ds,
-        Events(et, ex.reshape(-1, n), ev.reshape(-1, n), ee), stats, spec, n,
+        ts, xs, vs, accs, _energies(pot, xs, vs), ds,
+        Events(et, ex, ev, _energies(pot, ex, ev)), stats, spec, n,
     )
+
+
+def _energies(pot: Potential, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """|v|^2 / 2 + G(x) of (m, n) states, with the bits of 0.5 * v * v +
+    G(x) on floats for n = 1 and of 0.5 * v.dot(v) + G(x) for n >= 2."""
+    es = 0.5 * vs[:, 0] * vs[:, 0] if pot.n == 1 else 0.5 * row_dots(vs)
+    energy = pot.energy_fn()
+    for lo in range(0, len(es), _ENERGY_BLOCK):
+        es[lo:lo + _ENERGY_BLOCK] += pot.on_rows(energy, xs[lo:lo + _ENERGY_BLOCK])
+    return es
 
 
 def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     """The n = 1 stepper: x, v, the stages and the coefficients are floats.
 
     Returns the ops.column columns of the stored samples (t, x, v, x'',
-    energy, dissipation) and of the events (t, x, v, energy), then the
-    stats.
+    dissipation) and of the events (t, x, v), then the stats.
     """
     rate = spec.schedule.rate_fn()
     g, all_finite = ops.grad, ops.finite
@@ -987,9 +992,9 @@ class _Output:
         self.stride *= 2
 
     def finish(self, accepted: int, rejected: int):
-        """The columns of the stored samples (t, x, v, x'', energy,
-        dissipation) and of the events (t, x, v, energy), then the stats;
-        a held refinement error is raised here."""
+        """The columns of the stored samples (t, x, v, x'', dissipation) and
+        of the events (t, x, v), then the stats; a held refinement error is
+        raised here."""
         if len(self.records) > _RECORD:
             self.take()
         end = range(1)  # the one record left: the step that reached t_end
@@ -999,15 +1004,11 @@ class _Output:
                 self._thin()
         if self.kept[0][-1] != self.records[0]:
             self._store(self.records, end)
-        ops = self.ops
-        ts, xs, vs, accs, ds = self.kept
         # the start and the first-step estimate, then twelve stages an attempt
         stats = SolverStats(accepted, rejected, 2 + 12 * (accepted + rejected), self.stride)
-        es = ops.column(map(ops.energy, xs, vs))  # of the samples thinning kept
         if self.failure is not None:
             raise self.failure
-        et, ex, ev = self.events
-        return ts, xs, vs, accs, es, ds, et, ex, ev, ops.column(map(ops.energy, ex, ev)), stats
+        return (*self.kept, *self.events, stats)
 
 
 def _refine_brackets(t, t_new, x0, v0, a0, x1, v1, a1):

@@ -41,24 +41,13 @@ def _dimension(n) -> int:
     return int(n)
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of an (m, n) array, bit for bit: the root
-    of the row's ndarray.dot with itself, which numpy >= 2's vecdot calls
-    row by row without a Python loop."""
+def row_dots(rows: np.ndarray) -> np.ndarray:
+    """The ndarray.dot of each row of an (m, n) array with itself, bit for
+    bit, which numpy >= 2's vecdot calls row by row without a Python loop;
+    its root is np.linalg.norm of each row."""
     if hasattr(np, "vecdot"):
-        return np.sqrt(np.vecdot(rows, rows))
-    return np.sqrt(np.array([r.dot(r) for r in rows], dtype=float))
-
-
-def _on_column(g: Callable[[float], float], col: np.ndarray) -> np.ndarray:
-    """g at every entry of a 1D array: on Python floats, where the
-    closures give the same bits and run several times faster, unless one
-    overflows there; then on numpy scalars, whose ``**`` gives inf where
-    a Python float's raises OverflowError."""
-    try:
-        return np.fromiter(map(g, col.tolist()), dtype=float, count=len(col))
-    except OverflowError:
-        return np.fromiter(map(g, col), dtype=float, count=len(col))
+        return np.vecdot(rows, rows)
+    return np.array([r.dot(r) for r in rows], dtype=float)
 
 
 class Potential:
@@ -68,7 +57,7 @@ class Potential:
     ``energy_fn()`` and ``grad_fn()``, which the hot loops of the stepper,
     the recursion and the 1D scans call directly.  They take and return
     plain floats for n = 1 and take (n,) float arrays for n >= 2, where
-    the norm is ``row_norms``, np.linalg.norm's own formula; a
+    the norm is the root of ``row_dots``, np.linalg.norm's own formula; a
     closure may return its argument, so callers treat the result as
     read-only.  The validated ``energy(x)`` and ``grad(x)`` check a point
     of shape (n,) and run the same closures, so every way to evaluate
@@ -78,6 +67,9 @@ class Potential:
     n: int
     coercive: bool
     min_value: Optional[float]
+    # whether the n = 1 closures are only +, -, * and /, which round alike
+    # on floats and on arrays, so that on_rows runs them on a whole column
+    elementwise = False
 
     def grad_fn(self) -> Callable:
         raise NotImplementedError
@@ -96,17 +88,32 @@ class Potential:
         g = self.grad_fn()(p[0] if self.n == 1 else p)
         return np.array(g, dtype=float, ndmin=1)  # a copy: the closure may return p
 
+    # an overflow reads as +-inf, and numpy is as silent as float arithmetic
+    @np.errstate(over="ignore", invalid="ignore")
+    def on_rows(self, fn: Callable, xs) -> np.ndarray:
+        """fn, the closure from energy_fn() or grad_fn(), at every row of an
+        (m, n) array with the bits of fn at each row alone: (m,) values, or
+        (m, n) gradients for n >= 2, read-only (they may be xs itself).  An
+        ``elementwise`` kind's fn runs once on a column, any other once a
+        row, on Python floats for n = 1 unless it overflows there; then on
+        numpy scalars, whose ``**`` gives inf where a float's raises."""
+        rows = np.asarray(xs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise DomainError(f"rows of shape {rows.shape} for potential of dimension {self.n}")
+        if self.n > 1:
+            return np.array([fn(x) for x in np.ascontiguousarray(rows)], dtype=float)
+        col = rows[:, 0]
+        if self.elementwise:
+            return fn(col)
+        try:
+            return np.fromiter(map(fn, col.tolist()), dtype=float, count=len(col))
+        except OverflowError:
+            return np.fromiter(map(fn, col), dtype=float, count=len(col))
+
     def grad_norms(self, xs) -> np.ndarray:
         """|grad G(x)| for every row of an (m, n) array, equal bit for bit
-        to np.linalg.norm(grad(x)): the rows go through the closure from
-        grad_fn(), on Python floats for n = 1."""
-        rows = self._as_rows(xs)
-        g = self.grad_fn()
-        if self.n == 1:
-            gs = _on_column(g, rows[:, 0])
-            return np.sqrt(gs * gs)  # np.linalg.norm of a 1-vector
-        gs = map(g, np.ascontiguousarray(rows))
-        return row_norms(np.fromiter(gs, dtype=(float, self.n), count=len(rows)))
+        to np.linalg.norm(grad(x))."""
+        return np.sqrt(row_dots(self.on_rows(self.grad_fn(), xs).reshape(-1, self.n)))
 
     def _as_point(self, x) -> np.ndarray:
         p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -116,17 +123,11 @@ class Potential:
             )
         return p
 
-    def _as_rows(self, xs) -> np.ndarray:
-        rows = np.asarray(xs, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.n:
-            raise DomainError(
-                f"rows of shape {rows.shape} for potential of dimension {self.n}"
-            )
-        return rows
-
 
 class Quadratic(Potential):
     """G(x) = |x|^2/2; gradient x; the linear-equation test case."""
+
+    elementwise = True
 
     def __init__(self, n: int = 1):
         self.n = _dimension(n)
@@ -177,15 +178,12 @@ class PPower(Potential):
 class DoubleWell(Potential):
     """G(x) = (x^2-1)^2/4: minima at +-1 (value 0), local max at 0 (value 1/4)."""
 
+    elementwise = True
+
     def __init__(self):
         self.n = 1
         self.coercive = True
         self.min_value = 0.0
-
-    def grad_norms(self, xs) -> np.ndarray:
-        # the closure is elementwise arithmetic, so it runs on the whole column
-        g = self.grad_fn()(self._as_rows(xs)[:, 0])
-        return np.sqrt(g * g)  # np.linalg.norm of a 1-vector
 
     def grad_fn(self):
         return lambda x: x * (x * x - 1.0)
@@ -242,6 +240,8 @@ class FlatBottom(Potential):
 
 class Polynomial1D(Potential):
     """G(x) = sum coeffs[k] x^k (ascending coefficients)."""
+
+    elementwise = True
 
     def __init__(self, coeffs: Sequence[float]):
         c = [float(v) for v in coeffs]
@@ -410,8 +410,8 @@ def _second_derivative(g: Callable[[float], float], x: float) -> float:
     return (g(x + h) - g(x - h)) / (2.0 * h)
 
 
-# the bisections and flank probes run g on numpy scalars (xs[i]), and so
-# does a scan that overflows on Python floats: an overflow reads as +-inf
+# the bisections and flank probes run g on numpy scalars (xs[i]): an
+# overflow reads as +-inf
 @np.errstate(over="ignore")
 def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[CriticalSet]:
     """The critical sets of a 1D potential that meet the box, classified
@@ -429,13 +429,14 @@ def critical_points(pot: Potential, search_box: tuple[float, float]) -> list[Cri
     if pot.n != 1:
         raise UnsupportedError("critical point enumeration is 1D only")
     lo, hi = float(search_box[0]), float(search_box[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # a width that overflows makes the scan's nodes NaN
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise DomainError(f"invalid search box [{lo}, {hi}]")
 
     g = pot.grad_fn()
     energy = pot.energy_fn()
     xs = np.linspace(lo, hi, SCAN_CELLS + 1)
-    gs = _on_column(g, xs)
+    gs = pot.on_rows(g, xs[:, None])
     cell = (hi - lo) / SCAN_CELLS
 
     # (representative point, left, right)
@@ -613,12 +614,12 @@ def check_strong_convexity_window(
         raise DomainError("strong convexity window check is 1D only")
     if not (eps > 0 and delta > 0):
         raise DomainError("need eps > 0 and delta > 0")
+    if not math.isfinite(xstar):
+        raise DomainError(f"window centre must be finite, got {xstar}")
     sgn = -1.0 if concave else 1.0
     xs = np.linspace(xstar - eps, xstar + eps, 200)
-    energy = pot.energy_fn()
-    g = pot.grad_fn()
-    G = sgn * np.array([energy(x) for x in xs])
-    dG = sgn * np.array([g(x) for x in xs])
+    G = sgn * pot.on_rows(pot.energy_fn(), xs[:, None])
+    dG = sgn * pot.on_rows(pot.grad_fn(), xs[:, None])
     dxy = xs[None, :] - xs[:, None]  # y - x
     slack = G[None, :] - G[:, None] - dxy * dG[:, None] - delta * dxy * dxy
     worst = float(slack.min())
@@ -644,22 +645,18 @@ def plateau_interval(
     energy = pot.energy_fn()
     lam = energy(xstar)
 
-    def bracket(direction: float) -> float:
-        end = lo if direction < 0 else hi
-        steps = SCAN_CELLS
-        prev = xstar
-        for i in range(1, steps + 1):
-            x = xstar + (end - xstar) * i / steps
-            if energy(x) > lam:
-                # G(prev) <= lam < G(x): bisect on G - lam
-                a, b = (x, prev) if x < prev else (prev, x)
-                return _bisect_root(lambda u: energy(u) - lam, a, b)
-            prev = x
-        raise DomainError(
-            f"level G(x*)={lam:.6g} never exceeded toward {end}; enlarge the box"
-        )
+    def bracket(end: float) -> float:
+        xs = xstar + (end - xstar) * np.arange(1, SCAN_CELLS + 1) / SCAN_CELLS
+        above = pot.on_rows(energy, xs[:, None]) > lam
+        if not above.any():
+            raise DomainError(
+                f"level G(x*)={lam:.6g} never exceeded toward {end}; enlarge the box"
+            )
+        i = int(above.argmax())
+        # G(prev) <= lam < G(x): bisect on G - lam
+        x, prev = xs[i].item(), xs[i - 1].item() if i else xstar
+        a, b = (x, prev) if x < prev else (prev, x)
+        return _bisect_root(lambda u: energy(u) - lam, a, b)
 
-    x1 = bracket(-1.0)
-    x2 = bracket(+1.0)
-    return x1, x2
+    return bracket(lo), bracket(hi)
 

@@ -289,6 +289,8 @@ def test_density_validation():
         lambda traj: check_base_inequality(Quadratic(1), math.nan, [0.0]),
         lambda traj: check_base_inequality(Quadratic(1), 0.5, [0.0], radius=math.nan),
         lambda traj: check_strong_convexity_window(DoubleWell(), 1.0, math.nan, 0.7),
+        lambda traj: check_strong_convexity_window(DoubleWell(), math.nan, 0.1, 0.7),
+        lambda traj: check_strong_convexity_window(DoubleWell(), -math.inf, 0.1, 0.7),
         lambda traj: upper_bound_check(traj, 0.5, "K1", math.nan),
         lambda traj: upper_bound_check(traj, math.nan, "K1", 1.0),
         lambda traj: occupation_density(traj, 0.0, math.nan, [10.0]),
@@ -297,7 +299,8 @@ def test_density_validation():
         lambda traj: occupation_density(traj, 0.0, 0.1, [10.0], step=math.nan),
         lambda traj: occupation_density(traj, 0.0, 0.1, [10.0], step=0.0),
     ],
-    ids=["base_theta", "base_radius", "window_eps", "upper_K", "upper_theta", "density_radius",
+    ids=["base_theta", "base_radius", "window_eps", "window_centre_nan", "window_centre_inf",
+         "upper_K", "upper_theta", "density_radius",
          "density_horizon", "density_inner_horizon", "density_step_nan", "density_step_zero"],
 )
 def test_nan_and_zero_parameters_are_refused(call, decay_run):

@@ -112,12 +112,28 @@ def test_dissipation_matches_closed_form(beta):
         assert float(np.max(np.abs(traj.dissipation - exact))) <= rel_tol * max(1.0, scale)
 
 
+def _state_energy(pot, x, v):
+    """|v|^2 / 2 + G(x) of one state, summed on its own."""
+    kinetic = 0.5 * v[0] * v[0] if pot.n == 1 else 0.5 * float(v.dot(v))
+    return kinetic + pot.energy(x)
+
+
 def test_stored_energy_matches_state(j_run, well_run):
-    for traj in (j_run, well_run):
+    # every stored sample's and event's energy has the bits of the state's
+    # own sum; j_run starts singular, so its t = 0 row is put in before the
+    # energies are taken
+    plane = integrate(SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3),
+        x0=[-0.0756, 0.587, -0.806], v0=[0.3, 0.0, -0.1], t_end=60.0, rel_tol=1e-8,
+    ))
+    assert j_run.ts[0] == 0.0 and len(plane.events) > 0
+    for traj in (j_run, well_run, plane):
         pot = traj.spec.potential
-        for k in range(0, len(traj.ts), max(1, len(traj.ts) // 50)):
-            e = 0.5 * float(traj.vs[k] @ traj.vs[k]) + pot.energy(traj.xs[k])
-            assert traj.energies[k] == pytest.approx(e, rel=1e-12, abs=1e-15)
+        for states, energies in ((traj, traj.energies), (traj.events, traj.events.energy)):
+            xs, vs = (states.xs, states.vs) if states is traj else (states.x, states.v)
+            want = [_state_energy(pot, x, v) for x, v in zip(xs, vs)]
+            assert np.array_equal(np.asarray(energies).view(np.int64),
+                                  np.array(want, dtype=float).view(np.int64))
 
 
 def test_coercive_bound_from_initial_energy(well_run):
@@ -927,7 +943,7 @@ def test_output_pass_matches_the_step_by_step_rules(chunk, cap, monkeypatch):
                 record(rec(k))
                 if k % _integrate_module.EVENT_CHUNK == 0:
                     out.take()
-            ts, xs, vs, accs, es, ds, et, ex, ev, ee, stats = out.finish(steps, 0)
+            ts, xs, vs, accs, ds, et, ex, ev, stats = out.finish(steps, 0)
             events, stored, stride = _step_by_step(ws, cap)
             assert np.asarray(et).tolist() == events
             assert np.asarray(ts).tolist() == stored

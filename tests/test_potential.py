@@ -6,6 +6,7 @@ critical-point enumeration and certificates against closed-form geometry.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from vanishdamp import (
     UnsupportedError,
     Zero,
 )
-from vanishdamp.integrate import state_ops
+from vanishdamp.integrate import _energies, state_ops
 from vanishdamp.potential import (
     Potential,
     check_base_inequality,
@@ -262,23 +263,51 @@ def test_critical_points_are_pinned(pot, box, want):
     assert signs(got) == signs(want)
 
 
+# points whose cube (from 1e103) or square (from 1e155) overflows to
+# +-inf, and inf itself, where 0 * inf is NaN
+_OVERFLOWING = np.array([1e103, 1e155, 1e200, 1e308, math.inf])
+
+
 @pytest.mark.parametrize(
     "pot",
     [Quadratic(1), PPower(1.5), PPower(2.5), PPower(3.0), PPower(4.0), DoubleWell(), FlatBottom(1),
      Polynomial1D([0.0, 0.75, -1.5, 1.0]), Zero(1), PPower(6.0), PPower(4.5),
-     PPower(2.0 + 2.0 / 3.0)],
+     PPower(2.0 + 2.0 / 3.0),
+     CustomPotential(1, energy=lambda x: float(x[0] ** 4), grad=lambda x: 4.0 * x ** 3)],
     ids=lambda p: type(p).__name__,
 )
 def test_scalar_gradient_is_bitwise_the_same_on_python_floats(pot):
-    # critical_points, the stepper and grad_norms run the closures on
-    # Python floats; the validated methods and the pinned roots run them
-    # on numpy float64 scalars, whose `**` and arithmetic are numpy's
+    # the stepper runs the closures on Python floats, and on_rows (the
+    # scans of critical_points, plateau_interval and the window check,
+    # grad_norms, the trajectory's energies) on Python floats or, for a
+    # kind declared elementwise, once on the whole column; the validated
+    # methods and the pinned roots run them on numpy float64 scalars,
+    # whose `**` and arithmetic are numpy's
     tiny = np.geomspace(1e-300, 1e3, 2001)
-    grid = np.concatenate([np.linspace(-5.0, 5.0, 20_001), tiny, -tiny])
+    grid = np.concatenate([np.linspace(-5.0, 5.0, 20_001), tiny, -tiny, [0.0, -0.0]])
+    # PPower, FlatBottom and Custom branch or take powers: a float each
+    assert pot.elementwise == isinstance(pot, (Quadratic, DoubleWell, Polynomial1D))
     for fn in (pot.grad_fn(), pot.energy_fn()):
         on_floats = np.array([fn(x) for x in grid.tolist()], dtype=float)
         on_scalars = np.array([fn(x) for x in grid], dtype=float)
-        assert np.array_equal(on_floats.view(np.int64), on_scalars.view(np.int64))
+        assert _same_bits(on_floats, on_scalars)
+        called_on = set()
+
+        def spy(x):
+            called_on.add(type(x))
+            return fn(x)
+
+        if not pot.elementwise:
+            assert _same_bits(pot.on_rows(spy, grid[:, None]), on_floats)
+            assert called_on == {float}
+            continue
+        # as silent as float arithmetic where a value overflows or is NaN
+        wide = np.concatenate([grid, _OVERFLOWING, -_OVERFLOWING])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_column = pot.on_rows(spy, wide[:, None])
+        assert called_on == {np.ndarray}
+        assert _same_bits(on_column, [fn(x) for x in wide.tolist()])
 
 
 @pytest.mark.parametrize(
@@ -341,18 +370,19 @@ def _vector_points(n):
     ids=["Quadratic", "PPower1.5", "PPower2.5", "PPower3", "PPower4", "FlatBottom", "Zero"],
 )
 def test_hot_closures_match_the_validated_methods_bitwise(make, n):
-    # the n >= 2 stepper and recursion evaluate G and grad G through the
-    # closures state_ops binds; they must give the validated methods' bits,
-    # inf included
+    # the n >= 2 stepper and recursion evaluate grad G through the closure
+    # state_ops binds, and the trajectory's energy column G through
+    # energy_fn(); they must give the validated methods' bits, inf included
     pot = make(n)
     ops = state_ops(pot)
     grad, energy = pot.grad_fn(), pot.energy_fn()
-    rest = np.zeros(n)
+    points = _vector_points(n)
     with np.errstate(over="ignore"):
-        for x in _vector_points(n):
+        at_rest = _energies(pot, np.array(points), np.zeros((len(points), n)))
+        for x, e in zip(points, at_rest):
             want_grad, want_energy = pot.grad(x), pot.energy(x)
             assert _same_bits(ops.grad(x), want_grad), x
-            assert _same_bits(ops.energy(x, rest), want_energy), x
+            assert _same_bits(e, want_energy), x
             assert _same_bits(grad(x), want_grad), x
             assert _same_bits(energy(x), want_energy), x
 
@@ -361,6 +391,53 @@ def test_double_well_plateau_is_level_set_bracket():
     x1, x2 = plateau_interval(DoubleWell(), 0.0, (-3.0, 3.0))
     assert x1 == pytest.approx(-math.sqrt(2.0), abs=1e-9)
     assert x2 == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+_CUBIC_HUMP = Polynomial1D([0.0, 0.75, -1.5, 1.0])
+
+
+# the plateau scan's brackets, bit for bit, as the per-point loop found them
+@pytest.mark.parametrize("pot, xstar, box, want", [
+    (DoubleWell(), 0.0, (-3.0, 3.0), (-1.4142135623216627, 1.4142135623216627)),
+    (DoubleWell(), 0.0, (-2.0, 2.5), (-1.4142135622978214, 1.4142135623693466)),
+    (DoubleWell(), 0.5, (-1.0, 2.0), (0.49999999992847444, 1.3228756554841996)),
+    (PPower(4.0), 0.0, (-3.0, 3.0), (-3.576278686523437e-11, 0.0)),
+    (PPower(4.0), 0.5, (-1.0, 2.0), (-0.4999999999761583, 0.5)),
+])
+def test_plateau_interval_is_pinned(pot, xstar, box, want):
+    got = plateau_interval(pot, xstar, box)
+    assert got == want
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+    assert all(type(x) is float for x in got)
+
+
+def test_plateau_interval_refuses_a_potential_that_is_not_coercive():
+    with pytest.raises(DomainError, match="coercive"):
+        plateau_interval(_CUBIC_HUMP, 0.5, (-1.0, 2.0))
+
+
+# (xstar, eps, delta, concave) -> (passed, worst slack), bit for bit
+@pytest.mark.parametrize("pot, args, want", [
+    (DoubleWell(), (1.0, 0.1, 0.7, False), (True, 0.0)),
+    (DoubleWell(), (0.0, 0.1, 0.45, True), (True, 0.0)),
+    (DoubleWell(), (0.5, 0.2, 0.1, False), (False, -0.04880000000000001)),
+    (DoubleWell(), (0.5, 0.2, 0.1, True), (False, -0.015215186895458812)),
+    (DoubleWell(), (-1.0, 0.3, 0.9, False), (False, -0.06319788848576299)),
+    (DoubleWell(), (0.3, 1.0, 0.5, False), (False, -2.66)),
+    (_CUBIC_HUMP, (1.0, 0.1, 0.7, False), (True, 0.0)),
+    (_CUBIC_HUMP, (0.5, 0.2, 0.1, False), (False, -0.04799999999999995)),
+    (_CUBIC_HUMP, (0.5, 0.2, 0.1, True), (False, -0.04799999999999986)),
+    (_CUBIC_HUMP, (-1.0, 0.3, 0.9, False), (False, -2.052000000000002)),
+    (PPower(4.0), (1.0, 0.1, 0.7, False), (True, 0.0)),
+    (PPower(4.0), (0.0, 0.1, 0.45, True), (False, -0.0182)),
+    (PPower(4.0), (0.5, 0.2, 0.1, True), (False, -0.09519999999999997)),
+    (PPower(4.0), (0.0, 0.5, 0.1, False), (False, -0.02992138440684216)),
+    (PPower(4.0), (0.3, 1.0, 0.5, False), (False, -0.7499555784538765)),
+    (PPower(4.0), (-1.0, 0.3, 0.9, False), (False, -0.0012250516850841019)),
+])
+def test_strong_convexity_window_is_pinned(pot, args, want):
+    xstar, eps, delta, concave = args
+    assert check_strong_convexity_window(pot, xstar, eps, delta, concave=concave) == want
 
 
 def test_flat_bottom_geometry():
@@ -386,6 +463,9 @@ def test_critical_points_refuse_a_plane_and_an_empty_box():
         critical_points(Quadratic(2), (-2.0, 2.0))
     with pytest.raises(DomainError):
         critical_points(Quadratic(1), (2.0, 2.0))
+    # finite ends whose width overflows: the scan's nodes would be NaN
+    with pytest.raises(DomainError, match="invalid search box"):
+        critical_points(Quadratic(1), (-1e308, 1e308))
 
 
 def test_degenerate_critical_points():
