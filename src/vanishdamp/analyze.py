@@ -11,9 +11,13 @@ local minimum iff the velocity keeps changing sign".
 The omega-limit extent and the tail velocity are exact min/max over the
 samples and a fine grid of the quintic Hermite dense output, but the grid
 is evaluated only on the pieces whose Bernstein hull reaches the running
-min or max; the decay kernel and int_0^t a are read on whole arrays of
-sample times.  Both give the same bits as evaluating every grid point and
-every kernel value one by one.
+min or max, and only at the points linspace would give them; the decay
+kernel and int_0^t a are read on whole arrays of sample times.  Both give
+the same bits as evaluating every grid point and every kernel value one
+by one.  classify_limit compares its decade widths with thresholds and
+computes one exactly only when its bounds do not decide the comparison;
+lower_bound_residual takes the kernel only in the blocks of samples that
+can hold the least slack.
 """
 
 from __future__ import annotations
@@ -26,13 +30,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, HypothesisError, UnsupportedError
-from .integrate import Record, Trajectory
+from .integrate import Record, Trajectory, _quintic_v, _quintic_x
 from .potential import critical_points
+from .schedule import Constant, PowerLaw
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 _TINY = float(np.finfo(float).tiny)
-# grid points of one dense evaluation in _dense_extent and occupation_density
+# pieces of one hull block and grid points of one dense evaluation in
+# the extents and occupation_density
 _DENSE_BLOCK = 8192
+# samples per block of lower_bound_residual's bound on its slacks
+_RESIDUAL_BLOCK = 64
 
 # finite-horizon thresholds for "the limit exists"
 LIMIT_WIDTH_TOL = 1.0e-3
@@ -72,14 +80,49 @@ def lower_bound_residual(traj: Trajectory) -> float:
     gap = traj.energies - g0
     sched = traj.spec.schedule
     ts = traj.ts
+    gap0 = float(gap[0])
+    if (type(sched) in (Constant, PowerLaw) and 0.0 <= gap0 < math.inf
+            and not np.signbit(gap[gap == 0.0]).any()):
+        return _blocked_residual(sched, ts, gap, gap0)
     idx = np.arange(len(ts))
     if sched.kernel_by_quadrature and len(ts) > 2000:
         # quadrature-backed schedules price each kernel call; subsample
         idx = np.linspace(0, len(ts) - 1, 2000).astype(int)
-    gap0 = float(gap[0])
+    return _least_slack(sched, ts, gap, gap0, idx)
+
+
+def _least_slack(sched, ts: np.ndarray, gap: np.ndarray, gap0: float, idx: np.ndarray) -> float:
+    """The least slack of the lower bound at the samples idx."""
     kern = sched.decay_kernels(ts[idx])
     # fmin: a NaN slack is skipped, never returned
     return float(np.fmin.reduce(gap[idx] - gap0 * kern * kern, initial=math.inf))
+
+
+def _blocked_residual(sched, ts: np.ndarray, gap: np.ndarray, gap0: float) -> float:
+    """The least slack over every sample, with the kernels taken only in
+    the blocks of _RESIDUAL_BLOCK samples that can hold it.
+
+    A schedule whose a(t) >= 0 by construction has a kernel that does not
+    increase, so no slack of a block is below its least gap less gap0 K^2,
+    K the kernel at the block's start.  K is widened by 1e-9 of itself and
+    by the smallest normal float: int_0^t a and exp round by a few units
+    in the last place, a few 1e-16 times the integral, which is below 750
+    wherever the kernel is a normal float.  Rounding is monotone, so a
+    block whose bound is above the least slack found holds no smaller one.
+    No gap is -0.0, so that least slack is one float whichever blocks hold
+    it.
+    """
+    starts = np.arange(0, len(ts), _RESIDUAL_BLOCK)
+    top = sched.decay_kernels(ts[starts]) * (1.0 + 1.0e-9) + _TINY
+    # an all-NaN block's bound is NaN, read as +inf: it has no slack
+    bound = np.fmin(np.fmin.reduceat(gap, starts) - gap0 * top * top, math.inf)
+    sizes = np.diff(np.append(starts, len(ts)))
+    first = np.arange(len(starts)) == int(np.argmin(bound))
+    best = _least_slack(sched, ts, gap, gap0, np.flatnonzero(np.repeat(first, sizes)))
+    rest = ~first & (bound < best)
+    if not rest.any():
+        return best
+    return min(best, _least_slack(sched, ts, gap, gap0, np.flatnonzero(np.repeat(rest, sizes))))
 
 
 @dataclass(frozen=True)
@@ -191,8 +234,8 @@ def rate_fit(
     vw = vs[mask]
     if len(tw) < 30:
         raise DomainError(f"need >= 30 samples in the window, have {len(tw)}")
-    if np.any(vw <= 0.0):
-        raise DomainError("series must be positive on the fit window")
+    if not np.all((vw > 0.0) & (vw < math.inf)):
+        raise DomainError("series must be positive and finite on the fit window")
     if model == "PowerLaw":
         if np.any(tw <= 0.0):
             raise DomainError("PowerLaw fit needs positive times")
@@ -257,6 +300,8 @@ def occupation_density(
     ref = np.atleast_1d(np.asarray(reference, dtype=float))
     if ref.shape != (traj.n,):
         raise DomainError(f"reference of shape {ref.shape} for dimension {traj.n}")
+    if not np.all(np.isfinite(ref)):
+        raise DomainError(f"reference must be finite, got {ref}")
     if not (radius > 0 and step > 0):
         raise DomainError(f"radius and step must be positive, got {radius} and {step}")
     hs = [float(h) for h in horizons]
@@ -294,12 +339,8 @@ def omega_limit_extent(traj: Trajectory, tail_fraction: float = 0.1) -> np.ndarr
 def _extent_window(traj: Trajectory, cut: float) -> np.ndarray:
     """Per-axis (min, max) of x over [cut, end of run]: the samples, the
     event states and the dense output on a grid of about one point per
-    0.01 time units (1000 to 200000 points).  Exact over that grid; only
-    the pieces that can reach the running min or max are evaluated."""
-    t1 = float(traj.ts[-1])
-    ev = traj.events.x[np.searchsorted(traj.events.time, cut):]  # time >= cut
-    m = min(200_000, max(1000, int((t1 - cut) / 0.01) + 1))
-    return _dense_extent(traj, traj.xs, _position_hull, traj.positions_at, cut, m, ev)
+    0.01 time units (1000 to 200000 points)."""
+    return _Column(traj, False, cut).extent(cut)
 
 
 def _position_hull(x0, x1, v0, v1, a0, a1, dt):
@@ -324,49 +365,163 @@ def _velocity_hull(x0, x1, v0, v1, a0, a1, dt):
     return points, scale
 
 
-def _dense_extent(traj: Trajectory, ys, hull, dense, cut: float, m: int, extra=()) -> np.ndarray:
-    """Per-axis (min, max) over [cut, end of run] of one stored column
-    ``ys`` (positions or velocities): its samples, the ``extra`` rows, and
-    its interpolant ``dense`` on linspace(cut, end, m).
+def _piece(ts: np.ndarray, t: float) -> int:
+    """The piece holding t: the last j with ts[j] <= t, clipped to the
+    pieces 0 to len(ts) - 2."""
+    return min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
 
-    The result equals the min/max over all m grid values, but the grid is
-    evaluated only on the pieces that could reach past the running min or
-    max.  Each piece of the interpolant lies in the hull of its Bernstein
-    control points, which ``hull`` gives from the piece's end samples
-    (degree 5 for x, 4 for v) with a magnitude S, the sum of the terms
-    that the control points and the evaluation add up.  Both round by a
-    few dozen units in the last place of S at most, so the margin
-    1e-12 S (about 4500 units), floored at the smallest normal float,
-    covers them.  The pieces go in blocks of _DENSE_BLOCK, so the hull's
-    temporaries stay that size whatever the number of samples.
+
+class _Grid:
+    """The points of np.linspace(cut, stop, m), k * step + cut with the
+    last one at stop, by linspace's own formula and without the array."""
+
+    def __init__(self, cut: float, stop: float, m: int):
+        self.cut, self.stop, self.m = cut, stop, m
+        self.delta = np.subtract(stop, cut, dtype=float)
+        self.step = self.delta / (m - 1)
+
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """The points of the float indices k."""
+        if self.step == 0:  # linspace's order for a step below the float range
+            g = k / (self.m - 1) * self.delta + self.cut
+        else:
+            g = k * self.step + self.cut
+        return np.where(k == self.m - 1, self.stop, g)
+
+    def first_at(self, times: np.ndarray) -> np.ndarray:
+        """For each time in [cut, stop], the index of the first point at or
+        after it: an estimate by arithmetic, corrected against the points,
+        which do not decrease."""
+        if self.delta == 0:
+            return np.zeros(len(times), dtype=np.intp)
+        k = np.clip(np.ceil((times - self.cut) / self.delta * (self.m - 1)), 0.0, self.m - 1.0)
+        while True:
+            low = self.at(k) < times
+            high = (k > 0) & (self.at(k - 1) >= times)
+            if not (low.any() or high.any()):
+                return k.astype(np.intp)
+            k = k + low - high
+
+    def points(self, pieces: np.ndarray, begin: np.ndarray, end: np.ndarray):
+        """(piece, point) of the indices begin to end - 1 of each piece, in
+        order, _DENSE_BLOCK points at a time."""
+        counts = end - begin
+        stops = np.cumsum(counts)
+        starts = stops - counts
+        offset = (begin - starts).astype(float)  # run position q is index q + offset
+        total = int(stops[-1])
+        for lo in range(0, total, _DENSE_BLOCK):
+            hi = min(lo + _DENSE_BLOCK, total)
+            r0 = int(np.searchsorted(stops, lo, side="right"))
+            r1 = int(np.searchsorted(stops, hi - 1, side="right")) + 1
+            sizes = np.minimum(stops[r0:r1], hi) - np.maximum(starts[r0:r1], lo)
+            k = np.arange(lo, hi, dtype=float) + np.repeat(offset[r0:r1], sizes)
+            yield np.repeat(pieces[r0:r1], sizes), self.at(k)
+
+
+class _Column:
+    """The positions (events included) or the velocities of a run from
+    the piece holding ``first`` on, with the hull of each piece of its
+    interpolant, taken once for every window that starts at or after
+    ``first``.
+
+    Each piece of the interpolant lies in the hull of its Bernstein
+    control points, which ``_position_hull``/``_velocity_hull`` give from
+    the piece's end samples (degree 5 for x, 4 for v) with a magnitude S,
+    the sum of the terms that the control points and the evaluation add
+    up.  Both round by a few dozen units in the last place of S at most,
+    so the margin 1e-12 S (about 4500 units), floored at the smallest
+    normal float, covers them.  The pieces go in blocks of _DENSE_BLOCK,
+    so the hull's temporaries stay that size whatever the number of
+    samples.
     """
-    ts, xs, vs, accs = traj.ts, traj.xs, traj.vs, traj.accs
-    X = ys[ts >= cut]
-    if len(extra):
-        X = np.vstack([X, extra])
-    lo, hi = X.min(axis=0), X.max(axis=0)
-    grid = np.linspace(cut, ts[-1], m)
-    # pieces j0 .. len(ts)-2 cover the grid; grid points with
-    # ts[j] <= t < ts[j+1] fall in piece j, and the last piece holds t = end
-    j0 = min(max(int(np.searchsorted(ts, cut, side="right")) - 1, 0), len(ts) - 2)
-    edges = np.concatenate(([0], np.searchsorted(grid, ts[j0 + 1:-1], side="left"), [m]))
-    for j in range(j0, len(ts) - 1, _DENSE_BLOCK):
-        k = min(j + _DENSE_BLOCK, len(ts) - 1)
-        points, scale = hull(xs[j:k], xs[j + 1:k + 1], vs[j:k], vs[j + 1:k + 1],
-                             accs[j:k], accs[j + 1:k + 1], np.diff(ts[j:k + 1])[:, None])
-        margin = 1.0e-12 * scale + _TINY
-        hull_lo = np.minimum.reduce(points) - margin
-        hull_hi = np.maximum.reduce(points) + margin
-        inside = ((hull_lo > lo) & (hull_hi < hi)).all(axis=1)
-        first, last = edges[j - j0], edges[k - j0]
-        reach = grid[first:last][np.repeat(~inside, np.diff(edges[j - j0:k - j0 + 1]))]
-        # an interpolant's temporaries on the whole grid would cost far
-        # more memory than its result, and min and max are exact either way
-        for start in range(0, len(reach), _DENSE_BLOCK):
-            V = dense(reach[start:start + _DENSE_BLOCK])
-            lo = np.minimum(lo, V.min(axis=0))
-            hi = np.maximum(hi, V.max(axis=0))
-    return np.stack([lo, hi], axis=1)
+
+    def __init__(self, traj: Trajectory, velocity: bool, first: float):
+        ts, xs, vs, accs = traj.ts, traj.xs, traj.vs, traj.accs
+        self.traj, self.velocity = traj, velocity
+        # grid points per window: about one per 0.01 time units
+        self.cap = 100_000 if velocity else 200_000
+        self.j0 = _piece(ts, first)
+        last = len(ts) - 1
+        hull = _velocity_hull if velocity else _position_hull
+        self.lo = np.empty((last - self.j0, traj.n))
+        self.hi = np.empty_like(self.lo)
+        for j in range(self.j0, last, _DENSE_BLOCK):
+            k = min(j + _DENSE_BLOCK, last)
+            points, scale = hull(xs[j:k], xs[j + 1:k + 1], vs[j:k], vs[j + 1:k + 1],
+                                 accs[j:k], accs[j + 1:k + 1], np.diff(ts[j:k + 1])[:, None])
+            margin = 1.0e-12 * scale + _TINY
+            self.lo[j - self.j0:k - self.j0] = np.minimum.reduce(points) - margin
+            self.hi[j - self.j0:k - self.j0] = np.maximum.reduce(points) + margin
+
+    def stored(self, cut: float):
+        """Per-axis min and max of the samples at or after cut, and of the
+        event states there for positions."""
+        traj = self.traj
+        Y = (traj.vs if self.velocity else traj.xs)[traj.ts >= cut]
+        if not self.velocity:
+            ev = traj.events.x[np.searchsorted(traj.events.time, cut):]  # time >= cut
+            if len(ev):
+                Y = np.vstack([Y, ev])
+        return Y.min(axis=0), Y.max(axis=0)
+
+    def width_bounds(self, cut: float):
+        """Bounds on the width of axis 0's extent over [cut, end]: the
+        stored values' width below, the hulls' above.  The extent's min
+        and max lie between them, and a difference rounds monotonically."""
+        lo, hi = self.stored(cut)
+        j = _piece(self.traj.ts, cut) - self.j0
+        lower = float(hi[0] - lo[0])
+        upper = float(max(hi[0], self.hi[j:, 0].max()) - min(lo[0], self.lo[j:, 0].min()))
+        return lower, upper
+
+    def extent(self, cut: float) -> np.ndarray:
+        """Per-axis (min, max) over [cut, end of run] of the stored values
+        and of the interpolant on linspace(cut, end, m).
+
+        The result equals the min/max over all m grid values, but the grid
+        is evaluated only on the pieces whose hull reaches past the running
+        min or max, at the points linspace gives them, in _DENSE_BLOCK
+        blocks, so the interpolant's temporaries stay that size.
+        """
+        ts = self.traj.ts
+        last = len(ts) - 1
+        m = min(self.cap, max(1000, int((ts[-1] - cut) / 0.01) + 1))
+        grid = _Grid(cut, ts[-1], m)
+        lo, hi = self.stored(cut)
+        # grid points with ts[j] <= t < ts[j+1] fall in piece j, and the
+        # last piece holds t = end, as in Trajectory.positions_at
+        j0 = _piece(ts, cut)
+        for j in range(j0, last, _DENSE_BLOCK):
+            k = min(j + _DENSE_BLOCK, last)
+            inside = ((self.lo[j - self.j0:k - self.j0] > lo)
+                      & (self.hi[j - self.j0:k - self.j0] < hi)).all(axis=1)
+            reach = j + np.flatnonzero(~inside)
+            if not len(reach):
+                continue
+            begin = grid.first_at(ts[reach])
+            end = np.where(reach + 1 == last, m, grid.first_at(ts[reach + 1]))
+            for i, times in grid.points(reach, begin, end):
+                V = self._dense(i, times)
+                lo = np.minimum(lo, V.min(axis=0))
+                hi = np.maximum(hi, V.max(axis=0))
+        return np.stack([lo, hi], axis=1)
+
+    def _dense(self, i: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The interpolant at times inside the pieces i: the arithmetic of
+        Trajectory.positions_at/velocities_at with the pieces known."""
+        traj = self.traj
+        ts, xs, vs, accs = traj.ts, traj.xs, traj.vs, traj.accs
+        j = i + 1
+        start = ts.take(i)
+        dt = ts.take(j) - start
+        th = ((times - start) / dt)[:, None]
+        dt = dt[:, None]
+        x0, x1 = xs.take(i, 0), xs.take(j, 0)
+        v0, v1, a0, a1 = vs.take(i, 0), vs.take(j, 0), accs.take(i, 0), accs.take(j, 0)
+        if self.velocity:
+            return _quintic_v(x1 - x0, v0, v1, a0, a1, dt, th)
+        return _quintic_x(x0, x1, v0, v1, a0, a1, dt, th)
 
 
 def sign_change_gaps(traj: Trajectory):
@@ -407,9 +562,54 @@ class LimitClassification(Record):
 def _tail_velocity_max(traj: Trajectory, cut: float) -> float:
     """max |v| over [cut, end of run]: samples and a dense grid of about
     one point per 0.01 time units (1000 to 100000 points)."""
-    m = min(100_000, max(1000, int((traj.ts[-1] - cut) / 0.01) + 1))
-    ext = _dense_extent(traj, traj.vs, _velocity_hull, traj.velocities_at, cut, m)
-    return float(np.max(np.abs(ext)))
+    return float(np.max(np.abs(_Column(traj, True, cut).extent(cut))))
+
+
+class _Width:
+    """The width of x's extent over [cut, end of run], held as bounds from
+    the column's stored values and hulls, and computed exactly only when
+    a comparison asks for it and its bounds straddle the threshold.  The
+    rounded products and differences are monotone, so a comparison that
+    the bounds decide equals the exact one."""
+
+    def __init__(self, column: _Column, cut: float):
+        self.column, self.cut = column, cut
+        self.lower, self.upper = column.width_bounds(cut)
+        self.exact = False
+
+    def refine(self) -> None:
+        if not self.exact:
+            ext = self.column.extent(self.cut)
+            self.lower = self.upper = float(ext[0, 1] - ext[0, 0])
+            self.exact = True
+
+    def below(self, bound: float) -> bool:
+        """width < bound"""
+        if self.upper < bound:
+            return True
+        if self.lower >= bound:
+            return False
+        self.refine()
+        return self.lower < bound
+
+    def at_least(self, bound: float) -> bool:
+        """width >= bound"""
+        if self.lower >= bound:
+            return True
+        if self.upper < bound:
+            return False
+        self.refine()
+        return self.lower >= bound
+
+    def at_least_share(self, share: float, other: "_Width") -> bool:
+        """width >= share * other's width"""
+        for width in (self, other):
+            if self.lower >= share * other.upper:
+                return True
+            if self.upper < share * other.lower:
+                return False
+            width.refine()
+        return self.lower >= share * other.lower
 
 
 def classify_limit(traj: Trajectory) -> LimitClassification:
@@ -421,6 +621,9 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
     Undetermined (horizon too short to tell).  The limit estimate is
     matched to the nearest critical set in the range of the run widened by
     1; a set counts as isolated when it is no wider than 2 MATCH_DISTANCE.
+    The tail's extent and velocity are exact; the widths over the last
+    decade and two decades only enter comparisons, which their bounds
+    decide unless they straddle the threshold.
     """
     pot = traj.spec.potential
     if traj.n != 1:
@@ -428,16 +631,16 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
 
     t0, t1 = float(traj.ts[0]), float(traj.ts[-1])
     span = t1 - t0
-    ext10 = omega_limit_extent(traj, 0.1)
-    w10 = float(ext10[0, 1] - ext10[0, 0])
-    xbar = 0.5 * (ext10[0, 0] + ext10[0, 1])
+    tail = t1 - 0.1 * span
     # log-scale tails: a sweep that still fills space over the whole last
     # decade is non-convergent even when any 10% window looks narrow
-    ext_dec = _extent_window(traj, max(t0, t1 / 10.0))
-    ext_2dec = _extent_window(traj, max(t0, t1 / 100.0))
-    w_dec = float(ext_dec[0, 1] - ext_dec[0, 0])
-    w_2dec = float(ext_2dec[0, 1] - ext_2dec[0, 0])
-    vmax = _tail_velocity_max(traj, t1 - 0.1 * span)
+    cut_dec, cut_2dec = max(t0, t1 / 10.0), max(t0, t1 / 100.0)
+    xcol = _Column(traj, False, min(tail, cut_dec, cut_2dec))
+    ext10 = xcol.extent(tail)
+    w10 = float(ext10[0, 1] - ext10[0, 0])
+    xbar = 0.5 * (ext10[0, 0] + ext10[0, 1])
+    w_dec, w_2dec = _Width(xcol, cut_dec), _Width(xcol, cut_2dec)
+    vmax = _tail_velocity_max(traj, tail)
     limit_exists = w10 < LIMIT_WIDTH_TOL and vmax < LIMIT_VELOCITY_TOL
 
     # nearest critical set, its point nearest xbar, and the gap to the next
@@ -475,12 +678,12 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
             verdict = "ConvergesToMin"
         else:
             verdict = "Undetermined"
-    elif matched_min and isolated and w_dec < 0.5 * separation and events_growing:
+    elif matched_min and isolated and events_growing and w_dec.below(0.5 * separation):
         # oscillation localized around one isolated minimum: the
         # dichotomy's convergent branch, even though no finite-horizon
         # limit is resolved yet
         verdict = "ConvergesToMin"
-    elif w_dec >= 0.1 and w_dec >= 0.7 * w_2dec:
+    elif w_dec.at_least(0.1) and w_dec.at_least_share(0.7, w_2dec):
         verdict = "NotConverged"
     else:
         verdict = "Undetermined"

@@ -6,7 +6,9 @@ trajectory, and the limit-classification verdict table on the shared
 fixture runs.
 """
 
+import contextlib
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -42,7 +44,7 @@ from vanishdamp import (
     upper_bound_check,
 )
 from vanishdamp import analyze as analyze_module
-from vanishdamp.analyze import DENSITY_STEP, _extent_window, _tail_velocity_max
+from vanishdamp.analyze import DENSITY_STEP, _Column, _extent_window, _Grid, _tail_velocity_max
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +200,62 @@ def test_lower_bound_residual_subsamples_quadrature_kernels(monkeypatch):
     assert sum(kernel_times) == 2000
 
 
+def _every_slack_min(traj):
+    """Reference for lower_bound_residual: the kernel at every sample."""
+    gap = traj.energies - analyze_module._min_g(traj)
+    kern = traj.spec.schedule.decay_kernels(traj.ts)
+    return float(np.fmin.reduce(gap - float(gap[0]) * kern * kern, initial=math.inf))
+
+
+def _late_minimum_run():
+    """test_lower_bound_detects_violations' run: its least slack is last."""
+    spec = SystemSpec(
+        schedule=Constant(1.0), potential=Quadratic(1), x0=1.0, v0=0.0, t_end=2.0
+    )
+    ts = np.array([0.0, 1.0, 2.0])
+    energies = np.array([0.5, 0.4 * math.exp(-2.0), 0.4 * math.exp(-4.0)])
+    return Trajectory(
+        ts, np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)),
+        energies, np.zeros(3), [], SolverStats(), spec, 1,
+    )
+
+
+def _residual_cases():
+    yield "undamped", integrate(SystemSpec(  # Constant(0): the kernel is 1
+        schedule=Constant(0.0), potential=DoubleWell(), x0=0.37, v0=1.1, t_end=100.0, rel_tol=1e-9))
+    yield "custom", integrate(SystemSpec(
+        schedule=CustomSchedule(a=lambda t: 1.0 / (1.0 + t)), potential=DoubleWell(),
+        x0=0.37, v0=1.1, t_end=100.0, rel_tol=1e-8))
+    yield "late_minimum", _late_minimum_run()
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_blocked_residual_equals_every_kernel(block, request, monkeypatch):
+    # the kernels are taken only in the blocks that can hold the least
+    # slack; whatever the block size, the residual keeps its bits
+    monkeypatch.setattr(analyze_module, "_RESIDUAL_BLOCK", block)
+    runs = [(name, request.getfixturevalue(name)) for name in (
+        "j_run", "well_run", "flat_sweep_run", "flat_settle_run", "constant_well_run",
+        "decay_run", "free_run")]
+    for name, traj in runs + list(_residual_cases()):
+        assert lower_bound_residual(traj).hex() == _every_slack_min(traj).hex(), name
+
+
+def test_blocked_residual_takes_few_kernels(well_run, monkeypatch):
+    # well_run's least slack is its first, 0.0: after the kernels at the
+    # 244 block starts, one block of 64 samples is evaluated
+    taken = []
+    kernels = PowerLaw.decay_kernels
+
+    def counted(self, times):
+        taken.append(len(times))
+        return kernels(self, times)
+
+    monkeypatch.setattr(PowerLaw, "decay_kernels", counted)
+    assert lower_bound_residual(well_run) == 0.0
+    assert sum(taken) < len(well_run.ts) // 40
+
+
 def test_upper_bound_regimes(decay_run, slow_run):
     res = upper_bound_check(decay_run, theta=0.5, regime="K1", K=1.0)
     assert res.passed and res.stable
@@ -298,17 +356,43 @@ def test_density_validation():
         lambda traj: occupation_density(traj, 0.0, 0.1, [10.0, math.nan, 20.0]),
         lambda traj: occupation_density(traj, 0.0, 0.1, [10.0], step=math.nan),
         lambda traj: occupation_density(traj, 0.0, 0.1, [10.0], step=0.0),
+        lambda traj: occupation_density(traj, math.nan, 0.1, [10.0]),
+        lambda traj: rate_fit(traj.ts, np.where(traj.ts < 50.0, 1.0, math.nan), (1.0, 100.0)),
+        lambda traj: rate_fit(traj.ts, np.where(traj.ts < 50.0, 1.0, math.inf), (1.0, 100.0)),
+        lambda traj: check_base_inequality(DoubleWell(), 0.5, math.nan),
+        lambda traj: check_base_inequality(Zero(1), 0.5, math.inf),
+        lambda traj: check_base_inequality(Quadratic(1), 0.5, [0.0], radius=math.inf),
+        lambda traj: check_base_inequality(Quadratic(1), 0.5, [0.0], probes=2.5),
     ],
     ids=["base_theta", "base_radius", "window_eps", "window_centre_nan", "window_centre_inf",
          "upper_K", "upper_theta", "density_radius",
-         "density_horizon", "density_inner_horizon", "density_step_nan", "density_step_zero"],
+         "density_horizon", "density_inner_horizon", "density_step_nan", "density_step_zero",
+         "density_reference_nan", "rate_values_nan", "rate_values_inf", "base_anchor_nan",
+         "base_anchor_inf", "base_radius_inf", "base_probes_fraction"],
 )
 def test_nan_and_zero_parameters_are_refused(call, decay_run):
-    # each bound is written so that NaN fails it; a NaN radius made
-    # check_base_inequality's probe loop run forever, a NaN theta gave
-    # upper_bound_check a NaN rate
-    with pytest.raises(DomainError):
+    # each bound is written so that NaN fails it; a NaN radius or anchor
+    # made check_base_inequality's probe loop run forever, a NaN theta gave
+    # upper_bound_check a NaN rate, a NaN reference gave occupation_density
+    # fractions 0 and NaN values gave rate_fit a NaN exponent
+    with _time_limit(20.0), pytest.raises(DomainError):
         call(decay_run)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError when the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cesaro_mean_of_step():
@@ -425,6 +509,96 @@ def test_pruned_extent_sees_excursions_between_samples():
         assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
     assert _extent_window(traj, 0.0)[0, 1] > 1.2
     assert _tail_velocity_max(traj, 0.0) > 5.0
+
+
+@pytest.mark.parametrize(
+    "cut, stop, m",
+    [(0.0, 1.0e3, 100_001), (900.0, 1.0e3, 10_001), (9.99e4, 1.0e5, 10_000),
+     (0.1 * math.pi, 7.0 * math.e, 1000), (0.0, 5.0e-322, 1000), (5.0, 5.0, 1000)],
+)
+def test_grid_is_linspace_by_its_own_formula(cut, stop, m):
+    # the last two cases have a step of 0: below the float range, and on
+    # an empty window
+    grid = _Grid(cut, stop, m)
+    want = np.linspace(cut, stop, m)
+    assert grid.at(np.arange(m, dtype=float)).tobytes() == want.tobytes()
+    # the index of the first point at or after a time, as searchsorted finds it
+    times = np.concatenate([want[::7], np.nextafter(want[::11], -math.inf),
+                            np.nextafter(want[::13], math.inf), np.linspace(cut, stop, 333)])
+    times = np.clip(times, cut, stop)
+    assert np.array_equal(grid.first_at(times), np.searchsorted(want, times, side="left"))
+
+
+def _built_run(pot, xs, bulge, event_times, event_x):
+    """A run at t = 0, 1, ..., len(xs) - 1 at rest but on the piece from
+    t = 30 to 31, where both ends move at ``bulge``, so that the piece
+    bulges past the samples: its hull bounds the decade widths above."""
+    n = len(xs)
+    vs = np.zeros((n, 1))
+    vs[30:32] = bulge
+    spec = SystemSpec(schedule=Constant(1.0), potential=pot, x0=float(xs[0]), v0=0.0,
+                      t_end=float(n - 1))
+    et = np.asarray(event_times, dtype=float)
+    events = Events(et, np.full((len(et), 1), event_x), np.zeros((len(et), 1)), np.zeros(len(et)))
+    return Trajectory(np.arange(float(n)), np.asarray(xs, dtype=float)[:, None], vs,
+                      np.zeros((n, 1)), np.zeros(n), np.zeros(n), events, SolverStats(), spec, 1)
+
+
+def _straddling_runs():
+    """(name, run, verdict) whose decade-width bounds straddle a threshold."""
+    sign = (-1.0) ** np.arange(101)
+    well = 1.0 + 0.2 * sign
+    well[-12:] = 1.0 + 0.001 * sign[-12:]  # a tail about the minimum at 1
+    # w_dec in [0.4, 0.64] against 0.5 * separation = 0.5: exact 0.453 and 0.529
+    yield "separation_below", _built_run(DoubleWell(), well, 0.3, [60.0, 70.0], 1.0), "ConvergesToMin"
+    yield "separation_above", _built_run(DoubleWell(), well, 0.6, [60.0, 70.0], 1.0), "NotConverged"
+    # no critical set near x = 5: w_dec in [0.08, 0.112] or [0.08, 0.176] against 0.1
+    flat = 5.0 + 0.04 * sign
+    yield "tenth_below", _built_run(Quadratic(1), flat, 0.04, [], 5.0), "Undetermined"
+    yield "tenth_above", _built_run(Quadratic(1), flat, 0.12, [], 5.0), "NotConverged"
+    # w_dec in [0.2, 0.28] against 0.7 w_2dec in [0.21, 0.238], and in
+    # [0.2, 0.44] against [0.28, 0.364]
+    for top, bulge, verdict in ((5.2, 0.1, "NotConverged"), (5.3, 0.3, "Undetermined")):
+        wide = 5.0 + 0.1 * sign
+        wide[5] = top
+        yield f"share_{verdict}", _built_run(Quadratic(1), wide, bulge, [], 5.0), verdict
+
+
+def _classify_with_exact_widths(traj, monkeypatch):
+    """Reference for classify_limit: every decade width computed exactly,
+    since bounds of (-inf, inf) decide no comparison."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_Column, "width_bounds", lambda self, cut: (-math.inf, math.inf))
+        return classify_limit(traj)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["well_run", "j_run", "flat_sweep_run", "flat_settle_run", "constant_well_run"],
+)
+def test_bounded_widths_give_the_exact_verdict(fixture, request, monkeypatch):
+    traj = request.getfixturevalue(fixture)
+    want = _classify_with_exact_widths(traj, monkeypatch)
+    assert repr(classify_limit(traj).as_dict()) == repr(want.as_dict())
+
+
+@pytest.mark.parametrize("name, traj, verdict", list(_straddling_runs()),
+                         ids=[case[0] for case in _straddling_runs()])
+def test_straddling_bounds_fall_back_to_exact_widths(name, traj, verdict, monkeypatch):
+    want = _classify_with_exact_widths(traj, monkeypatch)
+    extents = []
+    exact = _Column.extent
+
+    def counted(self, cut):
+        extents.append(cut)
+        return exact(self, cut)
+
+    monkeypatch.setattr(_Column, "extent", counted)
+    got = classify_limit(traj)
+    assert got.verdict == verdict
+    assert repr(got.as_dict()) == repr(want.as_dict())
+    # besides the tail's x and v, at least one decade width was exact
+    assert len(extents) > 2
 
 
 def test_oscillation_gaps_settle(j_run_long, well_run):

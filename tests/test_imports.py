@@ -101,6 +101,7 @@ PLANNED = {
     "classify": "item 12",
     "has_summable_power": "item 8",
     "holds": "item 10",
+    "velocities_at": "item 24",
 }
 
 

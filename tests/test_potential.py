@@ -570,6 +570,35 @@ def test_base_inequality_detects_failures():
         check_base_inequality(Quadratic(1), -0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "pot, theta, z, options, violations, worst",
+    [
+        (Quadratic(1), 0.5, 0.0, {}, 0, "0x0.0p+0"),
+        (Quadratic(1), 0.3, 0.0, {"probes": 500}, 500, "-0x1.3ee44b5bfed00p+2"),
+        (PPower(4), 0.25, 0.0, {}, 0, "-0x1.0000000000000p-45"),
+        (PPower(4), 0.2, 0.0, {"probes": 700, "radius": 3.0, "seed": 5}, 697,
+         "-0x1.0168648a2612cp+2"),
+        (DoubleWell(), 0.5, 1.0, {}, 2000, "-0x1.afffff65ed522p-2"),
+        (DoubleWell(), 0.5, -1.0, {"radius": 0.5, "probes": 1000}, 498, "-0x1.7e3a449157c40p-5"),
+        (Polynomial1D([0.0, 0.0, 1.0, -0.5, 0.25]), 0.5, 0.0, {"radius": 2.0}, 2495,
+         "-0x1.affffe9ae2e80p-6"),
+        (Quadratic(3), 0.5, np.zeros(3), {"probes": 2000}, 0, "0x0.0p+0"),
+        (Quadratic(3), 0.45, np.zeros(3), {"probes": 1000, "radius": 2.0, "seed": 3}, 1000,
+         "-0x1.99031ad02eda8p-3"),
+        (PPower(4, n=3), 0.25, np.zeros(3), {"probes": 2000}, 0, "-0x1.0000000000000p-44"),
+        (PPower(3, n=3), 0.3, np.zeros(3), {"probes": 1000}, 1000, "-0x1.0a17c05abbd68p+2"),
+    ],
+    ids=["quadratic", "quadratic_0.3", "ppower4", "ppower4_0.2", "well", "well_left",
+         "polynomial", "quadratic3", "quadratic3_0.45", "ppower4_n3", "ppower3_n3_0.3"],
+)
+def test_base_inequality_is_pinned(pot, theta, z, options, violations, worst):
+    # pinned when each probe was evaluated alone: taking them all at once
+    # keeps every slack's bits and the first least one in probe order
+    cert = check_base_inequality(pot, theta, z, **options)
+    assert cert.violations == violations
+    assert cert.worst_slack.hex() == worst
+
+
 def test_base_inequality_deterministic():
     a = check_base_inequality(DoubleWell(), 0.5, 1.0, probes=500, seed=3)
     b = check_base_inequality(DoubleWell(), 0.5, 1.0, probes=500, seed=3)
