@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, HypothesisError, UnsupportedError
-from .integrate import Record, Trajectory, _quintic_v, _quintic_x
+from .integrate import Record, Trajectory
 from .potential import critical_points
 from .schedule import Constant, PowerLaw
 
@@ -502,26 +502,10 @@ class _Column:
             begin = grid.first_at(ts[reach])
             end = np.where(reach + 1 == last, m, grid.first_at(ts[reach + 1]))
             for i, times in grid.points(reach, begin, end):
-                V = self._dense(i, times)
+                V = self.traj._dense(i, times, self.velocity)
                 lo = np.minimum(lo, V.min(axis=0))
                 hi = np.maximum(hi, V.max(axis=0))
         return np.stack([lo, hi], axis=1)
-
-    def _dense(self, i: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """The interpolant at times inside the pieces i: the arithmetic of
-        Trajectory.positions_at/velocities_at with the pieces known."""
-        traj = self.traj
-        ts, xs, vs, accs = traj.ts, traj.xs, traj.vs, traj.accs
-        j = i + 1
-        start = ts.take(i)
-        dt = ts.take(j) - start
-        th = ((times - start) / dt)[:, None]
-        dt = dt[:, None]
-        x0, x1 = xs.take(i, 0), xs.take(j, 0)
-        v0, v1, a0, a1 = vs.take(i, 0), vs.take(j, 0), accs.take(i, 0), accs.take(j, 0)
-        if self.velocity:
-            return _quintic_v(x1 - x0, v0, v1, a0, a1, dt, th)
-        return _quintic_x(x0, x1, v0, v1, a0, a1, dt, th)
 
 
 def sign_change_gaps(traj: Trajectory):

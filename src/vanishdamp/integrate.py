@@ -19,13 +19,15 @@ stepping the solver provides:
     (from the stage rates and velocities the step already has),
     independently of the energy difference it is later checked against;
   * bounded memory: stored samples are thinned by stride doubling to at
-    most MAX_STORED_SAMPLES states, events are never thinned.  For n=1 a
-    run holds 40 bytes per stored sample (t, x, v, x'' and the dissipation
-    packed as floats; the energy adds 8 after the loop), 24 bytes per
-    event (t, x, v; the energy adds 8), and at most EVENT_CHUNK = 16384
-    recorded steps of 40 bytes, plus about 370 a bracket for the at most
+    most MAX_STORED_SAMPLES states, events are never thinned.  A step is
+    recorded as one row of 3n + 2 packed floats (t, x, v, x'' and the
+    dissipation), so a run holds (3n + 2) * 8 bytes per stored sample
+    (the energy adds 8 after the loop), (2n + 1) * 8 per event (t, x, v;
+    the energy adds 8) and at most EVENT_CHUNK = 16384 recorded steps of
+    (3n + 2) * 8 bytes, plus about 370 a bracket for the at most
     _REFINE_SLICE = 4096 brackets refined together while the pass runs.
-    The returned arrays take over the columns uncopied;
+    The time and dissipation columns, and for n = 1 every column, become
+    the returned arrays uncopied;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
@@ -44,12 +46,13 @@ dissipation increment are each one weighted np.add.reduce over buffer
 rows: O(stages) numpy calls an attempt, whatever n is.  Such a reduce
 adds the rows in index order, the order of the unrolled sums, so the
 n >= 2 stepper gives the bits of _run's lines run elementwise on (n,)
-arrays; a BLAS dot would sum in its own order.
+arrays; a BLAS dot would sum in its own order.  It writes each attempt's
+new state and x'' into its one (3n + 2,) row, which its finiteness test
+reads and an accepted step records.
 Both evaluate the potential's unchecked closures, not its validated
 methods, and share the start (_start) and the output (_Output), where
-the event and thinning rules are written once; the few operations that
-depend on how a state is held (gradient, finiteness, row norms,
-columns and their reading) are bound once per run by state_ops.
+the event and thinning rules are written once, on the packed rows, for
+every n.
 """
 
 from __future__ import annotations
@@ -58,9 +61,8 @@ import math
 import traceback
 from array import array
 from dataclasses import dataclass, fields
-from functools import partial
 from numbers import Integral
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -89,8 +91,6 @@ _EVENT_RTOL = 8.9e-16
 _EVENT_MAXITER = 100
 # StepUnderflow when h < MIN_STEP_FRACTION * t_end
 MIN_STEP_FRACTION = 1.0e-14
-# the values recorded per accepted step: t, x, v, x'' and the dissipation
-_RECORD = 5
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -304,31 +304,38 @@ class Trajectory(_ReadOnlyArrays):
     n: int
 
     def _pieces(self, times):
-        """The end samples of the piece holding each query time (a NaN
-        time is outside the run), the piece lengths and the offsets in
-        [0, 1], shaped to broadcast against (m, n) rows."""
+        """The piece holding each query time (a NaN time is outside the
+        run) and the times as a float array."""
         tq = np.atleast_1d(np.asarray(times, dtype=float))
         ts = self.ts
         if not np.all((ts[0] <= tq) & (tq <= ts[-1])):
             raise DomainError(
                 f"dense evaluation outside [{ts[0]:.6g}, {ts[-1]:.6g}]"
             )
-        i = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-        dt = ts[i + 1] - ts[i]
-        theta = (tq - ts[i]) / dt
-        return i, i + 1, dt[:, None], theta[:, None]
+        return np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2), tq
+
+    def _dense(self, i: np.ndarray, times: np.ndarray, velocity: bool) -> np.ndarray:
+        """The interpolant's x, or its v, at times inside the pieces i
+        (from sample i to sample i + 1); shape (m, n)."""
+        ts, xs, vs, accs = self.ts, self.xs, self.vs, self.accs
+        j = i + 1
+        start = ts.take(i)
+        dt = ts.take(j) - start
+        th = ((times - start) / dt)[:, None]
+        dt = dt[:, None]
+        x0, x1 = xs.take(i, 0), xs.take(j, 0)
+        v0, v1, a0, a1 = vs.take(i, 0), vs.take(j, 0), accs.take(i, 0), accs.take(j, 0)
+        if velocity:
+            return _quintic_v(x1 - x0, v0, v1, a0, a1, dt, th)
+        return _quintic_x(x0, x1, v0, v1, a0, a1, dt, th)
 
     def positions_at(self, times) -> np.ndarray:
         """Interpolated x on an array of query times; shape (m, n)."""
-        i, j, dt, th = self._pieces(times)
-        xs, vs, accs = self.xs, self.vs, self.accs
-        return _quintic_x(xs[i], xs[j], vs[i], vs[j], accs[i], accs[j], dt, th)
+        return self._dense(*self._pieces(times), False)
 
     def velocities_at(self, times) -> np.ndarray:
         """Interpolated v, the derivative of positions_at; shape (m, n)."""
-        i, j, dt, th = self._pieces(times)
-        xs, vs, accs = self.xs, self.vs, self.accs
-        return _quintic_v(xs[j] - xs[i], vs[i], vs[j], accs[i], accs[j], dt, th)
+        return self._dense(*self._pieces(times), True)
 
 
 def _start_point(value, n: int, what: str) -> np.ndarray:
@@ -356,55 +363,6 @@ def _normalize_spec(spec: SystemSpec):
     return n, x0, v0
 
 
-class StateOps(NamedTuple):
-    """The operations that depend on how a state is held.
-
-    For n = 1 a state is a plain float and these are builtins and the
-    potential's float closures; for n >= 2 it is an (n,) array and they
-    are numpy calls and the potential's array closures, each chosen for
-    the least fixed cost at the bits of its checked form.  The n = 1
-    stepper, the n >= 2 stepper, their output and the recursion read them.
-
-    ``column`` makes the growable sequence that steps, samples and events
-    are kept in: an ``array('d')`` of packed floats for n = 1 (8 bytes a
-    value, against 32 for a list of boxed floats), a list of floats and
-    (n,) arrays for n >= 2.  Both extend, slice with a step, insert at 0
-    and convert with ``np.asarray`` alike, the packed one without a copy,
-    as ``field`` and ``firsts`` read recorded steps (_RECORD values each).
-    """
-
-    states: Callable  # array of (n,) rows -> float(s) or array
-    grad: Callable  # x -> grad G(x)
-    finite: Callable  # every component finite
-    norms: Callable  # (m, n) array -> the Euclidean norm of each row
-    column: Callable  # iterable of states -> a growable column holding them
-    field: Callable  # (records, j) -> value j of every record, (m,) or (m, n)
-    firsts: Callable  # records -> the first component of each v, whose sign changes are events
-
-
-def state_ops(pot: Potential) -> StateOps:
-    """Bind the dimension-dependent operations for ``pot`` once."""
-    if pot.n == 1:
-        return StateOps(
-            states=lambda a: a[..., 0].tolist(),
-            grad=pot.grad_fn(),
-            finite=math.isfinite,
-            norms=lambda a: np.abs(a[:, 0]),
-            column=partial(array, "d"),
-            field=lambda records, j: np.frombuffer(records)[j::_RECORD],
-            firsts=lambda records: np.frombuffer(records)[2::_RECORD],
-        )
-    return StateOps(
-        states=lambda a: np.asarray(a, dtype=float),
-        grad=pot.grad_fn(),
-        finite=lambda a: all(map(math.isfinite, a.tolist())),
-        norms=lambda a: np.sqrt(row_dots(a)),
-        column=list,
-        field=lambda records, j: np.array(records[j::_RECORD]),
-        firsts=lambda records: np.array(records[2::_RECORD])[:, 0],
-    )
-
-
 def integrate(spec: SystemSpec) -> Trajectory:
     """Solve the system on [0, t_end] and return the sampled trajectory.
 
@@ -429,7 +387,6 @@ def _solve(spec: SystemSpec) -> Trajectory:
     n, x0, v0 = _normalize_spec(spec)
     pot = spec.potential
     sched = spec.schedule
-    ops = state_ops(pot)
     g0 = pot.grad(x0)
 
     if float(np.max(np.abs(v0))) == 0.0 and float(np.max(np.abs(g0))) == 0.0:
@@ -464,7 +421,7 @@ def _solve(spec: SystemSpec) -> Trajectory:
         # exact-to-O(h0^4) accumulated dissipation and t=0 row
         gn2 = float(g0 @ g0)
         diss0 = c * gn2 * h0 ** 2 / (2.0 * (1.0 + c) ** 2)
-        prelude = (0.0, ops.states(x0), ops.states(np.zeros(n)), ops.states(-g0 / (1.0 + c)), 0.0)
+        prelude = np.concatenate(([0.0], x0, np.zeros(n), -g0 / (1.0 + c), [0.0])).tolist()
     else:
         t0 = 0.0
         y_x, y_v = x0, v0
@@ -473,17 +430,27 @@ def _solve(spec: SystemSpec) -> Trajectory:
         raise DomainError(f"t_end={spec.t_end} does not exceed the start time {t0}")
 
     run = _run if n == 1 else _run_array
-    *columns, stats = run(spec, ops, t0, ops.states(y_x), ops.states(y_v), diss0)
+    samples, events, stats = run(spec, t0, y_x, y_v, diss0)
     if prelude is not None:
-        for column, value in zip(columns, prelude):
+        for column, value in zip(samples, prelude):
             column.insert(0, value)
-    # a packed n=1 column becomes an array without a copy
-    ts, xs, vs, accs, ds, et, ex, ev = (np.asarray(c, dtype=float) for c in columns)
-    xs, vs, accs, ex, ev = (c.reshape(-1, n) for c in (xs, vs, accs, ex, ev))
+    # the packed time and dissipation columns become arrays without a copy
+    ts, ds, et = (np.asarray(c) for c in (samples[0], samples[-1], events[0]))
+    xs, vs, accs = (_states(samples, i, n) for i in range(3))
+    ex, ev = (_states(events, i, n) for i in range(2))
     return Trajectory(
         ts, xs, vs, accs, _energies(pot, xs, vs), ds,
         Events(et, ex, ev, _energies(pot, ex, ev)), stats, spec, n,
     )
+
+
+def _states(columns, i: int, n: int) -> np.ndarray:
+    """State i, (m, n), of packed columns that hold a time and then the
+    states' n components each; the one column of n = 1 is not copied."""
+    first = 1 + i * n
+    if n == 1:
+        return np.asarray(columns[first]).reshape(-1, 1)
+    return np.stack(columns[first:first + n], axis=1)
 
 
 def _energies(pot: Potential, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -496,14 +463,14 @@ def _energies(pot: Potential, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return es
 
 
-def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
+def _run(spec: SystemSpec, t0: float, x0: np.ndarray, v0: np.ndarray, diss0: float):
     """The n = 1 stepper: x, v, the stages and the coefficients are floats.
 
-    Returns the ops.column columns of the stored samples (t, x, v, x'',
-    dissipation) and of the events (t, x, v), then the stats.
+    Returns what _Output.finish returns: the packed columns of the stored
+    samples and of the events, then the stats.
     """
     rate = spec.schedule.rate_fn()
-    g, all_finite = ops.grad, ops.finite
+    g, isfinite = spec.potential.grad_fn(), math.isfinite
     t_end = spec.t_end
     rtol, atol = spec.rel_tol, spec.abs_tol
     max_steps = spec.max_steps
@@ -523,14 +490,14 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
     q1, _, _, _, _, q6, q7, q8, q9, q10, q11, q12 = _B
 
-    t, x, v = t0, x0, v0
+    t, x, v = t0, x0.item(), v0.item()
     k1x = v
-    r1, k1v, h = _start(spec, ops, rate, t, x, v)
+    r1, k1v, h = _start(spec, rate, g, t, x, v)
 
     diss = diss0
     diss_c = 0.0  # Kahan compensation
 
-    out = _Output(ops, 1, (t, x, v, k1v, diss))
+    out = _Output(1, (t, x, v, k1v, diss))
     record, chunk = out.records.extend, EVENT_CHUNK
 
     accepted = rejected = 0
@@ -625,7 +592,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
             # took the rate unless the step was clipped
             r13 = rate(t_new) if clipped else r12
             k13v = -r13 * v_new - g(x_new)
-            finite = all_finite(x_new) and all_finite(v_new) and all_finite(k13v)
+            finite = isfinite(x_new) and isfinite(v_new) and isfinite(k13v)
         except OverflowError:
             # a scalar closure overflowed where an array would hold inf
             finite = False
@@ -699,7 +666,7 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
         t, x, v = t_new, x_new, v_new
         k1x, k1v, r1 = v_new, k13v, r13
         accepted += 1
-        record((t, x, v, k1v, diss))  # for the events and samples
+        record((t, x, v, k1v, diss))  # the step's packed row, for the events and samples
         if accepted % chunk == 0:
             out.take()
 
@@ -711,21 +678,23 @@ def _run(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
     return out.finish(accepted, rejected)
 
 
-def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float):
+def _run_array(spec: SystemSpec, t0: float, x0: np.ndarray, v0: np.ndarray, diss0: float):
     """The n >= 2 stepper on one stage buffer; returns what _run returns.
 
     The state y = (x, v) is one (2n,) array, and stage i's rate
     (x', v') = (v_i, -a(t_i) v_i - grad G(x_i)) is row i of one (12, 2n)
     buffer k.  A stage is y plus h times one np.add.reduce of the
     weighted rows it reads (_STAGES), and the solution and both error
-    estimates are one reduce of the rows they weigh (_WEIGHTS).  The
-    recorded steps hold views of y, which is a new array every step, never
-    views of k.  The elementwise operations run along the last
+    estimates are one reduce of the rows they weigh (_WEIGHTS).  Each
+    attempt writes its new y and x'' into the packed row of the step's
+    record by slice assignment; the finiteness test reads them there, and
+    an accepted step adds t and the dissipation and appends the row's
+    bytes to the records.  The elementwise operations run along the last
     axis and the stage sums along the one before it, so that a leading
     member axis can be added to y and k.
     """
     rate = spec.schedule.rate_fn()
-    g, all_finite = ops.grad, ops.finite
+    g, isfinite = spec.potential.grad_fn(), math.isfinite
     n = spec.potential.n
     two_n = 2.0 * n
     t_end = spec.t_end
@@ -736,7 +705,7 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
     t = t0
     y = np.concatenate((x0, v0))
     x, v = y[..., :n], y[..., n:]
-    r1, k1v, h = _start(spec, ops, rate, t, x, v)
+    r1, k1v, h = _start(spec, rate, g, t, x, v)
     k = np.empty((12, 2 * n))  # the stage rates, one row a stage
     first_x, first_v = k[..., 0, :n], k[..., 0, n:]  # stage 1's: (v, x'') at t
     first_x[...], first_v[...] = v, k1v
@@ -758,8 +727,13 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
     diss = diss0
     diss_c = 0.0  # Kahan compensation
 
-    out = _Output(ops, n, (t, x, v, k1v, diss))
-    record, chunk = out.records.extend, EVENT_CHUNK
+    # the record of a step: t, then (x, v), then x'', then the dissipation
+    row = np.empty(3 * n + 2)
+    state = row[1:3 * n + 1]  # (x, v, x'')
+    row_bytes = memoryview(row).cast("B")  # what frombytes takes
+    row[0], row[1:2 * n + 1], row[2 * n + 1:-1], row[-1] = t, y, k1v, diss
+    out = _Output(n, row.tolist())
+    record, chunk = out.records.frombytes, EVENT_CHUNK
 
     accepted = rejected = 0
     just_rejected = False
@@ -797,7 +771,8 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
             # took the rate unless the step was clipped
             r13 = rate(t_new) if clipped else r
             k13v = -r13 * v_new - g(x_new)
-            finite = all_finite(y_new) and all_finite(k13v)
+            row[1:2 * n + 1], row[2 * n + 1:-1] = y_new, k13v
+            finite = all(map(isfinite, state.tolist()))
         except OverflowError:
             # a closure overflowed in float arithmetic where numpy's gives inf
             finite = False
@@ -848,10 +823,11 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
         diss_c = (tk - diss) - yk
         diss = tk
 
-        t, y, x, v, k1v = t_new, y_new, x_new, v_new, k13v
+        t, y, v, k1v = t_new, y_new, v_new, k13v
         first_x[...], first_v[...], rates[0] = v, k1v, r13
         accepted += 1
-        record((t, x, v, k1v, diss))  # as in _run
+        row[0], row[-1] = t, diss
+        record(row_bytes)  # as in _run
         if accepted % chunk == 0:
             out.take()
 
@@ -863,17 +839,16 @@ def _run_array(spec: SystemSpec, ops: StateOps, t0: float, x0, v0, diss0: float)
     return out.finish(accepted, rejected)
 
 
-def _start(spec: SystemSpec, ops: StateOps, rate: Callable, t: float, x, v):
+def _start(spec: SystemSpec, rate: Callable, g: Callable, t: float, x, v):
     """The rate a(t), the acceleration and the first step size at the
     start (x, v), for a float or an (n,) array state: two evaluations of
-    the vector field."""
-    g = ops.grad
+    the vector field, g the potential's gradient closure."""
     t_end, rtol, atol = spec.t_end, spec.rel_tol, spec.abs_tol
     two_n = 2.0 * spec.potential.n
     k1x = v
     r1 = rate(t)
     k1v = -r1 * v - g(x)
-    if not ops.finite(k1v):
+    if not np.all(np.isfinite(k1v)):
         raise NonFiniteState(f"vector field non-finite at start t={t}")
     # One magnitude scale for both components: per-component scales can
     # degenerate (v0 = 0 with a tiny abs_tol) and overflow the squares.
@@ -915,24 +890,26 @@ def _turns(w, up):
 class _Output:
     """A run's events and stored samples, taken from its recorded steps.
 
-    A stepper appends each accepted step's (t, x, v, x'', dissipation) to
-    ``records``, which start with the step before them, calls ``take``
-    whenever EVENT_CHUNK steps have gathered and ``finish`` after its
-    loop.  Each call is one numpy pass over the steps and gives what these
-    rules give applied one step at a time: the event rule of _turns, and
-    a step is stored when it is the stride-th since the last stored one,
-    as is the step that reaches t_end; when that makes more than
-    MAX_STORED_SAMPLES samples, every other one is dropped and the stride
-    doubles, but the step that reaches t_end is kept.  An error of the
-    event pass (its refinement can fail) is held until ``finish``, so
-    that an error the loop raises later takes precedence.
+    A stepper appends each accepted step's row of 3n + 2 packed floats
+    (t, x, v, x'' and the dissipation) to ``records``, which start with
+    the step before them, calls ``take`` whenever EVENT_CHUNK steps have
+    gathered and ``finish`` after its loop.  Each call is one numpy pass
+    over the steps and gives what these rules give applied one step at a
+    time: the event rule of _turns, and a step is stored when it is the
+    stride-th since the last stored one, as is the step that reaches
+    t_end; when that makes more than MAX_STORED_SAMPLES samples, every
+    other one is dropped and the stride doubles, but the step that reaches
+    t_end is kept.  Samples and events are kept in one packed column per
+    component, so a column slices, thins and inserts alike for every n.
+    An error of the event pass (its refinement can fail) is held until
+    ``finish``, so that an error the loop raises later takes precedence.
     """
 
-    def __init__(self, ops: StateOps, n: int, start):
-        self.ops, self.n = ops, n
-        self.records = ops.column(start)
-        self.kept = [ops.column((value,)) for value in start]  # t, x, v, x'', dissipation
-        self.events = (ops.column(), ops.column(), ops.column())  # t, x, v, in time order
+    def __init__(self, n: int, start):
+        self.n, self.width = n, 3 * n + 2
+        self.records = array("d", start)
+        self.kept = [array("d", (value,)) for value in start]  # t, x, v, x'', dissipation
+        self.events = [array("d") for _ in range(2 * n + 1)]  # t, x, v, in time order
         self.up = None  # whether the last nonzero first velocity component is > 0
         self.since = 0  # steps since the last stored one
         self.stride = 1
@@ -941,34 +918,33 @@ class _Output:
     def take(self) -> None:
         """Take the events and samples from the records gathered, and keep
         only the last record."""
-        records = self.records
+        records, width = self.records, self.width
         if self.failure is None:
             try:
                 self._events(records)
             except Exception as exc:
                 traceback.clear_frames(exc.__traceback__)  # whose views pin the records
                 self.failure = exc
-            self._keep(records, len(records) // _RECORD - 1)
-        del records[:-_RECORD]  # in place: a new column each chunk fragments the heap
+            self._keep(records, len(records) // width - 1)
+        del records[:-width]  # in place: a new column each chunk fragments the heap
 
     def _events(self, records) -> None:
-        ops, n = self.ops, self.n
-        k, crossing, self.up = _turns(ops.firsts(records), self.up)
-        t, x, v = (ops.field(records, j) for j in range(3))
-        te, xe, ve = t[k - 1], x[k - 1].reshape(-1, n), v[k - 1].reshape(-1, n)
+        n = self.n
+        steps = np.frombuffer(records).reshape(-1, self.width)
+        t, x, v, a = (steps[:, 0], steps[:, 1:n + 1], steps[:, n + 1:2 * n + 1],
+                      steps[:, 2 * n + 1:-1])
+        k, crossing, self.up = _turns(v[:, 0], self.up)
+        te, xe, ve = t[k - 1], x[k - 1], v[k - 1]
         if crossing.any():
-            a = ops.field(records, 3)
             rows = np.flatnonzero(crossing)
             # slices in index order: the first failing bracket's error is raised
             for lo in range(0, len(rows), _REFINE_SLICE):
                 at = rows[lo:lo + _REFINE_SLICE]
                 i = k[at]
-                ends = (s[r].reshape(-1, n) for r in (i - 1, i) for s in (x, v, a))
+                ends = (s[r] for r in (i - 1, i) for s in (x, v, a))
                 te[at], xe[at], ve[at] = _refine_brackets(t[i - 1], t[i], *ends)
-        et, ex, ev = self.events
-        et.extend(te.tolist())
-        ex.extend(ops.states(xe))
-        ev.extend(ops.states(ve))
+        for column, values in zip(self.events, (te, *xe.T, *ve.T)):
+            column.extend(values.tolist())
 
     def _keep(self, records, m: int) -> None:
         last = -self.since  # the record of the last stored step
@@ -983,8 +959,9 @@ class _Output:
         self.since = m - last
 
     def _store(self, records, rows: range) -> None:
+        width = self.width
         for j, column in enumerate(self.kept):
-            column += records[_RECORD * rows.start + j:_RECORD * rows.stop:_RECORD * rows.step]
+            column += records[width * rows.start + j:width * rows.stop:width * rows.step]
 
     def _thin(self) -> None:
         for column in self.kept:
@@ -992,10 +969,10 @@ class _Output:
         self.stride *= 2
 
     def finish(self, accepted: int, rejected: int):
-        """The columns of the stored samples (t, x, v, x'', dissipation) and
-        of the events (t, x, v), then the stats; a held refinement error is
-        raised here."""
-        if len(self.records) > _RECORD:
+        """The columns of the stored samples (t, x, v, x'' and the
+        dissipation: 3n + 2) and of the events (t, x, v: 2n + 1), then the
+        stats; a held refinement error is raised here."""
+        if len(self.records) > self.width:
             self.take()
         end = range(1)  # the one record left: the step that reached t_end
         if self.since:
@@ -1008,7 +985,7 @@ class _Output:
         stats = SolverStats(accepted, rejected, 2 + 12 * (accepted + rejected), self.stride)
         if self.failure is not None:
             raise self.failure
-        return (*self.kept, *self.events, stats)
+        return self.kept, self.events, stats
 
 
 def _refine_brackets(t, t_new, x0, v0, a0, x1, v1, a1):

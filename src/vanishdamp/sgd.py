@@ -34,8 +34,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, NonFiniteState
-from .integrate import Record, SystemSpec, Trajectory, _start_point, integrate, state_ops
-from .potential import Potential
+from .integrate import Record, SystemSpec, Trajectory, _start_point, integrate
+from .potential import Potential, row_dots
 from .schedule import PowerLaw, _each
 
 __all__ = [
@@ -283,14 +283,13 @@ def run_recursion(
     form after it, from the rows eps_n g_n the loop records.  For n=1 the
     loop runs on floats; for n >= 2 it keeps h and g in one (2, n) buffer
     so that one multiply by eps_n and one divide by tau_n serve both terms
-    of h's update.  The gradient, the finiteness test and the row norms are
-    those :func:`vanishdamp.integrate.state_ops` binds.
+    of h's update.  Both call the potential's gradient closure and test
+    every component of x for finiteness.
     """
     if not (isinstance(n_steps, Integral) and n_steps >= 1):
         raise DomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     dim = pot.n
-    ops = state_ops(pot)
-    grad, finite = ops.grad, ops.finite
+    grad, isfinite = pot.grad_fn(), math.isfinite
     start = _start_point(x0, dim, "start point")
     sizes = array("d", islice(steps.sizes(), n_steps + 1))
     clock = _compensated_sums(sizes, array("d"))
@@ -310,7 +309,7 @@ def run_recursion(
             h = h - e_n * h / tau + eg / tau
             # e_next * h is inf or NaN wherever h is, so x is finite only if h is
             x = x - e_next * h
-            if not finite(x):
+            if not isfinite(x):
                 raise NonFiniteState(f"recursion diverged at step {len(x_rows)}")
             keep_h(h)
             keep_x(x)
@@ -323,6 +322,10 @@ def run_recursion(
         (h, g), (h_term, g_term) = hg, terms  # terms: eps_n (h, g), then over tau_n
         egs = np.empty((n_steps, dim))
         x = xs[0]
+
+        def finite(a):  # every component: one call a step, as isfinite at n = 1
+            return all(map(isfinite, a.tolist()))
+
         rows = zip(noise.stream(n_steps, dim), sizes, clock, islice(sizes, 1, None),
                    egs, hs[1:], xs[1:])
         for n, (xi_n, e_n, tau, e_next, eg, h_out, x_out) in enumerate(rows):
@@ -342,14 +345,19 @@ def run_recursion(
 
     # the drift identity (see DiscretePath): the closed form's sums on floats
     # a component at a time, in place; np.fmax skips NaN gaps and magnitudes
-    # as a step loop's `>` tests skip them
+    # as a step loop's `>` tests skip them; a row's norm has the bits of
+    # the loop's abs(x) for n = 1 and of sqrt(x.dot(x)) for n >= 2
+
+    def norms(rows):
+        return np.abs(rows[:, 0]) if dim == 1 else np.sqrt(row_dots(rows))
+
     for c in egs.T:
         c[...] = _compensated_sums(memoryview(c), array("d"))
     taus = np.asarray(clock)
     closed = np.divide(egs, taus[:-1, None], out=egs)
-    scale = np.fmax.accumulate(ops.norms(closed))
+    scale = np.fmax.accumulate(norms(closed))
     scale[~(scale > 0.0)] = 1.0
-    gaps = ops.norms(np.subtract(hs[1:], closed, out=closed)) / scale
+    gaps = norms(np.subtract(hs[1:], closed, out=closed)) / scale
     worst = float(np.fmax.reduce(gaps, initial=0.0))
     return DiscretePath(tau=taus, h=hs, x=xs, drift_identity_max=worst, steps=steps, noise=noise)
 

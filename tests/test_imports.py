@@ -1,10 +1,12 @@
 """Every name a module of the package or a test file imports is used in
-that file, only ``workers.py`` imports the process modules, and every
+that file, only ``workers.py`` imports the process modules, a module
+imports no private name of another beyond a stated few, and every
 exported function, and every public method and property of an exported
 class, has a reader in the package; exported means named in the
 ``__all__`` of the package or of any of its modules.
 
-``__init__.py`` is left out: its imports are the public re-exports.
+``__init__.py`` is left out of the first check: its imports are the public
+re-exports.
 ``from __future__ import annotations`` binds nothing and is skipped.
 """
 
@@ -88,6 +90,45 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
 def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> set:
+    """(module, name) of every underscore name the source imports from
+    another module of the package."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if alias.name.startswith("_")
+    }
+
+
+def test_the_private_import_check_sees_relative_imports_only():
+    source = (
+        "from . import acceptance\n"
+        "from .integrate import Record, _start_point as start\n"
+        "from .schedule import _each\n"
+        "from numpy import _core\n"
+    )
+    assert private_imports(source) == {("integrate", "_start_point"), ("schedule", "_each")}
+
+
+# the only private names a module of the package imports from another:
+# the record layout, the interpolant and the other internals of a module
+# stay inside it
+PRIVATE_IMPORTS = {
+    ("config.py", "integrate", "_normalize_spec"),
+    ("sgd.py", "integrate", "_start_point"),
+    ("sgd.py", "schedule", "_each"),
+}
+
+
+def test_private_imports_between_modules_are_the_allowed_ones():
+    found = {
+        (path.name, *name)
+        for path in sorted(PACKAGE.glob("*.py")) for name in private_imports(path.read_text())
+    }
+    assert found == PRIVATE_IMPORTS
 
 
 # exported functions, and public methods and properties of exported

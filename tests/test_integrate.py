@@ -46,7 +46,6 @@ from vanishdamp.integrate import (
     BOOTSTRAP_H0,
     EVENT_TIME_TOL,
     _brentq_batch,
-    state_ops,
 )
 from vanishdamp.acceptance import _flat_settling_run
 from vanishdamp.oracle import linear_regular_solution, power_law_exact
@@ -676,18 +675,12 @@ def test_exact_zero_events_keep_their_place(spec, snap, exact, digest, dissipati
     # the step loop, so many steps end on one: those events are the step's
     # own state, recorded between crossings refined in chunks (on the
     # unsnapped component), and every chunking gives the same digests.
-    state_ops = _integrate_module.state_ops
+    turns = _integrate_module._turns
 
-    def snapped(pot):
-        ops = state_ops(pot)
+    def snapped(w, up):
+        return turns(np.where(np.abs(w) < snap, 0.0, w), up)
 
-        def firsts(records):
-            w = ops.firsts(records)
-            return np.where(np.abs(w) < snap, 0.0, w)
-
-        return ops._replace(firsts=firsts)
-
-    monkeypatch.setattr(_integrate_module, "state_ops", snapped)
+    monkeypatch.setattr(_integrate_module, "_turns", snapped)
     if chunk is not None:
         monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
     traj = integrate(spec)
@@ -746,9 +739,10 @@ def test_array_step_call_count_is_bounded(calls_from):
     # The same guard for the n >= 2 stepper, on the n = 3 run of the
     # ppower_n3 pin: a reduce and a take, the rate and the gradient per
     # stage, and the error norm, dissipation and the step's record once an
-    # attempt.  The bound is what _run_array reaches (56.72 here; 62.40
-    # while it took the event component and appended each sample's five
-    # values itself).  The hook counts calls, not array operators: the
+    # attempt.  The bound is what _run_array reached (56.72 here; 56.74
+    # since it records a packed row, whose set-up adds four calls a run;
+    # 62.40 while it took the event component and appended each sample's
+    # five values itself).  The hook counts calls, not array operators: the
     # array stepper this one replaced, which ran _run's unrolled sums on
     # (n,) arrays with about 300 operators an attempt, made 39.86 calls an
     # attempt on this run.
@@ -904,8 +898,9 @@ def test_output_pass_matches_the_step_by_step_rules(chunk, cap, monkeypatch):
     # steps at once; it must give what the rules give one step at a time
     # (_step_by_step): the same steps bracketing crossings, the same
     # zero-ending steps as events, all in order, and the same stored steps
-    # and stride.  Step k records t = k, x = 1000 + k, v_0 = ws[k],
-    # x'' = 2000 + k and the dissipation 3000 + k; a stand-in refinement
+    # and stride.  Step k records the packed row t = k, x = 1000 + k,
+    # v_0 = ws[k], x'' = 2000 + k and the dissipation 3000 + k (for n = 2
+    # the second components -1, 0.5 and 7); a stand-in refinement
     # checks that it gets the two ends of each bracket and returns the
     # midpoint time.  The runs end after every step count to 48, so that
     # the last step lands on each place of a chunk and of the thinning
@@ -926,34 +921,57 @@ def test_output_pass_matches_the_step_by_step_rules(chunk, cap, monkeypatch):
     rng = np.random.default_rng(cap)
     seen = set()
     for n, start_at_rest in ((1, False), (1, True), (2, False), (2, True)):
-        ops = state_ops(Quadratic(n))
         all_ws = _random_components(rng, 197, start_at_rest)
         for steps in [*range(1, 49), 196, 197]:
             ws = all_ws[:steps + 1]
 
             def rec(k):
-                x, v, a = 1000.0 + k, ws[k], 2000.0 + k
+                x, v, a = [1000.0 + k], [ws[k]], [2000.0 + k]
                 if n > 1:
-                    x, v, a = np.array([x, -1.0]), np.array([v, 0.5]), np.array([a, 7.0])
-                return float(k), x, v, a, 3000.0 + k
+                    x, v, a = x + [-1.0], v + [0.5], a + [7.0]
+                return (float(k), *x, *v, *a, 3000.0 + k)
 
-            out = _integrate_module._Output(ops, n, rec(0))
+            out = _integrate_module._Output(n, rec(0))
             record = out.records.extend
             for k in range(1, steps + 1):
                 record(rec(k))
                 if k % _integrate_module.EVENT_CHUNK == 0:
                     out.take()
-            ts, xs, vs, accs, ds, et, ex, ev, stats = out.finish(steps, 0)
+            samples, evs, stats = out.finish(steps, 0)
             events, stored, stride = _step_by_step(ws, cap)
-            assert np.asarray(et).tolist() == events
-            assert np.asarray(ts).tolist() == stored
-            assert np.asarray(xs).reshape(-1, n)[:, 0].tolist() == [1000.0 + k for k in stored]
-            assert np.asarray(ds).tolist() == [3000.0 + k for k in stored]
+            assert len(samples) == 3 * n + 2 and len(evs) == 2 * n + 1
+            assert evs[0].tolist() == events
+            assert all(len(column) == len(events) for column in evs)
+            # each column holds one component of every stored step's row
+            assert [list(column) for column in samples] == [
+                list(column) for column in zip(*(rec(k) for k in stored))
+            ]
             assert stats.stride == stride
             seen |= {e % 1 == 0 for e in events}  # exact zeros and crossings both
             seen |= {"graze" for j in range(1, steps) if ws[j] == 0.0 and ws[j + 1] != 0.0
                      and ws[j - 1] != 0.0 and (ws[j - 1] > 0.0) == (ws[j + 1] > 0.0)}
     assert seen == {True, False, "graze"}
+
+
+def _held_beyond_returned(spec, chunk, cap, monkeypatch):
+    # The run of ``spec`` at EVENT_CHUNK ``chunk`` and MAX_STORED_SAMPLES
+    # ``cap`` (after one short run for the lazy set-up), and its traced
+    # peak less the bytes of the arrays it returns.
+    monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
+    monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
+    integrate(dataclasses.replace(spec, t_end=50.0))
+    tracemalloc.start()
+    try:
+        traj = integrate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(
+        a.nbytes
+        for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation,
+                  traj.events.time, traj.events.x, traj.events.v, traj.events.energy)
+    )
+    return traj, peak - returned
 
 
 def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
@@ -967,35 +985,56 @@ def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
     # pass (52 KB measured), or boxed floats for the samples, exceeds the
     # bound; the chunks of 64 took 23 KB.
     chunk, cap = 64, 256
-    monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
-    monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
     spec = dataclasses.replace(_WELL_SHORT, t_end=200.0)
-    integrate(dataclasses.replace(spec, t_end=50.0))  # lazy set-up
-    tracemalloc.start()
-    try:
-        traj = integrate(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, held = _held_beyond_returned(spec, chunk, cap, monkeypatch)
     assert len(traj.events) == 89 and traj.stats.stride > 1
     assert traj.stats.accepted == 351
-    returned = sum(
-        a.nbytes
-        for a in (traj.ts, traj.xs, traj.vs, traj.accs, traj.energies, traj.dissipation,
-                  traj.events.time, traj.events.x, traj.events.v, traj.events.energy)
+    assert held <= 16 * 1024 + 128 * chunk + 64 * cap
+
+
+def test_array_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
+    # The n = 3 counterpart: both steppers record a step as one row of
+    # 3n + 2 packed floats, and the output keeps samples and events in one
+    # packed column per component, so the bound is set from that layout,
+    # (3n + 2) * 8 = 88 bytes, twice over per recorded step (the row and
+    # the pass over it) and per stored sample (the columns, their growth
+    # and the stacking into the returned (m, n) arrays), with the slack
+    # of the n = 1 test.  Kept as lists of a float and three (n,) arrays
+    # a step and a sample, a few hundred bytes each, the run exceeds it.
+    chunk, cap, n = 64, 256, 3
+    bound = 16 * 1024 + 2 * (3 * n + 2) * 8 * (chunk + cap)
+    spec = SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=n),
+        x0=[-0.07559280905748289, 0.5870771547907805, -0.805993884307791],
+        v0=[0.0] * n, t_end=2000.0, rel_tol=1e-8,
     )
-    assert peak - returned <= 16 * 1024 + 128 * chunk + 64 * cap
+    traj, held = _held_beyond_returned(spec, chunk, cap, monkeypatch)
+    assert len(traj.events) == 67 and traj.stats.stride > 1
+    assert traj.stats.accepted == 886
+    assert held <= bound
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_array_finite_flags_every_component(n):
-    finite = state_ops(Quadratic(n)).finite
-    assert finite(np.arange(1.0, n + 1.0))
+    # The n >= 2 stepper's finiteness test reads every component of its
+    # row.  On an undamped oscillator along axis k whose gradient turns
+    # inf, -inf or NaN in that component alone past x_k = 0.5, the steps
+    # shrink toward the wall until the step cannot shrink, with a
+    # non-finite state: NonFiniteState.  A test that missed component k
+    # would take those attempts as finite, rejected on their NaN error
+    # norm, and end in StepUnderflow instead.
     for k in range(n):
         for bad in (math.inf, -math.inf, math.nan):
-            a = np.arange(1.0, n + 1.0)
-            a[k] = bad
-            assert not finite(a), a
+            def grad(p, k=k, bad=bad):
+                g = p.copy()
+                if p[k] > 0.5:
+                    g[k] = bad
+                return g
+
+            pot = CustomPotential(n, energy=lambda p: 0.5 * float(p @ p), grad=grad)
+            spec = SystemSpec(Constant(0.0), pot, np.zeros(n), np.eye(n)[k], t_end=10.0)
+            with pytest.raises(NonFiniteState, match="step cannot shrink"):
+                integrate(spec)
 
 
 @pytest.mark.parametrize(

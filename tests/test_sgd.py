@@ -27,7 +27,6 @@ from vanishdamp import (
     run_recursion,
 )
 from vanishdamp import sgd
-from vanishdamp.integrate import state_ops
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +325,7 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
-def test_moved_check_matches_the_in_loop_form_bitwise(n):
+def test_moved_check_matches_the_in_loop_form_bitwise(n, monkeypatch):
     # x, h, tau and drift_identity_max equal the in-loop reference bit for
     # bit: for constant and decaying steps, with and without noise, from a
     # generic start, from a start holding -0.0 components, and from the
@@ -345,10 +344,20 @@ def test_moved_check_matches_the_in_loop_form_bitwise(n):
         assert _same_bits(path.tau, tau) and _same_bits(path.h, h) and _same_bits(path.x, x)
         assert path.drift_identity_max == worst, (steps, noise, x0)
     assert worst == 0.0 and not np.any(h)  # the zero-drift start
-    # the row norms the check takes are the loop's norm of each row
-    norm = abs if n == 1 else (lambda a: math.sqrt(a.dot(a)))
-    rows = run_recursion(pot, steps, NoiseModel(0.5, seed=7), generic, 400).h
-    assert _same_bits(state_ops(pot).norms(rows), [norm(r[0] if n == 1 else r) for r in rows])
+    # the row norms the check takes are the loop's norm of each row: for
+    # n >= 2 the roots of row_dots, seen on the two arrays the check passes
+    # it (the closed form and its gap to h), for n = 1 abs, so no row_dots
+    seen, row_dots = [], sgd.row_dots
+
+    def recording(rows):
+        seen.append((rows.copy(), np.sqrt(row_dots(rows))))
+        return row_dots(rows)
+
+    monkeypatch.setattr(sgd, "row_dots", recording)
+    run_recursion(pot, steps, NoiseModel(0.5, seed=7), generic, 400)
+    assert len(seen) == (0 if n == 1 else 2)
+    for rows, norms in seen:
+        assert _same_bits(norms, [math.sqrt(r.dot(r)) for r in rows])
 
 
 def test_recursion_call_count_is_bounded(calls_from):
