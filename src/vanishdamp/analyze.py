@@ -249,6 +249,10 @@ def rate_fit(
     else:
         raise DomainError(f"unknown model {model!r}")
     ys = np.log(vw)
+    samples = len(tw)
+    # the window's copies are not needed by the fit: freed, they leave
+    # room for the fit's own temporaries on a long run
+    del mask, tw, vw
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     return RateFit(
@@ -256,7 +260,7 @@ def rate_fit(
         model=model,
         exponent=float(slope),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        samples=int(len(tw)),
+        samples=samples,
     )
 
 

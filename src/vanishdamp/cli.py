@@ -16,9 +16,11 @@ calls to a ``workers.Pool``; see README, "Worker processes"):
 * ``oracle <kind>``: print closed-form reference values.
 
 Exit codes: 0 success, 1 criterion failure, 2 config error, 3 solver
-failure.  Artifacts are written atomically (temp file, then rename) and
-all numbers use the shortest round-trip form, so re-running a
-scenario with the same config and seed reproduces the files byte for
+failure.  Artifacts are written atomically: each goes to a temp file
+beside its name, a CSV one block of rows at a time as it is formatted,
+and is renamed into place once whole, so no CSV is held whole in
+memory.  All numbers use the shortest round-trip form, so re-running
+a scenario with the same config and seed reproduces the files byte for
 byte apart from the wall-clock field inside the summary.
 """
 
@@ -31,7 +33,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,27 +51,31 @@ __all__ = ["main"]
 
 
 # characters written at a time when an artifact is text: the encoder never
-# holds a second copy of the whole of it.  Bytes (the CSVs) go out as they are
+# holds a second copy of the whole of it
 _WRITE_SLICE = 1 << 20
 
 
-def _atomic_write(path: Path, data: Union[str, bytes, bytearray]) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it
-    over ``path``.  A failed write removes the temporary file and leaves
-    ``path`` as it was."""
+@contextlib.contextmanager
+def _staged(path: Path, mode: str = "wb"):
+    """A file opened beside ``path`` that is renamed over ``path`` when the
+    block ends.  A failure anywhere in the block, a write or the rename,
+    removes the file and leaves ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        if isinstance(data, str):
-            with open(tmp, "w") as handle:
-                for start in range(0, len(data), _WRITE_SLICE):
-                    handle.write(data[start:start + _WRITE_SLICE])
-        else:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
+        with open(tmp, mode) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _atomic_write(path: Path, data: Union[str, bytes, bytearray]) -> None:
+    """Write the whole of ``data``, text or bytes, to ``path`` through
+    ``_staged``, one slice at a time."""
+    with _staged(path, "w" if isinstance(data, str) else "wb") as handle:
+        for start in range(0, len(data), _WRITE_SLICE):
+            handle.write(data[start:start + _WRITE_SLICE])
 
 
 def _fmt(value: float) -> str:
@@ -89,41 +95,42 @@ def _csv_cell(text: str) -> str:
 _CSV_BLOCK_ROWS = 1024
 
 
-def _csv(header: List[str], columns: list) -> bytearray:
-    """ASCII CSV bytes of equal-length columns, formatted
-    ``_CSV_BLOCK_ROWS`` rows at a time onto one buffer, so that the
-    artifact is held once: float arrays in shortest round-trip form,
-    ``range`` index columns with ``str``."""
-    data = bytearray((",".join(header) + "\n").encode("ascii"))
+def _csv(handle: BinaryIO, header: List[str], columns: list) -> None:
+    """Write the ASCII CSV of equal-length columns to ``handle``, each
+    ``_CSV_BLOCK_ROWS`` rows as soon as they are formatted, so that no more
+    than one block of the artifact is held: float arrays in shortest
+    round-trip form, ``range`` index columns with ``str``."""
+    handle.write((",".join(header) + "\n").encode("ascii"))
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = [column[lo:lo + _CSV_BLOCK_ROWS] for column in columns]
         # repr of the Python floats tolist() gives is _fmt of each entry
         cells = [map(str, c) if isinstance(c, range) else map(repr, c.tolist()) for c in block]
-        data += "\n".join(map(",".join, zip(*cells))).encode("ascii")
-        data += b"\n"
-    return data
+        handle.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii"))
 
 
 def _names(prefix: str, n: int) -> List[str]:
     return [f"{prefix}_{i}" for i in range(n)]
 
 
-def _series_csv(traj: Trajectory) -> bytearray:
+def _series_csv(traj: Trajectory, target: Path) -> None:
     header = ["t", *_names("x", traj.n), *_names("v", traj.n), "E", "a", "gnorm"]
     a = traj.spec.schedule.a_values(traj.ts)
     gnorm = traj.spec.potential.grad_norms(traj.xs)
-    return _csv(header, [traj.ts, *traj.xs.T, *traj.vs.T, traj.energies, a, gnorm])
+    with _staged(target) as handle:
+        _csv(handle, header, [traj.ts, *traj.xs.T, *traj.vs.T, traj.energies, a, gnorm])
 
 
-def _events_csv(traj: Trajectory) -> bytearray:
+def _events_csv(traj: Trajectory, target: Path) -> None:
     events = traj.events
     header = ["i", "t", *_names("x", traj.n), "E"]
-    return _csv(header, [range(len(events)), events.time, *events.x.T, events.energy])
+    with _staged(target) as handle:
+        _csv(handle, header, [range(len(events)), events.time, *events.x.T, events.energy])
 
 
-def _path_csv(path: DiscretePath) -> bytearray:
+def _path_csv(path: DiscretePath, target: Path) -> None:
     header = ["n", "tau", *_names("h", path.dim), *_names("x", path.dim)]
-    return _csv(header, [range(len(path.tau)), path.tau, *path.h.T, *path.x.T])
+    with _staged(target) as handle:
+        _csv(handle, header, [range(len(path.tau)), path.tau, *path.h.T, *path.x.T])
 
 
 def _fit_block(traj: Trajectory) -> Optional[dict]:
@@ -175,7 +182,7 @@ def _recursion_half(
     path = run_recursion(pot, steps, noise, x0, n_steps)
     comparison = compare_to_ode(path, pot)
     staged.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(staged, _path_csv(path))
+    _path_csv(path, staged)
     return {
         "n_steps": path.n_steps,
         "final_tau": float(path.tau[-1]),
@@ -212,8 +219,8 @@ def _run_scenario(run_cfg: RunConfig, write_series: bool = True) -> dict:
 
     run_cfg.outdir.mkdir(parents=True, exist_ok=True)
     if write_series:
-        _atomic_write(run_cfg.outdir / f"{run_cfg.name}_series.csv", _series_csv(traj))
-        _atomic_write(run_cfg.outdir / f"{run_cfg.name}_events.csv", _events_csv(traj))
+        _series_csv(traj, run_cfg.outdir / f"{run_cfg.name}_series.csv")
+        _events_csv(traj, run_cfg.outdir / f"{run_cfg.name}_events.csv")
     _atomic_write(
         run_cfg.outdir / f"{run_cfg.name}_summary.json",
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

@@ -176,6 +176,17 @@ class PowerLaw(DampingSchedule):
     def singular_at_zero(self) -> bool:  # type: ignore[override]
         return self.s0 == 0 and self.gamma > 0
 
+    def a_values(self, times) -> np.ndarray:
+        """gamma = 1 divides the whole array at once, which gives rate_fn's
+        bits (one IEEE division a point), inf at a singular origin and inf
+        where the quotient overflows, as Python's division does; numpy's
+        power can differ from the C library's in the last bit, so other
+        exponents keep the loop over rate_fn."""
+        if self.gamma != 1.0:
+            return super().a_values(times)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.c / (self._times(times) + self.s0)
+
     def rate_fn(self) -> Callable[[float], float]:
         c, g, s0 = self.c, self.gamma, self.s0
         if g == 1.0:

@@ -91,7 +91,7 @@ def test_criterion_a9_period_holds_gap_growth_does_not(suite):
 # the process pool that every criterion's runs are submitted to up front
 
 # criteria whose runs are cheap: a singular run, four decay runs, a slow
-# decay run, three flat-floor runs, three matched runs, six recursions
+# decay run, three flat-floor runs, three matched runs, five recursions
 # and two planar runs
 POOLED = ["A1", "A2", "A3", "A6", "A7", "A12", "A13"]
 
@@ -116,12 +116,12 @@ def test_one_cpu_starts_no_process(suite, record_pools):
 
 def test_solver_failure_in_a_worker_exits_3(monkeypatch, capsys, record_pools):
     # a step of 1e6 makes every A12 recursion diverge inside its worker;
-    # six recursions take six of eight CPUs
+    # five recursions take five of eight CPUs
     sizes = record_pools(8)
     monkeypatch.setattr(acceptance, "_A12_EPS", 1e6)
     assert main(["verify", "--only", "A12"]) == 3
     assert "solver failure (NonFiniteState)" in capsys.readouterr().err
-    assert sizes == [6]
+    assert sizes == [5]
     assert multiprocessing.active_children() == []
 
 

@@ -115,6 +115,39 @@ def test_rate_fit_in_integral_clock():
     assert fit.exponent == pytest.approx(3.0, abs=1e-10)
 
 
+def _rate_fit_holding_its_window(ts, values, window, model, schedule):
+    """rate_fit as written before it freed the window's copies ahead of
+    the fit, kept as the reference for its bits."""
+    t0, t1 = window
+    mask = (ts >= t0) & (ts <= t1)
+    tw = ts[mask]
+    vw = values[mask]
+    xs = np.log(tw) if model == "PowerLaw" else -schedule.integral_a_to(tw)
+    ys = np.log(vw)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    return (float(slope), float(np.sqrt(np.mean(resid**2))), int(len(tw)))
+
+
+@pytest.mark.parametrize("t_end", [1.0e3, 1.0e5], ids=["well_sweep", "long_run"])
+def test_rate_fit_gives_the_bits_of_the_fit_that_held_its_window(t_end):
+    # the double well under 1/(t+1) to a sweep row's horizon and to the
+    # long run's, fitted as the run summary fits them: |x|^2 + |v|^2 on
+    # the last two decades
+    schedule = PowerLaw(1.0, 1.0, 1.0)
+    traj = integrate(SystemSpec(schedule=schedule, potential=DoubleWell(),
+                                x0=1.3, v0=-0.7, t_end=t_end, rel_tol=1e-6))
+    phase = np.sum(traj.xs**2, axis=1) + np.sum(traj.vs**2, axis=1)
+    window = (t_end / 100.0, t_end)
+    for model in ("PowerLaw", "ExponentialInIntegralOfA"):
+        fit = rate_fit(traj.ts, phase, window, model=model, schedule=schedule)
+        want = _rate_fit_holding_its_window(traj.ts, phase, window, model, schedule)
+        assert (fit.exponent, fit.residual_rms, fit.samples) == want
+        assert fit.window == window and fit.model == model
+    if t_end == 1.0e5:
+        assert fit.samples > 50_000
+
+
 def test_rate_fit_validation():
     ts = np.geomspace(1.0, 100.0, 100)
     vals = ts**-1.0

@@ -5,6 +5,7 @@ codes, console output, and the CSV/JSON artifacts.
 """
 
 import csv
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -495,26 +496,84 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, text, 
     test_csv_bytes_are_pinned(tmp_path, text, pins)
 
 
-def test_csv_holds_one_copy_of_its_text():
-    # _csv formats block by block onto one buffer, so its peak is the
-    # artifact once, the buffer's growth slack and one block's strings:
-    # below 1.5 times the text, where joining a list of block strings
-    # holds the text twice
+# tracemalloc's peak for one _csv call, fixed from the block size (the
+# cells of one block, as strings, stay well under 1 MB) and not from any
+# row count
+CSV_PEAK_BOUND = 1 << 20
+
+
+@pytest.mark.parametrize("rows", [50_000, 200_000])
+def test_csv_holds_one_block_whatever_the_row_count(tmp_path, rows):
+    # _csv writes each block to its handle as soon as it is formatted, so
+    # its peak is one block's strings: the same bound holds for a 1.3 MB
+    # and a 5 MB artifact, where holding the artifact whole exceeds it
     rng = np.random.default_rng(35)
-    rows = 50_000
-    columns = [range(rows), *rng.standard_normal((6, rows))]
-    header = ["i", *(f"c{j}" for j in range(6))]
-    tracemalloc.start()
-    try:
-        data = cli._csv(header, columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(data) >= 5_000_000
-    assert peak < 1.5 * len(data)
-    lines = bytes(data).decode("ascii").splitlines()
-    assert lines[0] == "i,c0,c1,c2,c3,c4,c5" and len(lines) == rows + 1
-    assert lines[-1] == ",".join([str(rows - 1), *(repr(float(c[-1])) for c in columns[1:])])
+    columns = [range(rows), rng.standard_normal(rows)]
+    target = tmp_path / "big.csv"
+    with open(target, "wb") as handle:
+        tracemalloc.start()
+        try:
+            cli._csv(handle, ["i", "c0"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < CSV_PEAK_BOUND
+    assert target.stat().st_size > CSV_PEAK_BOUND
+    lines = target.read_text().splitlines()
+    assert lines[0] == "i,c0" and len(lines) == rows + 1
+    assert lines[-1] == f"{rows - 1},{float(columns[1][-1])!r}"
+
+
+class _FillsUp:
+    """A file that takes ``writes`` writes, then refuses the next one as a
+    full disk would."""
+
+    def __init__(self, handle, writes):
+        self.handle, self.writes = handle, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
+        return self.handle.write(data)
+
+
+@pytest.mark.parametrize("kind", ["series", "events", "path"])
+def test_a_failed_block_leaves_no_tmp_and_keeps_the_artifact(tmp_path, monkeypatch,
+                                                             record_pools, kind):
+    # a CSV write that fails after its header and first block went out
+    # removes the temporary file, and the artifacts of an earlier run stay
+    # as they were.  On one CPU the recursion, and so the path CSV, runs in
+    # this process, where the patched open holds
+    cfg = _cfg(tmp_path, PLANE_SGD)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--outdir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sum(name.endswith(".csv") for name in before) == 3
+
+    record_pools(1)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+    opened = []
+
+    def fills_up(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if Path(file).name.startswith(f"quadshort_{kind}.csv"):
+            opened.append(file)
+            return _FillsUp(handle, 2)
+        return handle
+
+    monkeypatch.setattr(cli, "open", fills_up, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        main(["run", cfg, "--outdir", str(out)])
+    assert len(opened) == 1 and before[f"quadshort_{kind}.csv"].count(b"\n") > 1 + 7
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert multiprocessing.active_children() == []
 
 
 def _json_digest(path: Path) -> str:
@@ -620,8 +679,8 @@ def test_run_loads_no_scipy(tmp_path):
 
 
 def test_atomic_write_writes_in_slices(tmp_path):
-    # text longer than one write slice arrives whole, and so do bytes (what
-    # the CSV writers return, written as they are), with no temporary left
+    # text longer than one write slice arrives whole, and so do bytes, with
+    # no temporary left
     text = "".join(f"{i},{i * 0.1!r}\n" for i in range(150_000))
     assert len(text) > 2 * cli._WRITE_SLICE
     cli._atomic_write(tmp_path / "big.csv", text)

@@ -9,6 +9,7 @@ SHA-256 pins, and the classification flags against their closed forms.
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from vanishdamp import (
     ScheduleClassification,
     slow_log_example,
 )
-from vanishdamp.schedule import QUAD_ABS_FLOOR, QUAD_REL_TOL
+from vanishdamp.schedule import QUAD_ABS_FLOOR, QUAD_REL_TOL, DampingSchedule
 
 # 1e-3 .. 1e5, eight points per decade
 LOG_GRID = [10.0 ** (k / 4.0) for k in range(-12, 21)]
@@ -197,6 +198,22 @@ def test_a_values_match_a_at_bitwise(sched):
     assert np.array_equal(_bits(got[start:]), _bits([fn(t) for t in ts[start:]]))
     with pytest.raises(DomainError):
         sched.a_values(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("s0", [0.0, 1.0, 0.25])
+def test_power_law_gamma_one_a_values_is_the_loop_bitwise(s0):
+    # gamma = 1 divides the whole array at once: the bits of the loop over
+    # rate_fn it replaced, on a long run's worth of times, inf at a
+    # singular origin and where the quotient overflows, and no warning
+    sched = PowerLaw(1.3, 1.0, s0)
+    ts = np.concatenate([[0.0, -0.0, 5e-324, 1e-300], np.geomspace(1e-3, 1e5, 77_428),
+                         [1e300, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sched.a_values(ts)
+    want = DampingSchedule.a_values(sched, ts)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert (got[0] == math.inf) == sched.singular_at_zero
 
 
 @pytest.mark.parametrize(
