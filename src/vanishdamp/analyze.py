@@ -9,12 +9,12 @@ outside a ball around the candidate limit, and the dichotomy "limit is a
 local minimum iff the velocity keeps changing sign".
 
 The omega-limit extent and the tail velocity are exact min/max over the
-samples and a fine grid of the quintic Hermite dense output, but the grid
-is evaluated only on the pieces whose Bernstein hull reaches the running
-min or max, and only at the points linspace would give them; the decay
-kernel and int_0^t a are read on whole arrays of sample times.  Both give
-the same bits as evaluating every grid point and every kernel value one
-by one.  classify_limit compares its decade widths with thresholds and
+samples and np.linspace's grid of the quintic Hermite dense output on
+the window, but the grid is evaluated only on the pieces whose Bernstein
+hull (Trajectory._hull) reaches the running min or max; the decay kernel
+and int_0^t a are read on whole arrays of sample times.  Both give the
+same bits as evaluating every grid point and every kernel value one by
+one.  classify_limit compares its decade widths with thresholds and
 computes one exactly only when its bounds do not decide the comparison;
 lower_bound_residual takes the kernel only in the blocks of samples that
 can hold the least slack.
@@ -331,8 +331,10 @@ def omega_limit_extent(traj: Trajectory, tail_fraction: float = 0.1) -> np.ndarr
     """Per-axis (min, max) of x over the final tail_fraction of the span.
 
     Combines stored samples, event states (exact turning points of the
-    monitored velocity), and a dense grid, so thinned storage cannot hide
-    excursions between samples.
+    monitored velocity), and the dense output on np.linspace over the tail
+    (about one point per 0.01 time units, 1000 to 200000), so thinned
+    storage cannot hide excursions between samples.  The grid is evaluated
+    only on the pieces whose hull reaches past the running min or max.
     """
     if not 0.0 < tail_fraction <= 0.9:
         raise DomainError(f"tail_fraction must be in (0, 0.9], got {tail_fraction}")
@@ -347,82 +349,6 @@ def _extent_window(traj: Trajectory, cut: float) -> np.ndarray:
     return _Column(traj, False, cut).extent(cut)
 
 
-def _position_hull(x0, x1, v0, v1, a0, a1, dt):
-    """Bernstein control points of the quintic Hermite x on each piece,
-    and the magnitude that bounds its rounding: the sum of the terms its
-    evaluation adds up."""
-    s0, s1 = dt * v0, dt * v1
-    q0, q1 = dt * dt * a0, dt * dt * a1
-    points = (x0, x0 + s0 / 5.0, x0 + 0.4 * s0 + q0 / 20.0,
-              x1 - 0.4 * s1 + q1 / 20.0, x1 - s1 / 5.0, x1)
-    scale = np.abs(x0) + np.abs(x1) + np.abs(s0) + np.abs(s1) + np.abs(q0) + np.abs(q1)
-    return points, scale
-
-
-def _velocity_hull(x0, x1, v0, v1, a0, a1, dt):
-    """Bernstein control points of v on each piece, the quartic derivative
-    of the quintic x, and the magnitude that bounds its rounding."""
-    r = (x1 - x0) / dt
-    s0, s1 = dt * a0, dt * a1
-    points = (v0, v0 + s0 / 4.0, 5.0 * r - 2.0 * (v0 + v1) - (s0 - s1) / 4.0, v1 - s1 / 4.0, v1)
-    scale = 30.0 * np.abs(r) + np.abs(v0) + np.abs(v1) + np.abs(s0) + np.abs(s1)
-    return points, scale
-
-
-def _piece(ts: np.ndarray, t: float) -> int:
-    """The piece holding t: the last j with ts[j] <= t, clipped to the
-    pieces 0 to len(ts) - 2."""
-    return min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
-
-
-class _Grid:
-    """The points of np.linspace(cut, stop, m), k * step + cut with the
-    last one at stop, by linspace's own formula and without the array."""
-
-    def __init__(self, cut: float, stop: float, m: int):
-        self.cut, self.stop, self.m = cut, stop, m
-        self.delta = np.subtract(stop, cut, dtype=float)
-        self.step = self.delta / (m - 1)
-
-    def at(self, k: np.ndarray) -> np.ndarray:
-        """The points of the float indices k."""
-        if self.step == 0:  # linspace's order for a step below the float range
-            g = k / (self.m - 1) * self.delta + self.cut
-        else:
-            g = k * self.step + self.cut
-        return np.where(k == self.m - 1, self.stop, g)
-
-    def first_at(self, times: np.ndarray) -> np.ndarray:
-        """For each time in [cut, stop], the index of the first point at or
-        after it: an estimate by arithmetic, corrected against the points,
-        which do not decrease."""
-        if self.delta == 0:
-            return np.zeros(len(times), dtype=np.intp)
-        k = np.clip(np.ceil((times - self.cut) / self.delta * (self.m - 1)), 0.0, self.m - 1.0)
-        while True:
-            low = self.at(k) < times
-            high = (k > 0) & (self.at(k - 1) >= times)
-            if not (low.any() or high.any()):
-                return k.astype(np.intp)
-            k = k + low - high
-
-    def points(self, pieces: np.ndarray, begin: np.ndarray, end: np.ndarray):
-        """(piece, point) of the indices begin to end - 1 of each piece, in
-        order, _DENSE_BLOCK points at a time."""
-        counts = end - begin
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        offset = (begin - starts).astype(float)  # run position q is index q + offset
-        total = int(stops[-1])
-        for lo in range(0, total, _DENSE_BLOCK):
-            hi = min(lo + _DENSE_BLOCK, total)
-            r0 = int(np.searchsorted(stops, lo, side="right"))
-            r1 = int(np.searchsorted(stops, hi - 1, side="right")) + 1
-            sizes = np.minimum(stops[r0:r1], hi) - np.maximum(starts[r0:r1], lo)
-            k = np.arange(lo, hi, dtype=float) + np.repeat(offset[r0:r1], sizes)
-            yield np.repeat(pieces[r0:r1], sizes), self.at(k)
-
-
 class _Column:
     """The positions (events included) or the velocities of a run from
     the piece holding ``first`` on, with the hull of each piece of its
@@ -430,30 +356,26 @@ class _Column:
     ``first``.
 
     Each piece of the interpolant lies in the hull of its Bernstein
-    control points, which ``_position_hull``/``_velocity_hull`` give from
-    the piece's end samples (degree 5 for x, 4 for v) with a magnitude S,
-    the sum of the terms that the control points and the evaluation add
-    up.  Both round by a few dozen units in the last place of S at most,
-    so the margin 1e-12 S (about 4500 units), floored at the smallest
-    normal float, covers them.  The pieces go in blocks of _DENSE_BLOCK,
-    so the hull's temporaries stay that size whatever the number of
-    samples.
+    control points, which ``Trajectory._hull`` gives from the piece's end
+    samples (degree 5 for x, 4 for v) with a magnitude S, the sum of the
+    terms that the control points and the evaluation add up.  Both round
+    by a few dozen units in the last place of S at most, so the margin
+    1e-12 S (about 4500 units), floored at the smallest normal float,
+    covers them.  The pieces go in blocks of _DENSE_BLOCK, so the hull's
+    temporaries stay that size whatever the number of samples.
     """
 
     def __init__(self, traj: Trajectory, velocity: bool, first: float):
-        ts, xs, vs, accs = traj.ts, traj.xs, traj.vs, traj.accs
         self.traj, self.velocity = traj, velocity
         # grid points per window: about one per 0.01 time units
         self.cap = 100_000 if velocity else 200_000
-        self.j0 = _piece(ts, first)
-        last = len(ts) - 1
-        hull = _velocity_hull if velocity else _position_hull
+        (self.j0,), _ = traj._pieces(first)
+        last = len(traj.ts) - 1
         self.lo = np.empty((last - self.j0, traj.n))
         self.hi = np.empty_like(self.lo)
         for j in range(self.j0, last, _DENSE_BLOCK):
             k = min(j + _DENSE_BLOCK, last)
-            points, scale = hull(xs[j:k], xs[j + 1:k + 1], vs[j:k], vs[j + 1:k + 1],
-                                 accs[j:k], accs[j + 1:k + 1], np.diff(ts[j:k + 1])[:, None])
+            points, scale = traj._hull(j, k, velocity)
             margin = 1.0e-12 * scale + _TINY
             self.lo[j - self.j0:k - self.j0] = np.minimum.reduce(points) - margin
             self.hi[j - self.j0:k - self.j0] = np.maximum.reduce(points) + margin
@@ -474,28 +396,28 @@ class _Column:
         stored values' width below, the hulls' above.  The extent's min
         and max lie between them, and a difference rounds monotonically."""
         lo, hi = self.stored(cut)
-        j = _piece(self.traj.ts, cut) - self.j0
+        j = self.traj._pieces(cut)[0][0] - self.j0
         lower = float(hi[0] - lo[0])
         upper = float(max(hi[0], self.hi[j:, 0].max()) - min(lo[0], self.lo[j:, 0].min()))
         return lower, upper
 
     def extent(self, cut: float) -> np.ndarray:
         """Per-axis (min, max) over [cut, end of run] of the stored values
-        and of the interpolant on linspace(cut, end, m).
+        and of the interpolant on the grid np.linspace(cut, end, m).
 
         The result equals the min/max over all m grid values, but the grid
         is evaluated only on the pieces whose hull reaches past the running
-        min or max, at the points linspace gives them, in _DENSE_BLOCK
-        blocks, so the interpolant's temporaries stay that size.
+        min or max, in _DENSE_BLOCK blocks of points, so the interpolant's
+        temporaries stay that size; the grid itself is m floats.
         """
         ts = self.traj.ts
         last = len(ts) - 1
         m = min(self.cap, max(1000, int((ts[-1] - cut) / 0.01) + 1))
-        grid = _Grid(cut, ts[-1], m)
+        grid = np.linspace(cut, ts[-1], m)
         lo, hi = self.stored(cut)
         # grid points with ts[j] <= t < ts[j+1] fall in piece j, and the
-        # last piece holds t = end, as in Trajectory.positions_at
-        j0 = _piece(ts, cut)
+        # last piece holds t = end, as in Trajectory._pieces
+        (j0,), _ = self.traj._pieces(cut)
         for j in range(j0, last, _DENSE_BLOCK):
             k = min(j + _DENSE_BLOCK, last)
             inside = ((self.lo[j - self.j0:k - self.j0] > lo)
@@ -503,10 +425,21 @@ class _Column:
             reach = j + np.flatnonzero(~inside)
             if not len(reach):
                 continue
-            begin = grid.first_at(ts[reach])
-            end = np.where(reach + 1 == last, m, grid.first_at(ts[reach + 1]))
-            for i, times in grid.points(reach, begin, end):
-                V = self.traj._dense(i, times, self.velocity)
+            begin = np.searchsorted(grid, ts[reach])
+            counts = np.where(reach + 1 == last, m, np.searchsorted(grid, ts[reach + 1])) - begin
+            # the reaching pieces' points in a row: row position q is grid
+            # index q + shift of its piece
+            stops = np.cumsum(counts)
+            shift = begin - (stops - counts)
+            total = int(stops[-1])
+            for q in range(0, total, _DENSE_BLOCK):
+                r = min(q + _DENSE_BLOCK, total)
+                p = slice(int(np.searchsorted(stops, q, side="right")),
+                          int(np.searchsorted(stops, r - 1, side="right")) + 1)
+                sizes = np.minimum(stops[p], r) - np.maximum(stops[p] - counts[p], q)
+                V = self.traj._dense(np.repeat(reach[p], sizes),
+                                     grid[np.arange(q, r) + np.repeat(shift[p], sizes)],
+                                     self.velocity)
                 lo = np.minimum(lo, V.min(axis=0))
                 hi = np.maximum(hi, V.max(axis=0))
         return np.stack([lo, hi], axis=1)
@@ -570,15 +503,6 @@ class _Width:
             ext = self.column.extent(self.cut)
             self.lower = self.upper = float(ext[0, 1] - ext[0, 0])
             self.exact = True
-
-    def below(self, bound: float) -> bool:
-        """width < bound"""
-        if self.upper < bound:
-            return True
-        if self.lower >= bound:
-            return False
-        self.refine()
-        return self.lower < bound
 
     def at_least(self, bound: float) -> bool:
         """width >= bound"""
@@ -666,7 +590,7 @@ def classify_limit(traj: Trajectory) -> LimitClassification:
             verdict = "ConvergesToMin"
         else:
             verdict = "Undetermined"
-    elif matched_min and isolated and events_growing and w_dec.below(0.5 * separation):
+    elif matched_min and isolated and events_growing and not w_dec.at_least(0.5 * separation):
         # oscillation localized around one isolated minimum: the
         # dichotomy's convergent branch, even though no finite-horizon
         # limit is resolved yet

@@ -136,7 +136,8 @@ def _path_csv(path: DiscretePath, target: Path) -> None:
 def _fit_block(traj: Trajectory) -> Optional[dict]:
     ts = traj.ts
     t_end = float(ts[-1])
-    lo = max(t_end / 100.0, float(ts[ts > 0.0][0]) if np.any(ts > 0.0) else 0.0)
+    first = int(np.searchsorted(ts, 0.0, side="right"))  # the first positive time
+    lo = max(t_end / 100.0, float(ts[first]) if first < len(ts) else 0.0)
     if not lo < t_end:
         return None
     phase = np.sum(traj.xs**2, axis=1) + np.sum(traj.vs**2, axis=1)

@@ -4,7 +4,10 @@ The solver is the explicit Dormand-Prince 8(5,3) pair (DOP853) with
 first-same-as-last stage reuse.  Its dense output is the quintic Hermite
 on the stored (x, v, x'') at both ends of a piece, with v the derivative
 of the x interpolant; it needs no stage data, so a thinned trajectory and
-the event refinement evaluate the same polynomial.  On top of plain
+the event refinement evaluate the same polynomial.  Its form is written
+here once: the evaluation (_quintic_x, _quintic_v) and the Bernstein
+control points that bound each piece (_position_hull, _velocity_hull),
+which a Trajectory applies to its pieces (_dense, _hull).  On top of plain
 stepping the solver provides:
 
   * events: the sign changes of the first velocity component (of v for
@@ -273,6 +276,29 @@ def _quintic_v(dx, v0, v1, a0, a1, dt, th):
     )
 
 
+def _position_hull(x0, x1, v0, v1, a0, a1, dt):
+    """Bernstein control points of _quintic_x on each piece, and the
+    magnitude that bounds its rounding: the sum of the terms its
+    evaluation adds up."""
+    s0, s1 = dt * v0, dt * v1
+    q0, q1 = dt * dt * a0, dt * dt * a1
+    points = (x0, x0 + s0 / 5.0, x0 + 0.4 * s0 + q0 / 20.0,
+              x1 - 0.4 * s1 + q1 / 20.0, x1 - s1 / 5.0, x1)
+    scale = np.abs(x0) + np.abs(x1) + np.abs(s0) + np.abs(s1) + np.abs(q0) + np.abs(q1)
+    return points, scale
+
+
+def _velocity_hull(x0, x1, v0, v1, a0, a1, dt):
+    """Bernstein control points of _quintic_v on each piece, the quartic
+    derivative of the quintic x, and the magnitude that bounds its
+    rounding."""
+    r = (x1 - x0) / dt
+    s0, s1 = dt * a0, dt * a1
+    points = (v0, v0 + s0 / 4.0, 5.0 * r - 2.0 * (v0 + v1) - (s0 - s1) / 4.0, v1 - s1 / 4.0, v1)
+    scale = 30.0 * np.abs(r) + np.abs(v0) + np.abs(v1) + np.abs(s0) + np.abs(s1)
+    return points, scale
+
+
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Trajectory(_ReadOnlyArrays):
     """Immutable result of one integration: the fields cannot be
@@ -328,6 +354,15 @@ class Trajectory(_ReadOnlyArrays):
         if velocity:
             return _quintic_v(x1 - x0, v0, v1, a0, a1, dt, th)
         return _quintic_x(x0, x1, v0, v1, a0, a1, dt, th)
+
+    def _hull(self, j: int, k: int, velocity: bool):
+        """The Bernstein control points of the interpolant's x, or its v,
+        on the pieces j to k - 1, each of shape (k - j, n), and the
+        magnitude that bounds their rounding and that of _dense."""
+        ts, xs, vs, accs = self.ts, self.xs, self.vs, self.accs
+        hull = _velocity_hull if velocity else _position_hull
+        return hull(xs[j:k], xs[j + 1:k + 1], vs[j:k], vs[j + 1:k + 1],
+                    accs[j:k], accs[j + 1:k + 1], np.diff(ts[j:k + 1])[:, None])
 
     def positions_at(self, times) -> np.ndarray:
         """Interpolated x on an array of query times; shape (m, n)."""

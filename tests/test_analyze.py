@@ -44,7 +44,7 @@ from vanishdamp import (
     upper_bound_check,
 )
 from vanishdamp import analyze as analyze_module
-from vanishdamp.analyze import DENSITY_STEP, _Column, _extent_window, _Grid, _tail_velocity_max
+from vanishdamp.analyze import DENSITY_STEP, _Column, _extent_window, _tail_velocity_max
 
 
 @pytest.fixture(scope="module")
@@ -544,22 +544,70 @@ def test_pruned_extent_sees_excursions_between_samples():
     assert _tail_velocity_max(traj, 0.0) > 5.0
 
 
-@pytest.mark.parametrize(
-    "cut, stop, m",
-    [(0.0, 1.0e3, 100_001), (900.0, 1.0e3, 10_001), (9.99e4, 1.0e5, 10_000),
-     (0.1 * math.pi, 7.0 * math.e, 1000), (0.0, 5.0e-322, 1000), (5.0, 5.0, 1000)],
-)
-def test_grid_is_linspace_by_its_own_formula(cut, stop, m):
-    # the last two cases have a step of 0: below the float range, and on
-    # an empty window
-    grid = _Grid(cut, stop, m)
-    want = np.linspace(cut, stop, m)
-    assert grid.at(np.arange(m, dtype=float)).tobytes() == want.tobytes()
-    # the index of the first point at or after a time, as searchsorted finds it
-    times = np.concatenate([want[::7], np.nextafter(want[::11], -math.inf),
-                            np.nextafter(want[::13], math.inf), np.linspace(cut, stop, 333)])
-    times = np.clip(times, cut, stop)
-    assert np.array_equal(grid.first_at(times), np.searchsorted(want, times, side="left"))
+def _sampled_run(ts, xs, vs, accs=None):
+    """A 1-D run with the given samples, no events, under Quadratic(1)."""
+    n = len(ts)
+    spec = SystemSpec(schedule=Constant(1.0), potential=Quadratic(1), x0=float(xs[0]),
+                      v0=float(vs[0]), t_end=float(ts[-1]))
+    none = Events(np.empty(0), np.empty((0, 1)), np.empty((0, 1)), np.empty(0))
+    accs = np.zeros(n) if accs is None else accs
+    return Trajectory(np.asarray(ts, dtype=float),
+                      *(np.asarray(c, dtype=float).reshape(n, 1) for c in (xs, vs, accs)),
+                      np.zeros(n), np.zeros(n), none, SolverStats(), spec, 1)
+
+
+def _edge_windows():
+    """(name, run, cut) at the edges of the extents' grid."""
+    # a linspace step that underflows to 0 on a window of 5e-322
+    yield "step_underflow", _sampled_run([0.0, 2.5e-322, 5.0e-322], [0.5] * 3, [0.0, 1.0, 0.0]), 0.0
+    bulging = _sampled_run(np.linspace(0.0, 10.0, 11), [-1.0, 1.0] + [0.5] * 9,
+                           [0.0, 0.0] + [3.0 * (-1.0) ** k for k in range(9)], np.full(11, 30.0))
+    # every grid point at the end of the run
+    yield "zero_width", bulging, 10.0
+    # 501 points by the 0.01 rule, raised to the floor of 1000
+    yield "point_floor", bulging, 5.0
+    # 250,001 points by the rule, capped at 200,000 for x and 100,000 for v
+    ts = np.arange(0.0, 2501.0)
+    yield "point_cap", _sampled_run(ts, np.sin(0.7 * ts), 0.7 * np.cos(0.7 * ts),
+                                    -0.49 * np.sin(0.7 * ts)), 0.0
+
+
+@pytest.mark.parametrize("name, traj, cut", list(_edge_windows()),
+                         ids=[case[0] for case in _edge_windows()])
+def test_extents_at_the_grid_edges_equal_the_full_grid(name, traj, cut):
+    assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))
+    assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
+
+
+def test_classification_memory_is_bounded_at_both_grid_caps(monkeypatch):
+    # samples at +-1 at rest, one a time unit: every piece's hull reaches
+    # past the samples, so the tail over [27000, 30000] evaluates all of
+    # its 200,000 x and 100,000 v grid points
+    ts = np.arange(0.0, 30001.0)
+    traj = _sampled_run(ts, (-1.0) ** ts, np.zeros(len(ts)))
+    tracemalloc.start()
+    try:
+        got = classify_limit(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the x grid, and 64 float arrays of a block of pieces or points; one
+    # call on the whole x grid takes the interpolant 32 MB
+    assert peak < 8 * 200_000 + 64 * 8 * analyze_module._DENSE_BLOCK
+    tail = 27000.0
+    assert got.tail_width == float(np.diff(_full_extent(traj, tail)[0])[0]) == 2.0
+    assert got.tail_velocity == _full_velocity_max(traj, tail)
+    assert got.verdict == "NotConverged"
+    evaluated = {False: 0, True: 0}
+    dense = Trajectory._dense
+
+    def counted(self, i, times, velocity):
+        evaluated[velocity] += len(times)
+        return dense(self, i, times, velocity)
+
+    monkeypatch.setattr(Trajectory, "_dense", counted)
+    classify_limit(traj)
+    assert evaluated == {False: 200_000, True: 100_000}
 
 
 def _built_run(pot, xs, bulge, event_times, event_x):

@@ -1,9 +1,10 @@
 """Every name a module of the package or a test file imports is used in
 that file, only ``workers.py`` imports the process modules, a module
-imports no private name of another beyond a stated few, and every
-exported function, and every public method and property of an exported
-class, has a reader in the package; exported means named in the
-``__all__`` of the package or of any of its modules.
+imports no private name of another, nor reads a private attribute of
+another's objects, beyond a stated few, and every exported function,
+and every public method and property of an exported class, has a reader
+in the package; exported means named in the ``__all__`` of the package
+or of any of its modules.
 
 ``__init__.py`` is left out of the first check: its imports are the public
 re-exports.
@@ -129,6 +130,59 @@ def test_private_imports_between_modules_are_the_allowed_ones():
         for path in sorted(PACKAGE.glob("*.py")) for name in private_imports(path.read_text())
     }
     assert found == PRIVATE_IMPORTS
+
+
+def private_attributes(source: str) -> set:
+    """Every underscore attribute, dunders aside, that the source reads and
+    does not define: no function, class, bound name or assigned attribute
+    of its own has the name, so it belongs to another module's object."""
+    tree = ast.parse(source)
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    } - own
+
+
+def test_the_private_attribute_check_sees_names_defined_elsewhere():
+    source = (
+        "class Column:\n"
+        "    def _own(self): return self._field\n"
+        "    def run(self, t):\n"
+        "        self._field = 1\n"
+        "        return t._dense(0) + self._own() + t.__len__() + _helper(t._pieces)\n"
+        "def _helper(x): return x._helper\n"
+        "_LIMIT = np._core\n"
+    )
+    assert private_attributes(source) == {"_dense", "_pieces", "_core"}
+
+
+# the only private attributes a module of the package reads on another
+# module's objects, each with the class that defines it: analyze reads
+# the interpolant on known pieces and its hulls through the trajectory
+PRIVATE_ATTRIBUTES = {
+    ("analyze.py", "Trajectory", "_dense"),
+    ("analyze.py", "Trajectory", "_hull"),
+    ("analyze.py", "Trajectory", "_pieces"),
+}
+
+
+def test_private_attributes_read_across_modules_are_the_allowed_ones():
+    found = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py")) for name in private_attributes(path.read_text())
+    }
+    assert found == {(module, name) for module, _, name in PRIVATE_ATTRIBUTES}
+    for _, owner, name in PRIVATE_ATTRIBUTES:
+        assert name in vars(getattr(vanishdamp, owner)), (owner, name)
 
 
 # exported functions, and public methods and properties of exported
