@@ -384,7 +384,7 @@ class _Column:
         """Per-axis min and max of the samples at or after cut, and of the
         event states there for positions."""
         traj = self.traj
-        Y = (traj.vs if self.velocity else traj.xs)[traj.ts >= cut]
+        Y = (traj.vs if self.velocity else traj.xs)[np.searchsorted(traj.ts, cut):]  # ts >= cut
         if not self.velocity:
             ev = traj.events.x[np.searchsorted(traj.events.time, cut):]  # time >= cut
             if len(ev):

@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,11 +48,6 @@ from .sgd import DiscretePath, NoiseModel, StepSchedule, compare_to_ode, run_rec
 from .workers import Pool
 
 __all__ = ["main"]
-
-
-# characters written at a time when an artifact is text: the encoder never
-# holds a second copy of the whole of it
-_WRITE_SLICE = 1 << 20
 
 
 @contextlib.contextmanager
@@ -70,12 +65,10 @@ def _staged(path: Path, mode: str = "wb"):
         raise
 
 
-def _atomic_write(path: Path, data: Union[str, bytes, bytearray]) -> None:
-    """Write the whole of ``data``, text or bytes, to ``path`` through
-    ``_staged``, one slice at a time."""
-    with _staged(path, "w" if isinstance(data, str) else "wb") as handle:
-        for start in range(0, len(data), _WRITE_SLICE):
-            handle.write(data[start:start + _WRITE_SLICE])
+def _atomic_write(path: Path, text: str) -> None:
+    """Write the whole of ``text`` to ``path`` through ``_staged``."""
+    with _staged(path, "w") as handle:
+        handle.write(text)
 
 
 def _fmt(value: float) -> str:

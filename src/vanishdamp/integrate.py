@@ -29,8 +29,7 @@ stepping the solver provides:
     the energy adds 8) and at most EVENT_CHUNK = 16384 recorded steps of
     (3n + 2) * 8 bytes, plus about 370 a bracket for the at most
     _REFINE_SLICE = 4096 brackets refined together while the pass runs.
-    The time and dissipation columns, and for n = 1 every column, become
-    the returned arrays uncopied;
+    Every column, for every n, becomes the returned array uncopied;
   * a series bootstrap for schedules behaving like c/t at the origin,
     where the vector field itself is singular.
 
@@ -456,7 +455,7 @@ def _solve(spec: SystemSpec) -> Trajectory:
         # exact-to-O(h0^4) accumulated dissipation and t=0 row
         gn2 = float(g0 @ g0)
         diss0 = c * gn2 * h0 ** 2 / (2.0 * (1.0 + c) ** 2)
-        prelude = np.concatenate(([0.0], x0, np.zeros(n), -g0 / (1.0 + c), [0.0])).tolist()
+        prelude = ([0.0], x0, np.zeros(n), -g0 / (1.0 + c), [0.0])
     else:
         t0 = 0.0
         y_x, y_v = x0, v0
@@ -467,25 +466,16 @@ def _solve(spec: SystemSpec) -> Trajectory:
     run = _run if n == 1 else _run_array
     samples, events, stats = run(spec, t0, y_x, y_v, diss0)
     if prelude is not None:
-        for column, value in zip(samples, prelude):
-            column.insert(0, value)
-    # the packed time and dissipation columns become arrays without a copy
-    ts, ds, et = (np.asarray(c) for c in (samples[0], samples[-1], events[0]))
-    xs, vs, accs = (_states(samples, i, n) for i in range(3))
-    ex, ev = (_states(events, i, n) for i in range(2))
+        for column, values in zip(samples, prelude):
+            column[:0] = array("d", values)
+    # the packed columns become the arrays without a copy
+    ts, xs, vs, accs, ds = map(np.asarray, samples)
+    et, ex, ev = map(np.asarray, events)
+    xs, vs, accs, ex, ev = (a.reshape(-1, n) for a in (xs, vs, accs, ex, ev))
     return Trajectory(
         ts, xs, vs, accs, _energies(pot, xs, vs), ds,
         Events(et, ex, ev, _energies(pot, ex, ev)), stats, spec, n,
     )
-
-
-def _states(columns, i: int, n: int) -> np.ndarray:
-    """State i, (m, n), of packed columns that hold a time and then the
-    states' n components each; the one column of n = 1 is not copied."""
-    first = 1 + i * n
-    if n == 1:
-        return np.asarray(columns[first]).reshape(-1, 1)
-    return np.stack(columns[first:first + n], axis=1)
 
 
 def _energies(pot: Potential, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -523,7 +513,6 @@ def _run(spec: SystemSpec, t0: float, x0: np.ndarray, v0: np.ndarray, diss0: flo
     e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12 = _E5
     e3_1, _, _, _, _, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, e3_12 = _E3
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
-    q1, _, _, _, _, q6, q7, q8, q9, q10, q11, q12 = _B
 
     t, x, v = t0, x0.item(), v0.item()
     k1x = v
@@ -689,9 +678,9 @@ def _run(spec: SystemSpec, t0: float, x0: np.ndarray, v0: np.ndarray, diss0: flo
         # system, integrated by the step's own weights from its stage rates
         # and velocities (eighth order, like the step)
         inc = h * (
-            q1 * r1 * k1x * k1x + q6 * r6 * k6x * k6x + q7 * r7 * k7x * k7x
-            + q8 * r8 * k8x * k8x + q9 * r9 * k9x * k9x + q10 * r10 * k10x * k10x
-            + q11 * r11 * k11x * k11x + q12 * r12 * k12x * k12x
+            b1 * r1 * k1x * k1x + b6 * r6 * k6x * k6x + b7 * r7 * k7x * k7x
+            + b8 * r8 * k8x * k8x + b9 * r9 * k9x * k9x + b10 * r10 * k10x * k10x
+            + b11 * r11 * k11x * k11x + b12 * r12 * k12x * k12x
         )
         yk = inc - diss_c
         tk = diss + yk
@@ -935,16 +924,21 @@ class _Output:
     t_end; when that makes more than MAX_STORED_SAMPLES samples, every
     other one is dropped and the stride doubles, but the step that reaches
     t_end is kept.  Samples and events are kept in one packed column per
-    component, so a column slices, thins and inserts alike for every n.
+    field of the row, whose x, v and x'' columns hold each row's n
+    components side by side, so the returned (m, n) arrays are views of
+    them for every n.
     An error of the event pass (its refinement can fail) is held until
     ``finish``, so that an error the loop raises later takes precedence.
     """
 
     def __init__(self, n: int, start):
-        self.n, self.width = n, 3 * n + 2
+        self.width = 3 * n + 2
+        # the fields of a row: t, x, v, x'' and the dissipation
+        self.fields = (slice(0, 1), slice(1, n + 1), slice(n + 1, 2 * n + 1),
+                       slice(2 * n + 1, 3 * n + 1), slice(3 * n + 1, 3 * n + 2))
         self.records = array("d", start)
-        self.kept = [array("d", (value,)) for value in start]  # t, x, v, x'', dissipation
-        self.events = [array("d") for _ in range(2 * n + 1)]  # t, x, v, in time order
+        self.kept = [array("d", start[field]) for field in self.fields]
+        self.events = [array("d") for _ in range(3)]  # t, x, v, in time order
         self.up = None  # whether the last nonzero first velocity component is > 0
         self.since = 0  # steps since the last stored one
         self.stride = 1
@@ -964,10 +958,9 @@ class _Output:
         del records[:-width]  # in place: a new column each chunk fragments the heap
 
     def _events(self, records) -> None:
-        n = self.n
         steps = np.frombuffer(records).reshape(-1, self.width)
-        t, x, v, a = (steps[:, 0], steps[:, 1:n + 1], steps[:, n + 1:2 * n + 1],
-                      steps[:, 2 * n + 1:-1])
+        t = steps[:, 0]
+        x, v, a = (steps[:, field] for field in self.fields[1:4])
         k, crossing, self.up = _turns(v[:, 0], self.up)
         te, xe, ve = t[k - 1], x[k - 1], v[k - 1]
         if crossing.any():
@@ -978,8 +971,8 @@ class _Output:
                 i = k[at]
                 ends = (s[r] for r in (i - 1, i) for s in (x, v, a))
                 te[at], xe[at], ve[at] = _refine_brackets(t[i - 1], t[i], *ends)
-        for column, values in zip(self.events, (te, *xe.T, *ve.T)):
-            column.extend(values.tolist())
+        for column, values in zip(self.events, (te, xe, ve)):
+            column.frombytes(values.tobytes())
 
     def _keep(self, records, m: int) -> None:
         last = -self.since  # the record of the last stored step
@@ -994,19 +987,25 @@ class _Output:
         self.since = m - last
 
     def _store(self, records, rows: range) -> None:
-        width = self.width
-        for j, column in enumerate(self.kept):
-            column += records[width * rows.start + j:width * rows.stop:width * rows.step]
+        # the view is gone on return, so that take can shrink the records
+        steps = np.frombuffer(records).reshape(-1, self.width)[rows.start:rows.stop:rows.step]
+        for field, column in zip(self.fields, self.kept):
+            column.frombytes(steps[:, field].tobytes())
 
     def _thin(self) -> None:
-        for column in self.kept:
-            del column[1::2]  # in place: the kept half is never copied
+        # in place, the kept half never copied: with components 0 to k - 1
+        # of the odd rows deleted, component k of row 2j + 1 of an s-wide
+        # column sits at s + j (2s - k)
+        for field, column in zip(self.fields, self.kept):
+            s = field.stop - field.start
+            for k in range(s):
+                del column[s::2 * s - k]
         self.stride *= 2
 
     def finish(self, accepted: int, rejected: int):
         """The columns of the stored samples (t, x, v, x'' and the
-        dissipation: 3n + 2) and of the events (t, x, v: 2n + 1), then the
-        stats; a held refinement error is raised here."""
+        dissipation) and of the events (t, x, v), then the stats; a held
+        refinement error is raised here."""
         if len(self.records) > self.width:
             self.take()
         end = range(1)  # the one record left: the step that reached t_end

@@ -678,29 +678,20 @@ def test_run_loads_no_scipy(tmp_path):
     assert (noisy / "quadshort_path.csv").exists()
 
 
-def test_atomic_write_writes_in_slices(tmp_path):
-    # text longer than one write slice arrives whole, and so do bytes, with
-    # no temporary left
+def test_atomic_write_writes_the_whole_text(tmp_path):
+    # a few MB of text arrives whole, with no temporary left
     text = "".join(f"{i},{i * 0.1!r}\n" for i in range(150_000))
-    assert len(text) > 2 * cli._WRITE_SLICE
     cli._atomic_write(tmp_path / "big.csv", text)
     assert (tmp_path / "big.csv").read_text() == text
-    data = bytearray(text, "ascii")
-    cli._atomic_write(tmp_path / "big_bytes.csv", data)
-    assert (tmp_path / "big_bytes.csv").read_bytes() == data
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "big_bytes.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
-@pytest.mark.parametrize("stage, kind", [
-    pytest.param("write", str, id="write"),
-    pytest.param("rename", str, id="rename"),
-    pytest.param("rename", bytearray, id="rename_bytearray"),
-])
-def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage, kind):
-    # a write that fails part way (a character the encoder refuses, after a
-    # full slice went out) or at the rename removes its temporary file; an
-    # artifact already there is left as it was.  Text and bytes alike
-    text = "x" * (cli._WRITE_SLICE + 10)
+@pytest.mark.parametrize("stage", ["write", "rename"])
+def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage):
+    # a write that fails (a character the encoder refuses, at the end of
+    # a MB of text) or at the rename removes its temporary file; an
+    # artifact already there is left as it was
+    text = "x" * ((1 << 20) + 10)
     if stage == "write":
         text += "\ud800"
         expected = UnicodeEncodeError
@@ -710,13 +701,12 @@ def test_failed_atomic_write_leaves_no_file(tmp_path, monkeypatch, stage, kind):
 
         monkeypatch.setattr(cli.os, "replace", no_space)
         expected = OSError
-    data = text if kind is str else bytearray(text, "ascii")
     with pytest.raises(expected):
-        cli._atomic_write(tmp_path / "run_series.csv", data)
+        cli._atomic_write(tmp_path / "run_series.csv", text)
     assert list(tmp_path.iterdir()) == []
     (tmp_path / "run_events.csv").write_text("kept\n")
     with pytest.raises(expected):
-        cli._atomic_write(tmp_path / "run_events.csv", data)
+        cli._atomic_write(tmp_path / "run_events.csv", text)
     assert [p.name for p in tmp_path.iterdir()] == ["run_events.csv"]
     assert (tmp_path / "run_events.csv").read_text() == "kept\n"
 

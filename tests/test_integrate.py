@@ -899,13 +899,16 @@ def test_output_pass_matches_the_step_by_step_rules(chunk, cap, monkeypatch):
     # (_step_by_step): the same steps bracketing crossings, the same
     # zero-ending steps as events, all in order, and the same stored steps
     # and stride.  Step k records the packed row t = k, x = 1000 + k,
-    # v_0 = ws[k], x'' = 2000 + k and the dissipation 3000 + k (for n = 2
-    # the second components -1, 0.5 and 7); a stand-in refinement
-    # checks that it gets the two ends of each bracket and returns the
-    # midpoint time.  The runs end after every step count to 48, so that
-    # the last step lands on each place of a chunk and of the thinning
-    # (the store of the last step thins the samples and drops it), and
-    # after 196 steps, a chunk edge for chunks 1, 2 and 7.
+    # v_0 = ws[k], x'' = 2000 + k and the dissipation 3000 + k (for n >= 2
+    # component j > 0 of x, v and x'' is -j - k, j + 0.5 + k and 7j + k); a
+    # stand-in refinement checks that it gets the two ends of each bracket
+    # and returns the midpoint time and the bracket's first state.  Each
+    # sample and event column holds its field of every stored step's or
+    # event's row, the n components side by side.  The runs end after
+    # every step count to 48, so that the last step lands on each place of
+    # a chunk and of the thinning (the store of the last step thins the
+    # samples and drops it), and after 196 steps, a chunk edge for chunks
+    # 1, 2 and 7.
     if chunk is not None:
         monkeypatch.setattr(_integrate_module, "EVENT_CHUNK", chunk)
     monkeypatch.setattr(_integrate_module, "MAX_STORED_SAMPLES", cap)
@@ -920,32 +923,35 @@ def test_output_pass_matches_the_step_by_step_rules(chunk, cap, monkeypatch):
     monkeypatch.setattr(_integrate_module, "_refine_brackets", refine)
     rng = np.random.default_rng(cap)
     seen = set()
-    for n, start_at_rest in ((1, False), (1, True), (2, False), (2, True)):
+    for n, start_at_rest in ((1, False), (1, True), (2, False), (2, True), (3, False)):
         all_ws = _random_components(rng, 197, start_at_rest)
         for steps in [*range(1, 49), 196, 197]:
             ws = all_ws[:steps + 1]
 
-            def rec(k):
-                x, v, a = [1000.0 + k], [ws[k]], [2000.0 + k]
-                if n > 1:
-                    x, v, a = x + [-1.0], v + [0.5], a + [7.0]
-                return (float(k), *x, *v, *a, 3000.0 + k)
+            def fields(k):
+                js = range(1, n)
+                return ([float(k)], [1000.0 + k, *(-j - k for j in js)],
+                        [ws[k], *(j + 0.5 + k for j in js)],
+                        [2000.0 + k, *(7.0 * j + k for j in js)], [3000.0 + k])
 
-            out = _integrate_module._Output(n, rec(0))
-            record = out.records.extend
+            def row(k):
+                return [value for field in fields(k) for value in field]
+
+            def column(f, ks):
+                return [value for k in ks for value in fields(k)[f]]
+
+            out = _integrate_module._Output(n, row(0))
             for k in range(1, steps + 1):
-                record(rec(k))
+                out.records.extend(row(k))
                 if k % _integrate_module.EVENT_CHUNK == 0:
                     out.take()
             samples, evs, stats = out.finish(steps, 0)
             events, stored, stride = _step_by_step(ws, cap)
-            assert len(samples) == 3 * n + 2 and len(evs) == 2 * n + 1
             assert evs[0].tolist() == events
-            assert all(len(column) == len(events) for column in evs)
-            # each column holds one component of every stored step's row
-            assert [list(column) for column in samples] == [
-                list(column) for column in zip(*(rec(k) for k in stored))
-            ]
+            # a crossing at k - 1/2 takes step k - 1's state, a zero step k's
+            at = [math.floor(e) for e in events]
+            assert [list(c) for c in evs[1:]] == [column(f, at) for f in (1, 2)]
+            assert [list(c) for c in samples] == [column(f, stored) for f in range(5)]
             assert stats.stride == stride
             seen |= {e % 1 == 0 for e in events}  # exact zeros and crossings both
             seen |= {"graze" for j in range(1, steps) if ws[j] == 0.0 and ws[j + 1] != 0.0
@@ -995,12 +1001,13 @@ def test_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
 def test_array_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
     # The n = 3 counterpart: both steppers record a step as one row of
     # 3n + 2 packed floats, and the output keeps samples and events in one
-    # packed column per component, so the bound is set from that layout,
-    # (3n + 2) * 8 = 88 bytes, twice over per recorded step (the row and
-    # the pass over it) and per stored sample (the columns, their growth
-    # and the stacking into the returned (m, n) arrays), with the slack
-    # of the n = 1 test.  Kept as lists of a float and three (n,) arrays
-    # a step and a sample, a few hundred bytes each, the run exceeds it.
+    # packed column per field of that row, which the returned (m, n)
+    # arrays view, so the bound is set from that layout, (3n + 2) * 8 =
+    # 88 bytes, twice over per recorded step (the row and the pass over
+    # it) and per stored sample (the columns and their growth), with the
+    # slack of the n = 1 test.  Kept as lists of a float and three (n,)
+    # arrays a step and a sample, a few hundred bytes each, the run
+    # exceeds it.
     chunk, cap, n = 64, 256, 3
     bound = 16 * 1024 + 2 * (3 * n + 2) * 8 * (chunk + cap)
     spec = SystemSpec(
@@ -1012,6 +1019,28 @@ def test_array_run_memory_is_bounded_by_chunk_and_sample_cap(monkeypatch):
     assert len(traj.events) == 67 and traj.stats.stride > 1
     assert traj.stats.accepted == 886
     assert held <= bound
+
+
+@pytest.mark.parametrize("spec", [
+    dataclasses.replace(_WELL_SHORT, t_end=50.0),
+    _SLANTED_EVENTS[0],
+    SystemSpec(
+        schedule=PowerLaw(1.0, 1.0, 0.0), potential=Quadratic(3), x0=[1.0, -0.5, 0.25],
+        v0=[0.0] * 3, t_end=40.0,
+    ),
+], ids=["n1", "n2", "n3_singular"])
+def test_returned_states_are_views_of_the_packed_columns(spec):
+    # Every returned sample and event array is a view of the output's
+    # packed column of its field, whatever n is, and the t = 0 row of the
+    # singular start is inserted into those columns: none is copied.
+    traj = integrate(spec)
+    n = spec.potential.n
+    assert len(traj.events) > 0 and traj.ts[0] == 0.0
+    for a in (traj.xs, traj.vs, traj.accs, traj.events.x, traj.events.v):
+        assert a.shape[1:] == (n,) and a.flags.c_contiguous
+        assert not a.flags.owndata
+    for a in (traj.ts, traj.dissipation, traj.events.time):
+        assert not a.flags.owndata
 
 
 @pytest.mark.parametrize("n", [2, 3])
