@@ -349,6 +349,40 @@ def _extent_window(traj: Trajectory, cut: float) -> np.ndarray:
     return _Column(traj, False, cut).extent(cut)
 
 
+class _Linspace:
+    """The points of np.linspace(cut, end, m) by linspace's own arithmetic,
+    k * step + cut with the last one at end, without the m-point array."""
+
+    def __init__(self, cut: float, end: float, m: int):
+        self.cut, self.end, self.m = cut, end, m
+        self.delta = np.subtract(end, cut, dtype=float)
+        self.step = self.delta / (m - 1)
+
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """The points of the integer indices k."""
+        k = k.astype(float)
+        if self.step == 0:  # linspace's order for a step below the float range
+            points = k / (self.m - 1) * self.delta + self.cut
+        else:
+            points = k * self.step + self.cut
+        return np.where(k == self.m - 1, self.end, points)
+
+    def first_at(self, times: np.ndarray) -> np.ndarray:
+        """np.searchsorted of the points for times at most end: an estimate
+        by arithmetic, corrected against the points, which do not
+        decrease."""
+        if not self.delta > 0:
+            return np.zeros(len(times), dtype=np.intp)
+        ratio = np.clip(times - self.cut, 0.0, self.delta) / self.delta  # in [0, 1]
+        k = np.ceil(ratio * (self.m - 1)).astype(np.intp)
+        while True:
+            low = self.at(k) < times
+            high = (k > 0) & (self.at(k - 1) >= times)
+            if not (low.any() or high.any()):
+                return k
+            k = k + low - high
+
+
 class _Column:
     """The positions (events included) or the velocities of a run from
     the piece holding ``first`` on, with the hull of each piece of its
@@ -408,12 +442,13 @@ class _Column:
         The result equals the min/max over all m grid values, but the grid
         is evaluated only on the pieces whose hull reaches past the running
         min or max, in _DENSE_BLOCK blocks of points, so the interpolant's
-        temporaries stay that size; the grid itself is m floats.
+        temporaries stay that size; the grid's points are computed a block
+        at a time too (_Linspace), never the m of them at once.
         """
         ts = self.traj.ts
         last = len(ts) - 1
         m = min(self.cap, max(1000, int((ts[-1] - cut) / 0.01) + 1))
-        grid = np.linspace(cut, ts[-1], m)
+        grid = _Linspace(cut, ts[-1], m)
         lo, hi = self.stored(cut)
         # grid points with ts[j] <= t < ts[j+1] fall in piece j, and the
         # last piece holds t = end, as in Trajectory._pieces
@@ -425,8 +460,8 @@ class _Column:
             reach = j + np.flatnonzero(~inside)
             if not len(reach):
                 continue
-            begin = np.searchsorted(grid, ts[reach])
-            counts = np.where(reach + 1 == last, m, np.searchsorted(grid, ts[reach + 1])) - begin
+            begin = grid.first_at(ts[reach])
+            counts = np.where(reach + 1 == last, m, grid.first_at(ts[reach + 1])) - begin
             # the reaching pieces' points in a row: row position q is grid
             # index q + shift of its piece
             stops = np.cumsum(counts)
@@ -438,7 +473,7 @@ class _Column:
                           int(np.searchsorted(stops, r - 1, side="right")) + 1)
                 sizes = np.minimum(stops[p], r) - np.maximum(stops[p] - counts[p], q)
                 V = self.traj._dense(np.repeat(reach[p], sizes),
-                                     grid[np.arange(q, r) + np.repeat(shift[p], sizes)],
+                                     grid.at(np.arange(q, r) + np.repeat(shift[p], sizes)),
                                      self.velocity)
                 lo = np.minimum(lo, V.min(axis=0))
                 hi = np.maximum(hi, V.max(axis=0))

@@ -15,6 +15,12 @@ calls to a ``workers.Pool``; see README, "Worker processes"):
   wait for its runs plus its judgement.
 * ``oracle <kind>``: print closed-form reference values.
 
+``verify`` imports the ``acceptance`` module and ``oracle`` the ``oracle``
+module when the subcommand runs, and ``workers`` loads the process
+modules only when a pool counts the CPUs or starts a worker.  So ``import
+vanishdamp.cli``, and a ``run`` or a ``sweep --jobs 1`` of a config with
+no [sgd] section, load none of them.
+
 Exit codes: 0 success, 1 criterion failure, 2 config error, 3 solver
 failure.  Artifacts are written atomically: each goes to a temp file
 beside its name, a CSV one block of rows at a time as it is formatted,
@@ -37,12 +43,10 @@ from typing import BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import acceptance
 from .analyze import classify_limit, lower_bound_residual, rate_fit
 from .config import ParsedConfig, RunConfig, build_sweep_plan, config_echo, load_run_config
 from .errors import ConfigError, SolverError, VanishDampError
 from .integrate import Trajectory, integrate
-from .oracle import bessel_j, linear_regular_solution, power_law_exact
 from .potential import Potential
 from .sgd import DiscretePath, NoiseModel, StepSchedule, compare_to_ode, run_recursion
 from .workers import Pool
@@ -322,6 +326,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     if args.list:
         for cid, title in acceptance.list_criteria():
             print(f"{cid}  {title}")
@@ -336,15 +342,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 # kind: (the option it needs, header, the values after t); the lambdas
-# call the oracle functions through this module's names
+# read the oracle functions from the module ``_cmd_oracle`` imports, when
+# they are called
 _ORACLES = {
-    "bessel": ("nu", "t,value", lambda nu, t: (bessel_j(nu, t),)),
-    "linear": ("c", "t,value", lambda c, t: (linear_regular_solution(c, t),)),
-    "power": ("beta", "t,x,v,c", lambda beta, t: power_law_exact(beta, t)),
+    "bessel": ("nu", "t,value", lambda oracle, nu, t: (oracle.bessel_j(nu, t),)),
+    "linear": ("c", "t,value", lambda oracle, c, t: (oracle.linear_regular_solution(c, t),)),
+    "power": ("beta", "t,x,v,c", lambda oracle, beta, t: oracle.power_law_exact(beta, t)),
 }
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     try:
         times = [float(t) for t in args.t]
     except ValueError:
@@ -357,7 +366,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError(f"oracle {args.kind} needs --{option}")
     # every row is computed before the first is printed, so a refused
     # time prints none
-    rows = [",".join(map(_fmt, (t, *values(param, t)))) for t in times]
+    rows = [",".join(map(_fmt, (t, *values(oracle, param, t)))) for t in times]
     print(header, *rows, sep="\n")
     return 0
 

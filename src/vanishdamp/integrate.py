@@ -337,7 +337,9 @@ class Trajectory(_ReadOnlyArrays):
             raise DomainError(
                 f"dense evaluation outside [{ts[0]:.6g}, {ts[-1]:.6g}]"
             )
-        return np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2), tq
+        # minimum of maximum: np.clip costs more than the search on one time
+        return np.minimum(np.maximum(np.searchsorted(ts, tq, side="right") - 1, 0),
+                          len(ts) - 2), tq
 
     def _dense(self, i: np.ndarray, times: np.ndarray, velocity: bool) -> np.ndarray:
         """The interpolant's x, or its v, at times inside the pieces i
@@ -993,13 +995,20 @@ class _Output:
             column.frombytes(steps[:, field].tobytes())
 
     def _thin(self) -> None:
-        # in place, the kept half never copied: with components 0 to k - 1
-        # of the odd rows deleted, component k of row 2j + 1 of an s-wide
-        # column sits at s + j (2s - k)
+        # in place: row 2j moves to row j, in blocks [lo, 2 lo) whose
+        # sources (rows 2 lo on) lie past them, so no copy overlaps its
+        # source or a row still to be read; then one truncating del
         for field, column in zip(self.fields, self.kept):
             s = field.stop - field.start
-            for k in range(s):
-                del column[s::2 * s - k]
+            rows = np.frombuffer(column).reshape(-1, s)
+            kept = (len(rows) + 1) // 2
+            lo = 1
+            while lo < kept:
+                hi = min(2 * lo, kept)
+                rows[lo:hi] = rows[2 * lo:2 * hi:2]
+                lo = hi
+            del rows  # the view pins the column's size
+            del column[kept * s:]
         self.stride *= 2
 
     def finish(self, accepted: int, rejected: int):

@@ -7,9 +7,10 @@ exact power-law solution of the nonlinear equation with matching damping.
 
 Bessel values come from ``scipy.special.jv`` and the gamma function from
 ``math.gamma``; this module only validates inputs and assembles the closed
-forms.  scipy is imported on first use, so importing this module (and the
-command line, which imports it) loads numpy only.  The references are
-accurate to about 1e-14 at every t, long horizons included.
+forms.  scipy is imported on first use, so importing this module loads
+numpy only.  The command line loads it only in ``oracle`` and in
+``verify`` (through ``acceptance``).  The references are accurate to
+about 1e-14 at every t, long horizons included.
 """
 
 from __future__ import annotations

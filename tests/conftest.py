@@ -36,7 +36,7 @@ def record_pools(monkeypatch):
             sizes.append(max_workers)
             return ProcessPoolExecutor(max_workers=max_workers, **options)
 
-        monkeypatch.setattr(workers, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(workers, "_executor", pool)
         return sizes
 
     return record

@@ -44,6 +44,7 @@ from vanishdamp import (
     upper_bound_check,
 )
 from vanishdamp import analyze as analyze_module
+from vanishdamp.acceptance import _flat_sweep_run
 from vanishdamp.analyze import DENSITY_STEP, _Column, _extent_window, _tail_velocity_max
 
 
@@ -577,6 +578,43 @@ def _edge_windows():
 def test_extents_at_the_grid_edges_equal_the_full_grid(name, traj, cut):
     assert np.array_equal(_extent_window(traj, cut), _full_extent(traj, cut))
     assert _tail_velocity_max(traj, cut) == _full_velocity_max(traj, cut)
+
+
+@pytest.mark.parametrize("cut, end, m", [
+    (0.0, 5.0e-322, 1000),  # a step that underflows to 0
+    (10.0, 10.0, 1000),  # zero width
+    (5.0, 10.0, 1000),
+    (1000.0, 1.0e4, 200_000),
+    (27000.0, 30000.0, 100_000),
+    (0.1, 0.7 + 1e-9, 1000),
+])
+def test_linspace_points_and_positions_are_numpys(cut, end, m):
+    # the points by linspace's arithmetic, and the first point at or after
+    # each time (at the points, one float either side, inside the window
+    # and before it), bit for bit as np.linspace and np.searchsorted give
+    grid = np.linspace(cut, end, m)
+    lin = analyze_module._Linspace(cut, end, m)
+    assert lin.at(np.arange(m)).tobytes() == grid.tobytes()
+    inside = np.random.default_rng(m).uniform(cut, end, 1000)
+    times = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                            inside, [cut - 1.0]])
+    times = times[times <= end]
+    assert np.array_equal(lin.first_at(times), np.searchsorted(grid, times))
+
+
+def test_extent_builds_no_grid_array():
+    # A6's sweep extent at t_end = 1e4: a grid of 200,000 points over
+    # [1000, 1e4], of which its reaching pieces evaluate 12; the grid's
+    # array alone would take 1.6 MB
+    traj = _flat_sweep_run(1.0e4)
+    tracemalloc.start()
+    try:
+        got = omega_limit_extent(traj, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6
+    assert np.array_equal(got, _full_extent(traj, 1000.0))
 
 
 def test_classification_memory_is_bounded_at_both_grid_caps(monkeypatch):

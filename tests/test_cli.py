@@ -633,33 +633,39 @@ def test_one_cpu_runs_the_recursion_after_the_integration(tmp_path, record_pools
     _assert_same_apart_from_clock(tmp_path / "two", tmp_path / "one")
 
 
-def _scipy_loaded_by_run(cfg, outdir):
-    """The scipy modules loaded by ``run`` on ``cfg`` in a fresh interpreter.
+def _loaded_by(prefixes, argv=None):
+    """The modules under ``prefixes`` that a fresh interpreter has loaded
+    after ``import vanishdamp.cli`` and, given ``argv``, ``main(argv)``.
 
     ``run`` hands an [sgd] section's recursion to a worker process, whose
-    modules the interpreter does not see, so the script also runs the
-    recursion and its ODE comparison itself."""
+    modules the interpreter does not see, so after a ``run`` the script
+    also runs the recursion and its ODE comparison itself."""
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import vanishdamp.cli\n"
         "from vanishdamp.config import load_run_config\n"
         "from vanishdamp.sgd import compare_to_ode, run_recursion\n"
-        f"assert vanishdamp.cli.main(['run', {cfg!r}, '--outdir', {str(outdir)!r}]) == 0\n"
-        f"run_cfg = load_run_config({cfg!r})\n"
-        "if run_cfg.sgd is not None:\n"
-        "    steps, noise, n_steps = run_cfg.sgd\n"
-        "    pot = run_cfg.spec.potential\n"
-        "    path = run_recursion(pot, steps, noise, run_cfg.spec.x0, n_steps)\n"
-        "    assert path.n_steps == n_steps\n"
-        "    compare_to_ode(path, pot)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    assert vanishdamp.cli.main(argv) == 0\n"
+        "if argv is not None and argv[0] == 'run':\n"
+        "    run_cfg = load_run_config(argv[1])\n"
+        "    if run_cfg.sgd is not None:\n"
+        "        steps, noise, n_steps = run_cfg.sgd\n"
+        "        pot = run_cfg.spec.potential\n"
+        "        path = run_recursion(pot, steps, noise, run_cfg.spec.x0, n_steps)\n"
+        "        assert path.n_steps == n_steps\n"
+        "        compare_to_ode(path, pot)\n"
+        f"prefixes = {tuple(prefixes)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if any(m == p or m.startswith(p + '.') for p in prefixes))))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_run_loads_no_scipy(tmp_path):
@@ -667,15 +673,44 @@ def test_run_loads_no_scipy(tmp_path):
     # run and a noisy recursion never load it.  Fresh interpreters, since
     # this one has scipy loaded by other tests
     text = WELL_SHORT.replace("s0 = 1.0", "s0 = 0.0").replace("v0 = 1.1", "v0 = 0.0")
-    assert _scipy_loaded_by_run(_cfg(tmp_path, text), tmp_path) == "[]"
+    assert _loaded_by(["scipy"], ["run", _cfg(tmp_path, text), "--outdir", str(tmp_path)]) == []
     # the singular schedule's t=0 row has a = inf
     first = (tmp_path / "quadshort_series.csv").read_text().splitlines()[1].split(",")
     assert first[0] == "0.0" and first[-2] == "inf"
 
     noisy = tmp_path / "noisy"
     assert "sigma = 0.5" in PLANE_SGD
-    assert _scipy_loaded_by_run(_cfg(tmp_path, PLANE_SGD, "sgd.cfg"), noisy) == "[]"
+    assert _loaded_by(["scipy"], ["run", _cfg(tmp_path, PLANE_SGD, "sgd.cfg"), "--outdir",
+                                  str(noisy)]) == []
     assert (noisy / "quadshort_path.csv").exists()
+
+
+# the process modules, and the modules only ``verify`` and ``oracle`` use
+DEFERRED = ["multiprocessing", "concurrent", "vanishdamp.acceptance", "vanishdamp.oracle"]
+
+
+@pytest.mark.parametrize("command", ["import", "run", "sweep"])
+def test_cli_loads_no_process_or_verify_module(tmp_path, command):
+    # the command line imports acceptance and oracle in the subcommands
+    # that use them, and workers the process modules for a pool that
+    # counts CPUs or starts a worker, so none of them loads for a plain
+    # run, a serial sweep or the import alone
+    sweep = "\n[sweep]\nmode = grid\nvary = schedule.c\nvalues = 1.0, 2.0\n"
+    argv = {
+        "import": None,
+        "run": ["run", _cfg(tmp_path, BASE), "--outdir", str(tmp_path / "run")],
+        "sweep": ["sweep", _cfg(tmp_path, BASE + sweep), "--outdir", str(tmp_path / "sweep"),
+                  "--jobs", "1"],
+    }[command]
+    assert _loaded_by(DEFERRED, argv) == []
+
+
+def test_the_load_check_sees_the_deferred_modules(tmp_path):
+    # the commands that use them do load them
+    assert _loaded_by(DEFERRED, ["verify", "--list"]) == [
+        "vanishdamp.acceptance", "vanishdamp.oracle"]
+    cfg = _cfg(tmp_path, PLANE_SGD)
+    assert "multiprocessing" in _loaded_by(DEFERRED, ["run", cfg, "--outdir", str(tmp_path)])
 
 
 def test_atomic_write_writes_the_whole_text(tmp_path):
@@ -915,7 +950,7 @@ def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, text)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert main(["sweep", cfg, "--outdir", str(serial), "--jobs", "1"]) == 0
-    monkeypatch.setattr(workers, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(workers, "_executor", InProcessPool)
     assert main(["sweep", cfg, "--outdir", str(parallel), "--jobs", "1000"]) == 0
     assert asked == [3]
     assert multiprocessing.active_children() == []

@@ -14,6 +14,7 @@ import operator
 import pickle
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -603,8 +604,14 @@ _integrate_module = importlib.import_module("vanishdamp.integrate")
          {"accepted": 268, "rejected": 0, "rhs_evals": 3218, "stride": 4},
          "6145bef24789de7125b77befd3bde17380b2919dbd5ed89783abc4bdecb59ceb",
          "2d4821f30e5d033030297042909b2b78e4dd4b7c537952c56ee3258960ba5927"),
+        (SystemSpec(schedule=PowerLaw(1.0, 1.0, 1.0), potential=PPower(4.0, n=3),
+                    x0=[0.6, -0.3, 0.2], v0=[-0.2, 0.1, 0.4], t_end=3000.0, rel_tol=1e-8),
+         (53, 68, 16),
+         {"accepted": 824, "rejected": 12, "rhs_evals": 10034, "stride": 16},
+         "25cd016f2e24e6e6fa954be32f2c2ecffa03d0fd4342434495cb0083357c9126",
+         "e1aabd74b43add97995584864baea13fd350d7343f2c92cb8b91738e4aa9382e"),
     ],
-    ids=["doublewell_n1", "quadratic_n2_slanted"],
+    ids=["doublewell_n1", "quadratic_n2_slanted", "ppower_n3"],
 )
 def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, dissipation,
                                           monkeypatch):
@@ -620,6 +627,23 @@ def test_stride_doubling_is_pinned_bitwise(spec, counts, stats, digest, dissipat
     assert traj.stats.as_dict() == stats
     assert _trajectory_digest(traj) == digest
     assert _dissipation_digest(traj) == dissipation
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("stored", [1, 2, 7, 8, 1001])
+def test_thinning_keeps_exactly_the_even_rows(n, stored):
+    # every column of a row (widths 1 and n) keeps rows 0, 2, 4, ... bit
+    # for bit, signed zeros and NaN payloads included, and nothing else
+    width = 3 * n + 2
+    rows = np.random.default_rng(n).standard_normal((stored, width))
+    rows[::3, 1] = -0.0
+    rows.view(np.uint64)[1::5, -1] = 0x7FF8_0000_0000_0BAD  # a NaN with a payload
+    out = _integrate_module._Output(n, rows[0])
+    out.kept = [array("d", rows[:, field].tobytes()) for field in out.fields]
+    out._thin()
+    assert out.stride == 2
+    assert [column.tobytes() for column in out.kept] == [
+        np.ascontiguousarray(rows[::2, field]).tobytes() for field in out.fields]
 
 
 def test_thinned_dense_output_matches_the_unthinned_run(monkeypatch):
